@@ -9,10 +9,9 @@ from .chains import (BirthDeathSpec, HittingTable, InfiniteHittingTimeError,
                      expected_T1, hitting_table, positive_recurrence_check,
                      s_recursion_step, s_tail_series, s_values_float,
                      stationary_distribution)
-from .gillespie import (EnsembleSummary, EpidemicState, SimConfig, Trajectory,
+from .gillespie import (EnsembleSummary, SimConfig, Trajectory,
                         estimate_survival_probability, mean_field_trajectory,
-                        node_rates, run_ensemble, simulate_run, step,
-                        trimmed_interval)
+                        run_ensemble, simulate_run, trimmed_interval)
 from .graphs import (DiagonalModulation, EdgeListError, LocalityGraph,
                      SpectralError, SpectralInfo, effective_matrix,
                      geometric_lower, is_strongly_connected, load_edge_list,
@@ -38,8 +37,8 @@ __all__ = [
     "Regime", "Method", "RegimeReport", "classify_symmetric",
     "classify_general", "classify_scalar_D", "classify_decoupled",
     # gillespie
-    "EpidemicState", "SimConfig", "Trajectory", "EnsembleSummary",
-    "node_rates", "step", "simulate_run", "run_ensemble",
+    "SimConfig", "Trajectory", "EnsembleSummary",
+    "simulate_run", "run_ensemble",
     "mean_field_trajectory", "estimate_survival_probability",
     "trimmed_interval",
     # chains

@@ -292,7 +292,8 @@ def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
     else:
         raise ConfigError(f"[meanfield] x0 {mf.x0!r}: use uniform or node:LABEL")
     delta = float(parse_parameter(cfg.dynamics.delta))
-    series = mean_field_trajectory(g, beta, beta_int, delta, x0, grid)
+    series = mean_field_trajectory(g, beta, beta_int, delta, x0, grid,
+                                   modulation=load_modulation(cfg, g))
     out = _out_dir(cfg, args)
     _write_csv(out / "meanfield.csv", ["t", *g.labels, "total"],
                (([_fmt(t)] + [_fmt(v) for v in row] + [_fmt(row.sum())])

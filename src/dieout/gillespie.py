@@ -11,7 +11,8 @@ Because both infectiousness functions depend on the total n, every
 birth rate rescales at every event.  The simulator therefore caches the
 pressure vector W @ X and the modulation products D * X, updating only
 the column touched by an event, and applies the profile values as
-scalar factors when rates are needed.
+scalar factors: an event first picks one of the totals b(n) sum(W X),
+bi(n) sum(D X) and delta n, then a node inside that unscaled vector.
 
 Runs are reproducible: the generator for run ``i`` is derived from
 ``SeedSequence((master_seed, i))``, so any subset of runs can be
@@ -27,34 +28,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
-from .graphs import DiagonalModulation, LocalityGraph
+from .graphs import DiagonalModulation, LocalityGraph, effective_matrix
 from .rates import Constant, RateProfile
 
 # Cached pressure vectors are refreshed from scratch at this cadence to
 # stop float drift from accumulating over long runs.
 _REFRESH_EVERY = 8192
-
-
-@dataclass(frozen=True)
-class EpidemicState:
-    """Per-node infection counts with the system total cached."""
-
-    counts: np.ndarray
-    total: int
-
-    @classmethod
-    def from_counts(cls, counts) -> "EpidemicState":
-        arr = np.asarray(counts, dtype=np.int64)
-        if (arr < 0).any():
-            raise ValueError("counts must be nonnegative")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        return cls(arr, int(arr.sum()))
-
-    @property
-    def extinct(self) -> bool:
-        return self.total == 0
 
 
 @dataclass(frozen=True)
@@ -162,49 +143,6 @@ def trimmed_interval(values, trim_fraction: float = 0.025
     return float(arr[k]), float(arr[arr.size - 1 - k])
 
 
-def node_rates(state: EpidemicState, g: LocalityGraph,
-               modulation: DiagonalModulation | None, beta: RateProfile,
-               beta_int: RateProfile, delta: float):
-    """Instantaneous birth/death rates from scratch (reference path).
-
-    Returns (birth_rates, death_rates, total_rate).  The simulator's
-    incremental caches must agree with this to rounding error.
-    """
-    counts = np.asarray(state.counts, dtype=float)
-    n = state.total
-    if n == 0:
-        zeros = np.zeros(g.node_count)
-        return zeros, zeros.copy(), 0.0
-    d = (modulation.values if modulation is not None
-         else np.ones(g.node_count))
-    pressure = np.asarray(g.weights @ counts).ravel()
-    birth = beta.value(n) * pressure + beta_int.value(n) * (d * counts)
-    death = delta * counts
-    return birth, death, float(birth.sum() + death.sum())
-
-
-def step(state: EpidemicState, rates, rng: np.random.Generator):
-    """Draw one exponential waiting time and one event category.
-
-    ``rates`` is the (birth, death, total) triple from
-    :func:`node_rates`.  Returns (dt, node, delta_count).
-    """
-    birth, death, total = rates
-    if total <= 0:
-        raise ValueError("no transitions available from an absorbing state")
-    dt = rng.exponential(1.0 / total)
-    u = rng.random() * total
-    birth_sum = float(birth.sum())
-    if u < birth_sum:
-        node = int(np.searchsorted(np.cumsum(birth), u, side="right"))
-        node = min(node, birth.size - 1)
-        return dt, node, +1
-    u -= birth_sum
-    node = int(np.searchsorted(np.cumsum(death), u, side="right"))
-    node = min(node, death.size - 1)
-    return dt, node, -1
-
-
 def _initial_counts(cfg: SimConfig, n_nodes: int,
                     rng: np.random.Generator) -> np.ndarray:
     if cfg.initial is not None:
@@ -214,6 +152,83 @@ def _initial_counts(cfg: SimConfig, n_nodes: int,
     counts = np.zeros(n_nodes, dtype=np.int64)
     counts[int(rng.integers(n_nodes))] = cfg.n0
     return counts
+
+
+@dataclass(frozen=True, eq=False)
+class _EventTables:
+    """Per-graph arrays every event reads, built once per ensemble.
+
+    ``columns``: W's columns (rows of W^T when dense, CSC slices on CSR).
+    On CSR graphs each rate vector is split into blocks of ``width`` ~
+    sqrt(N) entries, so a draw scans O(sqrt(N)) values; ``block_columns``
+    is W with its rows summed per block (CSC), so an event updates the
+    block sums of W @ X from one column.  Dense graphs keep no blocks.
+    """
+
+    weights: np.ndarray | sp.csr_matrix
+    col_sums: np.ndarray
+    width: int
+    columns: np.ndarray | tuple
+    block_columns: tuple | None
+
+    def block_sums(self, values: np.ndarray) -> np.ndarray | None:
+        """Per-block sums of ``values``; None on dense graphs."""
+        if self.block_columns is None:
+            return None
+        return np.add.reduceat(values, np.arange(0, values.size, self.width))
+
+    @classmethod
+    def of(cls, g: LocalityGraph) -> "_EventTables":
+        w, n = g.weights, g.node_count
+        col_sums = np.asarray(w.sum(axis=0)).ravel()
+        if g.is_dense:
+            return cls(w, col_sums, n, np.ascontiguousarray(w.T), None)
+        width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+        rows = np.arange(n)
+        blocks = sp.csr_matrix((np.ones(n), (rows // width, rows)),
+                               shape=(-(-n // width), n))
+        csc, agg = w.tocsc(), (blocks @ w).tocsc()
+        return cls(w, col_sums, width, (csc.indptr, csc.indices, csc.data),
+                   (agg.indptr, agg.indices, agg.data))
+
+
+def _locate(values: np.ndarray, target: float, cum=None) -> int:
+    """Index where ``cum`` (default: the running sum of ``values``)
+    passes ``target`` if that entry is positive, else the nearest
+    positive index below it, else the first one above; -1 if none."""
+    cum = values.cumsum() if cum is None else cum
+    i = int(cum.searchsorted(target, side="right"))
+    if i < values.size and values[i] > 0:
+        return i
+    positive = np.flatnonzero(values > 0)
+    if positive.size == 0:
+        return -1
+    return int(positive[max(int(np.searchsorted(positive, i)) - 1, 0)])
+
+
+def _pick(values: np.ndarray, block_sums: np.ndarray | None, width: int,
+          target: float) -> int:
+    """Index where the running sum of ``values`` passes ``target``,
+    found through the sums of its ``width``-entry blocks (a flat scan
+    when ``block_sums`` is None); -1 when no entry is positive.
+
+    Rounding drift can land a target on a nonpositive block or entry,
+    or past the end: the pick then moves to the nearest positive one.
+    A block with no positive entry holds only residue; its sum is reset
+    from the entries and the block pick repeated.
+    """
+    if block_sums is None:
+        return _locate(values, target)
+    while True:
+        cum = block_sums.cumsum()
+        k = _locate(block_sums, target, cum)
+        if k < 0:
+            return -1
+        block = values[k * width:(k + 1) * width]
+        j = _locate(block, target - float(cum[k] - block_sums[k]))
+        if j >= 0:
+            return k * width + j
+        block_sums[k] = block.sum()
 
 
 def simulate_run(cfg: SimConfig, g: LocalityGraph, run_index: int,
@@ -232,30 +247,26 @@ def simulate_run(cfg: SimConfig, g: LocalityGraph, run_index: int,
         Trajectory with extinct_at set iff the run hit the all-zero
         state by t_max, else truncated_at = t_max.
     """
-    rng = run_rng(cfg.master_seed, run_index)
-    n_nodes = g.node_count
-    counts = _initial_counts(cfg, n_nodes, rng)
-    initial = counts.copy()
+    return _simulate(cfg, _EventTables.of(g), run_index, grid)
 
-    weights = g.weights
-    if g.is_dense:
-        columns = None
-    else:
-        csc = weights.tocsc()  # per-column slices for pressure updates
-        columns = csc.indptr, csc.indices, csc.data
-    col_sums = np.asarray(weights.sum(axis=0)).ravel()
+
+def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
+              grid: np.ndarray | None) -> Trajectory:
+    rng = run_rng(cfg.master_seed, run_index)
+    weights, width = tables.weights, tables.width
+    n_nodes = tables.col_sums.size
+    initial = _initial_counts(cfg, n_nodes, rng)
+
     d = (cfg.modulation.values if cfg.modulation is not None
          else np.ones(n_nodes))
     beta_f = cfg.beta.as_float_fn()
     betaint_f = cfg.beta_int.as_float_fn()
     delta = float(cfg.delta)
+    # per-node scalars as Python floats: cheaper to index and combine
+    col_sums, d_of = tables.col_sums.tolist(), d.tolist()
 
-    fcounts = counts.astype(float)
-    pressure = np.asarray(weights @ fcounts).ravel()  # W @ X, per event
-    pressure_sum = float(pressure.sum())
-    mod_counts = d * fcounts                          # D * X, per event
-    mod_sum = float(mod_counts.sum())
-    n = int(counts.sum())
+    fcounts = initial.astype(float)
+    n = int(initial.sum())
 
     record = cfg.record_events
     events: list[tuple[float, int, int]] | None = [] if record else None
@@ -269,16 +280,24 @@ def simulate_run(cfg: SimConfig, g: LocalityGraph, run_index: int,
     t = 0.0
     t_max = float(cfg.t_max)
     extinct_at: float | None = None
-    birth_buf = np.empty(n_nodes)
-    since_refresh = 0
+    since_refresh = _REFRESH_EVERY  # the caches are built on entry
 
     while True:
         if n == 0:
             extinct_at = t
             break
+        if since_refresh >= _REFRESH_EVERY:
+            since_refresh = 0
+            pressure = np.asarray(weights @ fcounts).ravel()  # W @ X
+            pressure_sum = float(pressure.sum())
+            mod_counts = d * fcounts                          # D * X
+            mod_sum = float(mod_counts.sum())
+            pressure_blocks, mod_blocks, count_blocks = map(
+                tables.block_sums, (pressure, mod_counts, fcounts))
         b = beta_f(n)
         bi = betaint_f(n)
-        birth_total = b * pressure_sum + bi * mod_sum
+        pressure_rate = b * pressure_sum
+        birth_total = pressure_rate + bi * mod_sum
         total_rate = birth_total + delta * n
 
         t_next = t + rng.exponential(1.0 / total_rate)
@@ -292,58 +311,40 @@ def simulate_run(cfg: SimConfig, g: LocalityGraph, run_index: int,
         t = t_next
 
         u = rng.random() * total_rate
-        if u < birth_total:
-            np.multiply(pressure, b, out=birth_buf)
-            if bi != 0.0:
-                birth_buf += bi * mod_counts
-            np.maximum(birth_buf, 0.0, out=birth_buf)
-            cum = np.cumsum(birth_buf)
-            node = int(np.searchsorted(cum, u, side="right"))
-            node = min(node, n_nodes - 1)
-            delta_count = 1
+        delta_count = 1 if u < birth_total else -1
+        if u < pressure_rate:
+            node = _pick(pressure, pressure_blocks, width, u / b)
+        elif u < birth_total:
+            node = _pick(mod_counts, mod_blocks, width,
+                         (u - pressure_rate) / bi)
         else:
-            u2 = (u - birth_total) / delta
-            cum = np.cumsum(fcounts)
-            node = int(np.searchsorted(cum, u2, side="right"))
-            node = min(node, n_nodes - 1)
-            while fcounts[node] <= 0:  # boundary rounding guard
-                node -= 1
-            delta_count = -1
+            node = _pick(fcounts, count_blocks, width,
+                         (u - birth_total) / delta)
+        if node < 0:
+            # the chosen total was rounding residue of a vector with no
+            # positive entry: a null event, exact by thinning
+            continue
 
-        counts[node] += delta_count
         fcounts[node] += delta_count
         n += delta_count
-        if columns is None:
-            col_update = weights[:, node]
-            if delta_count > 0:
-                pressure += col_update
-            else:
-                pressure -= col_update
+        update = np.add if delta_count > 0 else np.subtract
+        if count_blocks is None:
+            update(pressure, tables.columns[node], out=pressure)
         else:
-            indptr, indices, data = columns
-            sl = slice(indptr[node], indptr[node + 1])
-            if delta_count > 0:
-                pressure[indices[sl]] += data[sl]
-            else:
-                pressure[indices[sl]] -= data[sl]
-        if delta_count > 0:
-            pressure_sum += col_sums[node]
-            mod_counts[node] += d[node]
-            mod_sum += d[node]
-        else:
-            pressure_sum -= col_sums[node]
-            mod_counts[node] -= d[node]
-            mod_sum -= d[node]
+            for cache, (indptr, indices, data) in (
+                    (pressure, tables.columns),
+                    (pressure_blocks, tables.block_columns)):
+                lo, hi = indptr[node], indptr[node + 1]
+                rows = indices[lo:hi]
+                cache[rows] = update(cache[rows], data[lo:hi])
+            mod_blocks[node // width] += delta_count * d_of[node]
+            count_blocks[node // width] += delta_count
+        pressure_sum += delta_count * col_sums[node]
+        mod_counts[node] = d_of[node] * fcounts[node]
+        mod_sum += delta_count * d_of[node]
         if record:
             events.append((t, node, delta_count))
-
         since_refresh += 1
-        if since_refresh >= _REFRESH_EVERY:
-            since_refresh = 0
-            pressure = np.asarray(weights @ fcounts).ravel()
-            pressure_sum = float(pressure.sum())
-            mod_counts = d * fcounts
-            mod_sum = float(mod_counts.sum())
 
     if grid is not None:
         # remaining grid points see the final (absorbed or frozen) total
@@ -357,14 +358,28 @@ def simulate_run(cfg: SimConfig, g: LocalityGraph, run_index: int,
         grid=grid,
         grid_totals=totals,
         events=events,
-        final_counts=counts,
+        final_counts=fcounts.astype(np.int64),
     )
 
 
 def _run_for_ensemble(args):
-    cfg, g, run_index, grid = args
-    traj = simulate_run(cfg, g, run_index, grid=grid)
-    return run_index, traj.grid_totals, traj.extinct_at, traj.events
+    traj = _simulate(*args)
+    return traj.run_index, traj.grid_totals, traj.extinct_at, traj.events
+
+
+def _map_runs(cfg: SimConfig, g: LocalityGraph, runs: int,
+              grid: np.ndarray | None, threads: int):
+    """(run_index, grid_totals, extinct_at, events) of runs 0..runs-1 in
+    run order; inline for ``threads == 1``, else from a process pool
+    (``threads == 0`` picks the machine default)."""
+    tables = _EventTables.of(g)
+    jobs = ((cfg, tables, i, grid) for i in range(runs))
+    if threads == 1:
+        yield from map(_run_for_ensemble, jobs)
+        return
+    workers = threads if threads > 0 else None
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_run_for_ensemble, jobs, chunksize=16)
 
 
 def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
@@ -392,26 +407,13 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
     totals = np.zeros((runs, grid.size), dtype=np.int64)
     extinctions: list[tuple[int, float]] = []
     events: list | None = [None] * runs if cfg.record_events else None
-    if threads == 1:
-        for i in range(runs):
-            traj = simulate_run(cfg, g, i, grid=grid)
-            totals[i] = traj.grid_totals
-            if traj.extinct_at is not None:
-                extinctions.append((i, traj.extinct_at))
-            if events is not None:
-                events[i] = traj.events
-    else:
-        workers = threads if threads > 0 else None
-        jobs = ((cfg, g, i, grid) for i in range(runs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for run_index, row, extinct_at, run_ev in pool.map(
-                    _run_for_ensemble, jobs, chunksize=16):
-                totals[run_index] = row
-                if extinct_at is not None:
-                    extinctions.append((run_index, extinct_at))
-                if events is not None:
-                    events[run_index] = run_ev
-        extinctions.sort()
+    for run_index, row, extinct_at, run_ev in _map_runs(cfg, g, runs, grid,
+                                                        threads):
+        totals[run_index] = row
+        if extinct_at is not None:
+            extinctions.append((run_index, extinct_at))
+        if events is not None:
+            events[run_index] = run_ev
 
     trim = int(math.floor(0.025 * runs))
     sorted_totals = np.sort(totals, axis=0)
@@ -443,18 +445,8 @@ def estimate_survival_probability(cfg: SimConfig, g: LocalityGraph,
     if not 0 < horizon <= cfg.t_max:
         raise ValueError("horizon must lie in (0, t_max]")
     clipped = replace(cfg, t_max=horizon, record_events=False)
-    alive = 0
-    if threads == 1:
-        for i in range(runs):
-            traj = simulate_run(clipped, g, i)
-            alive += traj.extinct_at is None
-    else:
-        workers = threads if threads > 0 else None
-        jobs = ((clipped, g, i, None) for i in range(runs))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for _, _, extinct_at, _ in pool.map(_run_for_ensemble, jobs,
-                                                chunksize=16):
-                alive += extinct_at is None
+    alive = sum(extinct_at is None for _, _, extinct_at, _ in
+                _map_runs(clipped, g, runs, None, threads))
     p = alive / runs
     return SurvivalEstimate(probability=p,
                             stderr=math.sqrt(p * (1.0 - p) / runs),
@@ -472,19 +464,22 @@ def _constant_value(profile_or_value, name: str) -> float:
 
 
 def mean_field_trajectory(g: LocalityGraph, beta_const, betaint_const,
-                          delta: float, x0, grid) -> np.ndarray:
+                          delta: float, x0, grid,
+                          modulation: DiagonalModulation | None = None
+                          ) -> np.ndarray:
     """Expected trajectory of the linear ODE for constant profiles.
 
-    Integrates d E[X]/dt = (beta W + beta_int I - delta I) E[X] on the
+    Integrates d E[X]/dt = (beta W + beta_int D - delta I) E[X] on the
     grid via the matrix exponential (one propagator per distinct step,
-    reused across a uniform grid).  Projected on the Perron eigenvector
-    q of a symmetric W, the solution is the scalar exponential
-    exp(t (beta lambda_r + beta_int - delta)) * q.X(0).
+    reused across a uniform grid).  With D = I (the default), projected
+    on the Perron eigenvector q of a symmetric W, the solution is the
+    scalar exponential exp(t (beta lambda_r + beta_int - delta)) * q.X(0).
 
     Args:
         beta_const, betaint_const: floats, or Constant profiles.
         x0: initial expected counts per node.
         grid: increasing times (first entry may be 0).
+        modulation: D, the per-node multipliers of beta_int.
 
     Returns:
         Array of shape (len(grid), node_count).
@@ -497,9 +492,13 @@ def mean_field_trajectory(g: LocalityGraph, beta_const, betaint_const,
     x = np.asarray(x0, dtype=float)
     if x.shape != (g.node_count,):
         raise ValueError("x0 length does not match the graph")
+    if modulation is None:
+        modulation = DiagonalModulation.uniform(g.node_count)
 
-    gen = beta * g.dense_weights().astype(float)
-    gen = gen + (beta_int - delta) * np.eye(g.node_count)
+    gen = effective_matrix(g, modulation, beta, beta_int)
+    if sp.issparse(gen):
+        gen = gen.toarray()
+    gen = gen - delta * np.eye(g.node_count)
 
     out = np.empty((grid.size, g.node_count))
     steps = np.diff(grid, prepend=0.0)

@@ -159,12 +159,6 @@ def _freeze(w):
     return arr
 
 
-def _as_matrix(weights: np.ndarray, n: int):
-    if n > DENSE_NODE_LIMIT:
-        return sp.csr_matrix(weights)
-    return weights
-
-
 def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
     """Parse a whitespace-separated edge list into a locality graph.
 
@@ -215,11 +209,23 @@ def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
     if not order:
         raise EdgeListError("edge list is empty")
     n = len(order)
-    weights = np.zeros((n, n))
+    # only nonzero entries are stored, so zero-weight self-loops vanish
+    rows, cols, data = [], [], []
     for (src, dst), weight in edges.items():
-        if src != dst:
-            weights[order[src], order[dst]] = weight
-    return LocalityGraph(tuple(order), _freeze(_as_matrix(weights, n)))
+        if weight != 0:
+            rows.append(order[src])
+            cols.append(order[dst])
+            data.append(weight)
+    if n > DENSE_NODE_LIMIT:
+        # assembled from the triplets: memory O(edges), never O(n^2)
+        weights = sp.csr_matrix(
+            (np.array(data, dtype=float),
+             (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))),
+            shape=(n, n))
+    else:
+        weights = np.zeros((n, n))
+        weights[rows, cols] = data
+    return LocalityGraph(tuple(order), _freeze(weights))
 
 
 def load_edge_list_file(path) -> LocalityGraph:

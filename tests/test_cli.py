@@ -300,6 +300,38 @@ directory = {tmp_path / 'out'}
         assert float(start[-1]) == pytest.approx(9.0)
         assert float(end[-1]) == pytest.approx(9.0 * np.exp(-2.0), rel=1e-9)
 
+    def test_modulation_scales_within_locality_growth(self, tmp_path):
+        # no coupling, beta_int * eta - delta = 1 * 2 - 1: growth as e^t
+        cfg = write_config(tmp_path, f"""
+[graph]
+path = {small_graph_file(tmp_path)}
+
+[profiles]
+beta = const:0
+beta_int = const:1
+
+[modulation]
+eta = 2
+
+[dynamics]
+delta = 1
+
+[simulation]
+n0 = 9
+
+[meanfield]
+t_max = 2.0
+grid_step = 0.5
+x0 = uniform
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+        assert main(["meanfield", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "out" / "meanfield.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[-1]) == pytest.approx(
+            9.0 * np.exp(2.0), rel=1e-9)
+
     def test_nonconstant_profile_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, f"""
 [graph]

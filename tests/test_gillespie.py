@@ -3,16 +3,28 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse as sp
+import scipy.stats
 
-from dieout.gillespie import (EpidemicState, SimConfig,
-                              estimate_survival_probability,
-                              mean_field_trajectory, node_rates, run_ensemble,
-                              run_rng, simulate_run, step, trimmed_interval)
+from dieout.gillespie import (SimConfig, _pick, estimate_survival_probability,
+                              mean_field_trajectory, run_ensemble, run_rng,
+                              simulate_run, trimmed_interval)
 from dieout.graphs import (DiagonalModulation, LocalityGraph, spectral_radius,
                            weighted_degrees)
 from dieout.rates import Constant, parse_profile
 
 from conftest import random_strong_digraph
+from oracles import EpidemicState, node_rates, step
+
+
+def modulated_twins(n: int = 60, seed: int = 5):
+    """A directed graph in CSR storage (several event-selection blocks),
+    its dense twin, and a modulation D != I."""
+    dense = random_strong_digraph(seed, n=n)
+    csr = LocalityGraph(dense.labels, sp.csr_matrix(dense.weights))
+    d = DiagonalModulation(np.random.default_rng(seed).uniform(0.5, 1.5, n))
+    return csr, dense, d
 
 
 def make_cfg(**overrides) -> SimConfig:
@@ -212,21 +224,117 @@ class TestSimulateRun:
 
     def test_incremental_rates_match_reference(self, fixture20):
         # replay the event log and verify the cached-rate trajectory
-        # visits states whose reference rates are self-consistent
+        # visits states whose reference rates are self-consistent, on a
+        # dense graph and on a blocked CSR graph with D != I
+        csr, _, d = modulated_twins()
+        for g, modulation in ((fixture20, None), (csr, d)):
+            cfg = make_cfg(beta=parse_profile("harmonic:4"),
+                           beta_int=parse_profile("step:2,0.1,12"),
+                           delta=2.0, n0=18, record_events=True,
+                           t_max=10.0, modulation=modulation)
+            traj = simulate_run(cfg, g, 4)
+            assert len(traj.events) >= 200
+            counts = traj.initial.copy()
+            for t, node, delta_count in traj.events[:200]:
+                birth, death, total = node_rates(
+                    EpidemicState.from_counts(counts), g, modulation,
+                    cfg.beta, cfg.beta_int, 2.0)
+                if delta_count < 0:
+                    assert death[node] > 0
+                else:
+                    assert birth[node] > 0
+                counts[node] += delta_count
+
+
+class TestEventSelection:
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_first_event_frequencies_match_reference_rates(self, storage):
+        csr, dense, d = modulated_twins()
+        g = csr if storage == "csr" else dense
+        initial = np.zeros(g.node_count, dtype=np.int64)
+        initial[[0, 7, 19, 33, 50]] = [3, 1, 2, 1, 2]
+        beta = parse_profile("harmonic:4")
+        beta_int = parse_profile("const:0.5")
+        birth, death, total = node_rates(EpidemicState.from_counts(initial),
+                                         g, d, beta, beta_int, 2.0)
+        expected_p = np.concatenate([birth, death]) / total
+        # the first event falls before 3 / total in 95% of the runs
+        cfg = make_cfg(beta=beta, beta_int=beta_int, delta=2.0, n0=9,
+                       initial=initial, modulation=d, record_events=True,
+                       t_max=3.0 / total, master_seed=2024)
+        runs = 10_000
+        summary = run_ensemble(cfg, g, runs, np.array([cfg.t_max]))
+        observed = np.zeros(expected_p.size)
+        for events in summary.run_events:
+            if events:
+                _, node, delta_count = events[0]
+                observed[node if delta_count > 0 else g.node_count + node] += 1
+        assert observed.sum() > 0.9 * runs
+        possible = expected_p > 0
+        assert not observed[~possible].any()
+        expected = observed.sum() * expected_p[possible]
+        assert expected.min() >= 5
+        chi2 = float(((observed[possible] - expected) ** 2 / expected).sum())
+        assert scipy.stats.chi2.sf(chi2, possible.sum() - 1) > 1e-3
+
+    @pytest.mark.parametrize("storage", ["csr", "dense"])
+    def test_every_event_follows_reference_rates(self, storage):
+        # randomized probability integral transform of each recorded
+        # event under the reference rates of the state it left: uniform
+        # on [0, 1] iff events are drawn with the right probabilities,
+        # which stale cached sums would break after the first event
+        csr, dense, d = modulated_twins()
+        g = csr if storage == "csr" else dense
+        initial = np.zeros(g.node_count, dtype=np.int64)
+        initial[::4] = 2
         cfg = make_cfg(beta=parse_profile("harmonic:4"),
-                       beta_int=parse_profile("step:2,0.1,12"), delta=2.0,
-                       n0=18, record_events=True, t_max=10.0)
-        traj = simulate_run(cfg, fixture20, 4)
-        counts = traj.initial.copy()
-        for t, node, delta_count in traj.events[:200]:
-            birth, death, total = node_rates(
-                EpidemicState.from_counts(counts), fixture20, None, cfg.beta,
-                cfg.beta_int, 2.0)
-            if delta_count < 0:
-                assert death[node] > 0
-            else:
-                assert birth[node] > 0
-            counts[node] += delta_count
+                       beta_int=parse_profile("const:0.5"), delta=2.0,
+                       n0=30, initial=initial, modulation=d,
+                       record_events=True, t_max=3.0, master_seed=41)
+        summary = run_ensemble(cfg, g, 40, np.array([cfg.t_max]))
+        rng = np.random.default_rng(0)
+        pits = []
+        for events in summary.run_events:
+            counts = initial.copy()
+            for _, node, delta_count in events:
+                birth, death, total = node_rates(
+                    EpidemicState.from_counts(counts), g, d, cfg.beta,
+                    cfg.beta_int, 2.0)
+                cum = np.cumsum(np.concatenate([birth, death])) / total
+                c = node if delta_count > 0 else g.node_count + node
+                lo = cum[c - 1] if c else 0.0
+                pits.append(lo + rng.random() * (cum[c] - lo))
+                counts[node] += delta_count
+        assert len(pits) > 10_000
+        assert scipy.stats.kstest(pits, "uniform").pvalue > 1e-3
+
+    def test_blocked_pick_matches_flat_scan(self):
+        # integer entries keep every running sum exact, so the blocked
+        # pick must agree with one flat cumulative scan at any target
+        rng = np.random.default_rng(8)
+        for width in (1, 3, 7, 10):
+            values = rng.integers(0, 4, 50).astype(float)
+            values[rng.random(50) < 0.3] = 0.0
+            block_sums = np.add.reduceat(values, np.arange(0, 50, width))
+            for target in rng.random(200) * values.sum():
+                flat = int(np.searchsorted(np.cumsum(values), target,
+                                           side="right"))
+                assert _pick(values, block_sums, width, target) == flat
+                assert _pick(values, None, width, target) == flat
+
+    def test_pick_never_returns_a_nonpositive_entry(self):
+        # rounding residue: block 0 claims mass but holds none, an entry
+        # sits a hair below zero, and the target overshoots the total
+        values = np.array([0.0, -1e-17, 0.0, 0.0, 2.0, 0.0, 1.0, 0.0, 0.0])
+        block_sums = np.array([1e-15, 2.0, 1.0])
+        assert _pick(values, block_sums, 3, 0.0) == 4
+        assert block_sums[0] <= 0  # reset from its entries
+        assert _pick(values, block_sums, 3, 5.0) == 6
+        assert _pick(values, None, 3, 5.0) == 6
+        assert _pick(values, None, 3, 0.0) == 4
+        empty = np.array([0.0, -1e-17, 0.0, 0.0])
+        assert _pick(empty, np.array([1e-15, 0.0]), 2, 0.0) == -1
+        assert _pick(empty, None, 2, 0.0) == -1
 
 
 class TestEnsemble:
@@ -362,6 +470,22 @@ class TestMeanField:
         for k, t in enumerate(grid):
             expected = math.exp(rate * t) * float(q @ x0)
             assert float(q @ series[k]) == pytest.approx(expected, rel=1e-6)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_modulation_enters_the_generator(self, sparse):
+        csr, dense, d = modulated_twins(n=12, seed=3)
+        g = csr if sparse else dense
+        beta, beta_int, delta = 0.7, 1.3, 4.0
+        grid = np.array([0.0, 0.5, 1.0, 2.5])
+        x0 = np.arange(12, dtype=float)
+        series = mean_field_trajectory(g, beta, beta_int, delta, x0, grid,
+                                       modulation=d)
+        gen = (beta * dense.weights + beta_int * np.diag(d.values)
+               - delta * np.eye(12))
+        for k, t in enumerate(grid):
+            np.testing.assert_allclose(series[k],
+                                       scipy.linalg.expm(gen * t) @ x0,
+                                       rtol=1e-10)
 
     def test_constant_profiles_accepted_nonconstant_rejected(self, k3):
         grid = np.array([0.0, 1.0])

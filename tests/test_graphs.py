@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,32 @@ class TestSparseStorage:
             counts[node] += dc
             assert counts[node] >= 0
         assert counts.sum() == 0
+
+    def test_large_edge_list_loads_as_csr_without_dense_scratch(self):
+        # a directed ring plus chords, with zero-weight edges and a zero
+        # self-loop that must not be stored
+        n = 5000
+        idx = np.arange(n)
+        dense = np.zeros((n, n))
+        dense[idx, (idx + 1) % n] = 1 + idx % 7
+        dense[idx, (idx + 37) % n] = 0.5
+        # the ring comes first, so labels appear in index order
+        lines = [f"v{i} v{(i + 1) % n} {1 + i % 7}" for i in idx]
+        lines += [f"v{i} v{(i + 37) % n} 0.5" for i in idx]
+        lines += ["v3 v900 0", "v900 v3 0.0", "v17 v17 0"]
+        tracemalloc.start()
+        try:
+            g = load_edge_list(lines)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20  # a dense n x n scratch array takes 200 MB
+        assert g.labels == tuple(f"v{i}" for i in range(n))
+        assert not g.is_dense and g.weights.has_canonical_format
+        ref = sp.csr_matrix(dense)
+        np.testing.assert_array_equal(g.weights.indptr, ref.indptr)
+        np.testing.assert_array_equal(g.weights.indices, ref.indices)
+        np.testing.assert_array_equal(g.weights.data, ref.data)
 
 
 class TestValidation:
