@@ -7,8 +7,7 @@ from .chains import (BirthDeathSpec, HittingTable, InfiniteHittingTimeError,
                      PrecisionConfig, SeriesValue, asymptote_ratio,
                      bound_chains_from_graph, equilibrium_lower_bound,
                      expected_T1, hitting_table, positive_recurrence_check,
-                     s_recursion_step, s_tail_series, s_values_float,
-                     stationary_distribution)
+                     s_tail_series, s_values_float)
 from .gillespie import (EnsembleSummary, SimConfig, Trajectory,
                         estimate_survival_probability, mean_field_trajectory,
                         run_ensemble, simulate_run, trimmed_interval)
@@ -44,7 +43,6 @@ __all__ = [
     # chains
     "BirthDeathSpec", "PrecisionConfig", "HittingTable", "SeriesValue",
     "InfiniteHittingTimeError", "positive_recurrence_check", "expected_T1",
-    "s_tail_series", "s_recursion_step", "hitting_table", "asymptote_ratio",
-    "s_values_float", "stationary_distribution", "equilibrium_lower_bound",
-    "bound_chains_from_graph",
+    "s_tail_series", "hitting_table", "asymptote_ratio", "s_values_float",
+    "equilibrium_lower_bound", "bound_chains_from_graph",
 ]

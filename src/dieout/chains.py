@@ -3,7 +3,8 @@
 The chain of interest has birth rate ``gamma(n) * n`` and death rate
 ``delta * n`` from state n, absorbing at 0.  Aggregating the locality
 epidemic over nodes yields two such chains whose coefficients
-``d_max * beta + beta_int`` and ``d_min * beta + beta_int`` bracket the
+``c_max * beta + D_max * beta_int`` and ``c_min * beta + D_min *
+beta_int`` (c the column sums of W, D the modulation) bracket the
 epidemic's total, so their hitting times bracket the epidemic's
 extinction time.
 
@@ -21,19 +22,20 @@ the recursion toward larger n, which gives the positive-term series
 
 with no subtractive cancellation.  Truncation is certified against a
 geometric tail bound, so every returned value carries a provable
-relative-error flag.  The forward recursion is retained (exact-rational
-kernel) purely as a verification oracle: with a common truncation index
+relative-error flag.  The forward recursion is kept only as a
+verification oracle in the test suite: with a common truncation index
 the two routes agree to exact rational equality.
 
-Two numeric kernels are available: exact rationals (``Fraction``,
-requires rational gamma values and delta) and mpmath big floats at a
-configurable bit precision.  Independent values may be computed
-concurrently in separate processes; within one process the big-float
+One kernel runs in either of two arithmetics: exact rationals
+(``Fraction``, requires rational gamma values and delta) and mpmath big
+floats at a configurable bit precision.  Independent values may be
+computed concurrently in separate processes; within one process the
 kernel temporarily sets the mpmath working precision.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,9 +43,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .graphs import LocalityGraph, weighted_degrees
-from .rates import (ExactnessError, RateProfile, coerce_coefficient,
-                    gamma_from_graph)
+from .graphs import DiagonalModulation, LocalityGraph
+from .rates import (EXACT, FLOAT, MPF, Arithmetic, ExactnessError,
+                    RateProfile, Scaled, coerce_coefficient, gamma_from_graph)
 
 RATIONAL = "rational"
 BIGFLOAT = "bigfloat"
@@ -101,25 +103,15 @@ class PrecisionConfig:
 
 @dataclass(frozen=True)
 class BirthDeathSpec:
-    """Birth-death chain with per-person birth coefficient gamma(n).
-
-    ``theta``, the birth rate out of state 0 in the positive-recurrent
-    modification of the chain, does not affect any hitting time; it only
-    enters the stationary distribution, where it cancels out of the
-    renewal identity used to recover E[T_1].
-    """
+    """Birth-death chain with per-person birth coefficient gamma(n)."""
 
     gamma: RateProfile
     delta: Fraction
-    theta: Fraction = Fraction(1)
 
     def __post_init__(self):
         object.__setattr__(self, "delta", coerce_coefficient(self.delta))
-        object.__setattr__(self, "theta", coerce_coefficient(self.theta))
         if self.delta <= 0:
             raise ValueError("curing rate delta must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
 
 
 @dataclass(frozen=True)
@@ -166,9 +158,7 @@ class HittingTable:
     truncated_at: int
 
 
-def positive_recurrence_check(spec: BirthDeathSpec,
-                              precision: PrecisionConfig | None = None
-                              ) -> RecurrenceCheck:
+def positive_recurrence_check(spec: BirthDeathSpec) -> RecurrenceCheck:
     """Decide convergence of the normalization series exactly.
 
     The series behind the stationary distribution (equivalently the
@@ -177,10 +167,8 @@ def positive_recurrence_check(spec: BirthDeathSpec,
     the limit is at or above delta -- unless gamma vanishes at some
     state, which truncates the series to a finite (convergent) sum.
     The comparison is exact: profile limits are rational and delta is
-    stored exactly.  ``precision`` is accepted for interface symmetry
-    but never consulted.
+    stored exactly.
     """
-    del precision
     limit = spec.gamma.limit_exact
     if limit < spec.delta:
         return RecurrenceCheck(
@@ -197,94 +185,40 @@ def positive_recurrence_check(spec: BirthDeathSpec,
 
 
 # ---------------------------------------------------------------------------
-# numeric kernels
+# the kernel
 
-class _RationalKernel:
-    def __init__(self, spec: BirthDeathSpec, precision: PrecisionConfig):
-        if not spec.gamma.is_rational:
-            raise ExactnessError(
-                "the exact-rational kernel requires a rational-valued "
-                "gamma profile; use the big-float kernel instead")
-        self.spec = spec
-        self.delta = spec.delta
-        self.tol = Fraction(precision.series_rel_tol)
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def gamma_over_delta(self, j: int) -> Fraction:
-        return self.spec.gamma.value_exact(j) / self.delta
-
-    def inv_ndelta(self, n: int) -> Fraction:
-        return Fraction(1, n) / self.delta
-
-    def ratio_upper(self, n0: int) -> tuple[bool, Fraction]:
-        r = self.spec.gamma.sup_from_exact(n0) / self.delta
-        return r < 1, r
-
-    def to_float(self, x: Fraction) -> float:
-        return float(x)
+#: rounding slack applied to certified upper bounds computed in floats
+_SAFETY = 1 + 2.0 ** -24
 
 
-class _BigFloatKernel:
-    # rounding slack applied to certified upper bounds computed in floats
-    _SAFETY = 1 + 2.0 ** -24
+def _arithmetic(spec: BirthDeathSpec, precision: PrecisionConfig):
+    """The kernel arithmetic of ``precision`` and gamma's view in it.
 
-    def __init__(self, spec: BirthDeathSpec, precision: PrecisionConfig):
-        self.spec = spec
-        self.bits = precision.bits
-        self._ctx = None
-        self.zero = mpmath.mpf(0)
-        self.one = mpmath.mpf(1)
-
-    def __enter__(self):
-        self._ctx = mpmath.mp.workprec(self.bits)
-        self._ctx.__enter__()
-        self.delta = (mpmath.mpf(self.spec.delta.numerator)
-                      / self.spec.delta.denominator)
-        return self
-
-    def __exit__(self, *exc):
-        return self._ctx.__exit__(*exc)
-
-    def gamma_over_delta(self, j: int):
-        return self.spec.gamma.value_mpf(j) / self.delta
-
-    def inv_ndelta(self, n: int):
-        return 1 / (self.delta * n)
-
-    def ratio_upper(self, n0: int):
-        gamma = self.spec.gamma
-        if gamma.is_rational:
-            r_exact = gamma.sup_from_exact(n0) / self.spec.delta
-            lt_one = r_exact < 1
-            r = (mpmath.mpf(r_exact.numerator) / r_exact.denominator
-                 ) * self._SAFETY
-        else:
-            r = mpmath.mpf(gamma.sup_from(n0) * self._SAFETY) / self.delta
-            lt_one = r < 1
-        return lt_one, r
-
-    def to_float(self, x) -> float:
-        return float(x)
+    Rational mode computes in exact Fractions and needs a rational
+    gamma; big-float mode computes in mpmath floats at the working
+    precision, which the caller sets to ``precision.bits``.
+    """
+    if precision.mode == BIGFLOAT:
+        return MPF, spec.gamma.value_mpf
+    if not spec.gamma.is_rational:
+        raise ExactnessError(
+            "the exact-rational kernel requires a rational-valued "
+            "gamma profile; use the big-float kernel instead")
+    return EXACT, spec.gamma.value_exact
 
 
-def _open_kernel(spec: BirthDeathSpec, precision: PrecisionConfig):
-    if precision.mode == RATIONAL:
-        return _RationalKernel(spec, precision)
-    return _BigFloatKernel(spec, precision)
+def _ratio_bound(spec: BirthDeathSpec, n0: int, ar: Arithmetic):
+    """(r < 1, r) for an upper bound r on gamma(n)/delta over n >= n0.
 
-
-def _ratio_drops_below_one(spec: BirthDeathSpec, n0: int) -> bool:
+    r is exact for a rational gamma (times _SAFETY once rounded into
+    ``ar``); otherwise it is the float supremum times _SAFETY.
+    """
     gamma = spec.gamma
     if gamma.is_rational:
-        return gamma.sup_from_exact(n0) < spec.delta
-    return gamma.sup_from(n0) * _BigFloatKernel._SAFETY < float(spec.delta)
+        r = gamma.sup_from_exact(n0) / spec.delta
+        return r < 1, (r if ar is EXACT else ar.num(r) * _SAFETY)
+    r = ar.num(Fraction(gamma.sup_from(n0) * _SAFETY)) / ar.num(spec.delta)
+    return r < 1, r
 
 
 def _plan_truncation(spec: BirthDeathSpec, n_hi: int,
@@ -305,7 +239,7 @@ def _plan_truncation(spec: BirthDeathSpec, n_hi: int,
 
     # Find a point past which the term ratio is certifiably below one.
     start = n_hi + 1
-    while not _ratio_drops_below_one(spec, start):
+    while not _ratio_bound(spec, start, FLOAT)[0]:
         start *= 2
         if start > precision.max_terms:
             ratio_based = precision.max_terms
@@ -348,9 +282,11 @@ def _tail_values(spec: BirthDeathSpec, n_hi: int, precision: PrecisionConfig,
     candidate = truncate_at if forced else _plan_truncation(
         spec, n_hi, precision)
 
-    with _open_kernel(spec, precision) as kern:
-        tol = (kern.tol if isinstance(kern, _RationalKernel)
-               else mpmath.mpf(precision.series_rel_tol))
+    ar, gamma = _arithmetic(spec, precision)
+    with mpmath.mp.workprec(precision.bits):  # Fractions ignore it
+        delta = ar.num(spec.delta)
+        tol = ar.num(Fraction(precision.series_rel_tol))
+        zero, one = ar.num(Fraction(0)), ar.num(Fraction(1))
         while True:
             M = candidate
             if as_floats:
@@ -360,36 +296,30 @@ def _tail_values(spec: BirthDeathSpec, n_hi: int, precision: PrecisionConfig,
             bounds = [None] * (n_hi + 1)
             certified = [False] * (n_hi + 1)
 
-            r_ok, r = kern.ratio_upper(M + 1)
-            geom = (1 / ((1 - r) * kern.delta * (M + 1))) if r_ok else None
+            r_ok, r = _ratio_bound(spec, M + 1, ar)
+            geom = (1 / ((1 - r) * delta * (M + 1))) if r_ok else None
 
-            s_next = kern.zero
-            p_next = kern.one
+            s_next = zero
+            p_next = one
             for j in range(M, 0, -1):
-                q = kern.gamma_over_delta(j)
-                s_j = kern.inv_ndelta(j) + q * s_next
+                q = gamma(j) / delta
+                s_j = 1 / (delta * j) + q * s_next
                 p_j = q * p_next
                 if j <= n_hi:
                     if p_j == 0:
                         # a vanished gamma truncates the series exactly
                         certified[j] = True
-                        bounds[j] = kern.zero
+                        bounds[j] = zero
                     elif r_ok:
                         bound = p_j * geom
                         bounds[j] = bound
                         certified[j] = bound <= tol * s_j
-                    values[j] = kern.to_float(s_j) if as_floats else s_j
+                    values[j] = float(s_j) if as_floats else s_j
                 s_next, p_next = s_j, p_j
 
             if forced or all(certified[1:]) or M >= precision.max_terms:
                 return values, certified, M, bounds
             candidate = min(max(2 * M, M + 64), precision.max_terms)
-
-
-def _require_recurrent(spec: BirthDeathSpec):
-    check = positive_recurrence_check(spec)
-    if not check:
-        raise InfiniteHittingTimeError(1)
 
 
 def s_tail_series(spec: BirthDeathSpec, n: int, precision: PrecisionConfig,
@@ -420,35 +350,6 @@ def expected_T1(spec: BirthDeathSpec, precision: PrecisionConfig,
     return s_tail_series(spec, 1, precision, truncate_at=truncate_at)
 
 
-def s_recursion_step(spec: BirthDeathSpec, s_n, n: int,
-                     precision: PrecisionConfig | None = None):
-    """One forward step S_{n+1} = (S_n * delta - 1/n) / gamma(n).
-
-    Exact under the rational kernel (pass ``s_n`` as a Fraction); under
-    big floats the subtraction loses relative accuracy at every step
-    as gamma(n) shrinks, so long float chains degrade into noise --
-    keep this path for verification, not computation.
-
-    Raises:
-        ZeroDivisionError: where gamma(n) = 0 the recursion is
-            undefined (the chain truncates; use the tail series).
-    """
-    if isinstance(s_n, Fraction):
-        gamma_n = spec.gamma.value_exact(n)
-        if gamma_n == 0:
-            raise ZeroDivisionError(
-                f"gamma({n}) = 0: recursion undefined, use s_tail_series")
-        return (s_n * spec.delta - Fraction(1, n)) / gamma_n
-    bits = precision.bits if precision is not None else mpmath.mp.prec
-    with mpmath.mp.workprec(bits):
-        gamma_n = spec.gamma.value_mpf(n)
-        if gamma_n == 0:
-            raise ZeroDivisionError(
-                f"gamma({n}) = 0: recursion undefined, use s_tail_series")
-        delta = mpmath.mpf(spec.delta.numerator) / spec.delta.denominator
-        return (s_n * delta - mpmath.mpf(1) / n) / gamma_n
-
-
 def hitting_table(spec: BirthDeathSpec, n_max: int,
                   precision: PrecisionConfig) -> HittingTable:
     """Certified table of S_n and E[T_n] for n = 1..n_max.
@@ -461,19 +362,10 @@ def hitting_table(spec: BirthDeathSpec, n_max: int,
     """
     values, certified, M, _ = _tail_values(spec, n_max, precision)
     S = tuple(values[1:])
-    T = []
-    acc = None
-    if precision.mode == BIGFLOAT:
-        with mpmath.mp.workprec(precision.bits):
-            for s in S:
-                acc = s if acc is None else acc + s
-                T.append(acc)
-    else:
-        for s in S:
-            acc = s if acc is None else acc + s
-            T.append(acc)
+    with mpmath.mp.workprec(precision.bits):
+        T = tuple(itertools.accumulate(S))
     rows = tuple(certified[1:])
-    return HittingTable(n_max=n_max, S=S, T=tuple(T), precision=precision,
+    return HittingTable(n_max=n_max, S=S, T=T, precision=precision,
                         certified=all(rows), row_certified=rows,
                         truncated_at=M)
 
@@ -491,9 +383,7 @@ def asymptote_ratio(spec: BirthDeathSpec, n_list,
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 2:
         raise ValueError("asymptote states must be integers >= 2")
-    n_max = n_list[-1]
-    values, _, _, _ = _tail_values(spec, n_max, precision, as_floats=True)
-    t_cum = np.cumsum(values[1:])
+    t_cum = np.cumsum(s_values_float(spec, n_list[-1], precision)[1:])
     delta = float(spec.delta)
     return [(n, delta * float(t_cum[n - 1]) / math.log(n)) for n in n_list]
 
@@ -506,34 +396,6 @@ def s_values_float(spec: BirthDeathSpec, n_max: int,
     """
     values, _, _, _ = _tail_values(spec, n_max, precision, as_floats=True)
     return values
-
-
-def stationary_distribution(spec: BirthDeathSpec, trunc: int,
-                            precision: PrecisionConfig):
-    """Truncated, renormalized stationary distribution pi_0..pi_trunc.
-
-    Uses local balance pi_{n-1} (n-1) gamma(n-1) = pi_n n delta of the
-    chain modified with birth rate theta out of state 0.  Serves as an
-    independent oracle: the renewal identity E[T_1] = (1/pi_0 - 1)/theta
-    must reproduce :func:`expected_T1` regardless of theta.
-
-    Raises:
-        InfiniteHittingTimeError: normalization series diverges.
-    """
-    if trunc < 0:
-        raise ValueError("truncation must be nonnegative")
-    _require_recurrent(spec)
-    with _open_kernel(spec, precision) as kern:
-        theta = (spec.theta if precision.mode == RATIONAL
-                 else mpmath.mpf(spec.theta.numerator) / spec.theta.denominator)
-        weights = [kern.one]
-        prod = kern.one  # prod_{j<n} gamma(j)/delta
-        for n in range(1, trunc + 1):
-            if n > 1:
-                prod = prod * kern.gamma_over_delta(n - 1)
-            weights.append(theta * prod * kern.inv_ndelta(n))
-        total = sum(weights[1:], kern.zero) + kern.one
-        return [w / total for w in weights]
 
 
 def equilibrium_lower_bound(epsilon, delta, N: int) -> Fraction:
@@ -554,17 +416,29 @@ def equilibrium_lower_bound(epsilon, delta, N: int) -> Fraction:
 
 
 def bound_chains_from_graph(g: LocalityGraph, beta: RateProfile,
-                            beta_int: RateProfile,
-                            delta) -> tuple[BirthDeathSpec, BirthDeathSpec]:
+                            beta_int: RateProfile, delta,
+                            modulation: DiagonalModulation | None = None
+                            ) -> tuple[BirthDeathSpec, BirthDeathSpec]:
     """Bracketing chains for the epidemic's total on a locality graph.
 
     Returns (upper, lower) specs with growth coefficients
-    d_max * beta + beta_int and d_min * beta + beta_int, where d_max
-    and d_min are the extreme weighted in-degrees.  The graph degrees
-    are embedded exactly into the coefficients.
+    c_max * beta + D_max * beta_int and c_min * beta + D_min * beta_int,
+    where c are the column sums of W and D the modulation (the identity
+    when None).  A case at node v adds beta(n) * c_v + beta_int(n) * D_v
+    to the total birth rate (c_v is the pressure v exerts), so the
+    per-capita birth rate at total n lies between the two coefficients.
+    The extremes are embedded exactly.
     """
-    d_max, d_min = weighted_degrees(g)
+    if modulation is not None and len(modulation) != g.node_count:
+        raise ValueError(
+            f"modulation length {len(modulation)} != {g.node_count} nodes")
+    col_sums = np.asarray(g.weights.sum(axis=0)).ravel()
+    d = np.ones(1) if modulation is None else modulation.values
     delta = coerce_coefficient(delta)
-    upper = BirthDeathSpec(gamma_from_graph(beta, beta_int, d_max), delta)
-    lower = BirthDeathSpec(gamma_from_graph(beta, beta_int, d_min), delta)
-    return upper, lower
+
+    def chain(c, d_ext):
+        d_ext = coerce_coefficient(float(d_ext))
+        inner = beta_int if d_ext == 1 else Scaled(d_ext, beta_int)
+        return BirthDeathSpec(gamma_from_graph(beta, inner, float(c)), delta)
+
+    return chain(col_sums.max(), d.max()), chain(col_sums.min(), d.min())

@@ -35,7 +35,7 @@ from .config import (ConfigError, ExperimentConfig, config_sha256,
 from .gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                         trimmed_interval)
 from .graphs import (EdgeListError, SpectralError, is_strongly_connected,
-                     spectral_radius)
+                     is_symmetric, spectral_radius)
 from .rates import (Constant, ProfileError, parse_parameter, parse_profile)
 from .regime import (classify_decoupled, classify_general, classify_scalar_D,
                      classify_symmetric)
@@ -106,8 +106,7 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     stol = cfg.classify.spectral_tol
 
     reports = []
-    dense = g.dense_weights()
-    symmetric = bool(np.allclose(dense, dense.T))
+    symmetric = is_symmetric(g)
     identity_mod = modulation.is_scalar and modulation.values[0] == 1.0
     general = classify_general(g, modulation, beta_inf, betaint_inf, delta,
                                boundary_tol=tol, spectral_tol=stol)
@@ -173,10 +172,11 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
                            threads=args.threads, keep_per_run=True)
     out = _out_dir(cfg, args)
 
+    grid_text = [_fmt(t) for t in grid]
     _write_csv(out / "trajectories.csv", ["t", "run_id", "total"],
-               ((_fmt(t), run, int(total))
-                for run in range(summary.run_count)
-                for t, total in zip(grid, summary.per_run_totals[run])))
+               ((t, run, total)
+                for run, totals in enumerate(summary.per_run_totals.tolist())
+                for t, total in zip(grid_text, totals)))
     _write_csv(out / "summary.csv",
                ["t", "mean", "lower95", "upper95", "survival_fraction"],
                ((_fmt(t), _fmt(m), _fmt(lo), _fmt(hi), _fmt(sv))

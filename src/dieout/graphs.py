@@ -266,6 +266,18 @@ def is_strongly_connected(g: LocalityGraph) -> bool:
     return n_comp == 1
 
 
+def is_symmetric(g: LocalityGraph) -> bool:
+    """W == W^T within ``np.allclose``'s default tolerances, tested in
+    W's own storage (a CSR graph is never densified)."""
+    w = g.weights
+    if g.is_dense:
+        return bool(np.allclose(w, w.T))
+    # |W - W^T| <= atol + rtol |W^T| on the union pattern; both sides
+    # vanish off it
+    excess = abs(w - w.T) - 1e-05 * abs(w.T)
+    return bool(excess.data.size == 0 or excess.data.max() <= 1e-08)
+
+
 def weighted_degrees(g: LocalityGraph) -> tuple[float, float]:
     """(max, min) weighted in-degree, i.e. row-sum extremes."""
     sums = np.asarray(g.weights.sum(axis=1)).ravel()

@@ -12,6 +12,12 @@ Profiles evaluate in three arithmetics:
 * ``value_exact(n)``  ``Fraction``, for the exact-rational kernel;
 * ``value_mpf(n)``    mpmath floats at the caller's working precision.
 
+Each family states its values once, as an evaluator over an
+:class:`Arithmetic` (how an exact parameter and ``log1p`` enter the
+number type), and its tail suprema once; ``value``, ``value_exact``,
+``value_mpf``, ``as_float_fn``, ``sup_from`` and ``sup_from_exact``
+derive from those two definitions.
+
 Parameters are parsed exactly from decimal (or p/q) strings, so the
 exact views carry no representation error.
 """
@@ -60,20 +66,82 @@ def _check_n(n: int) -> int:
     return n
 
 
+@dataclass(frozen=True, eq=False)
+class Arithmetic:
+    """A number type that profiles evaluate in.
+
+    ``num`` embeds an exact parameter (a Fraction) and ``log1p(n)`` is
+    ln(1 + n) for an integer n; every other step is plain ``+ * /``.
+    """
+
+    name: str
+    num: Callable[[Fraction], object]
+    log1p: Callable[[int], object]
+
+
+def _irrational(n):
+    raise ExactnessError("log-over-n profiles have irrational values")
+
+
+FLOAT = Arithmetic("float", float, math.log1p)
+EXACT = Arithmetic("exact", Fraction, _irrational)
+MPF = Arithmetic("mpf", _mpf, lambda n: mpmath.log(n + 1))
+
+#: Evaluators by (id(profile), arithmetic, mpmath precision).  An entry
+#: holds its profile, so the id cannot be reused while the entry lives;
+#: mpf parameters are rounded at the precision current when built.
+_EVALUATORS: dict = {}
+_EVALUATOR_CACHE_SIZE = 1024
+
+
+def _cached_evaluator(profile: "RateProfile", ar: Arithmetic) -> Callable:
+    key = (id(profile), ar, mpmath.mp.prec)
+    entry = _EVALUATORS.get(key)
+    if entry is None:
+        if len(_EVALUATORS) >= _EVALUATOR_CACHE_SIZE:
+            _EVALUATORS.clear()
+        entry = _EVALUATORS[key] = (profile, profile.evaluator(ar))
+    return entry[1]
+
+
 class RateProfile:
-    """Common interface for the concrete profile families below."""
+    """Common interface for the concrete profile families below.
+
+    A family defines its values once, in :meth:`evaluator`, and its
+    tail suprema once, in :meth:`_sup`; both take an
+    :class:`Arithmetic`.  The views below derive from these two.
+    """
 
     #: True when every value, the limit, and the supremum are rational.
     is_rational: bool = True
 
-    def value(self, n: int) -> float:
-        return float(self.value_exact(n))
-
-    def value_exact(self, n: int) -> Fraction:
+    def evaluator(self, ar: Arithmetic) -> Callable[[int], object]:
+        """Unchecked n -> value(n) in ``ar`` (n a positive integer)."""
         raise NotImplementedError
 
+    def _sup(self, n0: int, ar: Arithmetic):
+        """Upper bound on the values over all n >= n0 (n0 >= 1), in ``ar``."""
+        raise NotImplementedError
+
+    def value(self, n: int) -> float:
+        return _cached_evaluator(self, FLOAT)(_check_n(n))
+
+    def value_exact(self, n: int) -> Fraction:
+        return _cached_evaluator(self, EXACT)(_check_n(n))
+
     def value_mpf(self, n: int) -> mpmath.mpf:
-        return _mpf(self.value_exact(n))
+        return _cached_evaluator(self, MPF)(_check_n(n))
+
+    def as_float_fn(self) -> Callable[[int], float]:
+        """Fast unchecked float evaluator for simulation hot loops."""
+        return self.evaluator(FLOAT)
+
+    def sup_from(self, n0: int) -> float:
+        """Upper bound on value(n) over all n >= n0."""
+        return self._sup(max(1, int(n0)), FLOAT)
+
+    def sup_from_exact(self, n0: int) -> Fraction:
+        return self._sup(max(1, int(n0)), EXACT)
 
     @property
     def limit(self) -> float:
@@ -83,23 +151,8 @@ class RateProfile:
     def limit_exact(self) -> Fraction:
         raise NotImplementedError
 
-    @property
-    def supremum(self) -> float:
-        raise NotImplementedError
-
-    def sup_from(self, n0: int) -> float:
-        """Upper bound on value(n) over all n >= n0."""
-        raise NotImplementedError
-
-    def sup_from_exact(self, n0: int) -> Fraction:
-        raise NotImplementedError
-
     def first_zero_at_or_after(self, n0: int) -> int | None:
         """Smallest n >= n0 with value(n) == 0, or None."""
-        raise NotImplementedError
-
-    def as_float_fn(self) -> Callable[[int], float]:
-        """Fast unchecked float evaluator for simulation hot loops."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -117,30 +170,19 @@ class Constant(RateProfile):
         if self.c < 0:
             raise ProfileError("constant rate must be nonnegative")
 
-    def value_exact(self, n):
-        _check_n(n)
-        return self.c
+    def evaluator(self, ar):
+        c = ar.num(self.c)
+        return lambda n: c
+
+    def _sup(self, n0, ar):
+        return ar.num(self.c)
 
     @property
     def limit_exact(self):
         return self.c
 
-    @property
-    def supremum(self):
-        return float(self.c)
-
-    def sup_from(self, n0):
-        return float(self.c)
-
-    def sup_from_exact(self, n0):
-        return self.c
-
     def first_zero_at_or_after(self, n0):
         return max(1, int(n0)) if self.c == 0 else None
-
-    def as_float_fn(self):
-        c = float(self.c)
-        return lambda n: c
 
     def spec_string(self):
         return f"const:{self.c}"
@@ -160,22 +202,18 @@ class Step(RateProfile):
         if self.n_switch < 1:
             raise ProfileError("switch point must be a positive integer")
 
-    def value_exact(self, n):
-        return self.high if _check_n(n) <= self.n_switch else self.low
+    def evaluator(self, ar):
+        hi, lo, ns = ar.num(self.high), ar.num(self.low), self.n_switch
+        return lambda n: hi if n <= ns else lo
+
+    def _sup(self, n0, ar):
+        if n0 <= self.n_switch:
+            return ar.num(max(self.high, self.low))
+        return ar.num(self.low)
 
     @property
     def limit_exact(self):
         return self.low
-
-    @property
-    def supremum(self):
-        return float(max(self.high, self.low))
-
-    def sup_from(self, n0):
-        return float(self.sup_from_exact(n0))
-
-    def sup_from_exact(self, n0):
-        return max(self.high, self.low) if n0 <= self.n_switch else self.low
 
     def first_zero_at_or_after(self, n0):
         n0 = max(1, int(n0))
@@ -184,10 +222,6 @@ class Step(RateProfile):
         if self.low == 0:
             return max(n0, self.n_switch + 1)
         return None
-
-    def as_float_fn(self):
-        hi, lo, ns = float(self.high), float(self.low), self.n_switch
-        return lambda n: hi if n <= ns else lo
 
     def spec_string(self):
         return f"step:{self.high},{self.low},{self.n_switch}"
@@ -203,29 +237,19 @@ class Harmonic(RateProfile):
         if self.k < 0:
             raise ProfileError("harmonic coefficient must be nonnegative")
 
-    def value_exact(self, n):
-        return self.k / _check_n(n)
+    def evaluator(self, ar):
+        k = ar.num(self.k)
+        return lambda n: k / n
+
+    def _sup(self, n0, ar):
+        return self.evaluator(ar)(n0)  # k/n decreases
 
     @property
     def limit_exact(self):
         return Fraction(0)
 
-    @property
-    def supremum(self):
-        return float(self.k)  # attained at n = 1
-
-    def sup_from(self, n0):
-        return float(self.k) / max(1, int(n0))
-
-    def sup_from_exact(self, n0):
-        return self.k / max(1, int(n0))
-
     def first_zero_at_or_after(self, n0):
         return max(1, int(n0)) if self.k == 0 else None
-
-    def as_float_fn(self):
-        k = float(self.k)
-        return lambda n: k / n
 
     def spec_string(self):
         return f"harmonic:{self.k}"
@@ -246,37 +270,19 @@ class LogOverN(RateProfile):
         if self.k < 0:
             raise ProfileError("coefficient must be nonnegative")
 
-    def value(self, n):
-        return float(self.k) * math.log1p(_check_n(n)) / n
+    def evaluator(self, ar):
+        k, log1p = ar.num(self.k), ar.log1p
+        return lambda n: k * log1p(n) / n
 
-    def value_exact(self, n):
-        raise ExactnessError("log-over-n profiles have irrational values")
-
-    def value_mpf(self, n):
-        n = _check_n(n)
-        return _mpf(self.k) * mpmath.log(n + 1) / n
+    def _sup(self, n0, ar):
+        return self.evaluator(ar)(n0)  # ln(1+n)/n decreases on n >= 1
 
     @property
     def limit_exact(self):
         return Fraction(0)  # ln(1+n)/n -> 0
 
-    @property
-    def supremum(self):
-        return float(self.k) * math.log(2.0)  # ln(1+n)/n decreases on n >= 1
-
-    def sup_from(self, n0):
-        n0 = max(1, int(n0))
-        return float(self.k) * math.log1p(n0) / n0
-
-    def sup_from_exact(self, n0):
-        raise ExactnessError("log-over-n profiles have irrational values")
-
     def first_zero_at_or_after(self, n0):
         return max(1, int(n0)) if self.k == 0 else None
-
-    def as_float_fn(self):
-        k = float(self.k)
-        return lambda n: k * math.log1p(n) / n
 
     def spec_string(self):
         return f"logn:{self.k}"
@@ -304,45 +310,33 @@ class Table(RateProfile):
             if v < 0:
                 raise ProfileError(f"negative table value at n={n}")
             last = n
-        object.__setattr__(self, "_map", dict(self.entries))
 
-    def value_exact(self, n):
-        return self._map.get(_check_n(n), self.tail)
+    def evaluator(self, ar):
+        table = {n: ar.num(v) for n, v in self.entries}
+        tail = ar.num(self.tail)
+        return lambda n: table.get(n, tail)
+
+    def _sup(self, n0, ar):
+        return ar.num(max([self.tail,
+                           *(v for n, v in self.entries if n >= n0)]))
 
     @property
     def limit_exact(self):
         return self.tail
-
-    @property
-    def supremum(self):
-        return float(max([self.tail, *(v for _, v in self.entries)]))
-
-    def sup_from(self, n0):
-        return float(self.sup_from_exact(n0))
-
-    def sup_from_exact(self, n0):
-        n0 = max(1, int(n0))
-        vals = [v for n, v in self.entries if n >= n0]
-        return max([self.tail, *vals])
 
     def first_zero_at_or_after(self, n0):
         n0 = max(1, int(n0))
         zero_rows = sorted(n for n, v in self.entries if v == 0 and n >= n0)
         if self.tail == 0:
             # First unlisted n >= n0 evaluates to the zero tail.
-            listed = {n for n, _ in self.entries}
+            values = dict(self.entries)
             cand = n0
-            while cand in listed and self._map[cand] != 0:
+            while values.get(cand, 0) != 0:
                 cand += 1
             if zero_rows:
                 cand = min(cand, zero_rows[0])
             return cand
         return zero_rows[0] if zero_rows else None
-
-    def as_float_fn(self):
-        table = {n: float(v) for n, v in self.entries}
-        tail = float(self.tail)
-        return lambda n: table.get(n, tail)
 
     def spec_string(self):
         rows = ";".join(f"{n}={v}" for n, v in self.entries)
@@ -361,38 +355,21 @@ class Scaled(RateProfile):
             raise ProfileError("scale coefficient must be nonnegative")
         object.__setattr__(self, "is_rational", self.base.is_rational)
 
-    def value(self, n):
-        return float(self.coeff) * self.base.value(n)
+    def evaluator(self, ar):
+        d, f = ar.num(self.coeff), self.base.evaluator(ar)
+        return lambda n: d * f(n)
 
-    def value_exact(self, n):
-        return self.coeff * self.base.value_exact(n)
-
-    def value_mpf(self, n):
-        return _mpf(self.coeff) * self.base.value_mpf(n)
+    def _sup(self, n0, ar):
+        return ar.num(self.coeff) * self.base._sup(n0, ar)
 
     @property
     def limit_exact(self):
         return self.coeff * self.base.limit_exact
 
-    @property
-    def supremum(self):
-        return float(self.coeff) * self.base.supremum
-
-    def sup_from(self, n0):
-        return float(self.coeff) * self.base.sup_from(n0)
-
-    def sup_from_exact(self, n0):
-        return self.coeff * self.base.sup_from_exact(n0)
-
     def first_zero_at_or_after(self, n0):
         if self.coeff == 0:
             return max(1, int(n0))
         return self.base.first_zero_at_or_after(n0)
-
-    def as_float_fn(self):
-        d = float(self.coeff)
-        f = self.base.as_float_fn()
-        return lambda n: d * f(n)
 
     def spec_string(self):
         return f"{self.coeff}*({self.base.spec_string()})"
@@ -410,28 +387,16 @@ class Combined(RateProfile):
             self, "is_rational",
             self.first.is_rational and self.second.is_rational)
 
-    def value(self, n):
-        return self.first.value(n) + self.second.value(n)
+    def evaluator(self, ar):
+        f, g = self.first.evaluator(ar), self.second.evaluator(ar)
+        return lambda n: f(n) + g(n)
 
-    def value_exact(self, n):
-        return self.first.value_exact(n) + self.second.value_exact(n)
-
-    def value_mpf(self, n):
-        return self.first.value_mpf(n) + self.second.value_mpf(n)
+    def _sup(self, n0, ar):
+        return self.first._sup(n0, ar) + self.second._sup(n0, ar)
 
     @property
     def limit_exact(self):
         return self.first.limit_exact + self.second.limit_exact
-
-    @property
-    def supremum(self):
-        return self.first.supremum + self.second.supremum
-
-    def sup_from(self, n0):
-        return self.first.sup_from(n0) + self.second.sup_from(n0)
-
-    def sup_from_exact(self, n0):
-        return self.first.sup_from_exact(n0) + self.second.sup_from_exact(n0)
 
     def first_zero_at_or_after(self, n0):
         # The sum vanishes only where both parts do.
@@ -446,10 +411,6 @@ class Combined(RateProfile):
             if b == a:
                 return a
             n = b
-
-    def as_float_fn(self):
-        f, g = self.first.as_float_fn(), self.second.as_float_fn()
-        return lambda n: f(n) + g(n)
 
     def spec_string(self):
         return f"({self.first.spec_string()})+({self.second.spec_string()})"
@@ -553,9 +514,10 @@ def gamma_from_graph(beta: RateProfile, beta_int: RateProfile,
                      d) -> RateProfile:
     """Aggregate rate coefficient d * beta(n) + beta_int(n).
 
-    With d the maximum (minimum) weighted in-degree this is the birth
-    coefficient of the one-dimensional chain that bounds the network
-    epidemic's total from above (below).
+    With d the largest (smallest) column sum of W and an unmodulated
+    graph this is the birth coefficient of the one-dimensional chain
+    that bounds the network epidemic's total from above (below); see
+    ``chains.bound_chains_from_graph`` for the modulated case.
     """
     d = coerce_coefficient(d)
     if d < 0:

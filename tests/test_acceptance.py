@@ -17,8 +17,7 @@ import pytest
 
 from dieout.chains import (BirthDeathSpec, PrecisionConfig,
                            equilibrium_lower_bound, expected_T1,
-                           hitting_table, s_recursion_step, s_tail_series,
-                           s_values_float)
+                           hitting_table, s_tail_series, s_values_float)
 from dieout.gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                               simulate_run)
 from dieout.graphs import (DiagonalModulation, LocalityGraph, geometric_lower,
@@ -28,6 +27,7 @@ from dieout.regime import Regime, classify_general, classify_scalar_D, \
     classify_decoupled
 
 from conftest import complete_graph, random_strong_digraph
+from oracles import s_recursion_step
 
 BF256 = PrecisionConfig(mode="bigfloat", bits=256, series_rel_tol=1e-40)
 RATIONAL = PrecisionConfig(mode="rational", series_rel_tol=1e-30)

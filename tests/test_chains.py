@@ -9,11 +9,17 @@ from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig, asymptote_ratio,
                            bound_chains_from_graph, equilibrium_lower_bound,
                            expected_T1, hitting_table,
-                           positive_recurrence_check, s_recursion_step,
-                           s_tail_series, s_values_float,
-                           stationary_distribution)
+                           positive_recurrence_check, s_tail_series,
+                           s_values_float)
 from dieout.rates import (Constant, ExactnessError, LogOverN, Step,
                           parse_profile)
+
+from dieout.gillespie import SimConfig, simulate_run
+from dieout.graphs import DiagonalModulation, LocalityGraph
+
+from conftest import random_strong_digraph
+from oracles import (EpidemicState, node_rates, s_recursion_step,
+                     stationary_distribution)
 
 RATIONAL = PrecisionConfig(mode="rational", series_rel_tol=1e-30)
 BF256 = PrecisionConfig(mode="bigfloat", bits=256, series_rel_tol=1e-40)
@@ -23,9 +29,8 @@ def harmonic_number(n: int) -> Fraction:
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
-def spec_of(text: str, delta="1", theta="1") -> BirthDeathSpec:
-    return BirthDeathSpec(parse_profile(text), Fraction(delta),
-                          Fraction(theta))
+def spec_of(text: str, delta="1") -> BirthDeathSpec:
+    return BirthDeathSpec(parse_profile(text), Fraction(delta))
 
 
 class TestRecurrenceCheck:
@@ -195,6 +200,53 @@ class TestHittingTable:
             assert a <= b
 
 
+class TestGraphChains:
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    @pytest.mark.parametrize("modulated", [False, True])
+    def test_chains_bracket_per_capita_birth_rate(self, seed, modulated):
+        # along simulated trajectories on directed graphs, the epidemic's
+        # birth rate per case lies between the two chains' coefficients
+        g = random_strong_digraph(seed, n=9)
+        rng = np.random.default_rng(seed)
+        d = (DiagonalModulation(rng.uniform(0.2, 5.0, g.node_count))
+             if modulated else None)
+        beta = parse_profile("harmonic:6")
+        beta_int = parse_profile("step:2,1/2,12")
+        upper, lower = bound_chains_from_graph(g, beta, beta_int, "3",
+                                               modulation=d)
+        cfg = SimConfig(beta=beta, beta_int=beta_int, delta=3.0, t_max=3.0,
+                        n0=12, master_seed=seed, modulation=d,
+                        record_events=True)
+        events = 0
+        for run in range(4):
+            traj = simulate_run(cfg, g, run)
+            counts = traj.initial.copy()
+            for _, node, delta_count in traj.events:
+                n = int(counts.sum())
+                birth, _, _ = node_rates(EpidemicState.from_counts(counts),
+                                         g, d, beta, beta_int, 3.0)
+                per_case = birth.sum() / n
+                assert lower.gamma.value(n) * (1 - 1e-12) <= per_case
+                assert per_case <= upper.gamma.value(n) * (1 + 1e-12)
+                counts[node] += delta_count
+                events += 1
+        assert events >= 100
+
+    def test_chain_coefficients_on_hub_graph(self):
+        # five-node hub that exerts pressure on every leaf and receives
+        # none: column sums (4, 0, 0, 0, 0), row sums (0, 1, 1, 1, 1);
+        # a case at the hub with D = (5, 1, 1, 1, 1) adds 4 + 5 births
+        w = np.zeros((5, 5))
+        w[1:, 0] = 1.0
+        g = LocalityGraph(tuple("hbcde"), w)
+        d = DiagonalModulation(np.array([5.0, 1, 1, 1, 1]))
+        upper, lower = bound_chains_from_graph(
+            g, Constant(Fraction(1)), Constant(Fraction(1)), "1",
+            modulation=d)
+        assert upper.gamma.value_exact(1) == 4 + 5
+        assert lower.gamma.value_exact(1) == 0 + 1
+
+
 class TestAsymptote:
     def test_pure_death_ratio_is_harmonic_over_log(self):
         spec = spec_of("const:0")
@@ -248,27 +300,27 @@ class TestAsymptote:
 
 class TestStationaryDistribution:
     def test_pure_death_two_states(self):
-        spec = spec_of("const:0", theta="3")
-        pi = stationary_distribution(spec, 5, RATIONAL)
+        spec = spec_of("const:0")
+        pi = stationary_distribution(spec, 5, RATIONAL, theta=3)
         assert pi[0] == Fraction(1, 4)  # delta/(delta+theta)
         assert pi[1] == Fraction(3, 4)
         assert all(p == 0 for p in pi[2:])
-        t1 = (1 / pi[0] - 1) / spec.theta
+        t1 = (1 / pi[0] - 1) / 3
         assert t1 == expected_T1(spec, RATIONAL).value
 
     def test_renewal_identity_recovers_T1(self):
         spec = spec_of("const:1/2")
         pi = stationary_distribution(spec, 300, RATIONAL)
-        t1 = (1 / pi[0] - 1) / spec.theta
+        t1 = 1 / pi[0] - 1  # theta = 1
         series = expected_T1(spec, RATIONAL).value
         assert abs(t1 - series) < Fraction(1, 10**9)
 
     def test_theta_invariance(self):
         recovered = []
         for theta in ("1/10", "1", "10"):
-            spec = spec_of("const:1/2", theta=theta)
-            pi = stationary_distribution(spec, 300, RATIONAL)
-            recovered.append((1 / pi[0] - 1) / spec.theta)
+            spec = spec_of("const:1/2")
+            pi = stationary_distribution(spec, 300, RATIONAL, theta=theta)
+            recovered.append((1 / pi[0] - 1) / Fraction(theta))
         assert abs(recovered[0] - recovered[1]) < Fraction(1, 10**9)
         assert abs(recovered[1] - recovered[2]) < Fraction(1, 10**9)
 

@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dieout.cli import main
 from dieout.config import (ConfigError, config_sha256, config_text,
                            load_config, simulation_grid)
+from dieout.graphs import DENSE_NODE_LIMIT, LocalityGraph, spectral_radius
 
 from conftest import DATA_DIR
 
@@ -115,6 +117,42 @@ class TestClassify:
         by_method = {r["method"]: r for r in records}
         assert by_method["decoupled_weyl"]["regime"] == "indeterminate"
         assert by_method["general_spectral"]["regime"] == "fast_extinction"
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_csr_graph_is_never_densified(self, tmp_path, capsys,
+                                          monkeypatch, symmetric):
+        # 2100 nodes: a two-way ring plus three random in-edges per node
+        # (mirrored when symmetric), stored as CSR
+        n = DENSE_NODE_LIMIT + 52
+        rng = np.random.default_rng(5)
+        w = {}
+        for i in range(n):
+            w[(i, (i + 1) % n)] = w[((i + 1) % n, i)] = 1.0
+            for j in rng.choice(n, 3, replace=False):
+                if j != i:
+                    w[(i, int(j))] = float(rng.integers(1, 4))
+        if symmetric:
+            w = {(i, j): max(w.get((i, j), 0.0), w.get((j, i), 0.0))
+                 for a, b in w for i, j in ((a, b), (b, a))}
+        graph = tmp_path / "big.edges"
+        graph.write_text("".join(f"v{i} v{j} {v}\n"
+                                 for (i, j), v in sorted(w.items())),
+                         encoding="utf-8")
+        cfg = write_config(tmp_path, SIM_BODY.format(
+            graph=graph, delta="30", out=tmp_path / "out"))
+
+        def refuse(self):
+            raise MemoryError("dense copy of a CSR graph")
+
+        monkeypatch.setattr(LocalityGraph, "dense_weights", refuse)
+        assert main(["classify", "--config", str(cfg)]) == 0
+        records = json.loads(capsys.readouterr().out)
+        methods = [r["method"] for r in records]
+        assert ("symmetric_spectral" in methods) == symmetric
+        m = sp.csr_matrix((list(w.values()), tuple(zip(*w))), shape=(n, n))
+        rho = spectral_radius(2 * m + 2 * sp.identity(n), tol=1e-12).radius
+        gen = records[methods.index("general_spectral")]
+        assert gen["threshold"] == pytest.approx(rho, rel=1e-9)
 
     def test_missing_graph_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "[profiles]\nbeta = const:1\n")

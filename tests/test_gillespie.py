@@ -79,7 +79,8 @@ class TestNodeRates:
                        beta_int=parse_profile("harmonic:3"),
                        delta=1.5, n0=25, t_max=3.0)
         d_max, _ = weighted_degrees(fixture20)
-        cap_coeff = (cfg.beta.supremum * d_max + cfg.beta_int.supremum + 1.5)
+        cap_coeff = (cfg.beta.sup_from(1) * d_max + cfg.beta_int.sup_from(1)
+                     + 1.5)
         traj = simulate_run(cfg, fixture20, 0)
         counts = traj.initial.copy()
         state = EpidemicState.from_counts(counts)

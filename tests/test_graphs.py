@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from dieout.graphs import (DENSE_NODE_LIMIT, DiagonalModulation, EdgeListError,
                            LocalityGraph, SpectralError, effective_matrix,
                            geometric_lower, is_strongly_connected,
-                           load_edge_list, normalize_mean_column_weight,
+                           is_symmetric, load_edge_list, normalize_mean_column_weight,
                            spectral_radius, symmetrized_upper,
                            top_nodes_by_total_weight, weighted_degrees)
 
@@ -291,6 +291,29 @@ class TestSparseStorage:
             counts[node] += dc
             assert counts[node] >= 0
         assert counts.sum() == 0
+
+    def test_is_symmetric_matches_allclose_in_both_storages(self):
+        # perturbations straddle np.allclose's tolerance |a - b| <= 1e-8
+        # + 1e-5 |b|; dense and CSR twins must give allclose's answer
+        rng = np.random.default_rng(8)
+        base = random_strong_digraph(3, n=12, symmetric=True).weights
+        for scale in (0.0, 1e-9, 5e-6, 2e-5, 1e-3):
+            for _ in range(5):
+                w = np.array(base)
+                i, j = rng.choice(12, 2, replace=False)
+                w[i, j] = (w[i, j] * (1 + rng.choice([-1, 1]) * scale)
+                           if w[i, j] else scale)
+                expected = bool(np.allclose(w, w.T))
+                labels = tuple(f"v{k}" for k in range(12))
+                assert is_symmetric(LocalityGraph(labels, w)) == expected
+                assert is_symmetric(
+                    LocalityGraph(labels, sp.csr_matrix(w))) == expected
+        n = DENSE_NODE_LIMIT + 1
+        idx = np.arange(n)
+        ring = sp.csr_matrix((np.ones(n), (idx, (idx + 1) % n)), shape=(n, n))
+        g = LocalityGraph(tuple(f"v{k}" for k in idx), ring)
+        assert not is_symmetric(g)
+        assert is_symmetric(g.with_weights(ring + ring.T))
 
     def test_large_edge_list_loads_as_csr_without_dense_scratch(self):
         # a directed ring plus chords, with zero-weight edges and a zero

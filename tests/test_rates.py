@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -30,7 +31,7 @@ class TestParsing:
         assert isinstance(p, Constant)
         assert p.value(7) == 2.0
         assert p.limit == 2.0
-        assert p.supremum == 2.0
+        assert p.sup_from(1) == 2.0
 
     def test_step(self):
         p = parse_profile("step:3,0.5,1000")
@@ -38,20 +39,20 @@ class TestParsing:
         assert p.value(1000) == 3.0  # boundary belongs to the high side
         assert p.value(1001) == 0.5
         assert p.limit == 0.5
-        assert p.supremum == 3.0
+        assert p.sup_from(1) == 3.0
 
     def test_harmonic(self):
         p = parse_profile("harmonic:5")
         assert p.value(10) == 0.5
         assert p.value(5) == 1.0
         assert p.limit == 0.0
-        assert p.supremum == 5.0
+        assert p.sup_from(1) == 5.0
 
     def test_logn(self):
         p = parse_profile("logn:2")
         assert p.value(3) == pytest.approx(2 * math.log(4) / 3)
         assert p.limit == 0.0
-        assert p.supremum == pytest.approx(2 * math.log(2))
+        assert p.sup_from(1) == pytest.approx(2 * math.log(2))
 
     def test_rational_string_parameters(self):
         assert parse_profile("const:1/2").c == Fraction(1, 2)
@@ -130,6 +131,64 @@ class TestEvaluation:
                 assert f(n) == pytest.approx(p.value(n), rel=1e-12, abs=0)
 
 
+class TestEvaluator:
+    def composites(self):
+        logn = LogOverN(Fraction(3, 7))
+        step = Step(Fraction(5, 3), Fraction(1, 9), 40)
+        table = Table(((2, Fraction(7, 5)), (9, Fraction(0))),
+                      tail=Fraction(2, 3))
+        return [
+            Scaled(Fraction(11, 3), Harmonic(Fraction(1, 3))),
+            Combined(Scaled(Fraction(5, 2), step), table),
+            Combined(Scaled(Fraction(1, 7), logn), step),
+            Scaled(Fraction(2, 3), Combined(logn, Harmonic(Fraction(4)))),
+            gamma_from_graph(logn, Constant(Fraction(1, 3)), Fraction(9, 4)),
+        ]
+
+    def test_mpf_values_follow_the_working_precision(self):
+        p = Harmonic(Fraction(1, 3))
+        with mpmath.mp.workprec(64):
+            low = p.value_mpf(1)
+        with mpmath.mp.workprec(256):
+            high = p.value_mpf(1)
+            assert high == mpmath.mpf(1) / 3
+            assert high != low
+        with mpmath.mp.workprec(64):
+            assert p.value_mpf(1) == low
+
+    def test_profiles_pickle_after_evaluation(self):
+        for p in [*all_families(), *self.composites()]:
+            p.value(5)
+            with mpmath.mp.workprec(128):
+                p.value_mpf(5)
+            p.as_float_fn()(5)
+            q = pickle.loads(pickle.dumps(p))
+            assert q == p
+            assert q.value(5) == p.value(5)
+
+    def test_views_agree_on_composites(self):
+        for p in self.composites():
+            f = p.as_float_fn()
+            for n in (1, 2, 9, 40, 41, 1000):
+                v = p.value(n)
+                assert f(n) == v
+                with mpmath.mp.workprec(200):
+                    assert float(p.value_mpf(n)) == pytest.approx(
+                        v, rel=1e-15)
+                if p.is_rational:
+                    assert float(p.value_exact(n)) == pytest.approx(
+                        v, rel=1e-15)
+                    assert p.sup_from_exact(n) >= p.value_exact(n)
+                else:
+                    with pytest.raises(ExactnessError):
+                        p.value_exact(n)
+                    with pytest.raises(ExactnessError):
+                        p.sup_from_exact(n)
+                assert p.sup_from(n) >= v * (1 - 1e-15)
+            with pytest.raises(ProfileError):
+                p.value(0)
+
+
 class TestLimitsAndSuprema:
     @pytest.mark.parametrize("text,limit,sup", [
         ("harmonic:5", 0.0, 5.0),
@@ -139,12 +198,12 @@ class TestLimitsAndSuprema:
     def test_examples(self, text, limit, sup):
         p = parse_profile(text)
         assert p.limit == limit
-        assert p.supremum == sup
+        assert p.sup_from(1) == sup
 
     def test_values_never_exceed_supremum(self):
         points = [1, 2, 3, 10, 999, 1000, 1001, 12345, 10**6]
         for p in all_families():
-            sup = p.supremum
+            sup = p.sup_from(1)
             for n in points:
                 v = p.value(n)
                 assert 0.0 <= v <= sup * (1 + 1e-12)
@@ -185,7 +244,7 @@ class TestHypothesisInvariants:
         for p in all_families():
             v = p.value(n)
             assert v >= 0.0
-            assert v <= p.supremum * (1 + 1e-12)
+            assert v <= p.sup_from(1) * (1 + 1e-12)
 
     @given(n=st.integers(min_value=1, max_value=10**6),
            d=st.fractions(min_value=0, max_value=100))
@@ -232,4 +291,4 @@ class TestGammaFromGraph:
     def test_combined_supremum_is_conservative(self):
         g = Combined(Harmonic(Fraction(4)), Step(Fraction(1), Fraction(2), 3))
         for n in (1, 2, 3, 4, 100):
-            assert g.value(n) <= g.supremum + 1e-12
+            assert g.value(n) <= g.sup_from(1) + 1e-12
