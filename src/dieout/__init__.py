@@ -11,11 +11,11 @@ from .chains import (BirthDeathSpec, HittingTable, InfiniteHittingTimeError,
 from .gillespie import (EnsembleSummary, SimConfig, Trajectory,
                         estimate_survival_probability, mean_field_trajectory,
                         run_ensemble, simulate_run, trimmed_interval)
-from .graphs import (DiagonalModulation, EdgeListError, LocalityGraph,
-                     SpectralError, SpectralInfo, effective_matrix,
+from .graphs import (DiagonalModulation, EdgeListError, EpidemicModel,
+                     LocalityGraph, SpectralError, SpectralInfo,
                      geometric_lower, is_strongly_connected, load_edge_list,
                      load_edge_list_file, normalize_mean_column_weight,
-                     spectral_radius, symmetrized_upper, weighted_degrees)
+                     spectral_radius, symmetrized_upper)
 from .rates import (Constant, Harmonic, LogOverN, ProfileError, RateProfile,
                     Step, Table, gamma_from_graph, parse_profile)
 from .regime import (Method, Regime, RegimeReport, classify_decoupled,
@@ -24,11 +24,10 @@ from .regime import (Method, Regime, RegimeReport, classify_decoupled,
 __all__ = [
     "__version__",
     # graphs
-    "LocalityGraph", "DiagonalModulation", "SpectralInfo", "EdgeListError",
-    "SpectralError", "load_edge_list", "load_edge_list_file",
+    "LocalityGraph", "DiagonalModulation", "EpidemicModel", "SpectralInfo",
+    "EdgeListError", "SpectralError", "load_edge_list", "load_edge_list_file",
     "normalize_mean_column_weight", "is_strongly_connected",
-    "spectral_radius", "weighted_degrees", "symmetrized_upper",
-    "geometric_lower", "effective_matrix",
+    "spectral_radius", "symmetrized_upper", "geometric_lower",
     # rates
     "RateProfile", "Constant", "Step", "Harmonic", "LogOverN", "Table",
     "ProfileError", "parse_profile", "gamma_from_graph",

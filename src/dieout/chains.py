@@ -43,7 +43,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from .graphs import DiagonalModulation, LocalityGraph
+from .graphs import EpidemicModel, LocalityGraph
 from .rates import (EXACT, FLOAT, MPF, Arithmetic, ExactnessError,
                     RateProfile, Scaled, coerce_coefficient, gamma_from_graph)
 
@@ -415,30 +415,26 @@ def equilibrium_lower_bound(epsilon, delta, N: int) -> Fraction:
     return ((1 + eps / dlt) ** (N + 1) - 1) / ((N + 1) * eps)
 
 
-def bound_chains_from_graph(g: LocalityGraph, beta: RateProfile,
-                            beta_int: RateProfile, delta,
-                            modulation: DiagonalModulation | None = None
+def bound_chains_from_graph(g: LocalityGraph, model: EpidemicModel
                             ) -> tuple[BirthDeathSpec, BirthDeathSpec]:
     """Bracketing chains for the epidemic's total on a locality graph.
 
     Returns (upper, lower) specs with growth coefficients
     c_max * beta + D_max * beta_int and c_min * beta + D_min * beta_int,
-    where c are the column sums of W and D the modulation (the identity
-    when None).  A case at node v adds beta(n) * c_v + beta_int(n) * D_v
-    to the total birth rate (c_v is the pressure v exerts), so the
-    per-capita birth rate at total n lies between the two coefficients.
-    The extremes are embedded exactly.
+    where c are the column sums of W and D the model's modulation.  A
+    case at node v adds beta(n) * c_v + beta_int(n) * D_v to the total
+    birth rate (c_v is the pressure v exerts), so the per-capita birth
+    rate at total n lies between the two coefficients.  The extremes
+    are embedded exactly.
     """
-    if modulation is not None and len(modulation) != g.node_count:
-        raise ValueError(
-            f"modulation length {len(modulation)} != {g.node_count} nodes")
     col_sums = np.asarray(g.weights.sum(axis=0)).ravel()
-    d = np.ones(1) if modulation is None else modulation.values
-    delta = coerce_coefficient(delta)
+    d = model.d(g.node_count)
 
     def chain(c, d_ext):
         d_ext = coerce_coefficient(float(d_ext))
-        inner = beta_int if d_ext == 1 else Scaled(d_ext, beta_int)
-        return BirthDeathSpec(gamma_from_graph(beta, inner, float(c)), delta)
+        inner = (model.beta_int if d_ext == 1
+                 else Scaled(d_ext, model.beta_int))
+        return BirthDeathSpec(gamma_from_graph(model.beta, inner, float(c)),
+                              model.delta)
 
     return chain(col_sums.max(), d.max()), chain(col_sums.min(), d.min())

@@ -30,13 +30,13 @@ from . import __version__
 from .chains import (BirthDeathSpec, InfiniteHittingTimeError,
                      PrecisionConfig, asymptote_ratio, hitting_table)
 from .config import (ConfigError, ExperimentConfig, config_sha256,
-                     load_config, load_graph, load_modulation, load_profiles,
-                     simulation_grid)
+                     load_config, load_graph, load_initial_counts,
+                     load_modulation, load_profiles, simulation_grid)
 from .gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                         trimmed_interval)
-from .graphs import (EdgeListError, SpectralError, is_strongly_connected,
-                     is_symmetric, spectral_radius)
-from .rates import (Constant, ProfileError, parse_parameter, parse_profile)
+from .graphs import (EdgeListError, EpidemicModel, SpectralError,
+                     is_strongly_connected, is_symmetric, spectral_radius)
+from .rates import ProfileError, parse_parameter, parse_profile
 from .regime import (classify_decoupled, classify_general, classify_scalar_D,
                      classify_symmetric)
 
@@ -95,32 +95,34 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
     return out
 
 
+def _model(cfg: ExperimentConfig, g) -> EpidemicModel:
+    """The configured epidemic on graph ``g``."""
+    beta, beta_int = load_profiles(cfg)
+    return EpidemicModel(beta, beta_int, cfg.dynamics.delta,
+                         load_modulation(cfg, g))
+
+
 def cmd_classify(cfg: ExperimentConfig, args) -> int:
     """Classify the epidemic regime; one JSON record per applicable method."""
     g = load_graph(cfg)
-    modulation = load_modulation(cfg, g)
-    beta, beta_int = load_profiles(cfg)
-    beta_inf, betaint_inf = beta.limit, beta_int.limit
-    delta = float(parse_parameter(cfg.dynamics.delta))
+    model = _model(cfg, g)
+    modulation = model.modulation
     tol = cfg.classify.boundary_tol
     stol = cfg.classify.spectral_tol
 
     reports = []
     symmetric = is_symmetric(g)
     identity_mod = modulation.is_scalar and modulation.values[0] == 1.0
-    general = classify_general(g, modulation, beta_inf, betaint_inf, delta,
-                               boundary_tol=tol, spectral_tol=stol)
+    general = classify_general(g, model, boundary_tol=tol, spectral_tol=stol)
     if symmetric and identity_mod:
         reports.append(classify_symmetric(
-            _symmetric_lambda(g, stol), beta_inf, betaint_inf, delta,
+            spectral_radius(g.weights, tol=stol).radius, model,
             boundary_tol=tol))
     reports.append(general)
     if modulation.is_scalar:
-        reports.append(classify_scalar_D(
-            g, float(modulation.values[0]), beta_inf, betaint_inf, delta,
-            boundary_tol=tol, spectral_tol=stol))
-    reports.append(classify_decoupled(g, modulation, beta_inf, betaint_inf,
-                                      delta, boundary_tol=tol,
+        reports.append(classify_scalar_D(g, model, boundary_tol=tol,
+                                         spectral_tol=stol))
+    reports.append(classify_decoupled(g, model, boundary_tol=tol,
                                       spectral_tol=stol))
     records = [r.as_record() for r in reports]
     text = json.dumps(records, indent=2)
@@ -135,32 +137,14 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _symmetric_lambda(g, spectral_tol: float) -> float:
-    return spectral_radius(g.weights, tol=spectral_tol).radius
-
-
 def _sim_config(cfg: ExperimentConfig, g, args) -> SimConfig:
-    beta, beta_int = load_profiles(cfg)
-    modulation = load_modulation(cfg, g)
     sim = cfg.simulation
-    seed = args.seed if args.seed is not None else sim.master_seed
-    initial = None
-    if sim.initial_file:
-        table = {}
-        with open(cfg.resolve(sim.initial_file), "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    lab, count = line.split()
-                    table[lab] = int(count)
-        initial = np.array([table.get(lab, 0) for lab in g.labels],
-                           dtype=np.int64)
+    initial = load_initial_counts(cfg, g)
     return SimConfig(
-        beta=beta, beta_int=beta_int,
-        delta=float(parse_parameter(cfg.dynamics.delta)),
-        t_max=sim.t_max, n0=sim.n0 if initial is None else int(initial.sum()),
-        master_seed=seed, modulation=modulation, initial=initial,
-        record_events=sim.record_events)
+        model=_model(cfg, g), t_max=sim.t_max,
+        n0=sim.n0 if initial is None else int(initial.sum()),
+        master_seed=sim.master_seed if args.seed is None else args.seed,
+        initial=initial, record_events=sim.record_events)
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
@@ -276,10 +260,7 @@ def cmd_asymptote(cfg: ExperimentConfig, args) -> int:
 def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
     """Integrate the expected-trajectory ODE and write per-node columns."""
     g = load_graph(cfg)
-    beta, beta_int = load_profiles(cfg)
-    if not isinstance(beta, Constant) or not isinstance(beta_int, Constant):
-        raise ConfigError(
-            "mean-field integration requires constant profiles")
+    model = _model(cfg, g)
     mf = cfg.meanfield
     steps = int(round(mf.t_max / mf.grid_step))
     grid = np.arange(steps + 1) * mf.grid_step
@@ -291,9 +272,7 @@ def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
         x0[g.index(mf.x0[len("node:"):])] = n0
     else:
         raise ConfigError(f"[meanfield] x0 {mf.x0!r}: use uniform or node:LABEL")
-    delta = float(parse_parameter(cfg.dynamics.delta))
-    series = mean_field_trajectory(g, beta, beta_int, delta, x0, grid,
-                                   modulation=load_modulation(cfg, g))
+    series = mean_field_trajectory(g, model, x0, grid)
     out = _out_dir(cfg, args)
     _write_csv(out / "meanfield.csv", ["t", *g.labels, "total"],
                (([_fmt(t)] + [_fmt(v) for v in row] + [_fmt(row.sum())])

@@ -247,25 +247,41 @@ def load_graph(cfg: ExperimentConfig) -> LocalityGraph:
     return g
 
 
+def _read_label_values(path: Path, convert, labels=None) -> dict:
+    """``label value`` lines (``#`` comments) as a dict, values parsed by
+    ``convert``.  ConfigError at ``path:line`` on a malformed line or
+    value, a repeated label, or a label outside ``labels`` (if given)."""
+    table = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts, where = line.split(), f"{path}:{lineno}"
+            if len(parts) != 2:
+                raise ConfigError(f"{where}: expected 'label value'")
+            label, text = parts
+            if label in table:
+                raise ConfigError(f"{where}: duplicate label {label!r}")
+            if labels is not None and label not in labels:
+                raise ConfigError(f"{where}: {label!r} is not a graph node")
+            try:
+                table[label] = convert(text)
+            except ValueError:
+                raise ConfigError(f"{where}: bad value {text!r}") from None
+    return table
+
+
 def load_modulation(cfg: ExperimentConfig,
                     g: LocalityGraph) -> DiagonalModulation:
-    """Per-node modulation from the config (defaults to all ones)."""
+    """Per-node modulation from the config (defaults to all ones).  A
+    file may name extra nodes, so one file serves any subset."""
     mod = cfg.modulation
     if mod.eta is not None and mod.file is not None:
         raise ConfigError("[modulation] give either eta or file, not both")
     if mod.file is not None:
-        table: dict[str, float] = {}
         fpath = cfg.resolve(mod.file)
-        with open(fpath, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                if len(parts) != 2:
-                    raise ConfigError(
-                        f"{fpath}:{lineno}: expected 'label value'")
-                table[parts[0]] = float(parts[1])
+        table = _read_label_values(fpath, float)
         try:
             values = np.array([table[lab] for lab in g.labels])
         except KeyError as exc:
@@ -274,6 +290,17 @@ def load_modulation(cfg: ExperimentConfig,
         return DiagonalModulation(values)
     eta = float(mod.eta) if mod.eta is not None else 1.0
     return DiagonalModulation.uniform(g.node_count, eta)
+
+
+def load_initial_counts(cfg: ExperimentConfig,
+                        g: LocalityGraph) -> np.ndarray | None:
+    """Initial counts per node from ``[simulation] initial_file`` (None
+    when unset); nodes without a line start at zero."""
+    if not cfg.simulation.initial_file:
+        return None
+    table = _read_label_values(cfg.resolve(cfg.simulation.initial_file), int,
+                               labels=set(g.labels))
+    return np.array([table.get(lab, 0) for lab in g.labels], dtype=np.int64)
 
 
 def load_profiles(cfg: ExperimentConfig) -> tuple[RateProfile, RateProfile]:

@@ -30,8 +30,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .graphs import DiagonalModulation, LocalityGraph, effective_matrix
-from .rates import Constant, RateProfile
+from .graphs import EpidemicModel, LocalityGraph
+from .rates import Constant
 
 # Cached pressure vectors are refreshed from scratch at this cadence to
 # stop float drift from accumulating over long runs.
@@ -40,25 +40,20 @@ _REFRESH_EVERY = 8192
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one stochastic run ensemble.
+    """Configuration of one stochastic run ensemble of ``model``.
 
     ``initial`` pins the initial counts exactly; when None, all ``n0``
     cases are placed on one node chosen uniformly at random per run.
     """
 
-    beta: RateProfile
-    beta_int: RateProfile
-    delta: float
+    model: EpidemicModel
     t_max: float
     n0: int
     master_seed: int
-    modulation: DiagonalModulation | None = None
     initial: np.ndarray | None = None
     record_events: bool = False
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
         if self.t_max <= 0:
             raise ValueError("t_max must be positive")
         if self.n0 < 1:
@@ -257,11 +252,11 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
     n_nodes = tables.col_sums.size
     initial = _initial_counts(cfg, n_nodes, rng)
 
-    d = (cfg.modulation.values if cfg.modulation is not None
-         else np.ones(n_nodes))
-    beta_f = cfg.beta.as_float_fn()
-    betaint_f = cfg.beta_int.as_float_fn()
-    delta = float(cfg.delta)
+    model = cfg.model
+    d = model.d(n_nodes)
+    beta_f = model.beta.as_float_fn()
+    betaint_f = model.beta_int.as_float_fn()
+    delta = float(model.delta)
     # per-node scalars as Python floats: cheaper to index and combine
     col_sums, d_of = tables.col_sums.tolist(), d.tolist()
 
@@ -453,53 +448,36 @@ def estimate_survival_probability(cfg: SimConfig, g: LocalityGraph,
                             runs=runs, horizon=horizon)
 
 
-def _constant_value(profile_or_value, name: str) -> float:
-    if isinstance(profile_or_value, RateProfile):
-        if not isinstance(profile_or_value, Constant):
-            raise ValueError(
-                f"{name} must be a constant profile for the mean-field "
-                "trajectory")
-        return float(profile_or_value.c)
-    return float(profile_or_value)
-
-
-def mean_field_trajectory(g: LocalityGraph, beta_const, betaint_const,
-                          delta: float, x0, grid,
-                          modulation: DiagonalModulation | None = None
-                          ) -> np.ndarray:
+def mean_field_trajectory(g: LocalityGraph, model: EpidemicModel, x0,
+                          grid) -> np.ndarray:
     """Expected trajectory of the linear ODE for constant profiles.
 
     Integrates d E[X]/dt = (beta W + beta_int D - delta I) E[X] on the
     grid via the matrix exponential (one propagator per distinct step,
-    reused across a uniform grid).  With D = I (the default), projected
-    on the Perron eigenvector q of a symmetric W, the solution is the
-    scalar exponential exp(t (beta lambda_r + beta_int - delta)) * q.X(0).
+    reused across a uniform grid).  With D = I, projected on the Perron
+    eigenvector q of a symmetric W, the solution is the scalar
+    exponential exp(t (beta lambda_r + beta_int - delta)) * q.X(0).
 
     Args:
-        beta_const, betaint_const: floats, or Constant profiles.
+        model: the epidemic; beta and beta_int must be Constant.
         x0: initial expected counts per node.
         grid: increasing times (first entry may be 0).
-        modulation: D, the per-node multipliers of beta_int.
 
     Returns:
         Array of shape (len(grid), node_count).
     """
-    beta = _constant_value(beta_const, "beta")
-    beta_int = _constant_value(betaint_const, "beta_int")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not (isinstance(model.beta, Constant)
+            and isinstance(model.beta_int, Constant)):
+        raise ValueError("mean-field integration requires constant profiles")
     grid = np.asarray(grid, dtype=float)
     x = np.asarray(x0, dtype=float)
     if x.shape != (g.node_count,):
         raise ValueError("x0 length does not match the graph")
-    if modulation is None:
-        modulation = DiagonalModulation.uniform(g.node_count)
 
-    gen = effective_matrix(g, modulation, beta, beta_int)
-    if sp.issparse(gen):
-        gen = gen.toarray()
-    gen = gen - delta * np.eye(g.node_count)
-
+    # constant profiles equal their limits at every n
+    gen = model.asymptotic_matrix(g)
+    gen = ((gen.toarray() if sp.issparse(gen) else gen)
+           - float(model.delta) * np.eye(g.node_count))
     out = np.empty((grid.size, g.node_count))
     steps = np.diff(grid, prepend=0.0)
     propagators: dict[float, np.ndarray] = {}

@@ -1,5 +1,5 @@
-"""Locality networks: ingestion, normalization, degree statistics, and
-Perron-Frobenius spectral computations.
+"""Locality networks: ingestion, normalization, the epidemic model on
+them, and Perron-Frobenius spectral computations.
 
 A locality graph is a weighted directed network over population centers.
 Row u of the weight matrix lists the infection pressure *received* by u:
@@ -11,11 +11,14 @@ growth is carried by a separate per-node modulation vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+
+from .rates import RateProfile, coerce_coefficient
 
 # Dense storage below this node count, compressed sparse rows beyond.
 DENSE_NODE_LIMIT = 2048
@@ -114,8 +117,8 @@ class DiagonalModulation:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("modulation must be a nonempty vector")
-        if (v <= 0).any():
-            raise ValueError("modulation entries must be strictly positive")
+        if not (np.isfinite(v) & (v > 0)).all():
+            raise ValueError("modulation entries must be finite and positive")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
@@ -129,6 +132,52 @@ class DiagonalModulation:
 
     def __len__(self) -> int:
         return self.values.size
+
+
+@dataclass(frozen=True)
+class EpidemicModel:
+    """The epidemic's rates, stated once for every engine.
+
+    Node u gains a case at rate ``[(beta(n) W + beta_int(n) D) X]_u``
+    and loses one at rate ``delta * X_u``, n being the total.  W is the
+    locality graph, passed alongside; D is ``modulation`` (the identity
+    when None).  ``delta`` is stored exactly, as a Fraction.
+    """
+
+    beta: RateProfile
+    beta_int: RateProfile
+    delta: Fraction
+    modulation: DiagonalModulation | None = None
+
+    def __post_init__(self):
+        delta = coerce_coefficient(self.delta)
+        if delta <= 0:
+            raise ValueError("curing rate delta must be positive")
+        object.__setattr__(self, "delta", delta)
+
+    def d(self, node_count: int) -> np.ndarray:
+        """D's diagonal on a graph of ``node_count`` nodes."""
+        if self.modulation is None:
+            return np.ones(node_count)
+        if len(self.modulation) != node_count:
+            raise ValueError(f"modulation length {len(self.modulation)} "
+                             f"!= {node_count} nodes")
+        return self.modulation.values
+
+    def growth_matrix(self, g: LocalityGraph, b: float, bi: float):
+        """Birth-rate matrix ``b * W + bi * diag(D)`` at profile values
+        b = beta(n), bi = beta_int(n); dense or CSR like W."""
+        d = self.d(g.node_count)
+        if g.is_dense:
+            out = b * g.weights
+            out[np.diag_indices_from(out)] += bi * d
+            return out
+        return (b * g.weights + sp.diags(bi * d)).tocsr()
+
+    def asymptotic_matrix(self, g: LocalityGraph):
+        """The growth matrix at the profiles' limits.  Its Perron root is
+        the sharp curing-rate threshold for the weighted directed model."""
+        return self.growth_matrix(g, self.beta.limit, self.beta_int.limit)
 
 
 @dataclass(frozen=True)
@@ -278,12 +327,6 @@ def is_symmetric(g: LocalityGraph) -> bool:
     return bool(excess.data.size == 0 or excess.data.max() <= 1e-08)
 
 
-def weighted_degrees(g: LocalityGraph) -> tuple[float, float]:
-    """(max, min) weighted in-degree, i.e. row-sum extremes."""
-    sums = np.asarray(g.weights.sum(axis=1)).ravel()
-    return float(sums.max()), float(sums.min())
-
-
 def symmetrized_upper(g: LocalityGraph):
     """Arithmetic-mean symmetrization (W + W^T) / 2."""
     w = g.weights
@@ -296,26 +339,6 @@ def geometric_lower(g: LocalityGraph):
     if sp.issparse(w):
         return w.multiply(w.T).sqrt().tocsr()
     return np.sqrt(w * w.T)
-
-
-def effective_matrix(g: LocalityGraph, modulation: DiagonalModulation,
-                     beta_inf: float, betaint_inf: float):
-    """Asymptotic growth-rate matrix beta_inf * W + betaint_inf * diag(D).
-
-    The Perron root of this matrix is the sharp curing-rate threshold
-    for the general weighted directed model.
-    """
-    if beta_inf < 0 or betaint_inf < 0:
-        raise ValueError("asymptotic rates must be nonnegative")
-    if len(modulation) != g.node_count:
-        raise ValueError(
-            f"modulation length {len(modulation)} != {g.node_count} nodes")
-    if g.is_dense:
-        out = beta_inf * g.weights
-        out[np.diag_indices_from(out)] += betaint_inf * modulation.values
-        return out
-    return (beta_inf * g.weights
-            + sp.diags(betaint_inf * modulation.values)).tocsr()
 
 
 def spectral_radius(matrix, tol: float = 1e-12,

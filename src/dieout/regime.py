@@ -14,8 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .graphs import (DiagonalModulation, LocalityGraph, effective_matrix,
-                     geometric_lower, is_strongly_connected, spectral_radius,
+from .graphs import (EpidemicModel, LocalityGraph, geometric_lower,
+                     is_strongly_connected, spectral_radius,
                      symmetrized_upper)
 
 #: Relative half-width of the indeterminate band around the threshold.
@@ -73,44 +73,44 @@ class RegimeReport:
         return rec
 
 
-def _decide(delta: float, threshold: float, tol: float) -> tuple[Regime, float]:
+def _report(model: EpidemicModel, threshold: float, tol: float,
+            method: Method, **extra) -> RegimeReport:
+    """Compare the model's delta with one threshold."""
+    delta = float(model.delta)
     margin = delta - threshold
-    scale = max(delta, threshold)
-    if abs(margin) <= tol * scale:
-        return Regime.INDETERMINATE, margin
-    return (Regime.FAST_EXTINCTION if margin > 0
-            else Regime.LONG_LASTING), margin
+    if abs(margin) <= tol * max(delta, threshold):
+        regime = Regime.INDETERMINATE
+    else:
+        regime = (Regime.FAST_EXTINCTION if margin > 0
+                  else Regime.LONG_LASTING)
+    return RegimeReport(regime, threshold, delta, margin, method, **extra)
 
 
-def _check_inputs(beta_inf: float, betaint_inf: float, delta: float):
-    if beta_inf < 0 or betaint_inf < 0:
-        raise ValueError("asymptotic rates must be nonnegative")
-    if delta <= 0:
-        raise ValueError("curing rate must be positive")
+def _scalar_eta(model: EpidemicModel) -> float:
+    """eta of a scalar modulation D = eta * I."""
+    mod = model.modulation
+    if mod is not None and not mod.is_scalar:
+        raise ValueError("this method needs a scalar modulation D = eta * I")
+    return 1.0 if mod is None else float(mod.values[0])
 
 
-def classify_symmetric(lambda_r: float, beta_inf: float, betaint_inf: float,
-                       delta: float,
+def classify_symmetric(lambda_r: float, model: EpidemicModel,
                        boundary_tol: float = BOUNDARY_TOL) -> RegimeReport:
-    """Classify via the symmetric-graph threshold beta_inf*lambda_r + betaint_inf.
+    """Classify via the symmetric-graph threshold beta_inf*lambda_r +
+    betaint_inf*eta, for D = eta * I.
 
     Args:
         lambda_r: spectral radius of the (symmetric) adjacency matrix.
-        beta_inf, betaint_inf: asymptotic between- and within-locality
-            per-person rates.
-        delta: curing rate.
+        model: the epidemic; its modulation must be scalar.
     """
-    _check_inputs(beta_inf, betaint_inf, delta)
     if lambda_r < 0:
         raise ValueError("spectral radius must be nonnegative")
-    threshold = beta_inf * lambda_r + betaint_inf
-    regime, margin = _decide(delta, threshold, boundary_tol)
-    return RegimeReport(regime, threshold, delta, margin,
-                        Method.SYMMETRIC_SPECTRAL)
+    threshold = (model.beta.limit * lambda_r
+                 + model.beta_int.limit * _scalar_eta(model))
+    return _report(model, threshold, boundary_tol, Method.SYMMETRIC_SPECTRAL)
 
 
-def classify_general(g: LocalityGraph, modulation: DiagonalModulation,
-                     beta_inf: float, betaint_inf: float, delta: float,
+def classify_general(g: LocalityGraph, model: EpidemicModel,
                      boundary_tol: float = BOUNDARY_TOL,
                      spectral_tol: float = 1e-12) -> RegimeReport:
     """Classify via the Perron root of beta_inf*W + betaint_inf*diag(D).
@@ -120,38 +120,32 @@ def classify_general(g: LocalityGraph, modulation: DiagonalModulation,
     connected the root is still computed but the report is flagged,
     since eigenvector positivity is no longer guaranteed.
     """
-    _check_inputs(beta_inf, betaint_inf, delta)
     connected = is_strongly_connected(g)
-    info = spectral_radius(
-        effective_matrix(g, modulation, beta_inf, betaint_inf),
-        tol=spectral_tol)
-    regime, margin = _decide(delta, info.radius, boundary_tol)
-    return RegimeReport(regime, info.radius, delta, margin,
-                        Method.GENERAL_SPECTRAL,
-                        strongly_connected=connected)
+    info = spectral_radius(model.asymptotic_matrix(g), tol=spectral_tol)
+    return _report(model, info.radius, boundary_tol, Method.GENERAL_SPECTRAL,
+                   strongly_connected=connected)
 
 
-def classify_scalar_D(g: LocalityGraph, eta: float, beta_inf: float,
-                      betaint_inf: float, delta: float,
+def classify_scalar_D(g: LocalityGraph, model: EpidemicModel,
                       boundary_tol: float = BOUNDARY_TOL,
                       spectral_tol: float = 1e-12) -> RegimeReport:
     """Classify with uniform within-locality modulation D = eta * I.
 
     The threshold decouples exactly into beta_inf*rho(W) + betaint_inf*eta,
     matching :func:`classify_general` with a scalar modulation.
+
+    Raises:
+        ValueError: the model's modulation is not scalar.
     """
-    _check_inputs(beta_inf, betaint_inf, delta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    model.d(g.node_count)  # the modulation must fit the graph
+    eta = _scalar_eta(model)
     info = spectral_radius(g.weights, tol=spectral_tol)
-    threshold = beta_inf * info.radius + betaint_inf * eta
-    regime, margin = _decide(delta, threshold, boundary_tol)
-    return RegimeReport(regime, threshold, delta, margin, Method.SCALAR_D,
-                        strongly_connected=is_strongly_connected(g))
+    threshold = model.beta.limit * info.radius + model.beta_int.limit * eta
+    return _report(model, threshold, boundary_tol, Method.SCALAR_D,
+                   strongly_connected=is_strongly_connected(g))
 
 
-def classify_decoupled(g: LocalityGraph, modulation: DiagonalModulation,
-                       beta_inf: float, betaint_inf: float, delta: float,
+def classify_decoupled(g: LocalityGraph, model: EpidemicModel,
                        boundary_tol: float = BOUNDARY_TOL,
                        spectral_tol: float = 1e-12) -> RegimeReport:
     """Classify with graph and modulation contributions decoupled.
@@ -167,15 +161,15 @@ def classify_decoupled(g: LocalityGraph, modulation: DiagonalModulation,
     * in between the method is inconclusive (the sharp comparison in
       :func:`classify_general` may still decide).
     """
-    _check_inputs(beta_inf, betaint_inf, delta)
-    if len(modulation) != g.node_count:
-        raise ValueError("modulation length does not match the graph")
+    d = model.d(g.node_count)
+    beta_inf, betaint_inf = model.beta.limit, model.beta_int.limit
+    delta = float(model.delta)
     upper = (beta_inf * spectral_radius(symmetrized_upper(g),
                                         tol=spectral_tol).radius
-             + betaint_inf * float(modulation.values.max()))
+             + betaint_inf * float(d.max()))
     lower = (beta_inf * spectral_radius(geometric_lower(g),
                                         tol=spectral_tol).radius
-             + betaint_inf * float(modulation.values.min()))
+             + betaint_inf * float(d.min()))
     if delta - upper > boundary_tol * max(delta, upper):
         regime, threshold = Regime.FAST_EXTINCTION, upper
     elif lower - delta > boundary_tol * max(delta, lower):

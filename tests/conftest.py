@@ -1,11 +1,13 @@
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dieout.graphs import (LocalityGraph, load_edge_list_file,
+from dieout.graphs import (EpidemicModel, LocalityGraph, load_edge_list_file,
                            normalize_mean_column_weight,
                            top_nodes_by_total_weight)
+from dieout.rates import Constant
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -21,6 +23,12 @@ def star_graph(leaves: int) -> LocalityGraph:
     w[0, 1:] = 1.0
     w[1:, 0] = 1.0
     return LocalityGraph(("hub", *(f"leaf{i}" for i in range(leaves))), w)
+
+
+def const_model(beta, beta_int, delta, modulation=None) -> EpidemicModel:
+    """Model with constant profiles at exactly the given (float) rates."""
+    return EpidemicModel(Constant(Fraction(beta)), Constant(Fraction(beta_int)),
+                         delta, modulation)
 
 
 def random_strong_digraph(seed: int, n: int = 10,

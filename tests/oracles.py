@@ -17,8 +17,8 @@ import numpy as np
 from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig, _arithmetic,
                            positive_recurrence_check)
-from dieout.graphs import DiagonalModulation, LocalityGraph
-from dieout.rates import RateProfile, coerce_coefficient
+from dieout.graphs import EpidemicModel, LocalityGraph
+from dieout.rates import coerce_coefficient
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,7 @@ class EpidemicState:
         return self.total == 0
 
 
-def node_rates(state: EpidemicState, g: LocalityGraph,
-               modulation: DiagonalModulation | None, beta: RateProfile,
-               beta_int: RateProfile, delta: float):
+def node_rates(state: EpidemicState, g: LocalityGraph, model: EpidemicModel):
     """Instantaneous birth/death rates from scratch (reference path).
 
     Returns (birth_rates, death_rates, total_rate).  The simulator's
@@ -55,11 +53,10 @@ def node_rates(state: EpidemicState, g: LocalityGraph,
     if n == 0:
         zeros = np.zeros(g.node_count)
         return zeros, zeros.copy(), 0.0
-    d = (modulation.values if modulation is not None
-         else np.ones(g.node_count))
     pressure = np.asarray(g.weights @ counts).ravel()
-    birth = beta.value(n) * pressure + beta_int.value(n) * (d * counts)
-    death = delta * counts
+    birth = (model.beta.value(n) * pressure
+             + model.beta_int.value(n) * (model.d(g.node_count) * counts))
+    death = float(model.delta) * counts
     return birth, death, float(birth.sum() + death.sum())
 
 

@@ -20,13 +20,14 @@ from dieout.chains import (BirthDeathSpec, PrecisionConfig,
                            hitting_table, s_tail_series, s_values_float)
 from dieout.gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                               simulate_run)
-from dieout.graphs import (DiagonalModulation, LocalityGraph, geometric_lower,
-                           spectral_radius, symmetrized_upper)
+from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
+                           geometric_lower, spectral_radius,
+                           symmetrized_upper)
 from dieout.rates import Constant, Harmonic, Step, parse_profile
 from dieout.regime import Regime, classify_general, classify_scalar_D, \
     classify_decoupled
 
-from conftest import complete_graph, random_strong_digraph
+from conftest import complete_graph, const_model, random_strong_digraph
 from oracles import s_recursion_step
 
 BF256 = PrecisionConfig(mode="bigfloat", bits=256, series_rel_tol=1e-40)
@@ -171,16 +172,17 @@ def test_06_classifier_consistency():
             beta_inf = float(rng.random() * 2)
             betaint_inf = float(rng.random() * 2)
             delta = float(rng.random() * 6 + 1e-3)
-            dec = classify_decoupled(g, d, beta_inf, betaint_inf, delta)
-            gen = classify_general(g, d, beta_inf, betaint_inf, delta)
+            model = const_model(beta_inf, betaint_inf, delta, d)
+            dec = classify_decoupled(g, model)
+            gen = classify_general(g, model)
             if dec.regime is not Regime.INDETERMINATE:
                 assert dec.regime is gen.regime, seed
 
             eta = float(rng.random() * 2 + 0.1)
-            scalar = classify_scalar_D(g, eta, beta_inf, betaint_inf, delta)
-            gen_eta = classify_general(
-                g, DiagonalModulation.uniform(8, eta), beta_inf,
-                betaint_inf, delta)
+            model_eta = const_model(beta_inf, betaint_inf, delta,
+                                    DiagonalModulation.uniform(8, eta))
+            scalar = classify_scalar_D(g, model_eta)
+            gen_eta = classify_general(g, model_eta)
             assert scalar.regime is gen_eta.regime, seed
             assert scalar.threshold == pytest.approx(gen_eta.threshold,
                                                      rel=1e-8, abs=1e-9)
@@ -190,8 +192,8 @@ def test_07_pure_death_simulation_vs_harmonic_sum():
     with criterion(7, "pure-death mean extinction (n0=20, 1e4 runs) "
                       "within 3 SE of H_20", limit_s=60.0):
         g = complete_graph(4)
-        cfg = SimConfig(beta=parse_profile("const:0"),
-                        beta_int=parse_profile("const:0"), delta=1.0,
+        cfg = SimConfig(EpidemicModel(parse_profile("const:0"),
+                                      parse_profile("const:0"), 1.0),
                         t_max=200.0, n0=20, master_seed=20260807)
         runs = 10_000
         times = np.empty(runs)
@@ -210,8 +212,8 @@ def test_08_simulation_vs_chain_solver():
         # a single locality with beta_int = 0.5 realizes exactly the
         # birth-death chain with gamma(n) = 0.5
         g = LocalityGraph(("only",), np.zeros((1, 1)))
-        cfg = SimConfig(beta=parse_profile("const:0"),
-                        beta_int=parse_profile("const:0.5"), delta=1.0,
+        cfg = SimConfig(EpidemicModel(parse_profile("const:0"),
+                                      parse_profile("const:0.5"), 1.0),
                         t_max=1000.0, n0=5, master_seed=77001)
         runs = 10_000
         times = np.empty(runs)
@@ -236,19 +238,19 @@ def test_09_regime_reproduction_at_desk_scale(fixture20):
         threshold = 2 * spectral_radius(fixture20.weights).radius + 2
         runs, n0 = 500, 50
 
-        cfg_above = SimConfig(beta=parse_profile("const:2"),
-                              beta_int=parse_profile("const:2"),
-                              delta=1.10 * threshold, t_max=HORIZON_ABOVE,
-                              n0=n0, master_seed=901)
+        cfg_above = SimConfig(EpidemicModel(parse_profile("const:2"),
+                                            parse_profile("const:2"),
+                                            1.10 * threshold),
+                              t_max=HORIZON_ABOVE, n0=n0, master_seed=901)
         extinct = sum(
             simulate_run(cfg_above, fixture20, i).extinct_at is not None
             for i in range(runs))
         assert extinct >= 0.99 * runs, f"only {extinct}/{runs} extinct"
 
-        cfg_below = SimConfig(beta=parse_profile("const:2"),
-                              beta_int=parse_profile("const:2"),
-                              delta=0.90 * threshold, t_max=HORIZON_BELOW,
-                              n0=n0, master_seed=902)
+        cfg_below = SimConfig(EpidemicModel(parse_profile("const:2"),
+                                            parse_profile("const:2"),
+                                            0.90 * threshold),
+                              t_max=HORIZON_BELOW, n0=n0, master_seed=902)
         grown = 0
         for i in range(runs):
             traj = simulate_run(cfg_below, fixture20, i)
@@ -268,9 +270,10 @@ def test_10_metastability_and_equilibrium_bound(fixture20):
         post_threshold = 0.0
         scale = math.log(n_star) / (delta - post_threshold)
         t_max = 16.0
-        cfg = SimConfig(beta=parse_profile(f"step:2,0,{n_star}"),
-                        beta_int=parse_profile(f"step:2,0,{n_star}"),
-                        delta=delta, t_max=t_max, n0=50, master_seed=1001)
+        cfg = SimConfig(EpidemicModel(parse_profile(f"step:2,0,{n_star}"),
+                                      parse_profile(f"step:2,0,{n_star}"),
+                                      delta),
+                        t_max=t_max, n0=50, master_seed=1001)
         grid = np.arange(0.0, t_max + 1e-9, 0.05)
         summary = run_ensemble(cfg, fixture20, 40, grid)
         inside = np.abs(summary.mean_total - n_star) <= 0.25 * n_star
@@ -305,8 +308,8 @@ def test_11_mean_field_projection():
         grid = np.linspace(0.0, 10.0, 201)
         for g, beta, beta_int, delta, x0 in cases:
             info = spectral_radius(g.weights, tol=1e-13)
-            series = mean_field_trajectory(g, beta, beta_int, delta, x0,
-                                           grid)
+            series = mean_field_trajectory(
+                g, const_model(beta, beta_int, delta), x0, grid)
             rate = beta * info.radius + beta_int - delta
             q = info.eigvec
             for k, t in enumerate(grid):

@@ -15,7 +15,7 @@ from dieout.rates import (Constant, ExactnessError, LogOverN, Step,
                           parse_profile)
 
 from dieout.gillespie import SimConfig, simulate_run
-from dieout.graphs import DiagonalModulation, LocalityGraph
+from dieout.graphs import DiagonalModulation, EpidemicModel, LocalityGraph
 
 from conftest import random_strong_digraph
 from oracles import (EpidemicState, node_rates, s_recursion_step,
@@ -193,7 +193,8 @@ class TestHittingTable:
     def test_sandwich_from_graph_chains(self, star4):
         beta = parse_profile("harmonic:2")
         beta_int = parse_profile("harmonic:1")
-        upper, lower = bound_chains_from_graph(star4, beta, beta_int, "1")
+        upper, lower = bound_chains_from_graph(
+            star4, EpidemicModel(beta, beta_int, "1"))
         t_hi = hitting_table(upper, 60, BF256)
         t_lo = hitting_table(lower, 60, BF256)
         for a, b in zip(t_lo.T, t_hi.T):
@@ -212,10 +213,9 @@ class TestGraphChains:
              if modulated else None)
         beta = parse_profile("harmonic:6")
         beta_int = parse_profile("step:2,1/2,12")
-        upper, lower = bound_chains_from_graph(g, beta, beta_int, "3",
-                                               modulation=d)
-        cfg = SimConfig(beta=beta, beta_int=beta_int, delta=3.0, t_max=3.0,
-                        n0=12, master_seed=seed, modulation=d,
+        model = EpidemicModel(beta, beta_int, "3", d)
+        upper, lower = bound_chains_from_graph(g, model)
+        cfg = SimConfig(model, t_max=3.0, n0=12, master_seed=seed,
                         record_events=True)
         events = 0
         for run in range(4):
@@ -224,7 +224,7 @@ class TestGraphChains:
             for _, node, delta_count in traj.events:
                 n = int(counts.sum())
                 birth, _, _ = node_rates(EpidemicState.from_counts(counts),
-                                         g, d, beta, beta_int, 3.0)
+                                         g, model)
                 per_case = birth.sum() / n
                 assert lower.gamma.value(n) * (1 - 1e-12) <= per_case
                 assert per_case <= upper.gamma.value(n) * (1 + 1e-12)
@@ -241,8 +241,8 @@ class TestGraphChains:
         g = LocalityGraph(tuple("hbcde"), w)
         d = DiagonalModulation(np.array([5.0, 1, 1, 1, 1]))
         upper, lower = bound_chains_from_graph(
-            g, Constant(Fraction(1)), Constant(Fraction(1)), "1",
-            modulation=d)
+            g, EpidemicModel(Constant(Fraction(1)), Constant(Fraction(1)),
+                             "1", d))
         assert upper.gamma.value_exact(1) == 4 + 5
         assert lower.gamma.value_exact(1) == 0 + 1
 

@@ -525,6 +525,44 @@ directory = {tmp_path / 'out'}
         first = rows[1].split(",")
         assert first[0] == "0.0" and first[2] == "7"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_modulation_fails(self, tmp_path, capsys, value):
+        dfile = tmp_path / "d.txt"
+        dfile.write_text(f"a 1.0\nb {value}\nc 1.0\n")
+        cfg = write_config(tmp_path, f"""
+[graph]
+path = {small_graph_file(tmp_path)}
+
+[modulation]
+file = {dfile}
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+        assert main(["classify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("b 5\nvX 7\n", 2, "not a graph node"),
+        ("b 5\nc 1 2\n", 2, "expected 'label value'"),
+        ("b 2.5\n", 1, "bad value"),
+        ("b 5\na 1\nb 2\n", 3, "duplicate label"),
+    ])
+    def test_bad_initial_file_fails_with_location(self, tmp_path, capsys,
+                                                  text, line, message):
+        init = tmp_path / "init.txt"
+        init.write_text(text)
+        body = SIM_BODY.format(graph=small_graph_file(tmp_path), delta="8.5",
+                               out=tmp_path / "out")
+        body = body.replace("n0 = 10", "initial_file = init.txt")
+        cfg = write_config(tmp_path, body)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{init}:{line}:" in err and message in err
+        assert not (tmp_path / "out").exists()
+
     def test_asymptote_explicit_states(self, tmp_path):
         cfg = write_config(tmp_path, f"""
 [dynamics]

@@ -6,15 +6,17 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dieout.gillespie import (SimConfig, _pick, estimate_survival_probability,
                               mean_field_trajectory, run_ensemble, run_rng,
                               simulate_run, trimmed_interval)
-from dieout.graphs import (DiagonalModulation, LocalityGraph, spectral_radius,
-                           weighted_degrees)
+from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
+                           spectral_radius)
 from dieout.rates import Constant, parse_profile
 
-from conftest import random_strong_digraph
+from conftest import const_model, random_strong_digraph
 from oracles import EpidemicState, node_rates, step
 
 
@@ -27,20 +29,17 @@ def modulated_twins(n: int = 60, seed: int = 5):
     return csr, dense, d
 
 
-def make_cfg(**overrides) -> SimConfig:
-    base = dict(beta=parse_profile("const:0"),
-                beta_int=parse_profile("const:0"),
-                delta=1.0, t_max=100.0, n0=10, master_seed=77)
+def make_cfg(beta=parse_profile("const:0"), beta_int=parse_profile("const:0"),
+             delta=1.0, modulation=None, **overrides) -> SimConfig:
+    base = dict(t_max=100.0, n0=10, master_seed=77)
     base.update(overrides)
-    return SimConfig(**base)
+    return SimConfig(EpidemicModel(beta, beta_int, delta, modulation), **base)
 
 
 class TestNodeRates:
     def test_absorbing_state_has_zero_rates(self, k3):
         state = EpidemicState.from_counts([0, 0, 0])
-        birth, death, total = node_rates(state, k3, None,
-                                         parse_profile("const:2"),
-                                         parse_profile("const:2"), 1.0)
+        birth, death, total = node_rates(state, k3, const_model(2, 2, 1.0))
         assert total == 0.0
         assert not birth.any() and not death.any()
 
@@ -48,9 +47,7 @@ class TestNodeRates:
         # one case at node 0, beta = beta_int = 2, D = I, delta = 1:
         # birth 2 at the infected node, 2 at each neighbor, death 1
         state = EpidemicState.from_counts([1, 0, 0])
-        birth, death, total = node_rates(state, k3, None,
-                                         parse_profile("const:2"),
-                                         parse_profile("const:2"), 1.0)
+        birth, death, total = node_rates(state, k3, const_model(2, 2, 1.0))
         np.testing.assert_allclose(birth, [2.0, 2.0, 2.0])
         np.testing.assert_allclose(death, [1.0, 0.0, 0.0])
         assert total == pytest.approx(7.0)
@@ -61,8 +58,8 @@ class TestNodeRates:
         state = EpidemicState.from_counts(counts)
         beta, beta_int = parse_profile("harmonic:5"), parse_profile("const:0.5")
         d = DiagonalModulation(rng.random(airports.node_count) + 0.5)
-        birth, death, total = node_rates(state, airports, d, beta, beta_int,
-                                         2.0)
+        birth, death, total = node_rates(
+            state, airports, EpidemicModel(beta, beta_int, 2.0, d))
         w = airports.dense_weights()
         n = counts.sum()
         expected_birth = (beta.value(n) * (w @ counts)
@@ -72,25 +69,46 @@ class TestNodeRates:
         assert total == pytest.approx(expected_total, rel=1e-12)
 
     def test_rate_bound_along_trajectory(self, fixture20):
-        # total rate never exceeds (sup beta * d_max + sup beta_int * max D
-        # + delta) * n; on a symmetric graph row sums equal column sums,
-        # so the row-sum degree bound applies exactly
+        # total rate never exceeds (sup beta * c_max + sup beta_int * max D
+        # + delta) * n, c being the column sums of W
         cfg = make_cfg(beta=parse_profile("step:2,0.5,30"),
                        beta_int=parse_profile("harmonic:3"),
                        delta=1.5, n0=25, t_max=3.0)
-        d_max, _ = weighted_degrees(fixture20)
-        cap_coeff = (cfg.beta.sup_from(1) * d_max + cfg.beta_int.sup_from(1)
-                     + 1.5)
+        model = cfg.model
+        c_max = float(np.asarray(fixture20.weights.sum(axis=0)).max())
+        cap_coeff = (model.beta.sup_from(1) * c_max
+                     + model.beta_int.sup_from(1) + 1.5)
         traj = simulate_run(cfg, fixture20, 0)
         counts = traj.initial.copy()
         state = EpidemicState.from_counts(counts)
         for t, node, delta_count in traj.events or []:
             _, _, total = node_rates(
-                EpidemicState.from_counts(counts), fixture20, None,
-                cfg.beta, cfg.beta_int, 1.5)
+                EpidemicState.from_counts(counts), fixture20, model)
             n = counts.sum()
             assert total <= cap_coeff * n * (1 + 1e-9)
             counts[node] += delta_count
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           sparse=st.booleans())
+    def test_birth_vector_is_growth_matrix_times_state(self, seed, n, sparse):
+        # the simulator's reference rates and the matrix behind the
+        # classifiers, the mean-field ODE and the chains are one model
+        g = random_strong_digraph(seed % 10_000, n=n)
+        if sparse:
+            g = LocalityGraph(g.labels, sp.csr_matrix(g.weights))
+        rng = np.random.default_rng(seed)
+        model = EpidemicModel(parse_profile("harmonic:3"),
+                              parse_profile("step:2,1/3,25"), 1.5,
+                              DiagonalModulation(rng.uniform(0.1, 4.0, n)))
+        counts = rng.integers(0, 8, n)
+        counts[rng.integers(n)] += 1
+        birth, _, _ = node_rates(EpidemicState.from_counts(counts), g, model)
+        total = int(counts.sum())
+        m = model.growth_matrix(g, model.beta.value(total),
+                                model.beta_int.value(total))
+        np.testing.assert_allclose(birth, m @ counts.astype(float),
+                                   rtol=1e-12, atol=0)
 
     def test_rate_bound_uses_column_sums_on_asymmetric_graphs(self):
         # with directed weights the aggregate birth rate is governed by
@@ -100,8 +118,8 @@ class TestNodeRates:
         counts = rng.integers(0, 5, 6)
         beta = parse_profile("const:1.2")
         state = EpidemicState.from_counts(counts)
-        birth, death, total = node_rates(state, g, None, beta,
-                                         parse_profile("const:0"), 0.7)
+        birth, death, total = node_rates(
+            state, g, EpidemicModel(beta, parse_profile("const:0"), 0.7))
         col_max = float(np.asarray(g.weights.sum(axis=0)).max())
         n = counts.sum()
         assert total <= (1.2 * col_max + 0.7) * n * (1 + 1e-12)
@@ -110,8 +128,7 @@ class TestNodeRates:
 class TestStep:
     def test_death_only_always_picks_the_infected_node(self, k3):
         state = EpidemicState.from_counts([0, 3, 0])
-        rates = node_rates(state, k3, None, parse_profile("const:0"),
-                           parse_profile("const:0"), 2.0)
+        rates = node_rates(state, k3, const_model(0, 0, 2.0))
         rng = run_rng(1, 0)
         for _ in range(50):
             dt, node, delta_count = step(state, rates, rng)
@@ -120,8 +137,7 @@ class TestStep:
 
     def test_absorbing_state_rejected(self, k3):
         state = EpidemicState.from_counts([0, 0, 0])
-        rates = node_rates(state, k3, None, parse_profile("const:0"),
-                           parse_profile("const:0"), 1.0)
+        rates = node_rates(state, k3, const_model(0, 0, 1.0))
         with pytest.raises(ValueError, match="absorbing"):
             step(state, rates, run_rng(1, 0))
 
@@ -129,8 +145,7 @@ class TestStep:
         # one infected node, beta_int makes birth rate equal death rate
         g = LocalityGraph(("a",), np.zeros((1, 1)))
         state = EpidemicState.from_counts([1])
-        rates = node_rates(state, g, None, parse_profile("const:0"),
-                           parse_profile("const:1"), 1.0)
+        rates = node_rates(state, g, const_model(0, 1, 1.0))
         rng = run_rng(99, 0)
         draws = 100_000
         births = sum(step(state, rates, rng)[2] == +1 for _ in range(draws))
@@ -141,8 +156,7 @@ class TestStep:
     def test_waiting_time_is_exponential_with_total_rate(self):
         g = LocalityGraph(("a",), np.zeros((1, 1)))
         state = EpidemicState.from_counts([4])
-        rates = node_rates(state, g, None, parse_profile("const:0"),
-                           parse_profile("const:1"), 1.5)
+        rates = node_rates(state, g, const_model(0, 1, 1.5))
         total = rates[2]
         assert total == pytest.approx(4 * (1.0 + 1.5))
         rng = run_rng(7, 0)
@@ -238,8 +252,7 @@ class TestSimulateRun:
             counts = traj.initial.copy()
             for t, node, delta_count in traj.events[:200]:
                 birth, death, total = node_rates(
-                    EpidemicState.from_counts(counts), g, modulation,
-                    cfg.beta, cfg.beta_int, 2.0)
+                    EpidemicState.from_counts(counts), g, cfg.model)
                 if delta_count < 0:
                     assert death[node] > 0
                 else:
@@ -257,7 +270,8 @@ class TestEventSelection:
         beta = parse_profile("harmonic:4")
         beta_int = parse_profile("const:0.5")
         birth, death, total = node_rates(EpidemicState.from_counts(initial),
-                                         g, d, beta, beta_int, 2.0)
+                                         g, EpidemicModel(beta, beta_int,
+                                                          2.0, d))
         expected_p = np.concatenate([birth, death]) / total
         # the first event falls before 3 / total in 95% of the runs
         cfg = make_cfg(beta=beta, beta_int=beta_int, delta=2.0, n0=9,
@@ -299,8 +313,7 @@ class TestEventSelection:
             counts = initial.copy()
             for _, node, delta_count in events:
                 birth, death, total = node_rates(
-                    EpidemicState.from_counts(counts), g, d, cfg.beta,
-                    cfg.beta_int, 2.0)
+                    EpidemicState.from_counts(counts), g, cfg.model)
                 cum = np.cumsum(np.concatenate([birth, death])) / total
                 c = node if delta_count > 0 else g.node_count + node
                 lo = cum[c - 1] if c else 0.0
@@ -441,7 +454,8 @@ class TestMeanField:
     def test_pure_decay_componentwise(self, k3):
         grid = np.linspace(0.0, 3.0, 7)
         x0 = np.array([4.0, 1.0, 0.5])
-        series = mean_field_trajectory(k3, 0.0, 0.0, 2.0, x0, grid)
+        series = mean_field_trajectory(k3, const_model(0.0, 0.0, 2.0), x0,
+                                       grid)
         for k, t in enumerate(grid):
             np.testing.assert_allclose(series[k], x0 * math.exp(-2.0 * t),
                                        rtol=1e-10)
@@ -451,7 +465,8 @@ class TestMeanField:
         beta, beta_int, delta = 2.0, 2.0, 5.0
         grid = np.linspace(0.0, 10.0, 101)
         x0 = np.array([3.0, 1.0, 2.0])
-        series = mean_field_trajectory(k3, beta, beta_int, delta, x0, grid)
+        series = mean_field_trajectory(
+            k3, const_model(beta, beta_int, delta), x0, grid)
         q = info.eigvec
         rate = beta * info.radius + beta_int - delta
         for k, t in enumerate(grid):
@@ -465,7 +480,8 @@ class TestMeanField:
         grid = np.linspace(0.0, 10.0, 51)
         rng = np.random.default_rng(2)
         x0 = rng.random(10) * 5
-        series = mean_field_trajectory(g, beta, beta_int, delta, x0, grid)
+        series = mean_field_trajectory(
+            g, const_model(beta, beta_int, delta), x0, grid)
         q = info.eigvec
         rate = beta * info.radius + beta_int - delta
         for k, t in enumerate(grid):
@@ -479,8 +495,8 @@ class TestMeanField:
         beta, beta_int, delta = 0.7, 1.3, 4.0
         grid = np.array([0.0, 0.5, 1.0, 2.5])
         x0 = np.arange(12, dtype=float)
-        series = mean_field_trajectory(g, beta, beta_int, delta, x0, grid,
-                                       modulation=d)
+        series = mean_field_trajectory(
+            g, const_model(beta, beta_int, delta, d), x0, grid)
         gen = (beta * dense.weights + beta_int * np.diag(d.values)
                - delta * np.eye(12))
         for k, t in enumerate(grid):
@@ -491,12 +507,14 @@ class TestMeanField:
     def test_constant_profiles_accepted_nonconstant_rejected(self, k3):
         grid = np.array([0.0, 1.0])
         x0 = np.ones(3)
-        out = mean_field_trajectory(k3, Constant(Fraction(1)),
-                                    Constant(Fraction(2)), 4.0, x0, grid)
+        out = mean_field_trajectory(
+            k3, EpidemicModel(Constant(Fraction(1)), Constant(Fraction(2)),
+                              4.0), x0, grid)
         assert out.shape == (2, 3)
         with pytest.raises(ValueError, match="constant"):
-            mean_field_trajectory(k3, parse_profile("harmonic:1"), 0.0, 1.0,
-                                  x0, grid)
+            mean_field_trajectory(
+                k3, EpidemicModel(parse_profile("harmonic:1"),
+                                  Constant(Fraction(0)), 1.0), x0, grid)
 
     def test_ensemble_mean_tracks_ode(self, fixture20):
         # constant rates, decaying regime: ensemble mean within three
@@ -511,7 +529,8 @@ class TestMeanField:
         runs = 600
         summary = run_ensemble(cfg, fixture20, runs, grid, keep_per_run=True)
         x0 = np.full(fixture20.node_count, 40 / fixture20.node_count)
-        ode = mean_field_trajectory(fixture20, beta, beta_int, delta, x0,
+        ode = mean_field_trajectory(fixture20,
+                                    const_model(beta, beta_int, delta), x0,
                                     grid).sum(axis=1)
         half = grid.size // 2
         for j in range(half):

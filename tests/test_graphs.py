@@ -1,18 +1,21 @@
 import io
+import pickle
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dieout.graphs import (DENSE_NODE_LIMIT, DiagonalModulation, EdgeListError,
-                           LocalityGraph, SpectralError, effective_matrix,
+                           EpidemicModel, LocalityGraph, SpectralError,
                            geometric_lower, is_strongly_connected,
                            is_symmetric, load_edge_list, normalize_mean_column_weight,
                            spectral_radius, symmetrized_upper,
-                           top_nodes_by_total_weight, weighted_degrees)
+                           top_nodes_by_total_weight)
+from dieout.rates import parse_profile
 
-from conftest import random_strong_digraph
+from conftest import const_model, random_strong_digraph
 
 
 def rho_oracle(matrix) -> float:
@@ -189,18 +192,6 @@ class TestSpectralRadius:
 
 
 class TestDegreesAndBounds:
-    def test_complete_graph_degrees(self, k3):
-        assert weighted_degrees(k3) == (2.0, 2.0)
-
-    def test_star_degrees(self, star4):
-        assert weighted_degrees(star4) == (4.0, 1.0)
-
-    def test_airport_degrees_match_independent_row_sums(self, airports):
-        rows = airports.dense_weights().sum(axis=1)
-        d_max, d_min = weighted_degrees(airports)
-        assert d_max == pytest.approx(rows.max(), rel=1e-12)
-        assert d_min == pytest.approx(rows.min(), rel=1e-12)
-
     def test_symmetric_graph_is_fixed_point(self, k3):
         np.testing.assert_array_equal(symmetrized_upper(k3), k3.weights)
         np.testing.assert_allclose(geometric_lower(k3), k3.weights)
@@ -237,23 +228,70 @@ class TestDegreesAndBounds:
 
 
 class TestEffectiveMatrix:
+    """``EpidemicModel.growth_matrix``: the effective matrix b W + bi D."""
+
     def test_no_coupling_is_diagonal(self, k3):
         d = DiagonalModulation(np.array([1.0, 2.0, 3.0]))
-        m = effective_matrix(k3, d, beta_inf=0.0, betaint_inf=1.5)
+        m = const_model(1, 1, 1, d).growth_matrix(k3, b=0.0, bi=1.5)
         np.testing.assert_allclose(m, np.diag([1.5, 3.0, 4.5]))
 
     def test_no_modulation_is_scaled_graph(self, k3):
         d = DiagonalModulation.uniform(3)
-        m = effective_matrix(k3, d, beta_inf=2.0, betaint_inf=0.0)
+        m = const_model(1, 1, 1, d).growth_matrix(k3, b=2.0, bi=0.0)
         np.testing.assert_allclose(m, 2.0 * k3.dense_weights())
 
     def test_k3_radius_example(self, k3):
-        m = effective_matrix(k3, DiagonalModulation.uniform(3), 2.0, 2.0)
+        m = const_model(2, 2, 1, DiagonalModulation.uniform(3)
+                        ).asymptotic_matrix(k3)
         assert spectral_radius(m).radius == pytest.approx(6.0, abs=1e-9)
 
     def test_dimension_mismatch(self, k3):
         with pytest.raises(ValueError, match="length"):
-            effective_matrix(k3, DiagonalModulation.uniform(4), 1.0, 1.0)
+            const_model(1, 1, 1, DiagonalModulation.uniform(4)
+                        ).growth_matrix(k3, 1.0, 1.0)
+
+
+class TestEpidemicModel:
+    def test_delta_is_stored_exactly(self):
+        assert const_model(1, 1, "0.1").delta == Fraction(1, 10)
+        assert float(const_model(1, 1, 8.02).delta) == 8.02
+
+    @pytest.mark.parametrize("delta", [0, -1.0, "0"])
+    def test_delta_must_be_positive(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            const_model(1, 1, delta)
+
+    def test_d_defaults_to_ones_and_checks_length(self):
+        np.testing.assert_array_equal(const_model(1, 1, 1).d(4), np.ones(4))
+        d = DiagonalModulation(np.array([0.5, 2.0]))
+        np.testing.assert_array_equal(const_model(1, 1, 1, d).d(2), d.values)
+        with pytest.raises(ValueError, match="length"):
+            const_model(1, 1, 1, d).d(3)
+
+    def test_growth_matrix_keeps_storage(self):
+        g = random_strong_digraph(4, n=7)
+        csr = LocalityGraph(g.labels, sp.csr_matrix(g.weights))
+        d = DiagonalModulation(np.linspace(0.5, 2.0, 7))
+        model = const_model(1, 1, 1, d)
+        dense_m = model.growth_matrix(g, 0.7, 1.3)
+        sparse_m = model.growth_matrix(csr, 0.7, 1.3)
+        assert isinstance(dense_m, np.ndarray) and sp.isspmatrix_csr(sparse_m)
+        np.testing.assert_allclose(sparse_m.toarray(), dense_m, rtol=1e-15)
+        np.testing.assert_allclose(
+            dense_m, 0.7 * g.weights + 1.3 * np.diag(d.values), rtol=1e-15)
+
+    def test_asymptotic_matrix_uses_profile_limits(self, k3):
+        model = EpidemicModel(parse_profile("step:9,2,5"),
+                              parse_profile("harmonic:4"), 1)
+        np.testing.assert_array_equal(model.asymptotic_matrix(k3),
+                                      2.0 * k3.weights)
+
+    def test_pickles(self):
+        model = const_model(1, 2, "3/7",
+                            DiagonalModulation(np.array([1.0, 2.0])))
+        back = pickle.loads(pickle.dumps(model))
+        assert back.delta == Fraction(3, 7)
+        np.testing.assert_array_equal(back.d(2), [1.0, 2.0])
 
 
 class TestSparseStorage:
@@ -266,7 +304,8 @@ class TestSparseStorage:
         g = LocalityGraph(tuple(f"v{i}" for i in range(n)), ring.tocsr())
         assert not g.is_dense
         assert is_strongly_connected(g)
-        assert weighted_degrees(g) == (2.0, 2.0)
+        np.testing.assert_array_equal(
+            np.asarray(g.weights.sum(axis=1)).ravel(), 2.0)
         info = spectral_radius(g.weights, tol=1e-10)
         assert info.radius == pytest.approx(2.0, abs=1e-8)
         normed = normalize_mean_column_weight(g)
@@ -274,15 +313,14 @@ class TestSparseStorage:
 
     def test_simulation_on_sparse_graph(self):
         from dieout.gillespie import SimConfig, simulate_run
-        from dieout.rates import parse_profile
         n = DENSE_NODE_LIMIT + 10
         ring = sp.lil_matrix((n, n))
         for i in range(n):
             ring[i, (i + 1) % n] = 1.0
             ring[(i + 1) % n, i] = 1.0
         g = LocalityGraph(tuple(f"v{i}" for i in range(n)), ring.tocsr())
-        cfg = SimConfig(beta=parse_profile("const:0.3"),
-                        beta_int=parse_profile("const:0.3"), delta=3.0,
+        cfg = SimConfig(EpidemicModel(parse_profile("const:0.3"),
+                                      parse_profile("const:0.3"), 3.0),
                         t_max=50.0, n0=8, master_seed=6, record_events=True)
         traj = simulate_run(cfg, g, 0)
         assert traj.extinct_at is not None
@@ -355,6 +393,11 @@ class TestValidation:
     def test_modulation_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             DiagonalModulation(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_modulation_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DiagonalModulation(np.array([1.0, bad]))
 
     def test_top_nodes_ranking(self):
         g = load_edge_list("a b 1\nb a 1\na c 10\nc a 10")
