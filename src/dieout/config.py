@@ -267,8 +267,9 @@ def _read_label_values(path: Path, convert, labels=None) -> dict:
                 raise ConfigError(f"{where}: {label!r} is not a graph node")
             try:
                 table[label] = convert(text)
-            except ValueError:
-                raise ConfigError(f"{where}: bad value {text!r}") from None
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{where}: bad value {text!r}: {exc}") from None
     return table
 
 
@@ -281,15 +282,29 @@ def load_modulation(cfg: ExperimentConfig,
         raise ConfigError("[modulation] give either eta or file, not both")
     if mod.file is not None:
         fpath = cfg.resolve(mod.file)
-        table = _read_label_values(fpath, float)
+        table = _read_label_values(fpath, _modulation_value)
         try:
             values = np.array([table[lab] for lab in g.labels])
         except KeyError as exc:
             raise ConfigError(
                 f"modulation file {fpath} is missing node {exc}") from None
         return DiagonalModulation(values)
-    eta = float(mod.eta) if mod.eta is not None else 1.0
+    if mod.eta is None:
+        return DiagonalModulation.uniform(g.node_count)
+    try:
+        eta = _modulation_value(mod.eta)
+    except ValueError:
+        raise ConfigError(f"[modulation] eta = {mod.eta!r} is not a finite "
+                          "positive number") from None
     return DiagonalModulation.uniform(g.node_count, eta)
+
+
+def _modulation_value(text: str) -> float:
+    """A modulation entry: ValueError unless finite and positive."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError("modulation must be finite and positive")
+    return value
 
 
 def load_initial_counts(cfg: ExperimentConfig,

@@ -37,6 +37,10 @@ from .rates import Constant
 # stop float drift from accumulating over long runs.
 _REFRESH_EVERY = 8192
 
+# Event tables are dense up to this node count, where a flat scan and a
+# dense column update per event beat the blocked CSR tables.
+DENSE_NODE_LIMIT = 2048
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -153,11 +157,14 @@ def _initial_counts(cfg: SimConfig, n_nodes: int,
 class _EventTables:
     """Per-graph arrays every event reads, built once per ensemble.
 
-    ``columns``: W's columns (rows of W^T when dense, CSC slices on CSR).
-    On CSR graphs each rate vector is split into blocks of ``width`` ~
-    sqrt(N) entries, so a draw scans O(sqrt(N)) values; ``block_columns``
-    is W with its rows summed per block (CSC), so an event updates the
-    block sums of W @ X from one column.  Dense graphs keep no blocks.
+    The simulator alone picks a layout from the node count; the graph's
+    W is always CSR.  Up to DENSE_NODE_LIMIT nodes the tables are dense:
+    ``weights`` is W as an ndarray and ``columns`` the rows of W^T, and
+    a draw scans each rate vector flat.  Above it ``weights`` stays CSR,
+    ``columns`` holds its CSC slices, and each rate vector is split into
+    blocks of ``width`` ~ sqrt(N) entries, so a draw scans O(sqrt(N))
+    values; ``block_columns`` is W with its rows summed per block (CSC),
+    so an event updates the block sums of W @ X from one column.
     """
 
     weights: np.ndarray | sp.csr_matrix
@@ -167,7 +174,7 @@ class _EventTables:
     block_columns: tuple | None
 
     def block_sums(self, values: np.ndarray) -> np.ndarray | None:
-        """Per-block sums of ``values``; None on dense graphs."""
+        """Per-block sums of ``values``; None in the dense layout."""
         if self.block_columns is None:
             return None
         return np.add.reduceat(values, np.arange(0, values.size, self.width))
@@ -176,8 +183,10 @@ class _EventTables:
     def of(cls, g: LocalityGraph) -> "_EventTables":
         w, n = g.weights, g.node_count
         col_sums = np.asarray(w.sum(axis=0)).ravel()
-        if g.is_dense:
-            return cls(w, col_sums, n, np.ascontiguousarray(w.T), None)
+        if n <= DENSE_NODE_LIMIT:
+            dense = w.toarray()
+            return cls(dense, col_sums, n, np.ascontiguousarray(dense.T),
+                       None)
         width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
         rows = np.arange(n)
         blocks = sp.csr_matrix((np.ones(n), (rows // width, rows)),
@@ -475,8 +484,7 @@ def mean_field_trajectory(g: LocalityGraph, model: EpidemicModel, x0,
         raise ValueError("x0 length does not match the graph")
 
     # constant profiles equal their limits at every n
-    gen = model.asymptotic_matrix(g)
-    gen = ((gen.toarray() if sp.issparse(gen) else gen)
+    gen = (model.asymptotic_matrix(g).toarray()
            - float(model.delta) * np.eye(g.node_count))
     out = np.empty((grid.size, g.node_count))
     steps = np.diff(grid, prepend=0.0)

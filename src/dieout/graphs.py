@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,9 +20,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .rates import RateProfile, coerce_coefficient
-
-# Dense storage below this node count, compressed sparse rows beyond.
-DENSE_NODE_LIMIT = 2048
 
 
 class EdgeListError(ValueError):
@@ -48,12 +46,15 @@ class LocalityGraph:
 
     Attributes:
         labels: node identifiers in first-appearance order.
-        weights: nonnegative weight matrix with zero diagonal; dense
-            ndarray up to DENSE_NODE_LIMIT nodes, CSR beyond.
+        weights: W, always in canonical CSR: float data, sorted indices,
+            no duplicates and no stored zeros, with its arrays
+            write-protected.  The constructor accepts a dense array or
+            any sparse matrix and stores a copy, so the caller's matrix
+            is never changed.
     """
 
     labels: tuple[str, ...]
-    weights: np.ndarray | sp.csr_matrix
+    weights: sp.csr_matrix
 
     def __post_init__(self):
         n = len(self.labels)
@@ -61,50 +62,47 @@ class LocalityGraph:
             raise ValueError("graph needs at least one node")
         if len(set(self.labels)) != n:
             raise ValueError("node labels must be unique")
-        w = self.weights
-        if w.shape != (n, n):
-            raise ValueError(f"weight matrix shape {w.shape} != ({n}, {n})")
-        if sp.issparse(w):
-            if w.data.size and (w.data < 0).any():
-                raise ValueError("negative edge weight")
-        else:
-            if (w < 0).any():
-                raise ValueError("negative edge weight")
-            w.setflags(write=False)
-        if n and np.any(_diagonal(w) != 0):
+        if self.weights.shape != (n, n):
+            raise ValueError(
+                f"weight matrix shape {self.weights.shape} != ({n}, {n})")
+        w = sp.csr_matrix(self.weights, dtype=float, copy=True)
+        w.sum_duplicates()
+        w.eliminate_zeros()
+        if not np.isfinite(w.data).all():
+            raise ValueError("edge weights must be finite")
+        if (w.data < 0).any():
+            raise ValueError("negative edge weight")
+        if w.diagonal().any():
             raise ValueError("diagonal weights must be zero")
+        for arr in (w.data, w.indices, w.indptr):
+            arr.setflags(write=False)
+        object.__setattr__(self, "weights", w)
 
     @property
     def node_count(self) -> int:
         return len(self.labels)
 
-    @property
-    def is_dense(self) -> bool:
-        return not sp.issparse(self.weights)
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._positions[label]
+        except KeyError:
             raise KeyError(f"unknown node label {label!r}") from None
 
     def dense_weights(self) -> np.ndarray:
-        """Weight matrix as a dense ndarray (copy-free when already dense)."""
-        if self.is_dense:
-            return self.weights
+        """W as a new dense ndarray, O(N^2) memory."""
         return self.weights.toarray()
 
     def with_weights(self, weights) -> "LocalityGraph":
-        return LocalityGraph(self.labels, _freeze(weights))
+        return LocalityGraph(self.labels, weights)
 
     def subgraph(self, labels: Sequence[str]) -> "LocalityGraph":
         """Induced subgraph on the given labels, preserving their order."""
         idx = [self.index(lab) for lab in labels]
-        if self.is_dense:
-            sub = self.weights[np.ix_(idx, idx)].copy()
-        else:
-            sub = self.weights[idx, :][:, idx]
-        return LocalityGraph(tuple(labels), _freeze(sub))
+        return LocalityGraph(tuple(labels), self.weights[idx, :][:, idx])
 
 
 @dataclass(frozen=True)
@@ -166,12 +164,8 @@ class EpidemicModel:
 
     def growth_matrix(self, g: LocalityGraph, b: float, bi: float):
         """Birth-rate matrix ``b * W + bi * diag(D)`` at profile values
-        b = beta(n), bi = beta_int(n); dense or CSR like W."""
+        b = beta(n), bi = beta_int(n), in CSR."""
         d = self.d(g.node_count)
-        if g.is_dense:
-            out = b * g.weights
-            out[np.diag_indices_from(out)] += bi * d
-            return out
         return (b * g.weights + sp.diags(bi * d)).tocsr()
 
     def asymptotic_matrix(self, g: LocalityGraph):
@@ -190,22 +184,8 @@ class SpectralInfo:
 
     radius: float
     eigvec: np.ndarray
-    q_min: float
-    q_max: float
     residual: float
     iterations: int
-
-
-def _diagonal(w) -> np.ndarray:
-    return w.diagonal() if sp.issparse(w) else np.diagonal(w)
-
-
-def _freeze(w):
-    if sp.issparse(w):
-        return sp.csr_matrix(w)
-    arr = np.array(w, dtype=float)
-    arr.setflags(write=False)
-    return arr
 
 
 def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
@@ -258,23 +238,13 @@ def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
     if not order:
         raise EdgeListError("edge list is empty")
     n = len(order)
-    # only nonzero entries are stored, so zero-weight self-loops vanish
-    rows, cols, data = [], [], []
-    for (src, dst), weight in edges.items():
-        if weight != 0:
-            rows.append(order[src])
-            cols.append(order[dst])
-            data.append(weight)
-    if n > DENSE_NODE_LIMIT:
-        # assembled from the triplets: memory O(edges), never O(n^2)
-        weights = sp.csr_matrix(
-            (np.array(data, dtype=float),
-             (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))),
-            shape=(n, n))
-    else:
-        weights = np.zeros((n, n))
-        weights[rows, cols] = data
-    return LocalityGraph(tuple(order), _freeze(weights))
+    # assembled from the triplets: memory O(edges), never O(n^2); the
+    # graph drops zero weights, so zero-weight self-loops vanish
+    rows = np.array([order[src] for src, _ in edges], dtype=np.intp)
+    cols = np.array([order[dst] for _, dst in edges], dtype=np.intp)
+    data = np.array(list(edges.values()), dtype=float)
+    return LocalityGraph(tuple(order),
+                         sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
 
 
 def load_edge_list_file(path) -> LocalityGraph:
@@ -304,23 +274,16 @@ def normalize_mean_column_weight(g: LocalityGraph) -> LocalityGraph:
 
 def is_strongly_connected(g: LocalityGraph) -> bool:
     """True iff every node reaches every other along positive-weight edges."""
-    if g.node_count == 1:
-        return True
-    if g.is_dense:
-        structure = sp.csr_matrix(g.weights > 0)
-    else:
-        structure = g.weights > 0
-    n_comp, _ = connected_components(structure, directed=True,
+    # W stores no zeros, so its pattern is the positive-weight edges
+    n_comp, _ = connected_components(g.weights, directed=True,
                                      connection="strong")
     return n_comp == 1
 
 
 def is_symmetric(g: LocalityGraph) -> bool:
-    """W == W^T within ``np.allclose``'s default tolerances, tested in
-    W's own storage (a CSR graph is never densified)."""
+    """W == W^T within ``np.allclose``'s default tolerances, tested on
+    the CSR entries (never densified)."""
     w = g.weights
-    if g.is_dense:
-        return bool(np.allclose(w, w.T))
     # |W - W^T| <= atol + rtol |W^T| on the union pattern; both sides
     # vanish off it
     excess = abs(w - w.T) - 1e-05 * abs(w.T)
@@ -336,9 +299,7 @@ def symmetrized_upper(g: LocalityGraph):
 def geometric_lower(g: LocalityGraph):
     """Entrywise geometric-mean symmetrization sqrt(W o W^T)."""
     w = g.weights
-    if sp.issparse(w):
-        return w.multiply(w.T).sqrt().tocsr()
-    return np.sqrt(w * w.T)
+    return w.multiply(w.T).sqrt().tocsr()
 
 
 def spectral_radius(matrix, tol: float = 1e-12,
@@ -356,7 +317,8 @@ def spectral_radius(matrix, tol: float = 1e-12,
     (unit sum).
 
     Args:
-        matrix: nonnegative dense or CSR square matrix.
+        matrix: nonnegative square matrix, dense or sparse; iterated
+            in CSR.
         tol: residual tolerance, scaled by max(1, radius).
         max_iterations: iteration cap.
 
@@ -364,24 +326,17 @@ def spectral_radius(matrix, tol: float = 1e-12,
         ValueError: non-square input or negative entries.
         SpectralError: cap reached before the residual target.
     """
-    m = matrix
-    sparse = sp.issparse(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = sp.csr_matrix(matrix, dtype=float)
+    if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if sparse:
-        if m.data.size and (m.data < 0).any():
-            raise ValueError("matrix entries must be nonnegative")
-        m = m.tocsr()
-    else:
-        m = np.asarray(m, dtype=float)
-        if (m < 0).any():
-            raise ValueError("matrix entries must be nonnegative")
+    if (m.data < 0).any():
+        raise ValueError("matrix entries must be nonnegative")
     n = m.shape[0]
 
     row_max = float(np.asarray(m.sum(axis=1)).max()) if n else 0.0
     x = np.full(n, 1.0 / n)
     if row_max == 0.0:
-        return SpectralInfo(0.0, x, 1.0 / n, 1.0 / n, 0.0, 0)
+        return SpectralInfo(0.0, x, 0.0, 0)
 
     shift = row_max / 2.0
     z = np.asarray(m @ x).ravel()
@@ -400,8 +355,7 @@ def spectral_radius(matrix, tol: float = 1e-12,
         z = np.asarray(m @ x).ravel()
         radius = float(z.sum())  # sum(x) == 1, so this is x-weighted mean growth
         residual = float(np.abs(z - radius * x).max())
-    return SpectralInfo(radius=radius, eigvec=x, q_min=float(x.min()),
-                        q_max=float(x.max()), residual=residual,
+    return SpectralInfo(radius=radius, eigvec=x, residual=residual,
                         iterations=iterations)
 
 

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from dieout.cli import main
 from dieout.config import (ConfigError, config_sha256, config_text,
                            load_config, simulation_grid)
-from dieout.graphs import DENSE_NODE_LIMIT, LocalityGraph, spectral_radius
+from dieout.gillespie import DENSE_NODE_LIMIT
+from dieout.graphs import LocalityGraph, spectral_radius
 
 from conftest import DATA_DIR
 
@@ -525,7 +526,7 @@ directory = {tmp_path / 'out'}
         first = rows[1].split(",")
         assert first[0] == "0.0" and first[2] == "7"
 
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
     def test_nonfinite_modulation_fails(self, tmp_path, capsys, value):
         dfile = tmp_path / "d.txt"
         dfile.write_text(f"a 1.0\nb {value}\nc 1.0\n")
@@ -541,7 +542,24 @@ directory = {tmp_path / 'out'}
 """)
         assert main(["classify", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()
-        assert "finite" in captured.err
+        assert f"{dfile}:2:" in captured.err
+        assert "finite and positive" in captured.err
+        assert captured.out == ""
+
+    def test_unparsable_eta_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"""
+[graph]
+path = {small_graph_file(tmp_path)}
+
+[modulation]
+eta = abc
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+        assert main(["classify", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert "[modulation] eta" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("text, line, message", [

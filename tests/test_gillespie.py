@@ -9,7 +9,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dieout.gillespie import (SimConfig, _pick, estimate_survival_probability,
+from dieout import gillespie
+from dieout.gillespie import (SimConfig, _EventTables, _pick,
+                              estimate_survival_probability,
                               mean_field_trajectory, run_ensemble, run_rng,
                               simulate_run, trimmed_interval)
 from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
@@ -21,12 +23,20 @@ from oracles import EpidemicState, node_rates, step
 
 
 def modulated_twins(n: int = 60, seed: int = 5):
-    """A directed graph in CSR storage (several event-selection blocks),
-    its dense twin, and a modulation D != I."""
+    """A directed graph built from a CSR matrix, its twin built from a
+    dense array, and a modulation D != I."""
     dense = random_strong_digraph(seed, n=n)
     csr = LocalityGraph(dense.labels, sp.csr_matrix(dense.weights))
     d = DiagonalModulation(np.random.default_rng(seed).uniform(0.5, 1.5, n))
     return csr, dense, d
+
+
+def force_blocked_tables(monkeypatch, g: LocalityGraph) -> None:
+    """Make the simulator draw events on ``g`` through its blocked CSR
+    tables (several sqrt(N)-node blocks), which by node count it keeps
+    for graphs far larger than a test's."""
+    monkeypatch.setattr(gillespie, "DENSE_NODE_LIMIT", 0)
+    assert _EventTables.of(g).block_columns is not None
 
 
 def make_cfg(beta=parse_profile("const:0"), beta_int=parse_profile("const:0"),
@@ -237,12 +247,14 @@ class TestSimulateRun:
         traj = simulate_run(cfg, k3, 0)
         np.testing.assert_array_equal(traj.initial, initial)
 
-    def test_incremental_rates_match_reference(self, fixture20):
+    def test_incremental_rates_match_reference(self, fixture20, monkeypatch):
         # replay the event log and verify the cached-rate trajectory
-        # visits states whose reference rates are self-consistent, on a
-        # dense graph and on a blocked CSR graph with D != I
+        # visits states whose reference rates are self-consistent, in
+        # the dense tables and in the blocked CSR tables with D != I
         csr, _, d = modulated_twins()
         for g, modulation in ((fixture20, None), (csr, d)):
+            if modulation is not None:
+                force_blocked_tables(monkeypatch, g)
             cfg = make_cfg(beta=parse_profile("harmonic:4"),
                            beta_int=parse_profile("step:2,0.1,12"),
                            delta=2.0, n0=18, record_events=True,
@@ -262,9 +274,13 @@ class TestSimulateRun:
 
 class TestEventSelection:
     @pytest.mark.parametrize("storage", ["csr", "dense"])
-    def test_first_event_frequencies_match_reference_rates(self, storage):
+    def test_first_event_frequencies_match_reference_rates(self, storage,
+                                                           monkeypatch):
+        # storage: the simulator's event tables, blocked CSR or dense
         csr, dense, d = modulated_twins()
         g = csr if storage == "csr" else dense
+        if storage == "csr":
+            force_blocked_tables(monkeypatch, g)
         initial = np.zeros(g.node_count, dtype=np.int64)
         initial[[0, 7, 19, 33, 50]] = [3, 1, 2, 1, 2]
         beta = parse_profile("harmonic:4")
@@ -293,13 +309,15 @@ class TestEventSelection:
         assert scipy.stats.chi2.sf(chi2, possible.sum() - 1) > 1e-3
 
     @pytest.mark.parametrize("storage", ["csr", "dense"])
-    def test_every_event_follows_reference_rates(self, storage):
+    def test_every_event_follows_reference_rates(self, storage, monkeypatch):
         # randomized probability integral transform of each recorded
         # event under the reference rates of the state it left: uniform
         # on [0, 1] iff events are drawn with the right probabilities,
         # which stale cached sums would break after the first event
         csr, dense, d = modulated_twins()
         g = csr if storage == "csr" else dense
+        if storage == "csr":
+            force_blocked_tables(monkeypatch, g)
         initial = np.zeros(g.node_count, dtype=np.int64)
         initial[::4] = 2
         cfg = make_cfg(beta=parse_profile("harmonic:4"),
@@ -497,7 +515,7 @@ class TestMeanField:
         x0 = np.arange(12, dtype=float)
         series = mean_field_trajectory(
             g, const_model(beta, beta_int, delta, d), x0, grid)
-        gen = (beta * dense.weights + beta_int * np.diag(d.values)
+        gen = (beta * dense.dense_weights() + beta_int * np.diag(d.values)
                - delta * np.eye(12))
         for k, t in enumerate(grid):
             np.testing.assert_allclose(series[k],

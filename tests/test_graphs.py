@@ -1,5 +1,6 @@
 import io
 import pickle
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dieout.graphs import (DENSE_NODE_LIMIT, DiagonalModulation, EdgeListError,
-                           EpidemicModel, LocalityGraph, SpectralError,
+from dieout.gillespie import DENSE_NODE_LIMIT
+from dieout.graphs import (DiagonalModulation, EdgeListError, EpidemicModel, LocalityGraph, SpectralError,
                            geometric_lower, is_strongly_connected,
                            is_symmetric, load_edge_list, normalize_mean_column_weight,
                            spectral_radius, symmetrized_upper,
@@ -37,7 +38,7 @@ class TestLoadEdgeList:
     def test_symmetric_pair(self):
         g = load_edge_list("a b 1\nb a 1")
         assert g.labels == ("a", "b")
-        np.testing.assert_array_equal(g.weights, [[0, 1], [1, 0]])
+        np.testing.assert_array_equal(g.weights.toarray(), [[0, 1], [1, 0]])
 
     def test_asymmetric_and_orientation(self):
         # "a b 2" is pressure received by a from b
@@ -81,12 +82,12 @@ class TestNormalize:
     def test_two_node_example(self):
         g = load_edge_list("a b 2\nb a 2")
         normed = normalize_mean_column_weight(g)
-        np.testing.assert_allclose(normed.weights, [[0, 1], [1, 0]])
+        np.testing.assert_allclose(normed.weights.toarray(), [[0, 1], [1, 0]])
 
     def test_single_direction_example(self):
         g = load_edge_list("a b 4")
         normed = normalize_mean_column_weight(g)
-        np.testing.assert_allclose(normed.weights, [[0, 2], [0, 0]])
+        np.testing.assert_allclose(normed.weights.toarray(), [[0, 2], [0, 0]])
 
     def test_airport_fixture_mean_column_sum_is_one(self, airports):
         # independent recomputation of the column sums
@@ -95,7 +96,8 @@ class TestNormalize:
 
     def test_idempotent(self, airports):
         again = normalize_mean_column_weight(airports)
-        np.testing.assert_allclose(again.weights, airports.weights,
+        np.testing.assert_allclose(again.weights.toarray(),
+                                   airports.weights.toarray(),
                                    rtol=0, atol=1e-12)
 
     def test_all_zero_rejected(self):
@@ -193,13 +195,15 @@ class TestSpectralRadius:
 
 class TestDegreesAndBounds:
     def test_symmetric_graph_is_fixed_point(self, k3):
-        np.testing.assert_array_equal(symmetrized_upper(k3), k3.weights)
-        np.testing.assert_allclose(geometric_lower(k3), k3.weights)
+        w = k3.weights.toarray()
+        np.testing.assert_array_equal(symmetrized_upper(k3).toarray(), w)
+        np.testing.assert_allclose(geometric_lower(k3).toarray(), w)
 
     def test_two_node_asymmetric_example(self):
         g = load_edge_list("a b 4\nb a 1")
-        np.testing.assert_allclose(geometric_lower(g), [[0, 2], [2, 0]])
-        np.testing.assert_allclose(symmetrized_upper(g),
+        np.testing.assert_allclose(geometric_lower(g).toarray(),
+                                   [[0, 2], [2, 0]])
+        np.testing.assert_allclose(symmetrized_upper(g).toarray(),
                                    [[0, 2.5], [2.5, 0]])
 
     def test_schwenk_sandwich_on_random_matrices(self):
@@ -233,12 +237,12 @@ class TestEffectiveMatrix:
     def test_no_coupling_is_diagonal(self, k3):
         d = DiagonalModulation(np.array([1.0, 2.0, 3.0]))
         m = const_model(1, 1, 1, d).growth_matrix(k3, b=0.0, bi=1.5)
-        np.testing.assert_allclose(m, np.diag([1.5, 3.0, 4.5]))
+        np.testing.assert_allclose(m.toarray(), np.diag([1.5, 3.0, 4.5]))
 
     def test_no_modulation_is_scaled_graph(self, k3):
         d = DiagonalModulation.uniform(3)
         m = const_model(1, 1, 1, d).growth_matrix(k3, b=2.0, bi=0.0)
-        np.testing.assert_allclose(m, 2.0 * k3.dense_weights())
+        np.testing.assert_allclose(m.toarray(), 2.0 * k3.dense_weights())
 
     def test_k3_radius_example(self, k3):
         m = const_model(2, 2, 1, DiagonalModulation.uniform(3)
@@ -270,21 +274,18 @@ class TestEpidemicModel:
 
     def test_growth_matrix_keeps_storage(self):
         g = random_strong_digraph(4, n=7)
-        csr = LocalityGraph(g.labels, sp.csr_matrix(g.weights))
         d = DiagonalModulation(np.linspace(0.5, 2.0, 7))
-        model = const_model(1, 1, 1, d)
-        dense_m = model.growth_matrix(g, 0.7, 1.3)
-        sparse_m = model.growth_matrix(csr, 0.7, 1.3)
-        assert isinstance(dense_m, np.ndarray) and sp.isspmatrix_csr(sparse_m)
-        np.testing.assert_allclose(sparse_m.toarray(), dense_m, rtol=1e-15)
+        m = const_model(1, 1, 1, d).growth_matrix(g, 0.7, 1.3)
+        assert sp.isspmatrix_csr(m)
         np.testing.assert_allclose(
-            dense_m, 0.7 * g.weights + 1.3 * np.diag(d.values), rtol=1e-15)
+            m.toarray(), 0.7 * g.dense_weights() + 1.3 * np.diag(d.values),
+            rtol=1e-15)
 
     def test_asymptotic_matrix_uses_profile_limits(self, k3):
         model = EpidemicModel(parse_profile("step:9,2,5"),
                               parse_profile("harmonic:4"), 1)
-        np.testing.assert_array_equal(model.asymptotic_matrix(k3),
-                                      2.0 * k3.weights)
+        np.testing.assert_array_equal(model.asymptotic_matrix(k3).toarray(),
+                                      2.0 * k3.dense_weights())
 
     def test_pickles(self):
         model = const_model(1, 2, "3/7",
@@ -302,7 +303,6 @@ class TestSparseStorage:
             ring[i, (i + 1) % n] = 1.0
             ring[(i + 1) % n, i] = 1.0
         g = LocalityGraph(tuple(f"v{i}" for i in range(n)), ring.tocsr())
-        assert not g.is_dense
         assert is_strongly_connected(g)
         np.testing.assert_array_equal(
             np.asarray(g.weights.sum(axis=1)).ravel(), 2.0)
@@ -334,7 +334,7 @@ class TestSparseStorage:
         # perturbations straddle np.allclose's tolerance |a - b| <= 1e-8
         # + 1e-5 |b|; dense and CSR twins must give allclose's answer
         rng = np.random.default_rng(8)
-        base = random_strong_digraph(3, n=12, symmetric=True).weights
+        base = random_strong_digraph(3, n=12, symmetric=True).dense_weights()
         for scale in (0.0, 1e-9, 5e-6, 2e-5, 1e-3):
             for _ in range(5):
                 w = np.array(base)
@@ -373,11 +373,31 @@ class TestSparseStorage:
             tracemalloc.stop()
         assert peak < 20 * 2**20  # a dense n x n scratch array takes 200 MB
         assert g.labels == tuple(f"v{i}" for i in range(n))
-        assert not g.is_dense and g.weights.has_canonical_format
+        assert sp.isspmatrix_csr(g.weights) and g.weights.has_canonical_format
         ref = sp.csr_matrix(dense)
         np.testing.assert_array_equal(g.weights.indptr, ref.indptr)
         np.testing.assert_array_equal(g.weights.indices, ref.indices)
         np.testing.assert_array_equal(g.weights.data, ref.data)
+
+
+class TestLabels:
+    def test_subgraph_of_large_ring_looks_labels_up_in_constant_time(self):
+        # 10,000 of 20,000 labels: a linear scan per label takes seconds
+        n = 20_000
+        idx = np.arange(n)
+        ring = sp.csr_matrix((np.ones(n), (idx, (idx + 1) % n)), shape=(n, n))
+        g = LocalityGraph(tuple(f"v{i}" for i in idx), ring)
+        labels = [f"v{i}" for i in range(9_999, -1, -1)]
+        start = time.perf_counter()
+        sub = g.subgraph(labels)
+        assert time.perf_counter() - start < 0.5
+        assert sub.labels == tuple(labels)
+        assert sub.index("v0") == 9_999
+        # v(i) -> v(i+1) lands at (9999 - i, 9998 - i)
+        expected = sp.csr_matrix((np.ones(9_999), (idx[1:10_000],
+                                                   idx[:9_999])),
+                                 shape=(10_000, 10_000))
+        assert (sub.weights != expected).nnz == 0
 
 
 class TestValidation:
@@ -385,6 +405,31 @@ class TestValidation:
         w = np.array([[1.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="diagonal"):
             LocalityGraph(("a", "b"), w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_weight_rejected(self, bad):
+        w = np.array([[0.0, bad], [1.0, 0.0]])
+        for given in (w, sp.csr_matrix(w)):
+            with pytest.raises(ValueError, match="finite"):
+                LocalityGraph(("a", "b"), given)
+
+    def test_weights_are_a_canonical_read_only_copy(self):
+        # duplicate entries, an explicit zero and integer data, as COO
+        coo = sp.coo_matrix(([1, 2, 0, 3], ([0, 0, 1, 1], [1, 1, 0, 2])),
+                            shape=(3, 3))
+        w = LocalityGraph(("a", "b", "c"), coo).weights
+        assert sp.isspmatrix_csr(w) and w.has_canonical_format
+        assert w.dtype == float and w.nnz == 2
+        np.testing.assert_array_equal(w.toarray(),
+                                      [[0, 3, 0], [0, 0, 3], [0, 0, 0]])
+        assert not any(a.flags.writeable for a in (w.data, w.indices, w.indptr))
+        given = sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        g = LocalityGraph(("a", "b"), given)
+        given.data[:] = 9.0
+        np.testing.assert_array_equal(g.weights.toarray(), [[0, 1], [2, 0]])
+        dense = np.array([[0.0, 1.0], [2.0, 0.0]])
+        LocalityGraph(("a", "b"), dense)
+        assert dense.flags.writeable
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError, match="unique"):
