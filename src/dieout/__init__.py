@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .chains import (BirthDeathSpec, HittingTable, InfiniteHittingTimeError,
                      PrecisionConfig, SeriesValue, asymptote_ratio,
                      bound_chains_from_graph, equilibrium_lower_bound,
-                     expected_T1, hitting_table, positive_recurrence_check,
-                     s_tail_series, s_values_float)
+                     expected_T1, hitting_table, s_tail_series,
+                     s_values_float)
 from .gillespie import (EnsembleSummary, SimConfig, Trajectory,
                         estimate_survival_probability, mean_field_trajectory,
                         run_ensemble, simulate_run, trimmed_interval)
@@ -41,7 +41,7 @@ __all__ = [
     "trimmed_interval",
     # chains
     "BirthDeathSpec", "PrecisionConfig", "HittingTable", "SeriesValue",
-    "InfiniteHittingTimeError", "positive_recurrence_check", "expected_T1",
+    "InfiniteHittingTimeError", "expected_T1",
     "s_tail_series", "hitting_table", "asymptote_ratio", "s_values_float",
     "equilibrium_lower_bound", "bound_chains_from_graph",
 ]

@@ -20,17 +20,26 @@ the recursion toward larger n, which gives the positive-term series
 
     S_n = (1/delta) * sum_{i >= n} (1/i) * prod_{j=n}^{i-1} gamma(j)/delta
 
-with no subtractive cancellation.  Truncation is certified against a
-geometric tail bound, so every returned value carries a provable
-relative-error flag.  The forward recursion is kept only as a
-verification oracle in the test suite: with a common truncation index
-the two routes agree to exact rational equality.
+with no subtractive cancellation.  One backward pass from a shared
+truncation index M evaluates it for every row; the truncation is
+certified against a geometric tail bound, so every returned value
+carries a provable relative-error flag.  The forward recursion is kept
+only as a verification oracle in the test suite: with a common
+truncation index the two routes agree to exact rational equality.
 
-One kernel runs in either of two arithmetics: exact rationals
-(``Fraction``, requires rational gamma values and delta) and mpmath big
-floats at a configurable bit precision.  Independent values may be
-computed concurrently in separate processes; within one process the
-kernel temporarily sets the mpmath working precision.
+The pass runs in one of two arithmetics:
+
+* rational mode: exact ``Fraction`` values (rational gamma and delta
+  required); the only error is the truncation;
+* big-float mode: Python integers scaled by 2**F with
+  F = bits + 24 + max(0, ceil(log2(delta * M))).  Every term is
+  positive, so floor division only ever rounds down, and the pass
+  carries an integer bound on the accumulated loss beside each value
+  (ln(1 + n) for ``logn`` profiles comes from an integer series with
+  its own bound).  A row is certified when truncation plus rounding
+  bound is within the tolerance; the rounding bound alone stays below
+  2**-bits relative.  Values are returned as mpf numbers holding the
+  exact dyadic kernel value.
 """
 
 from __future__ import annotations
@@ -42,10 +51,11 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from mpmath.libmp import MPZ
 
 from .graphs import EpidemicModel, LocalityGraph
-from .rates import (EXACT, FLOAT, MPF, Arithmetic, ExactnessError,
-                    RateProfile, Scaled, coerce_coefficient, gamma_from_graph)
+from .rates import (Arithmetic, ExactnessError, RateProfile, Scaled,
+                    coerce_coefficient, gamma_from_graph)
 
 RATIONAL = "rational"
 BIGFLOAT = "bigfloat"
@@ -72,9 +82,11 @@ class PrecisionConfig:
 
     Attributes:
         mode: ``"rational"`` for exact fractions, ``"bigfloat"`` for
-            mpmath floats.
-        bits: mantissa precision for the big-float kernel (>= 64).
-        series_rel_tol: certified relative truncation tolerance.
+            the fixed-point kernel with mpf results.
+        bits: big-float precision (>= 64): the carried rounding bound
+            of every row stays below 2**-bits relative.
+        series_rel_tol: certified relative error tolerance (truncation
+            plus rounding).
         max_terms: cap on the absolute series truncation index.
     """
 
@@ -115,30 +127,20 @@ class BirthDeathSpec:
 
 
 @dataclass(frozen=True)
-class RecurrenceCheck:
-    """Outcome of the normalization-series convergence test."""
-
-    positive_recurrent: bool
-    reason: str
-
-    def __bool__(self) -> bool:
-        return self.positive_recurrent
-
-
-@dataclass(frozen=True)
 class SeriesValue:
     """A certified series evaluation.
 
-    ``value`` is a Fraction or mpf depending on the kernel;
-    ``truncated_at`` is the absolute last index included;
-    ``tail_bound`` bounds the neglected tail (None when a forced
-    truncation point made no bound available).
+    ``value`` is a Fraction (rational mode) or an mpf holding the
+    kernel's exact dyadic value (big-float mode); ``truncated_at`` is
+    the absolute last index included; ``error_bound`` bounds
+    |value - S_n|: the neglected tail plus, in big-float mode, the
+    carried rounding error (None when no tail bound was available).
     """
 
     value: object
     certified: bool
     truncated_at: int
-    tail_bound: object | None = None
+    error_bound: object | None = None
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,11 @@ class HittingTable:
     """Increments S_1..S_n_max and accumulated mean hitting times.
 
     T_n = sum_{i<=n} S_i is strictly increasing; ``certified`` is True
-    only when every row met the truncation tolerance.
+    only when every row met the relative tolerance.  The run report:
+    ``planned_truncation`` is the first truncation index tried,
+    ``extension_passes`` counts the doublings needed to certify, and
+    ``max_rel_error_bound`` is the largest relative error bound
+    (truncation plus rounding) over the rows that have one.
     """
 
     n_max: int
@@ -156,32 +162,9 @@ class HittingTable:
     certified: bool
     row_certified: tuple
     truncated_at: int
-
-
-def positive_recurrence_check(spec: BirthDeathSpec) -> RecurrenceCheck:
-    """Decide convergence of the normalization series exactly.
-
-    The series behind the stationary distribution (equivalently the
-    E[T_1] series) has term ratio (i/(i+1)) * gamma(i)/delta, so it
-    converges when the limit of gamma is below delta and diverges when
-    the limit is at or above delta -- unless gamma vanishes at some
-    state, which truncates the series to a finite (convergent) sum.
-    The comparison is exact: profile limits are rational and delta is
-    stored exactly.
-    """
-    limit = spec.gamma.limit_exact
-    if limit < spec.delta:
-        return RecurrenceCheck(
-            True, f"asymptotic ratio gamma/delta = {limit}/{spec.delta} < 1")
-    zero = spec.gamma.first_zero_at_or_after(1)
-    if zero is not None:
-        return RecurrenceCheck(
-            True, f"gamma vanishes at n={zero}; the series is a finite sum")
-    if limit == spec.delta:
-        return RecurrenceCheck(
-            False, "gamma approaches delta; the terms decay harmonically")
-    return RecurrenceCheck(
-        False, f"asymptotic ratio gamma/delta = {limit}/{spec.delta} > 1")
+    planned_truncation: int
+    extension_passes: int
+    max_rel_error_bound: float | None
 
 
 # ---------------------------------------------------------------------------
@@ -190,34 +173,23 @@ def positive_recurrence_check(spec: BirthDeathSpec) -> RecurrenceCheck:
 #: rounding slack applied to certified upper bounds computed in floats
 _SAFETY = 1 + 2.0 ** -24
 
-
-def _arithmetic(spec: BirthDeathSpec, precision: PrecisionConfig):
-    """The kernel arithmetic of ``precision`` and gamma's view in it.
-
-    Rational mode computes in exact Fractions and needs a rational
-    gamma; big-float mode computes in mpmath floats at the working
-    precision, which the caller sets to ``precision.bits``.
-    """
-    if precision.mode == BIGFLOAT:
-        return MPF, spec.gamma.value_mpf
-    if not spec.gamma.is_rational:
-        raise ExactnessError(
-            "the exact-rational kernel requires a rational-valued "
-            "gamma profile; use the big-float kernel instead")
-    return EXACT, spec.gamma.value_exact
+#: fractional bits kept beyond ``bits + ceil(log2(delta * M))``: they
+#: hold the carried rounding bound below 2**-(bits + 20) relative, far
+#: under the last printed digit, so written decimals are correctly
+#: rounded
+_GUARD = 24
 
 
-def _ratio_bound(spec: BirthDeathSpec, n0: int, ar: Arithmetic):
-    """(r < 1, r) for an upper bound r on gamma(n)/delta over n >= n0.
+def _ratio_bound(spec: BirthDeathSpec, n0: int) -> tuple[bool, Fraction]:
+    """(r < 1, r) for an exact upper bound r on gamma(n)/delta over n >= n0.
 
-    r is exact for a rational gamma (times _SAFETY once rounded into
-    ``ar``); otherwise it is the float supremum times _SAFETY.
+    r is exact for a rational gamma; otherwise it is the float
+    supremum times _SAFETY.
     """
     gamma = spec.gamma
-    if gamma.is_rational:
-        r = gamma.sup_from_exact(n0) / spec.delta
-        return r < 1, (r if ar is EXACT else ar.num(r) * _SAFETY)
-    r = ar.num(Fraction(gamma.sup_from(n0) * _SAFETY)) / ar.num(spec.delta)
+    sup = (gamma.sup_from_exact(n0) if gamma.is_rational
+           else Fraction(gamma.sup_from(n0) * _SAFETY))
+    r = sup / spec.delta
     return r < 1, r
 
 
@@ -239,7 +211,7 @@ def _plan_truncation(spec: BirthDeathSpec, n_hi: int,
 
     # Find a point past which the term ratio is certifiably below one.
     start = n_hi + 1
-    while not _ratio_bound(spec, start, FLOAT)[0]:
+    while not _ratio_bound(spec, start)[0]:
         start *= 2
         if start > precision.max_terms:
             ratio_based = precision.max_terms
@@ -260,66 +232,246 @@ def _plan_truncation(spec: BirthDeathSpec, n_hi: int,
     return ratio_based
 
 
+class _Ratio:
+    """p/q left unreduced: a profile builds each value from a few exact
+    parameters, so the integers stay small without any gcd work."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        self.p, self.q = p, q
+
+    def __add__(self, other):
+        return _Ratio(self.p * other.q + other.p * self.q, self.q * other.q)
+
+    def __mul__(self, other):
+        return _Ratio(self.p * other.p, self.q * other.q)
+
+    def __truediv__(self, n: int):
+        return _Ratio(self.p, self.q * n)
+
+
+def _ratio(x: Fraction) -> _Ratio:
+    return _Ratio(x.numerator, x.denominator)
+
+
+class _BackwardLog:
+    """Lower bounds on ln(1 + n) for n = top, top - 1, ..., 1 in turn.
+
+    Holds L ~ 2**bits * ln(1 + n) with |L - 2**bits ln(1 + n)| <= err
+    and serves (L - err) / 2**bits.  One mpmath logarithm seeds
+    n = top; each step down subtracts
+    ln(n + 1) - ln(n) = 2 atanh(1/(2n + 1)), summed in integers by
+    Horner's rule.  Every floor there loses under one unit, and the
+    previous partial sum enters divided by (2n + 1)**2 >= 9, so a step
+    is off by less than 3 units once the series is cut where its tail
+    drops below one unit.  Only the current value is kept.
+    """
+
+    def __init__(self, top: int, bits: int):
+        with mpmath.mp.workprec(bits + 32):
+            self.L = int(mpmath.floor(mpmath.ldexp(mpmath.log(top + 1), bits)))
+        self.n, self.bits, self.err = top, bits, 2
+        # floor(2**(bits + 1) / (2i + 1)): the series of 2 atanh
+        self._coeffs = [(2 << bits) // (2 * i + 1)
+                        for i in range(bits // 2 + 2)]
+
+    def __call__(self, n: int) -> _Ratio:
+        if n > self.n:
+            raise ValueError("logarithms are served for decreasing n only")
+        coeffs = self._coeffs
+        while self.n > n:
+            m = 2 * self.n + 1
+            m2 = m * m
+            # K terms leave a tail below one unit: m**(2K) >= 2**(bits+1)
+            last = (self.bits + 1) // (2 * (m.bit_length() - 1))
+            acc = coeffs[last]
+            for i in range(last - 1, -1, -1):
+                acc = acc // m2 + coeffs[i]
+            self.L -= acc // m
+            self.err += 3
+            self.n -= 1
+        return _Ratio(self.L - self.err, 1 << self.bits)
+
+
+def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
+                geom: Fraction | None):
+    """The backward pass in integers scaled by 2**F.
+
+    s_j = floor(2**F/(j delta)) + floor(q_j s_{j+1}) with q = gamma/delta
+    exact, so s_j never exceeds 2**F S_j and the loss is carried as
+    e_j = 2 + ceil(q_j e_{j+1}) units: each floor drops under one unit
+    and the error of s_{j+1} enters scaled by q_j.  For an irrational
+    gamma, ln(1 + j) enters as a lower bound from :class:`_BackwardLog`,
+    2 err units of 2**-G or less below it; every family is affine in
+    that logarithm with a nonnegative slope, so the q used is at most
+    eta = 2 err / L <= err * 2**(2-G) relative below the true one.  That
+    keeps s_j below 2**F S_j and adds ceil(eta (q s_{j+1} + q e_{j+1}))
+    to e_j.
+
+    P_j = prod_{i=j}^{M} q_i is carried as a 64-bit mantissa and a
+    binary exponent, rounded up at every step (the added unit also
+    covers eta <= 2**-64); it is exactly zero once gamma has vanished.
+
+    Returns (values, bounds, rounding, F): s_j, the bound e_j plus the
+    tail bound P_j * geom in units of 2**-F (None without a tail
+    bound), and e_j alone, for j = 1..n_hi (index 0 unused).
+    """
+    delta = spec.delta
+    F = bits + _GUARD + max(0, math.ceil(math.log2(delta * M)))
+    dn, dd = delta.numerator, delta.denominator
+    unit = (1 << F) * dd  # floor(unit / (j dn)) = floor(2**F / (j delta))
+    log = (None if spec.gamma.is_rational
+           else _BackwardLog(M, F + 2 * M.bit_length() + _GUARD))
+    gamma = spec.gamma.evaluator(Arithmetic("ratio", _ratio, log))
+    if geom is not None:
+        gn, gd = geom.numerator, geom.denominator
+
+    values = [0] * (n_hi + 1)
+    bounds = [None] * (n_hi + 1)
+    rounding = [0] * (n_hi + 1)
+    s = e = 0
+    pm, pe = 1 << 63, -63  # P_{M+1} = 1
+    for j in range(M, 0, -1):
+        g = gamma(j)
+        qn, qd = g.p * dd, g.q * dn
+        u = qn * s // qd
+        c = -(-qn * e // qd)
+        s = unit // (j * dn) + u
+        e = 2 + c
+        if log is not None:
+            e += ((log.err * (u + 1 + c)) >> (log.bits - 2)) + 1
+        if pm:
+            pm = -(-pm * qn // qd)
+            if pm:
+                shift = pm.bit_length() - 64
+                pm = (-(-pm >> shift) if shift > 0 else pm << -shift) + 1
+                pe += shift
+        if j <= n_hi:
+            values[j], rounding[j] = s, e
+            if not pm:
+                bounds[j] = e  # a vanished gamma truncates exactly
+            elif geom is not None:
+                # ceil(P_j * geom * 2**F), which is 1 when below one unit
+                x, shift = pm * gn, pe + F
+                if x.bit_length() + shift < gd.bit_length():
+                    tail = 1
+                elif shift >= 0:
+                    tail = -(-(x << shift) // gd)
+                else:
+                    tail = -(-x // (gd << -shift))
+                bounds[j] = e + tail
+    return values, bounds, rounding, F
+
+
+def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
+                geom: Fraction | None):
+    """The backward pass in exact rationals (no rounding).
+
+    Returns (values, bounds, None, None) as :func:`_fixed_pass` does,
+    with Fraction values and tail bounds P_j * geom.
+    """
+    if not spec.gamma.is_rational:
+        raise ExactnessError(
+            "the exact-rational kernel requires a rational-valued "
+            "gamma profile; use the big-float kernel instead")
+    gamma, delta = spec.gamma.value_exact, spec.delta
+    values = [None] * (n_hi + 1)
+    bounds = [None] * (n_hi + 1)
+    s, p = Fraction(0), Fraction(1)
+    for j in range(M, 0, -1):
+        q = gamma(j) / delta
+        s = 1 / (delta * j) + q * s
+        p = q * p
+        if j <= n_hi:
+            values[j] = s
+            if p == 0:
+                bounds[j] = p  # a vanished gamma truncates exactly
+            elif geom is not None:
+                bounds[j] = p * geom
+    return values, bounds, None, None
+
+
+@dataclass(frozen=True)
+class _Tail:
+    """Rows 1..n_hi of one certified backward evaluation (index 0 unused).
+
+    ``values``/``bounds`` are Fractions, or integers in units of
+    2**-scale in big-float mode (``scale`` is None in rational mode).
+    """
+
+    values: list
+    bounds: list
+    certified: list
+    scale: int | None
+    truncated_at: int
+    planned: int
+    passes: int
+
+    def number(self, x):
+        """A kernel integer or Fraction as the public number type."""
+        if self.scale is None:
+            return x
+        # the exact dyadic x * 2**-scale (x > 0) as a normalized mpf
+        zeros = (x & -x).bit_length() - 1
+        man = x >> zeros
+        return mpmath.mp.make_mpf(
+            (0, MPZ(man), zeros - self.scale, man.bit_length()))
+
+    def floats(self) -> np.ndarray:
+        """The values rounded to float64, index 0 (unused) zero."""
+        one = 1 if self.scale is None else 1 << self.scale
+        return np.array([0.0] + [float(v / one) for v in self.values[1:]])
+
+    def max_rel_bound(self) -> float | None:
+        rel = [float(b / v) for b, v in zip(self.bounds[1:], self.values[1:])
+               if b is not None]
+        return max(rel) if rel else None
+
+
 def _tail_values(spec: BirthDeathSpec, n_hi: int, precision: PrecisionConfig,
-                 truncate_at: int | None = None, as_floats: bool = False):
+                 truncate_at: int | None = None) -> _Tail:
     """Backward evaluation of S_1..S_{n_hi} from a shared truncation M.
 
     Seeds S_{M+1} = 0 and iterates S_j = 1/(j*delta) +
     (gamma(j)/delta) * S_{j+1} down to j = 1, which reproduces every
-    truncated tail series exactly.  Alongside S the pass carries
+    truncated tail series.  Alongside S the pass carries
     P_j = prod_{i=j}^{M} gamma(i)/delta, from which the neglected tail
     for row n is bounded by P_n / (delta * (M+1) * (1 - r)) with r a
-    certified upper bound on gamma/delta beyond M.
-
-    Returns (values, certified, M, tail_bounds); values are kernel
-    numbers, or a float64 array (index 0 unused) when ``as_floats``.
+    certified upper bound on gamma/delta beyond M.  A row is certified
+    when that bound plus the rounding bound is at most
+    ``series_rel_tol`` times the value; M doubles while some row fails
+    for want of terms.
     """
     if n_hi < 1:
         raise ValueError("need at least state 1")
     forced = truncate_at is not None
     if forced and truncate_at < n_hi:
         raise ValueError("truncation index must be >= the largest state")
-    candidate = truncate_at if forced else _plan_truncation(
+    planned = M = truncate_at if forced else _plan_truncation(
         spec, n_hi, precision)
-
-    ar, gamma = _arithmetic(spec, precision)
-    with mpmath.mp.workprec(precision.bits):  # Fractions ignore it
-        delta = ar.num(spec.delta)
-        tol = ar.num(Fraction(precision.series_rel_tol))
-        zero, one = ar.num(Fraction(0)), ar.num(Fraction(1))
-        while True:
-            M = candidate
-            if as_floats:
-                values = np.zeros(n_hi + 1)
-            else:
-                values = [None] * (n_hi + 1)
-            bounds = [None] * (n_hi + 1)
-            certified = [False] * (n_hi + 1)
-
-            r_ok, r = _ratio_bound(spec, M + 1, ar)
-            geom = (1 / ((1 - r) * delta * (M + 1))) if r_ok else None
-
-            s_next = zero
-            p_next = one
-            for j in range(M, 0, -1):
-                q = gamma(j) / delta
-                s_j = 1 / (delta * j) + q * s_next
-                p_j = q * p_next
-                if j <= n_hi:
-                    if p_j == 0:
-                        # a vanished gamma truncates the series exactly
-                        certified[j] = True
-                        bounds[j] = zero
-                    elif r_ok:
-                        bound = p_j * geom
-                        bounds[j] = bound
-                        certified[j] = bound <= tol * s_j
-                    values[j] = float(s_j) if as_floats else s_j
-                s_next, p_next = s_j, p_j
-
-            if forced or all(certified[1:]) or M >= precision.max_terms:
-                return values, certified, M, bounds
-            candidate = min(max(2 * M, M + 64), precision.max_terms)
+    tn, td = precision.series_rel_tol.as_integer_ratio()
+    passes = 0
+    while True:
+        r_ok, r = _ratio_bound(spec, M + 1)
+        geom = 1 / ((1 - r) * spec.delta * (M + 1)) if r_ok else None
+        if precision.mode == BIGFLOAT:
+            values, bounds, rounding, scale = _fixed_pass(
+                spec, n_hi, M, precision.bits, geom)
+        else:
+            values, bounds, rounding, scale = _exact_pass(
+                spec, n_hi, M, geom)
+        certified = [b is not None and b * td <= tn * v
+                     for b, v in zip(bounds, values)]
+        # more terms cannot help a row whose rounding alone is too big
+        helpable = (not ok and (rounding is None
+                                or rounding[j] * td <= tn * values[j])
+                    for j, ok in enumerate(certified) if j)
+        if forced or not any(helpable) or M >= precision.max_terms:
+            return _Tail(values, bounds, certified, scale, M, planned,
+                         passes)
+        M = min(max(2 * M, M + 64), precision.max_terms)
+        passes += 1
 
 
 def s_tail_series(spec: BirthDeathSpec, n: int, precision: PrecisionConfig,
@@ -331,9 +483,11 @@ def s_tail_series(spec: BirthDeathSpec, n: int, precision: PrecisionConfig,
     forces an absolute truncation index (verification use: values from
     a common index match the forward recursion exactly).
     """
-    values, certified, M, bounds = _tail_values(
-        spec, n, precision, truncate_at=truncate_at)
-    return SeriesValue(values[n], certified[n], M, bounds[n])
+    tail = _tail_values(spec, n, precision, truncate_at=truncate_at)
+    bound = tail.bounds[n]
+    return SeriesValue(tail.number(tail.values[n]), tail.certified[n],
+                       tail.truncated_at,
+                       None if bound is None else tail.number(bound))
 
 
 def expected_T1(spec: BirthDeathSpec, precision: PrecisionConfig,
@@ -360,14 +514,17 @@ def hitting_table(spec: BirthDeathSpec, n_max: int,
     Raises:
         InfiniteHittingTimeError: some requested row diverges.
     """
-    values, certified, M, _ = _tail_values(spec, n_max, precision)
-    S = tuple(values[1:])
-    with mpmath.mp.workprec(precision.bits):
-        T = tuple(itertools.accumulate(S))
-    rows = tuple(certified[1:])
-    return HittingTable(n_max=n_max, S=S, T=T, precision=precision,
+    tail = _tail_values(spec, n_max, precision)
+    S = tail.values[1:]
+    T = itertools.accumulate(S)  # exact: kernel integers or Fractions
+    rows = tuple(tail.certified[1:])
+    return HittingTable(n_max=n_max, S=tuple(map(tail.number, S)),
+                        T=tuple(map(tail.number, T)), precision=precision,
                         certified=all(rows), row_certified=rows,
-                        truncated_at=M)
+                        truncated_at=tail.truncated_at,
+                        planned_truncation=tail.planned,
+                        extension_passes=tail.passes,
+                        max_rel_error_bound=tail.max_rel_bound())
 
 
 def asymptote_ratio(spec: BirthDeathSpec, n_list,
@@ -394,8 +551,7 @@ def s_values_float(spec: BirthDeathSpec, n_max: int,
 
     Index 0 of the returned array is unused padding.
     """
-    values, _, _, _ = _tail_values(spec, n_max, precision, as_floats=True)
-    return values
+    return _tail_values(spec, n_max, precision).floats()
 
 
 def equilibrium_lower_bound(epsilon, delta, N: int) -> Fraction:

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -41,6 +42,10 @@ from .regime import (classify_decoupled, classify_general, classify_scalar_D,
                      classify_symmetric)
 
 
+_LOG10_2 = math.log10(2)
+_pow10 = functools.cache(lambda k: 10 ** k)
+
+
 def _fmt(x) -> str:
     """Locale-independent decimal rendering for CSV cells."""
     if isinstance(x, (bool, np.bool_)):
@@ -53,13 +58,51 @@ def _fmt(x) -> str:
 
 
 def _fmt_precise(x, digits: int) -> str:
-    """Full-precision decimal string for kernel numbers."""
-    if isinstance(x, Fraction):
-        with mpmath.mp.workprec(int(digits * 3.33) + 16):
-            return mpmath.nstr(
-                mpmath.mpf(x.numerator) / x.denominator, digits,
-                strip_zeros=True)
-    return mpmath.nstr(x, digits, strip_zeros=True)
+    """A positive kernel number (Fraction, or mpf holding an exact
+    dyadic) in ``mpmath.nstr(x, digits)`` layout, from its exact value.
+
+    Like nstr it keeps ``digits`` significant digits, rounded half up
+    (nstr floors to ``digits + 3`` digits, then rounds on the first
+    dropped one), strips trailing zeros, and prints the leading digit's
+    decimal exponent e in fixed notation when
+    min(-(digits // 3), -5) < e < digits, else as ``d.ddde+N``.  (nstr
+    floors in binary first, so on a non-dyadic value that is an exact
+    decimal tie it can round down where this rounds up.)
+    """
+    if isinstance(x, mpmath.mpf):
+        _, num, exp, _ = x._mpf_
+        num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
+    else:
+        num, den = x.numerator, x.denominator
+    # 10**e <= x < 10**(e + 2) from the bit lengths; then the digits
+    # q = floor(x * 10**(digits - e)) number digits + 1 or digits + 2
+    e = math.floor((num.bit_length() - den.bit_length() - 1) * _LOG10_2)
+    low = _pow10(digits)
+    while True:
+        k = digits - e
+        q = num * _pow10(k) // den if k >= 0 else num // (den * _pow10(-k))
+        if q >= low:
+            break
+        e -= 1  # the float estimate of e came out one too high
+    if q >= 10 * low:
+        q //= 10
+        e += 1
+    r = (q + 5) // 10  # half up, from the floor of one more digit
+    if r == low:
+        r //= 10
+        e += 1
+    text = str(r)
+    if min(-(digits // 3), -5) < e < digits:
+        text = ("0." + "0" * (-e - 1) + text if e < 0
+                else text[:e + 1] + "." + text[e + 1:])
+        exponent = ""
+    else:
+        text = text[0] + "." + text[1:]
+        exponent = f"e{e:+d}"
+    text = text.rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return text + exponent
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
@@ -218,6 +261,9 @@ def cmd_hitting(cfg: ExperimentConfig, args) -> int:
     _write_meta(out, "hitting", cfg, {
         "certified": table.certified,
         "truncated_at": table.truncated_at,
+        "planned_truncation": table.planned_truncation,
+        "extension_passes": table.extension_passes,
+        "max_rel_error_bound": table.max_rel_error_bound,
     })
     print(f"hitting: {table.n_max} rows "
           f"({'certified' if table.certified else 'NOT all certified'}), "

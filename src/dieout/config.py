@@ -310,12 +310,24 @@ def _modulation_value(text: str) -> float:
 def load_initial_counts(cfg: ExperimentConfig,
                         g: LocalityGraph) -> np.ndarray | None:
     """Initial counts per node from ``[simulation] initial_file`` (None
-    when unset); nodes without a line start at zero."""
+    when unset); nodes without a line start at zero, and the counts
+    must sum to at least one case."""
     if not cfg.simulation.initial_file:
         return None
-    table = _read_label_values(cfg.resolve(cfg.simulation.initial_file), int,
-                               labels=set(g.labels))
+    fpath = cfg.resolve(cfg.simulation.initial_file)
+    table = _read_label_values(fpath, _count_value, labels=set(g.labels))
+    if not sum(table.values()):
+        raise ConfigError(f"{fpath}: initial counts sum to 0; "
+                          "at least one case is needed")
     return np.array([table.get(lab, 0) for lab in g.labels], dtype=np.int64)
+
+
+def _count_value(text: str) -> int:
+    """An initial count: ValueError unless a nonnegative integer."""
+    value = int(text)
+    if value < 0:
+        raise ValueError("initial counts must be nonnegative")
+    return value
 
 
 def load_profiles(cfg: ExperimentConfig) -> tuple[RateProfile, RateProfile]:

@@ -5,7 +5,9 @@ event from a flat cumulative sum over all nodes: the plain O(N) path
 that the simulator's incremental caches and blocked event selection
 must reproduce.  ``s_recursion_step`` (the forward hitting-time
 recursion) and ``stationary_distribution`` (the renewal route to
-E[T_1]) are independent routes to the certified kernel's values.
+E[T_1]) are independent routes to the certified kernel's values;
+``positive_recurrence_check`` decides exactly whether the latter's
+normalization series converges.
 """
 
 from dataclasses import dataclass
@@ -14,11 +16,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
-                           PrecisionConfig, _arithmetic,
-                           positive_recurrence_check)
+from dieout.chains import (BIGFLOAT, BirthDeathSpec, InfiniteHittingTimeError,
+                           PrecisionConfig)
 from dieout.graphs import EpidemicModel, LocalityGraph
-from dieout.rates import coerce_coefficient
+from dieout.rates import EXACT, MPF, ExactnessError, coerce_coefficient
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,43 @@ def step(state: EpidemicState, rates, rng: np.random.Generator):
     return dt, node, -1
 
 
+@dataclass(frozen=True)
+class RecurrenceCheck:
+    """Outcome of the normalization-series convergence test."""
+
+    positive_recurrent: bool
+    reason: str
+
+    def __bool__(self) -> bool:
+        return self.positive_recurrent
+
+
+def positive_recurrence_check(spec: BirthDeathSpec) -> RecurrenceCheck:
+    """Decide convergence of the normalization series exactly.
+
+    The series behind the stationary distribution (equivalently the
+    E[T_1] series) has term ratio (i/(i+1)) * gamma(i)/delta, so it
+    converges when the limit of gamma is below delta and diverges when
+    the limit is at or above delta -- unless gamma vanishes at some
+    state, which truncates the series to a finite (convergent) sum.
+    The comparison is exact: profile limits are rational and delta is
+    stored exactly.
+    """
+    limit = spec.gamma.limit_exact
+    if limit < spec.delta:
+        return RecurrenceCheck(
+            True, f"asymptotic ratio gamma/delta = {limit}/{spec.delta} < 1")
+    zero = spec.gamma.first_zero_at_or_after(1)
+    if zero is not None:
+        return RecurrenceCheck(
+            True, f"gamma vanishes at n={zero}; the series is a finite sum")
+    if limit == spec.delta:
+        return RecurrenceCheck(
+            False, "gamma approaches delta; the terms decay harmonically")
+    return RecurrenceCheck(
+        False, f"asymptotic ratio gamma/delta = {limit}/{spec.delta} > 1")
+
+
 def s_recursion_step(spec: BirthDeathSpec, s_n, n: int,
                      precision: PrecisionConfig | None = None):
     """One forward step S_{n+1} = (S_n * delta - 1/n) / gamma(n).
@@ -131,7 +169,12 @@ def stationary_distribution(spec: BirthDeathSpec, trunc: int,
         raise ValueError("truncation must be nonnegative")
     if not positive_recurrence_check(spec):
         raise InfiniteHittingTimeError(1)
-    ar, gamma = _arithmetic(spec, precision)
+    if precision.mode == BIGFLOAT:
+        ar, gamma = MPF, spec.gamma.value_mpf
+    elif spec.gamma.is_rational:
+        ar, gamma = EXACT, spec.gamma.value_exact
+    else:
+        raise ExactnessError("rational mode needs a rational gamma")
     with mpmath.mp.workprec(precision.bits):
         delta, theta = ar.num(spec.delta), ar.num(theta)
         one = ar.num(Fraction(1))

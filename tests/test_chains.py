@@ -5,21 +5,21 @@ import mpmath
 import numpy as np
 import pytest
 
+from dieout import chains
 from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig, asymptote_ratio,
                            bound_chains_from_graph, equilibrium_lower_bound,
-                           expected_T1, hitting_table,
-                           positive_recurrence_check, s_tail_series,
-                           s_values_float)
-from dieout.rates import (Constant, ExactnessError, LogOverN, Step,
-                          parse_profile)
+                           expected_T1, hitting_table, s_tail_series,
+                           s_values_float, _BackwardLog)
+from dieout.rates import (Combined, Constant, ExactnessError, LogOverN,
+                          Scaled, Step, Table, parse_profile)
 
 from dieout.gillespie import SimConfig, simulate_run
 from dieout.graphs import DiagonalModulation, EpidemicModel, LocalityGraph
 
 from conftest import random_strong_digraph
-from oracles import (EpidemicState, node_rates, s_recursion_step,
-                     stationary_distribution)
+from oracles import (EpidemicState, node_rates, positive_recurrence_check,
+                     s_recursion_step, stationary_distribution)
 
 RATIONAL = PrecisionConfig(mode="rational", series_rel_tol=1e-30)
 BF256 = PrecisionConfig(mode="bigfloat", bits=256, series_rel_tol=1e-40)
@@ -440,3 +440,128 @@ class TestRandomizedOracleEquivalence:
                                  truncate_at=t1.truncated_at)
             assert tail.value == s
             s = s_recursion_step(spec, s, n)
+
+
+def reference_increments(spec: BirthDeathSpec, n_hi: int, terms: int):
+    """S_1..S_{n_hi} by the backward recursion in 1024-bit mpmath,
+    truncated at ``terms`` (far past where the tail matters)."""
+    with mpmath.mp.workprec(1024):
+        delta = mpmath.mpf(spec.delta.numerator) / spec.delta.denominator
+        s, out = mpmath.mpf(0), {}
+        for j in range(terms, 0, -1):
+            s = 1 / (delta * j) + spec.gamma.value_mpf(j) / delta * s
+            if j <= n_hi:
+                out[j] = s
+        return out
+
+
+TABLE = Table(((1, Fraction(3)), (2, Fraction(5, 2)), (4, Fraction(0)),
+               (6, Fraction(1, 3))), Fraction(1, 2))
+
+
+class TestRoundingCertificate:
+    """``certified`` covers rounding as well as truncation."""
+
+    def test_64_bit_T1_at_1e_30_is_not_certified(self):
+        r = expected_T1(spec_of("harmonic:5"),
+                        PrecisionConfig("bigfloat", 64, 1e-30))
+        assert not r.certified
+        with mpmath.mp.workprec(512):
+            closed = (mpmath.e ** 5 - 1) / 5
+            err = abs(r.value - closed)
+            assert 0 < err <= r.error_bound
+
+    @pytest.mark.parametrize("gamma", [
+        parse_profile("harmonic:5"), parse_profile("step:3,1/2,10"),
+        parse_profile("const:1/2"), TABLE])
+    @pytest.mark.parametrize("bits, tol", [
+        (64, 1e-15), (64, 1e-30), (128, 1e-30), (128, 1e-45)])
+    def test_rows_against_rational_mode(self, gamma, bits, tol):
+        spec = BirthDeathSpec(gamma, Fraction(7, 8))
+        precision = PrecisionConfig("bigfloat", bits, tol)
+        exact = hitting_table(spec, 60, PrecisionConfig(
+            "rational", series_rel_tol=1e-60))
+        assert exact.certified
+        certified = 0
+        for n in (1, 2, 3, 5, 7, 30, 60):
+            r = s_tail_series(spec, n, precision)
+            # same truncation: the fixed-point value sits below the
+            # truncated sum, by less than 2**-bits relative
+            trunc = s_tail_series(spec, n, RATIONAL,
+                                  truncate_at=r.truncated_at).value
+            with mpmath.mp.workprec(1024):
+                x = mpmath.mpf(exact.S[n - 1].numerator) / \
+                    exact.S[n - 1].denominator
+                t = mpmath.mpf(trunc.numerator) / trunc.denominator
+                assert 0 <= t - r.value <= t * mpmath.mpf(2) ** -bits
+                err = abs(r.value - x)
+                assert err <= r.error_bound + x * mpmath.mpf(1e-60)
+                if r.certified:
+                    certified += 1
+                    assert err <= x * mpmath.mpf(tol)
+        if (bits, tol) in ((64, 1e-15), (128, 1e-30)):
+            assert certified == 7
+
+    @pytest.mark.parametrize("text", ["logn:1.5", "logn:1/3"])
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_logn_bound_holds_against_1024_bit_reference(self, text, bits):
+        gamma = parse_profile(text)
+        combined = Combined(Scaled(Fraction(2, 3), gamma),
+                            parse_profile("step:1/5,1/9,12"))
+        for g in (gamma, combined):
+            spec = BirthDeathSpec(g, Fraction(3, 2))
+            ref = reference_increments(spec, 40, 400)
+            for n in (1, 2, 9, 40):
+                r = s_tail_series(spec, n, PrecisionConfig(
+                    "bigfloat", bits, 2.0 ** (8 - bits)))
+                assert r.certified
+                with mpmath.mp.workprec(1024):
+                    err = ref[n] - r.value  # the kernel rounds down
+                    assert 0 < err <= r.error_bound
+                    assert err <= ref[n] * mpmath.mpf(2) ** (8 - bits)
+
+    def test_backward_log_stays_within_its_bound(self):
+        log = _BackwardLog(5000, 200)
+        with mpmath.mp.workprec(400):
+            for n in range(5000, 0, -1):
+                value = log(n)
+                if n % 97 == 1 or n < 4:
+                    exact = mpmath.ldexp(mpmath.log(n + 1), 200)
+                    assert value.q == 1 << 200
+                    assert exact - 2 * log.err <= value.p <= exact
+        assert log.err <= 3 * 5000 + 2
+        with pytest.raises(ValueError, match="decreasing"):
+            log(2)
+
+    def test_extension_passes_are_reported(self, monkeypatch):
+        spec = spec_of("const:1/2")
+        precision = PrecisionConfig("bigfloat", 128, 1e-30)
+        full = hitting_table(spec, 10, precision)
+        assert full.extension_passes == 0
+        assert full.truncated_at == full.planned_truncation
+        monkeypatch.setattr(chains, "_plan_truncation",
+                            lambda spec, n_hi, precision: n_hi + 1)
+        short = hitting_table(spec, 10, precision)
+        assert short.planned_truncation == 11
+        assert short.extension_passes >= 1
+        assert short.truncated_at > short.planned_truncation
+        assert short.certified
+        assert 0 < short.max_rel_error_bound <= 1e-30
+
+    def test_futile_extension_is_not_attempted(self):
+        # rounding alone misses 1e-40 at 64 bits: doubling M cannot help
+        table = hitting_table(spec_of("harmonic:5"), 50,
+                              PrecisionConfig("bigfloat", 64, 1e-40))
+        assert not any(table.row_certified)
+        assert table.extension_passes == 0
+
+    def test_values_are_exact_dyadics(self):
+        # S and T hold the kernel's integers exactly (mpf wider than
+        # the working precision), and T is their exact running sum
+        table = hitting_table(spec_of("harmonic:5"), 30, BF256)
+        with mpmath.mp.workprec(2048):
+            total = mpmath.mpf(0)
+            for s, t in zip(table.S, table.T):
+                total += s
+                assert total == t
+        assert max(s.bc for s in table.S) > 256

@@ -1,15 +1,21 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from mpmath.libmp import from_man_exp
 
+from dieout import cli
+from dieout.chains import BirthDeathSpec, PrecisionConfig, hitting_table
 from dieout.cli import main
 from dieout.config import (ConfigError, config_sha256, config_text,
                            load_config, simulation_grid)
 from dieout.gillespie import DENSE_NODE_LIMIT
 from dieout.graphs import LocalityGraph, spectral_radius
+from dieout.rates import parse_profile
 
 from conftest import DATA_DIR
 
@@ -244,6 +250,30 @@ directory = {tmp_path / 'out'}
         assert t_values[0] == pytest.approx((np.e ** 5 - 1) / 5, rel=1e-12)
         assert all(r.split(",")[3] == "true" for r in rows[1:])
 
+    def test_meta_reports_truncation_and_error_bound(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"""
+[dynamics]
+delta = 1
+
+[hitting]
+gamma = step:5,1/2,40
+n_max = 30
+rel_tol = 1e-30
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+        assert main(["hitting", "--config", str(cfg)]) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["certified"] is True
+        assert meta["truncated_at"] >= meta["planned_truncation"] > 30
+        assert meta["extension_passes"] == 0
+        assert 0 < meta["max_rel_error_bound"] <= 1e-30
+        out = capsys.readouterr().out
+        assert "planned" not in out and "bound" not in out
+        header = (tmp_path / "out" / "hitting.csv").read_text().split("\n")[0]
+        assert header == "n,S_n,T_n,certified"
+
     def test_divergent_chain_exits_nonzero(self, tmp_path, capsys):
         cfg = write_config(tmp_path, f"""
 [dynamics]
@@ -278,6 +308,75 @@ directory = {tmp_path / 'out'}
         rows = (tmp_path / "out" / "hitting.csv").read_text().splitlines()
         assert float(rows[1].split(",")[1]) == pytest.approx(
             2 * np.log(2), rel=1e-9)
+
+
+def nstr_exact(x, digits):
+    """mpmath.nstr of the exact value of a Fraction or mpf."""
+    with mpmath.mp.workprec(4000):
+        if isinstance(x, Fraction):
+            x = mpmath.mpf(x.numerator) / x.denominator
+        return mpmath.nstr(x, digits, strip_zeros=True)
+
+
+class TestDecimalWriter:
+    """The integer writer reproduces mpmath.nstr on exact values."""
+
+    @staticmethod
+    def cases():
+        ten = Fraction(10)
+        values = [Fraction(1, 3), Fraction(2, 3), Fraction(7), Fraction(1),
+                  Fraction(123456789, 1000)]
+        for lead in (-5, -25, 77):  # fixed notation at 78 digits
+            values += [Fraction(314159, 100000) * ten ** lead,
+                       Fraction(1, 7) * ten ** (lead + 1), ten ** lead]
+        for lead in (-17, -27, -30, -60, 49, 50, 78, 95, 200):
+            values += [Fraction(271828, 100000) * ten ** lead,
+                       Fraction(5, 9) * ten ** (lead + 1)]
+        for width in (50, 78, 81):  # ...999 rounding up past a power of ten
+            for lead in (-26, -5, 0, 3, 49, 77, 78):
+                nines = Fraction(10 ** width - 1, 10 ** width)
+                values += [nines * ten ** (lead + 1),
+                           (nines + Fraction(4, 10 ** (width + 1)))
+                           * ten ** (lead + 1)]
+        # exact ties after 50 and 78 digits round up (integers, so the
+        # mpf that nstr sees holds them exactly)
+        for width in (50, 78):
+            values += [Fraction(10 ** width + 5), Fraction(2 * 10 ** width - 5),
+                       Fraction(10 ** (width + 1) + 49)]
+        return values
+
+    @pytest.mark.parametrize("digits", [50, 78])
+    def test_matches_nstr_on_fractions(self, digits):
+        for x in self.cases():
+            assert cli._fmt_precise(x, digits) == nstr_exact(x, digits), x
+
+    @pytest.mark.parametrize("digits", [50, 78])
+    def test_matches_nstr_on_exact_dyadics(self, digits):
+        values = [mpmath.mp.make_mpf(from_man_exp(man, exp)) for man, exp in (
+            (1, 0), (3, -2), (2 ** 300 - 1, -300), (2 ** 300 + 1, -300),
+            (5 ** 40, -310), (3 ** 170, 0), (7 ** 90, -700),
+            (10 ** 77 - 1, 0), (10 ** 78 - 1, 0), (10 ** 78 + 1, 0))]
+        for prec, spec, n_max in ((256, "harmonic:5", 200),
+                                  (256, "step:40,0,60", 3),
+                                  (128, "step:3,1/2,10", 40)):
+            table = hitting_table(
+                BirthDeathSpec(parse_profile(spec), Fraction(1)), n_max,
+                PrecisionConfig(bits=prec))
+            values += list(table.S) + list(table.T)
+        assert max(values) > mpmath.mpf(10) ** 78  # step:40 T_1
+        for x in values:
+            assert cli._fmt_precise(x, digits) == nstr_exact(x, digits), x
+
+    def test_rational_table_cells_match_mpf_route(self):
+        # the former writer: the Fraction rounded to a 182-bit mpf, nstr
+        table = hitting_table(BirthDeathSpec(parse_profile("harmonic:5"),
+                                             Fraction(1)), 300,
+                              PrecisionConfig("rational"))
+        for x in table.S + table.T:
+            with mpmath.mp.workprec(182):
+                old = mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator,
+                                  50, strip_zeros=True)
+            assert cli._fmt_precise(x, 50) == old
 
 
 class TestAsymptote:
@@ -567,6 +666,8 @@ directory = {tmp_path / 'out'}
         ("b 5\nc 1 2\n", 2, "expected 'label value'"),
         ("b 2.5\n", 1, "bad value"),
         ("b 5\na 1\nb 2\n", 3, "duplicate label"),
+        ("b 5\na -2\n", 2, "bad value '-2': initial counts must be "
+                           "nonnegative"),
     ])
     def test_bad_initial_file_fails_with_location(self, tmp_path, capsys,
                                                   text, line, message):
@@ -579,6 +680,18 @@ directory = {tmp_path / 'out'}
         assert main(["simulate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert f"{init}:{line}:" in err and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_initial_counts_summing_to_zero_fail(self, tmp_path, capsys):
+        init = tmp_path / "init.txt"
+        init.write_text("a 0\nb 0\n")
+        body = SIM_BODY.format(graph=small_graph_file(tmp_path), delta="8.5",
+                               out=tmp_path / "out")
+        body = body.replace("n0 = 10", "initial_file = init.txt")
+        cfg = write_config(tmp_path, body)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{init}: initial counts sum to 0" in err
         assert not (tmp_path / "out").exists()
 
     def test_asymptote_explicit_states(self, tmp_path):
