@@ -3,14 +3,15 @@ arbitrary-precision extinction-time computation on locality networks."""
 
 __version__ = "0.1.0"
 
-from .chains import (BirthDeathSpec, HittingTable, InfiniteHittingTimeError,
+from .chains import (AsymptoteRatios, BirthDeathSpec, HittingTable,
+                     InfiniteHittingTimeError,
                      PrecisionConfig, SeriesValue, asymptote_ratio,
                      bound_chains_from_graph, equilibrium_lower_bound,
                      expected_T1, hitting_table, s_tail_series,
                      s_values_float)
 from .gillespie import (EnsembleSummary, SimConfig, Trajectory,
-                        estimate_survival_probability, mean_field_trajectory,
-                        run_ensemble, simulate_run, trimmed_interval)
+                        mean_field_trajectory, run_ensemble, simulate_run,
+                        trimmed_interval)
 from .graphs import (DiagonalModulation, EdgeListError, EpidemicModel,
                      LocalityGraph, SpectralError, SpectralInfo,
                      geometric_lower, is_strongly_connected, load_edge_list,
@@ -37,10 +38,10 @@ __all__ = [
     # gillespie
     "SimConfig", "Trajectory", "EnsembleSummary",
     "simulate_run", "run_ensemble",
-    "mean_field_trajectory", "estimate_survival_probability",
-    "trimmed_interval",
+    "mean_field_trajectory", "trimmed_interval",
     # chains
-    "BirthDeathSpec", "PrecisionConfig", "HittingTable", "SeriesValue",
+    "BirthDeathSpec", "PrecisionConfig", "HittingTable", "AsymptoteRatios",
+    "SeriesValue",
     "InfiniteHittingTimeError", "expected_T1",
     "s_tail_series", "hitting_table", "asymptote_ratio", "s_values_float",
     "equilibrium_lower_bound", "bound_chains_from_graph",

@@ -167,6 +167,18 @@ class HittingTable:
     max_rel_error_bound: float | None
 
 
+@dataclass(frozen=True)
+class AsymptoteRatios:
+    """Ratios delta * E[T_n] / ln(n) as (n, ratio) pairs, with the run
+    report of the kernel pass behind them (as in HittingTable)."""
+
+    ratios: list
+    truncated_at: int
+    planned_truncation: int
+    extension_passes: int
+    max_rel_error_bound: float | None
+
+
 # ---------------------------------------------------------------------------
 # the kernel
 
@@ -528,7 +540,7 @@ def hitting_table(spec: BirthDeathSpec, n_max: int,
 
 
 def asymptote_ratio(spec: BirthDeathSpec, n_list,
-                    precision: PrecisionConfig) -> list[tuple[int, float]]:
+                    precision: PrecisionConfig) -> AsymptoteRatios:
     """Diagnostic ratios delta * E[T_n] / ln(n) for the given states.
 
     When gamma vanishes asymptotically the ratios approach one --
@@ -540,9 +552,14 @@ def asymptote_ratio(spec: BirthDeathSpec, n_list,
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 2:
         raise ValueError("asymptote states must be integers >= 2")
-    t_cum = np.cumsum(s_values_float(spec, n_list[-1], precision)[1:])
+    tail = _tail_values(spec, n_list[-1], precision)
+    t_cum = np.cumsum(tail.floats()[1:])
     delta = float(spec.delta)
-    return [(n, delta * float(t_cum[n - 1]) / math.log(n)) for n in n_list]
+    return AsymptoteRatios(
+        [(n, delta * float(t_cum[n - 1]) / math.log(n)) for n in n_list],
+        truncated_at=tail.truncated_at, planned_truncation=tail.planned,
+        extension_passes=tail.passes,
+        max_rel_error_bound=tail.max_rel_bound())
 
 
 def s_values_float(spec: BirthDeathSpec, n_max: int,

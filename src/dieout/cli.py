@@ -32,7 +32,8 @@ from .chains import (BirthDeathSpec, InfiniteHittingTimeError,
                      PrecisionConfig, asymptote_ratio, hitting_table)
 from .config import (ConfigError, ExperimentConfig, config_sha256,
                      load_config, load_graph, load_initial_counts,
-                     load_modulation, load_profiles, simulation_grid)
+                     load_modulation, load_profiles, simulation_grid,
+                     uniform_grid)
 from .gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                         trimmed_interval)
 from .graphs import (EdgeListError, EpidemicModel, SpectralError,
@@ -224,6 +225,10 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         "master_seed": sim_cfg.master_seed,
         "runs": summary.run_count,
         "extinct_runs": len(summary.run_extinctions),
+        "truncated_runs": summary.truncated_runs,
+        "events": summary.events,
+        "null_events": summary.null_events,
+        "ensemble_s": summary.ensemble_s,
     }
     if summary.extinction_times.size >= 40:
         lo, hi = trimmed_interval(summary.extinction_times)
@@ -243,6 +248,13 @@ def _precision_from(section) -> PrecisionConfig:
     return PrecisionConfig(**kwargs)
 
 
+def _kernel_report(result) -> dict:
+    """The run report of a certified kernel pass, for ``meta.json``."""
+    return {key: getattr(result, key) for key in (
+        "truncated_at", "planned_truncation", "extension_passes",
+        "max_rel_error_bound")}
+
+
 def cmd_hitting(cfg: ExperimentConfig, args) -> int:
     """Write the certified S_n / E[T_n] table for the configured chain."""
     if not cfg.hitting.gamma:
@@ -258,13 +270,8 @@ def cmd_hitting(cfg: ExperimentConfig, args) -> int:
                  _fmt(c))
                 for n, (s, t, c) in enumerate(
                     zip(table.S, table.T, table.row_certified))))
-    _write_meta(out, "hitting", cfg, {
-        "certified": table.certified,
-        "truncated_at": table.truncated_at,
-        "planned_truncation": table.planned_truncation,
-        "extension_passes": table.extension_passes,
-        "max_rel_error_bound": table.max_rel_error_bound,
-    })
+    _write_meta(out, "hitting", cfg,
+                {"certified": table.certified, **_kernel_report(table)})
     print(f"hitting: {table.n_max} rows "
           f"({'certified' if table.certified else 'NOT all certified'}), "
           f"series truncated at index {table.truncated_at}, "
@@ -290,14 +297,17 @@ def cmd_asymptote(cfg: ExperimentConfig, args) -> int:
     for text in asym.gammas:
         gamma = parse_profile(text, base_dir=cfg.base_dir)
         spec = BirthDeathSpec(gamma, delta)
-        ratios = dict(asymptote_ratio(spec, states, precision))
-        columns.append((text, ratios))
+        result = asymptote_ratio(spec, states, precision)
+        columns.append((text, dict(result.ratios), _kernel_report(result)))
     out = _out_dir(cfg, args)
-    header = ["n"] + [f"ratio[{text}]" for text, _ in columns]
+    header = ["n"] + [f"ratio[{text}]" for text, _, _ in columns]
     _write_csv(out / "ratios.csv", header,
-               (([n] + [_fmt(ratios[n]) for _, ratios in columns])
+               (([n] + [_fmt(ratios[n]) for _, ratios, _ in columns])
                 for n in states))
-    _write_meta(out, "asymptote", cfg, {"states": len(states)})
+    _write_meta(out, "asymptote", cfg, {
+        "states": len(states),
+        "gammas": {text: report for text, _, report in columns},
+    })
     print(f"asymptote: {len(states)} states x {len(columns)} profiles, "
           f"output in {out}")
     return 0
@@ -308,8 +318,7 @@ def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
     g = load_graph(cfg)
     model = _model(cfg, g)
     mf = cfg.meanfield
-    steps = int(round(mf.t_max / mf.grid_step))
-    grid = np.arange(steps + 1) * mf.grid_step
+    grid = uniform_grid(mf.t_max, mf.grid_step, "meanfield")
     n0 = cfg.simulation.n0
     if mf.x0 == "uniform":
         x0 = np.full(g.node_count, n0 / g.node_count)

@@ -336,8 +336,24 @@ def load_profiles(cfg: ExperimentConfig) -> tuple[RateProfile, RateProfile]:
     return beta, beta_int
 
 
-def simulation_grid(sim: SimulationSection) -> np.ndarray:
-    steps = int(round(sim.t_max / sim.grid_step))
+def uniform_grid(t_max: float, grid_step: float, section: str) -> np.ndarray:
+    """Output times 0, grid_step, ..., t_max of a ``[section]``.
+
+    Raises:
+        ConfigError: naming ``[section] grid_step`` unless the step is
+            positive and divides t_max to 1e-9 relative, so that the
+            grid ends exactly at t_max.
+    """
+    where = f"[{section}] grid_step = {grid_step!r}"
+    if not grid_step > 0:
+        raise ConfigError(f"{where} must be positive")
+    steps = round(t_max / grid_step)
     if steps < 1:
-        raise ConfigError("[simulation] grid_step larger than t_max")
-    return np.arange(steps + 1) * sim.grid_step
+        raise ConfigError(f"{where} is larger than t_max = {t_max!r}")
+    if abs(steps * grid_step - t_max) > 1e-9 * t_max:
+        raise ConfigError(f"{where} does not divide t_max = {t_max!r}")
+    return np.arange(steps + 1) * grid_step
+
+
+def simulation_grid(sim: SimulationSection) -> np.ndarray:
+    return uniform_grid(sim.t_max, sim.grid_step, "simulation")

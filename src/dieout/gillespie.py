@@ -15,16 +15,23 @@ scalar factors: an event first picks one of the totals b(n) sum(W X),
 bi(n) sum(D X) and delta n, then a node inside that unscaled vector.
 
 Runs are reproducible: the generator for run ``i`` is derived from
-``SeedSequence((master_seed, i))``, so any subset of runs can be
-recomputed independently and in any order (including across worker
-processes).
+``SeedSequence((master_seed, i))``; it draws the initial node (when one
+is drawn), then blocks of _DRAW_BLOCK standard exponentials and
+uniforms, one pair per event.  On dense tables an ensemble advances a
+batch of runs in lockstep, one event per run per array step, with the
+float operations of the one-run loop in the same order; so every run
+is byte-identical whether simulated alone or in any batch, worker
+process or order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 import scipy.linalg
@@ -40,6 +47,14 @@ _REFRESH_EVERY = 8192
 # Event tables are dense up to this node count, where a flat scan and a
 # dense column update per event beat the blocked CSR tables.
 DENSE_NODE_LIMIT = 2048
+
+# Each run reads its exponential and uniform draws in blocks of this
+# many, whether simulated alone or in a batch.
+_DRAW_BLOCK = 64
+
+# A lockstep batch holds at most this many runs x nodes entries per
+# cached vector, which bounds its memory on large dense graphs.
+_BATCH_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -79,17 +94,22 @@ class Trajectory:
     ``grid_totals`` samples the right-continuous total on the output
     grid; ``events`` holds (time, node, +-1) tuples when event
     recording was requested.  Exactly one of ``extinct_at`` /
-    ``truncated_at`` is set.
+    ``truncated_at`` is set.  ``event_count`` counts the events (the
+    length of ``events`` when recorded), ``null_events`` the draws that
+    landed on rounding residue and changed nothing.  The runs of an
+    ensemble leave out the per-node ``initial`` and ``final_counts``.
     """
 
     run_index: int
-    initial: np.ndarray
+    initial: np.ndarray | None
     extinct_at: float | None
     truncated_at: float | None
     grid: np.ndarray | None = None
     grid_totals: np.ndarray | None = None
     events: list[tuple[float, int, int]] | None = None
     final_counts: np.ndarray | None = None
+    event_count: int = 0
+    null_events: int = 0
 
 
 @dataclass
@@ -100,7 +120,9 @@ class EnsembleSummary:
     point (``floor(0.025 * runs)`` from each side) before taking the
     extremes; the mean is over all runs.  Extinct runs keep
     contributing zeros, so the envelope can show die-outs inside a
-    growing ensemble.
+    growing ensemble.  ``events`` counts the events that changed a
+    count, ``null_events`` the draws that landed on rounding residue,
+    and ``ensemble_s`` is the wall time of the whole ensemble.
     """
 
     time_grid: np.ndarray
@@ -111,17 +133,13 @@ class EnsembleSummary:
     extinction_times: np.ndarray
     run_count: int
     master_seed: int
+    events: int
+    null_events: int
+    truncated_runs: int
+    ensemble_s: float
     per_run_totals: np.ndarray | None = None
     run_extinctions: list[tuple[int, float]] | None = None
     run_events: list[list[tuple[float, int, int]]] | None = None
-
-
-@dataclass(frozen=True)
-class SurvivalEstimate:
-    probability: float
-    stderr: float
-    runs: int
-    horizon: float
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -249,13 +267,23 @@ def simulate_run(cfg: SimConfig, g: LocalityGraph, run_index: int,
 
     Returns:
         Trajectory with extinct_at set iff the run hit the all-zero
-        state by t_max, else truncated_at = t_max.
+        state by t_max, else truncated_at = t_max.  It is byte-identical
+        to the same run inside any ensemble.
     """
     return _simulate(cfg, _EventTables.of(g), run_index, grid)
 
 
+def _draw_block(rng: np.random.Generator, exps: np.ndarray,
+                unis: np.ndarray) -> None:
+    """Refill a run's draw blocks: standard exponentials, then uniforms."""
+    rng.standard_exponential(out=exps)
+    rng.random(out=unis)
+
+
 def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
               grid: np.ndarray | None) -> Trajectory:
+    """One run, event by event: the executable specification of
+    :func:`_simulate_batch`, which must reproduce it byte for byte."""
     rng = run_rng(cfg.master_seed, run_index)
     weights, width = tables.weights, tables.width
     n_nodes = tables.col_sums.size
@@ -285,6 +313,9 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
     t_max = float(cfg.t_max)
     extinct_at: float | None = None
     since_refresh = _REFRESH_EVERY  # the caches are built on entry
+    exps, unis = np.empty(_DRAW_BLOCK), np.empty(_DRAW_BLOCK)
+    k = _DRAW_BLOCK  # next unread draw of the current block
+    moves = nulls = 0
 
     while True:
         if n == 0:
@@ -298,13 +329,16 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
             mod_sum = float(mod_counts.sum())
             pressure_blocks, mod_blocks, count_blocks = map(
                 tables.block_sums, (pressure, mod_counts, fcounts))
+        if k == _DRAW_BLOCK:
+            _draw_block(rng, exps, unis)
+            exp_block, uni_block, k = exps.tolist(), unis.tolist(), 0
         b = beta_f(n)
         bi = betaint_f(n)
         pressure_rate = b * pressure_sum
         birth_total = pressure_rate + bi * mod_sum
         total_rate = birth_total + delta * n
 
-        t_next = t + rng.exponential(1.0 / total_rate)
+        t_next = t + exp_block[k] / total_rate
         if grid is not None:
             while gi < grid.size and grid[gi] < t_next:
                 totals[gi] = n
@@ -314,7 +348,8 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
             break
         t = t_next
 
-        u = rng.random() * total_rate
+        u = uni_block[k] * total_rate
+        k += 1
         delta_count = 1 if u < birth_total else -1
         if u < pressure_rate:
             node = _pick(pressure, pressure_blocks, width, u / b)
@@ -327,6 +362,7 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
         if node < 0:
             # the chosen total was rounding residue of a vector with no
             # positive entry: a null event, exact by thinning
+            nulls += 1
             continue
 
         fcounts[node] += delta_count
@@ -348,6 +384,7 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
         mod_sum += delta_count * d_of[node]
         if record:
             events.append((t, node, delta_count))
+        moves += 1
         since_refresh += 1
 
     if grid is not None:
@@ -363,27 +400,255 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
         grid_totals=totals,
         events=events,
         final_counts=fcounts.astype(np.int64),
+        event_count=moves,
+        null_events=nulls,
     )
 
 
-def _run_for_ensemble(args):
-    traj = _simulate(*args)
-    return traj.run_index, traj.grid_totals, traj.extinct_at, traj.events
+class _RateTable:
+    """beta(n) and beta_int(n) as float arrays indexed by n, extended on
+    demand (entry 0 is a placeholder: a live run has n >= 1)."""
+
+    def __init__(self, model: EpidemicModel):
+        self._fns = (model.beta.as_float_fn(), model.beta_int.as_float_fn())
+        self.beta = self.beta_int = np.zeros(1)
+
+    def cover(self, top: int) -> None:
+        """Make n = top readable."""
+        size = self.beta.size
+        if top >= size:
+            more = range(size, max(2 * size, top + 1))
+            self.beta, self.beta_int = (
+                np.concatenate((old, [fn(m) for m in more]))
+                for old, fn in zip((self.beta, self.beta_int), self._fns))
+
+
+def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
+                    grid: np.ndarray) -> list[Trajectory]:
+    """The runs ``runs`` on dense tables, advanced in lockstep.
+
+    Each step moves every live run by one iteration of :func:`_simulate`
+    (an event, a null event or the pass of t_max), with its float
+    operations in the same order, so every run comes out byte-identical
+    to simulating it alone.  The live runs fill rows [0, live) of the
+    per-run arrays; ``slot[r]`` names the run row r holds, and rows r
+    and size + r of ``cache`` its W @ X and X (D * X is formed from X
+    for the events that draw from it).
+    """
+    weights, columns, col_sums = tables.weights, tables.columns, tables.col_sums
+    n_nodes = col_sums.size
+    model = cfg.model
+    d = model.d(n_nodes)
+    rates = _RateTable(model)
+    delta, t_max = float(model.delta), float(cfg.t_max)
+    # an event is a row of these tables: a birth at node j is row j, a
+    # death row N + j, and row 2N changes nothing; -c is exact, so
+    # adding a death row equals subtracting the column
+    signs = np.repeat([1, -1, 0], [n_nodes, n_nodes, 1])
+    step_columns = np.concatenate((columns, -columns, np.zeros((1, n_nodes))))
+    step_col_sums = np.concatenate((col_sums, -col_sums, [0.0]))
+    step_d = np.concatenate((d, -d, [0.0]))
+    no_event = 2 * n_nodes
+
+    size = len(runs)
+    rngs = [run_rng(cfg.master_seed, i) for i in runs]
+    cache = np.zeros((2 * size, n_nodes))
+    pressure, counts = cache[:size], cache[size:]
+    counts[:] = [_initial_counts(cfg, n_nodes, rng) for rng in rngs]
+    # scratch for the picked rows, then for the columns an event adds,
+    # and for the running sums
+    picked, cum = np.empty((size, n_nodes)), np.empty((size, n_nodes))
+    exps, unis = np.empty((size, _DRAW_BLOCK)), np.empty((size, _DRAW_BLOCK))
+    slot = np.arange(size)
+    n = counts.sum(axis=1).astype(np.int64)
+    t = np.zeros(size)
+    gi = np.zeros(size, dtype=np.intp)  # next grid index to fill
+    pressure_sum, mod_sum = np.zeros(size), np.zeros(size)
+    # a row is refreshed once step - base reaches _REFRESH_EVERY; base
+    # is the step of its last refresh plus its null events since then
+    base = np.full(size, -_REFRESH_EVERY)
+    refresh_due = 0
+    # the picked category's lower cumulative rate and its scale, by row:
+    # 0 and b(n), b(n) sum(W X) and bi(n), birth total and delta
+    lows, scales = np.zeros((3, size)), np.full((3, size), delta)
+    rows = np.arange(size)
+
+    # per-run results, indexed by slot; each step writes the current
+    # total at a run's next grid index, where the step that passes the
+    # grid point leaves it (the extra column takes the writes of runs
+    # past the last grid point)
+    totals = np.zeros((size, grid.size + 1), dtype=np.int64)
+    extinct_at: list[float | None] = [None] * size
+    moves, nulls = [0] * size, [0] * size
+    log: list | None = [] if cfg.record_events else None
+
+    live, step = size, 0
+    n_bound = int(n.max())  # >= every live total: n grows by <= 1 a step
+    while live:
+        here, at = slot[:live], rows[:live]
+        k = step % _DRAW_BLOCK
+        if k == 0:
+            for r, s in enumerate(here.tolist()):
+                _draw_block(rngs[s], exps[r], unis[r])
+        if step >= refresh_due:
+            for r in np.flatnonzero(
+                    base[:live] <= step - _REFRESH_EVERY).tolist():
+                pressure[r] = weights @ counts[r]
+                pressure_sum[r] = pressure[r].sum()
+                mod_sum[r] = (d * counts[r]).sum()
+                base[r] = step
+            refresh_due = int(base[:live].min()) + _REFRESH_EVERY
+        cur = n[:live]
+        if n_bound >= rates.beta.size:
+            n_bound = int(cur.max())
+            rates.cover(n_bound)
+        b, bi = scales[0, :live], scales[1, :live]
+        pressure_rate, birth_total = lows[1, :live], lows[2, :live]
+        np.take(rates.beta, cur, out=b)
+        np.take(rates.beta_int, cur, out=bi)
+        np.multiply(b, pressure_sum[:live], out=pressure_rate)
+        np.multiply(bi, mod_sum[:live], out=birth_total)
+        birth_total += pressure_rate
+        total_rate = delta * cur
+        total_rate += birth_total
+
+        now = t[:live]
+        now += exps[:live, k] / total_rate
+        over = now > t_max
+        passed = gi[:live]
+        totals[here, passed] = cur
+        reach = grid.searchsorted(now)
+        for r in np.flatnonzero(reach > passed + 1).tolist():
+            # a step that passes several grid points
+            totals[here[r], passed[r]:reach[r]] = cur[r]
+        passed[:] = reach
+
+        u = unis[:live, k] * total_rate
+        cat = (u >= pressure_rate).astype(np.intp)
+        cat += u >= birth_total
+        target = u - lows[cat, at]
+        target /= scales[cat, at]
+        values = cache.take(at + size * (cat > 0), axis=0, out=picked[:live])
+        mods = np.flatnonzero(cat == 1)
+        values[mods] *= d
+        node = _pick_rows(values, target, cum[:live])
+        event = node + n_nodes * (cat == 2)
+        null = (node < 0) & ~over
+        if null.any():
+            # residue of a vector with no positive entry: a null event,
+            # exact by thinning
+            for r in np.flatnonzero(null).tolist():
+                nulls[here[r]] += 1
+                base[r] += 1
+            node[null], event[null] = 0, no_event
+        event[over] = no_event
+
+        pressure[:live] += step_columns.take(event, axis=0, out=values)
+        change = signs[event]
+        counts[at, node] += change
+        cur += change
+        pressure_sum[:live] += step_col_sums[event]
+        mod_sum[:live] += step_d[event]
+        if log is not None:
+            moved = event < no_event
+            log.append((here[moved], now[moved], node[moved], change[moved]))
+
+        done = over | (cur == 0)
+        if done.any():
+            for r in np.flatnonzero(done).tolist():
+                s = slot[r]
+                # the rest of the grid sees the final total
+                totals[s, gi[r]:] = n[r]
+                if over[r]:
+                    moves[s] = step - nulls[s]
+                else:
+                    moves[s] = step + 1 - nulls[s]
+                    extinct_at[s] = float(now[r])
+            live = _compact(done, (pressure, counts, exps, unis, slot, n, t,
+                                   gi, pressure_sum, mod_sum, base))
+        step += 1
+        n_bound += 1
+
+    events = _split_log(log, size) if log is not None else [None] * size
+    return [Trajectory(
+        run_index=i, initial=None, extinct_at=extinct_at[s],
+        truncated_at=None if extinct_at[s] is not None else t_max,
+        grid=grid, grid_totals=totals[s, :-1], events=events[s],
+        event_count=moves[s], null_events=nulls[s])
+        for s, i in enumerate(runs)]
+
+
+def _pick_rows(values: np.ndarray, targets: np.ndarray,
+               cum: np.ndarray | None = None) -> np.ndarray:
+    """``_locate(values[r], targets[r])`` for every row r; ``cum`` is
+    optional scratch for the running sums.
+
+    The first entry whose running sum passes the target is _locate's
+    pick unless the target runs past the end or lands on a nonpositive
+    entry, or a negative entry (drift residue) leaves the running sum
+    unsorted; such rows go through _locate itself.
+    """
+    cum = np.cumsum(values, axis=1, out=cum)
+    node = (cum > targets[:, None]).argmax(axis=1)
+    rows = np.arange(values.shape[0])
+    for r in np.flatnonzero((cum[:, -1] <= targets)
+                            | (values[rows, node] <= 0)
+                            | (values.min(axis=1) < 0)).tolist():
+        node[r] = _locate(values[r], targets[r])
+    return node
+
+
+def _compact(done: np.ndarray, arrays) -> int:
+    """Drop the rows flagged in ``done`` from the live prefix of each
+    array by moving live rows from its tail into their places; returns
+    the new live count."""
+    keep = done.size - int(np.count_nonzero(done))
+    holes = np.flatnonzero(done[:keep])
+    movers = np.flatnonzero(~done[keep:]) + keep
+    for arr in arrays:
+        arr[holes] = arr[movers]
+    return keep
+
+
+def _split_log(log: list, size: int) -> list[list[tuple[float, int, int]]]:
+    """Per-slot (t, node, +-1) lists from the per-step event arrays."""
+    slots, times, nodes, signs = (np.concatenate(part) for part in zip(*log))
+    order = np.argsort(slots, kind="stable")
+    bounds = np.cumsum(np.bincount(slots, minlength=size))[:-1]
+    return [list(zip(*(part.tolist() for part in chunk)))
+            for chunk in zip(*(np.split(a[order], bounds)
+                               for a in (times, nodes, signs)))]
+
+
+def _run_slice(cfg: SimConfig, tables: _EventTables, runs: range,
+               grid: np.ndarray) -> list[Trajectory]:
+    """Trajectories of ``runs``: in lockstep batches of at most
+    _BATCH_ENTRIES // N runs on dense tables, one at a time on CSR."""
+    if tables.block_columns is not None:
+        return [replace(_simulate(cfg, tables, i, grid), initial=None,
+                        final_counts=None) for i in runs]
+    size = max(1, _BATCH_ENTRIES // tables.col_sums.size)
+    return [traj for lo in range(runs.start, runs.stop, size)
+            for traj in _simulate_batch(
+                cfg, tables, range(lo, min(lo + size, runs.stop)), grid)]
 
 
 def _map_runs(cfg: SimConfig, g: LocalityGraph, runs: int,
-              grid: np.ndarray | None, threads: int):
-    """(run_index, grid_totals, extinct_at, events) of runs 0..runs-1 in
-    run order; inline for ``threads == 1``, else from a process pool
-    (``threads == 0`` picks the machine default)."""
+              grid: np.ndarray, threads: int) -> list[Trajectory]:
+    """Trajectories of runs 0..runs-1 in run order; inline for
+    ``threads == 1``, else from a process pool (``threads == 0`` picks
+    the machine's CPU count) that hands each worker one contiguous
+    slice of runs."""
     tables = _EventTables.of(g)
-    jobs = ((cfg, tables, i, grid) for i in range(runs))
-    if threads == 1:
-        yield from map(_run_for_ensemble, jobs)
-        return
-    workers = threads if threads > 0 else None
+    workers = min(runs, threads if threads > 0 else os.cpu_count() or 1)
+    bounds = [runs * w // workers for w in range(workers + 1)]
+    slices = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    if workers == 1:
+        return _run_slice(cfg, tables, slices[0], grid)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_run_for_ensemble, jobs, chunksize=16)
+        parts = pool.map(_run_slice, repeat(cfg), repeat(tables), slices,
+                         repeat(grid))
+        return [traj for part in parts for traj in part]
 
 
 def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
@@ -408,21 +673,28 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be a nonempty increasing 1-D array")
 
-    totals = np.zeros((runs, grid.size), dtype=np.int64)
+    started = time.perf_counter()
+    totals = np.empty((runs, grid.size), dtype=np.int64)
     extinctions: list[tuple[int, float]] = []
-    events: list | None = [None] * runs if cfg.record_events else None
-    for run_index, row, extinct_at, run_ev in _map_runs(cfg, g, runs, grid,
-                                                        threads):
-        totals[run_index] = row
-        if extinct_at is not None:
-            extinctions.append((run_index, extinct_at))
-        if events is not None:
-            events[run_index] = run_ev
+    events = null_events = 0
+    run_events: list | None = [] if cfg.record_events else None
+    # the trajectories are dropped before the sort below copies totals
+    for traj in _map_runs(cfg, g, runs, grid, threads):
+        totals[traj.run_index] = traj.grid_totals
+        if traj.extinct_at is not None:
+            extinctions.append((traj.run_index, traj.extinct_at))
+        events += traj.event_count
+        null_events += traj.null_events
+        if run_events is not None:
+            run_events.append(traj.events)
 
     trim = int(math.floor(0.025 * runs))
-    sorted_totals = np.sort(totals, axis=0)
-    lower = sorted_totals[trim, :].astype(float)
-    upper = sorted_totals[runs - 1 - trim, :].astype(float)
+    # order statistics a block of grid points at a time, so the sort
+    # never holds a second copy of every run's totals
+    lower, upper = np.empty(grid.size), np.empty(grid.size)
+    for lo in range(0, grid.size, 64):
+        block = np.sort(totals[:, lo:lo + 64], axis=0)
+        lower[lo:lo + 64], upper[lo:lo + 64] = block[[trim, runs - 1 - trim]]
     mean = totals.mean(axis=0)
     survival = (totals > 0).mean(axis=0)
 
@@ -435,26 +707,14 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
         extinction_times=np.array(sorted(t for _, t in extinctions)),
         run_count=runs,
         master_seed=cfg.master_seed,
+        events=events,
+        null_events=null_events,
+        truncated_runs=runs - len(extinctions),
+        ensemble_s=time.perf_counter() - started,
         per_run_totals=totals if keep_per_run else None,
         run_extinctions=extinctions if keep_per_run else None,
-        run_events=events,
+        run_events=run_events,
     )
-
-
-def estimate_survival_probability(cfg: SimConfig, g: LocalityGraph,
-                                  runs: int, horizon: float,
-                                  threads: int = 1) -> SurvivalEstimate:
-    """Fraction of runs with active cases at the horizon, with its
-    binomial standard error."""
-    if not 0 < horizon <= cfg.t_max:
-        raise ValueError("horizon must lie in (0, t_max]")
-    clipped = replace(cfg, t_max=horizon, record_events=False)
-    alive = sum(extinct_at is None for _, _, extinct_at, _ in
-                _map_runs(clipped, g, runs, None, threads))
-    p = alive / runs
-    return SurvivalEstimate(probability=p,
-                            stderr=math.sqrt(p * (1.0 - p) / runs),
-                            runs=runs, horizon=horizon)
 
 
 def mean_field_trajectory(g: LocalityGraph, model: EpidemicModel, x0,

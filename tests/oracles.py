@@ -7,10 +7,13 @@ must reproduce.  ``s_recursion_step`` (the forward hitting-time
 recursion) and ``stationary_distribution`` (the renewal route to
 E[T_1]) are independent routes to the certified kernel's values;
 ``positive_recurrence_check`` decides exactly whether the latter's
-normalization series converges.
+normalization series converges.  ``estimate_survival_probability`` is
+the binomial survival estimate some simulator tests check against
+closed forms.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath
@@ -18,6 +21,7 @@ import numpy as np
 
 from dieout.chains import (BIGFLOAT, BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig)
+from dieout.gillespie import SimConfig, run_ensemble
 from dieout.graphs import EpidemicModel, LocalityGraph
 from dieout.rates import EXACT, MPF, ExactnessError, coerce_coefficient
 
@@ -81,6 +85,29 @@ def step(state: EpidemicState, rates, rng: np.random.Generator):
     node = int(np.searchsorted(np.cumsum(death), u, side="right"))
     node = min(node, death.size - 1)
     return dt, node, -1
+
+
+@dataclass(frozen=True)
+class SurvivalEstimate:
+    probability: float
+    stderr: float
+    runs: int
+    horizon: float
+
+
+def estimate_survival_probability(cfg: SimConfig, g: LocalityGraph,
+                                  runs: int, horizon: float,
+                                  threads: int = 1) -> SurvivalEstimate:
+    """Fraction of runs with active cases at the horizon, with its
+    binomial standard error."""
+    if not 0 < horizon <= cfg.t_max:
+        raise ValueError("horizon must lie in (0, t_max]")
+    clipped = replace(cfg, t_max=horizon, record_events=False)
+    summary = run_ensemble(clipped, g, runs, np.array([horizon]), threads)
+    p = summary.truncated_runs / runs
+    return SurvivalEstimate(probability=p,
+                            stderr=math.sqrt(p * (1.0 - p) / runs),
+                            runs=runs, horizon=horizon)
 
 
 @dataclass(frozen=True)

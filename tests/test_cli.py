@@ -1,4 +1,6 @@
 import json
+from argparse import Namespace
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,8 +14,8 @@ from dieout import cli
 from dieout.chains import BirthDeathSpec, PrecisionConfig, hitting_table
 from dieout.cli import main
 from dieout.config import (ConfigError, config_sha256, config_text,
-                           load_config, simulation_grid)
-from dieout.gillespie import DENSE_NODE_LIMIT
+                           load_config, load_graph, simulation_grid)
+from dieout.gillespie import DENSE_NODE_LIMIT, simulate_run
 from dieout.graphs import LocalityGraph, spectral_radius
 from dieout.rates import parse_profile
 
@@ -84,6 +86,28 @@ class TestConfig:
         assert grid[0] == 0.0
         assert grid.size == 31
         assert grid[-1] == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("command", ["simulate", "meanfield"])
+    @pytest.mark.parametrize("step", ["0.6", "0.4"])
+    def test_grid_step_must_divide_t_max(self, tmp_path, capsys, command,
+                                         step):
+        # t_max = 1: a 0.6 step would report an unsimulated t = 1.2 and
+        # a 0.4 step would stop the grid at 0.8
+        body = SIM_BODY.format(graph=small_graph_file(tmp_path), delta="8.5",
+                               out=tmp_path / "out")
+        if command == "simulate":
+            section = "simulation"
+            body = body.replace("t_max = 6.0\ngrid_step = 0.2",
+                                f"t_max = 1\ngrid_step = {step}")
+        else:
+            section = "meanfield"
+            body += f"\n[meanfield]\nt_max = 1\ngrid_step = {step}\n"
+        cfg = write_config(tmp_path, body)
+        assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"[{section}] grid_step = {step}" in err
+        assert "does not divide t_max" in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestClassify:
@@ -195,6 +219,26 @@ class TestSimulate:
         # all 40 runs die above threshold: trimmed extinction interval
         lo, hi = meta["extinction_time_95"]
         assert 0 < lo < hi
+
+    def test_meta_counts_events_and_run_outcomes(self, tmp_path):
+        # at the threshold some runs die out and some reach t_max
+        cfg_path = write_config(tmp_path, SIM_BODY.format(
+            graph=small_graph_file(tmp_path), delta="6",
+            out=tmp_path / "out"))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["extinct_runs"] + meta["truncated_runs"] == meta["runs"]
+        assert meta["extinct_runs"] > 0 and meta["truncated_runs"] > 0
+        assert meta["ensemble_s"] > 0
+        cfg = load_config(cfg_path)
+        g = load_graph(cfg)
+        sim_cfg = replace(cli._sim_config(cfg, g, Namespace(seed=None)),
+                          record_events=True)
+        runs = [simulate_run(sim_cfg, g, i) for i in range(meta["runs"])]
+        assert meta["events"] == sum(len(r.events) for r in runs)
+        assert meta["null_events"] == sum(r.null_events for r in runs)
+        assert meta["truncated_runs"] == sum(r.extinct_at is None
+                                             for r in runs)
 
     def test_byte_identical_reruns(self, tmp_path):
         out1 = self.run_once(tmp_path, "out1")
@@ -404,6 +448,37 @@ directory = {tmp_path / 'out'}
         for col in (1, 2, 3):
             assert float(last[col]) < float(first[col])
             assert float(last[col]) > 1.0
+
+    def test_meta_reports_each_profiles_kernel_pass(self, tmp_path):
+        # per gamma, the run report hitting writes for the same chain
+        body = """
+[dynamics]
+delta = 1
+
+[{section}]
+{gamma}
+{n} = 60
+rel_tol = 1e-30
+
+[output]
+directory = {out}
+"""
+        assert main(["asymptote", "--config", str(write_config(
+            tmp_path, body.format(section="asymptote", n="n_max",
+                                  gamma="gammas = step:5,1/2,40 harmonic:2",
+                                  out=tmp_path / "asym")))]) == 0
+        meta = json.loads((tmp_path / "asym" / "meta.json").read_text())
+        assert set(meta["gammas"]) == {"step:5,1/2,40", "harmonic:2"}
+        for gamma, report in meta["gammas"].items():
+            assert main(["hitting", "--config", str(write_config(
+                tmp_path, body.format(section="hitting", n="n_max",
+                                      gamma=f"gamma = {gamma}",
+                                      out=tmp_path / "hit")))]) == 0
+            hit = json.loads((tmp_path / "hit" / "meta.json").read_text())
+            assert report == {key: hit[key] for key in (
+                "truncated_at", "planned_truncation", "extension_passes",
+                "max_rel_error_bound")}
+            assert report["truncated_at"] >= report["planned_truncation"]
 
 
 class TestMeanfield:

@@ -10,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dieout import gillespie
-from dieout.gillespie import (SimConfig, _EventTables, _pick,
-                              estimate_survival_probability,
-                              mean_field_trajectory, run_ensemble, run_rng,
-                              simulate_run, trimmed_interval)
+from dieout.gillespie import (SimConfig, _EventTables, _locate, _map_runs,
+                              _pick, _pick_rows, mean_field_trajectory,
+                              run_ensemble, run_rng, simulate_run,
+                              trimmed_interval)
 from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
                            spectral_radius)
 from dieout.rates import Constant, parse_profile
 
 from conftest import const_model, random_strong_digraph
-from oracles import EpidemicState, node_rates, step
+from oracles import (EpidemicState, estimate_survival_probability,
+                     node_rates, step)
 
 
 def modulated_twins(n: int = 60, seed: int = 5):
@@ -367,6 +368,81 @@ class TestEventSelection:
         empty = np.array([0.0, -1e-17, 0.0, 0.0])
         assert _pick(empty, np.array([1e-15, 0.0]), 2, 0.0) == -1
         assert _pick(empty, None, 2, 0.0) == -1
+
+    def test_row_pick_is_locate_on_every_row(self):
+        # the lockstep step picks all rows at once; rows its flat scan
+        # would get wrong must go through _locate: residue, an empty
+        # row, a target past the end ([1, 0, 1] at 5 is node 2, not 0)
+        # and a negative entry leaving the running sum unsorted
+        # ([2, -2, 1, 1] at 1.5 is node 3 by bisection, not 0)
+        rows = np.array([[0.0, -1e-17, 0.0, 0.0, 2.0, 0.0, 1.0],
+                         [0.0, -1e-17, 0.0, 0.0, 2.0, 0.0, 1.0],
+                         [0.0, -1e-17, 0.0, 0.0, 0.0, 0.0, 0.0],
+                         [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                         [2.0, -2.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                         [0.5, 0.0, 3.0, 0.25, 0.0, 1.0, 2.0]])
+        targets = np.array([0.0, 5.0, 0.0, 5.0, 1.5, 3.6])
+        expected = [4, 6, -1, 2, 3, 3]
+        assert [_locate(r, t) for r, t in zip(rows, targets)] == expected
+        assert _pick_rows(rows, targets).tolist() == expected
+        rng = np.random.default_rng(4)
+        values = rng.integers(0, 3, (200, 9)) * rng.random((200, 9))
+        values[rng.random((200, 9)) < 0.05] = -1e-17
+        targets = rng.random(200) * values.sum(axis=1) * 1.01
+        assert _pick_rows(values, targets).tolist() == [
+            _locate(r, t) for r, t in zip(values, targets)]
+
+
+class TestLockstepBatch:
+    """A dense ensemble advances its runs in lockstep batches; each run
+    must come out byte-identical to simulating it alone."""
+
+    RUNS = 23
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        # directed, D != I, and most runs pass the profiles' switch at
+        # n = 40 while a few die out before t_max
+        _, g, d = modulated_twins(n=30, seed=11)
+        cfg = make_cfg(beta=parse_profile("step:0.5,0.2,40"),
+                       beta_int=parse_profile("step:1,0.1,40"), delta=4.0,
+                       n0=2, modulation=d, record_events=True, t_max=2.0,
+                       master_seed=5)
+        grid = np.linspace(0.0, 2.0, 41)
+        runs = [simulate_run(cfg, g, i, grid) for i in range(self.RUNS)]
+        peaks = [max(np.cumsum([2] + [dc for _, _, dc in r.events]))
+                 for r in runs]
+        assert sum(p > 40 for p in peaks) >= 10
+        assert 0 < sum(r.extinct_at is not None for r in runs) < self.RUNS
+        return g, cfg, grid, runs
+
+    @staticmethod
+    def as_bytes(traj):
+        return (traj.run_index, repr(traj.extinct_at), repr(traj.truncated_at),
+                traj.grid_totals.tobytes(), repr(traj.events),
+                traj.event_count, traj.null_events)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 7, None])
+    def test_every_run_equals_simulate_run(self, alone, monkeypatch, batch,
+                                           threads):
+        g, cfg, grid, expected = alone
+        if batch is not None:
+            monkeypatch.setattr(gillespie, "_BATCH_ENTRIES",
+                                batch * g.node_count)
+        fallbacks = []
+
+        def spy(values, target, cum=None):
+            fallbacks.append(target)
+            return _locate(values, target, cum)
+
+        monkeypatch.setattr(gillespie, "_locate", spy)
+        got = _map_runs(cfg, g, self.RUNS, grid, threads)
+        assert [self.as_bytes(t) for t in got] == [
+            self.as_bytes(t) for t in expected]
+        if threads == 1:
+            # drift residue sent some rows through the _locate fallback
+            assert fallbacks
 
 
 class TestEnsemble:
