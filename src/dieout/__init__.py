@@ -4,11 +4,10 @@ arbitrary-precision extinction-time computation on locality networks."""
 __version__ = "0.1.0"
 
 from .chains import (AsymptoteRatios, BirthDeathSpec, HittingTable,
-                     InfiniteHittingTimeError,
-                     PrecisionConfig, SeriesValue, asymptote_ratio,
-                     bound_chains_from_graph, equilibrium_lower_bound,
-                     expected_T1, hitting_table, s_tail_series,
-                     s_values_float)
+                     InfiniteHittingTimeError, PrecisionConfig, SeriesValue,
+                     asymptote_ratio, bound_chains_from_graph,
+                     equilibrium_lower_bound, expected_T1, hitting_table,
+                     s_tail_series, s_values_float)
 from .gillespie import (EnsembleSummary, SimConfig, Trajectory,
                         mean_field_trajectory, run_ensemble, simulate_run,
                         trimmed_interval)

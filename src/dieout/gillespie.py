@@ -622,7 +622,8 @@ def _split_log(log: list, size: int) -> list[list[tuple[float, int, int]]]:
 
 def _run_slice(cfg: SimConfig, tables: _EventTables, runs: range,
                grid: np.ndarray) -> list[Trajectory]:
-    """Trajectories of ``runs``: in lockstep batches of at most
+    """Trajectories of ``runs``, without the per-node initial and final
+    counts an ensemble does not keep: in lockstep batches of at most
     _BATCH_ENTRIES // N runs on dense tables, one at a time on CSR."""
     if tables.block_columns is not None:
         return [replace(_simulate(cfg, tables, i, grid), initial=None,
@@ -678,7 +679,6 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
     extinctions: list[tuple[int, float]] = []
     events = null_events = 0
     run_events: list | None = [] if cfg.record_events else None
-    # the trajectories are dropped before the sort below copies totals
     for traj in _map_runs(cfg, g, runs, grid, threads):
         totals[traj.run_index] = traj.grid_totals
         if traj.extinct_at is not None:
