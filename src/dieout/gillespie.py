@@ -439,6 +439,7 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
     n_nodes = col_sums.size
     model = cfg.model
     d = model.d(n_nodes)
+    modulated = bool((d != 1).any())  # D = I leaves D * X = X
     rates = _RateTable(model)
     delta, t_max = float(model.delta), float(cfg.t_max)
     # an event is a row of these tables: a birth at node j is row j, a
@@ -446,8 +447,9 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
     # adding a death row equals subtracting the column
     signs = np.repeat([1, -1, 0], [n_nodes, n_nodes, 1])
     step_columns = np.concatenate((columns, -columns, np.zeros((1, n_nodes))))
-    step_col_sums = np.concatenate((col_sums, -col_sums, [0.0]))
-    step_d = np.concatenate((d, -d, [0.0]))
+    step_sums = np.concatenate((np.column_stack((col_sums, d)),
+                                -np.column_stack((col_sums, d)),
+                                np.zeros((1, 2))))
     no_event = 2 * n_nodes
 
     size = len(runs)
@@ -463,7 +465,8 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
     n = counts.sum(axis=1).astype(np.int64)
     t = np.zeros(size)
     gi = np.zeros(size, dtype=np.intp)  # next grid index to fill
-    pressure_sum, mod_sum = np.zeros(size), np.zeros(size)
+    # sum(W X) and sum(D X) of each row
+    sums = np.zeros((size, 2))
     # a row is refreshed once step - base reaches _REFRESH_EVERY; base
     # is the step of its last refresh plus its null events since then
     base = np.full(size, -_REFRESH_EVERY)
@@ -475,9 +478,10 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
 
     # per-run results, indexed by slot; each step writes the current
     # total at a run's next grid index, where the step that passes the
-    # grid point leaves it (the extra column takes the writes of runs
-    # past the last grid point)
-    totals = np.zeros((size, grid.size + 1), dtype=np.int64)
+    # grid point leaves it; the further points one step passes stay -1
+    # until filled from the point before them (the extra column takes
+    # the writes of runs past the last grid point)
+    totals = np.full((size, grid.size + 1), -1, dtype=np.int64)
     extinct_at: list[float | None] = [None] * size
     moves, nulls = [0] * size, [0] * size
     log: list | None = [] if cfg.record_events else None
@@ -494,8 +498,7 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
             for r in np.flatnonzero(
                     base[:live] <= step - _REFRESH_EVERY).tolist():
                 pressure[r] = weights @ counts[r]
-                pressure_sum[r] = pressure[r].sum()
-                mod_sum[r] = (d * counts[r]).sum()
+                sums[r] = pressure[r].sum(), (d * counts[r]).sum()
                 base[r] = step
             refresh_due = int(base[:live].min()) + _REFRESH_EVERY
         cur = n[:live]
@@ -506,8 +509,8 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
         pressure_rate, birth_total = lows[1, :live], lows[2, :live]
         np.take(rates.beta, cur, out=b)
         np.take(rates.beta_int, cur, out=bi)
-        np.multiply(b, pressure_sum[:live], out=pressure_rate)
-        np.multiply(bi, mod_sum[:live], out=birth_total)
+        np.multiply(b, sums[:live, 0], out=pressure_rate)
+        np.multiply(bi, sums[:live, 1], out=birth_total)
         birth_total += pressure_rate
         total_rate = delta * cur
         total_rate += birth_total
@@ -515,26 +518,22 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
         now = t[:live]
         now += exps[:live, k] / total_rate
         over = now > t_max
-        passed = gi[:live]
-        totals[here, passed] = cur
-        reach = grid.searchsorted(now)
-        for r in np.flatnonzero(reach > passed + 1).tolist():
-            # a step that passes several grid points
-            totals[here[r], passed[r]:reach[r]] = cur[r]
-        passed[:] = reach
+        totals[here, gi[:live]] = cur
+        gi[:live] = grid.searchsorted(now)
 
         u = unis[:live, k] * total_rate
+        death = u >= birth_total
         cat = (u >= pressure_rate).astype(np.intp)
-        cat += u >= birth_total
+        cat += death
         target = u - lows[cat, at]
         target /= scales[cat, at]
         values = cache.take(at + size * (cat > 0), axis=0, out=picked[:live])
-        mods = np.flatnonzero(cat == 1)
-        values[mods] *= d
+        if modulated:
+            values[cat == 1] *= d
         node = _pick_rows(values, target, cum[:live])
-        event = node + n_nodes * (cat == 2)
-        null = (node < 0) & ~over
-        if null.any():
+        event = node + n_nodes * death
+        if node.min() < 0:
+            null = (node < 0) & ~over
             # residue of a vector with no positive entry: a null event,
             # exact by thinning
             for r in np.flatnonzero(null).tolist():
@@ -547,8 +546,7 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
         change = signs[event]
         counts[at, node] += change
         cur += change
-        pressure_sum[:live] += step_col_sums[event]
-        mod_sum[:live] += step_d[event]
+        sums[:live] += step_sums[event]
         if log is not None:
             moved = event < no_event
             log.append((here[moved], now[moved], node[moved], change[moved]))
@@ -565,10 +563,14 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
                     moves[s] = step + 1 - nulls[s]
                     extinct_at[s] = float(now[r])
             live = _compact(done, (pressure, counts, exps, unis, slot, n, t,
-                                   gi, pressure_sum, mod_sum, base))
+                                   gi, sums, base))
         step += 1
         n_bound += 1
 
+    column = np.arange(totals.shape[1])
+    for row in totals:
+        source = np.where(row >= 0, column, 0)
+        row[:] = row[np.maximum.accumulate(source)]
     events = _split_log(log, size) if log is not None else [None] * size
     return [Trajectory(
         run_index=i, initial=None, extinct_at=extinct_at[s],

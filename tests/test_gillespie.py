@@ -372,17 +372,19 @@ class TestEventSelection:
     def test_row_pick_is_locate_on_every_row(self):
         # the lockstep step picks all rows at once; rows its flat scan
         # would get wrong must go through _locate: residue, an empty
-        # row, a target past the end ([1, 0, 1] at 5 is node 2, not 0)
-        # and a negative entry leaving the running sum unsorted
-        # ([2, -2, 1, 1] at 1.5 is node 3 by bisection, not 0)
+        # row, a target past the end ([1, 0, 1] at 5 is node 2, not 0),
+        # a negative entry leaving the running sum unsorted ([2, -2, 1,
+        # 1] at 1.5 is node 3 by bisection, not 0) and a landing on a
+        # zero entry ([0, 0, 1] at -1 is node 2, not 0)
         rows = np.array([[0.0, -1e-17, 0.0, 0.0, 2.0, 0.0, 1.0],
                          [0.0, -1e-17, 0.0, 0.0, 2.0, 0.0, 1.0],
                          [0.0, -1e-17, 0.0, 0.0, 0.0, 0.0, 0.0],
                          [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
                          [2.0, -2.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                         [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
                          [0.5, 0.0, 3.0, 0.25, 0.0, 1.0, 2.0]])
-        targets = np.array([0.0, 5.0, 0.0, 5.0, 1.5, 3.6])
-        expected = [4, 6, -1, 2, 3, 3]
+        targets = np.array([0.0, 5.0, 0.0, 5.0, 1.5, -1.0, 3.6])
+        expected = [4, 6, -1, 2, 3, 2, 3]
         assert [_locate(r, t) for r, t in zip(rows, targets)] == expected
         assert _pick_rows(rows, targets).tolist() == expected
         rng = np.random.default_rng(4)
