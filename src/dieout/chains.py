@@ -27,23 +27,29 @@ carries a provable relative-error flag.  The forward recursion is kept
 only as a verification oracle in the test suite: with a common
 truncation index the two routes agree to exact rational equality.
 
-The pass runs in one of two arithmetics:
+The pass runs in Python integers in one of two arithmetics:
 
-* rational mode: exact ``Fraction`` values (rational gamma and delta
-  required); the only error is the truncation;
-* big-float mode: Python integers scaled by 2**F with
+* rational mode (rational gamma and delta required): each row is an
+  exact pair N_j / Q_j over a denominator that grows by one small lcm
+  per row, so no gcd of big numbers is taken; the only error is the
+  truncation;
+* big-float mode: integers scaled by 2**F with
   F = bits + 24 + max(0, ceil(log2(delta * M))).  Every term is
   positive, so floor division only ever rounds down, and the pass
   carries an integer bound on the accumulated loss beside each value
   (ln(1 + n) for ``logn`` profiles comes from an integer series with
   its own bound).  A row is certified when truncation plus rounding
   bound is within the tolerance; the rounding bound alone stays below
-  2**-bits relative.  Values are returned as mpf numbers holding the
-  exact dyadic kernel value.
+  2**-bits relative.
+
+Tables keep those exact (numerator, denominator) pairs; the public
+numbers (Fractions, or mpf numbers holding the exact dyadic kernel
+values) are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -148,7 +154,11 @@ class HittingTable:
     """Increments S_1..S_n_max and accumulated mean hitting times.
 
     T_n = sum_{i<=n} S_i is strictly increasing; ``certified`` is True
-    only when every row met the relative tolerance.  The run report:
+    only when every row met the relative tolerance.  ``s_pairs`` and
+    ``t_pairs`` hold each S_n and T_n exactly as a (numerator,
+    denominator) pair of the kernel's integers; ``S`` and ``T`` are the
+    same values as Fractions (rational mode) or mpf numbers holding the
+    exact dyadic (big-float mode).  The run report:
     ``planned_truncation`` is the first truncation index tried,
     ``extension_passes`` counts the doublings needed to certify, and
     ``max_rel_error_bound`` is the largest relative error bound
@@ -156,8 +166,8 @@ class HittingTable:
     """
 
     n_max: int
-    S: tuple
-    T: tuple
+    s_pairs: tuple
+    t_pairs: tuple
     precision: PrecisionConfig
     certified: bool
     row_certified: tuple
@@ -165,6 +175,18 @@ class HittingTable:
     planned_truncation: int
     extension_passes: int
     max_rel_error_bound: float | None
+
+    @functools.cached_property
+    def S(self) -> tuple:
+        return self._numbers(self.s_pairs)
+
+    @functools.cached_property
+    def T(self) -> tuple:
+        return self._numbers(self.t_pairs)
+
+    def _numbers(self, pairs) -> tuple:
+        rational = self.precision.mode == RATIONAL
+        return tuple(_number(p, q, rational) for p, q in pairs)
 
 
 @dataclass(frozen=True)
@@ -177,6 +199,17 @@ class AsymptoteRatios:
     planned_truncation: int
     extension_passes: int
     max_rel_error_bound: float | None
+
+
+def _number(p: int, q: int, rational: bool):
+    """The exact p/q as the public number type: a Fraction, or (p > 0,
+    q a power of two) a normalized mpf holding the dyadic."""
+    if rational:
+        return Fraction(p, q)
+    zeros = (p & -p).bit_length() - 1
+    man = p >> zeros
+    return mpmath.mp.make_mpf(
+        (0, MPZ(man), zeros - q.bit_length() + 1, man.bit_length()))
 
 
 # ---------------------------------------------------------------------------
@@ -378,65 +411,94 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
 
 def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
                 geom: Fraction | None):
-    """The backward pass in exact rationals (no rounding).
+    """The backward pass in exact integers over a growing denominator.
 
-    Returns (values, bounds, None, None) as :func:`_fixed_pass` does,
-    with Fraction values and tail bounds P_j * geom.
+    Row j holds S_j = N_j / Q_j and its tail bound P_j * geom = R_j / Q_j
+    over the same denominator, so certifying it is one integer
+    comparison.  With q_j = gamma(j)/delta = qn/qd left unreduced and
+    L_j = lcm(j dn, qd) (delta = dn/dd),
+
+        Q_j = Q_{j+1} L_j,
+        N_j = dd (L_j / (j dn)) Q_{j+1} + qn (L_j / qd) N_{j+1},
+        R_j = qn (L_j / qd) R_{j+1},
+
+    from N_{M+1} = 0 and R_{M+1}/Q_{M+1} = geom (1/1 without a tail
+    bound), so no gcd of big numbers is taken.  R_j is zero once gamma
+    has vanished: the truncation is then exact.
+
+    Returns (values, bounds, dens, steps): N_j, R_j (None without a
+    tail bound, unless zero), Q_j and L_j for j = 1..n_hi (index 0
+    unused).
     """
-    if not spec.gamma.is_rational:
-        raise ExactnessError(
-            "the exact-rational kernel requires a rational-valued "
-            "gamma profile; use the big-float kernel instead")
-    gamma, delta = spec.gamma.value_exact, spec.delta
-    values = [None] * (n_hi + 1)
+    delta = spec.delta
+    dn, dd = delta.numerator, delta.denominator
+    gamma = spec.gamma.evaluator(Arithmetic("ratio", _ratio, None))
+    values = [0] * (n_hi + 1)
     bounds = [None] * (n_hi + 1)
-    s, p = Fraction(0), Fraction(1)
+    dens = [1] * (n_hi + 1)
+    steps = [1] * (n_hi + 1)
+    s = 0
+    r, den = (1, 1) if geom is None else (geom.numerator, geom.denominator)
     for j in range(M, 0, -1):
-        q = gamma(j) / delta
-        s = 1 / (delta * j) + q * s
-        p = q * p
+        g = gamma(j)
+        qn, qd, jd = g.p * dd, g.q * dn, j * dn
+        step = math.lcm(jd, qd)
+        carry = qn * (step // qd)
+        s = dd * (step // jd) * den + carry * s
+        r *= carry
+        den *= step
         if j <= n_hi:
-            values[j] = s
-            if p == 0:
-                bounds[j] = p  # a vanished gamma truncates exactly
-            elif geom is not None:
-                bounds[j] = p * geom
-    return values, bounds, None, None
+            values[j], dens[j], steps[j] = s, den, step
+            if not r or geom is not None:
+                bounds[j] = r
+    return values, bounds, dens, steps
 
 
 @dataclass(frozen=True)
 class _Tail:
     """Rows 1..n_hi of one certified backward evaluation (index 0 unused).
 
-    ``values``/``bounds`` are Fractions, or integers in units of
-    2**-scale in big-float mode (``scale`` is None in rational mode).
+    Row j's value is values[j] / dens[j] exactly, and its error bound
+    bounds[j] / dens[j] (None when no bound was available).  Rational
+    mode keeps dens[j] = dens[j + 1] * steps[j]; in big-float mode every
+    denominator is 2**F and ``steps`` is None.
     """
 
     values: list
     bounds: list
+    dens: list
+    steps: list | None
     certified: list
-    scale: int | None
     truncated_at: int
     planned: int
     passes: int
 
-    def number(self, x):
-        """A kernel integer or Fraction as the public number type."""
-        if self.scale is None:
-            return x
-        # the exact dyadic x * 2**-scale (x > 0) as a normalized mpf
-        zeros = (x & -x).bit_length() - 1
-        man = x >> zeros
-        return mpmath.mp.make_mpf(
-            (0, MPZ(man), zeros - self.scale, man.bit_length()))
+    def number(self, j: int, x: int):
+        """x / dens[j] as the public number type."""
+        return _number(x, self.dens[j], self.steps is not None)
+
+    def sums(self) -> list:
+        """Numerators of T_n = S_1 + ... + S_n over dens[1], n = 1..n_hi.
+
+        Over dens[1], S_k has the numerator values[k] times
+        dens[1] / dens[k] = steps[1] * ... * steps[k - 1].
+        """
+        if self.steps is None:
+            return list(itertools.accumulate(self.values[1:]))
+        total, scale, out = 0, 1, []
+        for v, step in zip(self.values[1:], self.steps[1:]):
+            total += v * scale
+            out.append(total)
+            scale *= step
+        return out
 
     def floats(self) -> np.ndarray:
         """The values rounded to float64, index 0 (unused) zero."""
-        one = 1 if self.scale is None else 1 << self.scale
-        return np.array([0.0] + [float(v / one) for v in self.values[1:]])
+        return np.array([0.0] + [v / d for v, d in
+                                 zip(self.values[1:], self.dens[1:])])
 
     def max_rel_bound(self) -> float | None:
-        rel = [float(b / v) for b, v in zip(self.bounds[1:], self.values[1:])
+        rel = [b / v for b, v in zip(self.bounds[1:], self.values[1:])
                if b is not None]
         return max(rel) if rel else None
 
@@ -454,9 +516,23 @@ def _tail_values(spec: BirthDeathSpec, n_hi: int, precision: PrecisionConfig,
     when that bound plus the rounding bound is at most
     ``series_rel_tol`` times the value; M doubles while some row fails
     for want of terms.
+
+    Raises:
+        ExactnessError: rational mode with an irrational gamma.
+        ValueError: ``max_terms`` (or ``truncate_at``) below n_hi.
     """
     if n_hi < 1:
         raise ValueError("need at least state 1")
+    rational = precision.mode == RATIONAL
+    if rational and not spec.gamma.is_rational:
+        raise ExactnessError(
+            "the exact-rational kernel requires a rational-valued "
+            "gamma profile; use the big-float kernel instead")
+    if precision.max_terms < n_hi:
+        raise ValueError(
+            f"max_terms {precision.max_terms} is below the largest "
+            f"requested state {n_hi}; the series needs at least that "
+            f"many terms")
     forced = truncate_at is not None
     if forced and truncate_at < n_hi:
         raise ValueError("truncation index must be >= the largest state")
@@ -467,12 +543,14 @@ def _tail_values(spec: BirthDeathSpec, n_hi: int, precision: PrecisionConfig,
     while True:
         r_ok, r = _ratio_bound(spec, M + 1)
         geom = 1 / ((1 - r) * spec.delta * (M + 1)) if r_ok else None
-        if precision.mode == BIGFLOAT:
+        if rational:
+            values, bounds, dens, steps = _exact_pass(spec, n_hi, M, geom)
+            rounding = None
+        else:
             values, bounds, rounding, scale = _fixed_pass(
                 spec, n_hi, M, precision.bits, geom)
-        else:
-            values, bounds, rounding, scale = _exact_pass(
-                spec, n_hi, M, geom)
+            dens, steps = [1 << scale] * (n_hi + 1), None
+        # value and bound share a denominator
         certified = [b is not None and b * td <= tn * v
                      for b, v in zip(bounds, values)]
         # more terms cannot help a row whose rounding alone is too big
@@ -480,7 +558,7 @@ def _tail_values(spec: BirthDeathSpec, n_hi: int, precision: PrecisionConfig,
                                 or rounding[j] * td <= tn * values[j])
                     for j, ok in enumerate(certified) if j)
         if forced or not any(helpable) or M >= precision.max_terms:
-            return _Tail(values, bounds, certified, scale, M, planned,
+            return _Tail(values, bounds, dens, steps, certified, M, planned,
                          passes)
         M = min(max(2 * M, M + 64), precision.max_terms)
         passes += 1
@@ -497,9 +575,9 @@ def s_tail_series(spec: BirthDeathSpec, n: int, precision: PrecisionConfig,
     """
     tail = _tail_values(spec, n, precision, truncate_at=truncate_at)
     bound = tail.bounds[n]
-    return SeriesValue(tail.number(tail.values[n]), tail.certified[n],
+    return SeriesValue(tail.number(n, tail.values[n]), tail.certified[n],
                        tail.truncated_at,
-                       None if bound is None else tail.number(bound))
+                       None if bound is None else tail.number(n, bound))
 
 
 def expected_T1(spec: BirthDeathSpec, precision: PrecisionConfig,
@@ -527,11 +605,12 @@ def hitting_table(spec: BirthDeathSpec, n_max: int,
         InfiniteHittingTimeError: some requested row diverges.
     """
     tail = _tail_values(spec, n_max, precision)
-    S = tail.values[1:]
-    T = itertools.accumulate(S)  # exact: kernel integers or Fractions
     rows = tuple(tail.certified[1:])
-    return HittingTable(n_max=n_max, S=tuple(map(tail.number, S)),
-                        T=tuple(map(tail.number, T)), precision=precision,
+    return HittingTable(n_max=n_max,
+                        s_pairs=tuple(zip(tail.values[1:], tail.dens[1:])),
+                        t_pairs=tuple(zip(tail.sums(),
+                                          itertools.repeat(tail.dens[1]))),
+                        precision=precision,
                         certified=all(rows), row_certified=rows,
                         truncated_at=tail.truncated_at,
                         planned_truncation=tail.planned,

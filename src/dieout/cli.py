@@ -38,7 +38,8 @@ from .gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                         trimmed_interval)
 from .graphs import (EdgeListError, EpidemicModel, SpectralError,
                      is_strongly_connected, is_symmetric, spectral_radius)
-from .rates import ProfileError, parse_parameter, parse_profile
+from .rates import (ExactnessError, ProfileError, parse_parameter,
+                    parse_profile)
 from .regime import (classify_decoupled, classify_general, classify_scalar_D,
                      classify_symmetric)
 
@@ -58,9 +59,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _fmt_precise(x, digits: int) -> str:
-    """A positive kernel number (Fraction, or mpf holding an exact
-    dyadic) in ``mpmath.nstr(x, digits)`` layout, from its exact value.
+def _fmt_precise(num: int, den: int, digits: int) -> str:
+    """The positive exact value num/den in ``mpmath.nstr(x, digits)``
+    layout, in integer arithmetic (the pair need not be reduced).
 
     Like nstr it keeps ``digits`` significant digits, rounded half up
     (nstr floors to ``digits + 3`` digits, then rounds on the first
@@ -70,11 +71,6 @@ def _fmt_precise(x, digits: int) -> str:
     floors in binary first, so on a non-dyadic value that is an exact
     decimal tie it can round down where this rounds up.)
     """
-    if isinstance(x, mpmath.mpf):
-        _, num, exp, _ = x._mpf_
-        num, den = (num << exp, 1) if exp >= 0 else (num, 1 << -exp)
-    else:
-        num, den = x.numerator, x.denominator
     # 10**e <= x < 10**(e + 2) from the bit lengths; then the digits
     # q = floor(x * 10**(digits - e)) number digits + 1 or digits + 2
     e = math.floor((num.bit_length() - den.bit_length() - 1) * _LOG10_2)
@@ -266,10 +262,10 @@ def cmd_hitting(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     digits = precision.decimal_digits
     _write_csv(out / "hitting.csv", ["n", "S_n", "T_n", "certified"],
-               ((n + 1, _fmt_precise(s, digits), _fmt_precise(t, digits),
+               ((n + 1, _fmt_precise(*s, digits), _fmt_precise(*t, digits),
                  _fmt(c))
                 for n, (s, t, c) in enumerate(
-                    zip(table.S, table.T, table.row_certified))))
+                    zip(table.s_pairs, table.t_pairs, table.row_certified))))
     _write_meta(out, "hitting", cfg,
                 {"certified": table.certified, **_kernel_report(table)})
     print(f"hitting: {table.n_max} rows "
@@ -375,7 +371,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     except (ConfigError, ProfileError, EdgeListError, SpectralError,
-            OSError, ValueError, KeyError) as exc:
+            ExactnessError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

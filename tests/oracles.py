@@ -3,7 +3,9 @@
 ``node_rates`` recomputes every rate from scratch and ``step`` draws an
 event from a flat cumulative sum over all nodes: the plain O(N) path
 that the simulator's incremental caches and blocked event selection
-must reproduce.  ``s_recursion_step`` (the forward hitting-time
+must reproduce.  ``fraction_tail`` is the rational kernel's backward
+pass in plain Fraction arithmetic, which the integer pass must
+reproduce exactly.  ``s_recursion_step`` (the forward hitting-time
 recursion) and ``stationary_distribution`` (the renewal route to
 E[T_1]) are independent routes to the certified kernel's values;
 ``positive_recurrence_check`` decides exactly whether the latter's
@@ -19,6 +21,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from dieout import chains
 from dieout.chains import (BIGFLOAT, BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig)
 from dieout.gillespie import SimConfig, run_ensemble
@@ -145,6 +148,52 @@ def positive_recurrence_check(spec: BirthDeathSpec) -> RecurrenceCheck:
             False, "gamma approaches delta; the terms decay harmonically")
     return RecurrenceCheck(
         False, f"asymptotic ratio gamma/delta = {limit}/{spec.delta} > 1")
+
+
+@dataclass(frozen=True)
+class FractionTail:
+    """Rows 1..n_hi of :func:`fraction_tail` (index 0 unused)."""
+
+    values: list
+    bounds: list
+    certified: list
+    truncated_at: int
+    passes: int
+
+
+def fraction_tail(spec: BirthDeathSpec, n_hi: int,
+                  precision: PrecisionConfig) -> FractionTail:
+    """The rational kernel in Fractions: S_j = 1/(j delta) + q_j S_{j+1}
+    and P_j = q_j P_{j+1} from S_{M+1} = 0, P_{M+1} = 1, with the tail
+    bound P_j * geom (exactly zero once gamma has vanished) and the
+    library's truncation plan, certification rule and doubling of M.
+    """
+    gamma, delta = spec.gamma.value_exact, spec.delta
+    tol = Fraction(precision.series_rel_tol)
+    M = chains._plan_truncation(spec, n_hi, precision)
+    passes = 0
+    while True:
+        r_ok, r = chains._ratio_bound(spec, M + 1)
+        geom = 1 / ((1 - r) * delta * (M + 1)) if r_ok else None
+        values = [None] * (n_hi + 1)
+        bounds = [None] * (n_hi + 1)
+        s, p = Fraction(0), Fraction(1)
+        for j in range(M, 0, -1):
+            q = gamma(j) / delta
+            s = 1 / (delta * j) + q * s
+            p = q * p
+            if j <= n_hi:
+                values[j] = s
+                if p == 0:
+                    bounds[j] = p
+                elif geom is not None:
+                    bounds[j] = p * geom
+        certified = [b is not None and b <= tol * v
+                     for b, v in zip(bounds, values)]
+        if all(certified[1:]) or M >= precision.max_terms:
+            return FractionTail(values, bounds, certified, M, passes)
+        M = min(max(2 * M, M + 64), precision.max_terms)
+        passes += 1
 
 
 def s_recursion_step(spec: BirthDeathSpec, s_n, n: int,

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ from dieout.gillespie import SimConfig, simulate_run
 from dieout.graphs import DiagonalModulation, EpidemicModel, LocalityGraph
 
 from conftest import random_strong_digraph
-from oracles import (EpidemicState, node_rates, positive_recurrence_check,
-                     s_recursion_step, stationary_distribution)
+from oracles import (EpidemicState, fraction_tail, node_rates,
+                     positive_recurrence_check, s_recursion_step,
+                     stationary_distribution)
 
 RATIONAL = PrecisionConfig(mode="rational", series_rel_tol=1e-30)
 BF256 = PrecisionConfig(mode="bigfloat", bits=256, series_rel_tol=1e-40)
@@ -95,6 +97,30 @@ class TestExpectedT1:
         with pytest.raises(ExactnessError):
             expected_T1(spec, RATIONAL)
 
+    def test_irrational_profile_rejected_before_any_pass(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel work started")
+        for name in ("_plan_truncation", "_exact_pass", "_fixed_pass"):
+            monkeypatch.setattr(chains, name, fail)
+        spec = BirthDeathSpec(parse_profile("logn:1.5"), Fraction(1))
+        with pytest.raises(ExactnessError, match="rational"):
+            hitting_table(spec, 10, RATIONAL)
+        with pytest.raises(ExactnessError, match="rational"):
+            asymptote_ratio(spec, [5, 10], RATIONAL)
+
+    @pytest.mark.parametrize("mode", ["rational", "bigfloat"])
+    def test_max_terms_below_n_max_rejected_before_any_pass(
+            self, mode, monkeypatch):
+        def fail(*args):
+            raise AssertionError("kernel work started")
+        for name in ("_plan_truncation", "_exact_pass", "_fixed_pass"):
+            monkeypatch.setattr(chains, name, fail)
+        precision = PrecisionConfig(mode, max_terms=30)
+        with pytest.raises(ValueError, match=r"max_terms 30 .* state 50"):
+            hitting_table(spec_of("harmonic:5"), 50, precision)
+        with pytest.raises(ValueError, match=r"max_terms 30 .* state 40"):
+            asymptote_ratio(spec_of("harmonic:5"), [10, 40], precision)
+
     def test_logn_works_in_bigfloat(self):
         spec = BirthDeathSpec(LogOverN(Fraction(1)), Fraction(1))
         r = expected_T1(spec, BF256)
@@ -148,6 +174,24 @@ class TestTailSeries:
 
 
 class TestHittingTable:
+    def test_S_and_T_are_public_numbers_built_once(self):
+        spec = spec_of("harmonic:5", "3/2")
+        rational = hitting_table(spec, 30, RATIONAL)
+        assert all(type(x) is Fraction for x in rational.S + rational.T)
+        values = fraction_tail(spec, 30, RATIONAL).values[1:]
+        assert rational.S == tuple(values)
+        assert rational.T == tuple(itertools.accumulate(values))
+        big = hitting_table(spec, 30, BF256)
+        assert all(type(x) is mpmath.mpf for x in big.S + big.T)
+        with mpmath.mp.workprec(2048):
+            for x, (p, q) in zip(big.S + big.T, big.s_pairs + big.t_pairs):
+                assert x == mpmath.mpf(p) / q
+            for x, y in zip(big.T, rational.T):  # both certified
+                y = mpmath.mpf(y.numerator) / y.denominator
+                assert abs(y - x) <= y * mpmath.mpf(2e-30)
+        for table in (rational, big):
+            assert table.S is table.S and table.T is table.T
+
     def test_pure_death_gives_harmonic_numbers(self):
         table = hitting_table(spec_of("const:0"), 50, RATIONAL)
         for n in (1, 2, 10, 50):
@@ -397,6 +441,78 @@ class TestPrecisionHonesty:
         with mpmath.mp.workprec(300):
             af = mpmath.mpf(a.numerator) / a.denominator
             assert abs(af - b) / af < mpmath.mpf(10) ** -35
+
+
+def assert_matches_fraction_oracle(spec, n_hi, precision):
+    """The integer pass and its table equal the Fraction loop exactly."""
+    want = fraction_tail(spec, n_hi, precision)
+    got = chains._tail_values(spec, n_hi, precision)
+    assert got.truncated_at == want.truncated_at
+    assert got.passes == want.passes
+    assert got.certified == want.certified
+    for j in range(1, n_hi + 1):
+        assert Fraction(got.values[j], got.dens[j]) == want.values[j]
+        if want.bounds[j] is None:
+            assert got.bounds[j] is None
+        else:
+            assert Fraction(got.bounds[j], got.dens[j]) == want.bounds[j]
+    table = hitting_table(spec, n_hi, precision)
+    assert table.truncated_at == want.truncated_at
+    assert table.extension_passes == want.passes
+    assert table.row_certified == tuple(want.certified[1:])
+    assert table.S == tuple(want.values[1:])
+    assert table.T == tuple(itertools.accumulate(want.values[1:]))
+    return want
+
+
+class TestIntegerRationalPass:
+    """The rational kernel's integer pass against the Fraction loop."""
+
+    @pytest.mark.parametrize("text, delta", [
+        ("harmonic:5", "1"), ("harmonic:4.5", "1"),
+        ("step:3/2,0,12", "1"), ("step:3/2,0,12", "3/2"),
+        ("harmonic:5", "3/2"), ("step:3,1/2,10", "3/2")])
+    def test_reproduces_fraction_oracle(self, text, delta):
+        want = assert_matches_fraction_oracle(spec_of(text, delta), 40,
+                                              RATIONAL)
+        assert all(want.certified[1:])
+        if text.startswith("step:3/2,0"):  # gamma vanishes: exact
+            assert all(b == 0 for b in want.bounds[1:])
+
+    @pytest.mark.parametrize("text", ["harmonic:5", "step:2,1/2,50"])
+    def test_extension_passes_match(self, text, monkeypatch):
+        monkeypatch.setattr(chains, "_plan_truncation",
+                            lambda spec, n_hi, precision: n_hi + 1)
+        want = assert_matches_fraction_oracle(spec_of(text, "3/2"), 40,
+                                              RATIONAL)
+        assert want.passes >= 1
+
+    def test_missing_tail_bound_matches(self):
+        # capped below n = 50, where gamma/delta = 2 leaves no tail bound
+        want = assert_matches_fraction_oracle(
+            spec_of("step:2,1/2,50"), 40,
+            PrecisionConfig("rational", max_terms=45))
+        assert want.truncated_at == 45
+        assert all(b is None for b in want.bounds[1:])
+        assert not any(want.certified)
+
+    def test_vanished_gamma_without_tail_bound_matches(self):
+        # gamma is zero up to 5 and above delta beyond: no tail bound,
+        # but the series stops exactly
+        want = assert_matches_fraction_oracle(
+            spec_of("step:0,2,5"), 5, PrecisionConfig("rational",
+                                                      max_terms=100))
+        assert want.truncated_at == 5
+        assert want.bounds[1:] == [0] * 5
+        assert all(want.certified[1:])
+
+    def test_long_table_matches_oracle(self):
+        spec = spec_of("harmonic:5", "3/2")
+        want = fraction_tail(spec, 300, RATIONAL)
+        table = hitting_table(spec, 300, RATIONAL)
+        assert table.S == tuple(want.values[1:])
+        assert table.T[-1] == sum(want.values[1:])
+        assert table.row_certified == tuple(want.certified[1:])
 
 
 class TestRandomizedOracleEquivalence:

@@ -1,3 +1,4 @@
+import itertools
 import json
 from argparse import Namespace
 from dataclasses import replace
@@ -20,6 +21,7 @@ from dieout.graphs import LocalityGraph, spectral_radius
 from dieout.rates import parse_profile
 
 from conftest import DATA_DIR
+from oracles import fraction_tail
 
 
 def write_config(tmp_path: Path, body: str) -> Path:
@@ -268,6 +270,20 @@ class TestSimulate:
         assert delta in {"1", "-1"}
 
 
+HITTING_BODY = """
+[dynamics]
+delta = {delta}
+
+[hitting]
+gamma = {gamma}
+n_max = {n_max}
+mode = {mode}
+{extra}
+[output]
+directory = {out}
+"""
+
+
 class TestHitting:
     def test_monotone_table_with_certified_column(self, tmp_path):
         cfg = write_config(tmp_path, f"""
@@ -334,6 +350,52 @@ directory = {tmp_path / 'out'}
         err = capsys.readouterr().err
         assert "infinite expected extinction time" in err
 
+    @pytest.mark.parametrize("mode", ["rational", "bigfloat"])
+    def test_cells_match_the_fraction_and_mpf_routes(self, tmp_path, mode):
+        spec = BirthDeathSpec(parse_profile("harmonic:5"), Fraction(3, 2))
+        precision = PrecisionConfig(mode)
+        if mode == "rational":  # the Fraction loop's values
+            S = fraction_tail(spec, 60, precision).values[1:]
+            T = list(itertools.accumulate(S))
+        else:  # the mpf numbers the writer used to take
+            table = hitting_table(spec, 60, precision)
+            S, T = table.S, table.T
+        digits = precision.decimal_digits
+        want = ["n,S_n,T_n,certified"] + [
+            f"{n},{fmt_precise(s, digits)},{fmt_precise(t, digits)},true"
+            for n, (s, t) in enumerate(zip(S, T), 1)]
+        cfg = write_config(tmp_path, HITTING_BODY.format(
+            delta="3/2", gamma="harmonic:5", n_max=60, mode=mode, extra="",
+            out=tmp_path / "out"))
+        assert main(["hitting", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "hitting.csv").read_text(
+            encoding="utf-8").splitlines() == want
+
+    @pytest.mark.parametrize("command", ["hitting", "asymptote"])
+    def test_irrational_gamma_in_rational_mode_is_an_error(
+            self, tmp_path, capsys, command):
+        body = HITTING_BODY.format(delta=1, gamma="logn:1.5", n_max=50,
+                                   mode="rational", extra="",
+                                   out=tmp_path / "out")
+        if command == "asymptote":
+            body = body.replace("[hitting]", "[asymptote]").replace(
+                "gamma =", "gammas =")
+        assert main([command, "--config",
+                     str(write_config(tmp_path, body))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rational" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["rational", "bigfloat"])
+    def test_max_terms_below_n_max_is_an_error(self, tmp_path, capsys, mode):
+        cfg = write_config(tmp_path, HITTING_BODY.format(
+            delta=1, gamma="harmonic:5", n_max=50, mode=mode,
+            extra="max_terms = 30\n", out=tmp_path / "out"))
+        assert main(["hitting", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_terms 30 ")
+        assert "state 50" in err
+
     def test_rational_mode(self, tmp_path):
         cfg = write_config(tmp_path, f"""
 [dynamics]
@@ -352,6 +414,19 @@ directory = {tmp_path / 'out'}
         rows = (tmp_path / "out" / "hitting.csv").read_text().splitlines()
         assert float(rows[1].split(",")[1]) == pytest.approx(
             2 * np.log(2), rel=1e-9)
+
+
+def exact_pair(x):
+    """(numerator, denominator) of a Fraction, or of an mpf's exact value
+    (the unpacking the writer did when it took mpf numbers)."""
+    if isinstance(x, mpmath.mpf):
+        _, man, exp, _ = x._mpf_
+        return (man << exp, 1) if exp >= 0 else (man, 1 << -exp)
+    return x.numerator, x.denominator
+
+
+def fmt_precise(x, digits):
+    return cli._fmt_precise(*exact_pair(x), digits)
 
 
 def nstr_exact(x, digits):
@@ -392,7 +467,7 @@ class TestDecimalWriter:
     @pytest.mark.parametrize("digits", [50, 78])
     def test_matches_nstr_on_fractions(self, digits):
         for x in self.cases():
-            assert cli._fmt_precise(x, digits) == nstr_exact(x, digits), x
+            assert fmt_precise(x, digits) == nstr_exact(x, digits), x
 
     @pytest.mark.parametrize("digits", [50, 78])
     def test_matches_nstr_on_exact_dyadics(self, digits):
@@ -409,7 +484,7 @@ class TestDecimalWriter:
             values += list(table.S) + list(table.T)
         assert max(values) > mpmath.mpf(10) ** 78  # step:40 T_1
         for x in values:
-            assert cli._fmt_precise(x, digits) == nstr_exact(x, digits), x
+            assert fmt_precise(x, digits) == nstr_exact(x, digits), x
 
     def test_rational_table_cells_match_mpf_route(self):
         # the former writer: the Fraction rounded to a 182-bit mpf, nstr
@@ -420,7 +495,7 @@ class TestDecimalWriter:
             with mpmath.mp.workprec(182):
                 old = mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator,
                                   50, strip_zeros=True)
-            assert cli._fmt_precise(x, 50) == old
+            assert fmt_precise(x, 50) == old
 
 
 class TestAsymptote:
