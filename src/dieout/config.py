@@ -164,18 +164,9 @@ def _load_section(parser: configparser.ConfigParser, name: str, cls):
     return cls(**kwargs)
 
 
-_SECTIONS = {
-    "graph": ("graph", GraphSection),
-    "profiles": ("profiles", ProfilesSection),
-    "modulation": ("modulation", ModulationSection),
-    "dynamics": ("dynamics", DynamicsSection),
-    "simulation": ("simulation", SimulationSection),
-    "hitting": ("hitting", HittingSection),
-    "asymptote": ("asymptote", AsymptoteSection),
-    "meanfield": ("meanfield", MeanfieldSection),
-    "classify": ("classify", ClassifySection),
-    "output": ("output", OutputSection),
-}
+#: Section name -> section class, in ExperimentConfig's field order.
+_SECTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig)
+             if f.name != "base_dir"}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -192,18 +183,18 @@ def load_config(path) -> ExperimentConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}] in {path}")
-    kwargs = {attr: _load_section(parser, name, cls)
-              for name, (attr, cls) in _SECTIONS.items()}
+    kwargs = {name: _load_section(parser, name, cls)
+              for name, cls in _SECTIONS.items()}
     return ExperimentConfig(base_dir=path.parent, **kwargs)
 
 
 def config_text(cfg: ExperimentConfig) -> str:
     """Canonical serialized form (round-trips through load_config)."""
     lines = []
-    for name, (attr, cls) in _SECTIONS.items():
-        section = getattr(cfg, attr)
+    for name in _SECTIONS:
+        section = getattr(cfg, name)
         body = []
-        for f in fields(cls):
+        for f in fields(section):
             value = getattr(section, f.name)
             if value is None or value == ():
                 continue

@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.linalg import expm_multiply
 
 from .graphs import EpidemicModel, LocalityGraph
 from .rates import Constant
@@ -270,7 +270,24 @@ def simulate_run(cfg: SimConfig, g: LocalityGraph, run_index: int,
         state by t_max, else truncated_at = t_max.  It is byte-identical
         to the same run inside any ensemble.
     """
+    if grid is not None:
+        grid = _checked_grid(grid)
     return _simulate(cfg, _EventTables.of(g), run_index, grid)
+
+
+def _checked_grid(grid) -> np.ndarray:
+    """``grid`` as a float array.
+
+    Raises:
+        ValueError: unless it is a nonempty, finite, strictly
+            increasing 1-D array.
+    """
+    grid = np.asarray(grid, dtype=float)
+    if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
+            or np.any(np.diff(grid) <= 0)):
+        raise ValueError(
+            "grid must be a nonempty, finite, strictly increasing 1-D array")
+    return grid
 
 
 def _draw_block(rng: np.random.Generator, exps: np.ndarray,
@@ -672,9 +689,7 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
     """
     if runs < 40:
         raise ValueError("need at least 40 runs for 2.5% trimming")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be a nonempty increasing 1-D array")
+    grid = _checked_grid(grid)
 
     started = time.perf_counter()
     totals = np.empty((runs, grid.size), dtype=np.int64)
@@ -724,15 +739,18 @@ def mean_field_trajectory(g: LocalityGraph, model: EpidemicModel, x0,
     """Expected trajectory of the linear ODE for constant profiles.
 
     Integrates d E[X]/dt = (beta W + beta_int D - delta I) E[X] on the
-    grid via the matrix exponential (one propagator per distinct step,
-    reused across a uniform grid).  With D = I, projected on the Perron
+    grid, stepping from 0 to each grid point in turn with the action of
+    the matrix exponential on the CSR generator (Al-Mohy & Higham, SIAM
+    J. Sci. Comput. 33(2), 2011; ``scipy.sparse.linalg.expm_multiply``),
+    so no dense copy of W is made.  With D = I, projected on the Perron
     eigenvector q of a symmetric W, the solution is the scalar
     exponential exp(t (beta lambda_r + beta_int - delta)) * q.X(0).
 
     Args:
         model: the epidemic; beta and beta_int must be Constant.
         x0: initial expected counts per node.
-        grid: increasing times (first entry may be 0).
+        grid: nonempty, finite, strictly increasing times (the first
+            entry may be 0).
 
     Returns:
         Array of shape (len(grid), node_count).
@@ -740,24 +758,18 @@ def mean_field_trajectory(g: LocalityGraph, model: EpidemicModel, x0,
     if not (isinstance(model.beta, Constant)
             and isinstance(model.beta_int, Constant)):
         raise ValueError("mean-field integration requires constant profiles")
-    grid = np.asarray(grid, dtype=float)
+    grid = _checked_grid(grid)
     x = np.asarray(x0, dtype=float)
     if x.shape != (g.node_count,):
         raise ValueError("x0 length does not match the graph")
 
     # constant profiles equal their limits at every n
-    gen = (model.asymptotic_matrix(g).toarray()
-           - float(model.delta) * np.eye(g.node_count))
+    gen = (model.asymptotic_matrix(g)
+           - float(model.delta) * sp.identity(g.node_count, format="csr"))
     out = np.empty((grid.size, g.node_count))
-    steps = np.diff(grid, prepend=0.0)
-    propagators: dict[float, np.ndarray] = {}
     cur = x
-    for k, dt in enumerate(steps):
+    for k, dt in enumerate(np.diff(grid, prepend=0.0)):
         if dt != 0.0:
-            prop = propagators.get(dt)
-            if prop is None:
-                prop = scipy.linalg.expm(gen * dt)
-                propagators[dt] = prop
-            cur = prop @ cur
+            cur = expm_multiply(gen * dt, cur)
         out[k] = cur
     return out

@@ -6,17 +6,21 @@ as n grows without bound; both facts are load-bearing for the threshold
 classifiers and the birth-death solvers, so the constructors enforce
 them.
 
-Profiles evaluate in three arithmetics:
+Profiles evaluate in any :class:`Arithmetic`.  Three are defined here:
 
-* ``value(n)``        machine floats, for the stochastic simulator;
-* ``value_exact(n)``  ``Fraction``, for the exact-rational kernel;
-* ``value_mpf(n)``    mpmath floats at the caller's working precision.
+* ``FLOAT``  machine floats, for the stochastic simulator;
+* ``EXACT``  ``Fraction``;
+* ``MPF``    mpmath floats at the caller's working precision.
+
+The certified kernel in ``chains`` brings its own (unreduced integer
+ratios).
 
 Each family states its values once, as an evaluator over an
 :class:`Arithmetic` (how an exact parameter and ``log1p`` enter the
-number type), and its tail suprema once; ``value``, ``value_exact``,
-``value_mpf``, ``as_float_fn``, ``sup_from`` and ``sup_from_exact``
-derive from those two definitions.
+number type), and its tail suprema once.  Hot loops build an evaluator
+once, through ``evaluator``, ``as_float_fn`` or ``sup_from*``; the
+checked one-value views ``value``, ``value_exact`` and ``value_mpf``
+build one per call and serve tests and verification oracles.
 
 Parameters are parsed exactly from decimal (or p/q) strings, so the
 exact views carry no representation error.
@@ -87,22 +91,6 @@ FLOAT = Arithmetic("float", float, math.log1p)
 EXACT = Arithmetic("exact", Fraction, _irrational)
 MPF = Arithmetic("mpf", _mpf, lambda n: mpmath.log(n + 1))
 
-#: Evaluators by (id(profile), arithmetic, mpmath precision).  An entry
-#: holds its profile, so the id cannot be reused while the entry lives;
-#: mpf parameters are rounded at the precision current when built.
-_EVALUATORS: dict = {}
-_EVALUATOR_CACHE_SIZE = 1024
-
-
-def _cached_evaluator(profile: "RateProfile", ar: Arithmetic) -> Callable:
-    key = (id(profile), ar, mpmath.mp.prec)
-    entry = _EVALUATORS.get(key)
-    if entry is None:
-        if len(_EVALUATORS) >= _EVALUATOR_CACHE_SIZE:
-            _EVALUATORS.clear()
-        entry = _EVALUATORS[key] = (profile, profile.evaluator(ar))
-    return entry[1]
-
 
 class RateProfile:
     """Common interface for the concrete profile families below.
@@ -124,13 +112,13 @@ class RateProfile:
         raise NotImplementedError
 
     def value(self, n: int) -> float:
-        return _cached_evaluator(self, FLOAT)(_check_n(n))
+        return self.evaluator(FLOAT)(_check_n(n))
 
     def value_exact(self, n: int) -> Fraction:
-        return _cached_evaluator(self, EXACT)(_check_n(n))
+        return self.evaluator(EXACT)(_check_n(n))
 
     def value_mpf(self, n: int) -> mpmath.mpf:
-        return _cached_evaluator(self, MPF)(_check_n(n))
+        return self.evaluator(MPF)(_check_n(n))
 
     def as_float_fn(self) -> Callable[[int], float]:
         """Fast unchecked float evaluator for simulation hot loops."""

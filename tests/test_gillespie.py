@@ -15,7 +15,7 @@ from dieout.gillespie import (SimConfig, _EventTables, _locate, _map_runs,
                               run_ensemble, run_rng, simulate_run,
                               trimmed_interval)
 from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
-                           spectral_radius)
+                           load_edge_list, spectral_radius)
 from dieout.rates import Constant, parse_profile
 
 from conftest import const_model, random_strong_digraph
@@ -600,6 +600,37 @@ class TestMeanField:
                                        scipy.linalg.expm(gen * t) @ x0,
                                        rtol=1e-10)
 
+    def test_sparse_generator_is_never_densified(self, monkeypatch):
+        # a directed circulant above DENSE_NODE_LIMIT where u receives
+        # from u+1 and u+7: every column of W sums to c, so with
+        # D = eta I the total grows exactly at c beta + eta beta_int - delta
+        n, c, eta = 2100, 0.3 + 0.9, 0.8
+        rows = np.tile(np.arange(n), 2)
+        cols = np.concatenate([(np.arange(n) + 1) % n, (np.arange(n) + 7) % n])
+        w = sp.csr_matrix((np.repeat([0.3, 0.9], n), (rows, cols)),
+                          shape=(n, n))
+        g = LocalityGraph(tuple(f"v{i}" for i in range(n)), w)
+        assert n > gillespie.DENSE_NODE_LIMIT
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("densified a sparse matrix")
+
+        monkeypatch.setattr(LocalityGraph, "dense_weights", refuse)
+        for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
+                    sp.dia_matrix, sp.csr_array, sp.csc_array,
+                    sp.coo_array, sp.dia_array):
+            monkeypatch.setattr(cls, "toarray", refuse)
+            monkeypatch.setattr(cls, "todense", refuse)
+        beta, beta_int, delta = 1.5, 0.5, 2.5
+        model = const_model(beta, beta_int, delta,
+                            DiagonalModulation.uniform(n, eta))
+        grid = np.array([0.0, 0.013, 0.2, 0.5, 1.7, 3.0])
+        x0 = np.random.default_rng(4).uniform(0.0, 3.0, n)
+        totals = mean_field_trajectory(g, model, x0, grid).sum(axis=1)
+        rate = c * beta + eta * beta_int - delta
+        np.testing.assert_allclose(totals, np.exp(rate * grid) * x0.sum(),
+                                   rtol=1e-12, atol=0)
+
     def test_constant_profiles_accepted_nonconstant_rejected(self, k3):
         grid = np.array([0.0, 1.0])
         x0 = np.ones(3)
@@ -632,3 +663,45 @@ class TestMeanField:
         for j in range(half):
             se = summary.per_run_totals[:, j].std(ddof=1) / math.sqrt(runs)
             assert abs(summary.mean_total[j] - ode[j]) <= 3 * se + 1e-9
+
+
+class TestGridCheck:
+    """Every grid entry point rejects a grid that is not a nonempty,
+    finite, strictly increasing 1-D array, before any simulation."""
+
+    BAD = [[0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [],
+           [[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0, 1.0], [1.0, 0.5]]
+
+    @staticmethod
+    def path_abc() -> LocalityGraph:
+        return load_edge_list("a b 1\nb a 1\nb c 1\nc b 1")
+
+    def test_nan_grid_point_no_longer_corrupts_the_next(self):
+        # before the check, [0, nan, 1] read 1.4 at t = 1 here: the NaN
+        # point swallowed the events up to it
+        g = self.path_abc()
+        cfg = make_cfg(beta=parse_profile("const:1"),
+                       beta_int=parse_profile("const:0.5"), delta=3.0,
+                       n0=5, t_max=10.0, master_seed=1)
+        good = run_ensemble(cfg, g, 40, [0.0, 1.0, 5.0])
+        assert good.mean_total[1] == pytest.approx(1.725)
+        with pytest.raises(ValueError, match="finite"):
+            run_ensemble(cfg, g, 40, [0.0, np.nan, 1.0])
+
+    @pytest.mark.parametrize("grid", BAD)
+    def test_run_ensemble_rejects(self, grid):
+        cfg = make_cfg(beta=parse_profile("const:1"), n0=5, t_max=10.0)
+        with pytest.raises(ValueError, match="grid must be"):
+            run_ensemble(cfg, self.path_abc(), 40, grid)
+
+    @pytest.mark.parametrize("grid", BAD)
+    def test_simulate_run_rejects(self, grid):
+        cfg = make_cfg(beta=parse_profile("const:1"), n0=5, t_max=10.0)
+        with pytest.raises(ValueError, match="grid must be"):
+            simulate_run(cfg, self.path_abc(), 0, grid)
+
+    @pytest.mark.parametrize("grid", BAD)
+    def test_mean_field_rejects(self, grid):
+        with pytest.raises(ValueError, match="grid must be"):
+            mean_field_trajectory(self.path_abc(), const_model(1, 0.5, 3.0),
+                                  np.ones(3), grid)
