@@ -7,7 +7,7 @@ from .chains import (AsymptoteRatios, BirthDeathSpec, HittingTable,
                      InfiniteHittingTimeError, PrecisionConfig, SeriesValue,
                      asymptote_ratio, bound_chains_from_graph,
                      equilibrium_lower_bound, expected_T1, hitting_table,
-                     s_tail_series, s_values_float)
+                     s_tail_series)
 from .gillespie import (EnsembleSummary, SimConfig, Trajectory,
                         mean_field_trajectory, run_ensemble, simulate_run,
                         trimmed_interval)
@@ -42,6 +42,6 @@ __all__ = [
     "BirthDeathSpec", "PrecisionConfig", "HittingTable", "AsymptoteRatios",
     "SeriesValue",
     "InfiniteHittingTimeError", "expected_T1",
-    "s_tail_series", "hitting_table", "asymptote_ratio", "s_values_float",
+    "s_tail_series", "hitting_table", "asymptote_ratio",
     "equilibrium_lower_bound", "bound_chains_from_graph",
 ]

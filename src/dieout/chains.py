@@ -492,11 +492,6 @@ class _Tail:
             scale *= step
         return out
 
-    def floats(self) -> np.ndarray:
-        """The values rounded to float64, index 0 (unused) zero."""
-        return np.array([0.0] + [v / d for v, d in
-                                 zip(self.values[1:], self.dens[1:])])
-
     def max_rel_bound(self) -> float | None:
         rel = [b / v for b, v in zip(self.bounds[1:], self.values[1:])
                if b is not None]
@@ -624,30 +619,22 @@ def asymptote_ratio(spec: BirthDeathSpec, n_list,
 
     When gamma vanishes asymptotically the ratios approach one --
     although the approach is extremely slow, so no rate is implied.
-    The increments are computed in the certified kernel and then
-    accumulated in float64 (the ratios themselves are float-scale
-    diagnostics; positive-term accumulation keeps them accurate).
+    Each E[T_n] is the certified kernel's exact prefix sum p/q, the same
+    pair :func:`hitting_table` stores in ``t_pairs``; the ratio is
+    ``delta * (p / q) / math.log(n)`` in float64, read only at the
+    requested states.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 2:
         raise ValueError("asymptote states must be integers >= 2")
     tail = _tail_values(spec, n_list[-1], precision)
-    t_cum = np.cumsum(tail.floats()[1:])
+    sums, den = tail.sums(), tail.dens[1]
     delta = float(spec.delta)
     return AsymptoteRatios(
-        [(n, delta * float(t_cum[n - 1]) / math.log(n)) for n in n_list],
+        [(n, delta * (sums[n - 1] / den) / math.log(n)) for n in n_list],
         truncated_at=tail.truncated_at, planned_truncation=tail.planned,
         extension_passes=tail.passes,
         max_rel_error_bound=tail.max_rel_bound())
-
-
-def s_values_float(spec: BirthDeathSpec, n_max: int,
-                   precision: PrecisionConfig) -> np.ndarray:
-    """S_1..S_n_max computed in the certified kernel, returned as floats.
-
-    Index 0 of the returned array is unused padding.
-    """
-    return _tail_values(spec, n_max, precision).floats()
 
 
 def equilibrium_lower_bound(epsilon, delta, N: int) -> Fraction:

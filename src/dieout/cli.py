@@ -48,17 +48,6 @@ _LOG10_2 = math.log10(2)
 _pow10 = functools.cache(lambda k: 10 ** k)
 
 
-def _fmt(x) -> str:
-    """Locale-independent decimal rendering for CSV cells."""
-    if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _fmt_precise(num: int, den: int, digits: int) -> str:
     """The positive exact value num/den in ``mpmath.nstr(x, digits)``
     layout, in integer arithmetic (the pair need not be reduced).
@@ -103,6 +92,8 @@ def _fmt_precise(num: int, den: int, digits: int) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Rows of Python numbers and strings; ``csv`` writes each float as
+    its shortest round-trip ``repr``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -193,29 +184,28 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     sim_cfg = _sim_config(cfg, g, args)
     grid = simulation_grid(cfg.simulation)
     summary = run_ensemble(sim_cfg, g, cfg.simulation.runs, grid,
-                           threads=args.threads, keep_per_run=True)
+                           threads=args.threads)
     out = _out_dir(cfg, args)
 
-    grid_text = [_fmt(t) for t in grid]
+    grid_text = [repr(t) for t in grid.tolist()]
     _write_csv(out / "trajectories.csv", ["t", "run_id", "total"],
                ((t, run, total)
                 for run, totals in enumerate(summary.per_run_totals.tolist())
                 for t, total in zip(grid_text, totals)))
     _write_csv(out / "summary.csv",
                ["t", "mean", "lower95", "upper95", "survival_fraction"],
-               ((_fmt(t), _fmt(m), _fmt(lo), _fmt(hi), _fmt(sv))
-                for t, m, lo, hi, sv in zip(
-                    grid, summary.mean_total, summary.lower95,
-                    summary.upper95, summary.survival_fraction)))
+               zip(*(a.tolist() for a in (
+                   grid, summary.mean_total, summary.lower95,
+                   summary.upper95, summary.survival_fraction))))
     _write_csv(out / "extinctions.csv", ["run_id", "t_extinct"],
-               ((run, _fmt(t)) for run, t in summary.run_extinctions))
+               summary.run_extinctions)
     if summary.run_events is not None:
         event_dir = out / "events"
         event_dir.mkdir(exist_ok=True)
         for run, events in enumerate(summary.run_events):
             _write_csv(event_dir / f"run_{run:05d}.csv",
                        ["t", "node_label", "delta"],
-                       ((_fmt(t), g.labels[node], dc)
+                       ((t, g.labels[node], dc)
                         for t, node, dc in events))
     extra = {
         "master_seed": sim_cfg.master_seed,
@@ -263,7 +253,7 @@ def cmd_hitting(cfg: ExperimentConfig, args) -> int:
     digits = precision.decimal_digits
     _write_csv(out / "hitting.csv", ["n", "S_n", "T_n", "certified"],
                ((n + 1, _fmt_precise(*s, digits), _fmt_precise(*t, digits),
-                 _fmt(c))
+                 "true" if c else "false")
                 for n, (s, t, c) in enumerate(
                     zip(table.s_pairs, table.t_pairs, table.row_certified))))
     _write_meta(out, "hitting", cfg,
@@ -287,6 +277,11 @@ def cmd_asymptote(cfg: ExperimentConfig, args) -> int:
             max(2, asym.n_min), asym.n_max, asym.points)).astype(int))
         states = [int(n) for n in pts]
     precision = _precision_from(asym)
+    if max(states, default=0) > precision.max_terms:
+        raise ConfigError(
+            f"[asymptote] state {states[-1]} is above the series kernel's "
+            f"{precision.max_terms:,}-term cap; request states up to "
+            f"{precision.max_terms:,}")
     delta = parse_parameter(cfg.dynamics.delta)
 
     columns = []
@@ -298,7 +293,7 @@ def cmd_asymptote(cfg: ExperimentConfig, args) -> int:
     out = _out_dir(cfg, args)
     header = ["n"] + [f"ratio[{text}]" for text, _, _ in columns]
     _write_csv(out / "ratios.csv", header,
-               (([n] + [_fmt(ratios[n]) for _, ratios, _ in columns])
+               (([n] + [ratios[n] for _, ratios, _ in columns])
                 for n in states))
     _write_meta(out, "asymptote", cfg, {
         "states": len(states),
@@ -326,8 +321,9 @@ def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
     series = mean_field_trajectory(g, model, x0, grid)
     out = _out_dir(cfg, args)
     _write_csv(out / "meanfield.csv", ["t", *g.labels, "total"],
-               (([_fmt(t)] + [_fmt(v) for v in row] + [_fmt(row.sum())])
-                for t, row in zip(grid, series)))
+               ([t, *row, total] for t, row, total in zip(
+                   grid.tolist(), series.tolist(),
+                   series.sum(axis=1).tolist())))
     _write_meta(out, "meanfield", cfg, {"nodes": g.node_count})
     print(f"meanfield: {grid.size} grid points over {g.node_count} nodes, "
           f"output in {out}")

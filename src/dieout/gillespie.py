@@ -123,6 +123,8 @@ class EnsembleSummary:
     growing ensemble.  ``events`` counts the events that changed a
     count, ``null_events`` the draws that landed on rounding residue,
     and ``ensemble_s`` is the wall time of the whole ensemble.
+    ``per_run_totals`` holds every run's total on the grid and
+    ``run_extinctions`` the (run, time) of every extinct run.
     """
 
     time_grid: np.ndarray
@@ -137,8 +139,8 @@ class EnsembleSummary:
     null_events: int
     truncated_runs: int
     ensemble_s: float
-    per_run_totals: np.ndarray | None = None
-    run_extinctions: list[tuple[int, float]] | None = None
+    per_run_totals: np.ndarray
+    run_extinctions: list[tuple[int, float]]
     run_events: list[list[tuple[float, int, int]]] | None = None
 
 
@@ -672,8 +674,7 @@ def _map_runs(cfg: SimConfig, g: LocalityGraph, runs: int,
 
 
 def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
-                 grid: np.ndarray, threads: int = 1,
-                 keep_per_run: bool = False) -> EnsembleSummary:
+                 grid: np.ndarray, threads: int = 1) -> EnsembleSummary:
     """Simulate an ensemble and aggregate trimmed envelopes on a grid.
 
     Args:
@@ -684,8 +685,6 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
         grid: increasing sample times.
         threads: worker processes; 0 picks the machine default, 1 runs
             inline.  Results are independent of the worker count.
-        keep_per_run: attach the per-run grid totals and per-run
-            extinction times (needed for trajectory export).
     """
     if runs < 40:
         raise ValueError("need at least 40 runs for 2.5% trimming")
@@ -728,8 +727,8 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
         null_events=null_events,
         truncated_runs=runs - len(extinctions),
         ensemble_s=time.perf_counter() - started,
-        per_run_totals=totals if keep_per_run else None,
-        run_extinctions=extinctions if keep_per_run else None,
+        per_run_totals=totals,
+        run_extinctions=extinctions,
         run_events=run_events,
     )
 
@@ -748,7 +747,7 @@ def mean_field_trajectory(g: LocalityGraph, model: EpidemicModel, x0,
 
     Args:
         model: the epidemic; beta and beta_int must be Constant.
-        x0: initial expected counts per node.
+        x0: initial expected counts per node, finite and nonnegative.
         grid: nonempty, finite, strictly increasing times (the first
             entry may be 0).
 
@@ -762,6 +761,8 @@ def mean_field_trajectory(g: LocalityGraph, model: EpidemicModel, x0,
     x = np.asarray(x0, dtype=float)
     if x.shape != (g.node_count,):
         raise ValueError("x0 length does not match the graph")
+    if not (np.isfinite(x).all() and (x >= 0).all()):
+        raise ValueError("x0 must be finite and nonnegative")
 
     # constant profiles equal their limits at every n
     gen = (model.asymptotic_matrix(g)

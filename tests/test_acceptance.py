@@ -17,7 +17,7 @@ import pytest
 
 from dieout.chains import (BirthDeathSpec, PrecisionConfig,
                            equilibrium_lower_bound, expected_T1,
-                           hitting_table, s_tail_series, s_values_float)
+                           hitting_table, s_tail_series)
 from dieout.gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                               simulate_run)
 from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
@@ -103,8 +103,9 @@ def test_04_asymptote_diagnostics_and_precision_warning():
                       "forward recursion provably disagrees"):
         spec = BirthDeathSpec(Harmonic(Fraction(5)), Fraction(1))
         n_max = 20_000
-        svals = s_values_float(spec, n_max, BF256)
-        ratio = np.arange(1, n_max + 1) * svals[1:]
+        svals = np.array([p / q for p, q in
+                          hitting_table(spec, n_max, BF256).s_pairs])
+        ratio = np.arange(1, n_max + 1) * svals
         assert (ratio > 0).all()
         # decreasing toward 1 from n = 2 on, and strictly above 1
         assert np.all(np.diff(ratio[1:]) < 0)

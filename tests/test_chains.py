@@ -11,7 +11,7 @@ from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig, asymptote_ratio,
                            bound_chains_from_graph, equilibrium_lower_bound,
                            expected_T1, hitting_table, s_tail_series,
-                           s_values_float, _BackwardLog)
+                           _BackwardLog)
 from dieout.rates import (Combined, Constant, ExactnessError, LogOverN,
                           Scaled, Step, Table, parse_profile)
 
@@ -305,9 +305,10 @@ class TestAsymptote:
 
     def test_harmonic_gamma_n_times_s_approaches_one(self):
         spec = spec_of("harmonic:5")
-        svals = s_values_float(spec, 5000, BF256)
+        svals = np.array([p / q for p, q in
+                          hitting_table(spec, 5000, BF256).s_pairs])
         ns = np.arange(1, 5001)
-        ratio = ns * svals[1:]
+        ratio = ns * svals
         assert (ratio > 0).all()
         assert np.all(np.diff(ratio[1:]) < 0)  # decreasing from n = 2
         assert abs(ratio[-1] - 1) < 0.01
@@ -318,6 +319,17 @@ class TestAsymptote:
         ratios = dict(asymptote_ratio(spec, [10**4, 10**5], BF256).ratios)
         for n, r in ratios.items():
             assert 1.0 - 1e-9 <= r <= 1.0 / (1.0 - alpha) + 1.0
+
+    @pytest.mark.parametrize("precision", [RATIONAL, BF256],
+                             ids=["rational", "bigfloat"])
+    def test_ratios_come_from_the_table_prefix_sums(self, precision):
+        # the same exact T_n as hitting.csv, rounded once to float64
+        spec = BirthDeathSpec(parse_profile("harmonic:2"), Fraction(3, 2))
+        states = [2, 7, 40, 300, 1000, 2500]
+        t_pairs = hitting_table(spec, max(states), precision).t_pairs
+        assert asymptote_ratio(spec, states, precision).ratios == [
+            (n, 1.5 * (t_pairs[n - 1][0] / t_pairs[n - 1][1]) / math.log(n))
+            for n in states]
 
     def test_rejects_states_below_two(self):
         with pytest.raises(ValueError):
@@ -330,8 +342,9 @@ class TestAsymptote:
         # n*S_n -> 1 < 1/(1 - eps)
         spec = spec_of("harmonic:5")
         n_max = 100_000
-        svals = s_values_float(spec, n_max, BF256)
-        t_cum = np.cumsum(svals[1:])
+        svals = np.array([p / q for p, q in
+                          hitting_table(spec, n_max, BF256).s_pairs])
+        t_cum = np.cumsum(svals)
         ns = np.arange(1, n_max + 1)
         for eps in (0.1, 0.5):
             deficit = t_cum - np.log(ns) / (1.0 - eps)

@@ -12,11 +12,14 @@ import scipy.sparse as sp
 from mpmath.libmp import from_man_exp
 
 from dieout import cli
-from dieout.chains import BirthDeathSpec, PrecisionConfig, hitting_table
+from dieout.chains import (BirthDeathSpec, PrecisionConfig, asymptote_ratio,
+                           hitting_table)
 from dieout.cli import main
 from dieout.config import (ConfigError, config_sha256, config_text,
-                           load_config, load_graph, simulation_grid)
-from dieout.gillespie import DENSE_NODE_LIMIT, simulate_run
+                           load_config, load_graph, simulation_grid,
+                           uniform_grid)
+from dieout.gillespie import (DENSE_NODE_LIMIT, mean_field_trajectory,
+                              run_ensemble, simulate_run)
 from dieout.graphs import LocalityGraph, spectral_radius
 from dieout.rates import parse_profile
 
@@ -556,6 +559,46 @@ directory = {out}
             assert report["truncated_at"] >= report["planned_truncation"]
 
 
+    def test_state_above_the_term_cap_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran a kernel pass")
+
+        monkeypatch.setattr(cli, "asymptote_ratio", refuse)
+        cfg = write_config(tmp_path, f"""
+[dynamics]
+delta = 1
+
+[asymptote]
+gammas = harmonic:5
+n_values = 10 3000000
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+        assert main(["asymptote", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [asymptote] state 3000000 ")
+        assert "2,000,000-term cap" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_no_states_is_an_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"""
+[dynamics]
+delta = 1
+
+[asymptote]
+gammas = harmonic:5
+points = 0
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+        assert main(["asymptote", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: asymptote states must be integers")
+
+
 class TestMeanfield:
     def test_decay_columns(self, tmp_path):
         cfg = write_config(tmp_path, f"""
@@ -641,6 +684,100 @@ directory = {tmp_path / 'out'}
 """)
         assert main(["meanfield", "--config", str(cfg)]) == 1
         assert "constant" in capsys.readouterr().err
+
+
+def csv_cells(path: Path) -> list[list[str]]:
+    """The data rows of a CSV file, split into cells."""
+    lines = path.read_text(encoding="utf-8").splitlines()[1:]
+    return [line.split(",") for line in lines]
+
+
+class TestCellsAreLibraryNumbers:
+    """Each float cell is ``repr`` of the library float it comes from."""
+
+    def test_summary_cells(self, tmp_path):
+        cfg_path = write_config(tmp_path, SIM_BODY.format(
+            graph=small_graph_file(tmp_path), delta="6",
+            out=tmp_path / "out"))
+        assert main(["simulate", "--config", str(cfg_path)]) == 0
+        cfg = load_config(cfg_path)
+        g = load_graph(cfg)
+        grid = simulation_grid(cfg.simulation)
+        summary = run_ensemble(cli._sim_config(cfg, g, Namespace(seed=None)),
+                               g, cfg.simulation.runs, grid)
+        columns = (grid, summary.mean_total, summary.lower95,
+                   summary.upper95, summary.survival_fraction)
+        assert csv_cells(tmp_path / "out" / "summary.csv") == [
+            [repr(float(x)) for x in row] for row in zip(*columns)]
+
+    def test_ratio_cells(self, tmp_path):
+        gammas, states = ("harmonic:2", "logn:1"), [2, 40, 1000]
+        cfg = write_config(tmp_path, f"""
+[dynamics]
+delta = 3/2
+
+[asymptote]
+gammas = {' '.join(gammas)}
+n_values = {' '.join(map(str, states))}
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+        assert main(["asymptote", "--config", str(cfg)]) == 0
+        columns = [dict(asymptote_ratio(
+            BirthDeathSpec(parse_profile(text), Fraction(3, 2)), states,
+            PrecisionConfig()).ratios) for text in gammas]
+        assert csv_cells(tmp_path / "out" / "ratios.csv") == [
+            [str(n)] + [repr(column[n]) for column in columns]
+            for n in states]
+
+    def test_meanfield_cells(self, tmp_path):
+        cfg_path = write_config(tmp_path, f"""
+[graph]
+path = {small_graph_file(tmp_path)}
+
+[profiles]
+beta = const:1/2
+beta_int = const:1
+
+[dynamics]
+delta = 2
+
+[simulation]
+n0 = 9
+
+[meanfield]
+t_max = 1.0
+grid_step = 0.25
+x0 = node:b
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+        assert main(["meanfield", "--config", str(cfg_path)]) == 0
+        cfg = load_config(cfg_path)
+        g = load_graph(cfg)
+        x0 = np.zeros(g.node_count)
+        x0[g.index("b")] = 9
+        grid = uniform_grid(1.0, 0.25, "meanfield")
+        series = mean_field_trajectory(g, cli._model(cfg, g), x0, grid)
+        assert csv_cells(tmp_path / "out" / "meanfield.csv") == [
+            [repr(float(t)), *(repr(float(v)) for v in row),
+             repr(float(row.sum()))] for t, row in zip(grid, series)]
+
+    def test_certified_column_reads_true_or_false(self, tmp_path):
+        # 200 terms certify the rows far enough below the cut only
+        cfg = write_config(tmp_path, HITTING_BODY.format(
+            delta=1, gamma="const:1/2", n_max=150, mode="bigfloat",
+            extra="max_terms = 200\n", out=tmp_path / "out"))
+        assert main(["hitting", "--config", str(cfg)]) == 0
+        table = hitting_table(
+            BirthDeathSpec(parse_profile("const:1/2"), Fraction(1)), 150,
+            PrecisionConfig(max_terms=200))
+        column = [row[3] for row in csv_cells(tmp_path / "out" / "hitting.csv")]
+        assert column == ["true" if c else "false"
+                          for c in table.row_certified]
+        assert set(column) == {"true", "false"}
 
 
 class TestAirportRecipes:

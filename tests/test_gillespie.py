@@ -457,7 +457,7 @@ class TestEnsemble:
                        beta_int=parse_profile("const:1"), delta=5.0, n0=20,
                        t_max=5.0)
         grid = np.linspace(0.0, 5.0, 26)
-        summary = run_ensemble(cfg, fixture20, 40, grid, keep_per_run=True)
+        summary = run_ensemble(cfg, fixture20, 40, grid)
         trim = 1  # floor(0.025 * 40)
         for j in (0, 5, 10, 25):
             column = np.sort(summary.per_run_totals[:, j])
@@ -485,7 +485,7 @@ class TestEnsemble:
     def test_extinct_runs_contribute_zero(self, k3):
         cfg = make_cfg(n0=3, t_max=50.0)  # pure death, all extinct early
         grid = np.array([25.0, 50.0])
-        summary = run_ensemble(cfg, k3, 50, grid, keep_per_run=True)
+        summary = run_ensemble(cfg, k3, 50, grid)
         assert (summary.per_run_totals == 0).all()
         assert summary.survival_fraction[0] == 0.0
         assert summary.lower95[0] == summary.upper95[0] == 0.0
@@ -495,8 +495,8 @@ class TestEnsemble:
                        beta_int=parse_profile("const:0.8"), delta=3.0,
                        n0=8, t_max=4.0)
         grid = np.linspace(0.0, 4.0, 11)
-        seq = run_ensemble(cfg, k3, 44, grid, threads=1, keep_per_run=True)
-        par = run_ensemble(cfg, k3, 44, grid, threads=2, keep_per_run=True)
+        seq = run_ensemble(cfg, k3, 44, grid, threads=1)
+        par = run_ensemble(cfg, k3, 44, grid, threads=2)
         np.testing.assert_array_equal(seq.per_run_totals, par.per_run_totals)
         assert seq.run_extinctions == par.run_extinctions
 
@@ -643,6 +643,15 @@ class TestMeanField:
                 k3, EpidemicModel(parse_profile("harmonic:1"),
                                   Constant(Fraction(0)), 1.0), x0, grid)
 
+    @pytest.mark.parametrize("x0", [[math.nan, -5.0], [1.0, -5.0],
+                                    [math.inf, 1.0], [0.0, -1e-300]])
+    def test_rejects_nonfinite_or_negative_x0(self, x0):
+        g = load_edge_list("a b 1\nb a 1")
+        with pytest.raises(ValueError, match="x0 must be finite and "
+                                             "nonnegative"):
+            mean_field_trajectory(g, const_model(1.0, 0.0, 2.0), x0,
+                                  np.array([0.0, 1.0]))
+
     def test_ensemble_mean_tracks_ode(self, fixture20):
         # constant rates, decaying regime: ensemble mean within three
         # standard errors of the ODE total over the first half horizon
@@ -654,7 +663,7 @@ class TestMeanField:
                        n0=40, t_max=2.0, master_seed=9)
         grid = np.linspace(0.0, 2.0, 21)
         runs = 600
-        summary = run_ensemble(cfg, fixture20, runs, grid, keep_per_run=True)
+        summary = run_ensemble(cfg, fixture20, runs, grid)
         x0 = np.full(fixture20.node_count, 40 / fixture20.node_count)
         ode = mean_field_trajectory(fixture20,
                                     const_model(beta, beta_int, delta), x0,
