@@ -126,7 +126,7 @@ def test_04_asymptote_diagnostics_and_precision_warning():
         diverged_at = None
         for n in range(1, 150):
             s = s_recursion_step(spec, s, n, prec128)
-            rel = abs(float(s) - svals[n + 1]) / svals[n + 1]
+            rel = abs(float(s) - svals[n]) / svals[n]
             if rel > 0.1:
                 diverged_at = n + 1
                 break
