@@ -42,9 +42,10 @@ The pass runs in Python integers in one of two arithmetics:
   bound is within the tolerance; the rounding bound alone stays below
   2**-bits relative.
 
-Tables keep those exact (numerator, denominator) pairs; the public
-numbers (Fractions, or mpf numbers holding the exact dyadic kernel
-values) are built only when a caller reads them.
+Every entry point reads the one :class:`HittingTable` that pass
+builds.  It keeps the kernel's integers; the (numerator, denominator)
+pairs and the public numbers (Fractions, or mpf numbers holding the
+exact dyadic kernel values) are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
@@ -154,10 +156,14 @@ class HittingTable:
     """Increments S_1..S_n_max and accumulated mean hitting times.
 
     T_n = sum_{i<=n} S_i is strictly increasing; ``certified`` is True
-    only when every row met the relative tolerance.  ``s_pairs`` and
-    ``t_pairs`` hold each S_n and T_n exactly as a (numerator,
-    denominator) pair of the kernel's integers; ``S`` and ``T`` are the
-    same values as Fractions (rational mode) or mpf numbers holding the
+    only when every row met the relative tolerance.  Row n holds the
+    kernel's integers: S_n is exactly ``numerators[n-1] /
+    denominators[n-1]``, and ``bounds[n-1]`` over the same denominator
+    bounds its error (the neglected tail plus, in big-float mode, the
+    carried rounding; None when no tail bound was available).  Built
+    only on first access: ``s_pairs`` and ``t_pairs``, each S_n and T_n
+    as a (numerator, denominator) pair, and ``S`` and ``T``, the same
+    values as Fractions (rational mode) or mpf numbers holding the
     exact dyadic (big-float mode).  The run report:
     ``planned_truncation`` is the first truncation index tried,
     ``extension_passes`` counts the doublings needed to certify, and
@@ -166,8 +172,6 @@ class HittingTable:
     """
 
     n_max: int
-    s_pairs: tuple
-    t_pairs: tuple
     precision: PrecisionConfig
     certified: bool
     row_certified: tuple
@@ -175,6 +179,32 @@ class HittingTable:
     planned_truncation: int
     extension_passes: int
     max_rel_error_bound: float | None
+    numerators: list = field(repr=False)
+    bounds: list = field(repr=False)
+    denominators: list = field(repr=False)
+    #: rational mode: denominators[n-1] = denominators[n] * _steps[n-1];
+    #: None in big-float mode, where every denominator is the same 2**F
+    _steps: list | None = field(repr=False)
+
+    @functools.cached_property
+    def _t_numerators(self) -> list:
+        """Numerators of T_1..T_n_max over denominators[0], where S_k
+        has the numerator numerators[k-1] * _steps[0] * ... * _steps[k-2].
+        """
+        if self._steps is None:
+            return list(itertools.accumulate(self.numerators))
+        scales = itertools.accumulate(self._steps, operator.mul, initial=1)
+        return list(itertools.accumulate(
+            map(operator.mul, self.numerators, scales)))
+
+    @functools.cached_property
+    def s_pairs(self) -> tuple:
+        return tuple(zip(self.numerators, self.denominators))
+
+    @functools.cached_property
+    def t_pairs(self) -> tuple:
+        return tuple(zip(self._t_numerators,
+                         itertools.repeat(self.denominators[0])))
 
     @functools.cached_property
     def S(self) -> tuple:
@@ -187,6 +217,11 @@ class HittingTable:
     def _numbers(self, pairs) -> tuple:
         rational = self.precision.mode == RATIONAL
         return tuple(_number(p, q, rational) for p, q in pairs)
+
+
+#: the run report of a kernel pass, in HittingTable and AsymptoteRatios
+RUN_REPORT = ("truncated_at", "planned_truncation", "extension_passes",
+              "max_rel_error_bound")
 
 
 @dataclass(frozen=True)
@@ -360,7 +395,7 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
 
     Returns (values, bounds, rounding, F): s_j, the bound e_j plus the
     tail bound P_j * geom in units of 2**-F (None without a tail
-    bound), and e_j alone, for j = 1..n_hi (index 0 unused).
+    bound), and e_j alone, for j = 1..n_hi at index j - 1.
     """
     delta = spec.delta
     F = bits + _GUARD + max(0, math.ceil(math.log2(delta * M)))
@@ -372,9 +407,9 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     if geom is not None:
         gn, gd = geom.numerator, geom.denominator
 
-    values = [0] * (n_hi + 1)
-    bounds = [None] * (n_hi + 1)
-    rounding = [0] * (n_hi + 1)
+    values = [0] * n_hi
+    bounds = [None] * n_hi
+    rounding = [0] * n_hi
     s = e = 0
     pm, pe = 1 << 63, -63  # P_{M+1} = 1
     for j in range(M, 0, -1):
@@ -393,9 +428,9 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
                 pm = (-(-pm >> shift) if shift > 0 else pm << -shift) + 1
                 pe += shift
         if j <= n_hi:
-            values[j], rounding[j] = s, e
+            values[j - 1], rounding[j - 1] = s, e
             if not pm:
-                bounds[j] = e  # a vanished gamma truncates exactly
+                bounds[j - 1] = e  # a vanished gamma truncates exactly
             elif geom is not None:
                 # ceil(P_j * geom * 2**F), which is 1 when below one unit
                 x, shift = pm * gn, pe + F
@@ -405,7 +440,7 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
                     tail = -(-(x << shift) // gd)
                 else:
                     tail = -(-x // (gd << -shift))
-                bounds[j] = e + tail
+                bounds[j - 1] = e + tail
     return values, bounds, rounding, F
 
 
@@ -427,16 +462,16 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
     has vanished: the truncation is then exact.
 
     Returns (values, bounds, dens, steps): N_j, R_j (None without a
-    tail bound, unless zero), Q_j and L_j for j = 1..n_hi (index 0
-    unused).
+    tail bound, unless zero), Q_j and L_j for j = 1..n_hi at index
+    j - 1.
     """
     delta = spec.delta
     dn, dd = delta.numerator, delta.denominator
     gamma = spec.gamma.evaluator(Arithmetic("ratio", _ratio, None))
-    values = [0] * (n_hi + 1)
-    bounds = [None] * (n_hi + 1)
-    dens = [1] * (n_hi + 1)
-    steps = [1] * (n_hi + 1)
+    values = [0] * n_hi
+    bounds = [None] * n_hi
+    dens = [1] * n_hi
+    steps = [1] * n_hi
     s = 0
     r, den = (1, 1) if geom is None else (geom.numerator, geom.denominator)
     for j in range(M, 0, -1):
@@ -448,58 +483,15 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
         r *= carry
         den *= step
         if j <= n_hi:
-            values[j], dens[j], steps[j] = s, den, step
+            values[j - 1], dens[j - 1], steps[j - 1] = s, den, step
             if not r or geom is not None:
-                bounds[j] = r
+                bounds[j - 1] = r
     return values, bounds, dens, steps
 
 
-@dataclass(frozen=True)
-class _Tail:
-    """Rows 1..n_hi of one certified backward evaluation (index 0 unused).
-
-    Row j's value is values[j] / dens[j] exactly, and its error bound
-    bounds[j] / dens[j] (None when no bound was available).  Rational
-    mode keeps dens[j] = dens[j + 1] * steps[j]; in big-float mode every
-    denominator is 2**F and ``steps`` is None.
-    """
-
-    values: list
-    bounds: list
-    dens: list
-    steps: list | None
-    certified: list
-    truncated_at: int
-    planned: int
-    passes: int
-
-    def number(self, j: int, x: int):
-        """x / dens[j] as the public number type."""
-        return _number(x, self.dens[j], self.steps is not None)
-
-    def sums(self) -> list:
-        """Numerators of T_n = S_1 + ... + S_n over dens[1], n = 1..n_hi.
-
-        Over dens[1], S_k has the numerator values[k] times
-        dens[1] / dens[k] = steps[1] * ... * steps[k - 1].
-        """
-        if self.steps is None:
-            return list(itertools.accumulate(self.values[1:]))
-        total, scale, out = 0, 1, []
-        for v, step in zip(self.values[1:], self.steps[1:]):
-            total += v * scale
-            out.append(total)
-            scale *= step
-        return out
-
-    def max_rel_bound(self) -> float | None:
-        rel = [b / v for b, v in zip(self.bounds[1:], self.values[1:])
-               if b is not None]
-        return max(rel) if rel else None
-
-
-def _tail_values(spec: BirthDeathSpec, n_hi: int, precision: PrecisionConfig,
-                 truncate_at: int | None = None) -> _Tail:
+def _backward_table(spec: BirthDeathSpec, n_hi: int,
+                    precision: PrecisionConfig,
+                    truncate_at: int | None = None) -> HittingTable:
     """Backward evaluation of S_1..S_{n_hi} from a shared truncation M.
 
     Seeds S_{M+1} = 0 and iterates S_j = 1/(j*delta) +
@@ -544,17 +536,20 @@ def _tail_values(spec: BirthDeathSpec, n_hi: int, precision: PrecisionConfig,
         else:
             values, bounds, rounding, scale = _fixed_pass(
                 spec, n_hi, M, precision.bits, geom)
-            dens, steps = [1 << scale] * (n_hi + 1), None
+            dens, steps = [1 << scale] * n_hi, None
         # value and bound share a denominator
-        certified = [b is not None and b * td <= tn * v
-                     for b, v in zip(bounds, values)]
+        certified = tuple(b is not None and b * td <= tn * v
+                          for b, v in zip(bounds, values))
         # more terms cannot help a row whose rounding alone is too big
         helpable = (not ok and (rounding is None
-                                or rounding[j] * td <= tn * values[j])
-                    for j, ok in enumerate(certified) if j)
+                                or rounding[i] * td <= tn * values[i])
+                    for i, ok in enumerate(certified))
         if forced or not any(helpable) or M >= precision.max_terms:
-            return _Tail(values, bounds, dens, steps, certified, M, planned,
-                         passes)
+            rel = max((b / v for b, v in zip(bounds, values)
+                       if b is not None), default=None)
+            return HittingTable(n_hi, precision, all(certified), certified,
+                                M, planned, passes, rel, values, bounds,
+                                dens, steps)
         M = min(max(2 * M, M + 64), precision.max_terms)
         passes += 1
 
@@ -566,13 +561,16 @@ def s_tail_series(spec: BirthDeathSpec, n: int, precision: PrecisionConfig,
     This is the numerically stable route; relative truncation error is
     certified against ``precision.series_rel_tol``.  ``truncate_at``
     forces an absolute truncation index (verification use: values from
-    a common index match the forward recursion exactly).
+    a common index match the forward recursion exactly).  The value is
+    the last row of the table :func:`hitting_table` builds for n.
     """
-    tail = _tail_values(spec, n, precision, truncate_at=truncate_at)
-    bound = tail.bounds[n]
-    return SeriesValue(tail.number(n, tail.values[n]), tail.certified[n],
-                       tail.truncated_at,
-                       None if bound is None else tail.number(n, bound))
+    table = _backward_table(spec, n, precision, truncate_at)
+    rational = precision.mode == RATIONAL
+    den, bound = table.denominators[-1], table.bounds[-1]
+    return SeriesValue(
+        _number(table.numerators[-1], den, rational), table.row_certified[-1],
+        table.truncated_at,
+        None if bound is None else _number(bound, den, rational))
 
 
 def expected_T1(spec: BirthDeathSpec, precision: PrecisionConfig,
@@ -599,18 +597,7 @@ def hitting_table(spec: BirthDeathSpec, n_max: int,
     Raises:
         InfiniteHittingTimeError: some requested row diverges.
     """
-    tail = _tail_values(spec, n_max, precision)
-    rows = tuple(tail.certified[1:])
-    return HittingTable(n_max=n_max,
-                        s_pairs=tuple(zip(tail.values[1:], tail.dens[1:])),
-                        t_pairs=tuple(zip(tail.sums(),
-                                          itertools.repeat(tail.dens[1]))),
-                        precision=precision,
-                        certified=all(rows), row_certified=rows,
-                        truncated_at=tail.truncated_at,
-                        planned_truncation=tail.planned,
-                        extension_passes=tail.passes,
-                        max_rel_error_bound=tail.max_rel_bound())
+    return _backward_table(spec, n_max, precision)
 
 
 def asymptote_ratio(spec: BirthDeathSpec, n_list,
@@ -619,22 +606,20 @@ def asymptote_ratio(spec: BirthDeathSpec, n_list,
 
     When gamma vanishes asymptotically the ratios approach one --
     although the approach is extremely slow, so no rate is implied.
-    Each E[T_n] is the certified kernel's exact prefix sum p/q, the same
-    pair :func:`hitting_table` stores in ``t_pairs``; the ratio is
-    ``delta * (p / q) / math.log(n)`` in float64, read only at the
-    requested states.
+    Each E[T_n] is the exact prefix sum p/q of the
+    :func:`hitting_table` up to the largest state, the pair it stores
+    in ``t_pairs``; the ratio is ``delta * (p / q) / math.log(n)`` in
+    float64, read only at the requested states.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 2:
         raise ValueError("asymptote states must be integers >= 2")
-    tail = _tail_values(spec, n_list[-1], precision)
-    sums, den = tail.sums(), tail.dens[1]
+    table = hitting_table(spec, n_list[-1], precision)
+    sums, den = table._t_numerators, table.denominators[0]
     delta = float(spec.delta)
     return AsymptoteRatios(
         [(n, delta * (sums[n - 1] / den) / math.log(n)) for n in n_list],
-        truncated_at=tail.truncated_at, planned_truncation=tail.planned,
-        extension_passes=tail.passes,
-        max_rel_error_bound=tail.max_rel_bound())
+        **{key: getattr(table, key) for key in RUN_REPORT})
 
 
 def equilibrium_lower_bound(epsilon, delta, N: int) -> Fraction:

@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 
 from . import __version__
-from .chains import (BirthDeathSpec, InfiniteHittingTimeError,
+from .chains import (RUN_REPORT, BirthDeathSpec, InfiniteHittingTimeError,
                      PrecisionConfig, asymptote_ratio, hitting_table)
 from .config import (ConfigError, ExperimentConfig, config_sha256,
                      load_config, load_graph, load_initial_counts,
@@ -36,6 +36,8 @@ from .config import (ConfigError, ExperimentConfig, config_sha256,
                      uniform_grid)
 from .gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                         trimmed_interval)
+# is_strongly_connected is unused here but stays importable from cli:
+# perfbench/spans.py wraps it by this name
 from .graphs import (EdgeListError, EpidemicModel, SpectralError,
                      is_strongly_connected, is_symmetric, spectral_radius)
 from .rates import (ExactnessError, ProfileError, parse_parameter,
@@ -162,7 +164,7 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
         out = _out_dir(cfg, args)
         (out / "classify.json").write_text(text + "\n", encoding="utf-8")
         _write_meta(out, "classify", cfg)
-    if not is_strongly_connected(g):
+    if not general.strongly_connected:
         print("warning: graph is not strongly connected; spectral "
               "positivity guarantees do not apply", file=sys.stderr)
     return 0
@@ -236,9 +238,7 @@ def _precision_from(section) -> PrecisionConfig:
 
 def _kernel_report(result) -> dict:
     """The run report of a certified kernel pass, for ``meta.json``."""
-    return {key: getattr(result, key) for key in (
-        "truncated_at", "planned_truncation", "extension_passes",
-        "max_rel_error_bound")}
+    return {key: getattr(result, key) for key in RUN_REPORT}
 
 
 def cmd_hitting(cfg: ExperimentConfig, args) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -118,6 +119,9 @@ class ExperimentConfig:
         return p if p.is_absolute() else self.base_dir / p
 
 
+#: field annotation -> value type; every other field is text
+_TYPES = {"bool": bool, "int": int, "float": float}
+
 _BOOL = {"true": True, "yes": True, "1": True, "on": True,
          "false": False, "no": False, "0": False, "off": False}
 
@@ -129,13 +133,16 @@ def _convert(section: str, key: str, text: str, target_type):
             return _BOOL[text.lower()]
         if target_type is int:
             return int(text)
-        if target_type is float:
-            return float(text)
-        return text
+        if target_type is not float:
+            return text
+        value = float(text)
     except (KeyError, ValueError):
         raise ConfigError(
             f"[{section}] {key} = {text!r} is not a valid "
             f"{target_type.__name__}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key} = {text!r} is not finite")
+    return value
 
 
 def _load_section(parser: configparser.ConfigParser, name: str, cls):
@@ -146,21 +153,14 @@ def _load_section(parser: configparser.ConfigParser, name: str, cls):
             if key not in spec:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
             f = spec[key]
-            if f.name in ("gammas",):
+            if f.name == "gammas":
                 kwargs[key] = tuple(raw.split())
-            elif f.name in ("n_values",):
+            elif f.name == "n_values":
                 kwargs[key] = tuple(
                     _convert(name, key, tok, int) for tok in raw.split())
-            elif f.type in ("str", "str | None"):
-                kwargs[key] = raw.strip()
-            elif f.type == "bool":
-                kwargs[key] = _convert(name, key, raw, bool)
-            elif f.type == "int":
-                kwargs[key] = _convert(name, key, raw, int)
-            elif f.type == "float":
-                kwargs[key] = _convert(name, key, raw, float)
             else:
-                kwargs[key] = raw.strip()
+                kwargs[key] = _convert(name, key, raw,
+                                       _TYPES.get(f.type, str))
     return cls(**kwargs)
 
 
@@ -228,39 +228,44 @@ def load_graph(cfg: ExperimentConfig) -> LocalityGraph:
                 k = int(spec[len("top:"):])
             except ValueError:
                 raise ConfigError(f"[graph] subset {spec!r}: bad count")
-            labels = top_nodes_by_total_weight(g, k)
+            try:
+                labels = top_nodes_by_total_weight(g, k)
+            except ValueError as exc:
+                raise ConfigError(f"[graph] subset {spec!r}: {exc}") from None
         else:
-            with open(cfg.resolve(spec), "r", encoding="utf-8") as fh:
-                labels = [ln.strip() for ln in fh if ln.strip()]
+            labels = list(_read_label_values(cfg.resolve(spec),
+                                             labels=set(g.labels)))
         g = g.subgraph(labels)
     if cfg.graph.normalize:
         g = normalize_mean_column_weight(g)
     return g
 
 
-def _read_label_values(path: Path, convert, labels=None) -> dict:
-    """``label value`` lines (``#`` comments) as a dict, values parsed by
-    ``convert``.  ConfigError at ``path:line`` on a malformed line or
-    value, a repeated label, or a label outside ``labels`` (if given)."""
+def _read_label_values(path: Path, convert=None, labels=None) -> dict:
+    """``label value`` lines (``#`` comments) as a dict in file order,
+    values parsed by ``convert``; without ``convert``, one label a line,
+    each mapped to None.  ConfigError at ``path:line`` on a malformed
+    line or value, a repeated label, or a label outside ``labels`` (if
+    given)."""
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
                 continue
-            parts, where = line.split(), f"{path}:{lineno}"
-            if len(parts) != 2:
-                raise ConfigError(f"{where}: expected 'label value'")
-            label, text = parts
+            where, label = f"{path}:{lineno}", parts[0]
+            if len(parts) != (1 if convert is None else 2):
+                raise ConfigError(f"{where}: expected " + (
+                    "one label" if convert is None else "'label value'"))
             if label in table:
                 raise ConfigError(f"{where}: duplicate label {label!r}")
             if labels is not None and label not in labels:
                 raise ConfigError(f"{where}: {label!r} is not a graph node")
             try:
-                table[label] = convert(text)
+                table[label] = None if convert is None else convert(parts[1])
             except ValueError as exc:
                 raise ConfigError(
-                    f"{where}: bad value {text!r}: {exc}") from None
+                    f"{where}: bad value {parts[1]!r}: {exc}") from None
     return table
 
 

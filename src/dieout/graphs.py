@@ -10,6 +10,7 @@ growth is carried by a separate per-node modulation vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -248,8 +249,12 @@ def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
 
 
 def load_edge_list_file(path) -> LocalityGraph:
+    """:func:`load_edge_list` on a file; errors start with its path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_edge_list(fh)
+        try:
+            return load_edge_list(fh)
+        except EdgeListError as exc:
+            raise EdgeListError(f"{path}: {exc}") from None
 
 
 def total_weight(g: LocalityGraph) -> float:
@@ -323,9 +328,12 @@ def spectral_radius(matrix, tol: float = 1e-12,
         max_iterations: iteration cap.
 
     Raises:
-        ValueError: non-square input or negative entries.
+        ValueError: non-square input, negative entries, or a ``tol``
+            that is not finite and positive.
         SpectralError: cap reached before the residual target.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     m = sp.csr_matrix(matrix, dtype=float)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")

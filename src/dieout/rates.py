@@ -29,6 +29,7 @@ exact views carry no representation error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -46,17 +47,32 @@ class ExactnessError(TypeError):
     """Raised when an irrational-valued profile is used exactly."""
 
 
+#: nonzero parameters lie in float64's range: from its smallest
+#: subnormal to its largest finite value
+_TINY, _HUGE = Fraction(2) ** -1074, Fraction(sys.float_info.max)
+
+
 def parse_parameter(text: str) -> Fraction:
-    """Parse a decimal or p/q string into an exact Fraction."""
+    """Parse a decimal or p/q string into an exact Fraction.
+
+    Raises:
+        ProfileError: unparsable or non-finite text, or a nonzero value
+            outside float64's range (a decimal exponent is screened
+            before any big integer is built).
+    """
     text = text.strip()
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        pass
-    try:
-        return Fraction(Decimal(text))
-    except (InvalidOperation, ValueError):
+        exact = Fraction(text) if "/" in text else Decimal(text)
+    except (InvalidOperation, ValueError, ZeroDivisionError):
         raise ProfileError(f"cannot parse parameter {text!r}") from None
+    if isinstance(exact, Decimal):
+        if not exact.is_finite():
+            raise ProfileError(f"parameter {text!r} is not finite")
+        in_range = not exact or -324 <= exact.adjusted() <= 308
+        exact = Fraction(exact) if in_range else None
+    if exact is None or (exact and not _TINY <= abs(exact) <= _HUGE):
+        raise ProfileError(f"parameter {text!r} is outside float64's range")
+    return exact
 
 
 def _mpf(q: Fraction) -> mpmath.mpf:

@@ -12,6 +12,7 @@ guessing.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .graphs import (EpidemicModel, LocalityGraph, geometric_lower,
@@ -73,6 +74,12 @@ class RegimeReport:
         return rec
 
 
+def _check_boundary_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(
+            f"boundary_tol must be finite and >= 0, got {tol!r}")
+
+
 def _report(model: EpidemicModel, threshold: float, tol: float,
             method: Method, **extra) -> RegimeReport:
     """Compare the model's delta with one threshold."""
@@ -103,6 +110,7 @@ def classify_symmetric(lambda_r: float, model: EpidemicModel,
         lambda_r: spectral radius of the (symmetric) adjacency matrix.
         model: the epidemic; its modulation must be scalar.
     """
+    _check_boundary_tol(boundary_tol)
     if lambda_r < 0:
         raise ValueError("spectral radius must be nonnegative")
     threshold = (model.beta.limit * lambda_r
@@ -120,6 +128,7 @@ def classify_general(g: LocalityGraph, model: EpidemicModel,
     connected the root is still computed but the report is flagged,
     since eigenvector positivity is no longer guaranteed.
     """
+    _check_boundary_tol(boundary_tol)
     connected = is_strongly_connected(g)
     info = spectral_radius(model.asymptotic_matrix(g), tol=spectral_tol)
     return _report(model, info.radius, boundary_tol, Method.GENERAL_SPECTRAL,
@@ -137,6 +146,7 @@ def classify_scalar_D(g: LocalityGraph, model: EpidemicModel,
     Raises:
         ValueError: the model's modulation is not scalar.
     """
+    _check_boundary_tol(boundary_tol)
     model.d(g.node_count)  # the modulation must fit the graph
     eta = _scalar_eta(model)
     info = spectral_radius(g.weights, tol=spectral_tol)
@@ -161,6 +171,7 @@ def classify_decoupled(g: LocalityGraph, model: EpidemicModel,
     * in between the method is inconclusive (the sharp comparison in
       :func:`classify_general` may still decide).
     """
+    _check_boundary_tol(boundary_tol)
     d = model.d(g.node_count)
     beta_inf, betaint_inf = model.beta.limit, model.beta_int.limit
     delta = float(model.delta)

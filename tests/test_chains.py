@@ -177,6 +177,8 @@ class TestHittingTable:
     def test_S_and_T_are_public_numbers_built_once(self):
         spec = spec_of("harmonic:5", "3/2")
         rational = hitting_table(spec, 30, RATIONAL)
+        # per-row tuples and numbers wait for their first reader
+        assert not {"s_pairs", "t_pairs", "S", "T"} & vars(rational).keys()
         assert all(type(x) is Fraction for x in rational.S + rational.T)
         values = fraction_tail(spec, 30, RATIONAL).values[1:]
         assert rational.S == tuple(values)
@@ -459,20 +461,17 @@ class TestPrecisionHonesty:
 def assert_matches_fraction_oracle(spec, n_hi, precision):
     """The integer pass and its table equal the Fraction loop exactly."""
     want = fraction_tail(spec, n_hi, precision)
-    got = chains._tail_values(spec, n_hi, precision)
-    assert got.truncated_at == want.truncated_at
-    assert got.passes == want.passes
-    assert got.certified == want.certified
-    for j in range(1, n_hi + 1):
-        assert Fraction(got.values[j], got.dens[j]) == want.values[j]
-        if want.bounds[j] is None:
-            assert got.bounds[j] is None
-        else:
-            assert Fraction(got.bounds[j], got.dens[j]) == want.bounds[j]
     table = hitting_table(spec, n_hi, precision)
     assert table.truncated_at == want.truncated_at
     assert table.extension_passes == want.passes
     assert table.row_certified == tuple(want.certified[1:])
+    for j in range(1, n_hi + 1):
+        (p, q), bound = table.s_pairs[j - 1], table.bounds[j - 1]
+        assert Fraction(p, q) == want.values[j]
+        if want.bounds[j] is None:
+            assert bound is None
+        else:
+            assert Fraction(bound, q) == want.bounds[j]
     assert table.S == tuple(want.values[1:])
     assert table.T == tuple(itertools.accumulate(want.values[1:]))
     return want

@@ -16,14 +16,15 @@ from dieout.chains import (BirthDeathSpec, PrecisionConfig, asymptote_ratio,
                            hitting_table)
 from dieout.cli import main
 from dieout.config import (ConfigError, config_sha256, config_text,
-                           load_config, load_graph, simulation_grid,
-                           uniform_grid)
+                           load_config, load_graph, load_profiles,
+                           simulation_grid, uniform_grid)
 from dieout.gillespie import (DENSE_NODE_LIMIT, mean_field_trajectory,
                               run_ensemble, simulate_run)
 from dieout.graphs import LocalityGraph, spectral_radius
-from dieout.rates import parse_profile
+from dieout.rates import parse_parameter, parse_profile
+from dieout.regime import classify_symmetric
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, const_model
 from oracles import fraction_tail
 
 
@@ -73,6 +74,39 @@ class TestConfig:
         other.write_text(text, encoding="utf-8")
         assert load_config(other) == cfg
         assert config_sha256(load_config(other)) == config_sha256(cfg)
+
+    @pytest.mark.parametrize("section, key, text", [
+        ("classify", "spectral_tol", "nan"),
+        ("classify", "boundary_tol", "nan"),
+        ("simulation", "t_max", "inf"),
+        ("hitting", "rel_tol", "-inf")])
+    def test_nonfinite_float_rejected(self, tmp_path, section, key, text):
+        path = write_config(tmp_path, f"[{section}]\n{key} = {text}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"[{section}] {key} = {text!r} is not finite"
+
+    @pytest.mark.parametrize(
+        "recipe", sorted((DATA_DIR.parent / "configs").glob("*.ini")),
+        ids=lambda path: path.name)
+    def test_shipped_recipe_loads_and_round_trips(self, tmp_path, recipe):
+        cfg = load_config(recipe)
+        simulation_grid(cfg.simulation)
+        uniform_grid(cfg.meanfield.t_max, cfg.meanfield.grid_step,
+                     "meanfield")
+        for section in (cfg.hitting, cfg.asymptote):
+            cli._precision_from(section)
+        parse_parameter(cfg.dynamics.delta)
+        load_profiles(cfg)
+        for gamma in (cfg.hitting.gamma, *cfg.asymptote.gammas):
+            if gamma:
+                parse_profile(gamma, base_dir=cfg.base_dir)
+        spectral_radius(np.ones((2, 2)), tol=cfg.classify.spectral_tol)
+        classify_symmetric(1.0, const_model(1.0, 1.0, 3.0),
+                           boundary_tol=cfg.classify.boundary_tol)
+        copy = tmp_path / recipe.name
+        copy.write_text(config_text(cfg), encoding="utf-8")
+        assert replace(load_config(copy), base_dir=cfg.base_dir) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "[simulation]\nbogus = 1\n")
@@ -131,6 +165,18 @@ class TestClassify:
         assert by_method["scalar_d"]["regime"] == "fast_extinction"
         assert by_method["decoupled_weyl"]["regime"] == "fast_extinction"
         assert (tmp_path / "out" / "classify.json").exists()
+
+    def test_nan_spectral_tol_fails_before_any_iteration(self, tmp_path,
+                                                          capsys):
+        # a NaN tolerance used to stop the power iteration at once and
+        # report a wrong threshold with exit 0
+        cfg = write_config(tmp_path, SIM_BODY.format(
+            graph=small_graph_file(tmp_path), delta="6.6",
+            out=tmp_path / "out") + "\n[classify]\nspectral_tol = nan\n")
+        assert main(["classify", "--config", str(cfg)]) == 1
+        assert ("[classify] spectral_tol = 'nan' is not finite"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_long_lasting_record(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SIM_BODY.format(
@@ -869,6 +915,56 @@ directory = {tmp_path / 'out'}
 """)
         assert main(["classify", "--config", str(cfg)]) == 1
         assert "zz" in capsys.readouterr().err
+
+    def subset_config(self, tmp_path, subset: str) -> Path:
+        return write_config(tmp_path, f"""
+[graph]
+path = {small_graph_file(tmp_path)}
+subset = {subset}
+""")
+
+    def test_subset_file_skips_comments_and_blank_lines(self, tmp_path):
+        subset = tmp_path / "keep.txt"
+        subset.write_text("# top nodes\n\nc  # busiest\na\n")
+        g = load_graph(load_config(self.subset_config(tmp_path, subset)))
+        assert g.labels == ("c", "a")
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("a\n# x\nzz\n", 3, "'zz' is not a graph node"),
+        ("a\nb\na\n", 3, "duplicate label 'a'"),
+        ("a\nb c\n", 2, "expected one label")],
+        ids=["unknown", "repeated", "two-fields"])
+    def test_subset_file_errors_name_path_and_line(self, tmp_path, text,
+                                                   line, message):
+        subset = tmp_path / "keep.txt"
+        subset.write_text(text)
+        cfg = load_config(self.subset_config(tmp_path, subset))
+        with pytest.raises(ConfigError) as err:
+            load_graph(cfg)
+        assert str(err.value) == f"{subset}:{line}: {message}"
+
+    def test_top_k_beyond_the_graph_names_the_key(self, tmp_path):
+        cfg = load_config(self.subset_config(tmp_path, "top:9"))
+        with pytest.raises(ConfigError) as err:
+            load_graph(cfg)
+        assert str(err.value) == "[graph] subset 'top:9': k must be in 1..3"
+
+    @pytest.mark.parametrize("delta", ["inf", "1e999999999"])
+    def test_unrepresentable_delta_fails_cleanly(self, tmp_path, capsys,
+                                                 delta):
+        cfg = write_config(tmp_path, f"""
+[dynamics]
+delta = {delta}
+
+[hitting]
+gamma = harmonic:5
+n_max = 10
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+        assert main(["hitting", "--config", str(cfg)]) == 1
+        assert f"parameter '{delta}'" in capsys.readouterr().err
 
     def test_per_node_modulation_file(self, tmp_path, capsys):
         graph = small_graph_file(tmp_path)

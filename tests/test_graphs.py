@@ -11,7 +11,8 @@ import scipy.sparse as sp
 from dieout.gillespie import DENSE_NODE_LIMIT
 from dieout.graphs import (DiagonalModulation, EdgeListError, EpidemicModel, LocalityGraph, SpectralError,
                            geometric_lower, is_strongly_connected,
-                           is_symmetric, load_edge_list, normalize_mean_column_weight,
+                           is_symmetric, load_edge_list, load_edge_list_file,
+                           normalize_mean_column_weight,
                            spectral_radius, symmetrized_upper,
                            top_nodes_by_total_weight)
 from dieout.rates import parse_profile
@@ -77,6 +78,13 @@ class TestLoadEdgeList:
         g = load_edge_list(io.StringIO("x y 4\ny x 4\n"))
         assert g.labels == ("x", "y")
 
+    def test_file_errors_name_path_and_line(self, tmp_path):
+        path = tmp_path / "g.edges"
+        path.write_text("a b 1\nb a 1\n# comment\na c x\n")
+        with pytest.raises(EdgeListError) as err:
+            load_edge_list_file(path)
+        assert str(err.value) == f"{path}: line 4: weight 'x' is not a number"
+
 
 class TestNormalize:
     def test_two_node_example(self):
@@ -128,6 +136,13 @@ class TestStrongConnectivity:
 
 
 class TestSpectralRadius:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tolerance_must_be_finite_and_positive(self, k3, tol):
+        # a NaN tolerance used to stop at iteration 0, a negative one
+        # ran to the iteration cap
+        with pytest.raises(ValueError, match="finite and positive"):
+            spectral_radius(k3.weights, tol=tol, max_iterations=10)
+
     def test_complete_graph(self, k3):
         info = spectral_radius(k3.weights)
         assert info.radius == pytest.approx(2.0, abs=1e-10)

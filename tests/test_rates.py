@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dieout.rates import (Combined, Constant, ExactnessError, Harmonic,
                           LogOverN, ProfileError, Scaled, Step, Table,
-                          gamma_from_graph, parse_profile)
+                          gamma_from_graph, parse_parameter, parse_profile)
 
 
 def all_families():
@@ -62,6 +62,28 @@ class TestParsing:
             parse_profile("const:-1")
         with pytest.raises(ProfileError):
             parse_profile("harmonic:-2")
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "Infinity", "nan"])
+    def test_nonfinite_parameter_rejected(self, text):
+        with pytest.raises(ProfileError, match="not finite"):
+            parse_parameter(text)
+        with pytest.raises(ProfileError, match="not finite"):
+            parse_profile(f"const:{text}")
+
+    @pytest.mark.parametrize("text", [
+        "1e999999999", "1e-999999999", "1e400", "1e-400", "2e308",
+        "1e-330", pytest.param("1" + "0" * 400 + "/3", id="10**400/3")])
+    def test_parameter_outside_float64_range_rejected(self, text):
+        # the exponent is screened before 10**999999999 is built
+        with pytest.raises(ProfileError, match="outside float64's range"):
+            parse_parameter(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("1e308", Fraction(10) ** 308), ("5e-324", Fraction(5, 10 ** 324)),
+        ("0e999999999", Fraction(0)), ("-2.5e-3", Fraction(-1, 400)),
+        ("3/2", Fraction(3, 2)), (".5", Fraction(1, 2))])
+    def test_parameter_inside_float64_range_is_exact(self, text, value):
+        assert parse_parameter(text) == value
 
     def test_bad_grammar(self):
         with pytest.raises(ProfileError):

@@ -10,6 +10,23 @@ from dieout.regime import (Regime, classify_decoupled,
 from conftest import const_model, random_strong_digraph
 
 
+class TestBoundaryTolerance:
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_rejected_unless_finite_and_nonnegative(self, k3, tol):
+        model = const_model(1.0, 1.0, 5.0)
+        for classify in (classify_general, classify_scalar_D,
+                         classify_decoupled):
+            with pytest.raises(ValueError, match="boundary_tol"):
+                classify(k3, model, boundary_tol=tol)
+        with pytest.raises(ValueError, match="boundary_tol"):
+            classify_symmetric(2.0, model, boundary_tol=tol)
+
+    def test_zero_is_accepted(self, k3):
+        report = classify_general(k3, const_model(1.0, 1.0, 5.0),
+                                  boundary_tol=0.0)
+        assert report.regime is Regime.FAST_EXTINCTION
+
+
 class TestSymmetric:
     def test_above_threshold(self, airports):
         lam = spectral_radius(airports.weights).radius
