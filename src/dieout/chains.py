@@ -161,11 +161,12 @@ class HittingTable:
     denominators[n-1]``, and ``bounds[n-1]`` over the same denominator
     bounds its error (the neglected tail plus, in big-float mode, the
     carried rounding; None when no tail bound was available).  Built
-    only on first access: ``s_pairs`` and ``t_pairs``, each S_n and T_n
-    as a (numerator, denominator) pair, and ``S`` and ``T``, the same
-    values as Fractions (rational mode) or mpf numbers holding the
-    exact dyadic (big-float mode).  The run report:
-    ``planned_truncation`` is the first truncation index tried,
+    only on first access: ``t_numerators``, T_n being exactly
+    ``t_numerators[n-1] / denominators[0]``; ``s_pairs`` and
+    ``t_pairs``, each S_n and T_n as a (numerator, denominator) pair;
+    and ``S`` and ``T``, the same values as Fractions (rational mode)
+    or mpf numbers holding the exact dyadic (big-float mode).  The run
+    report: ``planned_truncation`` is the first truncation index tried,
     ``extension_passes`` counts the doublings needed to certify, and
     ``max_rel_error_bound`` is the largest relative error bound
     (truncation plus rounding) over the rows that have one.
@@ -187,10 +188,9 @@ class HittingTable:
     _steps: list | None = field(repr=False)
 
     @functools.cached_property
-    def _t_numerators(self) -> list:
-        """Numerators of T_1..T_n_max over denominators[0], where S_k
-        has the numerator numerators[k-1] * _steps[0] * ... * _steps[k-2].
-        """
+    def t_numerators(self) -> list:
+        # over denominators[0], S_k has the numerator
+        # numerators[k-1] * _steps[0] * ... * _steps[k-2]
         if self._steps is None:
             return list(itertools.accumulate(self.numerators))
         scales = itertools.accumulate(self._steps, operator.mul, initial=1)
@@ -203,7 +203,7 @@ class HittingTable:
 
     @functools.cached_property
     def t_pairs(self) -> tuple:
-        return tuple(zip(self._t_numerators,
+        return tuple(zip(self.t_numerators,
                          itertools.repeat(self.denominators[0])))
 
     @functools.cached_property
@@ -375,7 +375,7 @@ class _BackwardLog:
 
 
 def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
-                geom: Fraction | None):
+                geom: Fraction | None, tol: tuple[int, int]):
     """The backward pass in integers scaled by 2**F.
 
     s_j = floor(2**F/(j delta)) + floor(q_j s_{j+1}) with q = gamma/delta
@@ -393,9 +393,11 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     binary exponent, rounded up at every step (the added unit also
     covers eta <= 2**-64); it is exactly zero once gamma has vanished.
 
-    Returns (values, bounds, rounding, F): s_j, the bound e_j plus the
-    tail bound P_j * geom in units of 2**-F (None without a tail
-    bound), and e_j alone, for j = 1..n_hi at index j - 1.
+    Each row is checked against tol as it is made, and rows and checks
+    come back as from :func:`_exact_pass`: s_j, the bound e_j plus the
+    tail bound P_j * geom (None without a tail bound) and the
+    denominator 2**F, with no steps; a row is worth more terms only
+    when its rounding bound e_j alone meets the tolerance.
     """
     delta = spec.delta
     F = bits + _GUARD + max(0, math.ceil(math.log2(delta * M)))
@@ -407,9 +409,12 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     if geom is not None:
         gn, gd = geom.numerator, geom.denominator
 
+    tn, td = tol
     values = [0] * n_hi
     bounds = [None] * n_hi
-    rounding = [0] * n_hi
+    certified = [False] * n_hi
+    helpable = False
+    worst_b, worst_v = -1, 1  # the largest bound / value so far
     s = e = 0
     pm, pe = 1 << 63, -63  # P_{M+1} = 1
     for j in range(M, 0, -1):
@@ -428,24 +433,33 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
                 pm = (-(-pm >> shift) if shift > 0 else pm << -shift) + 1
                 pe += shift
         if j <= n_hi:
-            values[j - 1], rounding[j - 1] = s, e
-            if not pm:
-                bounds[j - 1] = e  # a vanished gamma truncates exactly
-            elif geom is not None:
-                # ceil(P_j * geom * 2**F), which is 1 when below one unit
-                x, shift = pm * gn, pe + F
-                if x.bit_length() + shift < gd.bit_length():
-                    tail = 1
-                elif shift >= 0:
-                    tail = -(-(x << shift) // gd)
+            values[j - 1] = s
+            limit = tn * s
+            if not pm or geom is not None:
+                if not pm:
+                    tail = 0  # a vanished gamma truncates exactly
                 else:
-                    tail = -(-x // (gd << -shift))
-                bounds[j - 1] = e + tail
-    return values, bounds, rounding, F
+                    # ceil(P_j * geom * 2**F), 1 when below one unit
+                    x, shift = pm * gn, pe + F
+                    if x.bit_length() + shift < gd.bit_length():
+                        tail = 1
+                    elif shift >= 0:
+                        tail = -(-(x << shift) // gd)
+                    else:
+                        tail = -(-x // (gd << -shift))
+                b = bounds[j - 1] = e + tail
+                certified[j - 1] = b * td <= limit
+                if b * worst_v > worst_b * s:
+                    worst_b, worst_v = b, s
+            # more terms cannot help a row whose rounding alone is too big
+            if not certified[j - 1] and e * td <= limit:
+                helpable = True
+    return (values, bounds, [1 << F] * n_hi, None, certified, helpable,
+            None if worst_b < 0 else worst_b / worst_v)
 
 
 def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
-                geom: Fraction | None):
+                geom: Fraction | None, tol: tuple[int, int]):
     """The backward pass in exact integers over a growing denominator.
 
     Row j holds S_j = N_j / Q_j and its tail bound P_j * geom = R_j / Q_j
@@ -461,17 +475,24 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
     bound), so no gcd of big numbers is taken.  R_j is zero once gamma
     has vanished: the truncation is then exact.
 
-    Returns (values, bounds, dens, steps): N_j, R_j (None without a
-    tail bound, unless zero), Q_j and L_j for j = 1..n_hi at index
-    j - 1.
+    Each row is checked as it is made against the relative tolerance
+    tol = (tn, td), i.e. tn/td.  Returns (values, bounds, dens, steps,
+    certified, helpable, rel): N_j, R_j (None without a tail bound,
+    unless zero), Q_j, L_j and whether the row is certified, for
+    j = 1..n_hi at index j - 1; whether some uncertified row could be
+    certified by more terms; and the largest relative error bound
+    R_j / N_j as a float (None when no row has a bound).
     """
     delta = spec.delta
     dn, dd = delta.numerator, delta.denominator
     gamma = spec.gamma.evaluator(Arithmetic("ratio", _ratio, None))
+    tn, td = tol
     values = [0] * n_hi
     bounds = [None] * n_hi
     dens = [1] * n_hi
     steps = [1] * n_hi
+    certified = [False] * n_hi
+    worst_b, worst_v = -1, 1  # the largest bound / value so far
     s = 0
     r, den = (1, 1) if geom is None else (geom.numerator, geom.denominator)
     for j in range(M, 0, -1):
@@ -486,7 +507,11 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
             values[j - 1], dens[j - 1], steps[j - 1] = s, den, step
             if not r or geom is not None:
                 bounds[j - 1] = r
-    return values, bounds, dens, steps
+                certified[j - 1] = r * td <= tn * s
+                if r * worst_v > worst_b * s:
+                    worst_b, worst_v = r, s
+    return (values, bounds, dens, steps, certified, not all(certified),
+            None if worst_b < 0 else worst_b / worst_v)
 
 
 def _backward_table(spec: BirthDeathSpec, n_hi: int,
@@ -525,31 +550,20 @@ def _backward_table(spec: BirthDeathSpec, n_hi: int,
         raise ValueError("truncation index must be >= the largest state")
     planned = M = truncate_at if forced else _plan_truncation(
         spec, n_hi, precision)
-    tn, td = precision.series_rel_tol.as_integer_ratio()
+    tol = precision.series_rel_tol.as_integer_ratio()
     passes = 0
     while True:
         r_ok, r = _ratio_bound(spec, M + 1)
         geom = 1 / ((1 - r) * spec.delta * (M + 1)) if r_ok else None
         if rational:
-            values, bounds, dens, steps = _exact_pass(spec, n_hi, M, geom)
-            rounding = None
+            rows = _exact_pass(spec, n_hi, M, geom, tol)
         else:
-            values, bounds, rounding, scale = _fixed_pass(
-                spec, n_hi, M, precision.bits, geom)
-            dens, steps = [1 << scale] * n_hi, None
-        # value and bound share a denominator
-        certified = tuple(b is not None and b * td <= tn * v
-                          for b, v in zip(bounds, values))
-        # more terms cannot help a row whose rounding alone is too big
-        helpable = (not ok and (rounding is None
-                                or rounding[i] * td <= tn * values[i])
-                    for i, ok in enumerate(certified))
-        if forced or not any(helpable) or M >= precision.max_terms:
-            rel = max((b / v for b, v in zip(bounds, values)
-                       if b is not None), default=None)
-            return HittingTable(n_hi, precision, all(certified), certified,
-                                M, planned, passes, rel, values, bounds,
-                                dens, steps)
+            rows = _fixed_pass(spec, n_hi, M, precision.bits, geom, tol)
+        values, bounds, dens, steps, certified, helpable, rel = rows
+        if forced or not helpable or M >= precision.max_terms:
+            return HittingTable(n_hi, precision, all(certified),
+                                tuple(certified), M, planned, passes, rel,
+                                values, bounds, dens, steps)
         M = min(max(2 * M, M + 64), precision.max_terms)
         passes += 1
 
@@ -615,7 +629,7 @@ def asymptote_ratio(spec: BirthDeathSpec, n_list,
     if not n_list or n_list[0] < 2:
         raise ValueError("asymptote states must be integers >= 2")
     table = hitting_table(spec, n_list[-1], precision)
-    sums, den = table._t_numerators, table.denominators[0]
+    sums, den = table.t_numerators, table.denominators[0]
     delta = float(spec.delta)
     return AsymptoteRatios(
         [(n, delta * (sums[n - 1] / den) / math.log(n)) for n in n_list],

@@ -17,19 +17,21 @@ data files.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
+import itertools
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import mpmath
 import numpy as np
 
 from . import __version__
-from .chains import (RUN_REPORT, BirthDeathSpec, InfiniteHittingTimeError,
-                     PrecisionConfig, asymptote_ratio, hitting_table)
+from .chains import (RATIONAL, RUN_REPORT, BirthDeathSpec,
+                     InfiniteHittingTimeError, PrecisionConfig,
+                     asymptote_ratio, hitting_table)
 from .config import (ConfigError, ExperimentConfig, config_sha256,
                      load_config, load_graph, load_initial_counts,
                      load_modulation, load_profiles, simulation_grid,
@@ -49,10 +51,16 @@ from .regime import (classify_decoupled, classify_general, classify_scalar_D,
 _LOG10_2 = math.log10(2)
 _pow10 = functools.cache(lambda k: 10 ** k)
 
+#: rows per write: output is streamed, never held as a whole file
+_CHUNK_LINES = 4096
 
-def _fmt_precise(num: int, den: int, digits: int) -> str:
-    """The positive exact value num/den in ``mpmath.nstr(x, digits)``
-    layout, in integer arithmetic (the pair need not be reduced).
+
+def _decimal_cells(numerators, denominators, digits: int):
+    """Each positive exact value num/den in ``mpmath.nstr(x, digits)``
+    layout, in integer arithmetic (the pairs need not be reduced).
+    ``denominators`` is one int shared by every value, or an iterable
+    of each value's own; a shared power of two 2**F turns every floor
+    division into a shift by F.
 
     Like nstr it keeps ``digits`` significant digits, rounded half up
     (nstr floors to ``digits + 3`` digits, then rounds on the first
@@ -62,44 +70,67 @@ def _fmt_precise(num: int, den: int, digits: int) -> str:
     floors in binary first, so on a non-dyadic value that is an exact
     decimal tie it can round down where this rounds up.)
     """
-    # 10**e <= x < 10**(e + 2) from the bit lengths; then the digits
-    # q = floor(x * 10**(digits - e)) number digits + 1 or digits + 2
-    e = math.floor((num.bit_length() - den.bit_length() - 1) * _LOG10_2)
+    shift = None
+    if isinstance(denominators, int):
+        if denominators & (denominators - 1) == 0:
+            shift = denominators.bit_length() - 1
+        denominators = itertools.repeat(denominators)
     low = _pow10(digits)
-    while True:
-        k = digits - e
-        q = num * _pow10(k) // den if k >= 0 else num // (den * _pow10(-k))
-        if q >= low:
-            break
-        e -= 1  # the float estimate of e came out one too high
-    if q >= 10 * low:
-        q //= 10
-        e += 1
-    r = (q + 5) // 10  # half up, from the floor of one more digit
-    if r == low:
-        r //= 10
-        e += 1
-    text = str(r)
-    if min(-(digits // 3), -5) < e < digits:
-        text = ("0." + "0" * (-e - 1) + text if e < 0
-                else text[:e + 1] + "." + text[e + 1:])
-        exponent = ""
-    else:
-        text = text[0] + "." + text[1:]
-        exponent = f"e{e:+d}"
-    text = text.rstrip("0")
-    if text.endswith("."):
-        text += "0"
-    return text + exponent
+    high = 10 * low
+    fixed_from = min(-(digits // 3), -5)
+    for num, den in zip(numerators, denominators):
+        # 10**e <= x < 10**(e + 2) from the bit lengths; then the digits
+        # q = floor(x * 10**(digits - e)) number digits + 1 or digits + 2
+        e = math.floor((num.bit_length() - den.bit_length() - 1) * _LOG10_2)
+        while True:
+            k = digits - e
+            if shift is None:
+                q = (num * _pow10(k) // den if k >= 0
+                     else num // (den * _pow10(-k)))
+            else:
+                q = (num * _pow10(k) >> shift if k >= 0
+                     else (num >> shift) // _pow10(-k))
+            if q >= low:
+                break
+            e -= 1  # the float estimate of e came out one too high
+        if q >= high:
+            q //= 10
+            e += 1
+        r = (q + 5) // 10  # half up, from the floor of one more digit
+        if r == low:
+            r //= 10
+            e += 1
+        # trailing zeros stripped; a whole number keeps ".0", as in nstr
+        text = str(r).rstrip("0")
+        if not fixed_from < e < digits:
+            yield f"{text[0]}.{text[1:] or '0'}e{e:+d}"
+        elif e < 0:
+            yield "0." + "0" * (-e - 1) + text
+        elif len(text) > e + 1:
+            yield text[:e + 1] + "." + text[e + 1:]
+        else:
+            yield text.ljust(e + 1, "0") + ".0"
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Rows of Python numbers and strings; ``csv`` writes each float as
-    its shortest round-trip ``repr``."""
+def _csv_text(text: str) -> str:
+    """A text cell (a header or a node label) as ``csv``'s minimal
+    quoting writes it."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """The bytes ``csv.writer`` writes for ``header`` and the rows of
+    ``lines``: each line is a row already joined with ``,``, its numbers
+    as ``str`` writes them (the shortest round-trip ``repr`` of a
+    float) and its text cells through :func:`_csv_text`.  Every row
+    ends in ``\\r\\n``; the lines are written ``_CHUNK_LINES`` at a time."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(_csv_text, header)) + "\r\n")
+        while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+            fh.write("\r\n".join(chunk) + "\r\n")
 
 
 def _write_meta(out_dir: Path, command: str, cfg: ExperimentConfig,
@@ -191,24 +222,24 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
 
     grid_text = [repr(t) for t in grid.tolist()]
     _write_csv(out / "trajectories.csv", ["t", "run_id", "total"],
-               ((t, run, total)
+               (f"{t},{run},{total}"
                 for run, totals in enumerate(summary.per_run_totals.tolist())
                 for t, total in zip(grid_text, totals)))
     _write_csv(out / "summary.csv",
                ["t", "mean", "lower95", "upper95", "survival_fraction"],
-               zip(*(a.tolist() for a in (
+               map("{},{},{},{},{}".format, *(a.tolist() for a in (
                    grid, summary.mean_total, summary.lower95,
                    summary.upper95, summary.survival_fraction))))
     _write_csv(out / "extinctions.csv", ["run_id", "t_extinct"],
-               summary.run_extinctions)
+               itertools.starmap("{},{}".format, summary.run_extinctions))
     if summary.run_events is not None:
         event_dir = out / "events"
         event_dir.mkdir(exist_ok=True)
+        labels = [_csv_text(label) for label in g.labels]
         for run, events in enumerate(summary.run_events):
             _write_csv(event_dir / f"run_{run:05d}.csv",
                        ["t", "node_label", "delta"],
-                       ((t, g.labels[node], dc)
-                        for t, node, dc in events))
+                       (f"{t},{labels[node]},{dc}" for t, node, dc in events))
     extra = {
         "master_seed": sim_cfg.master_seed,
         "runs": summary.run_count,
@@ -248,16 +279,25 @@ def cmd_hitting(cfg: ExperimentConfig, args) -> int:
     gamma = parse_profile(cfg.hitting.gamma, base_dir=cfg.base_dir)
     spec = BirthDeathSpec(gamma, parse_parameter(cfg.dynamics.delta))
     precision = _precision_from(cfg.hitting)
+    start = time.perf_counter()
     table = hitting_table(spec, cfg.hitting.n_max, precision)
+    kernel_s = time.perf_counter() - start
     out = _out_dir(cfg, args)
+    start = time.perf_counter()
     digits = precision.decimal_digits
+    # T_n's denominator is S_1's; in big-float mode every S_n's as well
+    den = table.denominators[0]
+    rational = precision.mode == RATIONAL
     _write_csv(out / "hitting.csv", ["n", "S_n", "T_n", "certified"],
-               ((n + 1, _fmt_precise(*s, digits), _fmt_precise(*t, digits),
-                 "true" if c else "false")
-                for n, (s, t, c) in enumerate(
-                    zip(table.s_pairs, table.t_pairs, table.row_certified))))
-    _write_meta(out, "hitting", cfg,
-                {"certified": table.certified, **_kernel_report(table)})
+               map("{},{},{},{}".format, itertools.count(1),
+                   _decimal_cells(table.numerators,
+                                  table.denominators if rational else den,
+                                  digits),
+                   _decimal_cells(table.t_numerators, den, digits),
+                   ("true" if c else "false" for c in table.row_certified)))
+    _write_meta(out, "hitting", cfg, {
+        "certified": table.certified, **_kernel_report(table),
+        "kernel_s": kernel_s, "write_s": time.perf_counter() - start})
     print(f"hitting: {table.n_max} rows "
           f"({'certified' if table.certified else 'NOT all certified'}), "
           f"series truncated at index {table.truncated_at}, "
@@ -285,19 +325,24 @@ def cmd_asymptote(cfg: ExperimentConfig, args) -> int:
     delta = parse_parameter(cfg.dynamics.delta)
 
     columns = []
+    start = time.perf_counter()
     for text in asym.gammas:
         gamma = parse_profile(text, base_dir=cfg.base_dir)
         spec = BirthDeathSpec(gamma, delta)
         result = asymptote_ratio(spec, states, precision)
         columns.append((text, dict(result.ratios), _kernel_report(result)))
+    kernel_s = time.perf_counter() - start
     out = _out_dir(cfg, args)
+    start = time.perf_counter()
     header = ["n"] + [f"ratio[{text}]" for text, _, _ in columns]
+    tables = [ratios for _, ratios, _ in columns]
     _write_csv(out / "ratios.csv", header,
-               (([n] + [ratios[n] for _, ratios, _ in columns])
+               (",".join(map(str, [n, *(ratios[n] for ratios in tables)]))
                 for n in states))
     _write_meta(out, "asymptote", cfg, {
         "states": len(states),
         "gammas": {text: report for text, _, report in columns},
+        "kernel_s": kernel_s, "write_s": time.perf_counter() - start,
     })
     print(f"asymptote: {len(states)} states x {len(columns)} profiles, "
           f"output in {out}")
@@ -321,9 +366,9 @@ def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
     series = mean_field_trajectory(g, model, x0, grid)
     out = _out_dir(cfg, args)
     _write_csv(out / "meanfield.csv", ["t", *g.labels, "total"],
-               ([t, *row, total] for t, row, total in zip(
-                   grid.tolist(), series.tolist(),
-                   series.sum(axis=1).tolist())))
+               (",".join(map(str, (t, *row, total)))
+                for t, row, total in zip(grid.tolist(), series.tolist(),
+                                         series.sum(axis=1).tolist())))
     _write_meta(out, "meanfield", cfg, {"nodes": g.node_count})
     print(f"meanfield: {grid.size} grid points over {g.node_count} nodes, "
           f"output in {out}")

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .chains import BIGFLOAT, RATIONAL
 from .graphs import (DiagonalModulation, LocalityGraph, load_edge_list_file,
                      normalize_mean_column_weight, top_nodes_by_total_weight)
 from .rates import RateProfile, parse_profile
@@ -168,6 +169,38 @@ def _load_section(parser: configparser.ConfigParser, name: str, cls):
 _SECTIONS = {f.name: type(f.default) for f in fields(ExperimentConfig)
              if f.name != "base_dir"}
 
+#: the kernel settings [hitting] and [asymptote] share
+_PRECISION_RANGES = (
+    ("mode", lambda s: s.mode in (RATIONAL, BIGFLOAT),
+     f"is not {RATIONAL} or {BIGFLOAT}"),
+    ("bits", lambda s: s.mode == RATIONAL or s.bits >= 64,
+     "is below the 64 bits the bigfloat kernel needs"),
+    ("rel_tol", lambda s: s.rel_tol > 0, "must be positive"),
+)
+
+#: Section name -> (key, test on the section, error text) for the
+#: values a command would otherwise reject deep inside the library,
+#: under a name the file does not use.
+_RANGES = {
+    "hitting": _PRECISION_RANGES + (
+        ("n_max", lambda s: s.n_max >= 1, "must be positive"),
+        ("max_terms", lambda s: s.max_terms >= 1, "must be positive"),),
+    "asymptote": _PRECISION_RANGES,
+    "classify": (
+        ("boundary_tol", lambda s: s.boundary_tol >= 0, "must be >= 0"),
+        ("spectral_tol", lambda s: s.spectral_tol > 0, "must be positive"),
+    ),
+}
+
+
+def _check_ranges(name: str, section) -> None:
+    """ConfigError naming ``[name] key = value`` for the first value out
+    of its range (finiteness is checked on conversion)."""
+    for key, ok, problem in _RANGES.get(name, ()):
+        if not ok(section):
+            raise ConfigError(
+                f"[{name}] {key} = {getattr(section, key)!r} {problem}")
+
 
 def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment configuration file."""
@@ -185,6 +218,8 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"unknown section [{section}] in {path}")
     kwargs = {name: _load_section(parser, name, cls)
               for name, cls in _SECTIONS.items()}
+    for name, section in kwargs.items():
+        _check_ranges(name, section)
     return ExperimentConfig(base_dir=path.parent, **kwargs)
 
 

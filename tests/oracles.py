@@ -11,9 +11,14 @@ E[T_1]) are independent routes to the certified kernel's values;
 ``positive_recurrence_check`` decides exactly whether the latter's
 normalization series converges.  ``estimate_survival_probability`` is
 the binomial survival estimate some simulator tests check against
-closed forms.
+closed forms.  ``fmt_precise``, ``write_csv`` and the ``write_*``
+helpers are the former CSV writer (``csv.writer`` rows of Python
+numbers, one decimal conversion per hitting-table cell) that the
+streaming writer must reproduce byte for byte.
 """
 
+import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -262,3 +267,85 @@ def stationary_distribution(spec: BirthDeathSpec, trunc: int,
             weights.append(theta * prod * (1 / (delta * n)))
         total = sum(weights[1:], ar.num(Fraction(0))) + one
         return [w / total for w in weights]
+
+
+def fmt_precise(num: int, den: int, digits: int) -> str:
+    """The positive exact value num/den in ``mpmath.nstr(x, digits)``
+    layout: ``digits`` significant digits rounded half up, trailing
+    zeros stripped, fixed notation for a leading decimal exponent e with
+    min(-(digits // 3), -5) < e < digits, else ``d.ddde+N``."""
+    e = math.floor((num.bit_length() - den.bit_length() - 1)
+                   * math.log10(2))
+    low = 10 ** digits
+    while True:
+        k = digits - e
+        q = num * 10 ** k // den if k >= 0 else num // (den * 10 ** -k)
+        if q >= low:
+            break
+        e -= 1
+    if q >= 10 * low:
+        q //= 10
+        e += 1
+    r = (q + 5) // 10
+    if r == low:
+        r //= 10
+        e += 1
+    text = str(r)
+    if min(-(digits // 3), -5) < e < digits:
+        text = ("0." + "0" * (-e - 1) + text if e < 0
+                else text[:e + 1] + "." + text[e + 1:])
+        exponent = ""
+    else:
+        text = text[0] + "." + text[1:]
+        exponent = f"e{e:+d}"
+    text = text.rstrip("0")
+    if text.endswith("."):
+        text += "0"
+    return text + exponent
+
+
+def write_csv(path, header, rows) -> None:
+    """Rows of Python numbers and strings through ``csv.writer``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_hitting_csv(path, table, digits: int) -> None:
+    """``hitting.csv`` from the table's (numerator, denominator) pairs."""
+    write_csv(path, ["n", "S_n", "T_n", "certified"],
+              ((n, fmt_precise(*s, digits), fmt_precise(*t, digits),
+                "true" if c else "false")
+               for n, s, t, c in zip(itertools.count(1), table.s_pairs,
+                                     table.t_pairs, table.row_certified)))
+
+
+def write_simulate_csvs(out, summary, grid, labels) -> None:
+    """``simulate``'s CSV files for an ensemble ``summary`` on ``grid``."""
+    grid_text = [repr(t) for t in grid.tolist()]
+    write_csv(out / "trajectories.csv", ["t", "run_id", "total"],
+              ((t, run, total)
+               for run, totals in enumerate(summary.per_run_totals.tolist())
+               for t, total in zip(grid_text, totals)))
+    write_csv(out / "summary.csv",
+              ["t", "mean", "lower95", "upper95", "survival_fraction"],
+              zip(*(a.tolist() for a in (
+                  grid, summary.mean_total, summary.lower95,
+                  summary.upper95, summary.survival_fraction))))
+    write_csv(out / "extinctions.csv", ["run_id", "t_extinct"],
+              summary.run_extinctions)
+    if summary.run_events is not None:
+        (out / "events").mkdir()
+        for run, events in enumerate(summary.run_events):
+            write_csv(out / "events" / f"run_{run:05d}.csv",
+                      ["t", "node_label", "delta"],
+                      ((t, labels[node], dc) for t, node, dc in events))
+
+
+def write_meanfield_csv(path, labels, grid, series) -> None:
+    """``meanfield.csv`` for the per-node ``series`` on ``grid``."""
+    write_csv(path, ["t", *labels, "total"],
+              ([t, *row, total] for t, row, total in zip(
+                  grid.tolist(), series.tolist(),
+                  series.sum(axis=1).tolist())))

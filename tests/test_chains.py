@@ -474,6 +474,10 @@ def assert_matches_fraction_oracle(spec, n_hi, precision):
             assert Fraction(bound, q) == want.bounds[j]
     assert table.S == tuple(want.values[1:])
     assert table.T == tuple(itertools.accumulate(want.values[1:]))
+    ratios = [b / v for b, v in zip(want.bounds[1:], want.values[1:])
+              if b is not None]
+    assert table.max_rel_error_bound == (float(max(ratios)) if ratios
+                                         else None)
     return want
 
 
@@ -675,6 +679,14 @@ class TestRoundingCertificate:
         assert short.truncated_at > short.planned_truncation
         assert short.certified
         assert 0 < short.max_rel_error_bound <= 1e-30
+
+    @pytest.mark.parametrize("text", ["harmonic:5", "logn:1.5",
+                                      "step:3,1/2,10", "step:3/2,0,12"])
+    def test_max_rel_error_bound_is_the_largest_row_ratio(self, text):
+        # the pass keeps the largest bound/value pair and divides once
+        table = hitting_table(spec_of(text), 200, BF256)
+        assert table.max_rel_error_bound == float(max(
+            Fraction(b, v) for b, v in zip(table.bounds, table.numerators)))
 
     def test_futile_extension_is_not_attempted(self):
         # rounding alone misses 1e-40 at 64 bits: doubling M cannot help

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from argparse import Namespace
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
 from dieout import cli
@@ -24,6 +27,7 @@ from dieout.graphs import LocalityGraph, spectral_radius
 from dieout.rates import parse_parameter, parse_profile
 from dieout.regime import classify_symmetric
 
+import oracles
 from conftest import DATA_DIR, const_model
 from oracles import fraction_tail
 
@@ -107,6 +111,36 @@ class TestConfig:
         copy = tmp_path / recipe.name
         copy.write_text(config_text(cfg), encoding="utf-8")
         assert replace(load_config(copy), base_dir=cfg.base_dir) == cfg
+
+    @pytest.mark.parametrize("section, key, text, shown", [
+        ("classify", "spectral_tol", "-1", "-1.0"),
+        ("classify", "spectral_tol", "0", "0.0"),
+        ("classify", "boundary_tol", "-1", "-1.0"),
+        ("hitting", "rel_tol", "0", "0.0"),
+        ("hitting", "bits", "10", "10"),
+        ("hitting", "max_terms", "0", "0"),
+        ("hitting", "n_max", "0", "0"),
+        ("hitting", "mode", "exact", "'exact'"),
+        ("asymptote", "rel_tol", "-1e-3", "-0.001"),
+        ("asymptote", "bits", "10", "10"),
+        ("asymptote", "mode", "exact", "'exact'")])
+    def test_out_of_range_value_names_section_and_key(
+            self, tmp_path, capsys, section, key, text, shown):
+        needed = {"classify": "", "hitting": "gamma = harmonic:5\n",
+                  "asymptote": "gammas = harmonic:5\nn_max = 100\n"}
+        cfg = write_config(tmp_path, SIM_BODY.format(
+            graph=small_graph_file(tmp_path), delta="6.6",
+            out=tmp_path / "out")
+            + f"\n[{section}]\n{needed[section]}{key} = {text}\n")
+        assert main([section, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: [{section}] {key} = {shown} ")
+        assert not (tmp_path / "out").exists()
+
+    def test_bits_are_not_checked_in_rational_mode(self, tmp_path):
+        path = write_config(tmp_path, "[hitting]\nmode = rational\n"
+                            "bits = 10\n")
+        assert load_config(path).hitting.bits == 10
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "[simulation]\nbogus = 1\n")
@@ -319,6 +353,58 @@ class TestSimulate:
         assert delta in {"1", "-1"}
 
 
+class TestQuotedLabels:
+    """Files naming nodes whose labels hold "," and '"' are byte-equal
+    to what csv.writer writes for the same rows."""
+
+    EDGES = ('a,b c"d 1\nc"d a,b 1\nc"d "q" 2\n"q" a,b 1\n'
+             'plain "q" 0.5\na,b plain 1\n')
+
+    def config(self, tmp_path, extra: str):
+        graph = tmp_path / "quoted.edges"
+        graph.write_text(self.EDGES, encoding="utf-8")
+        body = SIM_BODY.format(graph=graph, delta="8", out=tmp_path / "out")
+        return load_config(write_config(tmp_path, body + extra))
+
+    def test_simulate_with_events(self, tmp_path):
+        cfg = self.config(tmp_path, "")
+        cfg = replace(cfg, simulation=replace(cfg.simulation,
+                                              record_events=True))
+        (tmp_path / "exp.ini").write_text(config_text(cfg), encoding="utf-8")
+        assert main(["simulate", "--config", str(tmp_path / "exp.ini")]) == 0
+        g = load_graph(cfg)
+        grid = simulation_grid(cfg.simulation)
+        summary = run_ensemble(cli._sim_config(cfg, g, Namespace(seed=None)),
+                               g, cfg.simulation.runs, grid)
+        want = tmp_path / "want"
+        want.mkdir()
+        oracles.write_simulate_csvs(want, summary, grid, g.labels)
+        files = sorted(p.relative_to(want) for p in want.rglob("*.csv"))
+        assert len(files) == 3 + cfg.simulation.runs
+        assert files == sorted(p.relative_to(tmp_path / "out")
+                               for p in (tmp_path / "out").rglob("*.csv"))
+        assert any('"a,b"' in (want / f).read_text() for f in files)
+        for f in files:
+            assert (tmp_path / "out" / f).read_bytes() == (
+                want / f).read_bytes(), f
+
+    def test_meanfield(self, tmp_path):
+        cfg = self.config(
+            tmp_path, '\n[meanfield]\nt_max = 3\ngrid_step = 0.1\n'
+            'x0 = node:c"d\n')
+        assert main(["meanfield", "--config", str(tmp_path / "exp.ini")]) == 0
+        g = load_graph(cfg)
+        grid = uniform_grid(3, 0.1, "meanfield")
+        x0 = np.zeros(g.node_count)
+        x0[g.index('c"d')] = cfg.simulation.n0
+        oracles.write_meanfield_csv(
+            tmp_path / "want.csv", g.labels, grid,
+            mean_field_trajectory(g, cli._model(cfg, g), x0, grid))
+        got = (tmp_path / "out" / "meanfield.csv").read_bytes()
+        assert got.startswith(b't,"a,b","c""d","""q""",plain,total\r\n')
+        assert got == (tmp_path / "want.csv").read_bytes()
+
+
 HITTING_BODY = """
 [dynamics]
 delta = {delta}
@@ -378,6 +464,7 @@ directory = {tmp_path / 'out'}
         assert meta["truncated_at"] >= meta["planned_truncation"] > 30
         assert meta["extension_passes"] == 0
         assert 0 < meta["max_rel_error_bound"] <= 1e-30
+        assert meta["kernel_s"] >= 0 and meta["write_s"] >= 0
         out = capsys.readouterr().out
         assert "planned" not in out and "bound" not in out
         header = (tmp_path / "out" / "hitting.csv").read_text().split("\n")[0]
@@ -419,6 +506,20 @@ directory = {tmp_path / 'out'}
         assert main(["hitting", "--config", str(cfg)]) == 0
         assert (tmp_path / "out" / "hitting.csv").read_text(
             encoding="utf-8").splitlines() == want
+
+    @pytest.mark.parametrize("mode", ["bigfloat", "rational"])
+    def test_bytes_match_the_csv_writer(self, tmp_path, mode):
+        cfg = write_config(tmp_path, HITTING_BODY.format(
+            delta=1, gamma="harmonic:5", n_max=2000, mode=mode, extra="",
+            out=tmp_path / "out"))
+        assert main(["hitting", "--config", str(cfg)]) == 0
+        precision = PrecisionConfig(mode)
+        table = hitting_table(BirthDeathSpec(parse_profile("harmonic:5"),
+                                             Fraction(1)), 2000, precision)
+        oracles.write_hitting_csv(tmp_path / "want.csv", table,
+                                  precision.decimal_digits)
+        assert ((tmp_path / "out" / "hitting.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
 
     @pytest.mark.parametrize("command", ["hitting", "asymptote"])
     def test_irrational_gamma_in_rational_mode_is_an_error(
@@ -475,7 +576,10 @@ def exact_pair(x):
 
 
 def fmt_precise(x, digits):
-    return cli._fmt_precise(*exact_pair(x), digits)
+    """The writer's cell for x: a power-of-two denominator takes the
+    shift path, any other the division path."""
+    num, den = exact_pair(x)
+    return next(cli._decimal_cells([num], den, digits))
 
 
 def nstr_exact(x, digits):
@@ -535,6 +639,34 @@ class TestDecimalWriter:
         for x in values:
             assert fmt_precise(x, digits) == nstr_exact(x, digits), x
 
+    @settings(max_examples=200, deadline=None)
+    @given(digits=st.sampled_from([50, 78]), F=st.integers(64, 600),
+           bits=st.integers(0, 900), fill=st.integers(0, 2 ** 900))
+    @example(digits=78, F=280, bits=0, fill=0)  # 2**-280, in e-85 notation
+    def test_shift_path_matches_the_division_writer(self, digits, F, bits,
+                                                     fill):
+        # from 2**-600 to 2**836: fixed and exponent notation
+        num = (1 << bits) + fill % (1 << bits)
+        assert (next(cli._decimal_cells([num], 1 << F, digits))
+                == oracles.fmt_precise(num, 1 << F, digits))
+
+    @settings(max_examples=200, deadline=None)
+    @given(digits=st.sampled_from([50, 78]), F=st.integers(64, 600),
+           lead=st.integers(-60, 120), extra=st.integers(0, 4),
+           jitter=st.integers(-3, 3))
+    @example(digits=78, F=300, lead=0, extra=1, jitter=0)
+    @example(digits=50, F=64, lead=77, extra=0, jitter=3)
+    def test_shift_path_rounds_nines_like_the_division_writer(
+            self, digits, F, lead, extra, jitter):
+        # the dyadic nearest 0.999...9 * 10**(lead + 1), digits + extra
+        # nines, which rounds up past a power of ten; F keeps the nines
+        F = max(F, math.ceil((digits + extra + 4 - lead) * 3.33))
+        w = digits + extra
+        num = ((10 ** w - 1) * 10 ** max(lead + 1, 0) << F) // (
+            10 ** w * 10 ** max(-lead - 1, 0)) + jitter
+        assert (next(cli._decimal_cells([num], 1 << F, digits))
+                == oracles.fmt_precise(num, 1 << F, digits))
+
     def test_rational_table_cells_match_mpf_route(self):
         # the former writer: the Fraction rounded to a 182-bit mpf, nstr
         table = hitting_table(BirthDeathSpec(parse_profile("harmonic:5"),
@@ -593,6 +725,7 @@ directory = {out}
                                   out=tmp_path / "asym")))]) == 0
         meta = json.loads((tmp_path / "asym" / "meta.json").read_text())
         assert set(meta["gammas"]) == {"step:5,1/2,40", "harmonic:2"}
+        assert meta["kernel_s"] >= 0 and meta["write_s"] >= 0
         for gamma, report in meta["gammas"].items():
             assert main(["hitting", "--config", str(write_config(
                 tmp_path, body.format(section="hitting", n="n_max",
