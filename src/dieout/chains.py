@@ -43,9 +43,9 @@ The pass runs in Python integers in one of two arithmetics:
   2**-bits relative.
 
 Every entry point reads the one :class:`HittingTable` that pass
-builds.  It keeps the kernel's integers; the (numerator, denominator)
-pairs and the public numbers (Fractions, or mpf numbers holding the
-exact dyadic kernel values) are built only when a caller reads them.
+builds.  It keeps the kernel's integers; the public numbers
+(Fractions, or mpf numbers holding the exact dyadic kernel values) are
+built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -62,8 +62,8 @@ import numpy as np
 from mpmath.libmp import MPZ
 
 from .graphs import EpidemicModel, LocalityGraph
-from .rates import (Arithmetic, ExactnessError, RateProfile, Scaled,
-                    coerce_coefficient, gamma_from_graph)
+from .rates import (EXACT, FLOAT, Arithmetic, ExactnessError, RateProfile,
+                    Scaled, coerce_coefficient, gamma_from_graph)
 
 RATIONAL = "rational"
 BIGFLOAT = "bigfloat"
@@ -162,11 +162,10 @@ class HittingTable:
     bounds its error (the neglected tail plus, in big-float mode, the
     carried rounding; None when no tail bound was available).  Built
     only on first access: ``t_numerators``, T_n being exactly
-    ``t_numerators[n-1] / denominators[0]``; ``s_pairs`` and
-    ``t_pairs``, each S_n and T_n as a (numerator, denominator) pair;
-    and ``S`` and ``T``, the same values as Fractions (rational mode)
-    or mpf numbers holding the exact dyadic (big-float mode).  The run
-    report: ``planned_truncation`` is the first truncation index tried,
+    ``t_numerators[n-1] / denominators[0]``; and ``S`` and ``T``, the
+    same values as Fractions (rational mode) or mpf numbers holding the
+    exact dyadic (big-float mode).  The run report:
+    ``planned_truncation`` is the first truncation index tried,
     ``extension_passes`` counts the doublings needed to certify, and
     ``max_rel_error_bound`` is the largest relative error bound
     (truncation plus rounding) over the rows that have one.
@@ -198,25 +197,18 @@ class HittingTable:
             map(operator.mul, self.numerators, scales)))
 
     @functools.cached_property
-    def s_pairs(self) -> tuple:
-        return tuple(zip(self.numerators, self.denominators))
-
-    @functools.cached_property
-    def t_pairs(self) -> tuple:
-        return tuple(zip(self.t_numerators,
-                         itertools.repeat(self.denominators[0])))
-
-    @functools.cached_property
     def S(self) -> tuple:
-        return self._numbers(self.s_pairs)
+        return self._numbers(self.numerators, self.denominators)
 
     @functools.cached_property
     def T(self) -> tuple:
-        return self._numbers(self.t_pairs)
+        return self._numbers(self.t_numerators,
+                             itertools.repeat(self.denominators[0]))
 
-    def _numbers(self, pairs) -> tuple:
+    def _numbers(self, numerators, denominators) -> tuple:
         rational = self.precision.mode == RATIONAL
-        return tuple(_number(p, q, rational) for p, q in pairs)
+        return tuple(_number(p, q, rational)
+                     for p, q in zip(numerators, denominators))
 
 
 #: the run report of a kernel pass, in HittingTable and AsymptoteRatios
@@ -267,8 +259,8 @@ def _ratio_bound(spec: BirthDeathSpec, n0: int) -> tuple[bool, Fraction]:
     supremum times _SAFETY.
     """
     gamma = spec.gamma
-    sup = (gamma.sup_from_exact(n0) if gamma.is_rational
-           else Fraction(gamma.sup_from(n0) * _SAFETY))
+    sup = (gamma.sup(n0, EXACT) if gamma.is_rational
+           else Fraction(gamma.sup(n0, FLOAT) * _SAFETY))
     r = sup / spec.delta
     return r < 1, r
 
@@ -297,7 +289,7 @@ def _plan_truncation(spec: BirthDeathSpec, n_hi: int,
             ratio_based = precision.max_terms
             break
     else:
-        r = spec.gamma.sup_from(start) / float(spec.delta)
+        r = spec.gamma.sup(start, FLOAT) / float(spec.delta)
         log_r = math.log(r) if r > 0 else None
         if log_r is None or log_r >= 0:
             extension = 64
@@ -405,7 +397,7 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     unit = (1 << F) * dd  # floor(unit / (j dn)) = floor(2**F / (j delta))
     log = (None if spec.gamma.is_rational
            else _BackwardLog(M, F + 2 * M.bit_length() + _GUARD))
-    gamma = spec.gamma.evaluator(Arithmetic("ratio", _ratio, log))
+    gamma = spec.gamma.evaluator(Arithmetic(_ratio, log))
     if geom is not None:
         gn, gd = geom.numerator, geom.denominator
 
@@ -485,7 +477,7 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
     """
     delta = spec.delta
     dn, dd = delta.numerator, delta.denominator
-    gamma = spec.gamma.evaluator(Arithmetic("ratio", _ratio, None))
+    gamma = spec.gamma.evaluator(Arithmetic(_ratio, None))
     tn, td = tol
     values = [0] * n_hi
     bounds = [None] * n_hi
@@ -515,8 +507,7 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
 
 
 def _backward_table(spec: BirthDeathSpec, n_hi: int,
-                    precision: PrecisionConfig,
-                    truncate_at: int | None = None) -> HittingTable:
+                    precision: PrecisionConfig) -> HittingTable:
     """Backward evaluation of S_1..S_{n_hi} from a shared truncation M.
 
     Seeds S_{M+1} = 0 and iterates S_j = 1/(j*delta) +
@@ -531,7 +522,7 @@ def _backward_table(spec: BirthDeathSpec, n_hi: int,
 
     Raises:
         ExactnessError: rational mode with an irrational gamma.
-        ValueError: ``max_terms`` (or ``truncate_at``) below n_hi.
+        ValueError: ``max_terms`` below n_hi.
     """
     if n_hi < 1:
         raise ValueError("need at least state 1")
@@ -545,11 +536,7 @@ def _backward_table(spec: BirthDeathSpec, n_hi: int,
             f"max_terms {precision.max_terms} is below the largest "
             f"requested state {n_hi}; the series needs at least that "
             f"many terms")
-    forced = truncate_at is not None
-    if forced and truncate_at < n_hi:
-        raise ValueError("truncation index must be >= the largest state")
-    planned = M = truncate_at if forced else _plan_truncation(
-        spec, n_hi, precision)
+    planned = M = _plan_truncation(spec, n_hi, precision)
     tol = precision.series_rel_tol.as_integer_ratio()
     passes = 0
     while True:
@@ -560,7 +547,7 @@ def _backward_table(spec: BirthDeathSpec, n_hi: int,
         else:
             rows = _fixed_pass(spec, n_hi, M, precision.bits, geom, tol)
         values, bounds, dens, steps, certified, helpable, rel = rows
-        if forced or not helpable or M >= precision.max_terms:
+        if not helpable or M >= precision.max_terms:
             return HittingTable(n_hi, precision, all(certified),
                                 tuple(certified), M, planned, passes, rel,
                                 values, bounds, dens, steps)
@@ -568,17 +555,15 @@ def _backward_table(spec: BirthDeathSpec, n_hi: int,
         passes += 1
 
 
-def s_tail_series(spec: BirthDeathSpec, n: int, precision: PrecisionConfig,
-                  truncate_at: int | None = None) -> SeriesValue:
+def s_tail_series(spec: BirthDeathSpec, n: int,
+                  precision: PrecisionConfig) -> SeriesValue:
     """Increment S_n = E[T_n] - E[T_{n-1}] via the positive-term series.
 
     This is the numerically stable route; relative truncation error is
-    certified against ``precision.series_rel_tol``.  ``truncate_at``
-    forces an absolute truncation index (verification use: values from
-    a common index match the forward recursion exactly).  The value is
-    the last row of the table :func:`hitting_table` builds for n.
+    certified against ``precision.series_rel_tol``.  The value is the
+    last row of the table :func:`hitting_table` builds for n.
     """
-    table = _backward_table(spec, n, precision, truncate_at)
+    table = _backward_table(spec, n, precision)
     rational = precision.mode == RATIONAL
     den, bound = table.denominators[-1], table.bounds[-1]
     return SeriesValue(
@@ -587,8 +572,8 @@ def s_tail_series(spec: BirthDeathSpec, n: int, precision: PrecisionConfig,
         None if bound is None else _number(bound, den, rational))
 
 
-def expected_T1(spec: BirthDeathSpec, precision: PrecisionConfig,
-                truncate_at: int | None = None) -> SeriesValue:
+def expected_T1(spec: BirthDeathSpec,
+                precision: PrecisionConfig) -> SeriesValue:
     """Mean hitting time from one infected agent to zero.
 
     Evaluates (1/delta) * sum_{i>=1} (1/i) * prod_{j<i} gamma(j)/delta
@@ -598,7 +583,7 @@ def expected_T1(spec: BirthDeathSpec, precision: PrecisionConfig,
         InfiniteHittingTimeError: when the series diverges (the chain's
         growth coefficient does not drop below the curing rate).
     """
-    return s_tail_series(spec, 1, precision, truncate_at=truncate_at)
+    return s_tail_series(spec, 1, precision)
 
 
 def hitting_table(spec: BirthDeathSpec, n_max: int,
@@ -621,9 +606,10 @@ def asymptote_ratio(spec: BirthDeathSpec, n_list,
     When gamma vanishes asymptotically the ratios approach one --
     although the approach is extremely slow, so no rate is implied.
     Each E[T_n] is the exact prefix sum p/q of the
-    :func:`hitting_table` up to the largest state, the pair it stores
-    in ``t_pairs``; the ratio is ``delta * (p / q) / math.log(n)`` in
-    float64, read only at the requested states.
+    :func:`hitting_table` up to the largest state, p from its
+    ``t_numerators`` and q its ``denominators[0]``; the ratio is
+    ``delta * (p / q) / math.log(n)`` in float64, read only at the
+    requested states.
     """
     n_list = sorted(set(int(n) for n in n_list))
     if not n_list or n_list[0] < 2:

@@ -333,7 +333,7 @@ def load_modulation(cfg: ExperimentConfig,
 def _modulation_value(text: str) -> float:
     """A modulation entry: ValueError unless finite and positive."""
     value = float(text)
-    if not (np.isfinite(value) and value > 0):
+    if not (math.isfinite(value) and value > 0):
         raise ValueError("modulation must be finite and positive")
     return value
 

@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .graphs import EpidemicModel, LocalityGraph
-from .rates import Constant
+from .rates import FLOAT, Constant
 
 # Cached pressure vectors are refreshed from scratch at this cadence to
 # stop float drift from accumulating over long runs.
@@ -73,8 +73,9 @@ class SimConfig:
     record_events: bool = False
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ValueError(
+                f"t_max must be finite and positive, got {self.t_max!r}")
         if self.n0 < 1:
             raise ValueError("n0 must be at least 1")
         if self.initial is not None:
@@ -310,8 +311,8 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
 
     model = cfg.model
     d = model.d(n_nodes)
-    beta_f = model.beta.as_float_fn()
-    betaint_f = model.beta_int.as_float_fn()
+    beta_f = model.beta.evaluator(FLOAT)
+    betaint_f = model.beta_int.evaluator(FLOAT)
     delta = float(model.delta)
     # per-node scalars as Python floats: cheaper to index and combine
     col_sums, d_of = tables.col_sums.tolist(), d.tolist()
@@ -429,7 +430,8 @@ class _RateTable:
     demand (entry 0 is a placeholder: a live run has n >= 1)."""
 
     def __init__(self, model: EpidemicModel):
-        self._fns = (model.beta.as_float_fn(), model.beta_int.as_float_fn())
+        self._fns = (model.beta.evaluator(FLOAT),
+                     model.beta_int.evaluator(FLOAT))
         self.beta = self.beta_int = np.zeros(1)
 
     def cover(self, top: int) -> None:

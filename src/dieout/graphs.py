@@ -223,7 +223,7 @@ def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
         except ValueError:
             raise EdgeListError(
                 f"line {lineno}: weight {wtext!r} is not a number") from None
-        if not np.isfinite(weight):
+        if not math.isfinite(weight):
             raise EdgeListError(f"line {lineno}: weight must be finite")
         if weight < 0:
             raise EdgeListError(f"line {lineno}: negative weight {weight}")
@@ -328,8 +328,8 @@ def spectral_radius(matrix, tol: float = 1e-12,
         max_iterations: iteration cap.
 
     Raises:
-        ValueError: non-square input, negative entries, or a ``tol``
-            that is not finite and positive.
+        ValueError: non-square input, non-finite or negative entries,
+            or a ``tol`` that is not finite and positive.
         SpectralError: cap reached before the residual target.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -337,6 +337,8 @@ def spectral_radius(matrix, tol: float = 1e-12,
     m = sp.csr_matrix(matrix, dtype=float)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    if not np.isfinite(m.data).all():
+        raise ValueError("matrix entries must be finite")
     if (m.data < 0).any():
         raise ValueError("matrix entries must be nonnegative")
     n = m.shape[0]

@@ -6,24 +6,23 @@ as n grows without bound; both facts are load-bearing for the threshold
 classifiers and the birth-death solvers, so the constructors enforce
 them.
 
-Profiles evaluate in any :class:`Arithmetic`.  Three are defined here:
+Profiles evaluate in any :class:`Arithmetic`.  Two are defined here:
 
 * ``FLOAT``  machine floats, for the stochastic simulator;
-* ``EXACT``  ``Fraction``;
-* ``MPF``    mpmath floats at the caller's working precision.
+* ``EXACT``  ``Fraction``.
 
 The certified kernel in ``chains`` brings its own (unreduced integer
-ratios).
+ratios), and the test oracles bring mpmath floats.
 
 Each family states its values once, as an evaluator over an
 :class:`Arithmetic` (how an exact parameter and ``log1p`` enter the
-number type), and its tail suprema once.  Hot loops build an evaluator
-once, through ``evaluator``, ``as_float_fn`` or ``sup_from*``; the
-checked one-value views ``value``, ``value_exact`` and ``value_mpf``
-build one per call and serve tests and verification oracles.
+number type), and its tail suprema once.  These are the only two
+entry points: ``evaluator(ar)`` returns an unchecked n -> value
+function, built once per loop, and ``sup(n0, ar)`` an upper bound on
+the values over n >= n0.
 
 Parameters are parsed exactly from decimal (or p/q) strings, so the
-exact views carry no representation error.
+exact arithmetic carries no representation error.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable
-
-import mpmath
 
 
 class ProfileError(ValueError):
@@ -75,17 +72,6 @@ def parse_parameter(text: str) -> Fraction:
     return exact
 
 
-def _mpf(q: Fraction) -> mpmath.mpf:
-    return mpmath.mpf(q.numerator) / q.denominator
-
-
-def _check_n(n: int) -> int:
-    n = int(n)
-    if n < 1:
-        raise ProfileError("profiles are defined for n >= 1 only")
-    return n
-
-
 @dataclass(frozen=True, eq=False)
 class Arithmetic:
     """A number type that profiles evaluate in.
@@ -94,7 +80,6 @@ class Arithmetic:
     ln(1 + n) for an integer n; every other step is plain ``+ * /``.
     """
 
-    name: str
     num: Callable[[Fraction], object]
     log1p: Callable[[int], object]
 
@@ -103,17 +88,16 @@ def _irrational(n):
     raise ExactnessError("log-over-n profiles have irrational values")
 
 
-FLOAT = Arithmetic("float", float, math.log1p)
-EXACT = Arithmetic("exact", Fraction, _irrational)
-MPF = Arithmetic("mpf", _mpf, lambda n: mpmath.log(n + 1))
+FLOAT = Arithmetic(float, math.log1p)
+EXACT = Arithmetic(Fraction, _irrational)
 
 
 class RateProfile:
     """Common interface for the concrete profile families below.
 
     A family defines its values once, in :meth:`evaluator`, and its
-    tail suprema once, in :meth:`_sup`; both take an
-    :class:`Arithmetic`.  The views below derive from these two.
+    tail suprema once, in :meth:`sup`; both take an
+    :class:`Arithmetic`.
     """
 
     #: True when every value, the limit, and the supremum are rational.
@@ -123,29 +107,9 @@ class RateProfile:
         """Unchecked n -> value(n) in ``ar`` (n a positive integer)."""
         raise NotImplementedError
 
-    def _sup(self, n0: int, ar: Arithmetic):
+    def sup(self, n0: int, ar: Arithmetic):
         """Upper bound on the values over all n >= n0 (n0 >= 1), in ``ar``."""
         raise NotImplementedError
-
-    def value(self, n: int) -> float:
-        return self.evaluator(FLOAT)(_check_n(n))
-
-    def value_exact(self, n: int) -> Fraction:
-        return self.evaluator(EXACT)(_check_n(n))
-
-    def value_mpf(self, n: int) -> mpmath.mpf:
-        return self.evaluator(MPF)(_check_n(n))
-
-    def as_float_fn(self) -> Callable[[int], float]:
-        """Fast unchecked float evaluator for simulation hot loops."""
-        return self.evaluator(FLOAT)
-
-    def sup_from(self, n0: int) -> float:
-        """Upper bound on value(n) over all n >= n0."""
-        return self._sup(max(1, int(n0)), FLOAT)
-
-    def sup_from_exact(self, n0: int) -> Fraction:
-        return self._sup(max(1, int(n0)), EXACT)
 
     @property
     def limit(self) -> float:
@@ -178,7 +142,7 @@ class Constant(RateProfile):
         c = ar.num(self.c)
         return lambda n: c
 
-    def _sup(self, n0, ar):
+    def sup(self, n0, ar):
         return ar.num(self.c)
 
     @property
@@ -210,7 +174,7 @@ class Step(RateProfile):
         hi, lo, ns = ar.num(self.high), ar.num(self.low), self.n_switch
         return lambda n: hi if n <= ns else lo
 
-    def _sup(self, n0, ar):
+    def sup(self, n0, ar):
         if n0 <= self.n_switch:
             return ar.num(max(self.high, self.low))
         return ar.num(self.low)
@@ -245,7 +209,7 @@ class Harmonic(RateProfile):
         k = ar.num(self.k)
         return lambda n: k / n
 
-    def _sup(self, n0, ar):
+    def sup(self, n0, ar):
         return self.evaluator(ar)(n0)  # k/n decreases
 
     @property
@@ -263,8 +227,8 @@ class Harmonic(RateProfile):
 class LogOverN(RateProfile):
     """k * ln(1 + n) / n, a slower-vanishing cousin of the harmonic family.
 
-    Values are irrational, so this family only supports float and
-    mpmath evaluation; the exact-rational kernel rejects it.
+    Values are irrational, so ``EXACT`` and the exact-rational kernel
+    reject this family.
     """
 
     k: Fraction
@@ -278,7 +242,7 @@ class LogOverN(RateProfile):
         k, log1p = ar.num(self.k), ar.log1p
         return lambda n: k * log1p(n) / n
 
-    def _sup(self, n0, ar):
+    def sup(self, n0, ar):
         return self.evaluator(ar)(n0)  # ln(1+n)/n decreases on n >= 1
 
     @property
@@ -320,7 +284,7 @@ class Table(RateProfile):
         tail = ar.num(self.tail)
         return lambda n: table.get(n, tail)
 
-    def _sup(self, n0, ar):
+    def sup(self, n0, ar):
         return ar.num(max([self.tail,
                            *(v for n, v in self.entries if n >= n0)]))
 
@@ -363,8 +327,8 @@ class Scaled(RateProfile):
         d, f = ar.num(self.coeff), self.base.evaluator(ar)
         return lambda n: d * f(n)
 
-    def _sup(self, n0, ar):
-        return ar.num(self.coeff) * self.base._sup(n0, ar)
+    def sup(self, n0, ar):
+        return ar.num(self.coeff) * self.base.sup(n0, ar)
 
     @property
     def limit_exact(self):
@@ -395,8 +359,8 @@ class Combined(RateProfile):
         f, g = self.first.evaluator(ar), self.second.evaluator(ar)
         return lambda n: f(n) + g(n)
 
-    def _sup(self, n0, ar):
-        return self.first._sup(n0, ar) + self.second._sup(n0, ar)
+    def sup(self, n0, ar):
+        return self.first.sup(n0, ar) + self.second.sup(n0, ar)
 
     @property
     def limit_exact(self):
@@ -502,7 +466,8 @@ def parse_profile(text: str, base_dir=None) -> RateProfile:
 
 def coerce_coefficient(d) -> Fraction:
     """Embed a coefficient exactly: Fractions, ints, decimal strings, and
-    floats (which are dyadic rationals) all convert without error."""
+    finite floats (which are dyadic rationals) all convert without
+    error; a non-finite float raises ProfileError."""
     if isinstance(d, Fraction):
         return d
     if isinstance(d, int):
@@ -510,6 +475,8 @@ def coerce_coefficient(d) -> Fraction:
     if isinstance(d, str):
         return parse_parameter(d)
     if isinstance(d, float):
+        if not math.isfinite(d):
+            raise ProfileError(f"coefficient {d!r} is not finite")
         return Fraction(d)
     raise ProfileError(f"cannot coerce coefficient of type {type(d).__name__}")
 

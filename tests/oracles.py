@@ -1,11 +1,14 @@
 """Reference implementations the library is checked against.
 
+``MPF`` evaluates rate profiles in mpmath floats at the caller's
+working precision, for the oracles below and the tests.
 ``node_rates`` recomputes every rate from scratch and ``step`` draws an
 event from a flat cumulative sum over all nodes: the plain O(N) path
 that the simulator's incremental caches and blocked event selection
 must reproduce.  ``fraction_tail`` is the rational kernel's backward
 pass in plain Fraction arithmetic, which the integer pass must
-reproduce exactly.  ``s_recursion_step`` (the forward hitting-time
+reproduce exactly; with ``truncate_at`` it is one pass from a fixed
+truncation index.  ``s_recursion_step`` (the forward hitting-time
 recursion) and ``stationary_distribution`` (the renewal route to
 E[T_1]) are independent routes to the certified kernel's values;
 ``positive_recurrence_check`` decides exactly whether the latter's
@@ -31,7 +34,17 @@ from dieout.chains import (BIGFLOAT, BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig)
 from dieout.gillespie import SimConfig, run_ensemble
 from dieout.graphs import EpidemicModel, LocalityGraph
-from dieout.rates import EXACT, MPF, ExactnessError, coerce_coefficient
+from dieout.rates import (EXACT, FLOAT, Arithmetic, ExactnessError,
+                          coerce_coefficient)
+
+
+def _mpf(q: Fraction) -> mpmath.mpf:
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+#: mpmath floats; an evaluator rounds its parameters at the working
+#: precision in force when it is built
+MPF = Arithmetic(_mpf, lambda n: mpmath.log(n + 1))
 
 
 @dataclass(frozen=True)
@@ -67,8 +80,9 @@ def node_rates(state: EpidemicState, g: LocalityGraph, model: EpidemicModel):
         zeros = np.zeros(g.node_count)
         return zeros, zeros.copy(), 0.0
     pressure = np.asarray(g.weights @ counts).ravel()
-    birth = (model.beta.value(n) * pressure
-             + model.beta_int.value(n) * (model.d(g.node_count) * counts))
+    birth = (model.beta.evaluator(FLOAT)(n) * pressure
+             + model.beta_int.evaluator(FLOAT)(n)
+             * (model.d(g.node_count) * counts))
     death = float(model.delta) * counts
     return birth, death, float(birth.sum() + death.sum())
 
@@ -167,15 +181,18 @@ class FractionTail:
 
 
 def fraction_tail(spec: BirthDeathSpec, n_hi: int,
-                  precision: PrecisionConfig) -> FractionTail:
+                  precision: PrecisionConfig,
+                  truncate_at: int | None = None) -> FractionTail:
     """The rational kernel in Fractions: S_j = 1/(j delta) + q_j S_{j+1}
     and P_j = q_j P_{j+1} from S_{M+1} = 0, P_{M+1} = 1, with the tail
     bound P_j * geom (exactly zero once gamma has vanished) and the
     library's truncation plan, certification rule and doubling of M.
+    ``truncate_at`` fixes M instead: one pass, whatever it certifies.
     """
-    gamma, delta = spec.gamma.value_exact, spec.delta
+    gamma, delta = spec.gamma.evaluator(EXACT), spec.delta
     tol = Fraction(precision.series_rel_tol)
-    M = chains._plan_truncation(spec, n_hi, precision)
+    M = (chains._plan_truncation(spec, n_hi, precision)
+         if truncate_at is None else truncate_at)
     passes = 0
     while True:
         r_ok, r = chains._ratio_bound(spec, M + 1)
@@ -195,7 +212,8 @@ def fraction_tail(spec: BirthDeathSpec, n_hi: int,
                     bounds[j] = p * geom
         certified = [b is not None and b <= tol * v
                      for b, v in zip(bounds, values)]
-        if all(certified[1:]) or M >= precision.max_terms:
+        if (truncate_at is not None or all(certified[1:])
+                or M >= precision.max_terms):
             return FractionTail(values, bounds, certified, M, passes)
         M = min(max(2 * M, M + 64), precision.max_terms)
         passes += 1
@@ -215,14 +233,14 @@ def s_recursion_step(spec: BirthDeathSpec, s_n, n: int,
             undefined (the chain truncates; use the tail series).
     """
     if isinstance(s_n, Fraction):
-        gamma_n = spec.gamma.value_exact(n)
+        gamma_n = spec.gamma.evaluator(EXACT)(n)
         if gamma_n == 0:
             raise ZeroDivisionError(
                 f"gamma({n}) = 0: recursion undefined, use s_tail_series")
         return (s_n * spec.delta - Fraction(1, n)) / gamma_n
     bits = precision.bits if precision is not None else mpmath.mp.prec
     with mpmath.mp.workprec(bits):
-        gamma_n = spec.gamma.value_mpf(n)
+        gamma_n = spec.gamma.evaluator(MPF)(n)
         if gamma_n == 0:
             raise ZeroDivisionError(
                 f"gamma({n}) = 0: recursion undefined, use s_tail_series")
@@ -251,12 +269,13 @@ def stationary_distribution(spec: BirthDeathSpec, trunc: int,
     if not positive_recurrence_check(spec):
         raise InfiniteHittingTimeError(1)
     if precision.mode == BIGFLOAT:
-        ar, gamma = MPF, spec.gamma.value_mpf
+        ar = MPF
     elif spec.gamma.is_rational:
-        ar, gamma = EXACT, spec.gamma.value_exact
+        ar = EXACT
     else:
         raise ExactnessError("rational mode needs a rational gamma")
     with mpmath.mp.workprec(precision.bits):
+        gamma = spec.gamma.evaluator(ar)
         delta, theta = ar.num(spec.delta), ar.num(theta)
         one = ar.num(Fraction(1))
         weights = [one]
@@ -313,12 +332,14 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_hitting_csv(path, table, digits: int) -> None:
-    """``hitting.csv`` from the table's (numerator, denominator) pairs."""
+    """``hitting.csv`` from the table's numerators and denominators."""
+    t_den = table.denominators[0]
     write_csv(path, ["n", "S_n", "T_n", "certified"],
-              ((n, fmt_precise(*s, digits), fmt_precise(*t, digits),
-                "true" if c else "false")
-               for n, s, t, c in zip(itertools.count(1), table.s_pairs,
-                                     table.t_pairs, table.row_certified)))
+              ((n, fmt_precise(s, s_den, digits),
+                fmt_precise(t, t_den, digits), "true" if c else "false")
+               for n, s, s_den, t, c in zip(
+                   itertools.count(1), table.numerators, table.denominators,
+                   table.t_numerators, table.row_certified)))
 
 
 def write_simulate_csvs(out, summary, grid, labels) -> None:

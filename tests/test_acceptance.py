@@ -17,7 +17,7 @@ import pytest
 
 from dieout.chains import (BirthDeathSpec, PrecisionConfig,
                            equilibrium_lower_bound, expected_T1,
-                           hitting_table, s_tail_series)
+                           hitting_table)
 from dieout.gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                               simulate_run)
 from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
@@ -69,13 +69,11 @@ def test_02_exact_recursion_equals_tail_series():
                       "(rational equality, n <= 30)", limit_s=10.0):
         for text in ("const:1/2", "harmonic:5", "step:3,1/2,10"):
             spec = BirthDeathSpec(parse_profile(text), Fraction(1))
-            t1 = expected_T1(spec, RATIONAL)
-            shared_m = t1.truncated_at
-            s = t1.value
+            # the rows of one table share one truncation index M
+            table = hitting_table(spec, 30, RATIONAL)
+            s = table.S[0]
             for n in range(1, 31):
-                tail = s_tail_series(spec, n, RATIONAL,
-                                     truncate_at=shared_m)
-                assert tail.value == s, f"{text}: mismatch at n={n}"
+                assert table.S[n - 1] == s, f"{text}: mismatch at n={n}"
                 if n < 30:
                     s = s_recursion_step(spec, s, n)
 
@@ -103,8 +101,9 @@ def test_04_asymptote_diagnostics_and_precision_warning():
                       "forward recursion provably disagrees"):
         spec = BirthDeathSpec(Harmonic(Fraction(5)), Fraction(1))
         n_max = 20_000
+        table = hitting_table(spec, n_max, BF256)
         svals = np.array([p / q for p, q in
-                          hitting_table(spec, n_max, BF256).s_pairs])
+                          zip(table.numerators, table.denominators)])
         ratio = np.arange(1, n_max + 1) * svals
         assert (ratio > 0).all()
         # decreasing toward 1 from n = 2 on, and strictly above 1

@@ -12,19 +12,30 @@ from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
                            bound_chains_from_graph, equilibrium_lower_bound,
                            expected_T1, hitting_table, s_tail_series,
                            _BackwardLog)
-from dieout.rates import (Combined, Constant, ExactnessError, LogOverN,
-                          Scaled, Step, Table, parse_profile)
+from dieout.rates import (EXACT, FLOAT, Combined, Constant, ExactnessError,
+                          LogOverN, ProfileError, Scaled, Step, Table,
+                          parse_profile)
 
 from dieout.gillespie import SimConfig, simulate_run
 from dieout.graphs import DiagonalModulation, EpidemicModel, LocalityGraph
 
 from conftest import random_strong_digraph
-from oracles import (EpidemicState, fraction_tail, node_rates,
+from oracles import (MPF, EpidemicState, fraction_tail, node_rates,
                      positive_recurrence_check, s_recursion_step,
                      stationary_distribution)
 
 RATIONAL = PrecisionConfig(mode="rational", series_rel_tol=1e-30)
 BF256 = PrecisionConfig(mode="bigfloat", bits=256, series_rel_tol=1e-40)
+
+
+def assert_recursion_reproduces_rows(spec, n_hi):
+    """The rows of one rational table share a truncation index, so the
+    forward recursion from its first row reproduces every row exactly."""
+    table = hitting_table(spec, n_hi, RATIONAL)
+    s = table.S[0]
+    for n in range(1, n_hi + 1):
+        assert table.S[n - 1] == s, f"mismatch at n={n}"
+        s = s_recursion_step(spec, s, n)
 
 
 def harmonic_number(n: int) -> Fraction:
@@ -69,6 +80,11 @@ class TestExpectedT1:
     def test_pure_death_scales_with_delta(self):
         r = expected_T1(spec_of("const:0", delta="5/2"), RATIONAL)
         assert r.value == Fraction(2, 5)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_nonfinite_delta_rejected(self, delta):
+        with pytest.raises(ProfileError, match="not finite"):
+            BirthDeathSpec(parse_profile("const:0"), delta)
 
     def test_harmonic_closed_form(self):
         # gamma = k/n at delta = 1 sums to (e^k - 1)/k
@@ -144,14 +160,7 @@ class TestTailSeries:
                 assert Fraction(1, n) <= r.value <= 1 / ((1 - alpha) * n)
 
     def test_matches_exact_recursion_oracle(self):
-        # forward recursion from the same truncation index agrees exactly
-        spec = spec_of("harmonic:5")
-        t1 = expected_T1(spec, RATIONAL)
-        s = t1.value
-        for n in range(1, 31):
-            tail = s_tail_series(spec, n, RATIONAL, truncate_at=t1.truncated_at)
-            assert tail.value == s
-            s = s_recursion_step(spec, s, n)
+        assert_recursion_reproduces_rows(spec_of("harmonic:5"), 30)
 
     def test_recursion_undefined_at_zero_gamma(self):
         spec = spec_of("step:2,0,10")
@@ -167,18 +176,13 @@ class TestTailSeries:
         with pytest.raises(InfiniteHittingTimeError):
             s_tail_series(spec, 7, RATIONAL)
 
-    def test_forced_truncation_reported(self):
-        spec = spec_of("const:1/2")
-        r = s_tail_series(spec, 4, RATIONAL, truncate_at=50)
-        assert r.truncated_at == 50
-
 
 class TestHittingTable:
     def test_S_and_T_are_public_numbers_built_once(self):
         spec = spec_of("harmonic:5", "3/2")
         rational = hitting_table(spec, 30, RATIONAL)
         # per-row tuples and numbers wait for their first reader
-        assert not {"s_pairs", "t_pairs", "S", "T"} & vars(rational).keys()
+        assert not {"t_numerators", "S", "T"} & vars(rational).keys()
         assert all(type(x) is Fraction for x in rational.S + rational.T)
         values = fraction_tail(spec, 30, RATIONAL).values[1:]
         assert rational.S == tuple(values)
@@ -186,7 +190,10 @@ class TestHittingTable:
         big = hitting_table(spec, 30, BF256)
         assert all(type(x) is mpmath.mpf for x in big.S + big.T)
         with mpmath.mp.workprec(2048):
-            for x, (p, q) in zip(big.S + big.T, big.s_pairs + big.t_pairs):
+            pairs = [*zip(big.numerators, big.denominators),
+                     *zip(big.t_numerators,
+                          itertools.repeat(big.denominators[0]))]
+            for x, (p, q) in zip(big.S + big.T, pairs):
                 assert x == mpmath.mpf(p) / q
             for x, y in zip(big.T, rational.T):  # both certified
                 y = mpmath.mpf(y.numerator) / y.denominator
@@ -222,7 +229,7 @@ class TestHittingTable:
         spec = spec_of("harmonic:2")
         table = hitting_table(spec, 5, BF256)
         rng = np.random.default_rng(4242)
-        gamma = spec.gamma.as_float_fn()
+        gamma = spec.gamma.evaluator(FLOAT)
         runs = 4000
         times = np.empty(runs)
         for r in range(runs):
@@ -261,6 +268,8 @@ class TestGraphChains:
         beta_int = parse_profile("step:2,1/2,12")
         model = EpidemicModel(beta, beta_int, "3", d)
         upper, lower = bound_chains_from_graph(g, model)
+        gamma_hi = upper.gamma.evaluator(FLOAT)
+        gamma_lo = lower.gamma.evaluator(FLOAT)
         cfg = SimConfig(model, t_max=3.0, n0=12, master_seed=seed,
                         record_events=True)
         events = 0
@@ -272,8 +281,8 @@ class TestGraphChains:
                 birth, _, _ = node_rates(EpidemicState.from_counts(counts),
                                          g, model)
                 per_case = birth.sum() / n
-                assert lower.gamma.value(n) * (1 - 1e-12) <= per_case
-                assert per_case <= upper.gamma.value(n) * (1 + 1e-12)
+                assert gamma_lo(n) * (1 - 1e-12) <= per_case
+                assert per_case <= gamma_hi(n) * (1 + 1e-12)
                 counts[node] += delta_count
                 events += 1
         assert events >= 100
@@ -289,8 +298,8 @@ class TestGraphChains:
         upper, lower = bound_chains_from_graph(
             g, EpidemicModel(Constant(Fraction(1)), Constant(Fraction(1)),
                              "1", d))
-        assert upper.gamma.value_exact(1) == 4 + 5
-        assert lower.gamma.value_exact(1) == 0 + 1
+        assert upper.gamma.evaluator(EXACT)(1) == 4 + 5
+        assert lower.gamma.evaluator(EXACT)(1) == 0 + 1
 
 
 class TestAsymptote:
@@ -307,8 +316,9 @@ class TestAsymptote:
 
     def test_harmonic_gamma_n_times_s_approaches_one(self):
         spec = spec_of("harmonic:5")
+        table = hitting_table(spec, 5000, BF256)
         svals = np.array([p / q for p, q in
-                          hitting_table(spec, 5000, BF256).s_pairs])
+                          zip(table.numerators, table.denominators)])
         ns = np.arange(1, 5001)
         ratio = ns * svals
         assert (ratio > 0).all()
@@ -328,10 +338,10 @@ class TestAsymptote:
         # the same exact T_n as hitting.csv, rounded once to float64
         spec = BirthDeathSpec(parse_profile("harmonic:2"), Fraction(3, 2))
         states = [2, 7, 40, 300, 1000, 2500]
-        t_pairs = hitting_table(spec, max(states), precision).t_pairs
+        table = hitting_table(spec, max(states), precision)
+        sums, den = table.t_numerators, table.denominators[0]
         assert asymptote_ratio(spec, states, precision).ratios == [
-            (n, 1.5 * (t_pairs[n - 1][0] / t_pairs[n - 1][1]) / math.log(n))
-            for n in states]
+            (n, 1.5 * (sums[n - 1] / den) / math.log(n)) for n in states]
 
     def test_rejects_states_below_two(self):
         with pytest.raises(ValueError):
@@ -344,8 +354,9 @@ class TestAsymptote:
         # n*S_n -> 1 < 1/(1 - eps)
         spec = spec_of("harmonic:5")
         n_max = 100_000
+        table = hitting_table(spec, n_max, BF256)
         svals = np.array([p / q for p, q in
-                          hitting_table(spec, n_max, BF256).s_pairs])
+                          zip(table.numerators, table.denominators)])
         t_cum = np.cumsum(svals)
         ns = np.arange(1, n_max + 1)
         for eps in (0.1, 0.5):
@@ -466,7 +477,8 @@ def assert_matches_fraction_oracle(spec, n_hi, precision):
     assert table.extension_passes == want.passes
     assert table.row_certified == tuple(want.certified[1:])
     for j in range(1, n_hi + 1):
-        (p, q), bound = table.s_pairs[j - 1], table.bounds[j - 1]
+        p, q = table.numerators[j - 1], table.denominators[j - 1]
+        bound = table.bounds[j - 1]
         assert Fraction(p, q) == want.values[j]
         if want.bounds[j] is None:
             assert bound is None
@@ -552,26 +564,14 @@ class TestRandomizedOracleEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_constant_profiles(self, alpha, delta):
         spec = BirthDeathSpec(Constant(alpha * delta), delta)
-        t1 = expected_T1(spec, RATIONAL)
-        s = t1.value
-        for n in range(1, 13):
-            tail = s_tail_series(spec, n, RATIONAL,
-                                 truncate_at=t1.truncated_at)
-            assert tail.value == s
-            s = s_recursion_step(spec, s, n)
+        assert_recursion_reproduces_rows(spec, 12)
 
     @given(k=st.fractions(min_value=Fraction(1, 10), max_value=8,
                           max_denominator=40))
     @settings(max_examples=30, deadline=None)
     def test_harmonic_profiles(self, k):
         spec = BirthDeathSpec(parse_profile(f"harmonic:{k}"), Fraction(1))
-        t1 = expected_T1(spec, RATIONAL)
-        s = t1.value
-        for n in range(1, 13):
-            tail = s_tail_series(spec, n, RATIONAL,
-                                 truncate_at=t1.truncated_at)
-            assert tail.value == s
-            s = s_recursion_step(spec, s, n)
+        assert_recursion_reproduces_rows(spec, 12)
 
 
 def reference_increments(spec: BirthDeathSpec, n_hi: int, terms: int):
@@ -579,9 +579,10 @@ def reference_increments(spec: BirthDeathSpec, n_hi: int, terms: int):
     truncated at ``terms`` (far past where the tail matters)."""
     with mpmath.mp.workprec(1024):
         delta = mpmath.mpf(spec.delta.numerator) / spec.delta.denominator
+        gamma = spec.gamma.evaluator(MPF)
         s, out = mpmath.mpf(0), {}
         for j in range(terms, 0, -1):
-            s = 1 / (delta * j) + spec.gamma.value_mpf(j) / delta * s
+            s = 1 / (delta * j) + gamma(j) / delta * s
             if j <= n_hi:
                 out[j] = s
         return out
@@ -619,8 +620,8 @@ class TestRoundingCertificate:
             r = s_tail_series(spec, n, precision)
             # same truncation: the fixed-point value sits below the
             # truncated sum, by less than 2**-bits relative
-            trunc = s_tail_series(spec, n, RATIONAL,
-                                  truncate_at=r.truncated_at).value
+            trunc = fraction_tail(spec, n, RATIONAL,
+                                  truncate_at=r.truncated_at).values[n]
             with mpmath.mp.workprec(1024):
                 x = mpmath.mpf(exact.S[n - 1].numerator) / \
                     exact.S[n - 1].denominator

@@ -16,7 +16,7 @@ from dieout.gillespie import (SimConfig, _EventTables, _locate, _map_runs,
                               trimmed_interval)
 from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
                            load_edge_list, spectral_radius)
-from dieout.rates import Constant, parse_profile
+from dieout.rates import FLOAT, Constant, parse_profile
 
 from conftest import const_model, random_strong_digraph
 from oracles import (EpidemicState, estimate_survival_probability,
@@ -73,8 +73,8 @@ class TestNodeRates:
             state, airports, EpidemicModel(beta, beta_int, 2.0, d))
         w = airports.dense_weights()
         n = counts.sum()
-        expected_birth = (beta.value(n) * (w @ counts)
-                          + beta_int.value(n) * d.values * counts)
+        expected_birth = (beta.evaluator(FLOAT)(n) * (w @ counts)
+                          + beta_int.evaluator(FLOAT)(n) * d.values * counts)
         np.testing.assert_allclose(birth, expected_birth, rtol=1e-12)
         expected_total = expected_birth.sum() + 2.0 * counts.sum()
         assert total == pytest.approx(expected_total, rel=1e-12)
@@ -87,8 +87,8 @@ class TestNodeRates:
                        delta=1.5, n0=25, t_max=3.0)
         model = cfg.model
         c_max = float(np.asarray(fixture20.weights.sum(axis=0)).max())
-        cap_coeff = (model.beta.sup_from(1) * c_max
-                     + model.beta_int.sup_from(1) + 1.5)
+        cap_coeff = (model.beta.sup(1, FLOAT) * c_max
+                     + model.beta_int.sup(1, FLOAT) + 1.5)
         traj = simulate_run(cfg, fixture20, 0)
         counts = traj.initial.copy()
         state = EpidemicState.from_counts(counts)
@@ -116,8 +116,8 @@ class TestNodeRates:
         counts[rng.integers(n)] += 1
         birth, _, _ = node_rates(EpidemicState.from_counts(counts), g, model)
         total = int(counts.sum())
-        m = model.growth_matrix(g, model.beta.value(total),
-                                model.beta_int.value(total))
+        m = model.growth_matrix(g, model.beta.evaluator(FLOAT)(total),
+                                model.beta_int.evaluator(FLOAT)(total))
         np.testing.assert_allclose(birth, m @ counts.astype(float),
                                    rtol=1e-12, atol=0)
 
@@ -178,6 +178,13 @@ class TestStep:
 
 
 class TestSimulateRun:
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0, -1.0])
+    def test_t_max_must_be_finite_and_positive(self, t_max):
+        # an infinite horizon ran a supercritical epidemic forever
+        with pytest.raises(ValueError,
+                           match="t_max must be finite and positive"):
+            make_cfg(t_max=t_max)
+
     def test_pure_death_mean_extinction_matches_harmonic_sum(self, k3):
         runs, k, delta = 3000, 12, 2.0
         cfg = make_cfg(n0=k, delta=delta, master_seed=5)

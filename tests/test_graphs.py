@@ -15,7 +15,7 @@ from dieout.graphs import (DiagonalModulation, EdgeListError, EpidemicModel, Loc
                            normalize_mean_column_weight,
                            spectral_radius, symmetrized_upper,
                            top_nodes_by_total_weight)
-from dieout.rates import parse_profile
+from dieout.rates import ProfileError, parse_profile
 
 from conftest import const_model, random_strong_digraph
 
@@ -200,6 +200,13 @@ class TestSpectralRadius:
         with pytest.raises(ValueError, match="square"):
             spectral_radius(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_entries(self, bad):
+        # a NaN residual fails the convergence test and would read as
+        # converged at iteration 0; an infinite entry gives radius inf
+        with pytest.raises(ValueError, match="finite"):
+            spectral_radius(np.array([[0.0, bad], [1.0, 0.0]]))
+
     def test_nonconvergence_carries_residual(self):
         g = random_strong_digraph(3)
         with pytest.raises(SpectralError) as exc:
@@ -278,6 +285,12 @@ class TestEpidemicModel:
     @pytest.mark.parametrize("delta", [0, -1.0, "0"])
     def test_delta_must_be_positive(self, delta):
         with pytest.raises(ValueError, match="delta"):
+            const_model(1, 1, delta)
+
+    @pytest.mark.parametrize("delta", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_delta_must_be_finite(self, delta):
+        with pytest.raises(ProfileError, match="not finite"):
             const_model(1, 1, delta)
 
     def test_d_defaults_to_ones_and_checks_length(self):

@@ -2,8 +2,9 @@
 
 ``perfbench/child.py`` wraps library functions by name when it traces a
 command (``perfbench/spans.py``) and calls ``cli._sim_config`` and
-``simulate_run`` in its counting pass.  Running both modes here makes a
-rename or a changed signature fail the test suite, not only a traced
+``simulate_run`` in its counting pass.  Running both modes, and a traced
+command on each engine (classifier, simulator, certified kernel), makes
+a rename or a changed signature fail the test suite, not only a traced
 benchmark run.
 """
 
@@ -36,6 +37,26 @@ n0 = 6
 t_max = 2.0
 grid_step = 0.1
 master_seed = 3
+"""
+
+KERNEL_CONFIG = """
+[dynamics]
+delta = 3/2
+
+[hitting]
+gamma = harmonic:5
+n_max = 200
+mode = rational
+rel_tol = 1e-20
+
+[asymptote]
+gammas = harmonic:5 logn:1/2
+n_min = 10
+n_max = 2000
+points = 4
+mode = bigfloat
+bits = 128
+rel_tol = 1e-20
 """
 
 
@@ -85,3 +106,16 @@ def test_traced_commands_and_counting_pass(tmp_path):
     count = run_child(tmp_path, "count", {
         "mode": "count", "config": str(cfg), "master_seed": 3})
     assert count["runs"] == 40 and count["events"] > 0
+
+
+def test_traced_kernel_commands(tmp_path):
+    cfg = tmp_path / "kernel.ini"
+    cfg.write_text(KERNEL_CONFIG, encoding="utf-8")
+    for command, span in (("hitting", "chains.hitting_table"),
+                          ("asymptote", "chains.asymptote_ratio")):
+        res = run_child(tmp_path, command, {
+            "mode": "command", "trace": True,
+            "argv": [command, "--config", str(cfg),
+                     "--out", str(tmp_path / command)]})
+        assert res["exit_code"] == 0
+        assert span in {s[2] for s in res["spans"]}

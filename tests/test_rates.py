@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dieout.rates import (Combined, Constant, ExactnessError, Harmonic,
-                          LogOverN, ProfileError, Scaled, Step, Table,
-                          gamma_from_graph, parse_parameter, parse_profile)
+from dieout.rates import (EXACT, FLOAT, Combined, Constant, ExactnessError,
+                          Harmonic, LogOverN, ProfileError, Scaled, Step,
+                          Table, coerce_coefficient, gamma_from_graph,
+                          parse_parameter, parse_profile)
+
+from oracles import MPF
 
 
 def all_families():
@@ -28,30 +31,31 @@ class TestParsing:
     def test_constant(self):
         p = parse_profile("const:2")
         assert isinstance(p, Constant)
-        assert p.value(7) == 2.0
+        assert p.evaluator(FLOAT)(7) == 2.0
         assert p.limit == 2.0
-        assert p.sup_from(1) == 2.0
+        assert p.sup(1, FLOAT) == 2.0
 
     def test_step(self):
         p = parse_profile("step:3,0.5,1000")
-        assert p.value(999) == 3.0
-        assert p.value(1000) == 3.0  # boundary belongs to the high side
-        assert p.value(1001) == 0.5
+        assert p.evaluator(FLOAT)(999) == 3.0
+        # the boundary belongs to the high side
+        assert p.evaluator(FLOAT)(1000) == 3.0
+        assert p.evaluator(FLOAT)(1001) == 0.5
         assert p.limit == 0.5
-        assert p.sup_from(1) == 3.0
+        assert p.sup(1, FLOAT) == 3.0
 
     def test_harmonic(self):
         p = parse_profile("harmonic:5")
-        assert p.value(10) == 0.5
-        assert p.value(5) == 1.0
+        assert p.evaluator(FLOAT)(10) == 0.5
+        assert p.evaluator(FLOAT)(5) == 1.0
         assert p.limit == 0.0
-        assert p.sup_from(1) == 5.0
+        assert p.sup(1, FLOAT) == 5.0
 
     def test_logn(self):
         p = parse_profile("logn:2")
-        assert p.value(3) == pytest.approx(2 * math.log(4) / 3)
+        assert p.evaluator(FLOAT)(3) == pytest.approx(2 * math.log(4) / 3)
         assert p.limit == 0.0
-        assert p.sup_from(1) == pytest.approx(2 * math.log(2))
+        assert p.sup(1, FLOAT) == pytest.approx(2 * math.log(2))
 
     def test_rational_string_parameters(self):
         assert parse_profile("const:1/2").c == Fraction(1, 2)
@@ -97,9 +101,9 @@ class TestParsing:
         table = tmp_path / "t.txt"
         table.write_text("1 0.5\n2 0.25\ntail=0.125\n")
         p = parse_profile(f"table:{table}")
-        assert p.value_exact(1) == Fraction(1, 2)
-        assert p.value_exact(2) == Fraction(1, 4)
-        assert p.value_exact(3) == Fraction(1, 8)  # tail
+        assert p.evaluator(EXACT)(1) == Fraction(1, 2)
+        assert p.evaluator(EXACT)(2) == Fraction(1, 4)
+        assert p.evaluator(EXACT)(3) == Fraction(1, 8)  # tail
         assert p.limit_exact == Fraction(1, 8)
 
     def test_table_without_tail_rejected(self, tmp_path):
@@ -122,34 +126,31 @@ class TestParsing:
 
 
 class TestEvaluation:
-    def test_n_zero_rejected(self):
-        for p in all_families():
-            with pytest.raises(ProfileError):
-                p.value_exact(0) if p.is_rational else p.value(0)
-
     def test_step_boundary_high_side(self):
         # the equilibrium-point construction keeps the raised rate
         # through n = N inclusive
         p = Step(Fraction(3, 2), Fraction(0), 10)
-        assert p.value_exact(10) == Fraction(3, 2)
-        assert p.value_exact(11) == 0
+        assert p.evaluator(EXACT)(10) == Fraction(3, 2)
+        assert p.evaluator(EXACT)(11) == 0
 
     def test_exactness_error_for_logn(self):
         with pytest.raises(ExactnessError):
-            LogOverN(Fraction(1)).value_exact(3)
+            LogOverN(Fraction(1)).evaluator(EXACT)(3)
 
     def test_mpf_evaluation_matches_float(self):
         with mpmath.mp.workprec(128):
             for p in all_families():
                 for n in (1, 7, 1200):
-                    assert float(p.value_mpf(n)) == pytest.approx(
-                        p.value(n), rel=1e-12)
+                    assert float(p.evaluator(MPF)(n)) == pytest.approx(
+                        p.evaluator(FLOAT)(n), rel=1e-12)
 
     def test_float_fn_matches_value(self):
+        # one evaluator reused across n, as in the simulator's hot loop,
+        # matches a fresh one per n
         for p in all_families():
-            f = p.as_float_fn()
+            f = p.evaluator(FLOAT)
             for n in (1, 2, 999, 1000, 1001, 10**6):
-                assert f(n) == pytest.approx(p.value(n), rel=1e-12, abs=0)
+                assert f(n) == p.evaluator(FLOAT)(n)
 
 
 class TestEvaluator:
@@ -169,45 +170,42 @@ class TestEvaluator:
     def test_mpf_values_follow_the_working_precision(self):
         p = Harmonic(Fraction(1, 3))
         with mpmath.mp.workprec(64):
-            low = p.value_mpf(1)
+            low = p.evaluator(MPF)(1)
         with mpmath.mp.workprec(256):
-            high = p.value_mpf(1)
+            high = p.evaluator(MPF)(1)
             assert high == mpmath.mpf(1) / 3
             assert high != low
         with mpmath.mp.workprec(64):
-            assert p.value_mpf(1) == low
+            assert p.evaluator(MPF)(1) == low
 
     def test_profiles_pickle_after_evaluation(self):
         for p in [*all_families(), *self.composites()]:
-            p.value(5)
+            p.evaluator(FLOAT)(5)
             with mpmath.mp.workprec(128):
-                p.value_mpf(5)
-            p.as_float_fn()(5)
+                p.evaluator(MPF)(5)
             q = pickle.loads(pickle.dumps(p))
             assert q == p
-            assert q.value(5) == p.value(5)
+            assert q.evaluator(FLOAT)(5) == p.evaluator(FLOAT)(5)
 
     def test_views_agree_on_composites(self):
         for p in self.composites():
-            f = p.as_float_fn()
+            f = p.evaluator(FLOAT)
             for n in (1, 2, 9, 40, 41, 1000):
-                v = p.value(n)
+                v = p.evaluator(FLOAT)(n)
                 assert f(n) == v
                 with mpmath.mp.workprec(200):
-                    assert float(p.value_mpf(n)) == pytest.approx(
+                    assert float(p.evaluator(MPF)(n)) == pytest.approx(
                         v, rel=1e-15)
                 if p.is_rational:
-                    assert float(p.value_exact(n)) == pytest.approx(
+                    assert float(p.evaluator(EXACT)(n)) == pytest.approx(
                         v, rel=1e-15)
-                    assert p.sup_from_exact(n) >= p.value_exact(n)
+                    assert p.sup(n, EXACT) >= p.evaluator(EXACT)(n)
                 else:
                     with pytest.raises(ExactnessError):
-                        p.value_exact(n)
+                        p.evaluator(EXACT)(n)
                     with pytest.raises(ExactnessError):
-                        p.sup_from_exact(n)
-                assert p.sup_from(n) >= v * (1 - 1e-15)
-            with pytest.raises(ProfileError):
-                p.value(0)
+                        p.sup(n, EXACT)
+                assert p.sup(n, FLOAT) >= v * (1 - 1e-15)
 
 
 class TestLimitsAndSuprema:
@@ -219,14 +217,14 @@ class TestLimitsAndSuprema:
     def test_examples(self, text, limit, sup):
         p = parse_profile(text)
         assert p.limit == limit
-        assert p.sup_from(1) == sup
+        assert p.sup(1, FLOAT) == sup
 
     def test_values_never_exceed_supremum(self):
         points = [1, 2, 3, 10, 999, 1000, 1001, 12345, 10**6]
         for p in all_families():
-            sup = p.sup_from(1)
+            sup = p.sup(1, FLOAT)
             for n in points:
-                v = p.value(n)
+                v = p.evaluator(FLOAT)(n)
                 assert 0.0 <= v <= sup * (1 + 1e-12)
 
     @pytest.mark.parametrize("eps", [1e-3, 1e-6])
@@ -243,19 +241,19 @@ class TestLimitsAndSuprema:
             p = parse_profile(text)
             if n_eps is None:
                 n_eps = 2
-                while p.value(n_eps) >= eps:
+                while p.evaluator(FLOAT)(n_eps) >= eps:
                     n_eps *= 2
             for n in (n_eps, 2 * n_eps, 10 * n_eps):
-                assert abs(p.value(n) - p.limit) < eps
+                assert abs(p.evaluator(FLOAT)(n) - p.limit) < eps
 
     def test_sup_from_bounds_tail_values(self):
         rng_points = [1, 5, 17, 999, 1000, 1001, 4096, 10**5]
         for p in all_families():
             for n0 in (1, 2, 500, 1000, 1500):
-                bound = p.sup_from(n0)
+                bound = p.sup(n0, FLOAT)
                 for n in rng_points:
                     if n >= n0:
-                        assert p.value(n) <= bound * (1 + 1e-12)
+                        assert p.evaluator(FLOAT)(n) <= bound * (1 + 1e-12)
 
 
 class TestHypothesisInvariants:
@@ -263,9 +261,9 @@ class TestHypothesisInvariants:
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_and_bounded(self, n):
         for p in all_families():
-            v = p.value(n)
+            v = p.evaluator(FLOAT)(n)
             assert v >= 0.0
-            assert v <= p.sup_from(1) * (1 + 1e-12)
+            assert v <= p.sup(1, FLOAT) * (1 + 1e-12)
 
     @given(n=st.integers(min_value=1, max_value=10**6),
            d=st.fractions(min_value=0, max_value=100))
@@ -274,8 +272,17 @@ class TestHypothesisInvariants:
         beta = Harmonic(Fraction(7, 3))
         beta_int = Step(Fraction(2), Fraction(1, 5), 50)
         gamma = gamma_from_graph(beta, beta_int, d)
-        assert gamma.value_exact(n) == (
-            d * beta.value_exact(n) + beta_int.value_exact(n))
+        assert gamma.evaluator(EXACT)(n) == (
+            d * beta.evaluator(EXACT)(n) + beta_int.evaluator(EXACT)(n))
+
+
+class TestCoerceCoefficient:
+    @pytest.mark.parametrize("d", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_float_rejected(self, d):
+        with pytest.raises(ProfileError, match="not finite"):
+            coerce_coefficient(d)
+        with pytest.raises(ProfileError, match="not finite"):
+            gamma_from_graph(Constant(Fraction(1)), Constant(Fraction(1)), d)
 
 
 class TestGammaFromGraph:
@@ -296,7 +303,7 @@ class TestGammaFromGraph:
         beta_int = Constant(Fraction(3, 2))
         gamma = gamma_from_graph(beta, beta_int, d_max)
         expected = Fraction(d_max) * 2 + Fraction(3, 2)
-        assert gamma.value_exact(123) == expected
+        assert gamma.evaluator(EXACT)(123) == expected
 
     def test_zero_detection_on_composites(self):
         gamma = gamma_from_graph(Step(Fraction(1), Fraction(0), 10),
@@ -307,9 +314,9 @@ class TestGammaFromGraph:
     def test_scaled_by_zero_is_zero(self):
         p = Scaled(Fraction(0), Harmonic(Fraction(5)))
         assert p.first_zero_at_or_after(3) == 3
-        assert p.value(7) == 0.0
+        assert p.evaluator(FLOAT)(7) == 0.0
 
     def test_combined_supremum_is_conservative(self):
         g = Combined(Harmonic(Fraction(4)), Step(Fraction(1), Fraction(2), 3))
         for n in (1, 2, 3, 4, 100):
-            assert g.value(n) <= g.sup_from(1) + 1e-12
+            assert g.evaluator(FLOAT)(n) <= g.sup(1, FLOAT) + 1e-12
