@@ -37,10 +37,11 @@ The pass runs in Python integers in one of two arithmetics:
   F = bits + 24 + max(0, ceil(log2(delta * M))).  Every term is
   positive, so floor division only ever rounds down, and the pass
   carries an integer bound on the accumulated loss beside each value
-  (ln(1 + n) for ``logn`` profiles comes from an integer series with
-  its own bound).  A row is certified when truncation plus rounding
-  bound is within the tolerance; the rounding bound alone stays below
-  2**-bits relative.
+  (ln(1 + n) for ``logn`` profiles comes from a table built before the
+  pass, an integer atanh series at each prime and an exact sum
+  ln a + ln b at each composite a b, with its own bound).  A row is
+  certified when truncation plus rounding bound is within the
+  tolerance; the rounding bound alone stays below 2**-bits relative.
 
 Every entry point reads the one :class:`HittingTable` that pass
 builds.  It keeps the kernel's integers; the public numbers
@@ -245,6 +246,12 @@ def _number(p: int, q: int, rational: bool):
 #: rounding slack applied to certified upper bounds computed in floats
 _SAFETY = 1 + 2.0 ** -24
 
+#: entries of the smallest-prime-factor sieve made at a time while a
+#: _LogTable is built; the allocator reuses chunks this small, where a
+#: whole-range array, once freed, stayed resident and raised fig4's
+#: peak RSS by about 4 MB
+_SIEVE_CHUNK = 1 << 14
+
 #: fractional bits kept beyond ``bits + ceil(log2(delta * M))``: they
 #: hold the carried rounding bound below 2**-(bits + 20) relative, far
 #: under the last printed digit, so written decimals are correctly
@@ -327,43 +334,80 @@ def _ratio(x: Fraction) -> _Ratio:
     return _Ratio(x.numerator, x.denominator)
 
 
-class _BackwardLog:
+def _smallest_prime_factors(lo: int, hi: int, primes) -> list:
+    """For m = lo..hi-1, m's smallest prime factor, 0 at a prime, from
+    ``primes``: every prime up to isqrt(hi - 1), ascending."""
+    spf = np.zeros(hi - lo, dtype=np.int32)
+    for p in primes:
+        if p * p >= hi:
+            break
+        multiples = spf[max(p * p, -(-lo // p) * p) - lo::p]  # a view
+        multiples[multiples == 0] = p
+    return spf.tolist()
+
+
+class _LogTable:
     """Lower bounds on ln(1 + n) for n = top, top - 1, ..., 1 in turn.
 
-    Holds L ~ 2**bits * ln(1 + n) with |L - 2**bits ln(1 + n)| <= err
-    and serves (L - err) / 2**bits.  One mpmath logarithm seeds
-    n = top; each step down subtracts
-    ln(n + 1) - ln(n) = 2 atanh(1/(2n + 1)), summed in integers by
-    Horner's rule.  Every floor there loses under one unit, and the
-    previous partial sum enters divided by (2n + 1)**2 >= 9, so a step
-    is off by less than 3 units once the series is cut where its tail
-    drops below one unit.  Only the current value is kept.
+    Holds L[m] ~ 2**bits * ln(m) for m = 2..top + 1, built in ascending
+    order when the table is made, with |L[m] - 2**bits ln m| <= err(m)
+    for err(m) = 3m - 4:
+
+    * L[2] is the floor of one mpmath logarithm at bits + 32 bits, off
+      by at most 2 units = err(2);
+    * at an odd prime p, L[p] = L[p - 1] + 2 atanh(1/(2p - 1)), the
+      series ln p - ln(p - 1) summed in integers by Horner's rule.
+      Every floor there loses under one unit, and the previous partial
+      sum enters divided by (2p - 1)**2 >= 25, so the step is off by
+      less than 3 units once the series is cut where its tail drops
+      below one unit: err(p - 1) + 3 = err(p);
+    * at a composite m = a b with a = spf(m) its smallest prime factor,
+      L[m] = L[a] + L[b] exactly, off by at most
+      err(a) + err(b) = 3a + 3b - 8 <= 3ab - 4 = err(m), because
+      3ab - 3a - 3b + 4 = 3 (a - 1)(b - 1) + 1 > 0.
+
+    Only the odd primes (about 1 in 13 entries at top = 1e6) take a
+    series.  Serving n returns (L[n + 1] - err) / 2**bits with
+    err = 3 (n + 1) >= err(n + 1), a lower bound on ln(1 + n) at most
+    2 err units below it, and leaves ``err`` set for the caller.
+    Entries above n + 1 are dropped once the pass has moved below them,
+    so the table shrinks while the pass's rows grow.
     """
 
     def __init__(self, top: int, bits: int):
+        root = math.isqrt(top + 1)
+        primes = [p for p in range(2, root + 1)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1))]
         with mpmath.mp.workprec(bits + 32):
-            self.L = int(mpmath.floor(mpmath.ldexp(mpmath.log(top + 1), bits)))
-        self.n, self.bits, self.err = top, bits, 2
+            ln2 = int(mpmath.floor(mpmath.ldexp(mpmath.log(2), bits)))
         # floor(2**(bits + 1) / (2i + 1)): the series of 2 atanh
-        self._coeffs = [(2 << bits) // (2 * i + 1)
-                        for i in range(bits // 2 + 2)]
+        coeffs = [(2 << bits) // (2 * i + 1) for i in range(bits // 2 + 2)]
+        L = [0, 0, ln2]
+        append = L.append
+        for lo in range(3, top + 2, _SIEVE_CHUNK):
+            hi = min(lo + _SIEVE_CHUNK, top + 2)
+            spf = _smallest_prime_factors(lo, hi, primes)
+            for m, p in enumerate(spf, lo):
+                if p:
+                    append(L[p] + L[m // p])
+                    continue
+                q = 2 * m - 1
+                q2 = q * q
+                # K terms leave a tail below one unit: q**(2K) >= 2**(bits+1)
+                last = (bits + 1) // (2 * (q.bit_length() - 1))
+                acc = coeffs[last]
+                for i in range(last - 1, -1, -1):
+                    acc = acc // q2 + coeffs[i]
+                append(L[-1] + acc // q)
+        self._L, self._unit, self.bits, self.err = L, 1 << bits, bits, 0
 
     def __call__(self, n: int) -> _Ratio:
-        if n > self.n:
+        L = self._L
+        if n + 2 > len(L):
             raise ValueError("logarithms are served for decreasing n only")
-        coeffs = self._coeffs
-        while self.n > n:
-            m = 2 * self.n + 1
-            m2 = m * m
-            # K terms leave a tail below one unit: m**(2K) >= 2**(bits+1)
-            last = (self.bits + 1) // (2 * (m.bit_length() - 1))
-            acc = coeffs[last]
-            for i in range(last - 1, -1, -1):
-                acc = acc // m2 + coeffs[i]
-            self.L -= acc // m
-            self.err += 3
-            self.n -= 1
-        return _Ratio(self.L - self.err, 1 << self.bits)
+        del L[n + 2:]
+        self.err = 3 * (n + 1)
+        return _Ratio(L[n + 1] - self.err, self._unit)
 
 
 def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
@@ -374,12 +418,12 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     exact, so s_j never exceeds 2**F S_j and the loss is carried as
     e_j = 2 + ceil(q_j e_{j+1}) units: each floor drops under one unit
     and the error of s_{j+1} enters scaled by q_j.  For an irrational
-    gamma, ln(1 + j) enters as a lower bound from :class:`_BackwardLog`,
-    2 err units of 2**-G or less below it; every family is affine in
-    that logarithm with a nonnegative slope, so the q used is at most
-    eta = 2 err / L <= err * 2**(2-G) relative below the true one.  That
-    keeps s_j below 2**F S_j and adds ceil(eta (q s_{j+1} + q e_{j+1}))
-    to e_j.
+    gamma, ln(1 + j) enters as a lower bound from :class:`_LogTable`,
+    2 err = 6 (j + 1) units of 2**-G or less below it; every family is
+    affine in that logarithm with a nonnegative slope, so the q used is
+    at most eta = 2 err / L <= err * 2**(2-G) relative below the true
+    one.  That keeps s_j below 2**F S_j and adds
+    ceil(eta (q s_{j+1} + q e_{j+1})) to e_j.
 
     P_j = prod_{i=j}^{M} q_i is carried as a 64-bit mantissa and a
     binary exponent, rounded up at every step (the added unit also
@@ -395,16 +439,17 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     F = bits + _GUARD + max(0, math.ceil(math.log2(delta * M)))
     dn, dd = delta.numerator, delta.denominator
     unit = (1 << F) * dd  # floor(unit / (j dn)) = floor(2**F / (j delta))
-    log = (None if spec.gamma.is_rational
-           else _BackwardLog(M, F + 2 * M.bit_length() + _GUARD))
-    gamma = spec.gamma.evaluator(Arithmetic(_ratio, log))
-    if geom is not None:
-        gn, gd = geom.numerator, geom.denominator
-
     tn, td = tol
+    # the row lists come before the log table, which the pass frees as
+    # it goes: in the other order asymptote's peak RSS was 1 MB higher
     values = [0] * n_hi
     bounds = [None] * n_hi
     certified = [False] * n_hi
+    log = (None if spec.gamma.is_rational
+           else _LogTable(M, F + 2 * M.bit_length() + _GUARD))
+    gamma = spec.gamma.evaluator(Arithmetic(_ratio, log))
+    if geom is not None:
+        gn, gd = geom.numerator, geom.denominator
     helpable = False
     worst_b, worst_v = -1, 1  # the largest bound / value so far
     s = e = 0

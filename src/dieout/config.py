@@ -52,8 +52,8 @@ class DynamicsSection:
 
 @dataclass(frozen=True)
 class SimulationSection:
-    runs: int = 1000
-    n0: int = 100
+    runs: int = 1000               # >= 40, for the 2.5% trimming
+    n0: int = 100                  # >= 1
     t_max: float = 10.0
     grid_step: float = 0.05
     master_seed: int = 1
@@ -73,11 +73,11 @@ class HittingSection:
 
 @dataclass(frozen=True)
 class AsymptoteSection:
-    gammas: tuple[str, ...] = ()
+    gammas: tuple[str, ...] = ()     # no spec twice
     n_values: tuple[int, ...] = ()   # explicit states; else log-spaced
-    n_min: int = 10
-    n_max: int = 100_000
-    points: int = 40
+    n_min: int = 10                  # <= n_max
+    n_max: int = 100_000             # >= 2
+    points: int = 40                 # >= 1
     mode: str = "bigfloat"
     bits: int = 256
     rel_tol: float = 1e-30
@@ -180,12 +180,25 @@ _PRECISION_RANGES = (
 
 #: Section name -> (key, test on the section, error text) for the
 #: values a command would otherwise reject deep inside the library,
-#: under a name the file does not use.
+#: under a name the file does not use, or only after loading a graph.
 _RANGES = {
+    "simulation": (
+        ("runs", lambda s: s.runs >= 40,
+         "must be >= 40 (the envelope trims 2.5% of runs from each side)"),
+        ("n0", lambda s: s.n0 >= 1, "must be >= 1"),
+    ),
     "hitting": _PRECISION_RANGES + (
         ("n_max", lambda s: s.n_max >= 1, "must be positive"),
         ("max_terms", lambda s: s.max_terms >= 1, "must be positive"),),
-    "asymptote": _PRECISION_RANGES,
+    "asymptote": _PRECISION_RANGES + (
+        ("gammas", lambda s: len(set(s.gammas)) == len(s.gammas),
+         "repeats a profile"),
+        # the log-spaced states, used when n_values is unset
+        ("n_min", lambda s: s.n_values or s.n_min <= s.n_max,
+         "is above n_max"),
+        ("n_max", lambda s: s.n_values or s.n_max >= 2, "must be >= 2"),
+        ("points", lambda s: s.n_values or s.points >= 1, "must be >= 1"),
+    ),
     "classify": (
         ("boundary_tol", lambda s: s.boundary_tol >= 0, "must be >= 0"),
         ("spectral_tol", lambda s: s.spectral_tol > 0, "must be positive"),
@@ -198,8 +211,10 @@ def _check_ranges(name: str, section) -> None:
     of its range (finiteness is checked on conversion)."""
     for key, ok, problem in _RANGES.get(name, ()):
         if not ok(section):
-            raise ConfigError(
-                f"[{name}] {key} = {getattr(section, key)!r} {problem}")
+            value = getattr(section, key)
+            if isinstance(value, tuple):
+                value = " ".join(map(str, value))
+            raise ConfigError(f"[{name}] {key} = {value!r} {problem}")
 
 
 def load_config(path) -> ExperimentConfig:

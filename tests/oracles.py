@@ -8,7 +8,9 @@ that the simulator's incremental caches and blocked event selection
 must reproduce.  ``fraction_tail`` is the rational kernel's backward
 pass in plain Fraction arithmetic, which the integer pass must
 reproduce exactly; with ``truncate_at`` it is one pass from a fixed
-truncation index.  ``s_recursion_step`` (the forward hitting-time
+truncation index.  ``BackwardLog`` is the one-series-step-per-row
+logarithm the fixed-point kernel's ``logn`` table must agree with.
+``s_recursion_step`` (the forward hitting-time
 recursion) and ``stationary_distribution`` (the renewal route to
 E[T_1]) are independent routes to the certified kernel's values;
 ``positive_recurrence_check`` decides exactly whether the latter's
@@ -217,6 +219,46 @@ def fraction_tail(spec: BirthDeathSpec, n_hi: int,
             return FractionTail(values, bounds, certified, M, passes)
         M = min(max(2 * M, M + 64), precision.max_terms)
         passes += 1
+
+
+class BackwardLog:
+    """Lower bounds on ln(1 + n) for n = top, top - 1, ..., 1 in turn,
+    one series step per n: the reference for ``chains._LogTable``.
+
+    Holds L ~ 2**bits * ln(1 + n) with |L - 2**bits ln(1 + n)| <= err
+    and serves (L - err) / 2**bits.  One mpmath logarithm seeds
+    n = top; each step down subtracts
+    ln(n + 1) - ln(n) = 2 atanh(1/(2n + 1)), summed in integers by
+    Horner's rule.  Every floor there loses under one unit, and the
+    previous partial sum enters divided by (2n + 1)**2 >= 9, so a step
+    is off by less than 3 units once the series is cut where its tail
+    drops below one unit.  Only the current value is kept.
+    """
+
+    def __init__(self, top: int, bits: int):
+        with mpmath.mp.workprec(bits + 32):
+            self.L = int(mpmath.floor(mpmath.ldexp(mpmath.log(top + 1), bits)))
+        self.n, self.bits, self.err = top, bits, 2
+        # floor(2**(bits + 1) / (2i + 1)): the series of 2 atanh
+        self._coeffs = [(2 << bits) // (2 * i + 1)
+                        for i in range(bits // 2 + 2)]
+
+    def __call__(self, n: int) -> chains._Ratio:
+        if n > self.n:
+            raise ValueError("logarithms are served for decreasing n only")
+        coeffs = self._coeffs
+        while self.n > n:
+            m = 2 * self.n + 1
+            m2 = m * m
+            # K terms leave a tail below one unit: m**(2K) >= 2**(bits+1)
+            last = (self.bits + 1) // (2 * (m.bit_length() - 1))
+            acc = coeffs[last]
+            for i in range(last - 1, -1, -1):
+                acc = acc // m2 + coeffs[i]
+            self.L -= acc // m
+            self.err += 3
+            self.n -= 1
+        return chains._Ratio(self.L - self.err, 1 << self.bits)
 
 
 def s_recursion_step(spec: BirthDeathSpec, s_n, n: int,

@@ -11,7 +11,7 @@ from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig, asymptote_ratio,
                            bound_chains_from_graph, equilibrium_lower_bound,
                            expected_T1, hitting_table, s_tail_series,
-                           _BackwardLog)
+                           _LogTable)
 from dieout.rates import (EXACT, FLOAT, Combined, Constant, ExactnessError,
                           LogOverN, ProfileError, Scaled, Step, Table,
                           parse_profile)
@@ -20,7 +20,8 @@ from dieout.gillespie import SimConfig, simulate_run
 from dieout.graphs import DiagonalModulation, EpidemicModel, LocalityGraph
 
 from conftest import random_strong_digraph
-from oracles import (MPF, EpidemicState, fraction_tail, node_rates,
+from oracles import (MPF, BackwardLog, EpidemicState, fraction_tail,
+                     node_rates,
                      positive_recurrence_check, s_recursion_step,
                      stationary_distribution)
 
@@ -654,17 +655,88 @@ class TestRoundingCertificate:
                     assert err <= ref[n] * mpmath.mpf(2) ** (8 - bits)
 
     def test_backward_log_stays_within_its_bound(self):
-        log = _BackwardLog(5000, 200)
+        log = _LogTable(5000, 200)
         with mpmath.mp.workprec(400):
             for n in range(5000, 0, -1):
                 value = log(n)
+                assert len(log._L) == n + 2  # entries above n + 1 dropped
                 if n % 97 == 1 or n < 4:
                     exact = mpmath.ldexp(mpmath.log(n + 1), 200)
                     assert value.q == 1 << 200
                     assert exact - 2 * log.err <= value.p <= exact
-        assert log.err <= 3 * 5000 + 2
+                    assert log.err == 3 * (n + 1)
         with pytest.raises(ValueError, match="decreasing"):
             log(2)
+
+    @pytest.mark.parametrize("bits", [64, 200, 355])
+    def test_log_table_entries_within_err_m(self, bits):
+        # |L[m] - 2**bits ln m| <= 3m - 4 at the seed, odd primes, prime
+        # powers, products of two large primes and the top entry
+        top = 19_043  # the top entry is m = 19_044 = 2**2 3**2 23**2
+        log = _LogTable(top, bits)
+        table = list(log._L)
+        checked = [2, 3, 4, 5, 8, 9, 27, 243, 2401, 4096, 16_807, 15_625,
+                   8633, 131 * 137, 127 * 149, 9973, 19_037, top + 1]
+        with mpmath.mp.workprec(400):
+            for m in checked:
+                exact = mpmath.ldexp(mpmath.log(m), bits)
+                err = 3 * m - 4
+                assert table[m] - err <= exact <= table[m] + err, m
+        assert len(table) == top + 2
+
+    @pytest.mark.parametrize("lo, hi", [(3, 200), (16_387, 16_600),
+                                        (999_900, 1_000_100)])
+    def test_sieve_chunk_matches_trial_division(self, lo, hi):
+        def spf(m):  # 0 at a prime
+            return next((d for d in range(2, math.isqrt(m) + 1)
+                         if m % d == 0), 0)
+
+        primes = [p for p in range(2, math.isqrt(hi) + 1) if not spf(p)]
+        assert chains._smallest_prime_factors(lo, hi, primes) == [
+            spf(m) for m in range(lo, hi)]
+
+    def test_log_table_serves_decreasing_n_only(self):
+        log = _LogTable(50, 64)
+        with pytest.raises(ValueError, match="decreasing"):
+            log(51)
+        first = log(40)
+        assert log(40).p == first.p  # the same n twice in one row
+        log(39)
+        with pytest.raises(ValueError, match="decreasing"):
+            log(40)
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    @settings(max_examples=25, deadline=None)
+    @given(top=st.integers(1, 600), bits=st.integers(64, 420))
+    def test_log_table_agrees_with_the_series_oracle(self, top, bits):
+        # both serve lower bounds within 2 err units of 2**bits ln(1 + n)
+        table, oracle = _LogTable(top, bits), BackwardLog(top, bits)
+        for n in range(top, 0, -1):
+            a, b = table(n), oracle(n)
+            assert a.q == b.q == 1 << bits
+            assert -2 * table.err <= a.p - b.p <= 2 * oracle.err
+
+    def test_two_logarithms_per_row_stay_certified(self):
+        # Combined(Scaled(2, logn:1), logn:1/2) reads log1p(j) twice a row
+        gamma = Combined(Scaled(Fraction(2), parse_profile("logn:1")),
+                         parse_profile("logn:1/2"))
+        spec = BirthDeathSpec(gamma, Fraction(3, 2))
+        ref = reference_increments(spec, 40, 600)
+        for bits in (64, 256):
+            table = hitting_table(spec, 40, PrecisionConfig(
+                "bigfloat", bits, 2.0 ** (8 - bits)))
+            assert table.certified
+            with mpmath.mp.workprec(1024):
+                for n in (1, 2, 9, 40):
+                    value = mpmath.mpf(table.numerators[n - 1]) / \
+                        table.denominators[n - 1]
+                    bound = mpmath.mpf(table.bounds[n - 1]) / \
+                        table.denominators[n - 1]
+                    err = ref[n] - value  # the kernel rounds down
+                    assert 0 < err <= bound
+                    assert err <= ref[n] * mpmath.mpf(2) ** (8 - bits)
 
     def test_extension_passes_are_reported(self, monkeypatch):
         spec = spec_of("const:1/2")

@@ -137,6 +137,52 @@ class TestConfig:
             f"error: [{section}] {key} = {shown} ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, old, new, shown", [
+        ("simulate", "runs = 40", "runs = 39", "[simulation] runs = 39 "
+         "must be >= 40"),
+        ("simulate", "n0 = 10", "n0 = 0", "[simulation] n0 = 0 must be >= 1"),
+        ("meanfield", "n0 = 10", "n0 = -3",
+         "[simulation] n0 = -3 must be >= 1")])
+    def test_simulation_ranges_fail_before_the_graph_loads(
+            self, tmp_path, capsys, monkeypatch, command, old, new, shown):
+        def refuse(cfg):
+            raise AssertionError("loaded the graph")
+
+        monkeypatch.setattr(cli, "load_graph", refuse)
+        body = SIM_BODY.format(graph=small_graph_file(tmp_path), delta="6.6",
+                               out=tmp_path / "out")
+        cfg = write_config(tmp_path, body.replace(old, new))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {shown}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("keys, shown", [
+        ("gammas = harmonic:5 logn:1 harmonic:5",
+         "gammas = 'harmonic:5 logn:1 harmonic:5' repeats a profile"),
+        ("gammas = harmonic:5\nn_min = 50\nn_max = 10\npoints = 5",
+         "n_min = 50 is above n_max"),
+        ("gammas = harmonic:5\nn_min = 1\nn_max = 1",
+         "n_max = 1 must be >= 2"),
+        ("gammas = harmonic:5\npoints = 0", "points = 0 must be >= 1"),
+        ("gammas = harmonic:5\npoints = -2", "points = -2 must be >= 1")])
+    def test_asymptote_ranges_name_the_key(self, tmp_path, capsys, keys,
+                                           shown):
+        cfg = write_config(tmp_path, f"[asymptote]\n{keys}\n\n"
+                           f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(cfg)
+        assert str(err.value) == f"[asymptote] {shown}"
+        assert main(["asymptote", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [asymptote] {shown}")
+        assert not (tmp_path / "out").exists()
+
+    def test_explicit_states_skip_the_log_spaced_checks(self, tmp_path):
+        path = write_config(tmp_path, "[asymptote]\ngammas = harmonic:5\n"
+                            "n_values = 3 7\nn_min = 50\nn_max = 10\n"
+                            "points = 0\n")
+        assert load_config(path).asymptote.n_values == (3, 7)
+
     def test_bits_are_not_checked_in_rational_mode(self, tmp_path):
         path = write_config(tmp_path, "[hitting]\nmode = rational\n"
                             "bits = 10\n")
@@ -775,7 +821,7 @@ directory = {tmp_path / 'out'}
 """)
         assert main(["asymptote", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: asymptote states must be integers")
+        assert err.startswith("error: [asymptote] points = 0 must be >= 1")
 
 
 class TestMeanfield:
