@@ -74,7 +74,7 @@ class HittingSection:
 @dataclass(frozen=True)
 class AsymptoteSection:
     gammas: tuple[str, ...] = ()     # no spec twice
-    n_values: tuple[int, ...] = ()   # explicit states; else log-spaced
+    n_values: tuple[int, ...] = ()   # explicit states >= 2; else log-spaced
     n_min: int = 10                  # <= n_max
     n_max: int = 100_000             # >= 2
     points: int = 40                 # >= 1
@@ -193,6 +193,8 @@ _RANGES = {
     "asymptote": _PRECISION_RANGES + (
         ("gammas", lambda s: len(set(s.gammas)) == len(s.gammas),
          "repeats a profile"),
+        ("n_values", lambda s: all(n >= 2 for n in s.n_values),
+         "must all be >= 2"),
         # the log-spaced states, used when n_values is unset
         ("n_min", lambda s: s.n_values or s.n_min <= s.n_max,
          "is above n_max"),

@@ -21,8 +21,7 @@ from dieout.graphs import DiagonalModulation, EpidemicModel, LocalityGraph
 
 from conftest import random_strong_digraph
 from oracles import (MPF, BackwardLog, EpidemicState, fraction_tail,
-                     node_rates,
-                     positive_recurrence_check, s_recursion_step,
+                     node_rates, positive_recurrence_check, s_recursion_step,
                      stationary_distribution)
 
 RATIONAL = PrecisionConfig(mode="rational", series_rel_tol=1e-30)
@@ -642,7 +641,9 @@ class TestRoundingCertificate:
         gamma = parse_profile(text)
         combined = Combined(Scaled(Fraction(2, 3), gamma),
                             parse_profile("step:1/5,1/9,12"))
-        for g in (gamma, combined):
+        # reads log1p(j) twice a row
+        twice = Combined(Scaled(Fraction(2), gamma), parse_profile("logn:1/2"))
+        for g in (gamma, combined, twice):
             spec = BirthDeathSpec(g, Fraction(3, 2))
             ref = reference_increments(spec, 40, 400)
             for n in (1, 2, 9, 40):
@@ -717,26 +718,6 @@ class TestRoundingCertificate:
             a, b = table(n), oracle(n)
             assert a.q == b.q == 1 << bits
             assert -2 * table.err <= a.p - b.p <= 2 * oracle.err
-
-    def test_two_logarithms_per_row_stay_certified(self):
-        # Combined(Scaled(2, logn:1), logn:1/2) reads log1p(j) twice a row
-        gamma = Combined(Scaled(Fraction(2), parse_profile("logn:1")),
-                         parse_profile("logn:1/2"))
-        spec = BirthDeathSpec(gamma, Fraction(3, 2))
-        ref = reference_increments(spec, 40, 600)
-        for bits in (64, 256):
-            table = hitting_table(spec, 40, PrecisionConfig(
-                "bigfloat", bits, 2.0 ** (8 - bits)))
-            assert table.certified
-            with mpmath.mp.workprec(1024):
-                for n in (1, 2, 9, 40):
-                    value = mpmath.mpf(table.numerators[n - 1]) / \
-                        table.denominators[n - 1]
-                    bound = mpmath.mpf(table.bounds[n - 1]) / \
-                        table.denominators[n - 1]
-                    err = ref[n] - value  # the kernel rounds down
-                    assert 0 < err <= bound
-                    assert err <= ref[n] * mpmath.mpf(2) ** (8 - bits)
 
     def test_extension_passes_are_reported(self, monkeypatch):
         spec = spec_of("const:1/2")

@@ -163,6 +163,8 @@ class TestConfig:
          "n_min = 50 is above n_max"),
         ("gammas = harmonic:5\nn_min = 1\nn_max = 1",
          "n_max = 1 must be >= 2"),
+        ("gammas = harmonic:5\nn_values = 1 5",
+         "n_values = '1 5' must all be >= 2"),
         ("gammas = harmonic:5\npoints = 0", "points = 0 must be >= 1"),
         ("gammas = harmonic:5\npoints = -2", "points = -2 must be >= 1")])
     def test_asymptote_ranges_name_the_key(self, tmp_path, capsys, keys,
