@@ -29,10 +29,10 @@ truncation index the two routes agree to exact rational equality.
 
 The pass runs in Python integers in one of two arithmetics:
 
-* rational mode (rational gamma and delta required): each row is an
-  exact pair N_j / Q_j over a denominator that grows by one small lcm
-  per row, so no gcd of big numbers is taken; the only error is the
-  truncation;
+* rational mode (rational gamma and delta required): every row is an
+  exact N_j / Q_1 over one denominator Q_1, a product of one small lcm
+  per row formed before the pass, so no gcd of big numbers is taken;
+  the only error is the truncation;
 * big-float mode: integers scaled by 2**F with
   F = bits + 24 + max(0, ceil(log2(delta * M))).  Every term is
   positive, so floor division only ever rounds down, and the pass
@@ -44,7 +44,8 @@ The pass runs in Python integers in one of two arithmetics:
   tolerance; the rounding bound alone stays below 2**-bits relative.
 
 Every entry point reads the one :class:`HittingTable` that pass
-builds.  It keeps the kernel's integers; the public numbers
+builds.  It keeps the kernel's integers over that one denominator, so
+T_n's numerator is a running sum of S's; the public numbers
 (Fractions, or mpf numbers holding the exact dyadic kernel values) are
 built only when a caller reads them.
 """
@@ -54,7 +55,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -157,15 +157,15 @@ class HittingTable:
     """Increments S_1..S_n_max and accumulated mean hitting times.
 
     T_n = sum_{i<=n} S_i is strictly increasing; ``certified`` is True
-    only when every row met the relative tolerance.  Row n holds the
-    kernel's integers: S_n is exactly ``numerators[n-1] /
-    denominators[n-1]``, and ``bounds[n-1]`` over the same denominator
-    bounds its error (the neglected tail plus, in big-float mode, the
-    carried rounding; None when no tail bound was available).  Built
-    only on first access: ``t_numerators``, T_n being exactly
-    ``t_numerators[n-1] / denominators[0]``; and ``S`` and ``T``, the
-    same values as Fractions (rational mode) or mpf numbers holding the
-    exact dyadic (big-float mode).  The run report:
+    only when every row met the relative tolerance.  Every integer sits
+    over the one ``denominator`` (Q_1 in rational mode, 2**F in
+    big-float mode): S_n is exactly ``numerators[n-1] / denominator``,
+    and ``bounds[n-1]`` bounds its error (the neglected tail plus, in
+    big-float mode, the carried rounding; None when no tail bound was
+    available).  Built only on first access: ``t_numerators``, T_n
+    being exactly ``t_numerators[n-1] / denominator``; and ``S`` and
+    ``T``, the same values as Fractions (rational mode) or mpf numbers
+    holding the exact dyadic (big-float mode).  The run report:
     ``planned_truncation`` is the first truncation index tried,
     ``extension_passes`` counts the doublings needed to certify, and
     ``max_rel_error_bound`` is the largest relative error bound
@@ -182,34 +182,24 @@ class HittingTable:
     max_rel_error_bound: float | None
     numerators: list = field(repr=False)
     bounds: list = field(repr=False)
-    denominators: list = field(repr=False)
-    #: rational mode: denominators[n-1] = denominators[n] * _steps[n-1];
-    #: None in big-float mode, where every denominator is the same 2**F
-    _steps: list | None = field(repr=False)
+    denominator: int = field(repr=False)
 
     @functools.cached_property
     def t_numerators(self) -> list:
-        # over denominators[0], S_k has the numerator
-        # numerators[k-1] * _steps[0] * ... * _steps[k-2]
-        if self._steps is None:
-            return list(itertools.accumulate(self.numerators))
-        scales = itertools.accumulate(self._steps, operator.mul, initial=1)
-        return list(itertools.accumulate(
-            map(operator.mul, self.numerators, scales)))
+        return list(itertools.accumulate(self.numerators))
 
     @functools.cached_property
     def S(self) -> tuple:
-        return self._numbers(self.numerators, self.denominators)
+        return self._numbers(self.numerators)
 
     @functools.cached_property
     def T(self) -> tuple:
-        return self._numbers(self.t_numerators,
-                             itertools.repeat(self.denominators[0]))
+        return self._numbers(self.t_numerators)
 
-    def _numbers(self, numerators, denominators) -> tuple:
+    def _numbers(self, numerators) -> tuple:
         rational = self.precision.mode == RATIONAL
-        return tuple(_number(p, q, rational)
-                     for p, q in zip(numerators, denominators))
+        return tuple(_number(p, self.denominator, rational)
+                     for p in numerators)
 
 
 #: the run report of a kernel pass, in HittingTable and AsymptoteRatios
@@ -431,9 +421,9 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
 
     Each row is checked against tol as it is made, and rows and checks
     come back as from :func:`_exact_pass`: s_j, the bound e_j plus the
-    tail bound P_j * geom (None without a tail bound) and the
-    denominator 2**F, with no steps; a row is worth more terms only
-    when its rounding bound e_j alone meets the tolerance.
+    tail bound P_j * geom (None without a tail bound) and the one
+    denominator 2**F; a row is worth more terms only when its rounding
+    bound e_j alone meets the tolerance.
     """
     delta = spec.delta
     F = bits + _GUARD + max(0, math.ceil(math.log2(delta * M)))
@@ -491,64 +481,70 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
             # more terms cannot help a row whose rounding alone is too big
             if not certified[j - 1] and e * td <= limit:
                 helpable = True
-    return (values, bounds, [1 << F] * n_hi, None, certified, helpable,
+    return (values, bounds, 1 << F, certified, helpable,
             None if worst_b < 0 else worst_b / worst_v)
 
 
 def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
                 geom: Fraction | None, tol: tuple[int, int]):
-    """The backward pass in exact integers over a growing denominator.
+    """The backward pass in exact integers over one denominator Q_1.
 
-    Row j holds S_j = N_j / Q_j and its tail bound P_j * geom = R_j / Q_j
-    over the same denominator, so certifying it is one integer
-    comparison.  With q_j = gamma(j)/delta = qn/qd left unreduced and
-    L_j = lcm(j dn, qd) (delta = dn/dd),
+    With q_j = gamma(j)/delta = qn/qd left unreduced, delta = dn/dd,
+    L_j = lcm(j dn, qd) and geom = gn/gd (1/1 without a tail bound), a
+    first loop over the rows forms Q_1 = gd * prod_{j=1}^{M} L_j.  Row j
+    then holds S_j = N_j / Q_1 and its tail bound P_j * geom = R_j / Q_1,
+    from N_{M+1} = 0 and R_{M+1} = gn Q_1 / gd down to j = 1:
 
-        Q_j = Q_{j+1} L_j,
-        N_j = dd (L_j / (j dn)) Q_{j+1} + qn (L_j / qd) N_{j+1},
-        R_j = qn (L_j / qd) R_{j+1},
+        N_j = (Q_1 dd) / (j dn) + qn (N_{j+1} / qd),
+        R_j = qn (R_{j+1} / qd).
 
-    from N_{M+1} = 0 and R_{M+1}/Q_{M+1} = geom (1/1 without a tail
-    bound), so no gcd of big numbers is taken.  R_j is zero once gamma
-    has vanished: the truncation is then exact.
+    Every division is exact.  Q_1 / (j dn) is, since L_j divides Q_1.
+    With Q_j = gd * prod_{i=j}^{M} L_i, S_j Q_j and P_j geom Q_j are
+    integers by induction (Q_j = L_j Q_{j+1}, and L_j is a multiple of
+    both j dn and qd), so N_{j+1} and R_{j+1} are multiples of
+    Q_1 / Q_{j+1} = prod_{i=1}^{j} L_i, which L_j and so qd divide.
+    Each step is one big-by-small product or division: no gcd and no
+    product of two big numbers is taken.  R_j is zero once gamma has
+    vanished: the truncation is then exact.
 
     Each row is checked as it is made against the relative tolerance
-    tol = (tn, td), i.e. tn/td.  Returns (values, bounds, dens, steps,
+    tol = (tn, td), i.e. tn/td.  Returns (values, bounds, Q_1,
     certified, helpable, rel): N_j, R_j (None without a tail bound,
-    unless zero), Q_j, L_j and whether the row is certified, for
-    j = 1..n_hi at index j - 1; whether some uncertified row could be
-    certified by more terms; and the largest relative error bound
-    R_j / N_j as a float (None when no row has a bound).
+    unless zero) and whether the row is certified, for j = 1..n_hi at
+    index j - 1; whether some uncertified row could be certified by
+    more terms; and the largest relative error bound R_j / N_j as a
+    float (None when no row has a bound).  That is the max of each
+    row's correctly rounded quotient, which equals the rounded max
+    because rounding is monotone; comparing the Q_1-sized pairs by
+    cross-multiplication, as :func:`_fixed_pass` does, would take a
+    product of two big numbers per row.
     """
     delta = spec.delta
     dn, dd = delta.numerator, delta.denominator
     gamma = spec.gamma.evaluator(Arithmetic(_ratio, None))
+    q = [(g.p * dd, g.q * dn) for g in map(gamma, range(1, M + 1))]
+    gn, gd = (1, 1) if geom is None else (geom.numerator, geom.denominator)
+    den = gd * math.prod(math.lcm(j * dn, qd)
+                         for j, (_, qd) in enumerate(q, 1))
+    unit = den * dd
     tn, td = tol
     values = [0] * n_hi
     bounds = [None] * n_hi
-    dens = [1] * n_hi
-    steps = [1] * n_hi
     certified = [False] * n_hi
-    worst_b, worst_v = -1, 1  # the largest bound / value so far
-    s = 0
-    r, den = (1, 1) if geom is None else (geom.numerator, geom.denominator)
+    rel = -1.0  # the largest bound / value so far
+    s, r = 0, gn * (den // gd)
     for j in range(M, 0, -1):
-        g = gamma(j)
-        qn, qd, jd = g.p * dd, g.q * dn, j * dn
-        step = math.lcm(jd, qd)
-        carry = qn * (step // qd)
-        s = dd * (step // jd) * den + carry * s
-        r *= carry
-        den *= step
+        qn, qd = q[j - 1]
+        s = unit // (j * dn) + qn * (s // qd)
+        r = qn * (r // qd)
         if j <= n_hi:
-            values[j - 1], dens[j - 1], steps[j - 1] = s, den, step
+            values[j - 1] = s
             if not r or geom is not None:
                 bounds[j - 1] = r
                 certified[j - 1] = r * td <= tn * s
-                if r * worst_v > worst_b * s:
-                    worst_b, worst_v = r, s
-    return (values, bounds, dens, steps, certified, not all(certified),
-            None if worst_b < 0 else worst_b / worst_v)
+                rel = max(rel, r / s)
+    return (values, bounds, den, certified, not all(certified),
+            None if rel < 0 else rel)
 
 
 def _backward_table(spec: BirthDeathSpec, n_hi: int,
@@ -591,11 +587,11 @@ def _backward_table(spec: BirthDeathSpec, n_hi: int,
             rows = _exact_pass(spec, n_hi, M, geom, tol)
         else:
             rows = _fixed_pass(spec, n_hi, M, precision.bits, geom, tol)
-        values, bounds, dens, steps, certified, helpable, rel = rows
+        values, bounds, den, certified, helpable, rel = rows
         if not helpable or M >= precision.max_terms:
             return HittingTable(n_hi, precision, all(certified),
                                 tuple(certified), M, planned, passes, rel,
-                                values, bounds, dens, steps)
+                                values, bounds, den)
         M = min(max(2 * M, M + 64), precision.max_terms)
         passes += 1
 
@@ -610,7 +606,7 @@ def s_tail_series(spec: BirthDeathSpec, n: int,
     """
     table = _backward_table(spec, n, precision)
     rational = precision.mode == RATIONAL
-    den, bound = table.denominators[-1], table.bounds[-1]
+    den, bound = table.denominator, table.bounds[-1]
     return SeriesValue(
         _number(table.numerators[-1], den, rational), table.row_certified[-1],
         table.truncated_at,
@@ -652,7 +648,7 @@ def asymptote_ratio(spec: BirthDeathSpec, n_list,
     although the approach is extremely slow, so no rate is implied.
     Each E[T_n] is the exact prefix sum p/q of the
     :func:`hitting_table` up to the largest state, p from its
-    ``t_numerators`` and q its ``denominators[0]``; the ratio is
+    ``t_numerators`` and q its ``denominator``; the ratio is
     ``delta * (p / q) / math.log(n)`` in float64, read only at the
     requested states.
     """
@@ -660,7 +656,7 @@ def asymptote_ratio(spec: BirthDeathSpec, n_list,
     if not n_list or n_list[0] < 2:
         raise ValueError("asymptote states must be integers >= 2")
     table = hitting_table(spec, n_list[-1], precision)
-    sums, den = table.t_numerators, table.denominators[0]
+    sums, den = table.t_numerators, table.denominator
     delta = float(spec.delta)
     return AsymptoteRatios(
         [(n, delta * (sums[n - 1] / den) / math.log(n)) for n in n_list],

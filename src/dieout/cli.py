@@ -29,9 +29,8 @@ import mpmath
 import numpy as np
 
 from . import __version__
-from .chains import (RATIONAL, RUN_REPORT, BirthDeathSpec,
-                     InfiniteHittingTimeError, PrecisionConfig,
-                     asymptote_ratio, hitting_table)
+from .chains import (RUN_REPORT, BirthDeathSpec, InfiniteHittingTimeError,
+                     PrecisionConfig, asymptote_ratio, hitting_table)
 from .config import (ConfigError, ExperimentConfig, config_sha256,
                      load_config, load_graph, load_initial_counts,
                      load_modulation, load_profiles, simulation_grid,
@@ -55,12 +54,11 @@ _pow10 = functools.cache(lambda k: 10 ** k)
 _CHUNK_LINES = 4096
 
 
-def _decimal_cells(numerators, denominators, digits: int):
-    """Each positive exact value num/den in ``mpmath.nstr(x, digits)``
-    layout, in integer arithmetic (the pairs need not be reduced).
-    ``denominators`` is one int shared by every value, or an iterable
-    of each value's own; a shared power of two 2**F turns every floor
-    division into a shift by F.
+def _decimal_cells(numerators, den: int, digits: int):
+    """Each positive exact value num/den, over the one denominator
+    ``den``, in ``mpmath.nstr(x, digits)`` layout, in integer arithmetic
+    (the pairs need not be reduced); when ``den`` is a power of two
+    2**F every floor division is a shift by F.
 
     Like nstr it keeps ``digits`` significant digits, rounded half up
     (nstr floors to ``digits + 3`` digits, then rounds on the first
@@ -70,15 +68,11 @@ def _decimal_cells(numerators, denominators, digits: int):
     floors in binary first, so on a non-dyadic value that is an exact
     decimal tie it can round down where this rounds up.)
     """
-    shift = None
-    if isinstance(denominators, int):
-        if denominators & (denominators - 1) == 0:
-            shift = denominators.bit_length() - 1
-        denominators = itertools.repeat(denominators)
+    shift = den.bit_length() - 1 if den & (den - 1) == 0 else None
     low = _pow10(digits)
     high = 10 * low
     fixed_from = min(-(digits // 3), -5)
-    for num, den in zip(numerators, denominators):
+    for num in numerators:
         # 10**e <= x < 10**(e + 2) from the bit lengths; then the digits
         # q = floor(x * 10**(digits - e)) number digits + 1 or digits + 2
         e = math.floor((num.bit_length() - den.bit_length() - 1) * _LOG10_2)
@@ -284,15 +278,10 @@ def cmd_hitting(cfg: ExperimentConfig, args) -> int:
     kernel_s = time.perf_counter() - start
     out = _out_dir(cfg, args)
     start = time.perf_counter()
-    digits = precision.decimal_digits
-    # T_n's denominator is S_1's; in big-float mode every S_n's as well
-    den = table.denominators[0]
-    rational = precision.mode == RATIONAL
+    digits, den = precision.decimal_digits, table.denominator
     _write_csv(out / "hitting.csv", ["n", "S_n", "T_n", "certified"],
                map("{},{},{},{}".format, itertools.count(1),
-                   _decimal_cells(table.numerators,
-                                  table.denominators if rational else den,
-                                  digits),
+                   _decimal_cells(table.numerators, den, digits),
                    _decimal_cells(table.t_numerators, den, digits),
                    ("true" if c else "false" for c in table.row_certified)))
     _write_meta(out, "hitting", cfg, {
@@ -360,7 +349,11 @@ def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
         x0 = np.full(g.node_count, n0 / g.node_count)
     elif mf.x0.startswith("node:"):
         x0 = np.zeros(g.node_count)
-        x0[g.index(mf.x0[len("node:"):])] = n0
+        try:
+            x0[g.index(mf.x0[len("node:"):])] = n0
+        except KeyError:
+            raise ConfigError(f"[meanfield] x0 = {mf.x0!r} names no node "
+                              f"of the graph") from None
     else:
         raise ConfigError(f"[meanfield] x0 {mf.x0!r}: use uniform or node:LABEL")
     series = mean_field_trajectory(g, model, x0, grid)
@@ -384,6 +377,18 @@ _COMMANDS = {
 }
 
 
+def _thread_count(text: str) -> int:
+    """``--threads``: a worker count >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = -1
+    if n < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0 (0 = machine default), got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dieout",
@@ -395,10 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment file")
         p.add_argument("--out", default=None,
                        help="output directory (overrides [output])")
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed override")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for ensembles (0 = auto)")
+        if name == "simulate":
+            p.add_argument("--seed", type=int, default=None,
+                           help="master seed override")
+            p.add_argument("--threads", type=_thread_count, default=1,
+                           help="worker processes (0 = machine default)")
     return parser
 
 

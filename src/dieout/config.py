@@ -54,7 +54,7 @@ class DynamicsSection:
 class SimulationSection:
     runs: int = 1000               # >= 40, for the 2.5% trimming
     n0: int = 100                  # >= 1
-    t_max: float = 10.0
+    t_max: float = 10.0            # > 0
     grid_step: float = 0.05
     master_seed: int = 1
     record_events: bool = False
@@ -85,7 +85,7 @@ class AsymptoteSection:
 
 @dataclass(frozen=True)
 class MeanfieldSection:
-    t_max: float = 10.0
+    t_max: float = 10.0            # > 0
     grid_step: float = 0.01
     x0: str = "uniform"            # "uniform" or "node:LABEL"
 
@@ -186,6 +186,10 @@ _RANGES = {
         ("runs", lambda s: s.runs >= 40,
          "must be >= 40 (the envelope trims 2.5% of runs from each side)"),
         ("n0", lambda s: s.n0 >= 1, "must be >= 1"),
+        ("t_max", lambda s: s.t_max > 0, "must be positive"),
+    ),
+    "meanfield": (
+        ("t_max", lambda s: s.t_max > 0, "must be positive"),
     ),
     "hitting": _PRECISION_RANGES + (
         ("n_max", lambda s: s.n_max >= 1, "must be positive"),

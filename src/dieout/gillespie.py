@@ -687,9 +687,15 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
         grid: increasing sample times.
         threads: worker processes; 0 picks the machine default, 1 runs
             inline.  Results are independent of the worker count.
+
+    Raises:
+        ValueError: fewer than 40 runs, or a negative ``threads``.
     """
     if runs < 40:
         raise ValueError("need at least 40 runs for 2.5% trimming")
+    if threads < 0:
+        raise ValueError(f"threads must be >= 0 (0 = machine default), "
+                         f"got {threads}")
     grid = _checked_grid(grid)
 
     started = time.perf_counter()

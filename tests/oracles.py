@@ -374,13 +374,13 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_hitting_csv(path, table, digits: int) -> None:
-    """``hitting.csv`` from the table's numerators and denominators."""
-    t_den = table.denominators[0]
+    """``hitting.csv`` from the table's numerators over its denominator."""
+    den = table.denominator
     write_csv(path, ["n", "S_n", "T_n", "certified"],
-              ((n, fmt_precise(s, s_den, digits),
-                fmt_precise(t, t_den, digits), "true" if c else "false")
-               for n, s, s_den, t, c in zip(
-                   itertools.count(1), table.numerators, table.denominators,
+              ((n, fmt_precise(s, den, digits),
+                fmt_precise(t, den, digits), "true" if c else "false")
+               for n, s, t, c in zip(
+                   itertools.count(1), table.numerators,
                    table.t_numerators, table.row_certified)))
 
 

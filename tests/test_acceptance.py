@@ -102,8 +102,7 @@ def test_04_asymptote_diagnostics_and_precision_warning():
         spec = BirthDeathSpec(Harmonic(Fraction(5)), Fraction(1))
         n_max = 20_000
         table = hitting_table(spec, n_max, BF256)
-        svals = np.array([p / q for p, q in
-                          zip(table.numerators, table.denominators)])
+        svals = np.array([p / table.denominator for p in table.numerators])
         ratio = np.arange(1, n_max + 1) * svals
         assert (ratio > 0).all()
         # decreasing toward 1 from n = 2 on, and strictly above 1

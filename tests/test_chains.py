@@ -190,11 +190,15 @@ class TestHittingTable:
         big = hitting_table(spec, 30, BF256)
         assert all(type(x) is mpmath.mpf for x in big.S + big.T)
         with mpmath.mp.workprec(2048):
-            pairs = [*zip(big.numerators, big.denominators),
-                     *zip(big.t_numerators,
-                          itertools.repeat(big.denominators[0]))]
-            for x, (p, q) in zip(big.S + big.T, pairs):
+            # S, the bounds and T are all read over one power of two
+            q = big.denominator
+            assert q & (q - 1) == 0
+            for x, p in zip(big.S + big.T,
+                            big.numerators + big.t_numerators):
                 assert x == mpmath.mpf(p) / q
+            last = s_tail_series(spec, 30, BF256)
+            assert last.value == big.S[-1]
+            assert last.error_bound == mpmath.mpf(big.bounds[-1]) / q
             for x, y in zip(big.T, rational.T):  # both certified
                 y = mpmath.mpf(y.numerator) / y.denominator
                 assert abs(y - x) <= y * mpmath.mpf(2e-30)
@@ -317,8 +321,7 @@ class TestAsymptote:
     def test_harmonic_gamma_n_times_s_approaches_one(self):
         spec = spec_of("harmonic:5")
         table = hitting_table(spec, 5000, BF256)
-        svals = np.array([p / q for p, q in
-                          zip(table.numerators, table.denominators)])
+        svals = np.array([p / table.denominator for p in table.numerators])
         ns = np.arange(1, 5001)
         ratio = ns * svals
         assert (ratio > 0).all()
@@ -339,7 +342,7 @@ class TestAsymptote:
         spec = BirthDeathSpec(parse_profile("harmonic:2"), Fraction(3, 2))
         states = [2, 7, 40, 300, 1000, 2500]
         table = hitting_table(spec, max(states), precision)
-        sums, den = table.t_numerators, table.denominators[0]
+        sums, den = table.t_numerators, table.denominator
         assert asymptote_ratio(spec, states, precision).ratios == [
             (n, 1.5 * (sums[n - 1] / den) / math.log(n)) for n in states]
 
@@ -355,8 +358,7 @@ class TestAsymptote:
         spec = spec_of("harmonic:5")
         n_max = 100_000
         table = hitting_table(spec, n_max, BF256)
-        svals = np.array([p / q for p, q in
-                          zip(table.numerators, table.denominators)])
+        svals = np.array([p / table.denominator for p in table.numerators])
         t_cum = np.cumsum(svals)
         ns = np.arange(1, n_max + 1)
         for eps in (0.1, 0.5):
@@ -477,7 +479,7 @@ def assert_matches_fraction_oracle(spec, n_hi, precision):
     assert table.extension_passes == want.passes
     assert table.row_certified == tuple(want.certified[1:])
     for j in range(1, n_hi + 1):
-        p, q = table.numerators[j - 1], table.denominators[j - 1]
+        p, q = table.numerators[j - 1], table.denominator
         bound = table.bounds[j - 1]
         assert Fraction(p, q) == want.values[j]
         if want.bounds[j] is None:
@@ -499,13 +501,33 @@ class TestIntegerRationalPass:
     @pytest.mark.parametrize("text, delta", [
         ("harmonic:5", "1"), ("harmonic:4.5", "1"),
         ("step:3/2,0,12", "1"), ("step:3/2,0,12", "3/2"),
-        ("harmonic:5", "3/2"), ("step:3,1/2,10", "3/2")])
+        ("harmonic:5", "3/2"), ("step:3,1/2,10", "3/2"),
+        # delta with dd > 1, and q_j = qn/qd with qd not dividing j dn
+        ("const:2/7", "5/3"), ("harmonic:5/7", "5/3"),
+        pytest.param(Table(((1, Fraction(3, 4)), (2, Fraction(5, 6)),
+                            (3, Fraction(2, 9)), (7, Fraction(7, 10))),
+                           Fraction(1, 3)), "5/3", id="table-5/3")])
     def test_reproduces_fraction_oracle(self, text, delta):
-        want = assert_matches_fraction_oracle(spec_of(text, delta), 40,
-                                              RATIONAL)
+        spec = (spec_of(text, delta) if isinstance(text, str)
+                else BirthDeathSpec(text, Fraction(delta)))
+        want = assert_matches_fraction_oracle(spec, 40, RATIONAL)
         assert all(want.certified[1:])
-        if text.startswith("step:3/2,0"):  # gamma vanishes: exact
+        if str(text).startswith("step:3/2,0"):  # gamma vanishes: exact
             assert all(b == 0 for b in want.bounds[1:])
+
+    @pytest.mark.parametrize("modulated", [False, True])
+    def test_graph_chains_with_a_rational_weight_match(self, modulated):
+        # Combined(Scaled(c, beta), beta_int), with beta_int Scaled by the
+        # modulation's extreme when modulated, on a column sum of 3/4
+        w = np.array([[0, 0.25, 1], [0.75, 0, 0.5], [0, 0.5, 0]])
+        g = LocalityGraph(tuple("abc"), w)
+        d = (DiagonalModulation(np.array([1.5, 0.75, 1.0])) if modulated
+             else None)
+        for spec in bound_chains_from_graph(g, EpidemicModel(
+                parse_profile("harmonic:3/2"), parse_profile("const:1/4"),
+                "5/2", d)):
+            assert isinstance(spec.gamma, Combined)
+            assert_matches_fraction_oracle(spec, 30, RATIONAL)
 
     @pytest.mark.parametrize("text", ["harmonic:5", "step:2,1/2,50"])
     def test_extension_passes_match(self, text, monkeypatch):
@@ -734,11 +756,17 @@ class TestRoundingCertificate:
         assert short.certified
         assert 0 < short.max_rel_error_bound <= 1e-30
 
-    @pytest.mark.parametrize("text", ["harmonic:5", "logn:1.5",
-                                      "step:3,1/2,10", "step:3/2,0,12"])
-    def test_max_rel_error_bound_is_the_largest_row_ratio(self, text):
-        # the pass keeps the largest bound/value pair and divides once
-        table = hitting_table(spec_of(text), 200, BF256)
+    @pytest.mark.parametrize("text, rational", [
+        *(pytest.param(text, False, id=text) for text in (
+            "harmonic:5", "logn:1.5", "step:3,1/2,10", "step:3/2,0,12")),
+        *(pytest.param(text, True, id=f"{text}-rational") for text in (
+            "harmonic:5", "step:3,1/2,10", "step:3/2,0,12"))])
+    def test_max_rel_error_bound_is_the_largest_row_ratio(self, text,
+                                                          rational):
+        # the big-float pass keeps the largest bound/value pair and
+        # divides once; the rational pass keeps the largest row quotient
+        table = hitting_table(spec_of(text), 200,
+                              RATIONAL if rational else BF256)
         assert table.max_rel_error_bound == float(max(
             Fraction(b, v) for b, v in zip(table.bounds, table.numerators)))
 

@@ -142,7 +142,11 @@ class TestConfig:
          "must be >= 40"),
         ("simulate", "n0 = 10", "n0 = 0", "[simulation] n0 = 0 must be >= 1"),
         ("meanfield", "n0 = 10", "n0 = -3",
-         "[simulation] n0 = -3 must be >= 1")])
+         "[simulation] n0 = -3 must be >= 1"),
+        ("simulate", "t_max = 6.0", "t_max = -5",
+         "[simulation] t_max = -5.0 must be positive"),
+        ("meanfield", "[output]", "[meanfield]\nt_max = 0\n\n[output]",
+         "[meanfield] t_max = 0.0 must be positive")])
     def test_simulation_ranges_fail_before_the_graph_loads(
             self, tmp_path, capsys, monkeypatch, command, old, new, shown):
         def refuse(cfg):
@@ -384,6 +388,23 @@ class TestSimulate:
         out3 = self.run_once(tmp_path, "out3", seed=999)
         assert ((out1 / "trajectories.csv").read_bytes()
                 != (out3 / "trajectories.csv").read_bytes())
+
+    @pytest.mark.parametrize("argv", [
+        ["hitting", "--seed", "3"], ["hitting", "--threads", "7"],
+        ["classify", "--threads", "1"], ["simulate", "--threads", "-3"],
+        ["simulate", "--threads", "two"]])
+    def test_inert_or_negative_flags_are_usage_errors(self, tmp_path, capsys,
+                                                      argv):
+        # --seed and --threads belong to simulate, and 0 is the only
+        # thread count that means the machine default
+        cfg = write_config(tmp_path, SIM_BODY.format(
+            graph=small_graph_file(tmp_path), delta="8.5",
+            out=tmp_path / "out"))
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, "--config", str(cfg)])
+        assert exit_.value.code == 2
+        assert argv[1] in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_event_log_emission(self, tmp_path):
         body = SIM_BODY.format(graph=small_graph_file(tmp_path),
@@ -889,6 +910,24 @@ directory = {tmp_path / 'out'}
         rows = (tmp_path / "out" / "meanfield.csv").read_text().splitlines()
         assert float(rows[-1].split(",")[-1]) == pytest.approx(
             9.0 * np.exp(2.0), rel=1e-9)
+
+    def test_unknown_start_node_names_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, f"""
+[graph]
+path = {small_graph_file(tmp_path)}
+
+[meanfield]
+t_max = 1.0
+grid_step = 0.5
+x0 = node:NOPE
+
+[output]
+directory = {tmp_path / 'out'}
+""")
+        assert main(["meanfield", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: [meanfield] x0 = 'node:NOPE' names no node of the "
+            "graph\n")
 
     def test_nonconstant_profile_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, f"""

@@ -459,6 +459,11 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="40"):
             run_ensemble(make_cfg(), k3, 39, np.linspace(0, 1, 5))
 
+    def test_negative_thread_count_rejected(self, k3):
+        with pytest.raises(ValueError, match="threads"):
+            run_ensemble(make_cfg(), k3, 40, np.linspace(0, 1, 5),
+                         threads=-3)
+
     def test_trimming_matches_sort_oracle(self, fixture20):
         cfg = make_cfg(beta=parse_profile("const:1"),
                        beta_int=parse_profile("const:1"), delta=5.0, n0=20,
