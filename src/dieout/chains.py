@@ -489,35 +489,30 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
                 geom: Fraction | None, tol: tuple[int, int]):
     """The backward pass in exact integers over one denominator Q_1.
 
-    With q_j = gamma(j)/delta = qn/qd left unreduced, delta = dn/dd,
+    With delta = dn/dd, q_j = gamma(j)/delta = qn/qd left unreduced,
     L_j = lcm(j dn, qd) and geom = gn/gd (1/1 without a tail bound), a
-    first loop over the rows forms Q_1 = gd * prod_{j=1}^{M} L_j.  Row j
-    then holds S_j = N_j / Q_1 and its tail bound P_j * geom = R_j / Q_1,
-    from N_{M+1} = 0 and R_{M+1} = gn Q_1 / gd down to j = 1:
+    first loop forms Q_1 = gd prod_{j=1}^{M} L_j.  Row j holds
+    S_j = N_j / Q_1 and its tail bound P_j geom = R_j / Q_1, from
+    N_{M+1} = 0 and R_{M+1} = gn Q_1 / gd:
 
         N_j = (Q_1 dd) / (j dn) + qn (N_{j+1} / qd),
         R_j = qn (R_{j+1} / qd).
 
-    Every division is exact.  Q_1 / (j dn) is, since L_j divides Q_1.
-    With Q_j = gd * prod_{i=j}^{M} L_i, S_j Q_j and P_j geom Q_j are
-    integers by induction (Q_j = L_j Q_{j+1}, and L_j is a multiple of
-    both j dn and qd), so N_{j+1} and R_{j+1} are multiples of
-    Q_1 / Q_{j+1} = prod_{i=1}^{j} L_i, which L_j and so qd divide.
-    Each step is one big-by-small product or division: no gcd and no
-    product of two big numbers is taken.  R_j is zero once gamma has
-    vanished: the truncation is then exact.
+    Every division is exact: L_j divides Q_1, and with
+    Q_j = gd prod_{i>=j} L_i = L_j Q_{j+1}, S_j Q_j and P_j geom Q_j are
+    integers by induction, so N_{j+1} and R_{j+1} are multiples of
+    Q_1 / Q_{j+1} = prod_{i<=j} L_i, which qd divides.  Each step is one
+    big-by-small operation: no gcd and no product of two big numbers.
+    R_j is zero once gamma has vanished: the truncation is then exact.
 
-    Each row is checked as it is made against the relative tolerance
-    tol = (tn, td), i.e. tn/td.  Returns (values, bounds, Q_1,
-    certified, helpable, rel): N_j, R_j (None without a tail bound,
-    unless zero) and whether the row is certified, for j = 1..n_hi at
-    index j - 1; whether some uncertified row could be certified by
-    more terms; and the largest relative error bound R_j / N_j as a
-    float (None when no row has a bound).  That is the max of each
-    row's correctly rounded quotient, which equals the rounded max
-    because rounding is monotone; comparing the Q_1-sized pairs by
-    cross-multiplication, as :func:`_fixed_pass` does, would take a
-    product of two big numbers per row.
+    Rows are checked as they are made against tol = (tn, td), i.e.
+    tn/td.  Returns (values, bounds, Q_1, certified, helpable, rel):
+    N_j, R_j (None without a tail bound, unless zero) and whether row j
+    is certified, at index j - 1 for j = 1..n_hi; whether more terms
+    could certify some row; and the largest R_j / N_j as a float (None
+    when no row has a bound): the max of each row's correctly rounded
+    quotient, which is the rounded max since rounding is monotone
+    (cross-multiplying Q_1-sized pairs would be big-by-big).
     """
     delta = spec.delta
     dn, dd = delta.numerator, delta.denominator

@@ -377,18 +377,6 @@ _COMMANDS = {
 }
 
 
-def _thread_count(text: str) -> int:
-    """``--threads``: a worker count >= 0."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = -1
-    if n < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0 (0 = machine default), got {text!r}")
-    return n
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dieout",
@@ -403,13 +391,16 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "simulate":
             p.add_argument("--seed", type=int, default=None,
                            help="master seed override")
-            p.add_argument("--threads", type=_thread_count, default=1,
+            p.add_argument("--threads", type=int, default=1,
                            help="worker processes (0 = machine default)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "threads", 0) < 0:
+        parser.error("--threads must be >= 0 (0 = machine default)")
     try:
         return _COMMANDS[args.command](load_config(args.config), args)
     except InfiniteHittingTimeError as exc:

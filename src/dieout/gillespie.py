@@ -685,17 +685,13 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
         runs: ensemble size; at least 40 so the 2.5% trimming removes
             at least one run per side.
         grid: increasing sample times.
-        threads: worker processes; 0 picks the machine default, 1 runs
-            inline.  Results are independent of the worker count.
-
-    Raises:
-        ValueError: fewer than 40 runs, or a negative ``threads``.
+        threads: worker processes (>= 0); 0 picks the machine default,
+            1 runs inline.  Results are independent of the worker count.
     """
     if runs < 40:
         raise ValueError("need at least 40 runs for 2.5% trimming")
     if threads < 0:
-        raise ValueError(f"threads must be >= 0 (0 = machine default), "
-                         f"got {threads}")
+        raise ValueError(f"threads must be >= 0, got {threads}")
     grid = _checked_grid(grid)
 
     started = time.perf_counter()

@@ -495,6 +495,24 @@ def assert_matches_fraction_oracle(spec, n_hi, precision):
     return want
 
 
+def graph_chains_with_a_rational_weight():
+    """(name, spec) for the bracketing chains of a 3-node graph whose
+    column sums are 3/4 and 3/2, at delta 5/2: each gamma is
+    Combined(Scaled(c, harmonic:3/2), const:1/4), its second part
+    Scaled by the modulation's extreme when modulated."""
+    w = np.array([[0, 0.25, 1], [0.75, 0, 0.5], [0, 0.5, 0]])
+    g = LocalityGraph(tuple("abc"), w)
+    for tag, d in (("", None),
+                   ("-modulated", DiagonalModulation(np.array([1.5, 0.75,
+                                                               1.0])))):
+        model = EpidemicModel(parse_profile("harmonic:3/2"),
+                              parse_profile("const:1/4"), "5/2", d)
+        upper, lower = bound_chains_from_graph(g, model)
+        for name, spec in (("upper", upper), ("lower", lower)):
+            assert isinstance(spec.gamma, Combined)
+            yield name + tag, spec
+
+
 class TestIntegerRationalPass:
     """The rational kernel's integer pass against the Fraction loop."""
 
@@ -506,7 +524,9 @@ class TestIntegerRationalPass:
         ("const:2/7", "5/3"), ("harmonic:5/7", "5/3"),
         pytest.param(Table(((1, Fraction(3, 4)), (2, Fraction(5, 6)),
                             (3, Fraction(2, 9)), (7, Fraction(7, 10))),
-                           Fraction(1, 3)), "5/3", id="table-5/3")])
+                           Fraction(1, 3)), "5/3", id="table-5/3"),
+        *(pytest.param(spec.gamma, "5/2", id=f"graph-{name}")
+          for name, spec in graph_chains_with_a_rational_weight())])
     def test_reproduces_fraction_oracle(self, text, delta):
         spec = (spec_of(text, delta) if isinstance(text, str)
                 else BirthDeathSpec(text, Fraction(delta)))
@@ -514,20 +534,6 @@ class TestIntegerRationalPass:
         assert all(want.certified[1:])
         if str(text).startswith("step:3/2,0"):  # gamma vanishes: exact
             assert all(b == 0 for b in want.bounds[1:])
-
-    @pytest.mark.parametrize("modulated", [False, True])
-    def test_graph_chains_with_a_rational_weight_match(self, modulated):
-        # Combined(Scaled(c, beta), beta_int), with beta_int Scaled by the
-        # modulation's extreme when modulated, on a column sum of 3/4
-        w = np.array([[0, 0.25, 1], [0.75, 0, 0.5], [0, 0.5, 0]])
-        g = LocalityGraph(tuple("abc"), w)
-        d = (DiagonalModulation(np.array([1.5, 0.75, 1.0])) if modulated
-             else None)
-        for spec in bound_chains_from_graph(g, EpidemicModel(
-                parse_profile("harmonic:3/2"), parse_profile("const:1/4"),
-                "5/2", d)):
-            assert isinstance(spec.gamma, Combined)
-            assert_matches_fraction_oracle(spec, 30, RATIONAL)
 
     @pytest.mark.parametrize("text", ["harmonic:5", "step:2,1/2,50"])
     def test_extension_passes_match(self, text, monkeypatch):
