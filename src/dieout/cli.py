@@ -282,7 +282,8 @@ def cmd_hitting(cfg: ExperimentConfig, args) -> int:
     _write_csv(out / "hitting.csv", ["n", "S_n", "T_n", "certified"],
                map("{},{},{},{}".format, itertools.count(1),
                    _decimal_cells(table.numerators, den, digits),
-                   _decimal_cells(table.t_numerators, den, digits),
+                   _decimal_cells(itertools.accumulate(table.numerators),
+                                  den, digits),
                    ("true" if c else "false" for c in table.row_certified)))
     _write_meta(out, "hitting", cfg, {
         "certified": table.certified, **_kernel_report(table),

@@ -13,6 +13,9 @@ pressure vector W @ X and the modulation products D * X, updating only
 the column touched by an event, and applies the profile values as
 scalar factors: an event first picks one of the totals b(n) sum(W X),
 bi(n) sum(D X) and delta n, then a node inside that unscaled vector.
+On large graphs that node is found through sqrt(N)-node block sums;
+those of W @ X share one buffer with it, so an event updates both with
+one gather, add and scatter over the column it touches.
 
 Runs are reproducible: the generator for run ``i`` is derived from
 ``SeedSequence((master_seed, i))``; it draws the initial node (when one
@@ -176,45 +179,59 @@ def _initial_counts(cfg: SimConfig, n_nodes: int,
 
 @dataclass(frozen=True, eq=False)
 class _EventTables:
-    """Per-graph arrays every event reads, built once per ensemble.
+    """Arrays every event reads, from the graph's W and the model's D,
+    built once per ensemble.
 
     The simulator alone picks a layout from the node count; the graph's
     W is always CSR.  Up to DENSE_NODE_LIMIT nodes the tables are dense:
     ``weights`` is W as an ndarray and ``columns`` the rows of W^T, and
-    a draw scans each rate vector flat.  Above it ``weights`` stays CSR,
-    ``columns`` holds its CSC slices, and each rate vector is split into
-    blocks of ``width`` ~ sqrt(N) entries, so a draw scans O(sqrt(N))
-    values; ``block_columns`` is W with its rows summed per block (CSC),
-    so an event updates the block sums of W @ X from one column.
+    a draw scans each rate vector flat.  Above it ``weights`` stays CSR
+    and each rate vector is split into blocks of ``width`` ~ sqrt(N)
+    entries, so a draw scans O(sqrt(N)) values.  ``columns`` is then
+    the stacked matrix [W; B W] in CSC, B summing the rows of each
+    block, as (column pointers as Python ints, intp row indices,
+    values): numpy converts other index types on every gather and
+    scatter.  Its rows are those of one buffer holding W @ X and its
+    block sums, so an event at node j updates both with one gather,
+    add and scatter over column j.  ``col_sums`` (W's column sums) and
+    ``d_of`` (D's diagonal ``d``) hold Python floats, cheaper to index
+    and combine per event.
     """
 
     weights: np.ndarray | sp.csr_matrix
-    col_sums: np.ndarray
     width: int
     columns: np.ndarray | tuple
-    block_columns: tuple | None
+    col_sums: list[float]
+    d: np.ndarray
+    d_of: list[float]
+
+    @property
+    def blocked(self) -> bool:
+        """Whether events are drawn through sqrt(N)-node blocks."""
+        return isinstance(self.columns, tuple)
 
     def block_sums(self, values: np.ndarray) -> np.ndarray | None:
         """Per-block sums of ``values``; None in the dense layout."""
-        if self.block_columns is None:
+        if not self.blocked:
             return None
         return np.add.reduceat(values, np.arange(0, values.size, self.width))
 
     @classmethod
-    def of(cls, g: LocalityGraph) -> "_EventTables":
+    def of(cls, g: LocalityGraph, model: EpidemicModel) -> "_EventTables":
         w, n = g.weights, g.node_count
-        col_sums = np.asarray(w.sum(axis=0)).ravel()
+        d = model.d(n)
+        scalars = np.asarray(w.sum(axis=0)).ravel().tolist(), d, d.tolist()
         if n <= DENSE_NODE_LIMIT:
             dense = w.toarray()
-            return cls(dense, col_sums, n, np.ascontiguousarray(dense.T),
-                       None)
+            return cls(dense, n, np.ascontiguousarray(dense.T), *scalars)
         width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
         rows = np.arange(n)
         blocks = sp.csr_matrix((np.ones(n), (rows // width, rows)),
                                shape=(-(-n // width), n))
-        csc, agg = w.tocsc(), (blocks @ w).tocsc()
-        return cls(w, col_sums, width, (csc.indptr, csc.indices, csc.data),
-                   (agg.indptr, agg.indices, agg.data))
+        stacked = sp.vstack((w, blocks @ w), format="csc")
+        return cls(w, width, (stacked.indptr.tolist(),
+                              stacked.indices.astype(np.intp), stacked.data),
+                   *scalars)
 
 
 def _locate(values: np.ndarray, target: float, cum=None) -> int:
@@ -275,7 +292,7 @@ def simulate_run(cfg: SimConfig, g: LocalityGraph, run_index: int,
     """
     if grid is not None:
         grid = _checked_grid(grid)
-    return _simulate(cfg, _EventTables.of(g), run_index, grid)
+    return _simulate(cfg, _EventTables.of(g, cfg.model), run_index, grid)
 
 
 def _checked_grid(grid) -> np.ndarray:
@@ -305,17 +322,18 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
     """One run, event by event: the executable specification of
     :func:`_simulate_batch`, which must reproduce it byte for byte."""
     rng = run_rng(cfg.master_seed, run_index)
-    weights, width = tables.weights, tables.width
-    n_nodes = tables.col_sums.size
+    weights, width, d = tables.weights, tables.width, tables.d
+    col_sums, d_of = tables.col_sums, tables.d_of
+    n_nodes = d.size
     initial = _initial_counts(cfg, n_nodes, rng)
+    blocked = tables.blocked
+    if blocked:
+        indptr, indices, data = tables.columns
 
     model = cfg.model
-    d = model.d(n_nodes)
     beta_f = model.beta.evaluator(FLOAT)
     betaint_f = model.beta_int.evaluator(FLOAT)
     delta = float(model.delta)
-    # per-node scalars as Python floats: cheaper to index and combine
-    col_sums, d_of = tables.col_sums.tolist(), d.tolist()
 
     fcounts = initial.astype(float)
     n = int(initial.sum())
@@ -349,6 +367,10 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
             mod_sum = float(mod_counts.sum())
             pressure_blocks, mod_blocks, count_blocks = map(
                 tables.block_sums, (pressure, mod_counts, fcounts))
+            if blocked:
+                # W @ X, then its block sums: the rows of ``columns``
+                cache = np.concatenate((pressure, pressure_blocks))
+                pressure, pressure_blocks = cache[:n_nodes], cache[n_nodes:]
         if k == _DRAW_BLOCK:
             _draw_block(rng, exps, unis)
             exp_block, uni_block, k = exps.tolist(), unis.tolist(), 0
@@ -388,17 +410,14 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
         fcounts[node] += delta_count
         n += delta_count
         update = np.add if delta_count > 0 else np.subtract
-        if count_blocks is None:
-            update(pressure, tables.columns[node], out=pressure)
-        else:
-            for cache, (indptr, indices, data) in (
-                    (pressure, tables.columns),
-                    (pressure_blocks, tables.block_columns)):
-                lo, hi = indptr[node], indptr[node + 1]
-                rows = indices[lo:hi]
-                cache[rows] = update(cache[rows], data[lo:hi])
+        if blocked:
+            lo, hi = indptr[node], indptr[node + 1]
+            rows = indices[lo:hi]
+            cache[rows] = update(cache[rows], data[lo:hi])
             mod_blocks[node // width] += delta_count * d_of[node]
             count_blocks[node // width] += delta_count
+        else:
+            update(pressure, tables.columns[node], out=pressure)
         pressure_sum += delta_count * col_sums[node]
         mod_counts[node] = d_of[node] * fcounts[node]
         mod_sum += delta_count * d_of[node]
@@ -457,9 +476,9 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
     for the events that draw from it).
     """
     weights, columns, col_sums = tables.weights, tables.columns, tables.col_sums
-    n_nodes = col_sums.size
+    d = tables.d
+    n_nodes = d.size
     model = cfg.model
-    d = model.d(n_nodes)
     modulated = bool((d != 1).any())  # D = I leaves D * X = X
     rates = _RateTable(model)
     delta, t_max = float(model.delta), float(cfg.t_max)
@@ -648,10 +667,10 @@ def _run_slice(cfg: SimConfig, tables: _EventTables, runs: range,
     """Trajectories of ``runs``, without the per-node initial and final
     counts an ensemble does not keep: in lockstep batches of at most
     _BATCH_ENTRIES // N runs on dense tables, one at a time on CSR."""
-    if tables.block_columns is not None:
+    if tables.blocked:
         return [replace(_simulate(cfg, tables, i, grid), initial=None,
                         final_counts=None) for i in runs]
-    size = max(1, _BATCH_ENTRIES // tables.col_sums.size)
+    size = max(1, _BATCH_ENTRIES // tables.d.size)
     return [traj for lo in range(runs.start, runs.stop, size)
             for traj in _simulate_batch(
                 cfg, tables, range(lo, min(lo + size, runs.stop)), grid)]
@@ -663,7 +682,7 @@ def _map_runs(cfg: SimConfig, g: LocalityGraph, runs: int,
     ``threads == 1``, else from a process pool (``threads == 0`` picks
     the machine's CPU count) that hands each worker one contiguous
     slice of runs."""
-    tables = _EventTables.of(g)
+    tables = _EventTables.of(g, cfg.model)
     workers = min(runs, threads if threads > 0 else os.cpu_count() or 1)
     bounds = [runs * w // workers for w in range(workers + 1)]
     slices = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

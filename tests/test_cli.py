@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
 
-from dieout import cli
+from dieout import chains, cli
 from dieout.chains import (BirthDeathSpec, PrecisionConfig, asymptote_ratio,
                            hitting_table)
 from dieout.cli import main
@@ -587,6 +587,28 @@ directory = {tmp_path / 'out'}
                                              Fraction(1)), 2000, precision)
         oracles.write_hitting_csv(tmp_path / "want.csv", table,
                                   precision.decimal_digits)
+        assert ((tmp_path / "out" / "hitting.csv").read_bytes()
+                == (tmp_path / "want.csv").read_bytes())
+
+    @pytest.mark.parametrize("mode", ["bigfloat", "rational"])
+    def test_t_column_streams_without_the_prefix_list(self, tmp_path,
+                                                      monkeypatch, mode):
+        # T_n is streamed as a running sum of the S_n numerators: the
+        # cached list of every T_n numerator (Q_1-sized in rational
+        # mode) is never built, and the bytes stay the oracle writer's
+        precision = PrecisionConfig(mode)
+        table = hitting_table(BirthDeathSpec(parse_profile("harmonic:5"),
+                                             Fraction(1)), 300, precision)
+        oracles.write_hitting_csv(tmp_path / "want.csv", table,
+                                  precision.decimal_digits)
+        reads = []
+        monkeypatch.setattr(chains.HittingTable, "t_numerators",
+                            property(reads.append))
+        cfg = write_config(tmp_path, HITTING_BODY.format(
+            delta=1, gamma="harmonic:5", n_max=300, mode=mode, extra="",
+            out=tmp_path / "out"))
+        assert main(["hitting", "--config", str(cfg)]) == 0
+        assert reads == []
         assert ((tmp_path / "out" / "hitting.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 

@@ -37,7 +37,7 @@ def force_blocked_tables(monkeypatch, g: LocalityGraph) -> None:
     tables (several sqrt(N)-node blocks), which by node count it keeps
     for graphs far larger than a test's."""
     monkeypatch.setattr(gillespie, "DENSE_NODE_LIMIT", 0)
-    assert _EventTables.of(g).block_columns is not None
+    assert _EventTables.of(g, const_model(1, 1, 1.0)).blocked
 
 
 def make_cfg(beta=parse_profile("const:0"), beta_int=parse_profile("const:0"),
@@ -348,6 +348,38 @@ class TestEventSelection:
         assert len(pits) > 10_000
         assert scipy.stats.kstest(pits, "uniform").pvalue > 1e-3
 
+    def test_blocked_run_equals_dense_run(self, monkeypatch):
+        # integer weights and D in {1, 2} keep every running sum exact,
+        # so a run drawn through the blocked tables (one fused column
+        # update, two-level picks) must equal the dense run byte for
+        # byte, across cache refreshes; delta above rho keeps runs short
+        rng = np.random.default_rng(18)
+        n = 60
+        w = rng.integers(0, 4, (n, n)).astype(float)
+        w[np.arange(n), (np.arange(n) + 1) % n] += 1.0
+        np.fill_diagonal(w, 0.0)
+        g = LocalityGraph(tuple(f"n{i:02d}" for i in range(n)), w)
+        d = DiagonalModulation(rng.integers(1, 3, n).astype(float))
+        rho = max(np.linalg.eigvals(w + 0.5 * np.diag(d.values)).real)
+        cfg = make_cfg(beta=parse_profile("const:1"),
+                       beta_int=parse_profile("const:1/2"), delta=1.05 * rho,
+                       modulation=d, n0=400, t_max=5.0, record_events=True)
+        grid = np.linspace(0.0, 5.0, 51)
+
+        def runs():
+            return [simulate_run(cfg, g, i, grid) for i in range(3)]
+
+        dense = runs()
+        force_blocked_tables(monkeypatch, g)
+        blocked = runs()
+        assert max(r.event_count for r in dense) > gillespie._REFRESH_EVERY
+        for a, b in zip(dense, blocked):
+            assert a.events == b.events
+            assert a.grid_totals.tobytes() == b.grid_totals.tobytes()
+            assert repr(a.extinct_at) == repr(b.extinct_at)
+            assert (a.event_count, a.null_events) == (b.event_count,
+                                                      b.null_events)
+
     def test_blocked_pick_matches_flat_scan(self):
         # integer entries keep every running sum exact, so the blocked
         # pick must agree with one flat cumulative scan at any target
@@ -432,11 +464,17 @@ class TestLockstepBatch:
                 traj.event_count, traj.null_events)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("batch", [1, 7, None])
+    @pytest.mark.parametrize("batch", [1, 7, None, "blocked"])
     def test_every_run_equals_simulate_run(self, alone, monkeypatch, batch,
                                            threads):
+        # "blocked": the blocked CSR tables, run one at a time; at 2
+        # threads their fused column table is pickled to the workers
         g, cfg, grid, expected = alone
-        if batch is not None:
+        if batch == "blocked":
+            force_blocked_tables(monkeypatch, g)
+            expected = [simulate_run(cfg, g, i, grid)
+                        for i in range(self.RUNS)]
+        elif batch is not None:
             monkeypatch.setattr(gillespie, "_BATCH_ENTRIES",
                                 batch * g.node_count)
         fallbacks = []
