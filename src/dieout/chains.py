@@ -45,9 +45,9 @@ The pass runs in Python integers in one of two arithmetics:
 
 Every entry point reads the one :class:`HittingTable` that pass
 builds.  It keeps the kernel's integers over that one denominator, so
-T_n's numerator is a running sum of S's; the public numbers
-(Fractions, or mpf numbers holding the exact dyadic kernel values) are
-built only when a caller reads them.
+T_n's numerator is a running sum of S's, taken where it is read; the
+public numbers (Fractions, or mpf numbers holding the exact dyadic
+kernel values) are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -162,11 +162,11 @@ class HittingTable:
     big-float mode): S_n is exactly ``numerators[n-1] / denominator``,
     and ``bounds[n-1]`` bounds its error (the neglected tail plus, in
     big-float mode, the carried rounding; None when no tail bound was
-    available).  Built only on first access: ``t_numerators``, T_n
-    being exactly ``t_numerators[n-1] / denominator``; and ``S`` and
-    ``T``, the same values as Fractions (rational mode) or mpf numbers
-    holding the exact dyadic (big-float mode).  The run report:
-    ``planned_truncation`` is the first truncation index tried,
+    available).  T_n is exactly ``sum(numerators[:n]) / denominator``,
+    a running sum its readers stream.  Built only on first access:
+    ``S`` and ``T``, the same values as Fractions (rational mode) or
+    mpf numbers holding the exact dyadic (big-float mode).  The run
+    report: ``planned_truncation`` is the first truncation index tried,
     ``extension_passes`` counts the doublings needed to certify, and
     ``max_rel_error_bound`` is the largest relative error bound
     (truncation plus rounding) over the rows that have one.
@@ -185,16 +185,12 @@ class HittingTable:
     denominator: int = field(repr=False)
 
     @functools.cached_property
-    def t_numerators(self) -> list:
-        return list(itertools.accumulate(self.numerators))
-
-    @functools.cached_property
     def S(self) -> tuple:
         return self._numbers(self.numerators)
 
     @functools.cached_property
     def T(self) -> tuple:
-        return self._numbers(self.t_numerators)
+        return self._numbers(itertools.accumulate(self.numerators))
 
     def _numbers(self, numerators) -> tuple:
         rational = self.precision.mode == RATIONAL
@@ -642,19 +638,20 @@ def asymptote_ratio(spec: BirthDeathSpec, n_list,
     When gamma vanishes asymptotically the ratios approach one --
     although the approach is extremely slow, so no rate is implied.
     Each E[T_n] is the exact prefix sum p/q of the
-    :func:`hitting_table` up to the largest state, p from its
-    ``t_numerators`` and q its ``denominator``; the ratio is
+    :func:`hitting_table` up to the largest state, p from a running
+    sum of its ``numerators`` and q its ``denominator``; the ratio is
     ``delta * (p / q) / math.log(n)`` in float64, read only at the
     requested states.
     """
-    n_list = sorted(set(int(n) for n in n_list))
-    if not n_list or n_list[0] < 2:
+    states = set(int(n) for n in n_list)
+    if not states or min(states) < 2:
         raise ValueError("asymptote states must be integers >= 2")
-    table = hitting_table(spec, n_list[-1], precision)
-    sums, den = table.t_numerators, table.denominator
-    delta = float(spec.delta)
+    table = hitting_table(spec, max(states), precision)
+    den, delta = table.denominator, float(spec.delta)
     return AsymptoteRatios(
-        [(n, delta * (sums[n - 1] / den) / math.log(n)) for n in n_list],
+        [(n, delta * (p / den) / math.log(n))
+         for n, p in enumerate(itertools.accumulate(table.numerators), 1)
+         if n in states],
         **{key: getattr(table, key) for key in RUN_REPORT})
 
 

@@ -180,7 +180,7 @@ def _initial_counts(cfg: SimConfig, n_nodes: int,
 @dataclass(frozen=True, eq=False)
 class _EventTables:
     """Arrays every event reads, from the graph's W and the model's D,
-    built once per ensemble.
+    built once in each process that simulates.
 
     The simulator alone picks a layout from the node count; the graph's
     W is always CSR.  Up to DENSE_NODE_LIMIT nodes the tables are dense:
@@ -282,8 +282,8 @@ def simulate_run(cfg: SimConfig, g: LocalityGraph, run_index: int,
             (cfg.master_seed, run_index).
         g: locality graph.
         run_index: run number within the ensemble.
-        grid: optional increasing sample times; totals are recorded as
-            a right-continuous step function.
+        grid: optional increasing sample times >= 0; totals are
+            recorded as a right-continuous step function.
 
     Returns:
         Trajectory with extinct_at set iff the run hit the all-zero
@@ -300,13 +300,15 @@ def _checked_grid(grid) -> np.ndarray:
 
     Raises:
         ValueError: unless it is a nonempty, finite, strictly
-            increasing 1-D array.
+            increasing 1-D array of times >= 0.
     """
     grid = np.asarray(grid, dtype=float)
     if (grid.ndim != 1 or grid.size == 0 or not np.isfinite(grid).all()
             or np.any(np.diff(grid) <= 0)):
         raise ValueError(
             "grid must be a nonempty, finite, strictly increasing 1-D array")
+    if grid[0] < 0:
+        raise ValueError(f"grid must be nonnegative, got time {grid[0]}")
     return grid
 
 
@@ -662,11 +664,13 @@ def _split_log(log: list, size: int) -> list[list[tuple[float, int, int]]]:
                                for a in (times, nodes, signs)))]
 
 
-def _run_slice(cfg: SimConfig, tables: _EventTables, runs: range,
+def _run_slice(cfg: SimConfig, g: LocalityGraph, runs: range,
                grid: np.ndarray) -> list[Trajectory]:
     """Trajectories of ``runs``, without the per-node initial and final
     counts an ensemble does not keep: in lockstep batches of at most
-    _BATCH_ENTRIES // N runs on dense tables, one at a time on CSR."""
+    _BATCH_ENTRIES // N runs on dense tables, one at a time on CSR.
+    Builds the event tables from ``g`` in the process that reads them."""
+    tables = _EventTables.of(g, cfg.model)
     if tables.blocked:
         return [replace(_simulate(cfg, tables, i, grid), initial=None,
                         final_counts=None) for i in runs]
@@ -680,16 +684,15 @@ def _map_runs(cfg: SimConfig, g: LocalityGraph, runs: int,
               grid: np.ndarray, threads: int) -> list[Trajectory]:
     """Trajectories of runs 0..runs-1 in run order; inline for
     ``threads == 1``, else from a process pool (``threads == 0`` picks
-    the machine's CPU count) that hands each worker one contiguous
-    slice of runs."""
-    tables = _EventTables.of(g, cfg.model)
+    the machine's CPU count) that hands each worker the graph and one
+    contiguous slice of runs."""
     workers = min(runs, threads if threads > 0 else os.cpu_count() or 1)
     bounds = [runs * w // workers for w in range(workers + 1)]
     slices = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
-        return _run_slice(cfg, tables, slices[0], grid)
+        return _run_slice(cfg, g, slices[0], grid)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(_run_slice, repeat(cfg), repeat(tables), slices,
+        parts = pool.map(_run_slice, repeat(cfg), repeat(g), slices,
                          repeat(grid))
         return [traj for part in parts for traj in part]
 
@@ -703,7 +706,7 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
         g: locality graph.
         runs: ensemble size; at least 40 so the 2.5% trimming removes
             at least one run per side.
-        grid: increasing sample times.
+        grid: increasing sample times >= 0.
         threads: worker processes (>= 0); 0 picks the machine default,
             1 runs inline.  Results are independent of the worker count.
     """
@@ -771,8 +774,7 @@ def mean_field_trajectory(g: LocalityGraph, model: EpidemicModel, x0,
     Args:
         model: the epidemic; beta and beta_int must be Constant.
         x0: initial expected counts per node, finite and nonnegative.
-        grid: nonempty, finite, strictly increasing times (the first
-            entry may be 0).
+        grid: nonempty, finite, strictly increasing times >= 0.
 
     Returns:
         Array of shape (len(grid), node_count).

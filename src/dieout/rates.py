@@ -273,10 +273,7 @@ class Table(RateProfile):
             raise ProfileError("tail constant must be nonnegative")
         last = 0
         for n, v in self.entries:
-            if n <= last:
-                raise ProfileError("table rows must have strictly increasing n")
-            if v < 0:
-                raise ProfileError(f"negative table value at n={n}")
+            _check_table_row(last, n, v)
             last = n
 
     def evaluator(self, ar):
@@ -384,10 +381,22 @@ class Combined(RateProfile):
         return f"({self.first.spec_string()})+({self.second.spec_string()})"
 
 
+def _check_table_row(last: int, n: int, value: Fraction) -> None:
+    """Reject a row (n, value) that does not follow a row at ``last``
+    (0 before the first row) or holds a negative value."""
+    if n <= last:
+        raise ProfileError(
+            f"table rows must have strictly increasing n, got {n} after "
+            f"{last}")
+    if value < 0:
+        raise ProfileError(f"negative table value at n={n}")
+
+
 def parse_table_file(path, declared_tail: Fraction | None = None) -> Table:
     """Read a table profile from lines ``n value`` plus a ``tail=c`` footer.
 
     A tail declared in the profile spec string overrides the footer.
+    Every error in a line names ``path:line``.
     """
     entries: list[tuple[int, Fraction]] = []
     tail = declared_tail
@@ -396,21 +405,24 @@ def parse_table_file(path, declared_tail: Fraction | None = None) -> Table:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("tail="):
-                footer = parse_parameter(line[len("tail="):])
-                if declared_tail is None:
-                    tail = footer
-                continue
-            fields = line.split()
-            if len(fields) != 2:
-                raise ProfileError(
-                    f"{path}:{lineno}: expected 'n value', got {raw!r}")
             try:
-                n = int(fields[0])
-            except ValueError:
-                raise ProfileError(
-                    f"{path}:{lineno}: n must be an integer") from None
-            entries.append((n, parse_parameter(fields[1])))
+                if line.startswith("tail="):
+                    footer = parse_parameter(line[len("tail="):])
+                    if declared_tail is None:
+                        tail = footer
+                    continue
+                fields = line.split()
+                if len(fields) != 2:
+                    raise ProfileError(f"expected 'n value', got {raw!r}")
+                try:
+                    n = int(fields[0])
+                except ValueError:
+                    raise ProfileError("n must be an integer") from None
+                value = parse_parameter(fields[1])
+                _check_table_row(entries[-1][0] if entries else 0, n, value)
+            except ProfileError as exc:
+                raise ProfileError(f"{path}:{lineno}: {exc}") from None
+            entries.append((n, value))
     if tail is None:
         raise ProfileError(
             f"table {path} declares no tail constant; the asymptotic limit "

@@ -381,7 +381,8 @@ def write_hitting_csv(path, table, digits: int) -> None:
                 fmt_precise(t, den, digits), "true" if c else "false")
                for n, s, t, c in zip(
                    itertools.count(1), table.numerators,
-                   table.t_numerators, table.row_certified)))
+                   itertools.accumulate(table.numerators),
+                   table.row_certified)))
 
 
 def write_simulate_csvs(out, summary, grid, labels) -> None:

@@ -593,22 +593,28 @@ directory = {tmp_path / 'out'}
     @pytest.mark.parametrize("mode", ["bigfloat", "rational"])
     def test_t_column_streams_without_the_prefix_list(self, tmp_path,
                                                       monkeypatch, mode):
-        # T_n is streamed as a running sum of the S_n numerators: the
-        # cached list of every T_n numerator (Q_1-sized in rational
-        # mode) is never built, and the bytes stay the oracle writer's
+        # T_n is streamed as one running sum of the S_n numerators: no
+        # list of every T_n numerator (Q_1-sized in rational mode) is
+        # built, and the bytes stay the oracle writer's
         precision = PrecisionConfig(mode)
         table = hitting_table(BirthDeathSpec(parse_profile("harmonic:5"),
                                              Fraction(1)), 300, precision)
         oracles.write_hitting_csv(tmp_path / "want.csv", table,
                                   precision.decimal_digits)
         reads = []
-        monkeypatch.setattr(chains.HittingTable, "t_numerators",
-                            property(reads.append))
+        accumulate = itertools.accumulate
+
+        def spy(numbers):
+            reads.append(numbers)
+            return accumulate(numbers)
+
+        monkeypatch.setattr(itertools, "accumulate", spy)
+        monkeypatch.setattr(chains.HittingTable, "T", property(reads.append))
         cfg = write_config(tmp_path, HITTING_BODY.format(
             delta=1, gamma="harmonic:5", n_max=300, mode=mode, extra="",
             out=tmp_path / "out"))
         assert main(["hitting", "--config", str(cfg)]) == 0
-        assert reads == []
+        assert reads == [table.numerators]
         assert ((tmp_path / "out" / "hitting.csv").read_bytes()
                 == (tmp_path / "want.csv").read_bytes())
 

@@ -468,7 +468,7 @@ class TestLockstepBatch:
     def test_every_run_equals_simulate_run(self, alone, monkeypatch, batch,
                                            threads):
         # "blocked": the blocked CSR tables, run one at a time; at 2
-        # threads their fused column table is pickled to the workers
+        # threads each worker builds them from the graph it is sent
         g, cfg, grid, expected = alone
         if batch == "blocked":
             force_blocked_tables(monkeypatch, g)
@@ -490,6 +490,21 @@ class TestLockstepBatch:
         if threads == 1:
             # drift residue sent some rows through the _locate fallback
             assert fallbacks
+
+    def test_workers_build_their_own_tables(self, alone, monkeypatch):
+        # a pool is sent the graph, never the event tables built from it
+        g, cfg, grid, _ = alone
+        force_blocked_tables(monkeypatch, g)
+        pickled = []
+
+        def spy(tables, protocol):
+            pickled.append(tables)
+            return object.__reduce_ex__(tables, protocol)
+
+        monkeypatch.setattr(_EventTables, "__reduce_ex__", spy)
+        got = _map_runs(cfg, g, self.RUNS, grid, 2)
+        assert pickled == []
+        assert [t.run_index for t in got] == list(range(self.RUNS))
 
 
 class TestEnsemble:
@@ -726,10 +741,12 @@ class TestMeanField:
 
 class TestGridCheck:
     """Every grid entry point rejects a grid that is not a nonempty,
-    finite, strictly increasing 1-D array, before any simulation."""
+    finite, nonnegative, strictly increasing 1-D array, before any
+    simulation."""
 
     BAD = [[0.0, np.nan, 1.0], [0.0, np.inf], [-np.inf, 0.0], [],
-           [[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0, 1.0], [1.0, 0.5]]
+           [[0.0, 1.0], [2.0, 3.0]], [0.0, 1.0, 1.0], [1.0, 0.5],
+           [-3.0, 0.0, 1.0], [-1e-300]]
 
     @staticmethod
     def path_abc() -> LocalityGraph:
@@ -746,6 +763,20 @@ class TestGridCheck:
         assert good.mean_total[1] == pytest.approx(1.725)
         with pytest.raises(ValueError, match="finite"):
             run_ensemble(cfg, g, 40, [0.0, np.nan, 1.0])
+
+    def test_negative_time_is_named(self):
+        # before the check, mean_field_trajectory integrated backward
+        # here to an expected count of -2.6e4 at t = -3, and
+        # run_ensemble reported the initial total there
+        g, grid = self.path_abc(), [-3.0, -1.0, 0.0, 1.0]
+        cfg = make_cfg(beta=parse_profile("const:1"), n0=5, t_max=10.0)
+        named = r"nonnegative, got time -3\.0"
+        for call in (lambda: run_ensemble(cfg, g, 40, grid),
+                     lambda: simulate_run(cfg, g, 0, grid),
+                     lambda: mean_field_trajectory(
+                         g, const_model(1, 0.5, 3.0), np.ones(3), grid)):
+            with pytest.raises(ValueError, match=named):
+                call()
 
     @pytest.mark.parametrize("grid", BAD)
     def test_run_ensemble_rejects(self, grid):

@@ -124,6 +124,22 @@ class TestParsing:
         with pytest.raises(ProfileError, match="increasing"):
             parse_profile(f"table:{table}")
 
+    @pytest.mark.parametrize("line, message", [
+        ("3 abc", "cannot parse parameter 'abc'"),
+        ("3 -0.5", "negative table value at n=3"),
+        ("2 0.1", "table rows must have strictly increasing n, got 2 after 2"),
+        ("1 0.1", "table rows must have strictly increasing n, got 1 after 2"),
+        ("3", "expected 'n value'"),
+        ("x 0.1", "n must be an integer"),
+        ("tail=abc", "cannot parse parameter 'abc'"),
+    ])
+    def test_table_errors_name_the_line(self, tmp_path, line, message):
+        table = tmp_path / "t.txt"
+        table.write_text(f"# header\n1 0.5\n2 0.25\n\n{line}\ntail=0\n")
+        with pytest.raises(ProfileError) as err:
+            parse_profile(f"table:{table}")
+        assert str(err.value).startswith(f"{table}:5: {message}")
+
 
 class TestEvaluation:
     def test_step_boundary_high_side(self):
