@@ -160,10 +160,18 @@ def _model(cfg: ExperimentConfig, g) -> EpidemicModel:
                          load_modulation(cfg, g))
 
 
+def _load_report(g, start: float) -> dict:
+    """``meta.json``'s load stage: the wall time since ``start`` and the
+    stored nonzeros of W."""
+    return {"load_s": time.perf_counter() - start, "edges": g.weights.nnz}
+
+
 def cmd_classify(cfg: ExperimentConfig, args) -> int:
     """Classify the epidemic regime; one JSON record per applicable method."""
+    start = time.perf_counter()
     g = load_graph(cfg)
     model = _model(cfg, g)
+    load = _load_report(g, start)
     modulation = model.modulation
     tol = cfg.classify.boundary_tol
     stol = cfg.classify.spectral_tol
@@ -188,7 +196,7 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     if args.out or cfg.output.directory:
         out = _out_dir(cfg, args)
         (out / "classify.json").write_text(text + "\n", encoding="utf-8")
-        _write_meta(out, "classify", cfg)
+        _write_meta(out, "classify", cfg, load)
     if not general.strongly_connected:
         print("warning: graph is not strongly connected; spectral "
               "positivity guarantees do not apply", file=sys.stderr)
@@ -207,8 +215,10 @@ def _sim_config(cfg: ExperimentConfig, g, args) -> SimConfig:
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     """Run the ensemble and write trajectory/summary/extinction CSVs."""
+    start = time.perf_counter()
     g = load_graph(cfg)
     sim_cfg = _sim_config(cfg, g, args)
+    load = _load_report(g, start)
     grid = simulation_grid(cfg.simulation)
     summary = run_ensemble(sim_cfg, g, cfg.simulation.runs, grid,
                            threads=args.threads)
@@ -235,6 +245,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
                        ["t", "node_label", "delta"],
                        (f"{t},{labels[node]},{dc}" for t, node, dc in events))
     extra = {
+        **load,
         "master_seed": sim_cfg.master_seed,
         "runs": summary.run_count,
         "extinct_runs": len(summary.run_extinctions),
@@ -341,8 +352,10 @@ def cmd_asymptote(cfg: ExperimentConfig, args) -> int:
 
 def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
     """Integrate the expected-trajectory ODE and write per-node columns."""
+    start = time.perf_counter()
     g = load_graph(cfg)
     model = _model(cfg, g)
+    load = _load_report(g, start)
     mf = cfg.meanfield
     grid = uniform_grid(mf.t_max, mf.grid_step, "meanfield")
     n0 = cfg.simulation.n0
@@ -363,7 +376,7 @@ def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
                (",".join(map(str, (t, *row, total)))
                 for t, row, total in zip(grid.tolist(), series.tolist(),
                                          series.sum(axis=1).tolist())))
-    _write_meta(out, "meanfield", cfg, {"nodes": g.node_count})
+    _write_meta(out, "meanfield", cfg, {"nodes": g.node_count, **load})
     print(f"meanfield: {grid.size} grid points over {g.node_count} nodes, "
           f"output in {out}")
     return 0

@@ -13,12 +13,14 @@ import hashlib
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .chains import BIGFLOAT, RATIONAL
-from .graphs import (DiagonalModulation, LocalityGraph, load_edge_list_file,
-                     normalize_mean_column_weight, top_nodes_by_total_weight)
+from .graphs import (DiagonalModulation, LocalityGraph, file_lines,
+                     load_edge_list_file, normalize_mean_column_weight,
+                     split_fields, top_nodes_by_total_weight)
 from .rates import RateProfile, parse_profile
 
 
@@ -301,28 +303,55 @@ def _read_label_values(path: Path, convert=None, labels=None) -> dict:
     """``label value`` lines (``#`` comments) as a dict in file order,
     values parsed by ``convert``; without ``convert``, one label a line,
     each mapped to None.  ConfigError at ``path:line`` on a malformed
-    line or value, a repeated label, or a label outside ``labels`` (if
-    given)."""
-    table = {}
+    line or value, a repeated label, or a label outside ``labels`` (a
+    set, if given).
+
+    The file is read in bulk: one :func:`split_fields`, then ``convert``
+    mapped over the value fields.  Only on a fault does a per-line pass
+    run over the same lines, to name the first bad one.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            parts = raw.split("#", 1)[0].split()
-            if not parts:
-                continue
-            where, label = f"{path}:{lineno}", parts[0]
-            if len(parts) != (1 if convert is None else 2):
-                raise ConfigError(f"{where}: expected " + (
-                    "one label" if convert is None else "'label value'"))
-            if label in table:
-                raise ConfigError(f"{where}: duplicate label {label!r}")
-            if labels is not None and label not in labels:
-                raise ConfigError(f"{where}: {label!r} is not a graph node")
+        text = fh.read()
+    width = 1 if convert is None else 2
+    fields = split_fields(text, width)
+    try:
+        if fields is not None:
+            keys = fields[::width]
+            table = (dict.fromkeys(keys) if convert is None
+                     else dict(zip(keys, map(convert, fields[1::2]))))
+            if len(table) == len(keys) and (labels is None
+                                            or labels.issuperset(table)):
+                return table
+    except ValueError:
+        pass
+    _raise_first_bad_line(path, file_lines(text), convert, labels)
+
+
+def _raise_first_bad_line(path: Path, lines, convert, labels) -> NoReturn:
+    """The per-line pass of :func:`_read_label_values`: ConfigError for
+    the first line that breaks a rule it checks in bulk."""
+    seen = set()
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        where, label = f"{path}:{lineno}", parts[0]
+        if len(parts) != (1 if convert is None else 2):
+            raise ConfigError(f"{where}: expected " + (
+                "one label" if convert is None else "'label value'"))
+        if label in seen:
+            raise ConfigError(f"{where}: duplicate label {label!r}")
+        if labels is not None and label not in labels:
+            raise ConfigError(f"{where}: {label!r} is not a graph node")
+        seen.add(label)
+        if convert is not None:
             try:
-                table[label] = None if convert is None else convert(parts[1])
+                convert(parts[1])
             except ValueError as exc:
                 raise ConfigError(
                     f"{where}: bad value {parts[1]!r}: {exc}") from None
-    return table
+    raise AssertionError("the bulk checks rejected lines the per-line "
+                         "pass accepts")
 
 
 def load_modulation(cfg: ExperimentConfig,
@@ -336,7 +365,8 @@ def load_modulation(cfg: ExperimentConfig,
         fpath = cfg.resolve(mod.file)
         table = _read_label_values(fpath, _modulation_value)
         try:
-            values = np.array([table[lab] for lab in g.labels])
+            values = np.fromiter(map(table.__getitem__, g.labels), float,
+                                 g.node_count)
         except KeyError as exc:
             raise ConfigError(
                 f"modulation file {fpath} is missing node {exc}") from None

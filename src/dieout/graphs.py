@@ -10,11 +10,14 @@ growth is carried by a separate per-node modulation vector.
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from operator import methodcaller
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -189,6 +192,47 @@ class SpectralInfo:
     iterations: int
 
 
+#: _SPACE[c] is whether ``str.split()`` splits at code point c; no such
+#: code point lies above U+3000, and the last entry stands for them all
+_SPACE = np.zeros(0x3002, dtype=bool)
+_SPACE[[c for c in range(0x3001) if chr(c).isspace()]] = True
+
+
+def split_fields(text: str, width: int) -> list[str] | None:
+    """The whitespace-separated fields of ``text``'s lines, separated by
+    ``\\n``, with ``#`` comments dropped, as one flat list; None unless
+    every nonblank line has exactly ``width`` fields.
+
+    One ``str.split()`` gives the fields.  The count per line comes from
+    array operations on the code points, with the whitespace of
+    ``str.split()``, so a field ends where ``line.split()`` ends it.
+    """
+    if "#" in text:
+        text = re.sub("#[^\n]*", "", text)
+    if not text:
+        return []
+    codes = (np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii()
+             else np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                                np.uint32).clip(max=_SPACE.size - 1))
+    space = _SPACE.take(codes)
+    starts = ~space
+    starts[1:] &= space[:-1]
+    # fields before each \n, then per line: those before its end minus
+    # those before its start
+    before = np.searchsorted(np.flatnonzero(starts),
+                             np.flatnonzero(codes == ord("\n")))
+    counts = np.diff(before, prepend=0, append=np.count_nonzero(starts))
+    if not ((counts == 0) | (counts == width)).all():
+        return None
+    return text.split()
+
+
+def file_lines(text: str) -> Iterator[str]:
+    """The lines a text file read in universal-newline mode yields, each
+    ending in its ``\\n``, from its text; built only when iterated."""
+    yield from io.StringIO(text, newline="\n")
+
+
 def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
     """Parse a whitespace-separated edge list into a locality graph.
 
@@ -197,18 +241,65 @@ def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
     from ``dst``.  Labels are collected in first-appearance order and
     absent pairs default to weight zero.
 
+    The input is parsed in bulk: one :func:`split_fields` over the whole
+    text, ``float`` over every third field, and array checks for sign,
+    finiteness, self-loops and duplicates.  Only when a check fails does
+    a per-line pass run over the same lines, to raise the error for the
+    first bad line.
+
     Args:
-        source: text content (a string with newlines) or an iterable of
-            lines, e.g. an open text file.
+        source: text content (a string, split by ``str.splitlines``) or
+            an iterable of lines, e.g. an open text file.
 
     Raises:
         EdgeListError: malformed line, negative weight, nonzero
             self-loop, or duplicate (src, dst) pair; messages carry the
             one-based line number.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
-    order: dict[str, int] = {}
-    edges: dict[tuple[str, str], float] = {}
+    if isinstance(source, str):
+        lines = source.splitlines()
+        return _parse_edge_text("\n".join(lines), lines)
+    lines = list(source)
+    # a newline inside a line is whitespace to line.split()
+    return _parse_edge_text(
+        "\n".join(map(methodcaller("replace", "\n", " "), lines)), lines)
+
+
+def _parse_edge_text(text: str, lines: Iterable[str]) -> LocalityGraph:
+    """:func:`load_edge_list` on ``text``, whose lines, split at ``\\n``,
+    are ``lines``; the per-line pass reads ``lines`` only on a fault."""
+    fields = split_fields(text, 3)
+    try:
+        data = (None if fields is None else
+                np.fromiter(map(float, fields[2::3]), float, len(fields) // 3))
+    except ValueError:
+        data = None
+    if data is None:
+        _raise_first_bad_line(lines)
+    del fields[2::3]  # src, dst, src, dst, ...
+    if not fields:
+        raise EdgeListError("edge list is empty")
+    order = dict.fromkeys(fields)
+    n = len(order)
+    index = dict(zip(order, range(n)))
+    ends = np.fromiter(map(index.__getitem__, fields), np.intp, len(fields))
+    del fields, index  # the label strings go before the CSR is built
+    rows, cols = ends[0::2], ends[1::2]
+    keys = np.sort(rows * n + cols)
+    if not (np.isfinite(data).all() and (data >= 0).all()
+            and (data[rows == cols] == 0).all()
+            and (keys[1:] != keys[:-1]).all()):
+        _raise_first_bad_line(lines)
+    # assembled from the triplets: memory O(edges), never O(n^2); the
+    # graph drops zero weights, so zero-weight self-loops vanish
+    return LocalityGraph(tuple(order),
+                         sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+
+
+def _raise_first_bad_line(lines: Iterable[str]) -> NoReturn:
+    """The per-line pass: EdgeListError for the first line that breaks a
+    rule :func:`load_edge_list` checks in bulk."""
+    seen = set()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -230,31 +321,22 @@ def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
         if src == dst and weight != 0:
             raise EdgeListError(
                 f"line {lineno}: self-loop {src!r} must have weight 0")
-        if (src, dst) in edges:
+        if (src, dst) in seen:
             raise EdgeListError(f"line {lineno}: duplicate edge {src}->{dst}")
-        for lab in (src, dst):
-            order.setdefault(lab, len(order))
-        edges[(src, dst)] = weight
-
-    if not order:
-        raise EdgeListError("edge list is empty")
-    n = len(order)
-    # assembled from the triplets: memory O(edges), never O(n^2); the
-    # graph drops zero weights, so zero-weight self-loops vanish
-    rows = np.array([order[src] for src, _ in edges], dtype=np.intp)
-    cols = np.array([order[dst] for _, dst in edges], dtype=np.intp)
-    data = np.array(list(edges.values()), dtype=float)
-    return LocalityGraph(tuple(order),
-                         sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+        seen.add((src, dst))
+    raise AssertionError("the bulk checks rejected lines the per-line "
+                         "pass accepts")
 
 
 def load_edge_list_file(path) -> LocalityGraph:
-    """:func:`load_edge_list` on a file; errors start with its path."""
+    """:func:`load_edge_list` on a file, read in one piece; errors start
+    with its path."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return load_edge_list(fh)
-        except EdgeListError as exc:
-            raise EdgeListError(f"{path}: {exc}") from None
+        text = fh.read()
+    try:
+        return _parse_edge_text(text, file_lines(text))
+    except EdgeListError as exc:
+        raise EdgeListError(f"{path}: {exc}") from None
 
 
 def total_weight(g: LocalityGraph) -> float:

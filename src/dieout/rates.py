@@ -395,19 +395,27 @@ def _check_table_row(last: int, n: int, value: Fraction) -> None:
 def parse_table_file(path, declared_tail: Fraction | None = None) -> Table:
     """Read a table profile from lines ``n value`` plus a ``tail=c`` footer.
 
-    A tail declared in the profile spec string overrides the footer.
-    Every error in a line names ``path:line``.
+    The footer is the last line with content, and its constant must be
+    nonnegative.  A tail declared in the profile spec string overrides
+    the footer.  Every error in a line names ``path:line``.
     """
     entries: list[tuple[int, Fraction]] = []
     tail = declared_tail
+    footer_at = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             try:
+                if footer_at is not None:
+                    raise ProfileError(
+                        f"content after the tail= footer on line {footer_at}")
                 if line.startswith("tail="):
                     footer = parse_parameter(line[len("tail="):])
+                    if footer < 0:
+                        raise ProfileError("tail constant must be nonnegative")
+                    footer_at = lineno
                     if declared_tail is None:
                         tail = footer
                     continue
@@ -469,6 +477,9 @@ def parse_profile(text: str, base_dir=None) -> RateProfile:
                 raise ProfileError(
                     f"unexpected table option {tail_part!r}; use tail=c")
             declared = parse_parameter(tail_part[len("tail="):])
+            if declared < 0:
+                raise ProfileError(f"profile spec {text!r}: tail constant "
+                                   "must be nonnegative")
         path = Path(path_part)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path

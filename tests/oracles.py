@@ -19,7 +19,10 @@ the binomial survival estimate some simulator tests check against
 closed forms.  ``fmt_precise``, ``write_csv`` and the ``write_*``
 helpers are the former CSV writer (``csv.writer`` rows of Python
 numbers, one decimal conversion per hitting-table cell) that the
-streaming writer must reproduce byte for byte.
+streaming writer must reproduce byte for byte.  ``load_edge_list`` and
+``read_label_values`` are the former one-line-at-a-time readers of edge
+lists and label files, whose graphs, tables and error messages the bulk
+readers must reproduce.
 """
 
 import csv
@@ -30,12 +33,14 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+import scipy.sparse as sp
 
 from dieout import chains
 from dieout.chains import (BIGFLOAT, BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig)
+from dieout.config import ConfigError
 from dieout.gillespie import SimConfig, run_ensemble
-from dieout.graphs import EpidemicModel, LocalityGraph
+from dieout.graphs import EdgeListError, EpidemicModel, LocalityGraph
 from dieout.rates import (EXACT, FLOAT, Arithmetic, ExactnessError,
                           coerce_coefficient)
 
@@ -413,3 +418,73 @@ def write_meanfield_csv(path, labels, grid, series) -> None:
               ([t, *row, total] for t, row, total in zip(
                   grid.tolist(), series.tolist(),
                   series.sum(axis=1).tolist())))
+
+
+def load_edge_list(source) -> LocalityGraph:
+    """Parse a whitespace-separated edge list into a locality graph, one
+    line at a time (the reader before the bulk parse, verbatim)."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    order: dict[str, int] = {}
+    edges: dict[tuple[str, str], float] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 3:
+            raise EdgeListError(
+                f"line {lineno}: expected 'src dst weight', got {raw!r}")
+        src, dst, wtext = fields
+        try:
+            weight = float(wtext)
+        except ValueError:
+            raise EdgeListError(
+                f"line {lineno}: weight {wtext!r} is not a number") from None
+        if not math.isfinite(weight):
+            raise EdgeListError(f"line {lineno}: weight must be finite")
+        if weight < 0:
+            raise EdgeListError(f"line {lineno}: negative weight {weight}")
+        if src == dst and weight != 0:
+            raise EdgeListError(
+                f"line {lineno}: self-loop {src!r} must have weight 0")
+        if (src, dst) in edges:
+            raise EdgeListError(f"line {lineno}: duplicate edge {src}->{dst}")
+        for lab in (src, dst):
+            order.setdefault(lab, len(order))
+        edges[(src, dst)] = weight
+
+    if not order:
+        raise EdgeListError("edge list is empty")
+    n = len(order)
+    # assembled from the triplets: memory O(edges), never O(n^2); the
+    # graph drops zero weights, so zero-weight self-loops vanish
+    rows = np.array([order[src] for src, _ in edges], dtype=np.intp)
+    cols = np.array([order[dst] for _, dst in edges], dtype=np.intp)
+    data = np.array(list(edges.values()), dtype=float)
+    return LocalityGraph(tuple(order),
+                         sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+
+
+def read_label_values(path, convert=None, labels=None) -> dict:
+    """``label value`` lines (``#`` comments) as a dict in file order,
+    one line at a time (the reader before the bulk parse, verbatim)."""
+    table = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            where, label = f"{path}:{lineno}", parts[0]
+            if len(parts) != (1 if convert is None else 2):
+                raise ConfigError(f"{where}: expected " + (
+                    "one label" if convert is None else "'label value'"))
+            if label in table:
+                raise ConfigError(f"{where}: duplicate label {label!r}")
+            if labels is not None and label not in labels:
+                raise ConfigError(f"{where}: {label!r} is not a graph node")
+            try:
+                table[label] = None if convert is None else convert(parts[1])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{where}: bad value {parts[1]!r}: {exc}") from None
+    return table

@@ -980,6 +980,25 @@ directory = {tmp_path / 'out'}
         assert "constant" in capsys.readouterr().err
 
 
+class TestLoadStage:
+    @pytest.mark.parametrize("command", ["classify", "simulate", "meanfield"])
+    def test_meta_reports_load_time_and_stored_edges(self, tmp_path, command):
+        # 7 edge lines, of which a zero weight and a zero self-loop are
+        # not stored
+        graph = tmp_path / "g.edges"
+        graph.write_text("a b 1\nb a 1\nb c 2\nc b 0\nc c 0\na c 1\nc a 1\n")
+        (tmp_path / "d.txt").write_text("a 1\nb 1.5\nc 0.5\n")
+        (tmp_path / "init.txt").write_text("b 3\n")
+        body = SIM_BODY.format(graph=graph, delta="8.5", out=tmp_path / "out")
+        body = body.replace("n0 = 10", "n0 = 3\ninitial_file = init.txt")
+        cfg = write_config(tmp_path, body + "\n[modulation]\nfile = d.txt\n"
+                           "\n[meanfield]\nt_max = 1.0\ngrid_step = 0.5\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["edges"] == load_graph(load_config(cfg)).weights.nnz == 5
+        assert meta["load_s"] > 0
+
+
 def csv_cells(path: Path) -> list[list[str]]:
     """The data rows of a CSV file, split into cells."""
     lines = path.read_text(encoding="utf-8").splitlines()[1:]

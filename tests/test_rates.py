@@ -140,6 +140,35 @@ class TestParsing:
             parse_profile(f"table:{table}")
         assert str(err.value).startswith(f"{table}:5: {message}")
 
+    @pytest.mark.parametrize("text, message", [
+        ("1 2\ntail=-1\n", "2: tail constant must be nonnegative"),
+        ("1 2\ntail=1\n2 1\n", "3: content after the tail= footer on line 2"),
+        ("1 2\ntail=1\n2 1\ntail=3\n",
+         "3: content after the tail= footer on line 2"),
+        ("1 2\ntail=1\n\n# note\ntail=3\n",
+         "5: content after the tail= footer on line 2"),
+    ])
+    def test_footer_errors_name_the_line(self, tmp_path, text, message):
+        table = tmp_path / "t.txt"
+        table.write_text(text)
+        for spec in (f"table:{table}", f"table:{table},tail=2"):
+            with pytest.raises(ProfileError) as err:
+                parse_profile(spec)
+            assert str(err.value) == f"{table}:{message}"
+
+    def test_negative_declared_tail_names_the_spec(self, tmp_path):
+        table = tmp_path / "t.txt"
+        table.write_text("1 2\ntail=1\n")
+        with pytest.raises(ProfileError) as err:
+            parse_profile(f"table:{table},tail=-2")
+        assert str(err.value) == (f"profile spec 'table:{table},tail=-2': "
+                                  "tail constant must be nonnegative")
+
+    def test_footer_may_be_followed_by_blanks_and_comments(self, tmp_path):
+        table = tmp_path / "t.txt"
+        table.write_text("1 2\ntail=1\n\n# end\n")
+        assert parse_profile(f"table:{table}").limit_exact == 1
+
 
 class TestEvaluation:
     def test_step_boundary_high_side(self):
