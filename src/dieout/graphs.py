@@ -209,8 +209,6 @@ def split_fields(text: str, width: int) -> list[str] | None:
     """
     if "#" in text:
         text = re.sub("#[^\n]*", "", text)
-    if not text:
-        return []
     codes = (np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii()
              else np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
                                 np.uint32).clip(max=_SPACE.size - 1))
@@ -256,11 +254,8 @@ def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
             self-loop, or duplicate (src, dst) pair; messages carry the
             one-based line number.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-        return _parse_edge_text("\n".join(lines), lines)
-    lines = list(source)
-    # a newline inside a line is whitespace to line.split()
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    # a newline inside a listed line is whitespace to line.split()
     return _parse_edge_text(
         "\n".join(map(methodcaller("replace", "\n", " "), lines)), lines)
 
