@@ -85,7 +85,7 @@ def _file_outcome(path):
 
 
 @pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
+def shared_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("readers")
 
 
@@ -122,8 +122,8 @@ def test_list_items_are_lines_even_with_newlines_inside(lines):
 @example("a\fb 1\nb a 1\n")
 @example("a b 1\r\nb a x\r\n")
 @example("a b 1\rb a 1\r")
-def test_file_source_matches_the_per_line_reader(scratch, text):
-    path = scratch / "g.edges"
+def test_file_source_matches_the_per_line_reader(shared_dir, text):
+    path = shared_dir / "g.edges"
     path.write_text(text, encoding="utf-8", newline="")
     new, old = _file_outcome(path)
     assert new == old
@@ -163,9 +163,9 @@ def _table_outcome(read, path, convert, labels):
 @example("a 1\na 2\n", _count_value, None)
 @example("a\fb\n", None, None)
 @example("a 1\nzz x\n", _modulation_value, frozenset(LABELS))
-def test_label_file_matches_the_per_line_reader(scratch, text, convert,
+def test_label_file_matches_the_per_line_reader(shared_dir, text, convert,
                                                 labels):
-    path = scratch / "labels.txt"
+    path = shared_dir / "labels.txt"
     path.write_text(text, encoding="utf-8", newline="")
     assert (_table_outcome(_read_label_values, path, convert, labels)
             == _table_outcome(oracles.read_label_values, path, convert,
