@@ -538,11 +538,12 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
             None if rel < 0 else rel)
 
 
-def _backward_table(spec: BirthDeathSpec, n_hi: int,
-                    precision: PrecisionConfig) -> HittingTable:
-    """Backward evaluation of S_1..S_{n_hi} from a shared truncation M.
+def hitting_table(spec: BirthDeathSpec, n_max: int,
+                  precision: PrecisionConfig) -> HittingTable:
+    """Certified table of S_n and E[T_n] for n = 1..n_max.
 
-    Seeds S_{M+1} = 0 and iterates S_j = 1/(j*delta) +
+    A backward pass from one truncation index M shared by every row
+    seeds S_{M+1} = 0 and iterates S_j = 1/(j*delta) +
     (gamma(j)/delta) * S_{j+1} down to j = 1, which reproduces every
     truncated tail series.  Alongside S the pass carries
     P_j = prod_{i=j}^{M} gamma(i)/delta, from which the neglected tail
@@ -550,37 +551,39 @@ def _backward_table(spec: BirthDeathSpec, n_hi: int,
     certified upper bound on gamma/delta beyond M.  A row is certified
     when that bound plus the rounding bound is at most
     ``series_rel_tol`` times the value; M doubles while some row fails
-    for want of terms.
+    for want of terms.  As the terms are positive, the accumulated sums
+    E[T_n] inherit the per-row relative tolerance.
 
     Raises:
+        InfiniteHittingTimeError: some requested row diverges.
         ExactnessError: rational mode with an irrational gamma.
-        ValueError: ``max_terms`` below n_hi.
+        ValueError: ``max_terms`` below n_max.
     """
-    if n_hi < 1:
+    if n_max < 1:
         raise ValueError("need at least state 1")
     rational = precision.mode == RATIONAL
     if rational and not spec.gamma.is_rational:
         raise ExactnessError(
             "the exact-rational kernel requires a rational-valued "
             "gamma profile; use the big-float kernel instead")
-    if precision.max_terms < n_hi:
+    if precision.max_terms < n_max:
         raise ValueError(
             f"max_terms {precision.max_terms} is below the largest "
-            f"requested state {n_hi}; the series needs at least that "
+            f"requested state {n_max}; the series needs at least that "
             f"many terms")
-    planned = M = _plan_truncation(spec, n_hi, precision)
+    planned = M = _plan_truncation(spec, n_max, precision)
     tol = precision.series_rel_tol.as_integer_ratio()
     passes = 0
     while True:
         r_ok, r = _ratio_bound(spec, M + 1)
         geom = 1 / ((1 - r) * spec.delta * (M + 1)) if r_ok else None
         if rational:
-            rows = _exact_pass(spec, n_hi, M, geom, tol)
+            rows = _exact_pass(spec, n_max, M, geom, tol)
         else:
-            rows = _fixed_pass(spec, n_hi, M, precision.bits, geom, tol)
+            rows = _fixed_pass(spec, n_max, M, precision.bits, geom, tol)
         values, bounds, den, certified, helpable, rel = rows
         if not helpable or M >= precision.max_terms:
-            return HittingTable(n_hi, precision, all(certified),
+            return HittingTable(n_max, precision, all(certified),
                                 tuple(certified), M, planned, passes, rel,
                                 values, bounds, den)
         M = min(max(2 * M, M + 64), precision.max_terms)
@@ -595,7 +598,7 @@ def s_tail_series(spec: BirthDeathSpec, n: int,
     certified against ``precision.series_rel_tol``.  The value is the
     last row of the table :func:`hitting_table` builds for n.
     """
-    table = _backward_table(spec, n, precision)
+    table = hitting_table(spec, n, precision)
     rational = precision.mode == RATIONAL
     den, bound = table.denominator, table.bounds[-1]
     return SeriesValue(
@@ -616,19 +619,6 @@ def expected_T1(spec: BirthDeathSpec,
         growth coefficient does not drop below the curing rate).
     """
     return s_tail_series(spec, 1, precision)
-
-
-def hitting_table(spec: BirthDeathSpec, n_max: int,
-                  precision: PrecisionConfig) -> HittingTable:
-    """Certified table of S_n and E[T_n] for n = 1..n_max.
-
-    All rows share one truncation index, so the accumulated sums
-    inherit the per-row relative tolerance (the terms are positive).
-
-    Raises:
-        InfiniteHittingTimeError: some requested row diverges.
-    """
-    return _backward_table(spec, n_max, precision)
 
 
 def asymptote_ratio(spec: BirthDeathSpec, n_list,

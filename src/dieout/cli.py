@@ -35,8 +35,8 @@ from .config import (ConfigError, ExperimentConfig, config_sha256,
                      load_config, load_graph, load_initial_counts,
                      load_modulation, load_profiles, simulation_grid,
                      uniform_grid)
-from .gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
-                        trimmed_interval)
+from .gillespie import (MIN_RUNS, SimConfig, mean_field_trajectory,
+                        run_ensemble, trimmed_interval)
 # is_strongly_connected is unused here but stays importable from cli:
 # perfbench/spans.py wraps it by this name
 from .graphs import (EdgeListError, EpidemicModel, SpectralError,
@@ -177,10 +177,9 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     stol = cfg.classify.spectral_tol
 
     reports = []
-    symmetric = is_symmetric(g)
     identity_mod = modulation.is_scalar and modulation.values[0] == 1.0
     general = classify_general(g, model, boundary_tol=tol, spectral_tol=stol)
-    if symmetric and identity_mod:
+    if identity_mod and is_symmetric(g):
         reports.append(classify_symmetric(
             spectral_radius(g.weights, tol=stol).radius, model,
             boundary_tol=tol))
@@ -254,7 +253,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         "null_events": summary.null_events,
         "ensemble_s": summary.ensemble_s,
     }
-    if summary.extinction_times.size >= 40:
+    if summary.extinction_times.size >= MIN_RUNS:
         lo, hi = trimmed_interval(summary.extinction_times)
         extra["extinction_time_95"] = [lo, hi]
     _write_meta(out, "simulate", cfg, extra)

@@ -18,6 +18,7 @@ from typing import NoReturn
 import numpy as np
 
 from .chains import BIGFLOAT, RATIONAL
+from .gillespie import MIN_RUNS, TRIM_FRACTION
 from .graphs import (DiagonalModulation, LocalityGraph, file_lines,
                      load_edge_list_file, normalize_mean_column_weight,
                      split_fields, top_nodes_by_total_weight)
@@ -54,7 +55,7 @@ class DynamicsSection:
 
 @dataclass(frozen=True)
 class SimulationSection:
-    runs: int = 1000               # >= 40, for the 2.5% trimming
+    runs: int = 1000               # >= MIN_RUNS, for the trimming
     n0: int = 100                  # >= 1
     t_max: float = 10.0            # > 0
     grid_step: float = 0.05
@@ -125,15 +126,12 @@ class ExperimentConfig:
 #: field annotation -> value type; every other field is text
 _TYPES = {"bool": bool, "int": int, "float": float}
 
-_BOOL = {"true": True, "yes": True, "1": True, "on": True,
-         "false": False, "no": False, "0": False, "off": False}
-
 
 def _convert(section: str, key: str, text: str, target_type):
     text = text.strip()
     try:
         if target_type is bool:
-            return _BOOL[text.lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
         if target_type is int:
             return int(text)
         if target_type is not float:
@@ -185,8 +183,9 @@ _PRECISION_RANGES = (
 #: under a name the file does not use, or only after loading a graph.
 _RANGES = {
     "simulation": (
-        ("runs", lambda s: s.runs >= 40,
-         "must be >= 40 (the envelope trims 2.5% of runs from each side)"),
+        ("runs", lambda s: s.runs >= MIN_RUNS,
+         f"must be >= {MIN_RUNS} (the envelope trims {TRIM_FRACTION:.1%} "
+         "of runs from each side)"),
         ("n0", lambda s: s.n0 >= 1, "must be >= 1"),
         ("t_max", lambda s: s.t_max > 0, "must be positive"),
     ),

@@ -14,8 +14,9 @@ the column touched by an event, and applies the profile values as
 scalar factors: an event first picks one of the totals b(n) sum(W X),
 bi(n) sum(D X) and delta n, then a node inside that unscaled vector.
 On large graphs that node is found through sqrt(N)-node block sums;
-those of W @ X share one buffer with it, so an event updates both with
-one gather, add and scatter over the column it touches.
+those of W @ X, D * X and X share one buffer with W @ X, so an event
+updates all four with one gather, add and scatter over the column it
+touches.
 
 Runs are reproducible: the generator for run ``i`` is derived from
 ``SeedSequence((master_seed, i))``; it draws the initial node (when one
@@ -58,6 +59,11 @@ _DRAW_BLOCK = 64
 # A lockstep batch holds at most this many runs x nodes entries per
 # cached vector, which bounds its memory on large dense graphs.
 _BATCH_ENTRIES = 1 << 19
+
+# Ensemble envelopes and extinction intervals drop floor(TRIM_FRACTION
+# * size) values from each side; MIN_RUNS is the least size that drops
+# one.
+TRIM_FRACTION, MIN_RUNS = 0.025, 40
 
 
 @dataclass(frozen=True)
@@ -120,13 +126,13 @@ class Trajectory:
 class EnsembleSummary:
     """Cross-run statistics on a fixed time grid.
 
-    The envelope discards the top and bottom 2.5% of runs at each grid
-    point (``floor(0.025 * runs)`` from each side) before taking the
-    extremes; the mean is over all runs.  Extinct runs keep
-    contributing zeros, so the envelope can show die-outs inside a
-    growing ensemble.  ``events`` counts the events that changed a
-    count, ``null_events`` the draws that landed on rounding residue,
-    and ``ensemble_s`` is the wall time of the whole ensemble.
+    The envelope discards the top and bottom TRIM_FRACTION of runs at
+    each grid point (``floor(TRIM_FRACTION * runs)`` from each side)
+    before taking the extremes; the mean is over all runs.  Extinct
+    runs keep contributing zeros, so the envelope can show die-outs
+    inside a growing ensemble.  ``events`` counts the events that
+    changed a count, ``null_events`` the draws that landed on rounding
+    residue, and ``ensemble_s`` is the wall time of the whole ensemble.
     ``per_run_totals`` holds every run's total on the grid and
     ``run_extinctions`` the (run, time) of every extinct run.
     """
@@ -154,15 +160,14 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
         np.random.SeedSequence((int(master_seed), int(run_index))))
 
 
-def trimmed_interval(values, trim_fraction: float = 0.025
-                     ) -> tuple[float, float]:
-    """Extremes after discarding ``floor(trim_fraction * len)`` entries
-    from each side; the same rule the ensemble envelopes use, applied
-    e.g. to extinction times."""
+def trimmed_interval(values) -> tuple[float, float]:
+    """Extremes after discarding ``floor(TRIM_FRACTION * len)`` entries
+    from each side; the rule the ensemble envelopes use, applied e.g. to
+    extinction times."""
     arr = np.sort(np.asarray(values, dtype=float))
     if arr.size == 0:
         raise ValueError("no values to summarize")
-    k = int(math.floor(trim_fraction * arr.size))
+    k = int(math.floor(TRIM_FRACTION * arr.size))
     return float(arr[k]), float(arr[arr.size - 1 - k])
 
 
@@ -188,14 +193,14 @@ class _EventTables:
     a draw scans each rate vector flat.  Above it ``weights`` stays CSR
     and each rate vector is split into blocks of ``width`` ~ sqrt(N)
     entries, so a draw scans O(sqrt(N)) values.  ``columns`` is then
-    the stacked matrix [W; B W] in CSC, B summing the rows of each
-    block, as (column pointers as Python ints, intp row indices,
-    values): numpy converts other index types on every gather and
-    scatter.  Its rows are those of one buffer holding W @ X and its
-    block sums, so an event at node j updates both with one gather,
-    add and scatter over column j.  ``col_sums`` (W's column sums) and
-    ``d_of`` (D's diagonal ``d``) hold Python floats, cheaper to index
-    and combine per event.
+    the stacked matrix [W; B W; B D; B] in CSC, B summing the entries
+    of each block, as (column pointers as Python ints, intp row
+    indices, values): numpy converts other index types on every gather
+    and scatter.  Its rows are those of one buffer holding W @ X and
+    the block sums of W @ X, D * X and X, so an event at node j updates
+    all four with one gather, add and scatter over column j.
+    ``col_sums`` (W's column sums) and ``d_of`` (D's diagonal ``d``)
+    hold Python floats, cheaper to index and combine per event.
     """
 
     weights: np.ndarray | sp.csr_matrix
@@ -210,12 +215,6 @@ class _EventTables:
         """Whether events are drawn through sqrt(N)-node blocks."""
         return isinstance(self.columns, tuple)
 
-    def block_sums(self, values: np.ndarray) -> np.ndarray | None:
-        """Per-block sums of ``values``; None in the dense layout."""
-        if not self.blocked:
-            return None
-        return np.add.reduceat(values, np.arange(0, values.size, self.width))
-
     @classmethod
     def of(cls, g: LocalityGraph, model: EpidemicModel) -> "_EventTables":
         w, n = g.weights, g.node_count
@@ -228,7 +227,8 @@ class _EventTables:
         rows = np.arange(n)
         blocks = sp.csr_matrix((np.ones(n), (rows // width, rows)),
                                shape=(-(-n // width), n))
-        stacked = sp.vstack((w, blocks @ w), format="csc")
+        stacked = sp.vstack((w, blocks @ w, blocks @ sp.diags(d), blocks),
+                            format="csc")
         return cls(w, width, (stacked.indptr.tolist(),
                               stacked.indices.astype(np.intp), stacked.data),
                    *scalars)
@@ -322,15 +322,24 @@ def _draw_block(rng: np.random.Generator, exps: np.ndarray,
 def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
               grid: np.ndarray | None) -> Trajectory:
     """One run, event by event: the executable specification of
-    :func:`_simulate_batch`, which must reproduce it byte for byte."""
+    :func:`_simulate_batch`, which must reproduce it byte for byte.
+
+    Each refresh rebuilds W @ X, D * X and their sums from X.  On
+    blocked tables it also builds ``cache``, the buffer whose rows are
+    those of ``columns``: W @ X, then the block sums of W @ X, D * X
+    and X, which the event's column update keeps current."""
     rng = run_rng(cfg.master_seed, run_index)
     weights, width, d = tables.weights, tables.width, tables.d
     col_sums, d_of = tables.col_sums, tables.d_of
     n_nodes = d.size
     initial = _initial_counts(cfg, n_nodes, rng)
     blocked = tables.blocked
+    # a flat scan on dense tables
+    pressure_blocks = mod_blocks = count_blocks = None
     if blocked:
         indptr, indices, data = tables.columns
+        starts = np.arange(0, n_nodes, width)
+        sections = n_nodes + starts.size * np.arange(3)
 
     model = cfg.model
     beta_f = model.beta.evaluator(FLOAT)
@@ -367,12 +376,12 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
             pressure_sum = float(pressure.sum())
             mod_counts = d * fcounts                          # D * X
             mod_sum = float(mod_counts.sum())
-            pressure_blocks, mod_blocks, count_blocks = map(
-                tables.block_sums, (pressure, mod_counts, fcounts))
             if blocked:
-                # W @ X, then its block sums: the rows of ``columns``
-                cache = np.concatenate((pressure, pressure_blocks))
-                pressure, pressure_blocks = cache[:n_nodes], cache[n_nodes:]
+                cache = np.concatenate((pressure, *(
+                    np.add.reduceat(v, starts)
+                    for v in (pressure, mod_counts, fcounts))))
+                pressure, pressure_blocks, mod_blocks, count_blocks = (
+                    np.split(cache, sections))
         if k == _DRAW_BLOCK:
             _draw_block(rng, exps, unis)
             exp_block, uni_block, k = exps.tolist(), unis.tolist(), 0
@@ -416,8 +425,6 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
             lo, hi = indptr[node], indptr[node + 1]
             rows = indices[lo:hi]
             cache[rows] = update(cache[rows], data[lo:hi])
-            mod_blocks[node // width] += delta_count * d_of[node]
-            count_blocks[node // width] += delta_count
         else:
             update(pressure, tables.columns[node], out=pressure)
         pressure_sum += delta_count * col_sums[node]
@@ -704,14 +711,15 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
     Args:
         cfg: shared run configuration.
         g: locality graph.
-        runs: ensemble size; at least 40 so the 2.5% trimming removes
-            at least one run per side.
+        runs: ensemble size; at least MIN_RUNS, so the trimming
+            removes at least one run per side.
         grid: increasing sample times >= 0.
         threads: worker processes (>= 0); 0 picks the machine default,
             1 runs inline.  Results are independent of the worker count.
     """
-    if runs < 40:
-        raise ValueError("need at least 40 runs for 2.5% trimming")
+    if runs < MIN_RUNS:
+        raise ValueError(
+            f"need at least {MIN_RUNS} runs for {TRIM_FRACTION:.1%} trimming")
     if threads < 0:
         raise ValueError(f"threads must be >= 0, got {threads}")
     grid = _checked_grid(grid)
@@ -730,7 +738,7 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
         if run_events is not None:
             run_events.append(traj.events)
 
-    trim = int(math.floor(0.025 * runs))
+    trim = int(math.floor(TRIM_FRACTION * runs))
     # order statistics a block of grid points at a time, so the sort
     # never holds a second copy of every run's totals
     lower, upper = np.empty(grid.size), np.empty(grid.size)

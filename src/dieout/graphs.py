@@ -334,10 +334,6 @@ def load_edge_list_file(path) -> LocalityGraph:
         raise EdgeListError(f"{path}: {exc}") from None
 
 
-def total_weight(g: LocalityGraph) -> float:
-    return float(g.weights.sum())
-
-
 def normalize_mean_column_weight(g: LocalityGraph) -> LocalityGraph:
     """Rescale all weights so the average column sum becomes one.
 
@@ -347,7 +343,7 @@ def normalize_mean_column_weight(g: LocalityGraph) -> LocalityGraph:
     Raises:
         ValueError: if the graph has no nonzero weight.
     """
-    total = total_weight(g)
+    total = float(g.weights.sum())
     if total == 0:
         raise ValueError("cannot normalize an all-zero graph")
     scale = total / g.node_count
@@ -393,9 +389,11 @@ def spectral_radius(matrix, tol: float = 1e-12,
     iteration converges even for periodic structures (e.g. bipartite
     graphs).  The reported radius and residual refer to M itself.
 
-    Convergence is declared when the infinity-norm residual drops below
-    ``tol * max(1, radius)``; the residual achieved is reported in the
-    result.  For an irreducible M the eigenvector is strictly positive
+    Each pass evaluates z = M x, the radius sum(z) (a Collatz-Wielandt
+    average, as sum(x) = 1) and the infinity-norm residual; it stops
+    unless the residual exceeds ``tol * max(1, |radius|)`` (so a NaN
+    residual stops it), else takes one shifted step.  The residual
+    achieved is reported in the result.  For an irreducible M the eigenvector is strictly positive
     (unit sum).
 
     Args:
@@ -405,8 +403,8 @@ def spectral_radius(matrix, tol: float = 1e-12,
         max_iterations: iteration cap.
 
     Raises:
-        ValueError: non-square input, non-finite or negative entries,
-            or a ``tol`` that is not finite and positive.
+        ValueError: empty or non-square input, non-finite or negative
+            entries, or a ``tol`` that is not finite and positive.
         SpectralError: cap reached before the residual target.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -414,23 +412,27 @@ def spectral_radius(matrix, tol: float = 1e-12,
     m = sp.csr_matrix(matrix, dtype=float)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise ValueError("matrix must not be empty")
     if not np.isfinite(m.data).all():
         raise ValueError("matrix entries must be finite")
     if (m.data < 0).any():
         raise ValueError("matrix entries must be nonnegative")
     n = m.shape[0]
 
-    row_max = float(np.asarray(m.sum(axis=1)).max()) if n else 0.0
+    row_max = float(np.asarray(m.sum(axis=1)).max())
     x = np.full(n, 1.0 / n)
     if row_max == 0.0:
         return SpectralInfo(0.0, x, 0.0, 0)
 
     shift = row_max / 2.0
-    z = np.asarray(m @ x).ravel()
-    radius = float(z.sum())  # Collatz-Wielandt average at the uniform start
-    residual = float(np.abs(z - radius * x).max())
     iterations = 0
-    while residual > tol * max(1.0, abs(radius)):
+    while True:
+        z = np.asarray(m @ x).ravel()
+        radius = float(z.sum())
+        residual = float(np.abs(z - radius * x).max())
+        if not residual > tol * max(1.0, abs(radius)):
+            break
         if iterations >= max_iterations:
             raise SpectralError(
                 f"power iteration did not converge in {max_iterations} "
@@ -439,9 +441,6 @@ def spectral_radius(matrix, tol: float = 1e-12,
         iterations += 1
         y = z + shift * x
         x = y / y.sum()
-        z = np.asarray(m @ x).ravel()
-        radius = float(z.sum())  # sum(x) == 1, so this is x-weighted mean growth
-        residual = float(np.abs(z - radius * x).max())
     return SpectralInfo(radius=radius, eigvec=x, residual=residual,
                         iterations=iterations)
 

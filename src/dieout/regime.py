@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .graphs import (EpidemicModel, LocalityGraph, geometric_lower,
                      is_strongly_connected, spectral_radius,
@@ -144,14 +144,17 @@ def classify_scalar_D(g: LocalityGraph, model: EpidemicModel,
     matching :func:`classify_general` with a scalar modulation.
 
     Raises:
-        ValueError: the model's modulation is not scalar.
+        ValueError: the model's modulation does not fit the graph or is
+            not scalar.
     """
     _check_boundary_tol(boundary_tol)
-    model.d(g.node_count)  # the modulation must fit the graph
-    eta = _scalar_eta(model)
-    info = spectral_radius(g.weights, tol=spectral_tol)
-    threshold = model.beta.limit * info.radius + model.beta_int.limit * eta
-    return _report(model, threshold, boundary_tol, Method.SCALAR_D,
+    # D must fit the graph and be scalar before the power iteration
+    model.d(g.node_count)
+    _scalar_eta(model)
+    report = classify_symmetric(
+        spectral_radius(g.weights, tol=spectral_tol).radius, model,
+        boundary_tol)
+    return replace(report, method=Method.SCALAR_D,
                    strongly_connected=is_strongly_connected(g))
 
 

@@ -200,6 +200,11 @@ class TestSpectralRadius:
         with pytest.raises(ValueError, match="square"):
             spectral_radius(np.zeros((2, 3)))
 
+    def test_rejects_empty_matrix(self):
+        # 0 x 0 is square; the uniform start 1/n used to divide by zero
+        with pytest.raises(ValueError, match="empty"):
+            spectral_radius(np.zeros((0, 0)))
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_nonfinite_entries(self, bad):
         # a NaN residual fails the convergence test and would read as

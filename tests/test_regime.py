@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -92,10 +94,15 @@ class TestGeneral:
         assert report.strongly_connected is False
         assert report.threshold == pytest.approx(2.0, abs=1e-9)
 
-    def test_defective_reducible_matrix_propagates_nonconvergence(self):
+    def test_defective_reducible_matrix_propagates_nonconvergence(
+            self, monkeypatch):
         # a one-way pair with identical diagonal gives a Jordan block,
-        # where the residual decays like 1/k and the iteration cap hits
+        # where the residual decays like 1/k and the iteration cap hits;
+        # a lower cap reaches it in a fraction of a second
+        from dieout import regime
         from dieout.graphs import SpectralError
+        monkeypatch.setattr(regime, "spectral_radius", functools.partial(
+            spectral_radius, max_iterations=20_000))
         g = load_edge_list("a b 1")
         with pytest.raises(SpectralError):
             classify_general(
