@@ -172,6 +172,7 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     g = load_graph(cfg)
     model = _model(cfg, g)
     load = _load_report(g, start)
+    start = time.perf_counter()
     modulation = model.modulation
     tol = cfg.classify.boundary_tol
     stol = cfg.classify.spectral_tol
@@ -190,12 +191,13 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     reports.append(classify_decoupled(g, model, boundary_tol=tol,
                                       spectral_tol=stol))
     records = [r.as_record() for r in reports]
+    compute_s = time.perf_counter() - start
     text = json.dumps(records, indent=2)
     print(text)
     if args.out or cfg.output.directory:
         out = _out_dir(cfg, args)
         (out / "classify.json").write_text(text + "\n", encoding="utf-8")
-        _write_meta(out, "classify", cfg, load)
+        _write_meta(out, "classify", cfg, {**load, "compute_s": compute_s})
     if not general.strongly_connected:
         print("warning: graph is not strongly connected; spectral "
               "positivity guarantees do not apply", file=sys.stderr)
@@ -222,7 +224,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     summary = run_ensemble(sim_cfg, g, cfg.simulation.runs, grid,
                            threads=args.threads)
     out = _out_dir(cfg, args)
-
+    start = time.perf_counter()
     grid_text = [repr(t) for t in grid.tolist()]
     _write_csv(out / "trajectories.csv", ["t", "run_id", "total"],
                (f"{t},{run},{total}"
@@ -252,6 +254,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
         "events": summary.events,
         "null_events": summary.null_events,
         "ensemble_s": summary.ensemble_s,
+        "write_s": time.perf_counter() - start,
     }
     if summary.extinction_times.size >= MIN_RUNS:
         lo, hi = trimmed_interval(summary.extinction_times)
@@ -369,13 +372,18 @@ def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
                               f"of the graph") from None
     else:
         raise ConfigError(f"[meanfield] x0 {mf.x0!r}: use uniform or node:LABEL")
+    start = time.perf_counter()
     series = mean_field_trajectory(g, model, x0, grid)
+    compute_s = time.perf_counter() - start
     out = _out_dir(cfg, args)
+    start = time.perf_counter()
     _write_csv(out / "meanfield.csv", ["t", *g.labels, "total"],
                (",".join(map(str, (t, *row, total)))
                 for t, row, total in zip(grid.tolist(), series.tolist(),
                                          series.sum(axis=1).tolist())))
-    _write_meta(out, "meanfield", cfg, {"nodes": g.node_count, **load})
+    _write_meta(out, "meanfield", cfg, {
+        "nodes": g.node_count, **load, "compute_s": compute_s,
+        "write_s": time.perf_counter() - start})
     print(f"meanfield: {grid.size} grid points over {g.node_count} nodes, "
           f"output in {out}")
     return 0

@@ -12,6 +12,7 @@ import configparser
 import hashlib
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from pathlib import Path
 from typing import NoReturn
 
@@ -21,7 +22,7 @@ from .chains import BIGFLOAT, RATIONAL
 from .gillespie import MIN_RUNS, TRIM_FRACTION
 from .graphs import (DiagonalModulation, LocalityGraph, file_lines,
                      load_edge_list_file, normalize_mean_column_weight,
-                     split_fields, top_nodes_by_total_weight)
+                     parse_columns, read_text, top_nodes_by_total_weight)
 from .rates import RateProfile, parse_profile
 
 
@@ -301,28 +302,27 @@ def load_graph(cfg: ExperimentConfig) -> LocalityGraph:
 def _read_label_values(path: Path, convert=None, labels=None) -> dict:
     """``label value`` lines (``#`` comments) as a dict in file order,
     values parsed by ``convert``; without ``convert``, one label a line,
-    each mapped to None.  ConfigError at ``path:line`` on a malformed
-    line or value, a repeated label, or a label outside ``labels`` (a
-    set, if given).
+    each mapped to None.  ConfigError at ``path:line`` on a byte that is
+    not UTF-8, a malformed line or value, a repeated label, or a label
+    outside ``labels`` (a set, if given).
 
-    The file is read in bulk: one :func:`split_fields`, then ``convert``
-    mapped over the value fields.  Only on a fault does a per-line pass
-    run over the same lines, to name the first bad one.
+    The file is read in one piece and parsed by :func:`parse_columns`
+    in line-aligned chunks, ``convert`` mapped over each chunk's value
+    fields.  Only on a fault does a per-line pass run over all the
+    lines, to name the first bad one.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    width = 1 if convert is None else 2
-    fields = split_fields(text, width)
-    try:
-        if fields is not None:
-            keys = fields[::width]
-            table = (dict.fromkeys(keys) if convert is None
-                     else dict(zip(keys, map(convert, fields[1::2]))))
-            if len(table) == len(keys) and (labels is None
-                                            or labels.issuperset(table)):
-                return table
-    except ValueError:
-        pass
+    text = read_text(path, lambda lineno, reason: ConfigError(
+        f"{path}:{lineno}: {reason}"))
+    parsed = (parse_columns(text, 1) if convert is None else
+              parse_columns(text, 2, lambda v: list(map(convert, v))))
+    if parsed is not None:
+        index, ends, values = parsed
+        # no label repeats, so first-appearance order is line order
+        if len(index) == ends.size and (labels is None
+                                        or labels.issuperset(index)):
+            if convert is None:
+                return dict.fromkeys(index)
+            return dict(zip(index, chain.from_iterable(values)))
     _raise_first_bad_line(path, file_lines(text), convert, labels)
 
 

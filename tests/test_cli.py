@@ -999,6 +999,25 @@ class TestLoadStage:
         assert meta["load_s"] > 0
 
 
+class TestStageTimes:
+    @pytest.mark.parametrize("command, stages", [
+        ("classify", ["load_s", "compute_s"]),
+        ("simulate", ["load_s", "ensemble_s", "write_s"]),
+        ("meanfield", ["load_s", "compute_s", "write_s"]),
+    ])
+    def test_meta_times_every_stage(self, tmp_path, command, stages):
+        (tmp_path / "g.edges").write_text("a b 1\nb a 1\nb c 2\nc b 1\n")
+        body = SIM_BODY.format(graph=tmp_path / "g.edges", delta="8.5",
+                               out=tmp_path / "out")
+        cfg = write_config(tmp_path, body + "\n[meanfield]\nt_max = 1.0\n"
+                           "grid_step = 0.5\n")
+        assert main([command, "--config", str(cfg)]) == 0
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        timings = {key: meta[key] for key in meta if key.endswith("_s")}
+        assert set(timings) == set(stages)
+        assert all(isinstance(s, float) and s >= 0 for s in timings.values())
+
+
 def csv_cells(path: Path) -> list[list[str]]:
     """The data rows of a CSV file, split into cells."""
     lines = path.read_text(encoding="utf-8").splitlines()[1:]

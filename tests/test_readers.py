@@ -1,8 +1,11 @@
-"""The bulk edge-list and label-file readers against the former
+"""The chunked edge-list and label-file readers against the former
 one-line-at-a-time readers in ``oracles``: equal graphs and tables, or
-the same error message, for every source kind."""
+the same error message, for every source kind, at the default chunk
+size and at chunks of a few characters."""
 
 import io
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from dieout import config, graphs
+from dieout.cli import main
 from dieout.config import (ConfigError, _count_value, _modulation_value,
                            _read_label_values, load_config, load_graph,
                            load_modulation)
@@ -63,6 +67,15 @@ def edge_texts(draw):
         st.sampled_from(["", "a b 1"]))
 
 
+#: chunk sizes the properties run at besides graphs.CHUNK_CHARS: a few
+#: characters, so every drawn input spans several chunks
+SMALL_CHUNKS = st.integers(1, 12)
+
+
+def _chunks_of(chars: int):
+    return mock.patch.object(graphs, "CHUNK_CHARS", chars)
+
+
 def _outcome(load, source):
     """(labels, CSR arrays) or the error message."""
     try:
@@ -90,47 +103,53 @@ def shared_dir(tmp_path_factory):
 
 
 @settings(max_examples=300, deadline=None)
-@given(edge_texts())
-@example("a b 1\nb a 1")
-@example("a\fb 1\nb a 1\n")          # one file line of 3 fields, two str lines
-@example("a b 1 # x\fy z\n")         # the comment ends at \n in a file only
-@example("a a 0\na a 0")
-@example("a b -0\nb a 1_0\n")
-@example("\u2028 \n")
-def test_str_and_list_sources_match_the_per_line_reader(text):
-    assert _outcome(load_edge_list, text) == _outcome(oracles.load_edge_list,
-                                                      text)
-    for lines in (text.splitlines(), text.splitlines(keepends=True),
-                  list(io.StringIO(text, newline=None))):
-        assert (_outcome(load_edge_list, lines)
-                == _outcome(oracles.load_edge_list, lines))
-        assert (_outcome(load_edge_list, iter(lines))
-                == _outcome(oracles.load_edge_list, iter(lines)))
+@given(edge_texts(), SMALL_CHUNKS)
+@example("a b 1\nb a 1", 1)
+@example("a\fb 1\nb a 1\n", 1)       # one file line of 3 fields, two str lines
+@example("a b 1 # x\fy z\n", 1)      # the comment ends at \n in a file only
+@example("a a 0\na a 0", 1)
+@example("a b -0\nb a 1_0\n", 1)
+@example("\u2028 \n", 1)
+def test_str_and_list_sources_match_the_per_line_reader(text, chunk):
+    for chars in (graphs.CHUNK_CHARS, chunk):
+        with _chunks_of(chars):
+            assert (_outcome(load_edge_list, text)
+                    == _outcome(oracles.load_edge_list, text))
+            for lines in (text.splitlines(), text.splitlines(keepends=True),
+                          list(io.StringIO(text, newline=None))):
+                assert (_outcome(load_edge_list, lines)
+                        == _outcome(oracles.load_edge_list, lines))
+                assert (_outcome(load_edge_list, iter(lines))
+                        == _outcome(oracles.load_edge_list, iter(lines)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(edge_lines())
-@example(["a b\n1", "b a 1"])        # a newline inside a list item
-@example(["a b 1 # x\ny", "b a 1"])
-def test_list_items_are_lines_even_with_newlines_inside(lines):
-    assert (_outcome(load_edge_list, lines)
-            == _outcome(oracles.load_edge_list, lines))
+@given(edge_lines(), SMALL_CHUNKS)
+@example(["a b\n1", "b a 1"], 1)     # a newline inside a list item
+@example(["a b 1 # x\ny", "b a 1"], 1)
+def test_list_items_are_lines_even_with_newlines_inside(lines, chunk):
+    for chars in (graphs.CHUNK_CHARS, chunk):
+        with _chunks_of(chars):
+            assert (_outcome(load_edge_list, lines)
+                    == _outcome(oracles.load_edge_list, lines))
 
 
 @settings(max_examples=150, deadline=None)
-@given(edge_texts())
-@example("a\fb 1\nb a 1\n")
-@example("a b 1\r\nb a x\r\n")
-@example("a b 1\rb a 1\r")
-def test_file_source_matches_the_per_line_reader(shared_dir, text):
+@given(edge_texts(), SMALL_CHUNKS)
+@example("a\fb 1\nb a 1\n", 1)
+@example("a b 1\r\nb a x\r\n", 1)
+@example("a b 1\rb a 1\r", 1)
+def test_file_source_matches_the_per_line_reader(shared_dir, text, chunk):
     path = shared_dir / "g.edges"
     path.write_text(text, encoding="utf-8", newline="")
-    new, old = _file_outcome(path)
-    assert new == old
-    with open(path, "r", encoding="utf-8") as fh:
-        stream = _outcome(load_edge_list, fh)
-    with open(path, "r", encoding="utf-8") as fh:
-        assert stream == _outcome(oracles.load_edge_list, fh)
+    for chars in (graphs.CHUNK_CHARS, chunk):
+        with _chunks_of(chars):
+            new, old = _file_outcome(path)
+            assert new == old
+            with open(path, "r", encoding="utf-8") as fh:
+                stream = _outcome(load_edge_list, fh)
+            with open(path, "r", encoding="utf-8") as fh:
+                assert stream == _outcome(oracles.load_edge_list, fh)
 
 
 VALUES = ["1", "0", "-1", "2.5", "1_0", "nan", "inf", "x", "3", "07"]
@@ -158,18 +177,20 @@ def _table_outcome(read, path, convert, labels):
 
 @settings(max_examples=300, deadline=None)
 @given(label_texts(), st.sampled_from([None, _modulation_value, _count_value]),
-       st.sampled_from([None, frozenset(LABELS)]))
-@example("a 1\nb 2\n", _count_value, None)
-@example("a 1\na 2\n", _count_value, None)
-@example("a\fb\n", None, None)
-@example("a 1\nzz x\n", _modulation_value, frozenset(LABELS))
+       st.sampled_from([None, frozenset(LABELS)]), SMALL_CHUNKS)
+@example("a 1\nb 2\n", _count_value, None, 1)
+@example("a 1\na 2\n", _count_value, None, 1)
+@example("a\fb\n", None, None, 1)
+@example("a 1\nzz x\n", _modulation_value, frozenset(LABELS), 1)
 def test_label_file_matches_the_per_line_reader(shared_dir, text, convert,
-                                                labels):
+                                                labels, chunk):
     path = shared_dir / "labels.txt"
     path.write_text(text, encoding="utf-8", newline="")
-    assert (_table_outcome(_read_label_values, path, convert, labels)
-            == _table_outcome(oracles.read_label_values, path, convert,
-                              labels))
+    want = _table_outcome(oracles.read_label_values, path, convert, labels)
+    for chars in (graphs.CHUNK_CHARS, chunk):
+        with _chunks_of(chars):
+            assert (_table_outcome(_read_label_values, path, convert, labels)
+                    == want)
 
 
 def test_valid_inputs_never_take_the_per_line_pass(tmp_path, monkeypatch):
@@ -210,3 +231,107 @@ def test_valid_inputs_never_take_the_per_line_pass(tmp_path, monkeypatch):
     with pytest.raises(EdgeListError, match=f"line {3 * n + 2}: weight 'x'"):
         load_graph(cfg)
     assert calls == ["dieout.graphs"]
+
+
+@pytest.mark.parametrize("text", [
+    # at 6 characters a chunk ends between a file's \r and \n bytes
+    "a b 1\r\nb c 2\r\nc a 3\r\n",
+    "a b 1\r\nb a 2\r\nb a 3\r\n",
+    # comments that run up to a chunk's end, or across where it would be
+    "a b 1 # to the end\nb a 2\n# whole line\nc a 1 #\n",
+    "# x\n#\na b 1 #a b c\nb a 0x\n",
+])
+def test_every_chunk_size_gives_the_per_line_result(tmp_path, text):
+    path = tmp_path / "g.edges"
+    path.write_text(text, encoding="utf-8", newline="")
+    _, want = _file_outcome(path)
+    for chars in range(1, len(text) + 2):
+        with _chunks_of(chars):
+            assert _file_outcome(path)[0] == want
+            assert (_outcome(load_edge_list, text)
+                    == _outcome(oracles.load_edge_list, text))
+
+
+def test_a_fault_in_the_third_chunk_names_its_file_line(tmp_path):
+    edges = "".join(f"n{i} n{i + 1} 1\n" for i in range(9)) + "n9 n0 x\n"
+    labels = "".join(f"n{i} {i + 1}\n" for i in range(9)) + "n2 7\n"
+    (tmp_path / "g.edges").write_text(edges)
+    (tmp_path / "g.mod").write_text(labels)
+    with _chunks_of(len("n0 n1 1\n") * 4):  # four edge lines a chunk
+        assert "n9 n0 x" in list(graphs.line_chunks(edges))[2]
+        with pytest.raises(EdgeListError) as info:
+            load_edge_list_file(tmp_path / "g.edges")
+        assert str(info.value) == (f"{tmp_path / 'g.edges'}: line 10: "
+                                   "weight 'x' is not a number")
+    with _chunks_of(len("n0 1\n") * 4):
+        assert "n2 7" in list(graphs.line_chunks(labels))[2]
+        with pytest.raises(ConfigError) as info:
+            _read_label_values(tmp_path / "g.mod", _modulation_value)
+        assert str(info.value) == (f"{tmp_path / 'g.mod'}:10: "
+                                   "duplicate label 'n2'")
+
+
+def test_a_label_first_seen_in_a_later_chunk_keeps_its_order(tmp_path):
+    text = "b c 1\nc b 1\na b 2\nd a 1\nc d 1\n"
+    (tmp_path / "sub.txt").write_text("c\nb\n\nd\na\n")
+    with _chunks_of(1):  # one line a chunk
+        assert len(list(graphs.line_chunks(text))) == 5
+        g = load_edge_list(text)
+        subset = _read_label_values(tmp_path / "sub.txt")
+    assert g.labels == ("b", "c", "a", "d")
+    assert g.weights.toarray().tolist() == [[0, 1, 0, 0], [1, 0, 0, 1],
+                                            [2, 0, 0, 0], [0, 0, 1, 0]]
+    assert list(subset) == ["c", "b", "d", "a"]
+
+
+def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, capsys):
+    """The first undecodable line is named, counting \\r, \\r\\n and \\n
+    as line ends as a text file does; the position counts bytes."""
+    graph = tmp_path / "g.edges"
+    graph.write_bytes(b"a b 1\r\nb a 1\rcaf\xe9 a 2\nb caf\xe9 1\n")
+    graph_error = (f"{graph}: line 3: byte 0xe9 at position 4 is not "
+                   "UTF-8 (invalid continuation byte)")
+    with pytest.raises(EdgeListError) as info:
+        load_edge_list_file(graph)
+    assert str(info.value) == graph_error
+    mod = tmp_path / "g.mod"
+    mod.write_bytes(b"\xc3\xa9 1\nb\xff 2\n")
+    with pytest.raises(ConfigError) as info:
+        _read_label_values(mod, _modulation_value)
+    assert str(info.value) == (f"{mod}:2: byte 0xff at position 2 is not "
+                               "UTF-8 (invalid start byte)")
+    cfg = tmp_path / "g.ini"
+    cfg.write_text(f"[graph]\npath = {graph}\n")
+    assert main(["classify", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {graph_error}\n"
+
+
+def test_edge_list_file_parse_peaks_below_six_times_the_file(tmp_path):
+    """The traced peak of loading a seeded 20,000-node, 140k-edge list
+    stays below 6 times the file's size: only one chunk's field strings
+    are alive at a time.  Parsed in one piece, the peak was 14.5 times
+    the size."""
+    n = 20_000
+    rng = np.random.default_rng(23)
+    nodes = np.arange(n)
+    # a two-way ring plus 5 random in-edges a node, without self-loops
+    # or repeated pairs
+    src = np.concatenate([nodes, (nodes + 1) % n, np.repeat(nodes, 5)])
+    dst = np.concatenate([(nodes + 1) % n, nodes, rng.integers(0, n, 5 * n)])
+    _, first = np.unique(src * n + dst, return_index=True)
+    keep = np.sort(first[src[first] != dst[first]])
+    weights = np.maximum(1, np.round(rng.lognormal(1.0, 0.5, keep.size)))
+    path = tmp_path / "big.edges"
+    path.write_text("".join(
+        f"v{s:05d} v{d:05d} {w:.0f}\n"
+        for s, d, w in zip(src[keep].tolist(), dst[keep].tolist(),
+                           weights.tolist())))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        g = load_edge_list_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.node_count == n and g.weights.nnz == keep.size > 135_000
+    assert peak < 6 * size, f"peak {peak / size:.1f} x the file's size"
