@@ -230,8 +230,8 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+        parser.read_string(read_text(path, lambda lineno, reason: ConfigError(
+            f"{path}:{lineno}: {reason}")), source=str(path))
     except FileNotFoundError:
         raise ConfigError(f"configuration file {path} does not exist")
     except configparser.Error as exc:
@@ -388,26 +388,38 @@ def _modulation_value(text: str) -> float:
     return value
 
 
+#: the largest initial count, and total, that the simulator's int64
+#: counts hold
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def load_initial_counts(cfg: ExperimentConfig,
                         g: LocalityGraph) -> np.ndarray | None:
     """Initial counts per node from ``[simulation] initial_file`` (None
     when unset); nodes without a line start at zero, and the counts
-    must sum to at least one case."""
+    must sum to at least one case and at most 2^63 - 1."""
     if not cfg.simulation.initial_file:
         return None
     fpath = cfg.resolve(cfg.simulation.initial_file)
     table = _read_label_values(fpath, _count_value, labels=set(g.labels))
-    if not sum(table.values()):
+    total = sum(table.values())
+    if not total:
         raise ConfigError(f"{fpath}: initial counts sum to 0; "
                           "at least one case is needed")
+    if total > _INT64_MAX:
+        raise ConfigError(f"{fpath}: initial counts sum to {total}, "
+                          "above 2^63 - 1")
     return np.array([table.get(lab, 0) for lab in g.labels], dtype=np.int64)
 
 
 def _count_value(text: str) -> int:
-    """An initial count: ValueError unless a nonnegative integer."""
+    """An initial count: ValueError unless a nonnegative integer that
+    fits in int64."""
     value = int(text)
     if value < 0:
         raise ValueError("initial counts must be nonnegative")
+    if value > _INT64_MAX:
+        raise ValueError("initial count exceeds 2^63 - 1")
     return value
 
 

@@ -44,8 +44,9 @@ from scipy.sparse.linalg import expm_multiply
 from .graphs import EpidemicModel, LocalityGraph
 from .rates import FLOAT, Constant
 
-# Cached pressure vectors are refreshed from scratch at this cadence to
-# stop float drift from accumulating over long runs.
+# Cached pressure vectors are refreshed from scratch at iterations 0,
+# _REFRESH_EVERY, 2 _REFRESH_EVERY, ... of a run's event loop (null
+# events count), to stop float drift from accumulating over long runs.
 _REFRESH_EVERY = 8192
 
 # Event tables are dense up to this node count, where a flat scan and a
@@ -101,20 +102,20 @@ class SimConfig:
 class Trajectory:
     """One realized run.
 
-    ``grid_totals`` samples the right-continuous total on the output
-    grid; ``events`` holds (time, node, +-1) tuples when event
-    recording was requested.  Exactly one of ``extinct_at`` /
-    ``truncated_at`` is set.  ``event_count`` counts the events (the
-    length of ``events`` when recorded), ``null_events`` the draws that
-    landed on rounding residue and changed nothing.  The runs of an
-    ensemble leave out the per-node ``initial`` and ``final_counts``.
+    ``grid_totals`` samples the right-continuous total at the times of
+    the grid the caller passed (None without one); ``events`` holds
+    (time, node, +-1) tuples when event recording was requested.
+    Exactly one of ``extinct_at`` / ``truncated_at`` is set.
+    ``event_count`` counts the events (the length of ``events`` when
+    recorded), ``null_events`` the draws that landed on rounding
+    residue and changed nothing.  The runs of an ensemble leave out the
+    per-node ``initial`` and ``final_counts``.
     """
 
     run_index: int
     initial: np.ndarray | None
     extinct_at: float | None
     truncated_at: float | None
-    grid: np.ndarray | None = None
     grid_totals: np.ndarray | None = None
     events: list[tuple[float, int, int]] | None = None
     final_counts: np.ndarray | None = None
@@ -124,7 +125,8 @@ class Trajectory:
 
 @dataclass
 class EnsembleSummary:
-    """Cross-run statistics on a fixed time grid.
+    """Cross-run statistics at the times of the caller's grid, one
+    entry per grid time.
 
     The envelope discards the top and bottom TRIM_FRACTION of runs at
     each grid point (``floor(TRIM_FRACTION * runs)`` from each side)
@@ -137,7 +139,6 @@ class EnsembleSummary:
     ``run_extinctions`` the (run, time) of every extinct run.
     """
 
-    time_grid: np.ndarray
     mean_total: np.ndarray
     lower95: np.ndarray
     upper95: np.ndarray
@@ -400,6 +401,7 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
             t = t_max
             break
         t = t_next
+        since_refresh += 1
 
         u = uni_block[k] * total_rate
         k += 1
@@ -433,7 +435,6 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
         if record:
             events.append((t, node, delta_count))
         moves += 1
-        since_refresh += 1
 
     if grid is not None:
         # remaining grid points see the final (absorbed or frozen) total
@@ -444,7 +445,6 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
         initial=initial,
         extinct_at=extinct_at,
         truncated_at=None if extinct_at is not None else t_max,
-        grid=grid,
         grid_totals=totals,
         events=events,
         final_counts=fcounts.astype(np.int64),
@@ -516,10 +516,6 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
     gi = np.zeros(size, dtype=np.intp)  # next grid index to fill
     # sum(W X) and sum(D X) of each row
     sums = np.zeros((size, 2))
-    # a row is refreshed once step - base reaches _REFRESH_EVERY; base
-    # is the step of its last refresh plus its null events since then
-    base = np.full(size, -_REFRESH_EVERY)
-    refresh_due = 0
     # the picked category's lower cumulative rate and its scale, by row:
     # 0 and b(n), b(n) sum(W X) and bi(n), birth total and delta
     lows, scales = np.zeros((3, size)), np.full((3, size), delta)
@@ -543,13 +539,10 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
         if k == 0:
             for r, s in enumerate(here.tolist()):
                 _draw_block(rngs[s], exps[r], unis[r])
-        if step >= refresh_due:
-            for r in np.flatnonzero(
-                    base[:live] <= step - _REFRESH_EVERY).tolist():
+        if step % _REFRESH_EVERY == 0:
+            for r in range(live):
                 pressure[r] = weights @ counts[r]
                 sums[r] = pressure[r].sum(), (d * counts[r]).sum()
-                base[r] = step
-            refresh_due = int(base[:live].min()) + _REFRESH_EVERY
         cur = n[:live]
         if n_bound >= rates.beta.size:
             n_bound = int(cur.max())
@@ -587,7 +580,6 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
             # exact by thinning
             for r in np.flatnonzero(null).tolist():
                 nulls[here[r]] += 1
-                base[r] += 1
             node[null], event[null] = 0, no_event
         event[over] = no_event
 
@@ -612,7 +604,7 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
                     moves[s] = step + 1 - nulls[s]
                     extinct_at[s] = float(now[r])
             live = _compact(done, (pressure, counts, exps, unis, slot, n, t,
-                                   gi, sums, base))
+                                   gi, sums))
         step += 1
         n_bound += 1
 
@@ -624,7 +616,7 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
     return [Trajectory(
         run_index=i, initial=None, extinct_at=extinct_at[s],
         truncated_at=None if extinct_at[s] is not None else t_max,
-        grid=grid, grid_totals=totals[s, :-1], events=events[s],
+        grid_totals=totals[s, :-1], events=events[s],
         event_count=moves[s], null_events=nulls[s])
         for s, i in enumerate(runs)]
 
@@ -749,7 +741,6 @@ def run_ensemble(cfg: SimConfig, g: LocalityGraph, runs: int,
     survival = (totals > 0).mean(axis=0)
 
     return EnsembleSummary(
-        time_grid=grid,
         mean_total=mean,
         lower95=lower,
         upper95=upper,

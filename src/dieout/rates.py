@@ -123,12 +123,6 @@ class RateProfile:
         """Smallest n >= n0 with value(n) == 0, or None."""
         raise NotImplementedError
 
-    def spec_string(self) -> str:
-        raise NotImplementedError
-
-    def __str__(self) -> str:
-        return self.spec_string()
-
 
 @dataclass(frozen=True)
 class Constant(RateProfile):
@@ -151,9 +145,6 @@ class Constant(RateProfile):
 
     def first_zero_at_or_after(self, n0):
         return max(1, int(n0)) if self.c == 0 else None
-
-    def spec_string(self):
-        return f"const:{self.c}"
 
 
 @dataclass(frozen=True)
@@ -191,9 +182,6 @@ class Step(RateProfile):
             return max(n0, self.n_switch + 1)
         return None
 
-    def spec_string(self):
-        return f"step:{self.high},{self.low},{self.n_switch}"
-
 
 @dataclass(frozen=True)
 class Harmonic(RateProfile):
@@ -218,9 +206,6 @@ class Harmonic(RateProfile):
 
     def first_zero_at_or_after(self, n0):
         return max(1, int(n0)) if self.k == 0 else None
-
-    def spec_string(self):
-        return f"harmonic:{self.k}"
 
 
 @dataclass(frozen=True)
@@ -251,9 +236,6 @@ class LogOverN(RateProfile):
 
     def first_zero_at_or_after(self, n0):
         return max(1, int(n0)) if self.k == 0 else None
-
-    def spec_string(self):
-        return f"logn:{self.k}"
 
 
 @dataclass(frozen=True)
@@ -290,22 +272,15 @@ class Table(RateProfile):
         return self.tail
 
     def first_zero_at_or_after(self, n0):
-        n0 = max(1, int(n0))
-        zero_rows = sorted(n for n, v in self.entries if v == 0 and n >= n0)
+        n = max(1, int(n0))
         if self.tail == 0:
-            # First unlisted n >= n0 evaluates to the zero tail.
+            # a scan ends at the first listed zero or unlisted n
             values = dict(self.entries)
-            cand = n0
-            while values.get(cand, 0) != 0:
-                cand += 1
-            if zero_rows:
-                cand = min(cand, zero_rows[0])
-            return cand
-        return zero_rows[0] if zero_rows else None
-
-    def spec_string(self):
-        rows = ";".join(f"{n}={v}" for n, v in self.entries)
-        return f"table:[{rows}],tail={self.tail}"
+            while values.get(n, 0) != 0:
+                n += 1
+            return n
+        # rows are in increasing n
+        return next((m for m, v in self.entries if v == 0 and m >= n), None)
 
 
 @dataclass(frozen=True)
@@ -335,9 +310,6 @@ class Scaled(RateProfile):
         if self.coeff == 0:
             return max(1, int(n0))
         return self.base.first_zero_at_or_after(n0)
-
-    def spec_string(self):
-        return f"{self.coeff}*({self.base.spec_string()})"
 
 
 @dataclass(frozen=True)
@@ -377,9 +349,6 @@ class Combined(RateProfile):
                 return a
             n = b
 
-    def spec_string(self):
-        return f"({self.first.spec_string()})+({self.second.spec_string()})"
-
 
 def _check_table_row(last: int, n: int, value: Fraction) -> None:
     """Reject a row (n, value) that does not follow a row at ``last``
@@ -397,40 +366,45 @@ def parse_table_file(path, declared_tail: Fraction | None = None) -> Table:
 
     The footer is the last line with content, and its constant must be
     nonnegative.  A tail declared in the profile spec string overrides
-    the footer.  Every error in a line names ``path:line``.
+    the footer.  Every error in a line, a byte that is not UTF-8
+    included, names ``path:line``.
     """
+    from .graphs import file_lines, read_text  # graphs imports this module
+
+    def fault(lineno, reason):
+        return ProfileError(f"{path}:{lineno}: {reason}")
+
     entries: list[tuple[int, Fraction]] = []
     tail = declared_tail
     footer_at = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+    for lineno, raw in enumerate(file_lines(read_text(path, fault)), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            if footer_at is not None:
+                raise ProfileError(
+                    f"content after the tail= footer on line {footer_at}")
+            if line.startswith("tail="):
+                footer = parse_parameter(line[len("tail="):])
+                if footer < 0:
+                    raise ProfileError("tail constant must be nonnegative")
+                footer_at = lineno
+                if declared_tail is None:
+                    tail = footer
                 continue
+            fields = line.split()
+            if len(fields) != 2:
+                raise ProfileError(f"expected 'n value', got {raw!r}")
             try:
-                if footer_at is not None:
-                    raise ProfileError(
-                        f"content after the tail= footer on line {footer_at}")
-                if line.startswith("tail="):
-                    footer = parse_parameter(line[len("tail="):])
-                    if footer < 0:
-                        raise ProfileError("tail constant must be nonnegative")
-                    footer_at = lineno
-                    if declared_tail is None:
-                        tail = footer
-                    continue
-                fields = line.split()
-                if len(fields) != 2:
-                    raise ProfileError(f"expected 'n value', got {raw!r}")
-                try:
-                    n = int(fields[0])
-                except ValueError:
-                    raise ProfileError("n must be an integer") from None
-                value = parse_parameter(fields[1])
-                _check_table_row(entries[-1][0] if entries else 0, n, value)
-            except ProfileError as exc:
-                raise ProfileError(f"{path}:{lineno}: {exc}") from None
-            entries.append((n, value))
+                n = int(fields[0])
+            except ValueError:
+                raise ProfileError("n must be an integer") from None
+            value = parse_parameter(fields[1])
+            _check_table_row(entries[-1][0] if entries else 0, n, value)
+        except ProfileError as exc:
+            raise fault(lineno, exc) from None
+        entries.append((n, value))
     if tail is None:
         raise ProfileError(
             f"table {path} declares no tail constant; the asymptotic limit "

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dieout import chains
 from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
@@ -16,7 +17,8 @@ from dieout.rates import (EXACT, FLOAT, Combined, Constant, ExactnessError,
                           LogOverN, ProfileError, Scaled, Step, Table,
                           parse_profile)
 
-from dieout.gillespie import SimConfig, simulate_run
+from dieout.gillespie import (SimConfig, _EventTables, run_ensemble,
+                              simulate_run)
 from dieout.graphs import DiagonalModulation, EpidemicModel, LocalityGraph
 
 from conftest import random_strong_digraph
@@ -290,6 +292,57 @@ class TestGraphChains:
                 counts[node] += delta_count
                 events += 1
         assert events >= 100
+
+    @staticmethod
+    def blocked_ensemble(spread: float, modulated: bool, seed: int = 24):
+        """Extinction times of 400 runs on a 2,100-node digraph, past the
+        dense limit so the blocked event tables run, with their
+        bracketing chains.  Each node presses on 4 random others with
+        equal weights summing to 1 +- ``spread``, so with ``spread = 0``
+        every column of W sums to exactly 1 while the row sums vary; a
+        modulation draws D from [0.8, 1.2].  The 50 initial cases sit on
+        50 random nodes."""
+        n = 2100
+        rng = np.random.default_rng(seed)
+        targets = [rng.choice(np.delete(np.arange(n), v), 4, replace=False)
+                   for v in range(n)]
+        weights = rng.uniform(1 - spread, 1 + spread, n) / 4
+        w = sp.csr_matrix((np.repeat(weights, 4),
+                           (np.concatenate(targets), np.repeat(range(n), 4))),
+                          shape=(n, n))
+        g = LocalityGraph(tuple(f"v{i}" for i in range(n)), w)
+        d = DiagonalModulation(rng.uniform(0.8, 1.2, n)) if modulated else None
+        model = EpidemicModel(parse_profile("harmonic:4"),
+                              parse_profile("const:1/2"), "2", d)
+        assert _EventTables.of(g, model).blocked
+        initial = np.zeros(n, dtype=np.int64)
+        initial[rng.choice(n, 50, replace=False)] = 1
+        cfg = SimConfig(model, t_max=1000.0, n0=50, master_seed=seed,
+                        initial=initial)
+        times = run_ensemble(cfg, g, 400, np.array([0.0])).extinction_times
+        assert times.size == 400
+        upper, lower = bound_chains_from_graph(g, model)
+        return times, upper, lower
+
+    def test_simulated_mean_matches_the_exact_chain_on_a_blocked_digraph(
+            self):
+        # every column sums to 1 and D = I: the total is exactly the
+        # chain gamma(n) = 4/n + 1/2, and T_50 = 5.6744
+        times, upper, lower = self.blocked_ensemble(0.0, modulated=False)
+        assert upper == lower
+        t50 = float(hitting_table(upper, 50, BF256).T[49])
+        assert t50 == pytest.approx(5.6744, abs=1e-4)
+        se = times.std(ddof=1) / math.sqrt(times.size)
+        assert abs(times.mean() - t50) < 3 * se, (times.mean(), t50, se)
+
+    def test_simulated_mean_lies_in_the_chain_bracket_on_a_modulated_digraph(
+            self):
+        # column sums over [0.5, 1.5] and D over [0.8, 1.2]
+        times, upper, lower = self.blocked_ensemble(0.5, modulated=True)
+        t_lower = float(hitting_table(lower, 50, BF256).T[49])
+        t_upper = float(hitting_table(upper, 50, BF256).T[49])
+        assert t_lower < times.mean() < t_upper, (t_lower, times.mean(),
+                                                  t_upper)
 
     def test_chain_coefficients_on_hub_graph(self):
         # five-node hub that exerts pressure on every leaf and receives

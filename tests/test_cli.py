@@ -252,6 +252,23 @@ class TestClassify:
         assert by_method["decoupled_weyl"]["regime"] == "fast_extinction"
         assert (tmp_path / "out" / "classify.json").exists()
 
+    def test_graph_not_strongly_connected_warns_and_succeeds(self, tmp_path,
+                                                             capsys):
+        # nothing receives pressure from c
+        graph = tmp_path / "g.edges"
+        graph.write_text("a b 1\nb a 1\nc a 1\n", encoding="utf-8")
+        cfg = write_config(tmp_path, SIM_BODY.format(
+            graph=graph, delta="6.6", out=tmp_path / "out"))
+        assert main(["classify", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: graph is not strongly connected; spectral positivity "
+            "guarantees do not apply\n")
+        records = json.loads(
+            (tmp_path / "out" / "classify.json").read_text(encoding="utf-8"))
+        assert records == json.loads(captured.out)
+        assert [r["strongly_connected"] for r in records] == [False] * 3
+
     def test_nan_spectral_tol_fails_before_any_iteration(self, tmp_path,
                                                           capsys):
         # a NaN tolerance used to stop the power iteration at once and
@@ -1337,6 +1354,9 @@ directory = {tmp_path / 'out'}
         ("b 5\na 1\nb 2\n", 3, "duplicate label"),
         ("b 5\na -2\n", 2, "bad value '-2': initial counts must be "
                            "nonnegative"),
+        # used to crash with an OverflowError traceback
+        ("b 5\na 99999999999999999999\n", 2,
+         "bad value '99999999999999999999': initial count exceeds 2^63 - 1"),
     ])
     def test_bad_initial_file_fails_with_location(self, tmp_path, capsys,
                                                   text, line, message):
@@ -1361,6 +1381,20 @@ directory = {tmp_path / 'out'}
         assert main(["simulate", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert f"{init}: initial counts sum to 0" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_initial_counts_summing_past_int64_fail(self, tmp_path, capsys):
+        # the int64 total used to wrap and fail as "n0 must be at least 1"
+        init = tmp_path / "init.txt"
+        init.write_text(f"a {2 ** 63 - 1}\nb 1\n")
+        body = SIM_BODY.format(graph=small_graph_file(tmp_path), delta="8.5",
+                               out=tmp_path / "out")
+        body = body.replace("n0 = 10", "initial_file = init.txt")
+        cfg = write_config(tmp_path, body)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {init}: initial counts sum to {2 ** 63}, above "
+            "2^63 - 1\n")
         assert not (tmp_path / "out").exists()
 
     def test_asymptote_explicit_states(self, tmp_path):

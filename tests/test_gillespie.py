@@ -507,6 +507,58 @@ class TestLockstepBatch:
         assert [t.run_index for t in got] == list(range(self.RUNS))
 
 
+class TestNullEvents:
+    """A draw that lands on the rounding residue of a cached total whose
+    vector holds no positive entry changes nothing; the loop iteration
+    still counts toward the refresh cadence, in both simulators."""
+
+    @pytest.mark.parametrize("refresh_every, nulls", [(3, 1), (8192, 2)])
+    def test_null_events_count_toward_the_refresh(self, monkeypatch,
+                                                  refresh_every, nulls):
+        # s1 and s2 press on r1 and r2 only.  The scripted first draws
+        # cure s1, then s2, which leaves the cached sum(W X) at
+        # 0.1 + 0.2 - 0.1 - 0.2 = 5.55e-17 while every entry of W X is
+        # 0: each uniform 0 then picks from an empty vector, until the
+        # refresh at iteration 3 (the null event counted) clears the
+        # residue and the next uniform 0 cures r1
+        w = np.zeros((4, 4))
+        w[2, 0], w[3, 1] = 0.1, 0.2
+        g = LocalityGraph(("s1", "s2", "r1", "r2"), w)
+        cfg = make_cfg(beta=parse_profile("const:1"), n0=3,
+                       initial=np.array([1, 1, 1, 0]), record_events=True)
+        grid = np.linspace(0.0, 1.0, 11)
+        monkeypatch.setattr(gillespie, "_REFRESH_EVERY", refresh_every)
+        # generators whose first block is still to be drawn; held, not
+        # keyed by id(), since ids are reused
+        pending = []
+        draw_block = gillespie._draw_block
+
+        def tracked_rng(master_seed, run_index):
+            rng = run_rng(master_seed, run_index)
+            pending.append(rng)
+            return rng
+
+        def scripted(rng, exps, unis):
+            draw_block(rng, exps, unis)
+            if any(rng is p for p in pending):
+                pending.remove(rng)
+                exps[:] = 0.01
+                unis[:4] = 0.2, 0.2, 0.0, 0.0
+
+        monkeypatch.setattr(gillespie, "run_rng", tracked_rng)
+        monkeypatch.setattr(gillespie, "_draw_block", scripted)
+        alone = [simulate_run(cfg, g, i, grid) for i in range(4)]
+        batch = gillespie._simulate_batch(
+            cfg, _EventTables.of(g, cfg.model), range(4), grid)
+        assert not pending
+        for a, b in zip(alone, batch):
+            assert a.null_events == b.null_events == nulls
+            assert [e[1:] for e in a.events] == [(0, -1), (1, -1), (2, -1)]
+            assert a.grid_totals.tolist() == b.grid_totals.tolist()
+            assert (a.events, a.event_count, a.extinct_at) == (
+                b.events, b.event_count, b.extinct_at)
+
+
 class TestEnsemble:
     def test_minimum_runs_enforced(self, k3):
         with pytest.raises(ValueError, match="40"):

@@ -356,6 +356,41 @@ class TestGammaFromGraph:
         assert gamma.first_zero_at_or_after(1) == 11
         assert gamma.first_zero_at_or_after(15) == 15
 
+    @staticmethod
+    def table(zeros, last, tail):
+        """Rows 1..last, zero at ``zeros`` and 1 elsewhere, then ``tail``."""
+        return Table(tuple((n, Fraction(0 if n in zeros else 1))
+                           for n in range(1, last + 1)), Fraction(tail))
+
+    @staticmethod
+    def first_zero_by_scan(profile, n0, top=40):
+        value = profile.evaluator(EXACT)
+        return next((n for n in range(n0, top) if value(n) == 0), None)
+
+    @pytest.mark.parametrize("zeros, last, tail", [
+        ((), 5, 0), ((2, 4), 6, 0), ((3,), 3, 0), ((1, 2, 3), 3, 0),
+        ((), 5, 1), ((2, 4), 6, 1)])
+    def test_table_zero_search_matches_a_scan(self, zeros, last, tail):
+        # a zero tail with and without listed zeros, and a nonzero tail
+        p = self.table(zeros, last, tail)
+        for n0 in range(1, last + 3):
+            assert p.first_zero_at_or_after(n0) == self.first_zero_by_scan(
+                p, n0)
+
+    @pytest.mark.parametrize("first, second, want", [
+        (((2, 6, 9), 10, 1), ((3, 7, 9), 10, 1), 9),
+        (((2, 6), 10, 1), ((3, 7), 10, 1), None),
+        (((2, 6), 8, 0), ((3, 7, 10), 12, 0), 10),
+        (((4,), 5, 0), ((3, 6), 7, 1), 6)])
+    def test_combined_zero_search_over_interleaved_zeros(self, first, second,
+                                                         want):
+        # the parts vanish at interleaved n, so the search alternates
+        p = Combined(self.table(*first), self.table(*second))
+        assert p.first_zero_at_or_after(1) == want
+        for n0 in range(1, 15):
+            assert p.first_zero_at_or_after(n0) == self.first_zero_by_scan(
+                p, n0)
+
     def test_scaled_by_zero_is_zero(self):
         p = Scaled(Fraction(0), Harmonic(Fraction(5)))
         assert p.first_zero_at_or_after(3) == 3

@@ -306,6 +306,32 @@ def test_bytes_that_are_not_utf8_name_the_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {graph_error}\n"
 
 
+def test_profile_tables_and_configs_not_utf8_name_the_file_and_line(
+        tmp_path, capsys):
+    """A table profile file and the experiment file itself name the
+    line of their first byte that is not UTF-8, like the other readers;
+    they used to fail with the bare codec error."""
+    table = tmp_path / "g.table"
+    table.write_bytes(b"1 0.5\r\n2 0.\xe9\ntail=0\n")
+    cfg = tmp_path / "g.ini"
+    cfg.write_text("[dynamics]\ndelta = 1\n\n[hitting]\ngamma = table:g.table"
+                   "\nn_max = 5\n")
+    assert main(["hitting", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {table}:2: byte 0xe9 at position 5 is not UTF-8 "
+        "(unexpected end of data)\n")
+    cfg.write_bytes(b"[dynamics]\r\n# d\xe9lta\ndelta = 1\n")
+    assert main(["hitting", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: byte 0xe9 at position 4 is not UTF-8 (invalid "
+        "continuation byte)\n")
+    # configparser's own messages still name the file
+    cfg.write_text("[dynamics]\ndelta = 1\ndelta = 2\n")
+    with pytest.raises(ConfigError, match=f"cannot parse {cfg}: .*"
+                                          f"'{cfg}' \\[line  3\\]"):
+        load_config(cfg)
+
+
 def test_edge_list_file_parse_peaks_below_six_times_the_file(tmp_path):
     """The traced peak of loading a seeded 20,000-node, 140k-edge list
     stays below 6 times the file's size: only one chunk's field strings
