@@ -43,6 +43,11 @@ The pass runs in Python integers in one of two arithmetics:
   certified when truncation plus rounding bound is within the
   tolerance; the rounding bound alone stays below 2**-bits relative.
 
+In both, gamma(j) comes from the profile's own evaluator as a plain
+int triple (p, q, g) meaning p / (q 2**g): no object per row, and the
+2**G scale of a table logarithm stays a shift rather than a factor of
+a divisor.
+
 Every entry point reads the one :class:`HittingTable` that pass
 builds.  It keeps the kernel's integers over that one denominator, so
 T_n's numerator is a running sum of S's, taken where it is read; the
@@ -297,27 +302,29 @@ def _plan_truncation(spec: BirthDeathSpec, n_hi: int,
     return ratio_based
 
 
-class _Ratio:
-    """p/q left unreduced: a profile builds each value from a few exact
-    parameters, so the integers stay small without any gcd work."""
-
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: int, q: int):
-        self.p, self.q = p, q
-
-    def __add__(self, other):
-        return _Ratio(self.p * other.q + other.p * self.q, self.q * other.q)
-
-    def __mul__(self, other):
-        return _Ratio(self.p * other.p, self.q * other.q)
-
-    def __truediv__(self, n: int):
-        return _Ratio(self.p, self.q * n)
+def _triple(x: Fraction) -> tuple[int, int, int]:
+    return x.numerator, x.denominator, 0
 
 
-def _ratio(x: Fraction) -> _Ratio:
-    return _Ratio(x.numerator, x.denominator)
+def _add(x, y):
+    (p, q, g), (pp, qq, gg) = (x, y) if x[2] >= y[2] else (y, x)
+    return p * qq + (pp * q << g - gg), q * qq, g
+
+
+def _mul(x, y):
+    return x[0] * y[0], x[1] * y[1], x[2] + y[2]
+
+
+def _div(x, n):
+    return x[0], x[1] * n, x[2]
+
+
+def _kernel_arithmetic(log) -> Arithmetic:
+    """Profile values as plain int triples (p, q, g), meaning
+    p / (q 2**g), left unreduced: a profile builds each value from a few
+    exact parameters, so p and q stay small without any gcd work, and
+    the 2**G scale of ``log``'s logarithms stays a shift count g."""
+    return Arithmetic(_triple, log, _add, _mul, _div)
 
 
 def _smallest_prime_factors(lo: int, hi: int, primes) -> list:
@@ -353,9 +360,10 @@ class _LogTable:
       3ab - 3a - 3b + 4 = 3 (a - 1)(b - 1) + 1 > 0.
 
     Only the odd primes (about 1 in 13 entries at top = 1e6) take a
-    series.  Serving n returns (L[n + 1] - err) / 2**bits with
-    err = 3 (n + 1) >= err(n + 1), a lower bound on ln(1 + n) at most
-    2 err units below it, and leaves ``err`` set for the caller.
+    series.  Serving n returns the kernel triple (L[n + 1] - err, 1,
+    bits), i.e. (L[n + 1] - err) / 2**bits, with
+    err = 3 (n + 1) >= err(n + 1): a lower bound on ln(1 + n) at most
+    2 err units below it.  It leaves ``err`` set for the caller.
     Entries above n + 1 are dropped once the pass has moved below them,
     so the table shrinks while the pass's rows grow.
     """
@@ -385,15 +393,15 @@ class _LogTable:
                 for i in range(last - 1, -1, -1):
                     acc = acc // q2 + coeffs[i]
                 append(L[-1] + acc // q)
-        self._L, self._unit, self.bits, self.err = L, 1 << bits, bits, 0
+        self._L, self.bits, self.err = L, bits, 0
 
-    def __call__(self, n: int) -> _Ratio:
+    def __call__(self, n: int) -> tuple[int, int, int]:
         L = self._L
         if n + 2 > len(L):
             raise ValueError("logarithms are served for decreasing n only")
         del L[n + 2:]
         self.err = 3 * (n + 1)
-        return _Ratio(L[n + 1] - self.err, self._unit)
+        return L[n + 1] - self.err, 1, self.bits
 
 
 def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
@@ -410,6 +418,13 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     at most eta = 2 err / L <= err * 2**(2-G) relative below the true
     one.  That keeps s_j below 2**F S_j and adds
     ceil(eta (q s_{j+1} + q e_{j+1})) to e_j.
+
+    gamma(j) comes from the profile's evaluator as an int triple
+    (p, q, g) meaning p / (q 2**g), and q_j = qn / (qd 2**g) with
+    qn = p dd, qd = q dn for delta = dn/dd.  Every product with q_j is
+    taken as floor((qn x >> g) / qd), which equals floor(qn x /
+    (qd 2**g)) for any integer x, so the power of two of a logarithm
+    stays a shift and each division is by a small qd.
 
     P_j = prod_{i=j}^{M} q_i is carried as a 64-bit mantissa and a
     binary exponent, rounded up at every step (the added unit also
@@ -433,49 +448,53 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     certified = [False] * n_hi
     log = (None if spec.gamma.is_rational
            else _LogTable(M, F + 2 * M.bit_length() + _GUARD))
-    gamma = spec.gamma.evaluator(Arithmetic(_ratio, log))
+    gamma = spec.gamma.evaluator(_kernel_arithmetic(log))
+    log_shift = None if log is None else log.bits - 2
     if geom is not None:
         gn, gd = geom.numerator, geom.denominator
+        gd_bits = gd.bit_length()
     helpable = False
     worst_b, worst_v = -1, 1  # the largest bound / value so far
     s = e = 0
     pm, pe = 1 << 63, -63  # P_{M+1} = 1
     for j in range(M, 0, -1):
-        g = gamma(j)
-        qn, qd = g.p * dd, g.q * dn
-        u = qn * s // qd
-        c = -(-qn * e // qd)
+        p, q, g = gamma(j)
+        qn, qd = p * dd, q * dn
+        u = (qn * s >> g) // qd
+        c = -((-qn * e >> g) // qd)
         s = unit // (j * dn) + u
         e = 2 + c
         if log is not None:
-            e += ((log.err * (u + 1 + c)) >> (log.bits - 2)) + 1
+            e += ((log.err * (u + 1 + c)) >> log_shift) + 1
         if pm:
-            pm = -(-pm * qn // qd)
+            pm = -((-pm * qn >> g) // qd)
             if pm:
                 shift = pm.bit_length() - 64
                 pm = (-(-pm >> shift) if shift > 0 else pm << -shift) + 1
                 pe += shift
         if j <= n_hi:
-            values[j - 1] = s
+            i = j - 1
+            values[i] = s
             limit = tn * s
+            ok = False
             if not pm or geom is not None:
                 if not pm:
                     tail = 0  # a vanished gamma truncates exactly
                 else:
                     # ceil(P_j * geom * 2**F), 1 when below one unit
                     x, shift = pm * gn, pe + F
-                    if x.bit_length() + shift < gd.bit_length():
+                    if x.bit_length() + shift < gd_bits:
                         tail = 1
                     elif shift >= 0:
                         tail = -(-(x << shift) // gd)
                     else:
                         tail = -(-x // (gd << -shift))
-                b = bounds[j - 1] = e + tail
-                certified[j - 1] = b * td <= limit
+                b = bounds[i] = e + tail
+                ok = certified[i] = b * td <= limit
                 if b * worst_v > worst_b * s:
                     worst_b, worst_v = b, s
             # more terms cannot help a row whose rounding alone is too big
-            if not certified[j - 1] and e * td <= limit:
+            if not (ok or helpable) and e * td <= limit:
                 helpable = True
     return (values, bounds, 1 << F, certified, helpable,
             None if worst_b < 0 else worst_b / worst_v)
@@ -485,7 +504,10 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
                 geom: Fraction | None, tol: tuple[int, int]):
     """The backward pass in exact integers over one denominator Q_1.
 
-    With delta = dn/dd, q_j = gamma(j)/delta = qn/qd left unreduced,
+    With delta = dn/dd, q_j = gamma(j)/delta = qn/qd left unreduced
+    (gamma(j) comes from the profile's evaluator as the int triple
+    (p, q, 0), so qn = p dd and qd = q dn; a rational profile reads no
+    logarithm, so its power of two g is 0),
     L_j = lcm(j dn, qd) and geom = gn/gd (1/1 without a tail bound), a
     first loop forms Q_1 = gd prod_{j=1}^{M} L_j.  Row j holds
     S_j = N_j / Q_1 and its tail bound P_j geom = R_j / Q_1, from
@@ -512,8 +534,8 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
     """
     delta = spec.delta
     dn, dd = delta.numerator, delta.denominator
-    gamma = spec.gamma.evaluator(Arithmetic(_ratio, None))
-    q = [(g.p * dd, g.q * dn) for g in map(gamma, range(1, M + 1))]
+    gamma = spec.gamma.evaluator(_kernel_arithmetic(None))
+    q = [(a * dd, b * dn) for a, b, _ in map(gamma, range(1, M + 1))]
     gn, gd = (1, 1) if geom is None else (geom.numerator, geom.denominator)
     den = gd * math.prod(math.lcm(j * dn, qd)
                          for j, (_, qd) in enumerate(q, 1))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
@@ -18,7 +19,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .chains import BIGFLOAT, RATIONAL
+from .chains import BIGFLOAT, RATIONAL, PrecisionConfig
 from .gillespie import MIN_RUNS, TRIM_FRACTION
 from .graphs import (DiagonalModulation, LocalityGraph, file_lines,
                      load_edge_list_file, normalize_mean_column_weight,
@@ -179,9 +180,26 @@ _PRECISION_RANGES = (
     ("rel_tol", lambda s: s.rel_tol > 0, "must be positive"),
 )
 
-#: Section name -> (key, test on the section, error text) for the
-#: values a command would otherwise reject deep inside the library,
-#: under a name the file does not use, or only after loading a graph.
+
+def _printable_bits() -> int | None:
+    """The largest big-float ``bits`` whose ``hitting.csv`` cells can be
+    printed, None without a cap: a cell's digits are one integer of
+    ``decimal_digits`` digits, and Python converts no integer longer
+    than ``sys.get_int_max_str_digits()`` digits to text (0: no limit).
+    ``asymptote`` prints no decimals, so its ``bits`` have no cap."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        return None
+    bits = math.ceil(limit / math.log10(2))
+    while PrecisionConfig(bits=bits).decimal_digits > limit:
+        bits -= 1
+    return bits
+
+
+#: Section name -> (key, test on the section, error text or a function
+#: that makes it) for the values a command would otherwise reject deep
+#: inside the library, under a name the file does not use, only after
+#: loading a graph, or only after its whole kernel pass.
 _RANGES = {
     "simulation": (
         ("runs", lambda s: s.runs >= MIN_RUNS,
@@ -194,6 +212,11 @@ _RANGES = {
         ("t_max", lambda s: s.t_max > 0, "must be positive"),
     ),
     "hitting": _PRECISION_RANGES + (
+        ("bits", lambda s: (s.mode == RATIONAL or _printable_bits() is None
+                            or s.bits <= _printable_bits()),
+         lambda: f"is above {_printable_bits()}, the most whose decimals "
+         f"can be printed (sys.get_int_max_str_digits() is "
+         f"{sys.get_int_max_str_digits()})"),
         ("n_max", lambda s: s.n_max >= 1, "must be positive"),
         ("max_terms", lambda s: s.max_terms >= 1, "must be positive"),),
     "asymptote": _PRECISION_RANGES + (
@@ -222,6 +245,8 @@ def _check_ranges(name: str, section) -> None:
             value = getattr(section, key)
             if isinstance(value, tuple):
                 value = " ".join(map(str, value))
+            if callable(problem):
+                problem = problem()
             raise ConfigError(f"[{name}] {key} = {value!r} {problem}")
 
 

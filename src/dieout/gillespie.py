@@ -57,6 +57,11 @@ DENSE_NODE_LIMIT = 2048
 # many, whether simulated alone or in a batch.
 _DRAW_BLOCK = 64
 
+# The lockstep batch tabulates beta and beta_int over its live totals
+# widened by this many states each way, every _RATE_MARGIN steps: a
+# total moves by at most 1 a step.
+_RATE_MARGIN = 1024
+
 # A lockstep batch holds at most this many runs x nodes entries per
 # cached vector, which bounds its memory on large dense graphs.
 _BATCH_ENTRIES = 1 << 19
@@ -454,22 +459,37 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
 
 
 class _RateTable:
-    """beta(n) and beta_int(n) as float arrays indexed by n, extended on
-    demand (entry 0 is a placeholder: a live run has n >= 1)."""
+    """beta(n) and beta_int(n) as float arrays over a window of n,
+    ``beta[n - lo]``, moved on demand to the totals a batch can reach;
+    whatever the window, each value comes from the profile's evaluator,
+    and values the old window shares with the new one are kept."""
 
     def __init__(self, model: EpidemicModel):
         self._fns = (model.beta.evaluator(FLOAT),
                      model.beta_int.evaluator(FLOAT))
-        self.beta = self.beta_int = np.zeros(1)
+        self.lo = 1
+        self.beta = self.beta_int = np.zeros(0)
 
-    def cover(self, top: int) -> None:
-        """Make n = top readable."""
-        size = self.beta.size
-        if top >= size:
-            more = range(size, max(2 * size, top + 1))
-            self.beta, self.beta_int = (
-                np.concatenate((old, [fn(m) for m in more]))
-                for old, fn in zip((self.beta, self.beta_int), self._fns))
+    def cover(self, low: int, high: int) -> None:
+        """Make n = low..high readable (1 <= low <= high)."""
+        lo, hi = self.lo, self.lo + self.beta.size
+        if lo <= low and high < hi:
+            return
+        # [a, b): the entries the two windows share, if any
+        a = min(max(low, lo), high + 1)
+        b = max(min(high + 1, hi), a)
+
+        def moved(old, fn):
+            new = np.empty(high + 1 - low)
+            new[:a - low] = [fn(m) for m in range(low, a)]
+            new[a - low:b - low] = old[a - lo:b - lo]
+            new[b - low:] = [fn(m) for m in range(b, high + 1)]
+            return new
+
+        self.lo = low
+        self.beta, self.beta_int = (
+            moved(old, fn)
+            for old, fn in zip((self.beta, self.beta_int), self._fns))
 
 
 def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
@@ -520,6 +540,7 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
     # 0 and b(n), b(n) sum(W X) and bi(n), birth total and delta
     lows, scales = np.zeros((3, size)), np.full((3, size), delta)
     rows = np.arange(size)
+    rate_rows = np.empty(size, dtype=np.int64)  # n - rates.lo, by row
 
     # per-run results, indexed by slot; each step writes the current
     # total at a run's next grid index, where the step that passes the
@@ -532,7 +553,6 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
     log: list | None = [] if cfg.record_events else None
 
     live, step = size, 0
-    n_bound = int(n.max())  # >= every live total: n grows by <= 1 a step
     while live:
         here, at = slot[:live], rows[:live]
         k = step % _DRAW_BLOCK
@@ -544,13 +564,14 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
                 pressure[r] = weights @ counts[r]
                 sums[r] = pressure[r].sum(), (d * counts[r]).sum()
         cur = n[:live]
-        if n_bound >= rates.beta.size:
-            n_bound = int(cur.max())
-            rates.cover(n_bound)
+        if step % _RATE_MARGIN == 0:
+            rates.cover(max(1, int(cur.min()) - _RATE_MARGIN),
+                        int(cur.max()) + _RATE_MARGIN)
         b, bi = scales[0, :live], scales[1, :live]
         pressure_rate, birth_total = lows[1, :live], lows[2, :live]
-        np.take(rates.beta, cur, out=b)
-        np.take(rates.beta_int, cur, out=bi)
+        at_rate = np.subtract(cur, rates.lo, out=rate_rows[:live])
+        np.take(rates.beta, at_rate, out=b)
+        np.take(rates.beta_int, at_rate, out=bi)
         np.multiply(b, sums[:live, 0], out=pressure_rate)
         np.multiply(bi, sums[:live, 1], out=birth_total)
         birth_total += pressure_rate
@@ -606,7 +627,6 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
             live = _compact(done, (pressure, counts, exps, unis, slot, n, t,
                                    gi, sums))
         step += 1
-        n_bound += 1
 
     column = np.arange(totals.shape[1])
     for row in totals:

@@ -11,15 +11,17 @@ Profiles evaluate in any :class:`Arithmetic`.  Two are defined here:
 * ``FLOAT``  machine floats, for the stochastic simulator;
 * ``EXACT``  ``Fraction``.
 
-The certified kernel in ``chains`` brings its own (unreduced integer
-ratios), and the test oracles bring mpmath floats.
+The certified kernel in ``chains`` brings its own (plain integer
+triples (p, q, g) meaning p / (q 2**g), added, multiplied and divided
+by small tuple functions), and the test oracles bring mpmath floats.
 
 Each family states its values once, as an evaluator over an
 :class:`Arithmetic` (how an exact parameter and ``log1p`` enter the
-number type), and its tail suprema once.  These are the only two
-entry points: ``evaluator(ar)`` returns an unchecked n -> value
-function, built once per loop, and ``sup(n0, ar)`` an upper bound on
-the values over n >= n0.
+number type, and how two numbers add and multiply and one divides by
+n), and its tail suprema once.  These are the only two entry points:
+``evaluator(ar)`` returns an unchecked n -> value function, built once
+per loop, and ``sup(n0, ar)`` an upper bound on the values over
+n >= n0.
 
 Parameters are parsed exactly from decimal (or p/q) strings, so the
 exact arithmetic carries no representation error.
@@ -28,6 +30,7 @@ exact arithmetic carries no representation error.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -77,11 +80,17 @@ class Arithmetic:
     """A number type that profiles evaluate in.
 
     ``num`` embeds an exact parameter (a Fraction) and ``log1p(n)`` is
-    ln(1 + n) for an integer n; every other step is plain ``+ * /``.
+    ln(1 + n) for an integer n.  ``add(x, y)``, ``mul(x, y)`` and
+    ``div(x, n)`` (n a positive integer) are every other step; they
+    default to the operators, so a number type that has ``+ * /``
+    needs none of them.
     """
 
     num: Callable[[Fraction], object]
     log1p: Callable[[int], object]
+    add: Callable[[object, object], object] = operator.add
+    mul: Callable[[object, object], object] = operator.mul
+    div: Callable[[object, int], object] = operator.truediv
 
 
 def _irrational(n):
@@ -194,8 +203,8 @@ class Harmonic(RateProfile):
             raise ProfileError("harmonic coefficient must be nonnegative")
 
     def evaluator(self, ar):
-        k = ar.num(self.k)
-        return lambda n: k / n
+        k, div = ar.num(self.k), ar.div
+        return lambda n: div(k, n)
 
     def sup(self, n0, ar):
         return self.evaluator(ar)(n0)  # k/n decreases
@@ -224,8 +233,8 @@ class LogOverN(RateProfile):
             raise ProfileError("coefficient must be nonnegative")
 
     def evaluator(self, ar):
-        k, log1p = ar.num(self.k), ar.log1p
-        return lambda n: k * log1p(n) / n
+        k, log1p, mul, div = ar.num(self.k), ar.log1p, ar.mul, ar.div
+        return lambda n: div(mul(k, log1p(n)), n)
 
     def sup(self, n0, ar):
         return self.evaluator(ar)(n0)  # ln(1+n)/n decreases on n >= 1
@@ -296,11 +305,11 @@ class Scaled(RateProfile):
         object.__setattr__(self, "is_rational", self.base.is_rational)
 
     def evaluator(self, ar):
-        d, f = ar.num(self.coeff), self.base.evaluator(ar)
-        return lambda n: d * f(n)
+        d, f, mul = ar.num(self.coeff), self.base.evaluator(ar), ar.mul
+        return lambda n: mul(d, f(n))
 
     def sup(self, n0, ar):
-        return ar.num(self.coeff) * self.base.sup(n0, ar)
+        return ar.mul(ar.num(self.coeff), self.base.sup(n0, ar))
 
     @property
     def limit_exact(self):
@@ -326,10 +335,11 @@ class Combined(RateProfile):
 
     def evaluator(self, ar):
         f, g = self.first.evaluator(ar), self.second.evaluator(ar)
-        return lambda n: f(n) + g(n)
+        add = ar.add
+        return lambda n: add(f(n), g(n))
 
     def sup(self, n0, ar):
-        return self.first.sup(n0, ar) + self.second.sup(n0, ar)
+        return ar.add(self.first.sup(n0, ar), self.second.sup(n0, ar))
 
     @property
     def limit_exact(self):

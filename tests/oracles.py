@@ -10,6 +10,11 @@ pass in plain Fraction arithmetic, which the integer pass must
 reproduce exactly; with ``truncate_at`` it is one pass from a fixed
 truncation index.  ``BackwardLog`` is the one-series-step-per-row
 logarithm the fixed-point kernel's ``logn`` table must agree with.
+``fixed_pass`` and ``exact_pass`` are the kernel's two backward passes
+as they were when profiles evaluated to ``_Ratio`` objects (each
+logarithm 2**-G scaled inside the denominator, so a ``logn`` row
+divided by a big number): the int-triple passes must reproduce them
+row for row.
 ``s_recursion_step`` (the forward hitting-time
 recursion) and ``stationary_distribution`` (the renewal route to
 E[T_1]) are independent routes to the certified kernel's values;
@@ -231,7 +236,8 @@ class BackwardLog:
     one series step per n: the reference for ``chains._LogTable``.
 
     Holds L ~ 2**bits * ln(1 + n) with |L - 2**bits ln(1 + n)| <= err
-    and serves (L - err) / 2**bits.  One mpmath logarithm seeds
+    and serves (L - err) / 2**bits as the kernel triple
+    (L - err, 1, bits).  One mpmath logarithm seeds
     n = top; each step down subtracts
     ln(n + 1) - ln(n) = 2 atanh(1/(2n + 1)), summed in integers by
     Horner's rule.  Every floor there loses under one unit, and the
@@ -248,7 +254,7 @@ class BackwardLog:
         self._coeffs = [(2 << bits) // (2 * i + 1)
                         for i in range(bits // 2 + 2)]
 
-    def __call__(self, n: int) -> chains._Ratio:
+    def __call__(self, n: int) -> tuple[int, int, int]:
         if n > self.n:
             raise ValueError("logarithms are served for decreasing n only")
         coeffs = self._coeffs
@@ -263,7 +269,189 @@ class BackwardLog:
             self.L -= acc // m
             self.err += 3
             self.n -= 1
-        return chains._Ratio(self.L - self.err, 1 << self.bits)
+        return self.L - self.err, 1, self.bits
+
+
+class _Ratio:
+    """p/q left unreduced: a profile builds each value from a few exact
+    parameters, so the integers stay small without any gcd work."""
+
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int):
+        self.p, self.q = p, q
+
+    def __add__(self, other):
+        return _Ratio(self.p * other.q + other.p * self.q, self.q * other.q)
+
+    def __mul__(self, other):
+        return _Ratio(self.p * other.p, self.q * other.q)
+
+    def __truediv__(self, n: int):
+        return _Ratio(self.p, self.q * n)
+
+
+def _ratio(x: Fraction) -> _Ratio:
+    return _Ratio(x.numerator, x.denominator)
+
+
+class _RatioLog:
+    """``chains._LogTable``'s logarithms as :class:`_Ratio` values, as
+    the table served them before it served int triples."""
+
+    def __init__(self, top: int, bits: int):
+        self._table = chains._LogTable(top, bits)
+        self.bits = bits
+
+    @property
+    def err(self) -> int:
+        return self._table.err
+
+    def __call__(self, n: int) -> _Ratio:
+        p, q, g = self._table(n)
+        return _Ratio(p, q << g)
+
+
+def fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
+               geom: Fraction | None, tol: tuple[int, int]):
+    """The backward pass in integers scaled by 2**F.
+
+    s_j = floor(2**F/(j delta)) + floor(q_j s_{j+1}) with q = gamma/delta
+    exact, so s_j never exceeds 2**F S_j and the loss is carried as
+    e_j = 2 + ceil(q_j e_{j+1}) units: each floor drops under one unit
+    and the error of s_{j+1} enters scaled by q_j.  For an irrational
+    gamma, ln(1 + j) enters as a lower bound from :class:`_LogTable`,
+    2 err = 6 (j + 1) units of 2**-G or less below it; every family is
+    affine in that logarithm with a nonnegative slope, so the q used is
+    at most eta = 2 err / L <= err * 2**(2-G) relative below the true
+    one.  That keeps s_j below 2**F S_j and adds
+    ceil(eta (q s_{j+1} + q e_{j+1})) to e_j.
+
+    P_j = prod_{i=j}^{M} q_i is carried as a 64-bit mantissa and a
+    binary exponent, rounded up at every step (the added unit also
+    covers eta <= 2**-64); it is exactly zero once gamma has vanished.
+
+    Each row is checked against tol as it is made, and rows and checks
+    come back as from :func:`exact_pass`: s_j, the bound e_j plus the
+    tail bound P_j * geom (None without a tail bound) and the one
+    denominator 2**F; a row is worth more terms only when its rounding
+    bound e_j alone meets the tolerance.
+    """
+    delta = spec.delta
+    F = bits + chains._GUARD + max(0, math.ceil(math.log2(delta * M)))
+    dn, dd = delta.numerator, delta.denominator
+    unit = (1 << F) * dd  # floor(unit / (j dn)) = floor(2**F / (j delta))
+    tn, td = tol
+    # the row lists come before the log table, which the pass frees as
+    # it goes: in the other order asymptote's peak RSS was 1 MB higher
+    values = [0] * n_hi
+    bounds = [None] * n_hi
+    certified = [False] * n_hi
+    log = (None if spec.gamma.is_rational
+           else _RatioLog(M, F + 2 * M.bit_length() + chains._GUARD))
+    gamma = spec.gamma.evaluator(Arithmetic(_ratio, log))
+    if geom is not None:
+        gn, gd = geom.numerator, geom.denominator
+    helpable = False
+    worst_b, worst_v = -1, 1  # the largest bound / value so far
+    s = e = 0
+    pm, pe = 1 << 63, -63  # P_{M+1} = 1
+    for j in range(M, 0, -1):
+        g = gamma(j)
+        qn, qd = g.p * dd, g.q * dn
+        u = qn * s // qd
+        c = -(-qn * e // qd)
+        s = unit // (j * dn) + u
+        e = 2 + c
+        if log is not None:
+            e += ((log.err * (u + 1 + c)) >> (log.bits - 2)) + 1
+        if pm:
+            pm = -(-pm * qn // qd)
+            if pm:
+                shift = pm.bit_length() - 64
+                pm = (-(-pm >> shift) if shift > 0 else pm << -shift) + 1
+                pe += shift
+        if j <= n_hi:
+            values[j - 1] = s
+            limit = tn * s
+            if not pm or geom is not None:
+                if not pm:
+                    tail = 0  # a vanished gamma truncates exactly
+                else:
+                    # ceil(P_j * geom * 2**F), 1 when below one unit
+                    x, shift = pm * gn, pe + F
+                    if x.bit_length() + shift < gd.bit_length():
+                        tail = 1
+                    elif shift >= 0:
+                        tail = -(-(x << shift) // gd)
+                    else:
+                        tail = -(-x // (gd << -shift))
+                b = bounds[j - 1] = e + tail
+                certified[j - 1] = b * td <= limit
+                if b * worst_v > worst_b * s:
+                    worst_b, worst_v = b, s
+            # more terms cannot help a row whose rounding alone is too big
+            if not certified[j - 1] and e * td <= limit:
+                helpable = True
+    return (values, bounds, 1 << F, certified, helpable,
+            None if worst_b < 0 else worst_b / worst_v)
+
+
+def exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
+               geom: Fraction | None, tol: tuple[int, int]):
+    """The backward pass in exact integers over one denominator Q_1.
+
+    With delta = dn/dd, q_j = gamma(j)/delta = qn/qd left unreduced,
+    L_j = lcm(j dn, qd) and geom = gn/gd (1/1 without a tail bound), a
+    first loop forms Q_1 = gd prod_{j=1}^{M} L_j.  Row j holds
+    S_j = N_j / Q_1 and its tail bound P_j geom = R_j / Q_1, from
+    N_{M+1} = 0 and R_{M+1} = gn Q_1 / gd:
+
+        N_j = (Q_1 dd) / (j dn) + qn (N_{j+1} / qd),
+        R_j = qn (R_{j+1} / qd).
+
+    Every division is exact: L_j divides Q_1, and with
+    Q_j = gd prod_{i>=j} L_i = L_j Q_{j+1}, S_j Q_j and P_j geom Q_j are
+    integers by induction, so N_{j+1} and R_{j+1} are multiples of
+    Q_1 / Q_{j+1} = prod_{i<=j} L_i, which qd divides.  Each step is one
+    big-by-small operation: no gcd and no product of two big numbers.
+    R_j is zero once gamma has vanished: the truncation is then exact.
+
+    Rows are checked as they are made against tol = (tn, td), i.e.
+    tn/td.  Returns (values, bounds, Q_1, certified, helpable, rel):
+    N_j, R_j (None without a tail bound, unless zero) and whether row j
+    is certified, at index j - 1 for j = 1..n_hi; whether more terms
+    could certify some row; and the largest R_j / N_j as a float (None
+    when no row has a bound): the max of each row's correctly rounded
+    quotient, which is the rounded max since rounding is monotone
+    (cross-multiplying Q_1-sized pairs would be big-by-big).
+    """
+    delta = spec.delta
+    dn, dd = delta.numerator, delta.denominator
+    gamma = spec.gamma.evaluator(Arithmetic(_ratio, None))
+    q = [(g.p * dd, g.q * dn) for g in map(gamma, range(1, M + 1))]
+    gn, gd = (1, 1) if geom is None else (geom.numerator, geom.denominator)
+    den = gd * math.prod(math.lcm(j * dn, qd)
+                         for j, (_, qd) in enumerate(q, 1))
+    unit = den * dd
+    tn, td = tol
+    values = [0] * n_hi
+    bounds = [None] * n_hi
+    certified = [False] * n_hi
+    rel = -1.0  # the largest bound / value so far
+    s, r = 0, gn * (den // gd)
+    for j in range(M, 0, -1):
+        qn, qd = q[j - 1]
+        s = unit // (j * dn) + qn * (s // qd)
+        r = qn * (r // qd)
+        if j <= n_hi:
+            values[j - 1] = s
+            if not r or geom is not None:
+                bounds[j - 1] = r
+                certified[j - 1] = r * td <= tn * s
+                rel = max(rel, r / s)
+    return (values, bounds, den, certified, not all(certified),
+            None if rel < 0 else rel)
 
 
 def s_recursion_step(spec: BirthDeathSpec, s_n, n: int,

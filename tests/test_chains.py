@@ -15,13 +15,14 @@ from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
                            _LogTable)
 from dieout.rates import (EXACT, FLOAT, Combined, Constant, ExactnessError,
                           LogOverN, ProfileError, Scaled, Step, Table,
-                          parse_profile)
+                          gamma_from_graph, parse_profile)
 
 from dieout.gillespie import (SimConfig, _EventTables, run_ensemble,
                               simulate_run)
 from dieout.graphs import DiagonalModulation, EpidemicModel, LocalityGraph
 
 from conftest import random_strong_digraph
+import oracles
 from oracles import (MPF, BackwardLog, EpidemicState, fraction_tail,
                      node_rates, positive_recurrence_check, s_recursion_step,
                      stationary_distribution)
@@ -624,6 +625,89 @@ class TestIntegerRationalPass:
         assert table.T[-1] == sum(want.values[1:])
         assert table.row_certified == tuple(want.certified[1:])
 
+def triple_pass_profiles():
+    """(id, gamma) over every family, Scaled, and the Combined of
+    gamma_from_graph with a logn beta, whose two logn terms each carry
+    the log table's 2**G."""
+    logn = parse_profile("logn:1.5")
+    table = Table(((1, Fraction(3, 4)), (2, Fraction(5, 6)),
+                   (3, Fraction(2, 9)), (7, Fraction(7, 10))), Fraction(1, 3))
+    return [
+        ("const", parse_profile("const:2/7")),
+        ("step", parse_profile("step:3,1/2,10")),
+        ("step-vanishing", parse_profile("step:3/2,0,12")),
+        ("harmonic", parse_profile("harmonic:5")),
+        ("logn", logn),
+        ("table", table),
+        ("scaled", Scaled(Fraction(2, 3), parse_profile("harmonic:9/2"))),
+        ("scaled-logn", Scaled(Fraction(5, 7), logn)),
+        ("graph-logn", gamma_from_graph(logn, parse_profile("logn:1/2"),
+                                        Fraction(3, 4))),
+        ("graph-logn-step", gamma_from_graph(
+            logn, parse_profile("step:1/5,1/9,12"), Fraction(3, 4)))]
+
+
+class TestTriplePassesMatchRatioPasses:
+    """The int-triple passes against the former _Ratio passes, kept in
+    the oracles verbatim: every integer of every row is the same."""
+
+    TOL = (1e-30).as_integer_ratio()
+
+    @staticmethod
+    def geom(spec, M):
+        r_ok, r = chains._ratio_bound(spec, M + 1)
+        assert r_ok
+        return 1 / ((1 - r) * spec.delta * (M + 1))
+
+    @pytest.mark.parametrize("name, gamma", triple_pass_profiles(),
+                             ids=[n for n, _ in triple_pass_profiles()])
+    @pytest.mark.parametrize("bits", [64, 256, 355])
+    @pytest.mark.parametrize("tail", [True, False], ids=["tail", "no-tail"])
+    def test_fixed_pass_rows(self, name, gamma, bits, tail):
+        spec = BirthDeathSpec(gamma, Fraction(3, 2))
+        for M in (45, 160):  # one short of certifying, one long enough
+            geom = self.geom(spec, M) if tail else None
+            got = chains._fixed_pass(spec, 40, M, bits, geom, self.TOL)
+            assert got == oracles.fixed_pass(spec, 40, M, bits, geom,
+                                             self.TOL)
+
+    @pytest.mark.parametrize("name, gamma", [
+        (n, g) for n, g in triple_pass_profiles() if g.is_rational],
+        ids=[n for n, g in triple_pass_profiles() if g.is_rational])
+    @pytest.mark.parametrize("tail", [True, False], ids=["tail", "no-tail"])
+    def test_exact_pass_rows(self, name, gamma, tail):
+        spec = BirthDeathSpec(gamma, Fraction(3, 2))
+        for M in (45, 160):
+            geom = self.geom(spec, M) if tail else None
+            got = chains._exact_pass(spec, 40, M, geom, self.TOL)
+            assert got == oracles.exact_pass(spec, 40, M, geom, self.TOL)
+
+    @pytest.mark.parametrize("text, precision", [
+        ("logn:1.5", BF256), ("harmonic:5", PrecisionConfig(
+            "bigfloat", 355, 1e-40)), ("harmonic:5", RATIONAL)])
+    def test_extension_passes_match(self, text, precision, monkeypatch):
+        # every pass of a table that doubles M from a short plan
+        calls = []
+
+        def checked(new, old):
+            def run(*args):
+                calls.append(args[2])
+                got = new(*args)
+                assert got == old(*args)
+                return got
+            return run
+
+        monkeypatch.setattr(chains, "_fixed_pass", checked(
+            chains._fixed_pass, oracles.fixed_pass))
+        monkeypatch.setattr(chains, "_exact_pass", checked(
+            chains._exact_pass, oracles.exact_pass))
+        monkeypatch.setattr(chains, "_plan_truncation",
+                            lambda spec, n_hi, precision: n_hi + 1)
+        table = hitting_table(spec_of(text, "3/2"), 40, precision)
+        assert table.extension_passes >= 1
+        assert table.certified
+        assert calls[0] == 41 and len(calls) == table.extension_passes + 1
+
 
 class TestRandomizedOracleEquivalence:
     """Exactness of the two hitting-time routes over random parameters."""
@@ -741,12 +825,12 @@ class TestRoundingCertificate:
         log = _LogTable(5000, 200)
         with mpmath.mp.workprec(400):
             for n in range(5000, 0, -1):
-                value = log(n)
+                p, q, g = log(n)
                 assert len(log._L) == n + 2  # entries above n + 1 dropped
                 if n % 97 == 1 or n < 4:
                     exact = mpmath.ldexp(mpmath.log(n + 1), 200)
-                    assert value.q == 1 << 200
-                    assert exact - 2 * log.err <= value.p <= exact
+                    assert (q, g) == (1, 200)
+                    assert exact - 2 * log.err <= p <= exact
                     assert log.err == 3 * (n + 1)
         with pytest.raises(ValueError, match="decreasing"):
             log(2)
@@ -783,7 +867,7 @@ class TestRoundingCertificate:
         with pytest.raises(ValueError, match="decreasing"):
             log(51)
         first = log(40)
-        assert log(40).p == first.p  # the same n twice in one row
+        assert log(40) == first  # the same n twice in one row
         log(39)
         with pytest.raises(ValueError, match="decreasing"):
             log(40)
@@ -797,9 +881,9 @@ class TestRoundingCertificate:
         # both serve lower bounds within 2 err units of 2**bits ln(1 + n)
         table, oracle = _LogTable(top, bits), BackwardLog(top, bits)
         for n in range(top, 0, -1):
-            a, b = table(n), oracle(n)
-            assert a.q == b.q == 1 << bits
-            assert -2 * table.err <= a.p - b.p <= 2 * oracle.err
+            (a, qa, ga), (b, qb, gb) = table(n), oracle(n)
+            assert (qa, ga) == (qb, gb) == (1, bits)
+            assert -2 * table.err <= a - b <= 2 * oracle.err
 
     def test_extension_passes_are_reported(self, monkeypatch):
         spec = spec_of("const:1/2")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import sys
 from argparse import Namespace
 from dataclasses import replace
 from fractions import Fraction
@@ -193,6 +194,47 @@ class TestConfig:
         path = write_config(tmp_path, "[hitting]\nmode = rational\n"
                             "bits = 10\n")
         assert load_config(path).hitting.bits == 10
+
+    @pytest.fixture
+    def default_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # Python's default
+        yield
+        sys.set_int_max_str_digits(limit)
+
+    def test_unprintable_bits_fail_before_the_kernel(
+            self, tmp_path, capsys, monkeypatch, default_digit_limit):
+        # 14,285 bits print 4,301 digits, one above the limit
+        body = ("[hitting]\ngamma = harmonic:5\nn_max = 5\nbits = {}\n"
+                f"[output]\ndirectory = {tmp_path / 'out'}\n")
+        kernel = cli.hitting_table
+
+        def refuse(*args):
+            raise AssertionError("ran the kernel")
+
+        monkeypatch.setattr(cli, "hitting_table", refuse)
+        cfg = write_config(tmp_path, body.format(14_285))
+        assert main(["hitting", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: [hitting] bits = 14285 is above 14284, the most whose "
+            "decimals can be printed (sys.get_int_max_str_digits() is "
+            "4300)\n")
+        assert not (tmp_path / "out").exists()
+        # asymptote prints no decimals: its bits have no cap
+        asym = write_config(tmp_path, "[asymptote]\ngammas = harmonic:5\n"
+                            "bits = 14285\n")
+        assert load_config(asym).asymptote.bits == 14_285
+
+        monkeypatch.setattr(cli, "hitting_table", kernel)
+        cfg = write_config(tmp_path, body.format(14_284))
+        assert main(["hitting", "--config", str(cfg)]) == 0
+        rows = (tmp_path / "out" / "hitting.csv").read_text().splitlines()
+        assert len(rows) == 6
+        assert len(rows[1].split(",")[1].replace(".", "")) > 4000
+        assert (tmp_path / "out" / "meta.json").exists()
+        sys.set_int_max_str_digits(0)  # no limit, no cap
+        cfg = write_config(tmp_path, body.format(10**6))
+        assert load_config(cfg).hitting.bits == 10**6
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, "[simulation]\nbogus = 1\n")

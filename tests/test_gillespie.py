@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -490,6 +492,49 @@ class TestLockstepBatch:
         if threads == 1:
             # drift residue sent some rows through the _locate fallback
             assert fallbacks
+
+    @pytest.mark.parametrize("margin", [1, 3])
+    def test_rate_window_moves_keep_every_run(self, alone, monkeypatch,
+                                              margin):
+        # the beta table follows the live totals a few states each way,
+        # so the batch moves it many times a run; every value read is
+        # still the evaluator's
+        g, cfg, grid, expected = alone
+        monkeypatch.setattr(gillespie, "_RATE_MARGIN", margin)
+        windows = []
+        cover = gillespie._RateTable.cover
+
+        def spy(table, low, high):
+            cover(table, low, high)
+            windows.append((table.lo, table.beta.size))
+
+        monkeypatch.setattr(gillespie._RateTable, "cover", spy)
+        got = _map_runs(cfg, g, self.RUNS, grid, 1)
+        assert [self.as_bytes(t) for t in got] == [
+            self.as_bytes(t) for t in expected]
+        assert len(set(windows)) > 10
+        assert max(size for _, size in windows) < 100
+
+    def test_rate_table_is_bounded_by_the_live_totals(self):
+        # 4,000,000 cases and no event before t_max: the table holds a
+        # window around n0, not every n up to it
+        w = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
+        g = LocalityGraph(("a", "b", "c"), w)
+        cfg = make_cfg(beta=parse_profile("harmonic:3"),
+                       beta_int=parse_profile("const:1/2"), n0=4_000_000,
+                       t_max=1e-12)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            summary = run_ensemble(cfg, g, 40, np.array([0.0, 1e-12]))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.events == 0
+        assert (summary.per_run_totals == 4_000_000).all()
+        assert elapsed < 0.2
+        assert peak < 10 * 2**20
 
     def test_workers_build_their_own_tables(self, alone, monkeypatch):
         # a pool is sent the graph, never the event tables built from it

@@ -1,5 +1,6 @@
 import math
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath
@@ -11,6 +12,8 @@ from dieout.rates import (EXACT, FLOAT, Combined, Constant, ExactnessError,
                           Harmonic, LogOverN, ProfileError, Scaled, Step,
                           Table, coerce_coefficient, gamma_from_graph,
                           parse_parameter, parse_profile)
+
+from dieout import chains
 
 from oracles import MPF
 
@@ -251,6 +254,67 @@ class TestEvaluator:
                     with pytest.raises(ExactnessError):
                         p.sup(n, EXACT)
                 assert p.sup(n, FLOAT) >= v * (1 - 1e-15)
+
+
+fractions = st.fractions(min_value=0, max_value=1000, max_denominator=997)
+states = st.integers(1, 10**7)
+
+
+def rational_profiles():
+    """Every rational family, alone and under Scaled and Combined."""
+    leaves = st.one_of(
+        st.builds(Constant, fractions),
+        st.builds(Step, fractions, fractions, st.integers(1, 10**6)),
+        st.builds(Harmonic, fractions),
+        st.builds(lambda rows, tail: Table(tuple(rows), tail),
+                  st.lists(st.tuples(st.integers(1, 50), fractions),
+                           max_size=5, unique_by=lambda r: r[0]).map(sorted),
+                  fractions))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds(Scaled, fractions, inner),
+        st.builds(Combined, inner, inner)), max_leaves=4)
+
+
+class TestEvaluatorIdentities:
+    """What the families state once is exactly the plain expression in
+    each number type: the same floats, bit for bit, and the same
+    rationals from the kernel's int triples."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=fractions, d=fractions, n=states)
+    def test_float_values_are_the_literal_expressions(self, k, d, n):
+        harmonic, logn = Harmonic(k), LogOverN(k)
+        f, g = harmonic.evaluator(FLOAT), logn.evaluator(FLOAT)
+        cases = [
+            (f(n), float(k) / n),
+            (g(n), float(k) * math.log1p(n) / n),
+            (Scaled(d, logn).evaluator(FLOAT)(n), float(d) * g(n)),
+            (Combined(harmonic, logn).evaluator(FLOAT)(n), f(n) + g(n)),
+            (Scaled(d, harmonic).sup(n, FLOAT), float(d) * f(n)),
+            (Combined(logn, harmonic).sup(n, FLOAT), g(n) + f(n))]
+        for got, want in cases:
+            assert got.hex() == want.hex()
+
+    @settings(max_examples=200, deadline=None)
+    @given(profile=rational_profiles(), n=states)
+    def test_kernel_triples_are_the_exact_values(self, profile, n):
+        p, q, g = profile.evaluator(chains._kernel_arithmetic(None))(n)
+        assert g == 0
+        assert Fraction(p, q) == profile.evaluator(EXACT)(n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=fractions, d=fractions, m=st.integers(0, 2**300),
+           bits=st.integers(0, 400), n=states)
+    def test_kernel_triples_keep_a_logarithm_scale_exact(self, k, d, m,
+                                                         bits, n):
+        # any served logarithm m / 2**bits, read once or twice a value
+        kernel = chains._kernel_arithmetic(lambda n: (m, 1, bits))
+        exact = replace(EXACT, log1p=lambda n: Fraction(m, 1 << bits))
+        step = Step(d, k, 40)
+        for profile in (LogOverN(k), Combined(Scaled(d, LogOverN(k)), step),
+                        gamma_from_graph(LogOverN(k), LogOverN(d), d)):
+            p, q, g = profile.evaluator(kernel)(n)
+            assert Fraction(p, q << g) == profile.evaluator(exact)(n)
 
 
 class TestLimitsAndSuprema:
