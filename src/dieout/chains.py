@@ -400,8 +400,8 @@ class _LogTable:
         if n + 2 > len(L):
             raise ValueError("logarithms are served for decreasing n only")
         del L[n + 2:]
-        self.err = 3 * (n + 1)
-        return L[n + 1] - self.err, 1, self.bits
+        self.err = err = 3 * (n + 1)
+        return L[n + 1] - err, 1, self.bits
 
 
 def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
@@ -430,8 +430,10 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     binary exponent, rounded up at every step (the added unit also
     covers eta <= 2**-64); it is exactly zero once gamma has vanished.
 
-    Each row is checked against tol as it is made, and rows and checks
-    come back as from :func:`_exact_pass`: s_j, the bound e_j plus the
+    Each row is checked against tol as it is made (a row whose
+    bound/value ratio is at most the largest one so far meets tol when
+    that one does, so only a new largest ratio is compared), and rows
+    and checks come back as from :func:`_exact_pass`: s_j, the bound e_j plus the
     tail bound P_j * geom (None without a tail bound) and the one
     denominator 2**F; a row is worth more terms only when its rounding
     bound e_j alone meets the tolerance.
@@ -455,6 +457,7 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
         gd_bits = gd.bit_length()
     helpable = False
     worst_b, worst_v = -1, 1  # the largest bound / value so far
+    worst_ok = False  # whether that ratio meets tol
     s = e = 0
     pm, pe = 1 << 63, -63  # P_{M+1} = 1
     for j in range(M, 0, -1):
@@ -475,8 +478,6 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
         if j <= n_hi:
             i = j - 1
             values[i] = s
-            limit = tn * s
-            ok = False
             if not pm or geom is not None:
                 if not pm:
                     tail = 0  # a vanished gamma truncates exactly
@@ -490,11 +491,16 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
                     else:
                         tail = -(-x // (gd << -shift))
                 b = bounds[i] = e + tail
-                ok = certified[i] = b * td <= limit
                 if b * worst_v > worst_b * s:
                     worst_b, worst_v = b, s
+                    worst_ok = b * td <= tn * s
+                # b / s is at most the largest ratio so far, so the row
+                # meets tol whenever that ratio does
+                if worst_ok or b * td <= tn * s:
+                    certified[i] = True
+                    continue
             # more terms cannot help a row whose rounding alone is too big
-            if not (ok or helpable) and e * td <= limit:
+            if not helpable and e * td <= tn * s:
                 helpable = True
     return (values, bounds, 1 << F, certified, helpable,
             None if worst_b < 0 else worst_b / worst_v)
