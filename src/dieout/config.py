@@ -470,7 +470,9 @@ def uniform_grid(t_max: float, grid_step: float, section: str) -> np.ndarray:
         raise ConfigError(f"{where} is larger than t_max = {t_max!r}")
     if abs(steps * grid_step - t_max) > 1e-9 * t_max:
         raise ConfigError(f"{where} does not divide t_max = {t_max!r}")
-    return np.arange(steps + 1) * grid_step
+    grid = np.arange(steps + 1) * grid_step
+    grid[-1] = t_max  # steps * grid_step can round past it
+    return grid
 
 
 def simulation_grid(sim: SimulationSection) -> np.ndarray:

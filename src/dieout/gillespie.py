@@ -25,7 +25,9 @@ uniforms, one pair per event.  On dense tables an ensemble advances a
 batch of runs in lockstep, one event per run per array step, with the
 float operations of the one-run loop in the same order; so every run
 is byte-identical whether simulated alone or in any batch, worker
-process or order.
+process or order.  Once a batch is down to its last few live runs, it
+hands each to the one-run loop with the state it has reached (draw
+block, refresh count, caches) and stops stepping.
 """
 
 from __future__ import annotations
@@ -61,6 +63,15 @@ _DRAW_BLOCK = 64
 # widened by this many states each way, every _RATE_MARGIN steps: a
 # total moves by at most 1 a step.
 _RATE_MARGIN = 1024
+
+# A lockstep batch hands its live runs to the one-run loop once a step
+# leaves at most this many: a step of a few runs costs more than their
+# events do one at a time.
+_HANDOFF = 16
+
+# From this many rows on, _pick_rows forms the rows' running sums with
+# one vector add per node rather than with numpy's cumsum.
+_COLUMN_SUMS = 200
 
 # A lockstep batch holds at most this many runs x nodes entries per
 # cached vector, which bounds its memory on large dense graphs.
@@ -325,56 +336,104 @@ def _draw_block(rng: np.random.Generator, exps: np.ndarray,
     rng.random(out=unis)
 
 
+@dataclass(eq=False)
+class _Run:
+    """A run between two iterations of the event loop: what
+    :func:`_advance` takes up and leaves.
+
+    ``step`` counts the iterations so far, null events included.  The
+    next iteration reads draw ``step % _DRAW_BLOCK`` of ``draws``, the
+    current block (a new one is drawn when that is 0), and rebuilds the
+    cached W @ X (``pressure``) and ``sums`` = (sum(W X), sum(D X)) from
+    ``counts`` when ``step % _REFRESH_EVERY`` is 0; otherwise it takes
+    them as given, which only dense tables allow.  ``totals`` holds the
+    grid totals below index ``gi``; ``t`` ends as the extinction time
+    or t_max.
+    """
+
+    rng: np.random.Generator
+    counts: np.ndarray
+    n: int
+    totals: np.ndarray | None
+    events: list[tuple[float, int, int]] | None
+    t: float = 0.0
+    step: int = 0
+    nulls: int = 0
+    gi: int = 0
+    draws: tuple[list[float], list[float]] | None = None
+    pressure: np.ndarray | None = None
+    sums: tuple[float, float] = (0.0, 0.0)
+    extinct: bool = False
+
+
 def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
               grid: np.ndarray | None) -> Trajectory:
-    """One run, event by event: the executable specification of
-    :func:`_simulate_batch`, which must reproduce it byte for byte.
+    """One run, event by event: starts it and hands it to
+    :func:`_advance`, the executable specification of
+    :func:`_simulate_batch`, which must reproduce it byte for byte."""
+    rng = run_rng(cfg.master_seed, run_index)
+    initial = _initial_counts(cfg, tables.d.size, rng)
+    run = _Run(rng, initial.astype(float), int(initial.sum()),
+               None if grid is None else np.zeros(grid.size, dtype=np.int64),
+               [] if cfg.record_events else None)
+    _advance(cfg, tables, run, grid)
+    return Trajectory(
+        run_index=run_index,
+        initial=initial,
+        extinct_at=run.t if run.extinct else None,
+        truncated_at=None if run.extinct else run.t,
+        grid_totals=run.totals,
+        events=run.events,
+        final_counts=run.counts.astype(np.int64),
+        event_count=run.step - run.nulls,
+        null_events=run.nulls,
+    )
+
+
+def _advance(cfg: SimConfig, tables: _EventTables, run: _Run,
+             grid: np.ndarray | None) -> None:
+    """Advance ``run`` event by event until extinction or t_max.
 
     Each refresh rebuilds W @ X, D * X and their sums from X.  On
     blocked tables it also builds ``cache``, the buffer whose rows are
     those of ``columns``: W @ X, then the block sums of W @ X, D * X
     and X, which the event's column update keeps current."""
-    rng = run_rng(cfg.master_seed, run_index)
+    rng = run.rng
     weights, width, d = tables.weights, tables.width, tables.d
     col_sums, d_of = tables.col_sums, tables.d_of
-    n_nodes = d.size
-    initial = _initial_counts(cfg, n_nodes, rng)
     blocked = tables.blocked
     # a flat scan on dense tables
     pressure_blocks = mod_blocks = count_blocks = None
     if blocked:
         indptr, indices, data = tables.columns
-        starts = np.arange(0, n_nodes, width)
-        sections = n_nodes + starts.size * np.arange(3)
+        starts = np.arange(0, d.size, width)
+        sections = d.size + starts.size * np.arange(3)
 
     model = cfg.model
     beta_f = model.beta.evaluator(FLOAT)
     betaint_f = model.beta_int.evaluator(FLOAT)
     delta = float(model.delta)
 
-    fcounts = initial.astype(float)
-    n = int(initial.sum())
-
-    record = cfg.record_events
-    events: list[tuple[float, int, int]] | None = [] if record else None
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float)
-        totals = np.zeros(grid.size, dtype=np.int64)
-    else:
-        totals = None
-    gi = 0  # next grid index to fill
-
-    t = 0.0
+    fcounts, n, totals, events = run.counts, run.n, run.totals, run.events
+    record = events is not None
+    gi, t, nulls = run.gi, run.t, run.nulls
+    moves = run.step - nulls
     t_max = float(cfg.t_max)
-    extinct_at: float | None = None
-    since_refresh = _REFRESH_EVERY  # the caches are built on entry
+    extinct = False
+    # iterations since the last refresh and the next unread draw; 0
+    # counts as a full cadence and a used-up block
+    since_refresh = run.step % _REFRESH_EVERY or _REFRESH_EVERY
+    if since_refresh < _REFRESH_EVERY:
+        pressure, (pressure_sum, mod_sum) = run.pressure, run.sums
+        mod_counts = d * fcounts
     exps, unis = np.empty(_DRAW_BLOCK), np.empty(_DRAW_BLOCK)
-    k = _DRAW_BLOCK  # next unread draw of the current block
-    moves = nulls = 0
+    k = run.step % _DRAW_BLOCK or _DRAW_BLOCK
+    if k < _DRAW_BLOCK:
+        exp_block, uni_block = run.draws
 
     while True:
         if n == 0:
-            extinct_at = t
+            extinct = True
             break
         if since_refresh >= _REFRESH_EVERY:
             since_refresh = 0
@@ -444,18 +503,8 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
     if grid is not None:
         # remaining grid points see the final (absorbed or frozen) total
         totals[gi:] = n
-
-    return Trajectory(
-        run_index=run_index,
-        initial=initial,
-        extinct_at=extinct_at,
-        truncated_at=None if extinct_at is not None else t_max,
-        grid_totals=totals,
-        events=events,
-        final_counts=fcounts.astype(np.int64),
-        event_count=moves,
-        null_events=nulls,
-    )
+    run.n, run.t, run.gi, run.extinct = n, t, gi, extinct
+    run.step, run.nulls = moves + nulls, nulls
 
 
 class _RateTable:
@@ -496,13 +545,16 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
                     grid: np.ndarray) -> list[Trajectory]:
     """The runs ``runs`` on dense tables, advanced in lockstep.
 
-    Each step moves every live run by one iteration of :func:`_simulate`
+    Each step moves every live run by one iteration of :func:`_advance`
     (an event, a null event or the pass of t_max), with its float
     operations in the same order, so every run comes out byte-identical
     to simulating it alone.  The live runs fill rows [0, live) of the
     per-run arrays; ``slot[r]`` names the run row r holds, and rows r
     and size + r of ``cache`` its W @ X and X (D * X is formed from X
-    for the events that draw from it).
+    for the events that draw from it).  Once a step leaves at most
+    _HANDOFF runs live, the batch stops and :func:`_advance` finishes
+    each of them from the state the batch leaves: its generator, draw
+    block, refresh count, caches, grid index and event log.
     """
     weights, columns, col_sums = tables.weights, tables.columns, tables.col_sums
     d = tables.d
@@ -526,9 +578,12 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
     cache = np.zeros((2 * size, n_nodes))
     pressure, counts = cache[:size], cache[size:]
     counts[:] = [_initial_counts(cfg, n_nodes, rng) for rng in rngs]
-    # scratch for the picked rows, then for the columns an event adds,
-    # and for the running sums
-    picked, cum = np.empty((size, n_nodes)), np.empty((size, n_nodes))
+    # the picked rows, then their running sums (in _pick_rows, whose
+    # room this buffer shares to keep the step's memory small), then
+    # the columns an event adds
+    picked = np.empty((size, n_nodes))
+    scratch = (np.empty(picked.size), picked.reshape(-1),
+               np.empty(picked.size, dtype=bool))
     exps, unis = np.empty((size, _DRAW_BLOCK)), np.empty((size, _DRAW_BLOCK))
     slot = np.arange(size)
     n = counts.sum(axis=1).astype(np.int64)
@@ -570,8 +625,8 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
         b, bi = scales[0, :live], scales[1, :live]
         pressure_rate, birth_total = lows[1, :live], lows[2, :live]
         at_rate = np.subtract(cur, rates.lo, out=rate_rows[:live])
-        np.take(rates.beta, at_rate, out=b)
-        np.take(rates.beta_int, at_rate, out=bi)
+        rates.beta.take(at_rate, out=b)
+        rates.beta_int.take(at_rate, out=bi)
         np.multiply(b, sums[:live, 0], out=pressure_rate)
         np.multiply(bi, sums[:live, 1], out=birth_total)
         birth_total += pressure_rate
@@ -586,14 +641,17 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
 
         u = unis[:live, k] * total_rate
         death = u >= birth_total
-        cat = (u >= pressure_rate).astype(np.intp)
-        cat += death
-        target = u - lows[cat, at]
-        target /= scales[cat, at]
-        values = cache.take(at + size * (cat > 0), axis=0, out=picked[:live])
+        cat = np.add(u >= pressure_rate, death, dtype=np.intp)
+        entry = cat * size  # flat index of (cat, row) in lows and scales
+        entry += at
+        target = u - lows.take(entry)
+        target /= scales.take(entry)
+        # mode="clip" (every index is in range) writes straight to out=
+        values = cache.take(at + size * (cat > 0), axis=0,
+                            out=picked[:live], mode="clip")
         if modulated:
             values[cat == 1] *= d
-        node = _pick_rows(values, target, cum[:live])
+        node = _pick_rows(values, target, scratch)
         event = node + n_nodes * death
         if node.min() < 0:
             null = (node < 0) & ~over
@@ -604,7 +662,8 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
             node[null], event[null] = 0, no_event
         event[over] = no_event
 
-        pressure[:live] += step_columns.take(event, axis=0, out=values)
+        pressure[:live] += step_columns.take(event, axis=0, out=values,
+                                             mode="clip")
         change = signs[event]
         counts[at, node] += change
         cur += change
@@ -627,12 +686,26 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
             live = _compact(done, (pressure, counts, exps, unis, slot, n, t,
                                    gi, sums))
         step += 1
+        if live <= _HANDOFF:
+            break
+
+    events = _split_log(log, size) if log is not None else [None] * size
+    # the runs still live finish in the one-run loop, which extends their
+    # grid totals and event logs (the batch reads none of their rows
+    # again)
+    for r, s in enumerate(slot[:live].tolist()):
+        run = _Run(rngs[s], counts[r], int(n[r]), totals[s], events[s],
+                   t=float(t[r]), step=step, nulls=nulls[s], gi=int(gi[r]),
+                   draws=(exps[r].tolist(), unis[r].tolist()),
+                   pressure=pressure[r], sums=tuple(sums[r].tolist()))
+        _advance(cfg, tables, run, grid)
+        extinct_at[s] = run.t if run.extinct else None
+        moves[s], nulls[s] = run.step - run.nulls, run.nulls
 
     column = np.arange(totals.shape[1])
     for row in totals:
         source = np.where(row >= 0, column, 0)
         row[:] = row[np.maximum.accumulate(source)]
-    events = _split_log(log, size) if log is not None else [None] * size
     return [Trajectory(
         run_index=i, initial=None, extinct_at=extinct_at[s],
         truncated_at=None if extinct_at[s] is not None else t_max,
@@ -642,22 +715,46 @@ def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,
 
 
 def _pick_rows(values: np.ndarray, targets: np.ndarray,
-               cum: np.ndarray | None = None) -> np.ndarray:
-    """``_locate(values[r], targets[r])`` for every row r; ``cum`` is
-    optional scratch for the running sums.
+               scratch: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+    """``_locate(values[r], targets[r])`` for every row r.
 
-    The first entry whose running sum passes the target is _locate's
-    pick unless the target runs past the end or lands on a nonpositive
-    entry, or a negative entry (drift residue) leaves the running sum
-    unsorted; such rows go through _locate itself.
+    ``scratch`` is optional room, flat buffers of at least values.size
+    entries: floats for the transposed rows and for their running sums,
+    and bools.  The sums may take the buffer of ``values`` itself, which
+    is read only before they are formed.
+
+    The rows are transposed and summed along the nodes; from
+    _COLUMN_SUMS rows on, by one vector add per node over all rows,
+    which beats numpy's cumsum (a short loop per row).  Both make
+    _locate's float additions in its order.  A row's pick is the count
+    of its running sums <= its target.  While the sums that pass the
+    target follow all those that do not, that count is where _locate's
+    bisection lands, on an entry > 0 (its sum exceeds the one before);
+    this holds past drift residue (tiny negative entries) below the
+    target.  Rows whose target is negative or past the end, or whose
+    sums pass it and fall back, go through _locate itself.
     """
-    cum = np.cumsum(values, axis=1, out=cum)
-    node = (cum > targets[:, None]).argmax(axis=1)
-    rows = np.arange(values.shape[0])
-    for r in np.flatnonzero((cum[:, -1] <= targets)
-                            | (values[rows, node] <= 0)
-                            | (values.min(axis=1) < 0)).tolist():
-        node[r] = _locate(values[r], targets[r])
+    live, width = values.shape
+    cols, cum, flags = (
+        buf[:values.size].reshape(width, live) for buf in scratch or (
+            np.empty(values.size), np.empty(values.size),
+            np.empty(values.size, dtype=bool)))
+    np.copyto(cols, values.T)
+    if live < _COLUMN_SUMS:
+        cols.cumsum(axis=0, out=cum)
+    else:
+        last = cum[0]
+        last[:] = cols[0]
+        for col, out in zip(cols[1:], cum[1:]):
+            last = np.add(last, col, out)
+    passed = np.less_equal(cum, targets, out=flags)
+    # counted in int16 where it fits: the reduce is then faster
+    node = np.add.reduce(passed.view(np.uint8), axis=0,
+                         dtype=np.int16 if width < 1 << 15 else np.intp)
+    falls_back = np.less(passed[:-1], passed[1:]).any(axis=0)
+    for r in ((cum[-1] <= targets) | (targets < 0)
+              | falls_back).nonzero()[0].tolist():
+        node[r] = _locate(cols[:, r], targets[r])
     return node
 
 
@@ -687,8 +784,9 @@ def _run_slice(cfg: SimConfig, g: LocalityGraph, runs: range,
                grid: np.ndarray) -> list[Trajectory]:
     """Trajectories of ``runs``, without the per-node initial and final
     counts an ensemble does not keep: in lockstep batches of at most
-    _BATCH_ENTRIES // N runs on dense tables, one at a time on CSR.
-    Builds the event tables from ``g`` in the process that reads them."""
+    _BATCH_ENTRIES // N runs on dense tables, each finishing its last
+    _HANDOFF live runs one at a time, and one at a time on CSR.  Builds
+    the event tables from ``g`` in the process that reads them."""
     tables = _EventTables.of(g, cfg.model)
     if tables.blocked:
         return [replace(_simulate(cfg, tables, i, grid), initial=None,

@@ -254,6 +254,19 @@ class TestConfig:
         assert grid.size == 31
         assert grid[-1] == pytest.approx(6.0)
 
+    def test_grid_ends_exactly_at_t_max(self, tmp_path):
+        # 3 * 0.1 is 0.30000000000000004; the last point is t_max itself
+        assert uniform_grid(0.3, 0.1, "simulation")[-1] == 0.3
+        body = SIM_BODY.format(graph=small_graph_file(tmp_path), delta="8.5",
+                               out=tmp_path / "out")
+        body = body.replace("t_max = 6.0\ngrid_step = 0.2",
+                            "t_max = 0.3\ngrid_step = 0.1")
+        assert main(["simulate", "--config",
+                     str(write_config(tmp_path, body))]) == 0
+        rows = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == [
+            "0.0", "0.1", "0.2", "0.3"]
+
     @pytest.mark.parametrize("command", ["simulate", "meanfield"])
     @pytest.mark.parametrize("step", ["0.6", "0.4"])
     def test_grid_step_must_divide_t_max(self, tmp_path, capsys, command,

@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 import tracemalloc
@@ -411,12 +412,15 @@ class TestEventSelection:
         assert _pick(empty, None, 2, 0.0) == -1
 
     def test_row_pick_is_locate_on_every_row(self):
-        # the lockstep step picks all rows at once; rows its flat scan
-        # would get wrong must go through _locate: residue, an empty
-        # row, a target past the end ([1, 0, 1] at 5 is node 2, not 0),
-        # a negative entry leaving the running sum unsorted ([2, -2, 1,
-        # 1] at 1.5 is node 3 by bisection, not 0) and a landing on a
-        # zero entry ([0, 0, 1] at -1 is node 2, not 0)
+        # the lockstep step picks all rows at once, summing row by row
+        # below _COLUMN_SUMS rows and node by node from it; residue
+        # below the target ([0, -1e-17, 0, 0, 2] at 0 is node 4) needs
+        # no fallback, while rows its count would get wrong go through
+        # _locate: an empty row, a target past the end ([1, 0, 1] at 5
+        # is node 2, not 0), a negative entry whose running sum passes
+        # the target and falls back ([2, -2, 1, 1] at 1.5 is node 3 by
+        # bisection, not 0) and a landing on a zero entry ([0, 0, 1] at
+        # -1 is node 2, not 0)
         rows = np.array([[0.0, -1e-17, 0.0, 0.0, 2.0, 0.0, 1.0],
                          [0.0, -1e-17, 0.0, 0.0, 2.0, 0.0, 1.0],
                          [0.0, -1e-17, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -429,11 +433,13 @@ class TestEventSelection:
         assert [_locate(r, t) for r, t in zip(rows, targets)] == expected
         assert _pick_rows(rows, targets).tolist() == expected
         rng = np.random.default_rng(4)
-        values = rng.integers(0, 3, (200, 9)) * rng.random((200, 9))
-        values[rng.random((200, 9)) < 0.05] = -1e-17
-        targets = rng.random(200) * values.sum(axis=1) * 1.01
-        assert _pick_rows(values, targets).tolist() == [
-            _locate(r, t) for r, t in zip(values, targets)]
+        assert 50 < gillespie._COLUMN_SUMS <= 400
+        for live in (50, 400):
+            values = rng.integers(0, 3, (live, 9)) * rng.random((live, 9))
+            values[rng.random((live, 9)) < 0.05] = -1e-17
+            targets = rng.random(live) * values.sum(axis=1) * 1.01
+            assert _pick_rows(values, targets).tolist() == [
+                _locate(r, t) for r, t in zip(values, targets)]
 
 
 class TestLockstepBatch:
@@ -466,12 +472,20 @@ class TestLockstepBatch:
                 traj.event_count, traj.null_events)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("batch", [1, 7, None, "blocked"])
+    @pytest.mark.parametrize("batch, handoff", [
+        *(pytest.param(b, None, id=str(b)) for b in (1, 7, None, "blocked")),
+        *(pytest.param(b, h, id=f"{b}-handoff{h}")
+          for b, h in itertools.product((1, 7, None), (0, 1, 7, RUNS)))])
     def test_every_run_equals_simulate_run(self, alone, monkeypatch, batch,
-                                           threads):
+                                           handoff, threads):
         # "blocked": the blocked CSR tables, run one at a time; at 2
-        # threads each worker builds them from the graph it is sent
+        # threads each worker builds them from the graph it is sent.
+        # A batch hands its last ``handoff`` live runs (by default
+        # _HANDOFF) to the one-run loop: 0 never, RUNS after its first
+        # step
         g, cfg, grid, expected = alone
+        if handoff is not None:
+            monkeypatch.setattr(gillespie, "_HANDOFF", handoff)
         if batch == "blocked":
             force_blocked_tables(monkeypatch, g)
             expected = [simulate_run(cfg, g, i, grid)
@@ -479,19 +493,80 @@ class TestLockstepBatch:
         elif batch is not None:
             monkeypatch.setattr(gillespie, "_BATCH_ENTRIES",
                                 batch * g.node_count)
-        fallbacks = []
-
-        def spy(values, target, cum=None):
-            fallbacks.append(target)
-            return _locate(values, target, cum)
-
-        monkeypatch.setattr(gillespie, "_locate", spy)
         got = _map_runs(cfg, g, self.RUNS, grid, threads)
         assert [self.as_bytes(t) for t in got] == [
             self.as_bytes(t) for t in expected]
-        if threads == 1:
-            # drift residue sent some rows through the _locate fallback
-            assert fallbacks
+
+    def test_drift_residue_reaches_the_row_pick(self, alone, monkeypatch):
+        # W X drifts a hair below zero at some nodes; the batch must pick
+        # past such entries exactly as _locate does
+        g, cfg, grid, expected = alone
+        monkeypatch.setattr(gillespie, "_HANDOFF", 0)
+        residue = []
+        pick_rows = gillespie._pick_rows
+
+        def spy(values, targets, scratch=None):
+            residue.append(int((values.min(axis=1) < 0).sum()))
+            return pick_rows(values, targets, scratch)
+
+        monkeypatch.setattr(gillespie, "_pick_rows", spy)
+        got = _map_runs(cfg, g, self.RUNS, grid, 1)
+        assert [self.as_bytes(t) for t in got] == [
+            self.as_bytes(t) for t in expected]
+        assert sum(residue) > 10
+
+    @pytest.mark.parametrize("handoff", [1, 7, RUNS])
+    def test_handoff_resumes_mid_block_and_between_refreshes(
+            self, alone, monkeypatch, handoff):
+        # a refresh every 3 iterations: the runs handed over at steps 603
+        # and 470 (handoff 1 and 7) resume 27 and 22 draws into a block,
+        # the latter between two refreshes; at step 1 both hold
+        g, cfg, grid, _ = alone
+        monkeypatch.setattr(gillespie, "_REFRESH_EVERY", 3)
+        expected = [simulate_run(cfg, g, i, grid) for i in range(self.RUNS)]
+        monkeypatch.setattr(gillespie, "_HANDOFF", handoff)
+        steps = []
+        advance = gillespie._advance
+
+        def spy(cfg, tables, run, grid):
+            steps.append(run.step)
+            advance(cfg, tables, run, grid)
+
+        monkeypatch.setattr(gillespie, "_advance", spy)
+        got = _map_runs(cfg, g, self.RUNS, grid, 1)
+        assert [self.as_bytes(t) for t in got] == [
+            self.as_bytes(t) for t in expected]
+        assert len(steps) == handoff and len(set(steps)) == 1
+        assert steps[0] % gillespie._DRAW_BLOCK != 0
+        if handoff > 1:
+            assert steps[0] % 3 != 0
+
+    def test_batch_hands_its_tail_to_the_one_run_loop(self, alone,
+                                                      monkeypatch):
+        # the default crossover fires on this ensemble: the batch stops
+        # stepping long before its longest run ends, and the one-run
+        # loop finishes the runs still live
+        g, cfg, grid, expected = alone
+        handed, picks = [], []
+        advance, pick_rows = gillespie._advance, gillespie._pick_rows
+
+        def advance_spy(cfg, tables, run, grid):
+            handed.append(run.step)
+            advance(cfg, tables, run, grid)
+
+        def pick_spy(values, targets, scratch=None):
+            picks.append(values.shape[0])
+            return pick_rows(values, targets, scratch)
+
+        monkeypatch.setattr(gillespie, "_advance", advance_spy)
+        monkeypatch.setattr(gillespie, "_pick_rows", pick_spy)
+        got = _map_runs(cfg, g, self.RUNS, grid, 1)
+        assert [self.as_bytes(t) for t in got] == [
+            self.as_bytes(t) for t in expected]
+        assert len(handed) == gillespie._HANDOFF
+        longest = max(t.event_count + t.null_events for t in got)
+        assert handed[0] == len(picks) < longest
+        assert min(picks) > gillespie._HANDOFF
 
     @pytest.mark.parametrize("margin", [1, 3])
     def test_rate_window_moves_keep_every_run(self, alone, monkeypatch,
@@ -557,9 +632,13 @@ class TestNullEvents:
     vector holds no positive entry changes nothing; the loop iteration
     still counts toward the refresh cadence, in both simulators."""
 
-    @pytest.mark.parametrize("refresh_every, nulls", [(3, 1), (8192, 2)])
+    @pytest.mark.parametrize("refresh_every, nulls, handoff", [
+        pytest.param(3, 1, 0, id="3-1"), pytest.param(8192, 2, 0, id="8192-2"),
+        pytest.param(3, 1, 4, id="3-1-handoff4"),
+        pytest.param(8192, 2, 4, id="8192-2-handoff4")])
     def test_null_events_count_toward_the_refresh(self, monkeypatch,
-                                                  refresh_every, nulls):
+                                                  refresh_every, nulls,
+                                                  handoff):
         # s1 and s2 press on r1 and r2 only.  The scripted first draws
         # cure s1, then s2, which leaves the cached sum(W X) at
         # 0.1 + 0.2 - 0.1 - 0.2 = 5.55e-17 while every entry of W X is
@@ -573,6 +652,8 @@ class TestNullEvents:
                        initial=np.array([1, 1, 1, 0]), record_events=True)
         grid = np.linspace(0.0, 1.0, 11)
         monkeypatch.setattr(gillespie, "_REFRESH_EVERY", refresh_every)
+        # 4: the batch hands its runs over after its first step
+        monkeypatch.setattr(gillespie, "_HANDOFF", handoff)
         # generators whose first block is still to be drawn; held, not
         # keyed by id(), since ids are reused
         pending = []
