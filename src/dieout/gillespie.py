@@ -509,9 +509,8 @@ def _advance(cfg: SimConfig, tables: _EventTables, run: _Run,
 
 class _RateTable:
     """beta(n) and beta_int(n) as float arrays over a window of n,
-    ``beta[n - lo]``, moved on demand to the totals a batch can reach;
-    whatever the window, each value comes from the profile's evaluator,
-    and values the old window shares with the new one are kept."""
+    ``beta[n - lo]``, rebuilt from the profiles' evaluators whenever the
+    totals a batch can reach leave it."""
 
     def __init__(self, model: EpidemicModel):
         self._fns = (model.beta.evaluator(FLOAT),
@@ -521,24 +520,12 @@ class _RateTable:
 
     def cover(self, low: int, high: int) -> None:
         """Make n = low..high readable (1 <= low <= high)."""
-        lo, hi = self.lo, self.lo + self.beta.size
-        if lo <= low and high < hi:
+        if self.lo <= low and high < self.lo + self.beta.size:
             return
-        # [a, b): the entries the two windows share, if any
-        a = min(max(low, lo), high + 1)
-        b = max(min(high + 1, hi), a)
-
-        def moved(old, fn):
-            new = np.empty(high + 1 - low)
-            new[:a - low] = [fn(m) for m in range(low, a)]
-            new[a - low:b - low] = old[a - lo:b - lo]
-            new[b - low:] = [fn(m) for m in range(b, high + 1)]
-            return new
-
         self.lo = low
         self.beta, self.beta_int = (
-            moved(old, fn)
-            for old, fn in zip((self.beta, self.beta_int), self._fns))
+            np.fromiter(map(fn, range(low, high + 1)), float, high + 1 - low)
+            for fn in self._fns)
 
 
 def _simulate_batch(cfg: SimConfig, tables: _EventTables, runs: range,

@@ -77,6 +77,11 @@ class LocalityGraph:
             raise ValueError("edge weights must be finite")
         if (w.data < 0).any():
             raise ValueError("negative edge weight")
+        # nonnegative weights: a finite total bounds every row and column sum
+        with np.errstate(over="ignore"):
+            if not math.isfinite(w.data.sum()):
+                raise ValueError("edge weights sum past the float64 range; "
+                                 "scale the weights down")
         if w.diagonal().any():
             raise ValueError("diagonal weights must be zero")
         for arr in (w.data, w.indices, w.indptr):
@@ -474,10 +479,9 @@ def spectral_radius(matrix, tol: float = 1e-12,
 
     Each pass evaluates z = M x, the radius sum(z) (a Collatz-Wielandt
     average, as sum(x) = 1) and the infinity-norm residual; it stops
-    unless the residual exceeds ``tol * max(1, |radius|)`` (so a NaN
-    residual stops it), else takes one shifted step.  The residual
-    achieved is reported in the result.  For an irreducible M the eigenvector is strictly positive
-    (unit sum).
+    unless the residual exceeds ``tol * max(1, |radius|)``, else takes
+    one shifted step.  The residual achieved is reported in the result.
+    For an irreducible M the eigenvector is strictly positive (unit sum).
 
     Args:
         matrix: nonnegative square matrix, dense or sparse; iterated
@@ -487,7 +491,8 @@ def spectral_radius(matrix, tol: float = 1e-12,
 
     Raises:
         ValueError: empty or non-square input, non-finite or negative
-            entries, or a ``tol`` that is not finite and positive.
+            entries, entries whose sum (plus ``c``) overflows float64, or
+            a ``tol`` that is not finite and positive.
         SpectralError: cap reached before the residual target.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -503,7 +508,13 @@ def spectral_radius(matrix, tol: float = 1e-12,
         raise ValueError("matrix entries must be nonnegative")
     n = m.shape[0]
 
-    row_max = float(np.asarray(m.sum(axis=1)).max())
+    with np.errstate(over="ignore"):
+        row_sums = np.asarray(m.sum(axis=1)).ravel()
+        row_max, total = float(row_sums.max()), float(row_sums.sum())
+    # no iterate exceeds sum(M) + c, as sum(M x) <= sum(M) when sum(x) = 1
+    if not math.isfinite(total + row_max / 2):
+        raise ValueError("matrix entries sum past the float64 range; "
+                         "scale the matrix down")
     x = np.full(n, 1.0 / n)
     if row_max == 0.0:
         return SpectralInfo(0.0, x, 0.0, 0)

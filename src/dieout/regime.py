@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .graphs import (EpidemicModel, LocalityGraph, geometric_lower,
                      is_strongly_connected, spectral_radius,
@@ -80,17 +80,24 @@ def _check_boundary_tol(tol: float) -> None:
             f"boundary_tol must be finite and >= 0, got {tol!r}")
 
 
-def _report(model: EpidemicModel, threshold: float, tol: float,
+def _decide(model: EpidemicModel, lower: float, upper: float, tol: float,
             method: Method, **extra) -> RegimeReport:
-    """Compare the model's delta with one threshold."""
+    """Fast extinction when delta clears ``upper``, long-lasting when
+    ``lower`` clears delta, each by more than the relative band ``tol``,
+    else indeterminate at ``upper``; a sharp method passes its one
+    threshold as both ends.  ValueError if an end is not finite."""
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise ValueError(f"{method.value} threshold bracket [{lower!r}, "
+                         f"{upper!r}] is not finite")
     delta = float(model.delta)
-    margin = delta - threshold
-    if abs(margin) <= tol * max(delta, threshold):
-        regime = Regime.INDETERMINATE
+    if delta - upper > tol * max(delta, upper):
+        regime, threshold = Regime.FAST_EXTINCTION, upper
+    elif lower - delta > tol * max(delta, lower):
+        regime, threshold = Regime.LONG_LASTING, lower
     else:
-        regime = (Regime.FAST_EXTINCTION if margin > 0
-                  else Regime.LONG_LASTING)
-    return RegimeReport(regime, threshold, delta, margin, method, **extra)
+        regime, threshold = Regime.INDETERMINATE, upper
+    return RegimeReport(regime, threshold, delta, delta - threshold, method,
+                        **extra)
 
 
 def _scalar_eta(model: EpidemicModel) -> float:
@@ -115,7 +122,8 @@ def classify_symmetric(lambda_r: float, model: EpidemicModel,
         raise ValueError("spectral radius must be nonnegative")
     threshold = (model.beta.limit * lambda_r
                  + model.beta_int.limit * _scalar_eta(model))
-    return _report(model, threshold, boundary_tol, Method.SYMMETRIC_SPECTRAL)
+    return _decide(model, threshold, threshold, boundary_tol,
+                   Method.SYMMETRIC_SPECTRAL)
 
 
 def classify_general(g: LocalityGraph, model: EpidemicModel,
@@ -131,8 +139,8 @@ def classify_general(g: LocalityGraph, model: EpidemicModel,
     _check_boundary_tol(boundary_tol)
     connected = is_strongly_connected(g)
     info = spectral_radius(model.asymptotic_matrix(g), tol=spectral_tol)
-    return _report(model, info.radius, boundary_tol, Method.GENERAL_SPECTRAL,
-                   strongly_connected=connected)
+    return _decide(model, info.radius, info.radius, boundary_tol,
+                   Method.GENERAL_SPECTRAL, strongly_connected=connected)
 
 
 def classify_scalar_D(g: LocalityGraph, model: EpidemicModel,
@@ -150,11 +158,11 @@ def classify_scalar_D(g: LocalityGraph, model: EpidemicModel,
     _check_boundary_tol(boundary_tol)
     # D must fit the graph and be scalar before the power iteration
     model.d(g.node_count)
-    _scalar_eta(model)
-    report = classify_symmetric(
-        spectral_radius(g.weights, tol=spectral_tol).radius, model,
-        boundary_tol)
-    return replace(report, method=Method.SCALAR_D,
+    eta = _scalar_eta(model)
+    threshold = (model.beta.limit
+                 * spectral_radius(g.weights, tol=spectral_tol).radius
+                 + model.beta_int.limit * eta)
+    return _decide(model, threshold, threshold, boundary_tol, Method.SCALAR_D,
                    strongly_connected=is_strongly_connected(g))
 
 
@@ -177,20 +185,12 @@ def classify_decoupled(g: LocalityGraph, model: EpidemicModel,
     _check_boundary_tol(boundary_tol)
     d = model.d(g.node_count)
     beta_inf, betaint_inf = model.beta.limit, model.beta_int.limit
-    delta = float(model.delta)
     upper = (beta_inf * spectral_radius(symmetrized_upper(g),
                                         tol=spectral_tol).radius
              + betaint_inf * float(d.max()))
     lower = (beta_inf * spectral_radius(geometric_lower(g),
                                         tol=spectral_tol).radius
              + betaint_inf * float(d.min()))
-    if delta - upper > boundary_tol * max(delta, upper):
-        regime, threshold = Regime.FAST_EXTINCTION, upper
-    elif lower - delta > boundary_tol * max(delta, lower):
-        regime, threshold = Regime.LONG_LASTING, lower
-    else:
-        regime, threshold = Regime.INDETERMINATE, upper
-    return RegimeReport(regime, threshold, delta, delta - threshold,
-                        Method.DECOUPLED_WEYL,
-                        lower_threshold=lower, upper_threshold=upper,
-                        strongly_connected=is_strongly_connected(g))
+    return _decide(model, lower, upper, boundary_tol, Method.DECOUPLED_WEYL,
+                   lower_threshold=lower, upper_threshold=upper,
+                   strongly_connected=is_strongly_connected(g))

@@ -27,7 +27,9 @@ numbers, one decimal conversion per hitting-table cell) that the
 streaming writer must reproduce byte for byte.  ``load_edge_list`` and
 ``read_label_values`` are the former one-line-at-a-time readers of edge
 lists and label files, whose graphs, tables and error messages the bulk
-readers must reproduce.
+readers must reproduce.  ``single_threshold_regime`` and
+``weyl_pair_regime`` are the two regime rules the classifiers used
+before one bracket rule decided every record.
 """
 
 import csv
@@ -48,6 +50,7 @@ from dieout.gillespie import SimConfig, run_ensemble
 from dieout.graphs import EdgeListError, EpidemicModel, LocalityGraph
 from dieout.rates import (EXACT, FLOAT, Arithmetic, ExactnessError,
                           coerce_coefficient)
+from dieout.regime import Regime
 
 
 def _mpf(q: Fraction) -> mpmath.mpf:
@@ -676,3 +679,25 @@ def read_label_values(path, convert=None, labels=None) -> dict:
                 raise ConfigError(
                     f"{where}: bad value {parts[1]!r}: {exc}") from None
     return table
+
+
+def single_threshold_regime(delta: float, threshold: float,
+                            tol: float) -> Regime:
+    """The sharp classifiers' former rule: indeterminate within the
+    relative band ``tol`` of the one threshold, else the side delta is
+    on."""
+    margin = delta - threshold
+    if abs(margin) <= tol * max(delta, threshold):
+        return Regime.INDETERMINATE
+    return Regime.FAST_EXTINCTION if margin > 0 else Regime.LONG_LASTING
+
+
+def weyl_pair_regime(delta: float, lower: float, upper: float,
+                     tol: float) -> tuple[Regime, float]:
+    """The decoupled classifier's former inline rule: the regime and the
+    threshold it is reported at."""
+    if delta - upper > tol * max(delta, upper):
+        return Regime.FAST_EXTINCTION, upper
+    if lower - delta > tol * max(delta, lower):
+        return Regime.LONG_LASTING, lower
+    return Regime.INDETERMINATE, upper

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from argparse import Namespace
 from dataclasses import replace
 from fractions import Fraction
@@ -398,6 +399,40 @@ class TestClassify:
         cfg = write_config(tmp_path, "[profiles]\nbeta = const:1\n")
         assert main(["classify", "--config", str(cfg)]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestOverflowingInputs:
+    """Inputs past float64's range fail at once: exit 1, one ``error:``
+    line, no traceback and no warning."""
+
+    STAR = "a b 1\na c 1\nb a 1\nc a 1\n"
+    HUGE = "a b 1e308\na c 1e308\nb a 1\nc a 1\n"
+
+    def run(self, tmp_path, capsys, command, edges, beta="2"):
+        graph = tmp_path / "g.edges"
+        graph.write_text(edges, encoding="utf-8")
+        body = SIM_BODY.format(graph=graph, delta="2", out=tmp_path / "out")
+        body = body.replace("beta = const:2\n", f"beta = const:{beta}\n")
+        cfg = write_config(tmp_path, body + "\n[meanfield]\nt_max = 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("command", ["classify", "simulate", "meanfield"])
+    def test_weights_summing_past_float64(self, tmp_path, capsys, command):
+        # classify wrote "threshold": NaN with exit 0, simulate hung and
+        # meanfield died with an OverflowError traceback
+        err = self.run(tmp_path, capsys, command, self.HUGE)
+        assert "scale the weights down" in err
+
+    def test_growth_matrix_past_float64(self, tmp_path, capsys):
+        # W is ordinary, but beta_inf * W overflows in the power
+        # iteration; general_spectral read NaN with exit 0
+        err = self.run(tmp_path, capsys, "classify", self.STAR, beta="1e308")
+        assert "float64" in err
 
 
 class TestSimulate:

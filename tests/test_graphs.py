@@ -212,6 +212,17 @@ class TestSpectralRadius:
         with pytest.raises(ValueError, match="finite"):
             spectral_radius(np.array([[0.0, bad], [1.0, 0.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("matrix", [
+        # the row sum overflows: the radius read NaN
+        [[1e308, 1e308], [0.0, 0.0]],
+        # the sum is finite, but the shifted step's is not: the radius
+        # read 0.0
+        [[1.3e308, 0.0], [0.0, 0.0]]])
+    def test_rejects_entries_summing_past_float64(self, matrix):
+        with pytest.raises(ValueError, match="float64"):
+            spectral_radius(matrix)
+
     def test_nonconvergence_carries_residual(self):
         g = random_strong_digraph(3)
         with pytest.raises(SpectralError) as exc:
@@ -445,6 +456,16 @@ class TestValidation:
         for given in (w, sp.csr_matrix(w)):
             with pytest.raises(ValueError, match="finite"):
                 LocalityGraph(("a", "b"), given)
+
+    @pytest.mark.filterwarnings("error")
+    def test_weights_summing_past_float64_rejected(self):
+        # each weight is finite, but their row sum overflows; the
+        # simulator used to hang on such a graph and meanfield to crash
+        w = np.array([[0.0, 1e308, 1e308], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="scale the weights down"):
+            LocalityGraph(("a", "b", "c"), w)
+        with pytest.raises(ValueError, match="scale the weights down"):
+            load_edge_list("a b 1e308\na c 1e308\nb a 1\nc a 1")
 
     def test_weights_are_a_canonical_read_only_copy(self):
         # duplicate entries, an explicit zero and integer data, as COO

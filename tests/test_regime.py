@@ -1,15 +1,75 @@
 import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dieout.graphs import (DiagonalModulation, LocalityGraph, load_edge_list,
                            spectral_radius)
-from dieout.regime import (Regime, classify_decoupled,
+from dieout.regime import (Method, Regime, _decide, classify_decoupled,
                            classify_general, classify_scalar_D,
                            classify_symmetric)
 
 from conftest import const_model, random_strong_digraph
+from oracles import single_threshold_regime, weyl_pair_regime
+
+#: curing rates: positive and finite, as the model requires
+DELTAS = st.floats(min_value=1e-300, max_value=1e300)
+#: thresholds, zero included
+THRESHOLDS = st.floats(min_value=0.0, max_value=1e300)
+#: relative bands, zero included
+TOLS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
+#: (delta, threshold) pairs, with exact ties drawn often
+PAIRS = st.one_of(st.tuples(DELTAS, THRESHOLDS), DELTAS.map(lambda d: (d, d)))
+
+
+class TestDecide:
+    """``_decide`` is the one rule every classifier reports through."""
+
+    @given(PAIRS, TOLS)
+    @example((2.0, 2.0), 0.0)
+    @example((2.0, 0.0), 0.0)
+    @example((3.0, 2.0), 1 / 3)  # margin exactly on the band's edge
+    @example((2.0, 3.0), 1 / 3)
+    def test_one_threshold_matches_the_former_rule(self, pair, tol):
+        delta, t = pair
+        report = _decide(const_model(1.0, 1.0, delta), t, t, tol,
+                         Method.GENERAL_SPECTRAL)
+        assert report.regime is single_threshold_regime(delta, t, tol)
+        assert (report.threshold, report.delta) == (t, delta)
+        assert report.margin == delta - t
+
+    @given(DELTAS, THRESHOLDS, THRESHOLDS, TOLS)
+    @example(2.0, 2.0, 2.0, 0.0)
+    @example(2.0, 1.0, 3.0, 0.0)
+    @example(2.0, 2.0, 3.0, 0.0)
+    @example(2.0, 1.0, 2.0, 0.0)
+    def test_bracket_matches_the_former_weyl_rule(self, delta, a, b, tol):
+        lower, upper = min(a, b), max(a, b)
+        report = _decide(const_model(1.0, 1.0, delta), lower, upper, tol,
+                         Method.DECOUPLED_WEYL)
+        regime, threshold = weyl_pair_regime(delta, lower, upper, tol)
+        assert (report.regime, report.threshold) == (regime, threshold)
+        assert report.margin == delta - threshold
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_end_raises(self, bad):
+        model = const_model(1.0, 1.0, 2.0)
+        for lower, upper in ((bad, 1.0), (1.0, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="not finite"):
+                _decide(model, lower, upper, 0.0, Method.DECOUPLED_WEYL)
+
+    def test_threshold_overflowing_float64_raises(self, k3):
+        # rho(W) = 2 is finite, but beta_inf * rho(W) is not; the
+        # record used to read long_lasting at threshold inf
+        model = const_model(1e308, 0.0, 2.0)
+        for classify in (classify_scalar_D, classify_decoupled):
+            with pytest.raises(ValueError, match="not finite"):
+                classify(k3, model, boundary_tol=0.0)
+        with pytest.raises(ValueError, match="not finite"):
+            classify_symmetric(2.0, model, boundary_tol=0.0)
 
 
 class TestBoundaryTolerance:
