@@ -153,9 +153,9 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
     return out
 
 
-def _model(cfg: ExperimentConfig, g) -> EpidemicModel:
-    """The configured epidemic on graph ``g``."""
-    beta, beta_int = load_profiles(cfg)
+def _model(cfg: ExperimentConfig, g, profiles=None) -> EpidemicModel:
+    """The configured epidemic on graph ``g``; ``profiles`` if loaded."""
+    beta, beta_int = profiles or load_profiles(cfg)
     return EpidemicModel(beta, beta_int, cfg.dynamics.delta,
                          load_modulation(cfg, g))
 
@@ -169,8 +169,9 @@ def _load_report(g, start: float) -> dict:
 def cmd_classify(cfg: ExperimentConfig, args) -> int:
     """Classify the epidemic regime; one JSON record per applicable method."""
     start = time.perf_counter()
+    profiles = load_profiles(cfg)  # before the graph: fail fast
     g = load_graph(cfg)
-    model = _model(cfg, g)
+    model = _model(cfg, g, profiles)
     load = _load_report(g, start)
     start = time.perf_counter()
     modulation = model.modulation
@@ -204,11 +205,11 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _sim_config(cfg: ExperimentConfig, g, args) -> SimConfig:
+def _sim_config(cfg: ExperimentConfig, g, args, profiles=None) -> SimConfig:
     sim = cfg.simulation
     initial = load_initial_counts(cfg, g)
     return SimConfig(
-        model=_model(cfg, g), t_max=sim.t_max,
+        model=_model(cfg, g, profiles), t_max=sim.t_max,
         n0=sim.n0 if initial is None else int(initial.sum()),
         master_seed=sim.master_seed if args.seed is None else args.seed,
         initial=initial, record_events=sim.record_events)
@@ -217,10 +218,11 @@ def _sim_config(cfg: ExperimentConfig, g, args) -> SimConfig:
 def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     """Run the ensemble and write trajectory/summary/extinction CSVs."""
     start = time.perf_counter()
-    g = load_graph(cfg)
-    sim_cfg = _sim_config(cfg, g, args)
-    load = _load_report(g, start)
+    profiles = load_profiles(cfg)  # before the graph: fail fast
     grid = simulation_grid(cfg.simulation)
+    g = load_graph(cfg)
+    sim_cfg = _sim_config(cfg, g, args, profiles)
+    load = _load_report(g, start)
     summary = run_ensemble(sim_cfg, g, cfg.simulation.runs, grid,
                            threads=args.threads)
     out = _out_dir(cfg, args)
@@ -355,23 +357,25 @@ def cmd_asymptote(cfg: ExperimentConfig, args) -> int:
 def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
     """Integrate the expected-trajectory ODE and write per-node columns."""
     start = time.perf_counter()
-    g = load_graph(cfg)
-    model = _model(cfg, g)
-    load = _load_report(g, start)
     mf = cfg.meanfield
+    profiles = load_profiles(cfg)  # before the graph: fail fast
     grid = uniform_grid(mf.t_max, mf.grid_step, "meanfield")
+    if mf.x0 != "uniform" and not mf.x0.startswith("node:"):
+        raise ConfigError(
+            f"[meanfield] x0 {mf.x0!r}: use uniform or node:LABEL")
+    g = load_graph(cfg)
+    model = _model(cfg, g, profiles)
+    load = _load_report(g, start)
     n0 = cfg.simulation.n0
     if mf.x0 == "uniform":
         x0 = np.full(g.node_count, n0 / g.node_count)
-    elif mf.x0.startswith("node:"):
+    else:
         x0 = np.zeros(g.node_count)
         try:
             x0[g.index(mf.x0[len("node:"):])] = n0
         except KeyError:
             raise ConfigError(f"[meanfield] x0 = {mf.x0!r} names no node "
                               f"of the graph") from None
-    else:
-        raise ConfigError(f"[meanfield] x0 {mf.x0!r}: use uniform or node:LABEL")
     start = time.perf_counter()
     series = mean_field_trajectory(g, model, x0, grid)
     compute_s = time.perf_counter() - start

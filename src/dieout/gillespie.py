@@ -235,7 +235,7 @@ class _EventTables:
     @classmethod
     def of(cls, g: LocalityGraph, model: EpidemicModel) -> "_EventTables":
         w, n = g.weights, g.node_count
-        d = model.d(n)
+        d = model.d_on(g)
         scalars = np.asarray(w.sum(axis=0)).ravel().tolist(), d, d.tolist()
         if n <= DENSE_NODE_LIMIT:
             dense = w.toarray()
@@ -735,9 +735,9 @@ def _pick_rows(values: np.ndarray, targets: np.ndarray,
         for col, out in zip(cols[1:], cum[1:]):
             last = np.add(last, col, out)
     passed = np.less_equal(cum, targets, out=flags)
-    # counted in int16 where it fits: the reduce is then faster
-    node = np.add.reduce(passed.view(np.uint8), axis=0,
-                         dtype=np.int16 if width < 1 << 15 else np.intp)
+    # rows come from dense tables, so width <= DENSE_NODE_LIMIT < 2^15:
+    # int16 holds the count, and the reduce is faster in it
+    node = np.add.reduce(passed.view(np.uint8), axis=0, dtype=np.int16)
     falls_back = np.less(passed[:-1], passed[1:]).any(axis=0)
     for r in ((cum[-1] <= targets) | (targets < 0)
               | falls_back).nonzero()[0].tolist():

@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import filterfalse
 from operator import methodcaller
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .rates import RateProfile, coerce_coefficient
+from .rates import FLOAT, RateProfile, coerce_coefficient
 
 
 class EdgeListError(ValueError):
@@ -172,10 +171,26 @@ class EpidemicModel:
                              f"!= {node_count} nodes")
         return self.modulation.values
 
+    def d_on(self, g: LocalityGraph) -> np.ndarray:
+        """D's diagonal on ``g``; ValueError unless (sup beta * c_max +
+        sup beta_int * max(D) + delta) * (2^63 - 1) is finite, c_max being
+        W's largest column sum.  Counts are int64, so then no simulator
+        rate and no entry sum of :meth:`growth_matrix` overflows."""
+        d = self.d(g.node_count)
+        c_max = float(g.weights.sum(axis=0).max())
+        if not math.isfinite(
+                (self.beta.sup(1, FLOAT) * c_max
+                 + self.beta_int.sup(1, FLOAT) * float(d.max())
+                 + float(self.delta)) * (2 ** 63 - 1)):
+            raise ValueError("rates on this graph can pass the float64 range "
+                             "at 2^63 - 1 cases; scale beta, beta_int, "
+                             "delta or the weights down")
+        return d
+
     def growth_matrix(self, g: LocalityGraph, b: float, bi: float):
         """Birth-rate matrix ``b * W + bi * diag(D)`` at profile values
         b = beta(n), bi = beta_int(n), in CSR."""
-        d = self.d(g.node_count)
+        d = self.d_on(g)  # before b * W can overflow
         return (b * g.weights + sp.diags(bi * d)).tocsr()
 
     def asymptotic_matrix(self, g: LocalityGraph):
@@ -198,46 +213,28 @@ class SpectralInfo:
     iterations: int
 
 
-#: _SPACE[c] is whether ``str.split()`` splits at code point c; no such
-#: code point lies above U+3000, and the last entry stands for them all
-_SPACE = np.zeros(0x3002, dtype=bool)
-_SPACE[[c for c in range(0x3001) if chr(c).isspace()]] = True
-
 #: Characters per chunk of :func:`parse_columns`.  Only one chunk's
 #: field strings are alive at a time, so a parse no longer scatters a
 #: file's worth of them over the heap.  On a 20k-node, 140k-edge list
-#: (2.2 MB), the traced peak of :func:`load_edge_list_file` was 10.1 MB
-#: for 2**12 to 2**16 characters, 12.8 MB at 2**18, 27.9 MB at 2**20
-#: and 32.6 MB in one piece; below 2**12 the parse slows down.
+#: (2.2 MB), the traced peak of :func:`load_edge_list_file` is 10.0 MB
+#: for 2**12 to 2**16 characters, 12.9 MB at 2**18, 28.3 MB at 2**20
+#: and 33.4 MB in one piece; below 2**12 the parse slows down.
 CHUNK_CHARS = 2 ** 16
 
 
 def split_fields(text: str, width: int) -> list[str] | None:
     """The whitespace-separated fields of ``text``'s lines, separated by
     ``\\n``, with ``#`` comments dropped, as one flat list; None unless
-    every nonblank line has exactly ``width`` fields.
-
-    One ``str.split()`` gives the fields.  The count per line comes from
-    array operations on the code points, with the whitespace of
-    ``str.split()``, so a field ends where ``line.split()`` ends it.
-    :func:`parse_columns` calls it once per chunk of a file.
-    """
+    every nonblank line has exactly ``width`` fields."""
     if "#" in text:
         text = re.sub("#[^\n]*", "", text)
-    codes = (np.frombuffer(text.encode("ascii"), np.uint8) if text.isascii()
-             else np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
-                                np.uint32).clip(max=_SPACE.size - 1))
-    space = _SPACE.take(codes)
-    starts = ~space
-    starts[1:] &= space[:-1]
-    # fields before each \n, then per line: those before its end minus
-    # those before its start
-    before = np.searchsorted(np.flatnonzero(starts),
-                             np.flatnonzero(codes == ord("\n")))
-    counts = np.diff(before, prepend=0, append=np.count_nonzero(starts))
-    if not ((counts == 0) | (counts == width)).all():
-        return None
-    return text.split()
+    fields = []
+    for row in map(str.split, text.split("\n")):
+        if len(row) == width:
+            fields += row
+        elif row:
+            return None
+    return fields
 
 
 def line_chunks(text: str) -> Iterator[str]:
@@ -279,10 +276,8 @@ def parse_columns(text: str, width: int, convert=None):
             except ValueError:
                 return None
             del fields[width - 1::width]
-        new = list(filterfalse(index.__contains__, dict.fromkeys(fields)))
-        index.update(zip(new, range(len(index), len(index) + len(new))))
-        ends.append(np.fromiter(map(index.__getitem__, fields), np.intp,
-                                len(fields)))
+        ends.append(np.fromiter((index.setdefault(f, len(index))
+                                 for f in fields), np.intp, len(fields)))
     return index, np.concatenate(ends), values
 
 

@@ -414,6 +414,9 @@ class TestOverflowingInputs:
         body = SIM_BODY.format(graph=graph, delta="2", out=tmp_path / "out")
         body = body.replace("beta = const:2\n", f"beta = const:{beta}\n")
         cfg = write_config(tmp_path, body + "\n[meanfield]\nt_max = 1\n")
+        return self.error_line(capsys, command, cfg)
+
+    def error_line(self, capsys, command, cfg):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main([command, "--config", str(cfg)]) == 1
@@ -433,6 +436,51 @@ class TestOverflowingInputs:
         # iteration; general_spectral read NaN with exit 0
         err = self.run(tmp_path, capsys, "classify", self.STAR, beta="1e308")
         assert "float64" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "classify", "meanfield"])
+    def test_rates_past_float64_at_every_count(self, tmp_path, capsys,
+                                               command):
+        # beta * (W X) is inf at every count: simulate reported all 40
+        # runs extinct with exit 0, classify and meanfield warned first
+        graph = tmp_path / "g.edges"
+        graph.write_text("a b 2\nb a 2\na c 2\nc a 2\n", encoding="utf-8")
+        cfg = write_config(tmp_path, "\n".join([
+            "[graph]", f"path = {graph}", "[profiles]", "beta = const:1e308",
+            "[dynamics]", "delta = 1", "[simulation]", "runs = 40",
+            "n0 = 5", "t_max = 1", "grid_step = 0.5", "[meanfield]",
+            "t_max = 1", "grid_step = 0.5", "[output]",
+            f"directory = {tmp_path / 'out'}", ""]))
+        assert "float64" in self.error_line(capsys, command, cfg)
+
+
+class TestFailFast:
+    """Profiles, grids and the form of x0 are checked before the graph
+    is read."""
+
+    @pytest.mark.parametrize("command, old, new, message", [
+        (command, "beta = const:2", "beta = cnst:2",
+         "unknown profile family 'cnst'")
+        for command in ("classify", "simulate", "meanfield")] + [
+        ("simulate", "grid_step = 0.2", "grid_step = 0.25001",
+         "[simulation] grid_step = 0.25001 does not divide t_max = 6.0"),
+        ("meanfield", "grid_step = 0.5", "grid_step = 0.3",
+         "[meanfield] grid_step = 0.3 does not divide t_max = 1.0"),
+        ("meanfield", "x0 = uniform", "x0 = bogus",
+         "[meanfield] x0 'bogus': use uniform or node:LABEL")])
+    def test_bad_setting_fails_before_the_graph(self, tmp_path, capsys,
+                                                monkeypatch, command, old,
+                                                new, message):
+        def load_graph(cfg):
+            raise AssertionError("the graph was read")
+
+        monkeypatch.setattr(cli, "load_graph", load_graph)
+        body = SIM_BODY.format(graph=tmp_path / "absent.edges", delta="2",
+                               out=tmp_path / "out")
+        body += "\n[meanfield]\nt_max = 1.0\ngrid_step = 0.5\nx0 = uniform\n"
+        assert old in body
+        cfg = write_config(tmp_path, body.replace(old, new))
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestSimulate:

@@ -441,6 +441,10 @@ class TestEventSelection:
             assert _pick_rows(values, targets).tolist() == [
                 _locate(r, t) for r, t in zip(values, targets)]
 
+    def test_row_picks_fit_int16(self):
+        # _pick_rows counts in int16; its rows come from dense tables
+        assert gillespie.DENSE_NODE_LIMIT < 2 ** 15
+
 
 class TestLockstepBatch:
     """A dense ensemble advances its runs in lockstep batches; each run
