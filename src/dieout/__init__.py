@@ -4,10 +4,9 @@ arbitrary-precision extinction-time computation on locality networks."""
 __version__ = "0.1.0"
 
 from .chains import (AsymptoteRatios, BirthDeathSpec, HittingTable,
-                     InfiniteHittingTimeError, PrecisionConfig, SeriesValue,
+                     InfiniteHittingTimeError, PrecisionConfig,
                      asymptote_ratio, bound_chains_from_graph,
-                     equilibrium_lower_bound, expected_T1, hitting_table,
-                     s_tail_series)
+                     equilibrium_lower_bound, hitting_table)
 from .gillespie import (EnsembleSummary, SimConfig, Trajectory,
                         mean_field_trajectory, run_ensemble, simulate_run,
                         trimmed_interval)
@@ -40,8 +39,6 @@ __all__ = [
     "mean_field_trajectory", "trimmed_interval",
     # chains
     "BirthDeathSpec", "PrecisionConfig", "HittingTable", "AsymptoteRatios",
-    "SeriesValue",
-    "InfiniteHittingTimeError", "expected_T1",
-    "s_tail_series", "hitting_table", "asymptote_ratio",
+    "InfiniteHittingTimeError", "hitting_table", "asymptote_ratio",
     "equilibrium_lower_bound", "bound_chains_from_graph",
 ]

@@ -141,23 +141,6 @@ class BirthDeathSpec:
 
 
 @dataclass(frozen=True)
-class SeriesValue:
-    """A certified series evaluation.
-
-    ``value`` is a Fraction (rational mode) or an mpf holding the
-    kernel's exact dyadic value (big-float mode); ``truncated_at`` is
-    the absolute last index included; ``error_bound`` bounds
-    |value - S_n|: the neglected tail plus, in big-float mode, the
-    carried rounding error (None when no tail bound was available).
-    """
-
-    value: object
-    certified: bool
-    truncated_at: int
-    error_bound: object | None = None
-
-
-@dataclass(frozen=True)
 class HittingTable:
     """Increments S_1..S_n_max and accumulated mean hitting times.
 
@@ -616,37 +599,6 @@ def hitting_table(spec: BirthDeathSpec, n_max: int,
                                 values, bounds, den)
         M = min(max(2 * M, M + 64), precision.max_terms)
         passes += 1
-
-
-def s_tail_series(spec: BirthDeathSpec, n: int,
-                  precision: PrecisionConfig) -> SeriesValue:
-    """Increment S_n = E[T_n] - E[T_{n-1}] via the positive-term series.
-
-    This is the numerically stable route; relative truncation error is
-    certified against ``precision.series_rel_tol``.  The value is the
-    last row of the table :func:`hitting_table` builds for n.
-    """
-    table = hitting_table(spec, n, precision)
-    rational = precision.mode == RATIONAL
-    den, bound = table.denominator, table.bounds[-1]
-    return SeriesValue(
-        _number(table.numerators[-1], den, rational), table.row_certified[-1],
-        table.truncated_at,
-        None if bound is None else _number(bound, den, rational))
-
-
-def expected_T1(spec: BirthDeathSpec,
-                precision: PrecisionConfig) -> SeriesValue:
-    """Mean hitting time from one infected agent to zero.
-
-    Evaluates (1/delta) * sum_{i>=1} (1/i) * prod_{j<i} gamma(j)/delta
-    with a certified geometric tail bound.
-
-    Raises:
-        InfiniteHittingTimeError: when the series diverges (the chain's
-        growth coefficient does not drop below the curing rate).
-    """
-    return s_tail_series(spec, 1, precision)
 
 
 def asymptote_ratio(spec: BirthDeathSpec, n_list,

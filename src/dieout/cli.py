@@ -322,11 +322,6 @@ def cmd_asymptote(cfg: ExperimentConfig, args) -> int:
             max(2, asym.n_min), asym.n_max, asym.points)).astype(int))
         states = [int(n) for n in pts]
     precision = _precision_from(asym)
-    if max(states, default=0) > precision.max_terms:
-        raise ConfigError(
-            f"[asymptote] state {states[-1]} is above the series kernel's "
-            f"{precision.max_terms:,}-term cap; request states up to "
-            f"{precision.max_terms:,}")
     delta = parse_parameter(cfg.dynamics.delta)
 
     columns = []

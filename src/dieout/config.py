@@ -180,6 +180,10 @@ _PRECISION_RANGES = (
     ("rel_tol", lambda s: s.rel_tol > 0, "must be positive"),
 )
 
+#: the kernel's default cap on series terms: [asymptote] has no
+#: max_terms key, so its states must stay within it
+_MAX_TERMS = PrecisionConfig().max_terms
+
 
 def _printable_bits() -> int | None:
     """The largest big-float ``bits`` whose ``hitting.csv`` cells can be
@@ -197,9 +201,9 @@ def _printable_bits() -> int | None:
 
 
 #: Section name -> (key, test on the section, error text or a function
-#: that makes it) for the values a command would otherwise reject deep
-#: inside the library, under a name the file does not use, only after
-#: loading a graph, or only after its whole kernel pass.
+#: of the section making it) for the values a command would otherwise
+#: reject deep inside the library, under a name the file does not use,
+#: only after loading a graph, or only after its whole kernel pass.
 _RANGES = {
     "simulation": (
         ("runs", lambda s: s.runs >= MIN_RUNS,
@@ -214,20 +218,27 @@ _RANGES = {
     "hitting": _PRECISION_RANGES + (
         ("bits", lambda s: (s.mode == RATIONAL or _printable_bits() is None
                             or s.bits <= _printable_bits()),
-         lambda: f"is above {_printable_bits()}, the most whose decimals "
+         lambda s: f"is above {_printable_bits()}, the most whose decimals "
          f"can be printed (sys.get_int_max_str_digits() is "
          f"{sys.get_int_max_str_digits()})"),
         ("n_max", lambda s: s.n_max >= 1, "must be positive"),
-        ("max_terms", lambda s: s.max_terms >= 1, "must be positive"),),
+        ("max_terms", lambda s: s.max_terms >= 1, "must be positive"),
+        ("max_terms", lambda s: s.max_terms >= s.n_max,
+         lambda s: f"is below n_max = {s.n_max}; the series needs at "
+         "least that many terms"),),
     "asymptote": _PRECISION_RANGES + (
         ("gammas", lambda s: len(set(s.gammas)) == len(s.gammas),
          "repeats a profile"),
         ("n_values", lambda s: all(n >= 2 for n in s.n_values),
          "must all be >= 2"),
+        ("n_values", lambda s: max(s.n_values, default=0) <= _MAX_TERMS,
+         f"reach above the series kernel's {_MAX_TERMS:,}-term cap"),
         # the log-spaced states, used when n_values is unset
         ("n_min", lambda s: s.n_values or s.n_min <= s.n_max,
          "is above n_max"),
         ("n_max", lambda s: s.n_values or s.n_max >= 2, "must be >= 2"),
+        ("n_max", lambda s: s.n_values or s.n_max <= _MAX_TERMS,
+         f"is above the series kernel's {_MAX_TERMS:,}-term cap"),
         ("points", lambda s: s.n_values or s.points >= 1, "must be >= 1"),
     ),
     "classify": (
@@ -246,7 +257,7 @@ def _check_ranges(name: str, section) -> None:
             if isinstance(value, tuple):
                 value = " ".join(map(str, value))
             if callable(problem):
-                problem = problem()
+                problem = problem(section)
             raise ConfigError(f"[{name}] {key} = {value!r} {problem}")
 
 
@@ -454,18 +465,27 @@ def load_profiles(cfg: ExperimentConfig) -> tuple[RateProfile, RateProfile]:
     return beta, beta_int
 
 
+#: the most points an output grid may have: 80 MB of float64 times
+MAX_GRID_POINTS = 10**7
+
+
 def uniform_grid(t_max: float, grid_step: float, section: str) -> np.ndarray:
     """Output times 0, grid_step, ..., t_max of a ``[section]``.
 
     Raises:
         ConfigError: naming ``[section] grid_step`` unless the step is
-            positive and divides t_max to 1e-9 relative, so that the
-            grid ends exactly at t_max.
+            positive, makes at most ``MAX_GRID_POINTS`` points and
+            divides t_max to 1e-9 relative, so that the grid ends
+            exactly at t_max.
     """
     where = f"[{section}] grid_step = {grid_step!r}"
     if not grid_step > 0:
         raise ConfigError(f"{where} must be positive")
-    steps = round(t_max / grid_step)
+    steps = t_max / grid_step  # inf once the quotient overflows
+    if steps + 1 > MAX_GRID_POINTS:
+        raise ConfigError(f"{where} makes more than {MAX_GRID_POINTS:,} "
+                          f"grid points up to t_max = {t_max!r}")
+    steps = round(steps)
     if steps < 1:
         raise ConfigError(f"{where} is larger than t_max = {t_max!r}")
     if abs(steps * grid_step - t_max) > 1e-9 * t_max:

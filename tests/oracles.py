@@ -474,14 +474,14 @@ def s_recursion_step(spec: BirthDeathSpec, s_n, n: int,
         gamma_n = spec.gamma.evaluator(EXACT)(n)
         if gamma_n == 0:
             raise ZeroDivisionError(
-                f"gamma({n}) = 0: recursion undefined, use s_tail_series")
+                f"gamma({n}) = 0: recursion undefined, use hitting_table")
         return (s_n * spec.delta - Fraction(1, n)) / gamma_n
     bits = precision.bits if precision is not None else mpmath.mp.prec
     with mpmath.mp.workprec(bits):
         gamma_n = spec.gamma.evaluator(MPF)(n)
         if gamma_n == 0:
             raise ZeroDivisionError(
-                f"gamma({n}) = 0: recursion undefined, use s_tail_series")
+                f"gamma({n}) = 0: recursion undefined, use hitting_table")
         delta = mpmath.mpf(spec.delta.numerator) / spec.delta.denominator
         return (s_n * delta - mpmath.mpf(1) / n) / gamma_n
 

@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from dieout.chains import (BirthDeathSpec, PrecisionConfig,
-                           equilibrium_lower_bound, expected_T1,
-                           hitting_table)
+                           equilibrium_lower_bound, hitting_table)
 from dieout.gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                               simulate_run)
 from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
@@ -54,13 +53,13 @@ def test_01_closed_form_expected_T1():
         for k in (1, 2, 5):
             t0 = time.perf_counter()
             spec = BirthDeathSpec(Harmonic(Fraction(k)), Fraction(1))
-            result = expected_T1(spec, BF256)
+            result = hitting_table(spec, 1, BF256)
             elapsed = time.perf_counter() - t0
             with mpmath.mp.workprec(256):
                 closed = (mpmath.e ** k - 1) / k
-                rel = abs(result.value - closed) / closed
+                rel = abs(result.T[0] - closed) / closed
                 assert rel < mpmath.mpf(10) ** -10
-            assert result.certified
+            assert result.row_certified[-1]
             assert elapsed < 1.0
 
 
@@ -120,7 +119,7 @@ def test_04_asymptote_diagnostics_and_precision_warning():
         prec128 = PrecisionConfig(mode="bigfloat", bits=128,
                                   series_rel_tol=1e-30)
         with mpmath.mp.workprec(128):
-            s = expected_T1(spec, prec128).value
+            s = hitting_table(spec, 1, prec128).T[0]
         diverged_at = None
         for n in range(1, 150):
             s = s_recursion_step(spec, s, n, prec128)
@@ -241,19 +240,19 @@ def test_09_regime_reproduction_at_desk_scale(fixture20):
                                             parse_profile("const:2"),
                                             1.10 * threshold),
                               t_max=HORIZON_ABOVE, n0=n0, master_seed=901)
-        extinct = sum(
-            simulate_run(cfg_above, fixture20, i).extinct_at is not None
-            for i in range(runs))
+        # the ensemble's runs are byte-identical to simulate_run's
+        above = run_ensemble(cfg_above, fixture20, runs,
+                             np.array([0.0, HORIZON_ABOVE]))
+        extinct = len(above.run_extinctions)
         assert extinct >= 0.99 * runs, f"only {extinct}/{runs} extinct"
 
         cfg_below = SimConfig(EpidemicModel(parse_profile("const:2"),
                                             parse_profile("const:2"),
                                             0.90 * threshold),
                               t_max=HORIZON_BELOW, n0=n0, master_seed=902)
-        grown = 0
-        for i in range(runs):
-            traj = simulate_run(cfg_below, fixture20, i)
-            grown += int(traj.final_counts.sum()) > n0
+        below = run_ensemble(cfg_below, fixture20, runs,
+                             np.array([0.0, HORIZON_BELOW]))
+        grown = int((below.per_run_totals[:, -1] > n0).sum())
         assert grown >= 0.50 * runs, f"only {grown}/{runs} grew past n0"
         print(f"    [criterion 9] {extinct}/{runs} extinct by "
               f"t={HORIZON_ABOVE}; {grown}/{runs} above n0 at "
@@ -290,9 +289,9 @@ def test_10_metastability_and_equilibrium_bound(fixture20):
         for eps, n_eq in ((Fraction(1), 10), (Fraction(1, 2), 50)):
             spec = BirthDeathSpec(Step(1 + eps, Fraction(0), n_eq),
                                   Fraction(1))
-            t1 = expected_T1(spec, RATIONAL)
+            t1 = hitting_table(spec, 1, RATIONAL).T[0]
             bound = equilibrium_lower_bound(eps, 1, n_eq)
-            assert t1.value >= bound
+            assert t1 >= bound
         assert equilibrium_lower_bound(1, 1, 10) == Fraction(2047, 11)
 
 

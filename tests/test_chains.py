@@ -11,8 +11,7 @@ from dieout import chains
 from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig, asymptote_ratio,
                            bound_chains_from_graph, equilibrium_lower_bound,
-                           expected_T1, hitting_table, s_tail_series,
-                           _LogTable)
+                           hitting_table, _LogTable)
 from dieout.rates import (EXACT, FLOAT, Combined, Constant, ExactnessError,
                           LogOverN, ProfileError, Scaled, Step, Table,
                           gamma_from_graph, parse_profile)
@@ -76,13 +75,13 @@ class TestRecurrenceCheck:
 
 class TestExpectedT1:
     def test_pure_death(self):
-        r = expected_T1(spec_of("const:0"), RATIONAL)
-        assert r.value == Fraction(1)
-        assert r.certified
+        r = hitting_table(spec_of("const:0"), 1, RATIONAL)
+        assert r.T[0] == Fraction(1)
+        assert r.row_certified[-1]
 
     def test_pure_death_scales_with_delta(self):
-        r = expected_T1(spec_of("const:0", delta="5/2"), RATIONAL)
-        assert r.value == Fraction(2, 5)
+        r = hitting_table(spec_of("const:0", delta="5/2"), 1, RATIONAL)
+        assert r.T[0] == Fraction(2, 5)
 
     @pytest.mark.parametrize("delta", [math.inf, math.nan])
     def test_nonfinite_delta_rejected(self, delta):
@@ -92,29 +91,29 @@ class TestExpectedT1:
     def test_harmonic_closed_form(self):
         # gamma = k/n at delta = 1 sums to (e^k - 1)/k
         for k in (1, 2, 5):
-            r = expected_T1(spec_of(f"harmonic:{k}"), BF256)
+            r = hitting_table(spec_of(f"harmonic:{k}"), 1, BF256)
             with mpmath.mp.workprec(256):
                 closed = (mpmath.e ** k - 1) / k
-                assert abs(r.value - closed) / closed < mpmath.mpf(10) ** -50
-            assert r.certified
+                assert abs(r.T[0] - closed) / closed < mpmath.mpf(10) ** -50
+            assert r.row_certified[-1]
 
     def test_constant_half_matches_log_series(self):
         # sum (1/i) x^{i-1} = -ln(1-x)/x at x = 1/2 gives 2 ln 2
-        r = expected_T1(spec_of("const:1/2"), BF256)
+        r = hitting_table(spec_of("const:1/2"), 1, BF256)
         with mpmath.mp.workprec(256):
             closed = 2 * mpmath.log(2)
-            rel = abs(r.value - closed) / closed
+            rel = abs(r.T[0] - closed) / closed
             assert rel < 10 * mpmath.mpf(BF256.series_rel_tol)
 
     def test_divergent_series_raises(self):
         with pytest.raises(InfiniteHittingTimeError,
                            match="infinite expected hitting time"):
-            expected_T1(spec_of("const:1"), BF256)
+            hitting_table(spec_of("const:1"), 1, BF256)
 
     def test_rational_kernel_rejects_irrational_profile(self):
         spec = BirthDeathSpec(LogOverN(Fraction(1)), Fraction(1))
         with pytest.raises(ExactnessError):
-            expected_T1(spec, RATIONAL)
+            hitting_table(spec, 1, RATIONAL)
 
     def test_irrational_profile_rejected_before_any_pass(self, monkeypatch):
         def fail(*args):
@@ -142,42 +141,42 @@ class TestExpectedT1:
 
     def test_logn_works_in_bigfloat(self):
         spec = BirthDeathSpec(LogOverN(Fraction(1)), Fraction(1))
-        r = expected_T1(spec, BF256)
-        assert r.certified
-        assert float(r.value) > 1.0
+        r = hitting_table(spec, 1, BF256)
+        assert r.row_certified[-1]
+        assert float(r.T[0]) > 1.0
 
 
 class TestTailSeries:
     def test_pure_death_increment(self):
         for n in (1, 2, 17, 400):
-            r = s_tail_series(spec_of("const:0"), n, RATIONAL)
-            assert r.value == Fraction(1, n)
-            assert r.certified
+            r = hitting_table(spec_of("const:0"), n, RATIONAL)
+            assert r.S[-1] == Fraction(1, n)
+            assert r.row_certified[-1]
 
     def test_constant_increment_bounds(self):
         # 1/(delta n) <= S_n <= 1/((delta - alpha) n)
         for alpha in (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10)):
             spec = BirthDeathSpec(Constant(alpha), Fraction(1))
             for n in (1, 3, 10, 250):
-                r = s_tail_series(spec, n, RATIONAL)
-                assert Fraction(1, n) <= r.value <= 1 / ((1 - alpha) * n)
+                r = hitting_table(spec, n, RATIONAL)
+                assert Fraction(1, n) <= r.S[-1] <= 1 / ((1 - alpha) * n)
 
     def test_matches_exact_recursion_oracle(self):
         assert_recursion_reproduces_rows(spec_of("harmonic:5"), 30)
 
     def test_recursion_undefined_at_zero_gamma(self):
         spec = spec_of("step:2,0,10")
-        with pytest.raises(ZeroDivisionError, match="s_tail_series"):
+        with pytest.raises(ZeroDivisionError, match="hitting_table"):
             s_recursion_step(spec, Fraction(1), 11)
 
     def test_row_divergence_beyond_zero_region(self):
         # gamma is zero early (finite chain from below) but exceeds
         # delta afterwards: rows past the zero region diverge
         spec = spec_of("step:0,2,5")
-        r = s_tail_series(spec, 3, RATIONAL)  # inside the zero region
-        assert r.value == Fraction(1, 3)
+        r = hitting_table(spec, 3, RATIONAL)  # inside the zero region
+        assert r.S[-1] == Fraction(1, 3)
         with pytest.raises(InfiniteHittingTimeError):
-            s_tail_series(spec, 7, RATIONAL)
+            hitting_table(spec, 7, RATIONAL)
 
 
 class TestHittingTable:
@@ -199,9 +198,11 @@ class TestHittingTable:
             for x, p in zip(big.S + big.T, [
                     *big.numerators, *itertools.accumulate(big.numerators)]):
                 assert x == mpmath.mpf(p) / q
-            last = s_tail_series(spec, 30, BF256)
-            assert last.value == big.S[-1]
-            assert last.error_bound == mpmath.mpf(big.bounds[-1]) / q
+            # a rebuilt table reads the same last row, bound and all
+            last = hitting_table(spec, 30, BF256)
+            assert last.S[-1] == big.S[-1]
+            assert mpmath.mpf(last.bounds[-1]) / last.denominator == \
+                mpmath.mpf(big.bounds[-1]) / q
             for x, y in zip(big.T, rational.T):  # both certified
                 y = mpmath.mpf(y.numerator) / y.denominator
                 assert abs(y - x) <= y * mpmath.mpf(2e-30)
@@ -433,13 +434,13 @@ class TestStationaryDistribution:
         assert pi[1] == Fraction(3, 4)
         assert all(p == 0 for p in pi[2:])
         t1 = (1 / pi[0] - 1) / 3
-        assert t1 == expected_T1(spec, RATIONAL).value
+        assert t1 == hitting_table(spec, 1, RATIONAL).T[0]
 
     def test_renewal_identity_recovers_T1(self):
         spec = spec_of("const:1/2")
         pi = stationary_distribution(spec, 300, RATIONAL)
         t1 = 1 / pi[0] - 1  # theta = 1
-        series = expected_T1(spec, RATIONAL).value
+        series = hitting_table(spec, 1, RATIONAL).T[0]
         assert abs(t1 - series) < Fraction(1, 10**9)
 
     def test_theta_invariance(self):
@@ -468,27 +469,28 @@ class TestEquilibriumBound:
     def test_T1_dominates_bound(self):
         for eps, N in ((Fraction(1), 10), (Fraction(1, 2), 50)):
             spec = BirthDeathSpec(Step(1 + eps, Fraction(0), N), Fraction(1))
-            t1 = expected_T1(spec, RATIONAL)
-            assert t1.certified
-            assert t1.value >= equilibrium_lower_bound(eps, 1, N)
+            t1 = hitting_table(spec, 1, RATIONAL)
+            assert t1.row_certified[-1]
+            assert t1.T[0] >= equilibrium_lower_bound(eps, 1, N)
 
     def test_exact_finite_sum_for_step_profile(self):
         # gamma = delta + eps up to N, zero beyond: the series is the
         # finite sum (1/delta) * sum_{i=1}^{N+1} (1/i) ((delta+eps)/delta)^{i-1}
         eps, N = Fraction(1), 10
         spec = BirthDeathSpec(Step(1 + eps, Fraction(0), N), Fraction(1))
-        t1 = expected_T1(spec, RATIONAL)
+        t1 = hitting_table(spec, 1, RATIONAL)
         direct = sum(Fraction(1, i) * (1 + eps) ** (i - 1)
                      for i in range(1, N + 2))
-        assert t1.value == direct
+        assert t1.T[0] == direct
 
 
 class TestPrecisionHonesty:
     def test_doubling_precision_changes_less_than_tolerance(self):
         spec = spec_of("harmonic:5")
         tol = 1e-30
-        a = expected_T1(spec, PrecisionConfig("bigfloat", 128, tol)).value
-        b = expected_T1(spec, PrecisionConfig("bigfloat", 256, tol)).value
+        a = hitting_table(spec, 1, PrecisionConfig("bigfloat", 128, tol))
+        b = hitting_table(spec, 1, PrecisionConfig("bigfloat", 256, tol))
+        a, b = a.T[0], b.T[0]
         with mpmath.mp.workprec(512):
             assert abs(a - b) / b < 2 * mpmath.mpf(tol)
 
@@ -500,7 +502,7 @@ class TestPrecisionHonesty:
         table = hitting_table(spec, 150, PrecisionConfig("bigfloat", 256,
                                                          1e-40))
         with mpmath.mp.workprec(128):
-            s = expected_T1(spec, prec).value
+            s = hitting_table(spec, 1, prec).T[0]
         bad = None
         for n in range(1, 150):
             s = s_recursion_step(spec, s, n, prec)
@@ -514,13 +516,13 @@ class TestPrecisionHonesty:
     def test_certified_flag_false_when_max_terms_too_small(self):
         spec = spec_of("const:0.9")
         tight = PrecisionConfig("bigfloat", 256, 1e-40, max_terms=20)
-        r = s_tail_series(spec, 5, tight)
-        assert not r.certified
+        r = hitting_table(spec, 5, tight)
+        assert not r.row_certified[-1]
 
     def test_rational_and_bigfloat_agree(self):
         spec = spec_of("step:3,1/2,10")
-        a = expected_T1(spec, RATIONAL).value
-        b = expected_T1(spec, BF256).value
+        a = hitting_table(spec, 1, RATIONAL).T[0]
+        b = hitting_table(spec, 1, BF256).T[0]
         with mpmath.mp.workprec(300):
             af = mpmath.mpf(a.numerator) / a.denominator
             assert abs(af - b) / af < mpmath.mpf(10) ** -35
@@ -762,13 +764,13 @@ class TestRoundingCertificate:
     """``certified`` covers rounding as well as truncation."""
 
     def test_64_bit_T1_at_1e_30_is_not_certified(self):
-        r = expected_T1(spec_of("harmonic:5"),
-                        PrecisionConfig("bigfloat", 64, 1e-30))
-        assert not r.certified
+        r = hitting_table(spec_of("harmonic:5"), 1,
+                          PrecisionConfig("bigfloat", 64, 1e-30))
+        assert not r.row_certified[-1]
         with mpmath.mp.workprec(512):
             closed = (mpmath.e ** 5 - 1) / 5
-            err = abs(r.value - closed)
-            assert 0 < err <= r.error_bound
+            err = abs(r.T[0] - closed)
+            assert 0 < err <= mpmath.mpf(r.bounds[-1]) / r.denominator
 
     @pytest.mark.parametrize("gamma", [
         parse_profile("harmonic:5"), parse_profile("step:3,1/2,10"),
@@ -783,7 +785,7 @@ class TestRoundingCertificate:
         assert exact.certified
         certified = 0
         for n in (1, 2, 3, 5, 7, 30, 60):
-            r = s_tail_series(spec, n, precision)
+            r = hitting_table(spec, n, precision)
             # same truncation: the fixed-point value sits below the
             # truncated sum, by less than 2**-bits relative
             trunc = fraction_tail(spec, n, RATIONAL,
@@ -792,10 +794,11 @@ class TestRoundingCertificate:
                 x = mpmath.mpf(exact.S[n - 1].numerator) / \
                     exact.S[n - 1].denominator
                 t = mpmath.mpf(trunc.numerator) / trunc.denominator
-                assert 0 <= t - r.value <= t * mpmath.mpf(2) ** -bits
-                err = abs(r.value - x)
-                assert err <= r.error_bound + x * mpmath.mpf(1e-60)
-                if r.certified:
+                assert 0 <= t - r.S[-1] <= t * mpmath.mpf(2) ** -bits
+                err = abs(r.S[-1] - x)
+                bound = mpmath.mpf(r.bounds[-1]) / r.denominator
+                assert err <= bound + x * mpmath.mpf(1e-60)
+                if r.row_certified[-1]:
                     certified += 1
                     assert err <= x * mpmath.mpf(tol)
         if (bits, tol) in ((64, 1e-15), (128, 1e-30)):
@@ -813,12 +816,12 @@ class TestRoundingCertificate:
             spec = BirthDeathSpec(g, Fraction(3, 2))
             ref = reference_increments(spec, 40, 400)
             for n in (1, 2, 9, 40):
-                r = s_tail_series(spec, n, PrecisionConfig(
+                r = hitting_table(spec, n, PrecisionConfig(
                     "bigfloat", bits, 2.0 ** (8 - bits)))
-                assert r.certified
+                assert r.row_certified[-1]
                 with mpmath.mp.workprec(1024):
-                    err = ref[n] - r.value  # the kernel rounds down
-                    assert 0 < err <= r.error_bound
+                    err = ref[n] - r.S[-1]  # the kernel rounds down
+                    assert 0 < err <= mpmath.mpf(r.bounds[-1]) / r.denominator
                     assert err <= ref[n] * mpmath.mpf(2) ** (8 - bits)
 
     def test_backward_log_stays_within_its_bound(self):

@@ -121,15 +121,18 @@ class TestConfig:
         ("hitting", "rel_tol", "0", "0.0"),
         ("hitting", "bits", "10", "10"),
         ("hitting", "max_terms", "0", "0"),
+        ("hitting", "max_terms", "30", "30"),
         ("hitting", "n_max", "0", "0"),
         ("hitting", "mode", "exact", "'exact'"),
         ("asymptote", "rel_tol", "-1e-3", "-0.001"),
         ("asymptote", "bits", "10", "10"),
-        ("asymptote", "mode", "exact", "'exact'")])
+        ("asymptote", "mode", "exact", "'exact'"),
+        ("asymptote", "n_values", "10 2000001", "'10 2000001'"),
+        ("asymptote", "n_max", "2000001", "2000001")])
     def test_out_of_range_value_names_section_and_key(
             self, tmp_path, capsys, section, key, text, shown):
         needed = {"classify": "", "hitting": "gamma = harmonic:5\n",
-                  "asymptote": "gammas = harmonic:5\nn_max = 100\n"}
+                  "asymptote": "gammas = harmonic:5\n"}
         cfg = write_config(tmp_path, SIM_BODY.format(
             graph=small_graph_file(tmp_path), delta="6.6",
             out=tmp_path / "out")
@@ -138,6 +141,13 @@ class TestConfig:
         assert capsys.readouterr().err.startswith(
             f"error: [{section}] {key} = {shown} ")
         assert not (tmp_path / "out").exists()
+
+    def test_kernel_caps_admit_their_edge(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, (
+            "[hitting]\nn_max = 30\nmax_terms = 30\n"
+            "[asymptote]\nn_max = 2000000\n")))
+        assert cfg.hitting.max_terms == cfg.hitting.n_max
+        assert cfg.asymptote.n_max == PrecisionConfig().max_terms
 
     @pytest.mark.parametrize("command, old, new, shown", [
         ("simulate", "runs = 40", "runs = 39", "[simulation] runs = 39 "
@@ -483,6 +493,48 @@ class TestFailFast:
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestRefusals:
+    """Each refused setting exits 1 with exactly one ``error:`` line."""
+
+    @pytest.mark.parametrize("command, body, message", [
+        ("classify", "[graph]\npath = {graph}\nsubset = top:x\n",
+         "[graph] subset 'top:x': bad count"),
+        ("classify", "[graph]\npath = {graph}\n"
+         "[modulation]\neta = 2\nfile = {mod}\n",
+         "[modulation] give either eta or file, not both"),
+        ("classify", "[graph]\npath = {graph}\n[modulation]\nfile = {mod}\n",
+         "modulation file {mod} is missing node 'A00'"),
+        ("simulate", "[simulation]\ngrid_step = 0\n",
+         "[simulation] grid_step = 0.0 must be positive"),
+        ("meanfield", "[meanfield]\nt_max = 1\ngrid_step = 2\n",
+         "[meanfield] grid_step = 2.0 is larger than t_max = 1.0"),
+        ("hitting", "", "[hitting] gamma is required"),
+        ("asymptote", "", "[asymptote] gammas is required"),
+        ("simulate", None, "configuration file {cfg} does not exist")] + [
+        (command, f"[{section}]\ngrid_step = {step}\nt_max = 10\n",
+         f"[{section}] grid_step = {step} makes more than 10,000,000 grid "
+         "points up to t_max = 10.0")
+        for command, section in (("simulate", "simulation"),
+                                 ("meanfield", "meanfield"))
+        for step in ("1e-12", "5e-324")])
+    def test_refusal_is_one_error_line(self, tmp_path, capsys, command, body,
+                                       message):
+        paths = {"graph": tmp_path / "g.edges", "mod": tmp_path / "mod.txt",
+                 "cfg": tmp_path / "exp.ini"}
+        paths["graph"].write_text("A00 B01 1\nB01 A00 1\n", encoding="utf-8")
+        paths["mod"].write_text("B01 2\n", encoding="utf-8")
+        if body is not None:
+            write_config(tmp_path, body.format(**paths))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([command, "--config", str(paths["cfg"]),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(**paths)}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestSimulate:
     def run_once(self, tmp_path, out_name, seed=None):
         # decisively above threshold so every run dies within the horizon
@@ -795,8 +847,8 @@ directory = {tmp_path / 'out'}
             extra="max_terms = 30\n", out=tmp_path / "out"))
         assert main(["hitting", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: max_terms 30 ")
-        assert "state 50" in err
+        assert err.startswith("error: [hitting] max_terms = 30 ")
+        assert "n_max = 50" in err
 
     def test_rational_mode(self, tmp_path):
         cfg = write_config(tmp_path, f"""
@@ -1009,7 +1061,7 @@ directory = {tmp_path / 'out'}
 """)
         assert main(["asymptote", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: [asymptote] state 3000000 ")
+        assert err.startswith("error: [asymptote] n_values = '10 3000000' ")
         assert "2,000,000-term cap" in err
         assert not (tmp_path / "out").exists()
 
