@@ -12,9 +12,9 @@ from .gillespie import (EnsembleSummary, SimConfig, Trajectory,
                         trimmed_interval)
 from .graphs import (DiagonalModulation, EdgeListError, EpidemicModel,
                      LocalityGraph, SpectralError, SpectralInfo,
-                     geometric_lower, is_strongly_connected, load_edge_list,
+                     is_strongly_connected, load_edge_list,
                      load_edge_list_file, normalize_mean_column_weight,
-                     spectral_radius, symmetrized_upper)
+                     spectral_radius)
 from .rates import (Constant, Harmonic, LogOverN, ProfileError, RateProfile,
                     Step, Table, gamma_from_graph, parse_profile)
 from .regime import (Method, Regime, RegimeReport, classify_decoupled,
@@ -26,7 +26,7 @@ __all__ = [
     "LocalityGraph", "DiagonalModulation", "EpidemicModel", "SpectralInfo",
     "EdgeListError", "SpectralError", "load_edge_list", "load_edge_list_file",
     "normalize_mean_column_weight", "is_strongly_connected",
-    "spectral_radius", "symmetrized_upper", "geometric_lower",
+    "spectral_radius",
     # rates
     "RateProfile", "Constant", "Step", "Harmonic", "LogOverN", "Table",
     "ProfileError", "parse_profile", "gamma_from_graph",

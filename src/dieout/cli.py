@@ -174,19 +174,15 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     model = _model(cfg, g, profiles)
     load = _load_report(g, start)
     start = time.perf_counter()
-    modulation = model.modulation
-    tol = cfg.classify.boundary_tol
-    stol = cfg.classify.spectral_tol
-
-    reports = []
-    identity_mod = modulation.is_scalar and modulation.values[0] == 1.0
+    mod, tol, stol = (model.modulation, cfg.classify.boundary_tol,
+                      cfg.classify.spectral_tol)
     general = classify_general(g, model, boundary_tol=tol, spectral_tol=stol)
-    if identity_mod and is_symmetric(g):
-        reports.append(classify_symmetric(
+    reports = [general]
+    if mod.is_scalar and mod.values[0] == 1.0 and is_symmetric(g):
+        reports.insert(0, classify_symmetric(
             spectral_radius(g.weights, tol=stol).radius, model,
             boundary_tol=tol))
-    reports.append(general)
-    if modulation.is_scalar:
+    if mod.is_scalar:
         reports.append(classify_scalar_D(g, model, boundary_tol=tol,
                                          spectral_tol=stol))
     reports.append(classify_decoupled(g, model, boundary_tol=tol,
@@ -198,7 +194,8 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     if args.out or cfg.output.directory:
         out = _out_dir(cfg, args)
         (out / "classify.json").write_text(text + "\n", encoding="utf-8")
-        _write_meta(out, "classify", cfg, {**load, "compute_s": compute_s})
+        _write_meta(out, "classify", cfg, {**load, "compute_s": compute_s,
+                                           "components": g._components[0]})
     if not general.strongly_connected:
         print("warning: graph is not strongly connected; spectral "
               "positivity guarantees do not apply", file=sys.stderr)

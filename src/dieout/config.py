@@ -327,8 +327,10 @@ def load_graph(cfg: ExperimentConfig) -> LocalityGraph:
             except ValueError as exc:
                 raise ConfigError(f"[graph] subset {spec!r}: {exc}") from None
         else:
-            labels = list(_read_label_values(cfg.resolve(spec),
-                                             labels=set(g.labels)))
+            path = cfg.resolve(spec)
+            labels = list(_read_label_values(path, labels=set(g.labels)))
+            if not labels:
+                raise ConfigError(f"[graph] subset: {path} names no node")
         g = g.subgraph(labels)
     if cfg.graph.normalize:
         g = normalize_mean_column_weight(g)

@@ -1,5 +1,5 @@
 """Locality networks: ingestion, normalization, the epidemic model on
-them, and Perron-Frobenius spectral computations.
+them, strong components (found once per graph) and power iteration.
 
 A locality graph is a weighted directed network over population centers.
 Row u of the weight matrix lists the infection pressure *received* by u:
@@ -94,6 +94,12 @@ class LocalityGraph:
     @cached_property
     def _positions(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
+
+    @cached_property
+    def _components(self) -> tuple[int, np.ndarray]:
+        """W's strong components, their count and each node's component;
+        W stores no zeros, so they follow the positive-weight edges."""
+        return connected_components(self.weights, connection="strong")
 
     def index(self, label: str) -> int:
         try:
@@ -435,10 +441,7 @@ def normalize_mean_column_weight(g: LocalityGraph) -> LocalityGraph:
 
 def is_strongly_connected(g: LocalityGraph) -> bool:
     """True iff every node reaches every other along positive-weight edges."""
-    # W stores no zeros, so its pattern is the positive-weight edges
-    n_comp, _ = connected_components(g.weights, directed=True,
-                                     connection="strong")
-    return n_comp == 1
+    return g._components[0] == 1
 
 
 def is_symmetric(g: LocalityGraph) -> bool:
@@ -449,18 +452,6 @@ def is_symmetric(g: LocalityGraph) -> bool:
     # vanish off it
     excess = abs(w - w.T) - 1e-05 * abs(w.T)
     return bool(excess.data.size == 0 or excess.data.max() <= 1e-08)
-
-
-def symmetrized_upper(g: LocalityGraph):
-    """Arithmetic-mean symmetrization (W + W^T) / 2."""
-    w = g.weights
-    return (w + w.T) / 2
-
-
-def geometric_lower(g: LocalityGraph):
-    """Entrywise geometric-mean symmetrization sqrt(W o W^T)."""
-    w = g.weights
-    return w.multiply(w.T).sqrt().tocsr()
 
 
 def spectral_radius(matrix, tol: float = 1e-12,

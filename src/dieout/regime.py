@@ -1,9 +1,9 @@
 """Sharp-threshold classification of the epidemic regime.
 
-The curing rate delta is compared against a spectral threshold built
-from the asymptotic infectiousness and the locality graph.  Above the
-threshold the mean extinction time is logarithmic in the initial
-epidemic size; below it the mean extinction time is infinite.  Exactly
+The curing rate delta is compared against a threshold built from the
+Perron root of the growth matrix A = beta_inf*W + betaint_inf*diag(D),
+or of W, at the profiles' limits.  Above it the mean extinction time is
+logarithmic in the initial epidemic size; below it, infinite.  Exactly
 at the threshold nothing is claimed, so the classifiers report
 ``INDETERMINATE`` inside a small relative boundary band instead of
 guessing.
@@ -15,9 +15,10 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .graphs import (EpidemicModel, LocalityGraph, geometric_lower,
-                     is_strongly_connected, spectral_radius,
-                     symmetrized_upper)
+import numpy as np
+
+from .graphs import (EpidemicModel, LocalityGraph, is_strongly_connected,
+                     spectral_radius)
 
 #: Relative half-width of the indeterminate band around the threshold.
 BOUNDARY_TOL = 1e-9
@@ -100,6 +101,21 @@ def _decide(model: EpidemicModel, lower: float, upper: float, tol: float,
                         **extra)
 
 
+def _perron_root(g: LocalityGraph, matrix, tol: float) -> float:
+    """Perron root of A or W, in CSR: one iteration on the whole matrix
+    when W is strongly connected, else the largest root of its diagonal
+    blocks over W's strong components, a 1x1 block's root its entry."""
+    count, component = g._components
+    if count == 1:
+        return spectral_radius(matrix, tol=tol).radius
+    order = np.argsort(component, kind="stable")  # each block contiguous
+    m = matrix[order][:, order]
+    diag, ends = m.diagonal(), np.cumsum(np.bincount(component)).tolist()
+    return max(float(diag[a]) if b == a + 1 else
+               spectral_radius(m[a:b, a:b], tol=tol).radius
+               for a, b in zip([0, *ends], ends))
+
+
 def _scalar_eta(model: EpidemicModel) -> float:
     """eta of a scalar modulation D = eta * I."""
     mod = model.modulation
@@ -133,14 +149,13 @@ def classify_general(g: LocalityGraph, model: EpidemicModel,
 
     This is the authoritative (sharp) comparison for weighted directed
     graphs with per-node modulation.  When the graph is not strongly
-    connected the root is still computed but the report is flagged,
-    since eigenvector positivity is no longer guaranteed.
+    connected the root is still computed, block by block, but the report
+    is flagged, since eigenvector positivity is no longer guaranteed.
     """
     _check_boundary_tol(boundary_tol)
-    connected = is_strongly_connected(g)
-    info = spectral_radius(model.asymptotic_matrix(g), tol=spectral_tol)
-    return _decide(model, info.radius, info.radius, boundary_tol,
-                   Method.GENERAL_SPECTRAL, strongly_connected=connected)
+    root = _perron_root(g, model.asymptotic_matrix(g), spectral_tol)
+    return _decide(model, root, root, boundary_tol, Method.GENERAL_SPECTRAL,
+                   strongly_connected=is_strongly_connected(g))
 
 
 def classify_scalar_D(g: LocalityGraph, model: EpidemicModel,
@@ -159,8 +174,7 @@ def classify_scalar_D(g: LocalityGraph, model: EpidemicModel,
     # D must fit the graph and be scalar before the power iteration
     model.d(g.node_count)
     eta = _scalar_eta(model)
-    threshold = (model.beta.limit
-                 * spectral_radius(g.weights, tol=spectral_tol).radius
+    threshold = (model.beta.limit * _perron_root(g, g.weights, spectral_tol)
                  + model.beta_int.limit * eta)
     return _decide(model, threshold, threshold, boundary_tol, Method.SCALAR_D,
                    strongly_connected=is_strongly_connected(g))
@@ -171,26 +185,21 @@ def classify_decoupled(g: LocalityGraph, model: EpidemicModel,
                        spectral_tol: float = 1e-12) -> RegimeReport:
     """Classify with graph and modulation contributions decoupled.
 
-    Uses the symmetrization sandwich rho(sqrt(W o W^T)) <= rho(W) <=
-    rho((W + W^T)/2) together with the spectral shift bounds for a
-    diagonal addition.  The two sides generally leave a gap:
-
-    * delta above ``beta_inf*rho((W+W^T)/2) + betaint_inf*max(D)``
-      certifies fast extinction;
-    * delta below ``beta_inf*rho(sqrt(W o W^T)) + betaint_inf*min(D)``
-      certifies a long-lasting epidemic;
-    * in between the method is inconclusive (the sharp comparison in
-      :func:`classify_general` may still decide).
+    A lies between beta_inf*W shifted by betaint_inf*min(D) and by
+    betaint_inf*max(D); as 0 <= M <= N gives rho(M) <= rho(N) and
+    rho(M + cI) = rho(M) + c for c >= 0, rho(A) lies in
+    beta_inf*rho(W) + betaint_inf*[min(D), max(D)].  delta above that
+    bracket certifies fast extinction, below it a long-lasting epidemic;
+    inside it the method is inconclusive (:func:`classify_general` may
+    still decide).  A scalar D collapses it to the threshold of
+    :func:`classify_scalar_D`.
     """
     _check_boundary_tol(boundary_tol)
     d = model.d(g.node_count)
-    beta_inf, betaint_inf = model.beta.limit, model.beta_int.limit
-    upper = (beta_inf * spectral_radius(symmetrized_upper(g),
-                                        tol=spectral_tol).radius
-             + betaint_inf * float(d.max()))
-    lower = (beta_inf * spectral_radius(geometric_lower(g),
-                                        tol=spectral_tol).radius
-             + betaint_inf * float(d.min()))
+    graph_part = model.beta.limit * _perron_root(g, g.weights, spectral_tol)
+    betaint_inf = model.beta_int.limit
+    lower = graph_part + betaint_inf * float(d.min())
+    upper = graph_part + betaint_inf * float(d.max())
     return _decide(model, lower, upper, boundary_tol, Method.DECOUPLED_WEYL,
                    lower_threshold=lower, upper_threshold=upper,
                    strongly_connected=is_strongly_connected(g))

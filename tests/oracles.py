@@ -29,7 +29,10 @@ streaming writer must reproduce byte for byte.  ``load_edge_list`` and
 lists and label files, whose graphs, tables and error messages the bulk
 readers must reproduce.  ``single_threshold_regime`` and
 ``weyl_pair_regime`` are the two regime rules the classifiers used
-before one bracket rule decided every record.
+before one bracket rule decided every record.  ``symmetrized_upper``
+and ``geometric_lower`` are the symmetrizations (W + W^T)/2 and
+sqrt(W o W^T) whose Perron roots sandwich rho(W) (Schwenk); the
+decoupled classifier's former bracket was built from them.
 """
 
 import csv
@@ -701,3 +704,15 @@ def weyl_pair_regime(delta: float, lower: float, upper: float,
     if lower - delta > tol * max(delta, lower):
         return Regime.LONG_LASTING, lower
     return Regime.INDETERMINATE, upper
+
+
+def symmetrized_upper(g: LocalityGraph):
+    """Arithmetic-mean symmetrization (W + W^T) / 2."""
+    w = g.weights
+    return (w + w.T) / 2
+
+
+def geometric_lower(g: LocalityGraph):
+    """Entrywise geometric-mean symmetrization sqrt(W o W^T)."""
+    w = g.weights
+    return w.multiply(w.T).sqrt().tocsr()

@@ -6,6 +6,7 @@ tolerances inline.  Where a horizon or cut-off is implementation
 defined, the chosen value is documented next to the assertion.
 """
 
+import itertools
 import math
 import time
 from contextlib import contextmanager
@@ -20,14 +21,14 @@ from dieout.chains import (BirthDeathSpec, PrecisionConfig,
 from dieout.gillespie import (SimConfig, mean_field_trajectory, run_ensemble,
                               simulate_run)
 from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
-                           geometric_lower, spectral_radius,
-                           symmetrized_upper)
+                           spectral_radius)
 from dieout.rates import Constant, Harmonic, Step, parse_profile
 from dieout.regime import Regime, classify_general, classify_scalar_D, \
     classify_decoupled
 
-from conftest import complete_graph, const_model, random_strong_digraph
-from oracles import s_recursion_step
+from conftest import (check_decoupled_bracket, complete_graph, const_model,
+                      random_strong_digraph)
+from oracles import geometric_lower, s_recursion_step, symmetrized_upper
 
 BF256 = PrecisionConfig(mode="bigfloat", bits=256, series_rel_tol=1e-40)
 RATIONAL = PrecisionConfig(mode="rational", series_rel_tol=1e-30)
@@ -161,11 +162,13 @@ def test_05_spectral_sandwiches():
 
 def test_06_classifier_consistency():
     with criterion(6, "decoupled never contradicts general on 50 seeded "
-                      "graphs; scalar-D equals general for D = eta*I",
+                      "strongly connected and 50 reducible graphs; its "
+                      "bracket holds rho(A) inside the Weyl bracket; "
+                      "scalar-D equals general for D = eta*I",
                    limit_s=10.0):
-        for seed in range(50):
+        for seed, ring in itertools.product(range(50), (True, False)):
             rng = np.random.default_rng(seed)
-            g = random_strong_digraph(seed, n=8)
+            g = random_strong_digraph(seed, n=8, ring=ring)
             d = DiagonalModulation(rng.random(8) * 2 + 0.25)
             beta_inf = float(rng.random() * 2)
             betaint_inf = float(rng.random() * 2)
@@ -177,6 +180,7 @@ def test_06_classifier_consistency():
                 assert dec.regime is gen.regime, seed
 
             eta = float(rng.random() * 2 + 0.1)
+            check_decoupled_bracket(g, d, beta_inf, betaint_inf, eta)
             model_eta = const_model(beta_inf, betaint_inf, delta,
                                     DiagonalModulation.uniform(8, eta))
             scalar = classify_scalar_D(g, model_eta)

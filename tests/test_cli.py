@@ -15,6 +15,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import from_man_exp
+from scipy.sparse.csgraph import connected_components
 
 from dieout import chains, cli
 from dieout.chains import (BirthDeathSpec, PrecisionConfig, asymptote_ratio,
@@ -25,7 +26,7 @@ from dieout.config import (ConfigError, config_sha256, config_text,
                            simulation_grid, uniform_grid)
 from dieout.gillespie import (DENSE_NODE_LIMIT, mean_field_trajectory,
                               run_ensemble, simulate_run)
-from dieout.graphs import LocalityGraph, spectral_radius
+from dieout.graphs import LocalityGraph, load_edge_list, spectral_radius
 from dieout.rates import parse_parameter, parse_profile
 from dieout.regime import classify_symmetric
 
@@ -357,17 +358,85 @@ class TestClassify:
         assert gen["regime"] == "long_lasting"
 
     def test_decoupled_gap_fixture(self, tmp_path, capsys):
+        # rho(W) = 2 and D = diag(1, 2): the bracket is [3, 4], and
+        # rho(A) = (3 + sqrt 17)/2 = 3.56 decides
         graph = tmp_path / "gap.edges"
         graph.write_text("a b 4\nb a 1\n", encoding="utf-8")
+        (tmp_path / "d.txt").write_text("a 1\nb 2\n", encoding="utf-8")
         cfg = write_config(tmp_path, SIM_BODY.format(
-            graph=graph, delta="2.2", out=tmp_path / "out").replace(
-                "beta_int = const:2", "beta_int = const:0").replace(
-                "beta = const:2", "beta = const:1"))
+            graph=graph, delta="3.7", out=tmp_path / "out").replace(
+                "beta_int = const:2", "beta_int = const:1").replace(
+                "beta = const:2", "beta = const:1")
+            + "\n[modulation]\nfile = d.txt\n")
         assert main(["classify", "--config", str(cfg)]) == 0
         records = json.loads(capsys.readouterr().out)
         by_method = {r["method"]: r for r in records}
-        assert by_method["decoupled_weyl"]["regime"] == "indeterminate"
+        dec = by_method["decoupled_weyl"]
+        assert dec["regime"] == "indeterminate"
+        assert (dec["lower_threshold"], dec["upper_threshold"]) == \
+            pytest.approx((3.0, 4.0), abs=1e-9)
         assert by_method["general_spectral"]["regime"] == "fast_extinction"
+
+    def test_one_way_pair_is_exact(self, tmp_path, capsys):
+        # A = W + I on c -> a is a Jordan block: the whole-matrix
+        # iteration hit its cap in SpectralError; its two 1x1
+        # blocks give rho(A) = 1 exactly
+        graph = tmp_path / "pair.edges"
+        graph.write_text("c a 1\n", encoding="utf-8")
+        cfg = write_config(tmp_path, SIM_BODY.format(
+            graph=graph, delta="2", out=tmp_path / "out").replace(
+                "const:2", "const:1"))
+        assert main(["classify", "--config", str(cfg)]) == 0
+        records = json.loads(capsys.readouterr().out)
+        gen = {r["method"]: r for r in records}["general_spectral"]
+        assert (gen["threshold"], gen["regime"]) == (1.0, "fast_extinction")
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["components"] == 2
+
+    @pytest.mark.parametrize("edges, modulation, components", [
+        ("a b 1\nb a 1\nb c 1\nc b 1\nc a 1\na c 1\n", "a 1\nb 1\nc 1\n",
+         1),
+        ("a b 1\nb a 2\nc a 1\nd c 3\n", "a 1\nb 1.5\nc 0.5\nd 2\n", 3)])
+    def test_iterates_only_A_W_or_their_blocks(self, tmp_path, monkeypatch,
+                                               edges, modulation,
+                                               components):
+        # one strong-component split per classify; every matrix regime
+        # iterates is A = 2W + 2D or W, whole or on one component
+        from dieout import graphs, regime
+        splits, iterated = [], []
+
+        def split(*args, **kwargs):
+            splits.append(args)
+            return connected_components(*args, **kwargs)
+
+        def record(matrix, **kwargs):
+            iterated.append(sp.csr_matrix(matrix).toarray())
+            return spectral_radius(matrix, **kwargs)
+
+        monkeypatch.setattr(graphs, "connected_components", split)
+        monkeypatch.setattr(regime, "spectral_radius", record)
+        graph = tmp_path / "g.edges"
+        graph.write_text(edges, encoding="utf-8")
+        (tmp_path / "d.txt").write_text(modulation, encoding="utf-8")
+        cfg = write_config(tmp_path, SIM_BODY.format(
+            graph=graph, delta="9", out=tmp_path / "out")
+            + "\n[modulation]\nfile = d.txt\n")
+        assert main(["classify", "--config", str(cfg)]) == 0
+        assert len(splits) == 1
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["components"] == components
+
+        g = load_edge_list(edges)
+        w = g.weights.toarray()
+        d = [float(line.split()[1]) for line in modulation.splitlines()]
+        count, label = connected_components(w, connection="strong")
+        blocks = [np.flatnonzero(label == k) for k in range(count)]
+        allowed = [m[np.ix_(b, b)] for m in (2 * w + 2 * np.diag(d), w)
+                   for b in blocks if b.size > 1]
+        assert iterated
+        for m in iterated:
+            assert any(m.shape == x.shape and (m == x).all()
+                       for x in allowed)
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_csr_graph_is_never_densified(self, tmp_path, capsys,
@@ -499,6 +568,8 @@ class TestRefusals:
     @pytest.mark.parametrize("command, body, message", [
         ("classify", "[graph]\npath = {graph}\nsubset = top:x\n",
          "[graph] subset 'top:x': bad count"),
+        ("classify", "[graph]\npath = {graph}\nsubset = {empty}\n",
+         "[graph] subset: {empty} names no node"),
         ("classify", "[graph]\npath = {graph}\n"
          "[modulation]\neta = 2\nfile = {mod}\n",
          "[modulation] give either eta or file, not both"),
@@ -520,9 +591,10 @@ class TestRefusals:
     def test_refusal_is_one_error_line(self, tmp_path, capsys, command, body,
                                        message):
         paths = {"graph": tmp_path / "g.edges", "mod": tmp_path / "mod.txt",
-                 "cfg": tmp_path / "exp.ini"}
+                 "empty": tmp_path / "empty.txt", "cfg": tmp_path / "exp.ini"}
         paths["graph"].write_text("A00 B01 1\nB01 A00 1\n", encoding="utf-8")
         paths["mod"].write_text("B01 2\n", encoding="utf-8")
+        paths["empty"].write_text("# no node kept\n\n", encoding="utf-8")
         if body is not None:
             write_config(tmp_path, body.format(**paths))
         with warnings.catch_warnings():

@@ -10,14 +10,15 @@ import scipy.sparse as sp
 
 from dieout.gillespie import DENSE_NODE_LIMIT
 from dieout.graphs import (DiagonalModulation, EdgeListError, EpidemicModel, LocalityGraph, SpectralError,
-                           geometric_lower, is_strongly_connected,
+                           is_strongly_connected,
                            is_symmetric, load_edge_list, load_edge_list_file,
                            normalize_mean_column_weight,
-                           spectral_radius, symmetrized_upper,
+                           spectral_radius,
                            top_nodes_by_total_weight)
 from dieout.rates import ProfileError, parse_profile
 
 from conftest import const_model, random_strong_digraph
+from oracles import geometric_lower, symmetrized_upper
 
 
 def rho_oracle(matrix) -> float:

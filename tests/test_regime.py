@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,8 @@ from dieout.regime import (Method, Regime, _decide, classify_decoupled,
                            classify_general, classify_scalar_D,
                            classify_symmetric)
 
-from conftest import const_model, random_strong_digraph
+from conftest import (check_decoupled_bracket, const_model,
+                      random_strong_digraph)
 from oracles import single_threshold_regime, weyl_pair_regime
 
 #: curing rates: positive and finite, as the model requires
@@ -154,20 +156,37 @@ class TestGeneral:
         assert report.strongly_connected is False
         assert report.threshold == pytest.approx(2.0, abs=1e-9)
 
-    def test_defective_reducible_matrix_propagates_nonconvergence(
-            self, monkeypatch):
-        # a one-way pair with identical diagonal gives a Jordan block,
-        # where the residual decays like 1/k and the iteration cap hits;
-        # a lower cap reaches it in a fraction of a second
+    def test_nonconvergence_propagates(self, monkeypatch):
+        # an irreducible matrix with the iteration cap lowered to two
+        # steps: the SpectralError reaches the caller
         from dieout import regime
         from dieout.graphs import SpectralError
         monkeypatch.setattr(regime, "spectral_radius", functools.partial(
-            spectral_radius, max_iterations=20_000))
-        g = load_edge_list("a b 1")
+            spectral_radius, max_iterations=2))
+        g = random_strong_digraph(3)
         with pytest.raises(SpectralError):
             classify_general(
-                g, const_model(1.0, 1.0, 5.0, DiagonalModulation.uniform(2)),
+                g, const_model(1.0, 1.0, 5.0,
+                               DiagonalModulation.uniform(g.node_count)),
                 spectral_tol=1e-13)
+
+    @pytest.mark.parametrize("betaint_inf", [1.0, 0.0])
+    def test_one_way_pair_root_is_exact_without_iteration(
+            self, monkeypatch, betaint_inf):
+        # A = W + betaint_inf*I on c -> a is a Jordan block at
+        # betaint_inf: the whole-matrix iteration raised SpectralError
+        # (1.0) or crept to 9.99998e-07 (0.0) after seconds; each 1x1
+        # block's root is its diagonal entry
+        from dieout import regime
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 1x1 block was iterated")
+
+        monkeypatch.setattr(regime, "spectral_radius", refuse)
+        report = classify_general(load_edge_list("c a 1"), const_model(
+            1.0, betaint_inf, 2.0, DiagonalModulation.uniform(2)))
+        assert report.threshold == betaint_inf
+        assert report.strongly_connected is False
 
     def test_record_shape(self, k3):
         rec = classify_general(k3, const_model(
@@ -214,37 +233,46 @@ class TestDecoupled:
 
     def test_gap_example_indeterminate_but_general_decides(self):
         g = load_edge_list("a b 4\nb a 1")
-        d = DiagonalModulation.uniform(2)
-        # rho(sqrt(W o W^T)) = 2, rho((W+W^T)/2) = 2.5, rho(W) = 2
-        dec = classify_decoupled(g, const_model(1.0, 0.0, 2.2, d))
+        d = DiagonalModulation(np.array([1.0, 2.0]))
+        # rho(W) = 2, so the bracket is 2 + [1, 2]; rho(A) = (3 + sqrt 17)/2
+        dec = classify_decoupled(g, const_model(1.0, 1.0, 3.7, d))
         assert dec.regime is Regime.INDETERMINATE
-        assert dec.lower_threshold == pytest.approx(2.0, abs=1e-9)
-        assert dec.upper_threshold == pytest.approx(2.5, abs=1e-9)
-        gen = classify_general(g, const_model(1.0, 0.0, 2.2, d))
-        assert gen.threshold == pytest.approx(2.0, abs=1e-9)
+        assert dec.lower_threshold == pytest.approx(3.0, abs=1e-9)
+        assert dec.upper_threshold == pytest.approx(4.0, abs=1e-9)
+        gen = classify_general(g, const_model(1.0, 1.0, 3.7, d))
+        assert gen.threshold == pytest.approx((3 + math.sqrt(17)) / 2,
+                                              abs=1e-9)
         assert gen.regime is Regime.FAST_EXTINCTION
 
     def test_record_carries_both_thresholds(self):
         g = load_edge_list("a b 4\nb a 1")
         rec = classify_decoupled(g, const_model(
-            1.0, 0.0, 2.2, DiagonalModulation.uniform(2))).as_record()
-        assert rec["lower_threshold"] == pytest.approx(2.0)
-        assert rec["upper_threshold"] == pytest.approx(2.5)
+            1.0, 1.0, 3.7, DiagonalModulation(np.array([1.0, 2.0])))
+        ).as_record()
+        assert rec["lower_threshold"] == pytest.approx(3.0)
+        assert rec["upper_threshold"] == pytest.approx(4.0)
+
+    def test_one_way_pair_bracket_is_exact(self):
+        # rho(W) = 0 on a b: the bracket is [min D, max D] exactly
+        dec = classify_decoupled(load_edge_list("a b 1"), const_model(
+            1.0, 1.0, 5.0, DiagonalModulation(np.array([1.0, 2.0]))))
+        assert (dec.lower_threshold, dec.upper_threshold) == (1.0, 2.0)
 
 
 class TestCrossMethodProperties:
-    def _random_case(self, seed):
+    def _random_case(self, seed, ring=True):
         rng = np.random.default_rng(seed)
-        g = random_strong_digraph(seed, n=8)
+        g = random_strong_digraph(seed, n=8, ring=ring)
         d = DiagonalModulation(rng.random(8) * 2 + 0.25)
         beta_inf = float(rng.random() * 2)
         betaint_inf = float(rng.random() * 2)
         return g, d, beta_inf, betaint_inf, rng
 
     def test_decoupled_never_contradicts_general(self):
+        # strongly connected and (ring dropped) mostly reducible graphs
         decisive = 0
-        for seed in range(50):
-            g, d, b, bi, rng = self._random_case(seed)
+        for seed, ring in itertools.product(range(50), (True, False)):
+            g, d, b, bi, rng = self._random_case(seed, ring)
             delta = float(rng.random() * 6 + 1e-3)
             dec = classify_decoupled(g, const_model(b, bi, delta, d))
             gen = classify_general(g, const_model(b, bi, delta, d))
@@ -252,6 +280,21 @@ class TestCrossMethodProperties:
                 decisive += 1
                 assert dec.regime is gen.regime
         assert decisive > 0  # the sweep must actually exercise the claim
+
+    @pytest.mark.parametrize("ring", [True, False])
+    def test_decoupled_bracket_holds_rho_A(self, ring):
+        # rho(A) from eigvals lies in the bracket, which lies inside the
+        # former Weyl bracket; D = eta*I collapses it to scalar_d's; the
+        # general threshold is rho(A)
+        reducible = 0
+        for seed in range(50):
+            g, d, b, bi, rng = self._random_case(seed, ring)
+            reducible += g._components[0] > 1
+            rho_a = check_decoupled_bracket(g, d, b, bi,
+                                            float(rng.random() + 0.1))
+            gen = classify_general(g, const_model(b, bi, 1.0, d))
+            assert gen.threshold == pytest.approx(rho_a, rel=1e-9, abs=1e-12)
+        assert reducible == 0 if ring else reducible > 20
 
     def test_scalar_equals_general_for_uniform_modulation(self):
         for seed in range(50):
