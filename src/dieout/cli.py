@@ -37,8 +37,8 @@ from .config import (ConfigError, ExperimentConfig, config_sha256,
                      uniform_grid)
 from .gillespie import (MIN_RUNS, SimConfig, mean_field_trajectory,
                         run_ensemble, trimmed_interval)
-# is_strongly_connected is unused here but stays importable from cli:
-# perfbench/spans.py wraps it by this name
+# is_strongly_connected and spectral_radius are unused here but stay
+# importable from cli: perfbench/spans.py wraps them by these names
 from .graphs import (EdgeListError, EpidemicModel, SpectralError,
                      is_strongly_connected, is_symmetric, spectral_radius)
 from .rates import (ExactnessError, ProfileError, parse_parameter,
@@ -177,16 +177,14 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     mod, tol, stol = (model.modulation, cfg.classify.boundary_tol,
                       cfg.classify.spectral_tol)
     general = classify_general(g, model, boundary_tol=tol, spectral_tol=stol)
+    decoupled = classify_decoupled(g, model, boundary_tol=tol,
+                                   spectral_tol=stol)
     reports = [general]
-    if mod.is_scalar and mod.values[0] == 1.0 and is_symmetric(g):
-        reports.insert(0, classify_symmetric(
-            spectral_radius(g.weights, tol=stol).radius, model,
-            boundary_tol=tol))
-    if mod.is_scalar:
-        reports.append(classify_scalar_D(g, model, boundary_tol=tol,
-                                         spectral_tol=stol))
-    reports.append(classify_decoupled(g, model, boundary_tol=tol,
-                                      spectral_tol=stol))
+    if mod.is_scalar:  # the decoupled bracket is one point: no new root
+        if mod.values[0] == 1.0 and is_symmetric(g):
+            reports.insert(0, classify_symmetric(decoupled, model))
+        reports.append(classify_scalar_D(decoupled, model))
+    reports.append(decoupled)
     records = [r.as_record() for r in reports]
     compute_s = time.perf_counter() - start
     text = json.dumps(records, indent=2)

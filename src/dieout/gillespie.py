@@ -125,7 +125,7 @@ class Trajectory:
     ``event_count`` counts the events (the length of ``events`` when
     recorded), ``null_events`` the draws that landed on rounding
     residue and changed nothing.  The runs of an ensemble leave out the
-    per-node ``initial`` and ``final_counts``.
+    per-node ``initial``.
     """
 
     run_index: int
@@ -134,7 +134,6 @@ class Trajectory:
     truncated_at: float | None
     grid_totals: np.ndarray | None = None
     events: list[tuple[float, int, int]] | None = None
-    final_counts: np.ndarray | None = None
     event_count: int = 0
     null_events: int = 0
 
@@ -384,7 +383,6 @@ def _simulate(cfg: SimConfig, tables: _EventTables, run_index: int,
         truncated_at=None if run.extinct else run.t,
         grid_totals=run.totals,
         events=run.events,
-        final_counts=run.counts.astype(np.int64),
         event_count=run.step - run.nulls,
         null_events=run.nulls,
     )
@@ -769,15 +767,15 @@ def _split_log(log: list, size: int) -> list[list[tuple[float, int, int]]]:
 
 def _run_slice(cfg: SimConfig, g: LocalityGraph, runs: range,
                grid: np.ndarray) -> list[Trajectory]:
-    """Trajectories of ``runs``, without the per-node initial and final
-    counts an ensemble does not keep: in lockstep batches of at most
+    """Trajectories of ``runs``, without the per-node initial counts an
+    ensemble does not keep: in lockstep batches of at most
     _BATCH_ENTRIES // N runs on dense tables, each finishing its last
     _HANDOFF live runs one at a time, and one at a time on CSR.  Builds
     the event tables from ``g`` in the process that reads them."""
     tables = _EventTables.of(g, cfg.model)
     if tables.blocked:
-        return [replace(_simulate(cfg, tables, i, grid), initial=None,
-                        final_counts=None) for i in runs]
+        return [replace(_simulate(cfg, tables, i, grid), initial=None)
+                for i in runs]
     size = max(1, _BATCH_ENTRIES // tables.d.size)
     return [traj for lo in range(runs.start, runs.stop, size)
             for traj in _simulate_batch(

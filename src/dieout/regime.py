@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,30 +116,25 @@ def _perron_root(g: LocalityGraph, matrix, tol: float) -> float:
                for a, b in zip([0, *ends], ends))
 
 
-def _scalar_eta(model: EpidemicModel) -> float:
-    """eta of a scalar modulation D = eta * I."""
+def _sharp(decoupled: RegimeReport, model: EpidemicModel, method: Method,
+           **extra) -> RegimeReport:
+    """``decoupled`` under the sharp ``method``, once ``model``'s D is
+    scalar and so its bracket one point."""
     mod = model.modulation
     if mod is not None and not mod.is_scalar:
         raise ValueError("this method needs a scalar modulation D = eta * I")
-    return 1.0 if mod is None else float(mod.values[0])
+    return replace(decoupled, method=method, lower_threshold=None,
+                   upper_threshold=None, **extra)
 
 
-def classify_symmetric(lambda_r: float, model: EpidemicModel,
-                       boundary_tol: float = BOUNDARY_TOL) -> RegimeReport:
+def classify_symmetric(decoupled: RegimeReport,
+                       model: EpidemicModel) -> RegimeReport:
     """Classify via the symmetric-graph threshold beta_inf*lambda_r +
-    betaint_inf*eta, for D = eta * I.
-
-    Args:
-        lambda_r: spectral radius of the (symmetric) adjacency matrix.
-        model: the epidemic; its modulation must be scalar.
-    """
-    _check_boundary_tol(boundary_tol)
-    if lambda_r < 0:
-        raise ValueError("spectral radius must be nonnegative")
-    threshold = (model.beta.limit * lambda_r
-                 + model.beta_int.limit * _scalar_eta(model))
-    return _decide(model, threshold, threshold, boundary_tol,
-                   Method.SYMMETRIC_SPECTRAL)
+    betaint_inf*eta, for D = eta * I.  On a symmetric W lambda_r is
+    rho(W), so this is :func:`classify_scalar_D`'s record without
+    ``strongly_connected``."""
+    return _sharp(decoupled, model, Method.SYMMETRIC_SPECTRAL,
+                  strongly_connected=None)
 
 
 def classify_general(g: LocalityGraph, model: EpidemicModel,
@@ -158,26 +153,19 @@ def classify_general(g: LocalityGraph, model: EpidemicModel,
                    strongly_connected=is_strongly_connected(g))
 
 
-def classify_scalar_D(g: LocalityGraph, model: EpidemicModel,
-                      boundary_tol: float = BOUNDARY_TOL,
-                      spectral_tol: float = 1e-12) -> RegimeReport:
+def classify_scalar_D(decoupled: RegimeReport,
+                      model: EpidemicModel) -> RegimeReport:
     """Classify with uniform within-locality modulation D = eta * I.
 
     The threshold decouples exactly into beta_inf*rho(W) + betaint_inf*eta,
-    matching :func:`classify_general` with a scalar modulation.
+    matching :func:`classify_general` with a scalar modulation.  It is
+    the one point of ``decoupled``, the report of
+    :func:`classify_decoupled` on ``model``, so no root is taken again.
 
     Raises:
-        ValueError: the model's modulation does not fit the graph or is
-            not scalar.
+        ValueError: the model's modulation is not scalar.
     """
-    _check_boundary_tol(boundary_tol)
-    # D must fit the graph and be scalar before the power iteration
-    model.d(g.node_count)
-    eta = _scalar_eta(model)
-    threshold = (model.beta.limit * _perron_root(g, g.weights, spectral_tol)
-                 + model.beta_int.limit * eta)
-    return _decide(model, threshold, threshold, boundary_tol, Method.SCALAR_D,
-                   strongly_connected=is_strongly_connected(g))
+    return _sharp(decoupled, model, Method.SCALAR_D)
 
 
 def classify_decoupled(g: LocalityGraph, model: EpidemicModel,
@@ -191,8 +179,8 @@ def classify_decoupled(g: LocalityGraph, model: EpidemicModel,
     beta_inf*rho(W) + betaint_inf*[min(D), max(D)].  delta above that
     bracket certifies fast extinction, below it a long-lasting epidemic;
     inside it the method is inconclusive (:func:`classify_general` may
-    still decide).  A scalar D collapses it to the threshold of
-    :func:`classify_scalar_D`.
+    still decide).  A scalar D collapses it to one point, which
+    :func:`classify_scalar_D` and :func:`classify_symmetric` report.
     """
     _check_boundary_tol(boundary_tol)
     d = model.d(g.node_count)

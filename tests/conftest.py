@@ -8,7 +8,7 @@ from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
                            load_edge_list_file, normalize_mean_column_weight,
                            top_nodes_by_total_weight)
 from dieout.rates import Constant
-from dieout.regime import classify_decoupled, classify_scalar_D
+from dieout.regime import classify_decoupled
 
 from oracles import geometric_lower, symmetrized_upper
 
@@ -56,8 +56,8 @@ def check_decoupled_bracket(g: LocalityGraph, d: DiagonalModulation,
     """The decoupled bracket on ``g`` with modulation ``d`` holds rho(A)
     from ``np.linalg.eigvals`` and lies inside the former Weyl bracket
     built from the symmetrizations, each within 1e-9 relative; with
-    D = eta*I both its ends are scalar_d's threshold.  Returns that
-    rho(A)."""
+    D = eta*I it is one point, beta_inf*rho(W) + betaint_inf*eta from
+    ``np.linalg.eigvals``, within 1e-9 relative.  Returns that rho(A)."""
     dec = classify_decoupled(g, const_model(beta_inf, betaint_inf, 1.0, d))
     lo, hi = dec.lower_threshold, dec.upper_threshold
     a = beta_inf * g.weights.toarray() + betaint_inf * np.diag(d.values)
@@ -71,10 +71,12 @@ def check_decoupled_bracket(g: LocalityGraph, d: DiagonalModulation,
     assert weyl[0] - slack <= lo <= hi <= weyl[1] + slack
 
     uniform = DiagonalModulation.uniform(g.node_count, eta)
-    model = const_model(beta_inf, betaint_inf, 1.0, uniform)
-    dec = classify_decoupled(g, model)
-    threshold = classify_scalar_D(g, model).threshold
-    assert dec.lower_threshold == dec.upper_threshold == threshold
+    dec = classify_decoupled(g, const_model(beta_inf, betaint_inf, 1.0,
+                                            uniform))
+    rho_w = float(np.abs(np.linalg.eigvals(g.weights.toarray())).max())
+    point = beta_inf * rho_w + betaint_inf * eta
+    assert dec.lower_threshold == dec.upper_threshold
+    assert dec.upper_threshold == pytest.approx(point, rel=1e-9, abs=1e-12)
     return rho_a
 
 

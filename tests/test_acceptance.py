@@ -163,8 +163,9 @@ def test_05_spectral_sandwiches():
 def test_06_classifier_consistency():
     with criterion(6, "decoupled never contradicts general on 50 seeded "
                       "strongly connected and 50 reducible graphs; its "
-                      "bracket holds rho(A) inside the Weyl bracket; "
-                      "scalar-D equals general for D = eta*I",
+                      "bracket holds rho(A) inside the Weyl bracket and "
+                      "is eigvals' point for D = eta*I; scalar-D equals "
+                      "general for D = eta*I",
                    limit_s=10.0):
         for seed, ring in itertools.product(range(50), (True, False)):
             rng = np.random.default_rng(seed)
@@ -183,7 +184,8 @@ def test_06_classifier_consistency():
             check_decoupled_bracket(g, d, beta_inf, betaint_inf, eta)
             model_eta = const_model(beta_inf, betaint_inf, delta,
                                     DiagonalModulation.uniform(8, eta))
-            scalar = classify_scalar_D(g, model_eta)
+            scalar = classify_scalar_D(classify_decoupled(g, model_eta),
+                                       model_eta)
             gen_eta = classify_general(g, model_eta)
             assert scalar.regime is gen_eta.regime, seed
             assert scalar.threshold == pytest.approx(gen_eta.threshold,

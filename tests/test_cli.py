@@ -28,7 +28,7 @@ from dieout.gillespie import (DENSE_NODE_LIMIT, mean_field_trajectory,
                               run_ensemble, simulate_run)
 from dieout.graphs import LocalityGraph, load_edge_list, spectral_radius
 from dieout.rates import parse_parameter, parse_profile
-from dieout.regime import classify_symmetric
+from dieout.regime import classify_decoupled, classify_symmetric
 
 import oracles
 from conftest import DATA_DIR, const_model
@@ -108,9 +108,12 @@ class TestConfig:
         for gamma in (cfg.hitting.gamma, *cfg.asymptote.gammas):
             if gamma:
                 parse_profile(gamma, base_dir=cfg.base_dir)
-        spectral_radius(np.ones((2, 2)), tol=cfg.classify.spectral_tol)
-        classify_symmetric(1.0, const_model(1.0, 1.0, 3.0),
-                           boundary_tol=cfg.classify.boundary_tol)
+        # the recipe's tolerances are accepted; rho(W) = 2 exactly
+        model = const_model(1.0, 1.0, 3.0)
+        dec = classify_decoupled(load_edge_list("a b 2\nb a 2"), model,
+                                 boundary_tol=cfg.classify.boundary_tol,
+                                 spectral_tol=cfg.classify.spectral_tol)
+        assert classify_symmetric(dec, model).threshold == 3.0
         copy = tmp_path / recipe.name
         copy.write_text(config_text(cfg), encoding="utf-8")
         assert replace(load_config(copy), base_dir=cfg.base_dir) == cfg
@@ -377,6 +380,24 @@ class TestClassify:
             pytest.approx((3.0, 4.0), abs=1e-9)
         assert by_method["general_spectral"]["regime"] == "fast_extinction"
 
+    def test_reducible_symmetric_records_share_one_exact_root(
+            self, tmp_path, capsys):
+        # two two-way pairs, rho(W) = 2 on the heavier: every record,
+        # symmetric_spectral included, reads 1 * 2 + 1 * 1 = 3 exactly;
+        # the whole-matrix iteration gave 2.9999999999964184
+        graph = tmp_path / "pairs.edges"
+        graph.write_text("a b 1\nb a 1\nc d 2\nd c 2\n", encoding="utf-8")
+        cfg = write_config(tmp_path, SIM_BODY.format(
+            graph=graph, delta="2.5", out=tmp_path / "out").replace(
+                "const:2", "const:1"))
+        assert main(["classify", "--config", str(cfg)]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert [r["method"] for r in records] == [
+            "symmetric_spectral", "general_spectral", "scalar_d",
+            "decoupled_weyl"]
+        assert all((r["threshold"], r["margin"], r["regime"])
+                   == (3.0, -0.5, "long_lasting") for r in records)
+
     def test_one_way_pair_is_exact(self, tmp_path, capsys):
         # A = W + I on c -> a is a Jordan block: the whole-matrix
         # iteration hit its cap in SpectralError; its two 1x1
@@ -396,12 +417,15 @@ class TestClassify:
     @pytest.mark.parametrize("edges, modulation, components", [
         ("a b 1\nb a 1\nb c 1\nc b 1\nc a 1\na c 1\n", "a 1\nb 1\nc 1\n",
          1),
-        ("a b 1\nb a 2\nc a 1\nd c 3\n", "a 1\nb 1.5\nc 0.5\nd 2\n", 3)])
+        ("a b 1\nb a 2\nc a 1\nd c 3\n", "a 1\nb 1.5\nc 0.5\nd 2\n", 3),
+        ("a b 1\nb a 1\nc d 2\nd c 2\n", "a 1\nb 1\nc 1\nd 1\n", 2)])
     def test_iterates_only_A_W_or_their_blocks(self, tmp_path, monkeypatch,
                                                edges, modulation,
                                                components):
-        # one strong-component split per classify; every matrix regime
-        # iterates is A = 2W + 2D or W, whole or on one component
+        # one strong-component split per classify; every matrix cli or
+        # regime iterates is A = 2W + 2D or W, whole or on one
+        # component, and none is iterated twice: the scalar-D and
+        # symmetric records reuse the decoupled record's rho(W)
         from dieout import graphs, regime
         splits, iterated = [], []
 
@@ -414,7 +438,8 @@ class TestClassify:
             return spectral_radius(matrix, **kwargs)
 
         monkeypatch.setattr(graphs, "connected_components", split)
-        monkeypatch.setattr(regime, "spectral_radius", record)
+        for owner in (cli, regime):
+            monkeypatch.setattr(owner, "spectral_radius", record)
         graph = tmp_path / "g.edges"
         graph.write_text(edges, encoding="utf-8")
         (tmp_path / "d.txt").write_text(modulation, encoding="utf-8")
@@ -429,6 +454,9 @@ class TestClassify:
         g = load_edge_list(edges)
         w = g.weights.toarray()
         d = [float(line.split()[1]) for line in modulation.splitlines()]
+        records = json.loads((tmp_path / "out" / "classify.json").read_text())
+        assert (("symmetric_spectral" in [r["method"] for r in records])
+                == ((w == w.T).all() and set(d) == {1.0}))
         count, label = connected_components(w, connection="strong")
         blocks = [np.flatnonzero(label == k) for k in range(count)]
         allowed = [m[np.ix_(b, b)] for m in (2 * w + 2 * np.diag(d), w)
@@ -437,6 +465,8 @@ class TestClassify:
         for m in iterated:
             assert any(m.shape == x.shape and (m == x).all()
                        for x in allowed)
+        for m, x in itertools.combinations(iterated, 2):
+            assert not (m.shape == x.shape and (m == x).all())
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_csr_graph_is_never_densified(self, tmp_path, capsys,

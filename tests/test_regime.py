@@ -25,6 +25,18 @@ THRESHOLDS = st.floats(min_value=0.0, max_value=1e300)
 TOLS = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
 #: (delta, threshold) pairs, with exact ties drawn often
 PAIRS = st.one_of(st.tuples(DELTAS, THRESHOLDS), DELTAS.map(lambda d: (d, d)))
+#: a two-way pair whose rho(W) the power iteration reads as exactly 2.0
+PAIR = load_edge_list("a b 2\nb a 2")
+
+
+def symmetric(model, g=PAIR, **kwargs):
+    """The symmetric record, read from the decoupled report on ``g``."""
+    return classify_symmetric(classify_decoupled(g, model, **kwargs), model)
+
+
+def scalar_d(g, model):
+    """The scalar-D record, read from the decoupled report on ``g``."""
+    return classify_scalar_D(classify_decoupled(g, model), model)
 
 
 class TestDecide:
@@ -65,67 +77,79 @@ class TestDecide:
 
     def test_threshold_overflowing_float64_raises(self, k3):
         # rho(W) = 2 is finite, but beta_inf * rho(W) is not; the
-        # record used to read long_lasting at threshold inf
+        # record used to read long_lasting at threshold inf.  The
+        # scalar-D and symmetric records derive from the decoupled one
         model = const_model(1e308, 0.0, 2.0)
-        for classify in (classify_scalar_D, classify_decoupled):
+        for g in (k3, PAIR):
             with pytest.raises(ValueError, match="not finite"):
-                classify(k3, model, boundary_tol=0.0)
-        with pytest.raises(ValueError, match="not finite"):
-            classify_symmetric(2.0, model, boundary_tol=0.0)
+                classify_decoupled(g, model, boundary_tol=0.0)
 
 
 class TestBoundaryTolerance:
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
     def test_rejected_unless_finite_and_nonnegative(self, k3, tol):
         model = const_model(1.0, 1.0, 5.0)
-        for classify in (classify_general, classify_scalar_D,
-                         classify_decoupled):
+        for classify in (classify_general, classify_decoupled):
             with pytest.raises(ValueError, match="boundary_tol"):
                 classify(k3, model, boundary_tol=tol)
+        # the scalar-D and symmetric records take the decoupled one's band
         with pytest.raises(ValueError, match="boundary_tol"):
-            classify_symmetric(2.0, model, boundary_tol=tol)
+            symmetric(model, boundary_tol=tol)
 
     def test_zero_is_accepted(self, k3):
         report = classify_general(k3, const_model(1.0, 1.0, 5.0),
                                   boundary_tol=0.0)
         assert report.regime is Regime.FAST_EXTINCTION
+        # on the pair the threshold is exactly 3.0: a zero band decides
+        # just above and just below it
+        for delta, regime in ((math.nextafter(3.0, 4.0),
+                               Regime.FAST_EXTINCTION),
+                              (math.nextafter(3.0, 2.0), Regime.LONG_LASTING),
+                              (3.0, Regime.INDETERMINATE)):
+            report = symmetric(const_model(1.0, 1.0, delta), boundary_tol=0.0)
+            assert (report.threshold, report.regime) == (3.0, regime)
 
 
 class TestSymmetric:
-    def test_above_threshold(self, airports):
-        lam = spectral_radius(airports.weights).radius
-        threshold = 2 * lam + 2
-        report = classify_symmetric(lam, const_model(2.0, 2.0, 1.10 * threshold))
+    # on PAIR, rho(W) = 2, so beta_inf = betaint_inf = 2 puts the
+    # threshold at 2 * 2 + 2 = 6 exactly
+    def test_above_threshold(self):
+        report = symmetric(const_model(2.0, 2.0, 1.10 * 6.0))
         assert report.regime is Regime.FAST_EXTINCTION
-        assert report.margin == pytest.approx(0.10 * threshold)
+        assert report.threshold == 6.0
+        assert report.margin == pytest.approx(0.10 * 6.0)
 
-    def test_below_threshold(self, airports):
-        lam = spectral_radius(airports.weights).radius
-        threshold = 2 * lam + 2
-        report = classify_symmetric(lam, const_model(2.0, 2.0, 0.90 * threshold))
+    def test_below_threshold(self):
+        report = symmetric(const_model(2.0, 2.0, 0.90 * 6.0))
         assert report.regime is Regime.LONG_LASTING
+        assert report.threshold == 6.0
 
     def test_vanishing_rates_always_fast(self):
-        report = classify_symmetric(5.0, const_model(0.0, 0.0, 1e-6))
+        report = symmetric(const_model(0.0, 0.0, 1e-6))
         assert report.regime is Regime.FAST_EXTINCTION
         assert report.threshold == 0.0
 
     def test_boundary_is_indeterminate(self):
-        report = classify_symmetric(2.0, const_model(1.0, 1.0, 3.0))
+        report = symmetric(const_model(1.0, 1.0, 3.0))
         assert report.regime is Regime.INDETERMINATE
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            classify_symmetric(1.0, const_model(-1.0, 0.0, 1.0))
+            symmetric(const_model(-1.0, 0.0, 1.0))
         with pytest.raises(ValueError):
-            classify_symmetric(1.0, const_model(1.0, 0.0, 0.0))
+            symmetric(const_model(1.0, 0.0, 0.0))
+
+    def test_record_drops_bracket_and_connectivity(self):
+        rec = symmetric(const_model(2.0, 2.0, 7.0)).as_record()
+        assert rec == {"method": "symmetric_spectral",
+                       "regime": "fast_extinction", "threshold": 6.0,
+                       "delta": 7.0, "margin": 1.0}
 
 
 class TestGeneral:
     def test_reduces_to_symmetric_with_identity_modulation(self, k3):
-        lam = spectral_radius(k3.weights).radius
         for delta in (1.0, 5.9, 6.1, 9.0):
-            sym = classify_symmetric(lam, const_model(2.0, 2.0, delta))
+            sym = symmetric(const_model(2.0, 2.0, delta), g=k3)
             gen = classify_general(
                 k3, const_model(2.0, 2.0, delta, DiagonalModulation.uniform(3)))
             assert gen.regime is sym.regime
@@ -199,7 +223,7 @@ class TestGeneral:
 class TestScalarD:
     def test_eta_one_equals_general_identity(self, k3):
         for delta in (2.0, 6.0, 8.5):
-            a = classify_scalar_D(k3, const_model(
+            a = scalar_d(k3, const_model(
                 2.0, 2.0, delta, DiagonalModulation.uniform(3, 1.0)))
             b = classify_general(k3, const_model(
                 2.0, 2.0, delta, DiagonalModulation.uniform(3)))
@@ -207,20 +231,30 @@ class TestScalarD:
             assert a.threshold == pytest.approx(b.threshold, abs=1e-9)
 
     def test_k3_arithmetic_example(self, k3):
-        report = classify_scalar_D(k3, const_model(2.0, 2.0, 6.6))
+        report = scalar_d(k3, const_model(2.0, 2.0, 6.6))
         assert report.threshold == pytest.approx(6.0, abs=1e-9)
         assert report.regime is Regime.FAST_EXTINCTION
 
     def test_exact_boundary_indeterminate(self, k3):
-        report = classify_scalar_D(k3, const_model(2.0, 2.0, 6.0))
+        report = scalar_d(k3, const_model(2.0, 2.0, 6.0))
         assert report.regime is Regime.INDETERMINATE
+
+    def test_is_the_decoupled_point_without_bracket(self):
+        d = DiagonalModulation.uniform(2, 1.5)
+        model = const_model(2.0, 2.0, 6.6, d)
+        dec = classify_decoupled(PAIR, model)
+        rec = classify_scalar_D(dec, model).as_record()
+        assert rec == {"method": "scalar_d", "regime": "long_lasting",
+                       "threshold": 7.0, "delta": 6.6,
+                       "margin": dec.margin, "strongly_connected": True}
 
     def test_nonscalar_modulation_rejected(self, k3):
         d = DiagonalModulation(np.array([1.0, 2.0, 1.0]))
-        with pytest.raises(ValueError, match="scalar"):
-            classify_scalar_D(k3, const_model(2.0, 2.0, 6.0, d))
-        with pytest.raises(ValueError, match="scalar"):
-            classify_symmetric(2.0, const_model(2.0, 2.0, 6.0, d))
+        model = const_model(2.0, 2.0, 6.0, d)
+        dec = classify_decoupled(k3, model)
+        for derive in (classify_scalar_D, classify_symmetric):
+            with pytest.raises(ValueError, match="scalar"):
+                derive(dec, model)
 
 
 class TestDecoupled:
@@ -304,13 +338,12 @@ class TestCrossMethodProperties:
             b, bi = float(rng.random() * 2), float(rng.random() * 2)
             delta = float(rng.random() * 6 + 1e-3)
             d = DiagonalModulation.uniform(6, eta)
-            a = classify_scalar_D(g, const_model(b, bi, delta, d))
+            a = scalar_d(g, const_model(b, bi, delta, d))
             c = classify_general(g, const_model(b, bi, delta, d))
             assert a.regime is c.regime
             assert a.threshold == pytest.approx(c.threshold, rel=1e-8,
                                                 abs=1e-9)
-            s = classify_symmetric(spectral_radius(g.weights).radius,
-                                   const_model(b, bi * eta, delta))
+            s = symmetric(const_model(b, bi * eta, delta), g=g)
             assert s.regime is a.regime
 
     def test_monotone_in_delta(self, k3):
