@@ -51,7 +51,8 @@ _LOG10_2 = math.log10(2)
 _pow10 = functools.cache(lambda k: 10 ** k)
 
 #: rows per write: output is streamed, never held as a whole file
-_CHUNK_LINES = 4096
+#: (4096 rows of hitting's 78-digit cells added 3 MB to its peak RSS)
+_CHUNK_LINES = 1024
 
 
 def _decimal_cells(numerators, den: int, digits: int):

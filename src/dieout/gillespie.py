@@ -41,7 +41,6 @@ from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 
 from .graphs import EpidemicModel, LocalityGraph
 from .rates import FLOAT, Constant
@@ -890,6 +889,10 @@ def mean_field_trajectory(g: LocalityGraph, model: EpidemicModel, x0,
         raise ValueError("x0 length does not match the graph")
     if not (np.isfinite(x).all() and (x >= 0).all()):
         raise ValueError("x0 must be finite and nonnegative")
+
+    # imported here: only meanfield steps the ODE, and sparse.linalg
+    # loads scipy.linalg
+    from scipy.sparse.linalg import expm_multiply
 
     # constant profiles equal their limits at every n
     gen = (model.asymptotic_matrix(g)

@@ -21,7 +21,6 @@ from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .rates import FLOAT, RateProfile, coerce_coefficient
 
@@ -99,6 +98,9 @@ class LocalityGraph:
     def _components(self) -> tuple[int, np.ndarray]:
         """W's strong components, their count and each node's component;
         W stores no zeros, so they follow the positive-weight edges."""
+        # imported here: only classify splits W, and csgraph loads
+        # scipy.sparse.linalg and scipy.linalg
+        from scipy.sparse.csgraph import connected_components
         return connected_components(self.weights, connection="strong")
 
     def index(self, label: str) -> int:

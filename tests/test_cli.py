@@ -1,12 +1,15 @@
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from argparse import Namespace
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -426,7 +429,9 @@ class TestClassify:
         # regime iterates is A = 2W + 2D or W, whole or on one
         # component, and none is iterated twice: the scalar-D and
         # symmetric records reuse the decoupled record's rho(W)
-        from dieout import graphs, regime
+        from scipy.sparse import csgraph
+
+        from dieout import regime
         splits, iterated = [], []
 
         def split(*args, **kwargs):
@@ -437,7 +442,8 @@ class TestClassify:
             iterated.append(sp.csr_matrix(matrix).toarray())
             return spectral_radius(matrix, **kwargs)
 
-        monkeypatch.setattr(graphs, "connected_components", split)
+        # graphs imports connected_components when it first splits W
+        monkeypatch.setattr(csgraph, "connected_components", split)
         for owner in (cli, regime):
             monkeypatch.setattr(owner, "spectral_radius", record)
         graph = tmp_path / "g.edges"
@@ -1083,6 +1089,86 @@ class TestDecimalWriter:
                 old = mpmath.nstr(mpmath.mpf(x.numerator) / x.denominator,
                                   50, strip_zeros=True)
             assert fmt_precise(x, 50) == old
+
+
+class TestWriteCsv:
+    """``_write_csv`` writes the bytes of ``csv.writer`` whatever the
+    chunk size, across exact multiples of it and one line past."""
+
+    CELLS = st.one_of(st.integers(), st.floats(), st.text(min_size=1))
+
+    @pytest.fixture(scope="class")
+    def shared_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("write_csv")
+
+    @settings(max_examples=200, deadline=None)
+    @given(header=st.lists(st.text(min_size=1), min_size=1, max_size=3),
+           rows=st.lists(st.lists(CELLS, min_size=1, max_size=4),
+                         max_size=12),
+           chunk=st.integers(1, 5))
+    @example(header=["t"], rows=[[0]] * 4, chunk=2)
+    @example(header=["t"], rows=[[0]] * 5, chunk=2)
+    @example(header=['a,"b"'], rows=[["x\r\ny", 1.5e-300]], chunk=1)
+    def test_matches_csv_writer(self, shared_dir, header, rows, chunk):
+        lines = (",".join(cli._csv_text(c) if isinstance(c, str) else str(c)
+                          for c in row) for row in rows)
+        with mock.patch.object(cli, "_CHUNK_LINES", chunk):
+            cli._write_csv(shared_dir / "got.csv", header, lines)
+        oracles.write_csv(shared_dir / "want.csv", header, rows)
+        assert ((shared_dir / "got.csv").read_bytes()
+                == (shared_dir / "want.csv").read_bytes())
+
+
+class TestDeferredImports:
+    """classify loads scipy's csgraph and meanfield its sparse.linalg,
+    each on first use; hitting, asymptote and simulate load neither, nor
+    the scipy.linalg that both pull in."""
+
+    DEFERRED = ("scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+
+    RUN = ("import json, sys\n"
+           "import dieout.cli\n"
+           "status = dieout.cli.main(sys.argv[1:])\n"
+           "print(json.dumps(sorted(m for m in {deferred!r}"
+           " if m in sys.modules)))\n"
+           "sys.exit(status)\n")
+
+    def config(self, tmp_path, command: str) -> Path:
+        out = tmp_path / "out"
+        if command in ("hitting", "asymptote"):
+            body = HITTING_BODY.format(delta=1, gamma="harmonic:5", n_max=20,
+                                       mode="bigfloat", extra="", out=out)
+            if command == "asymptote":
+                body += "\n[asymptote]\ngammas = harmonic:5\nn_max = 100\n"
+            return write_config(tmp_path, body)
+        return write_config(tmp_path, SIM_BODY.format(
+            graph=small_graph_file(tmp_path), delta="8.5", out=out)
+            + "\n[meanfield]\nt_max = 1\ngrid_step = 0.5\n")
+
+    @pytest.mark.parametrize("command, loaded", [
+        ("hitting", set()),
+        ("asymptote", set()),
+        ("simulate", set()),
+        ("classify", {"scipy.sparse.csgraph"}),
+        ("meanfield", {"scipy.sparse.linalg"})])
+    def test_fresh_process_loads_only_what_the_command_calls(
+            self, tmp_path, command, loaded):
+        argv = [command, "--config", str(self.config(tmp_path, command))]
+        if command == "simulate":
+            argv += ["--threads", "1"]
+        path = [str(Path(cli.__file__).parents[1]),
+                os.environ.get("PYTHONPATH")]
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, path)))
+        done = subprocess.run(
+            [sys.executable, "-c", self.RUN.format(deferred=self.DEFERRED),
+             *argv], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        found = set(json.loads(done.stdout.splitlines()[-1]))
+        if loaded:
+            assert loaded <= found
+        else:
+            assert not found
 
 
 class TestAsymptote:
