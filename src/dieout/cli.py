@@ -417,6 +417,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "threads", 0) < 0:
         parser.error("--threads must be >= 0 (0 = machine default)")
+    if (getattr(args, "seed", None) or 0) < 0:
+        parser.error("--seed must be >= 0")
     try:
         return _COMMANDS[args.command](load_config(args.config), args)
     except InfiniteHittingTimeError as exc:

@@ -24,7 +24,7 @@ from .gillespie import MIN_RUNS, TRIM_FRACTION
 from .graphs import (DiagonalModulation, LocalityGraph, file_lines,
                      load_edge_list_file, normalize_mean_column_weight,
                      parse_columns, read_text, top_nodes_by_total_weight)
-from .rates import RateProfile, parse_profile
+from .rates import ProfileError, RateProfile, parse_parameter, parse_profile
 
 
 class ConfigError(ValueError):
@@ -200,17 +200,31 @@ def _printable_bits() -> int | None:
     return bits
 
 
+def _positive_parameter_problem(text: str) -> str | None:
+    """Why ``text`` is not a positive :func:`parse_parameter` value, or
+    None when it is one."""
+    try:
+        return None if parse_parameter(text) > 0 else "must be positive"
+    except ProfileError as exc:
+        return f"is not a valid parameter: {exc}"
+
+
 #: Section name -> (key, test on the section, error text or a function
 #: of the section making it) for the values a command would otherwise
 #: reject deep inside the library, under a name the file does not use,
 #: only after loading a graph, or only after its whole kernel pass.
 _RANGES = {
+    "dynamics": (
+        ("delta", lambda s: _positive_parameter_problem(s.delta) is None,
+         lambda s: _positive_parameter_problem(s.delta)),
+    ),
     "simulation": (
         ("runs", lambda s: s.runs >= MIN_RUNS,
          f"must be >= {MIN_RUNS} (the envelope trims {TRIM_FRACTION:.1%} "
          "of runs from each side)"),
         ("n0", lambda s: s.n0 >= 1, "must be >= 1"),
         ("t_max", lambda s: s.t_max > 0, "must be positive"),
+        ("master_seed", lambda s: s.master_seed >= 0, "must be >= 0"),
     ),
     "meanfield": (
         ("t_max", lambda s: s.t_max > 0, "must be positive"),
@@ -264,7 +278,8 @@ def _check_ranges(name: str, section) -> None:
 def load_config(path) -> ExperimentConfig:
     """Load and validate an experiment configuration file."""
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=("#",))
     try:
         parser.read_string(read_text(path, lambda lineno, reason: ConfigError(
             f"{path}:{lineno}: {reason}")), source=str(path))

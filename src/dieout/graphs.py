@@ -16,8 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import methodcaller
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -323,7 +322,7 @@ def read_text(path, fault: Callable[[int, str], Exception]) -> str:
     raise AssertionError("every line decodes but the whole file does not")
 
 
-def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
+def load_edge_list(source: str | TextIO) -> LocalityGraph:
     """Parse a whitespace-separated edge list into a locality graph.
 
     Each nonempty line is ``src dst weight``; ``#`` starts a comment.
@@ -339,30 +338,19 @@ def load_edge_list(source: str | Iterable[str]) -> LocalityGraph:
     first bad line.
 
     Args:
-        source: text content (a string, split by ``str.splitlines``) or
-            an iterable of lines, e.g. an open text file.
+        source: the text, or a text stream read in one piece; lines end
+            at ``\\n``, ``\\r\\n`` and ``\\r`` only, as in a file.
 
     Raises:
         EdgeListError: malformed line, negative weight, nonzero
             self-loop, or duplicate (src, dst) pair; messages carry the
             one-based line number.
     """
-    lines = source.splitlines() if isinstance(source, str) else list(source)
-    # a newline inside a listed line is whitespace to line.split()
-    return _parse_edge_text(
-        "\n".join(map(methodcaller("replace", "\n", " "), lines)), lines)
-
-
-def _weights(fields: list[str]) -> np.ndarray:
-    return np.fromiter(map(float, fields), float, len(fields))
-
-
-def _parse_edge_text(text: str, lines: Iterable[str]) -> LocalityGraph:
-    """:func:`load_edge_list` on ``text``, whose lines, split at ``\\n``,
-    are ``lines``; the per-line pass reads ``lines`` only on a fault."""
+    text = source if isinstance(source, str) else source.read()
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     parsed = parse_columns(text, 3, _weights)
     if parsed is None:
-        _raise_first_bad_line(lines)
+        _raise_first_bad_line(file_lines(text))
     index, ends, weights = parsed
     if not index:
         raise EdgeListError("edge list is empty")
@@ -373,12 +361,16 @@ def _parse_edge_text(text: str, lines: Iterable[str]) -> LocalityGraph:
     if not (np.isfinite(data).all() and (data >= 0).all()
             and (data[rows == cols] == 0).all()
             and np.diff(np.sort(rows * n + cols)).all()):
-        _raise_first_bad_line(lines)
+        _raise_first_bad_line(file_lines(text))
     # assembled from the triplets: memory O(edges), never O(n^2); the
     # graph drops zero weights, so zero-weight self-loops vanish
     w = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
     del data, ends, rows, cols  # before the graph copies W
     return LocalityGraph(labels, w)
+
+
+def _weights(fields: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, fields), float, len(fields))
 
 
 def _raise_first_bad_line(lines: Iterable[str]) -> NoReturn:
@@ -420,7 +412,7 @@ def load_edge_list_file(path) -> LocalityGraph:
     text = read_text(path, lambda lineno, reason: EdgeListError(
         f"{path}: line {lineno}: {reason}"))
     try:
-        return _parse_edge_text(text, file_lines(text))
+        return load_edge_list(text)
     except EdgeListError as exc:
         raise EdgeListError(f"{path}: {exc}") from None
 

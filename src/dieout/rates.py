@@ -455,6 +455,8 @@ def parse_profile(text: str, base_dir=None) -> RateProfile:
         return LogOverN(parse_parameter(rest))
     if family == "table":
         path_part, _, tail_part = rest.partition(",")
+        if not path_part:
+            raise ProfileError(f"profile spec {text!r} names no table file")
         declared = None
         if tail_part:
             if not tail_part.startswith("tail="):

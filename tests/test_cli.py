@@ -85,6 +85,23 @@ class TestConfig:
         assert load_config(other) == cfg
         assert config_sha256(load_config(other)) == config_sha256(cfg)
 
+    @pytest.mark.parametrize(
+        "recipe", sorted((DATA_DIR.parent / "configs").glob("*.ini")),
+        ids=lambda path: path.name)
+    def test_trailing_comments(self, tmp_path, recipe):
+        """A recipe with a ``#`` comment after every value loads as the
+        recipe does; a ``#`` with no whitespace before it is a value's."""
+        commented = tmp_path / recipe.name
+        commented.write_text("".join(
+            line + ("  # a comment\n" if "=" in line else "\n")
+            for line in recipe.read_text(encoding="utf-8").splitlines()),
+            encoding="utf-8")
+        original = load_config(recipe)
+        assert load_config(commented) == original
+        assert config_sha256(load_config(commented)) == config_sha256(original)
+        path = write_config(tmp_path, "[graph]\npath = a#b.edges # not a\n")
+        assert load_config(path).graph.path == "a#b.edges"
+
     @pytest.mark.parametrize("section, key, text", [
         ("classify", "spectral_tol", "nan"),
         ("classify", "boundary_tol", "nan"),
@@ -617,7 +634,17 @@ class TestRefusals:
          "[meanfield] grid_step = 2.0 is larger than t_max = 1.0"),
         ("hitting", "", "[hitting] gamma is required"),
         ("asymptote", "", "[asymptote] gammas is required"),
-        ("simulate", None, "configuration file {cfg} does not exist")] + [
+        ("simulate", None, "configuration file {cfg} does not exist"),
+        ("simulate", "[simulation]\nmaster_seed = -5\n",
+         "[simulation] master_seed = -5 must be >= 0")] + [
+        # delta is checked when the file loads, before the missing graph
+        (command, f"[graph]\npath = missing.edges\n[dynamics]\n"
+         f"delta = {delta}\n", f"[dynamics] delta = {delta!r} {problem}")
+        for command in ("classify", "simulate", "meanfield")
+        for delta, problem in (
+            ("0", "must be positive"), ("-1/2", "must be positive"),
+            ("abc", "is not a valid parameter: cannot parse parameter "
+             "'abc'"))] + [
         (command, f"[{section}]\ngrid_step = {step}\nt_max = 10\n",
          f"[{section}] grid_step = {step} makes more than 10,000,000 grid "
          "points up to t_max = 10.0")
@@ -707,11 +734,11 @@ class TestSimulate:
     @pytest.mark.parametrize("argv", [
         ["hitting", "--seed", "3"], ["hitting", "--threads", "7"],
         ["classify", "--threads", "1"], ["simulate", "--threads", "-3"],
-        ["simulate", "--threads", "two"]])
+        ["simulate", "--threads", "two"], ["simulate", "--seed", "-1"]])
     def test_inert_or_negative_flags_are_usage_errors(self, tmp_path, capsys,
                                                       argv):
-        # --seed and --threads belong to simulate, and 0 is the only
-        # thread count that means the machine default
+        # --seed and --threads belong to simulate, 0 is the only thread
+        # count that means the machine default, and seeds are >= 0
         cfg = write_config(tmp_path, SIM_BODY.format(
             graph=small_graph_file(tmp_path), delta="8.5",
             out=tmp_path / "out"))

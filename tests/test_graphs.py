@@ -410,9 +410,10 @@ class TestSparseStorage:
         lines = [f"v{i} v{(i + 1) % n} {1 + i % 7}" for i in idx]
         lines += [f"v{i} v{(i + 37) % n} 0.5" for i in idx]
         lines += ["v3 v900 0", "v900 v3 0.0", "v17 v17 0"]
+        text = "\n".join(lines)
         tracemalloc.start()
         try:
-            g = load_edge_list(lines)
+            g = load_edge_list(text)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -100,6 +100,12 @@ class TestParsing:
         with pytest.raises(ProfileError):
             parse_profile("mystery:1")
 
+    @pytest.mark.parametrize("spec", ["table:", "table:,tail=1"])
+    def test_table_without_a_path_names_the_spec(self, spec):
+        with pytest.raises(ProfileError) as err:
+            parse_profile(spec)
+        assert str(err.value) == f"profile spec {spec!r} names no table file"
+
     def test_table_file(self, tmp_path):
         table = tmp_path / "t.txt"
         table.write_text("1 0.5\n2 0.25\ntail=0.125\n")

@@ -21,10 +21,10 @@ from dieout.config import (ConfigError, _count_value, _modulation_value,
 from dieout.graphs import EdgeListError, load_edge_list, load_edge_list_file
 
 #: field separators inside a line: str.split() whitespace, some of it a
-#: line boundary to str.splitlines() but not to file iteration
+#: line boundary to str.splitlines() but not to a text file
 SEPARATORS = [" ", "\t", "  ", "\f", "\v", "\x1c", "\x1f", "\x85", "\xa0",
               "\u2028", "\u3000"]
-#: line ends: file iteration splits at \n, \r\n and \r only
+#: line ends: a text file splits at \n, \r\n and \r only
 TERMINATORS = ["\n", "\r\n", "\r", "\f", "\x1c", "\u2028", "\x85"]
 LABELS = ["a", "b", "c", "n10", "\xe9", "\u3001", "\U0001F600"]
 WEIGHTS = ["1", "0", "-0", "0.0", "2.5", "1_0", "+3", "1e400", "nan", "inf",
@@ -102,54 +102,37 @@ def shared_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("readers")
 
 
+def _oracle_outcome(text):
+    """The per-line reader fed the lines of a file holding ``text``."""
+    return _outcome(oracles.load_edge_list,
+                    list(io.StringIO(text, newline=None)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(edge_texts(), SMALL_CHUNKS)
 @example("a b 1\nb a 1", 1)
-@example("a\fb 1\nb a 1\n", 1)       # one file line of 3 fields, two str lines
-@example("a b 1 # x\fy z\n", 1)      # the comment ends at \n in a file only
+@example("a\fb 1\nb a 1\n", 1)       # \f separates fields, as in a file
+@example("a b 1\nb\u2028c 1\nc a 1\n", 1)
+@example("a b 1 # x\fy z\n", 1)      # the comment ends at \n
 @example("a a 0\na a 0", 1)
 @example("a b -0\nb a 1_0\n", 1)
 @example("\u2028 \n", 1)
-def test_str_and_list_sources_match_the_per_line_reader(text, chunk):
-    for chars in (graphs.CHUNK_CHARS, chunk):
-        with _chunks_of(chars):
-            assert (_outcome(load_edge_list, text)
-                    == _outcome(oracles.load_edge_list, text))
-            for lines in (text.splitlines(), text.splitlines(keepends=True),
-                          list(io.StringIO(text, newline=None))):
-                assert (_outcome(load_edge_list, lines)
-                        == _outcome(oracles.load_edge_list, lines))
-                assert (_outcome(load_edge_list, iter(lines))
-                        == _outcome(oracles.load_edge_list, iter(lines)))
-
-
-@settings(max_examples=100, deadline=None)
-@given(edge_lines(), SMALL_CHUNKS)
-@example(["a b\n1", "b a 1"], 1)     # a newline inside a list item
-@example(["a b 1 # x\ny", "b a 1"], 1)
-def test_list_items_are_lines_even_with_newlines_inside(lines, chunk):
-    for chars in (graphs.CHUNK_CHARS, chunk):
-        with _chunks_of(chars):
-            assert (_outcome(load_edge_list, lines)
-                    == _outcome(oracles.load_edge_list, lines))
-
-
-@settings(max_examples=150, deadline=None)
-@given(edge_texts(), SMALL_CHUNKS)
-@example("a\fb 1\nb a 1\n", 1)
 @example("a b 1\r\nb a x\r\n", 1)
 @example("a b 1\rb a 1\r", 1)
-def test_file_source_matches_the_per_line_reader(shared_dir, text, chunk):
+def test_str_stream_and_file_sources_match_the_per_line_reader(
+        shared_dir, text, chunk):
+    """A string, a stream that keeps its \\r characters, and a file of the
+    same bytes load alike, as the per-line reader loads the file."""
     path = shared_dir / "g.edges"
     path.write_text(text, encoding="utf-8", newline="")
+    want = _oracle_outcome(text)
     for chars in (graphs.CHUNK_CHARS, chunk):
         with _chunks_of(chars):
-            new, old = _file_outcome(path)
-            assert new == old
-            with open(path, "r", encoding="utf-8") as fh:
-                stream = _outcome(load_edge_list, fh)
-            with open(path, "r", encoding="utf-8") as fh:
-                assert stream == _outcome(oracles.load_edge_list, fh)
+            assert _outcome(load_edge_list, text) == want
+            assert _outcome(load_edge_list,
+                            io.StringIO(text, newline="")) == want
+            assert _outcome(load_edge_list_file, path) == (
+                f"{path}: {want}" if isinstance(want, str) else want)
 
 
 VALUES = ["1", "0", "-1", "2.5", "1_0", "nan", "inf", "x", "3", "07"]
@@ -248,8 +231,7 @@ def test_every_chunk_size_gives_the_per_line_result(tmp_path, text):
     for chars in range(1, len(text) + 2):
         with _chunks_of(chars):
             assert _file_outcome(path)[0] == want
-            assert (_outcome(load_edge_list, text)
-                    == _outcome(oracles.load_edge_list, text))
+            assert _outcome(load_edge_list, text) == _oracle_outcome(text)
 
 
 def test_a_fault_in_the_third_chunk_names_its_file_line(tmp_path):
