@@ -15,8 +15,8 @@ from .graphs import (DiagonalModulation, EdgeListError, EpidemicModel,
                      is_strongly_connected, load_edge_list,
                      load_edge_list_file, normalize_mean_column_weight,
                      spectral_radius)
-from .rates import (Constant, Harmonic, LogOverN, ProfileError, RateProfile,
-                    Step, Table, gamma_from_graph, parse_profile)
+from .rates import (Aggregate, Constant, Harmonic, LogOverN, ProfileError,
+                    RateProfile, Step, Table, parse_profile)
 from .regime import (Method, Regime, RegimeReport, classify_decoupled,
                      classify_general, classify_scalar_D, classify_symmetric)
 
@@ -29,7 +29,7 @@ __all__ = [
     "spectral_radius",
     # rates
     "RateProfile", "Constant", "Step", "Harmonic", "LogOverN", "Table",
-    "ProfileError", "parse_profile", "gamma_from_graph",
+    "Aggregate", "ProfileError", "parse_profile",
     # regime
     "Regime", "Method", "RegimeReport", "classify_symmetric",
     "classify_general", "classify_scalar_D", "classify_decoupled",

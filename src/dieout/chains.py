@@ -68,8 +68,8 @@ import numpy as np
 from mpmath.libmp import MPZ
 
 from .graphs import EpidemicModel, LocalityGraph
-from .rates import (EXACT, FLOAT, Arithmetic, ExactnessError, RateProfile,
-                    Scaled, coerce_coefficient, gamma_from_graph)
+from .rates import (EXACT, FLOAT, Aggregate, Arithmetic, ExactnessError,
+                    RateProfile, coerce_coefficient)
 
 RATIONAL = "rational"
 BIGFLOAT = "bigfloat"
@@ -647,21 +647,17 @@ def bound_chains_from_graph(g: LocalityGraph, model: EpidemicModel
     """Bracketing chains for the epidemic's total on a locality graph.
 
     Returns (upper, lower) specs with growth coefficients
-    c_max * beta + D_max * beta_int and c_min * beta + D_min * beta_int,
-    where c are the column sums of W and D the model's modulation.  A
-    case at node v adds beta(n) * c_v + beta_int(n) * D_v to the total
-    birth rate (c_v is the pressure v exerts), so the per-capita birth
-    rate at total n lies between the two coefficients.  The extremes
-    are embedded exactly.
+    ``Aggregate(c_max, beta, D_max, beta_int)`` and
+    ``Aggregate(c_min, beta, D_min, beta_int)``, where c are the column
+    sums of W and D the model's modulation.  A case at node v adds
+    beta(n) * c_v + beta_int(n) * D_v to the total birth rate (c_v is
+    the pressure v exerts), so the per-capita birth rate at total n lies
+    between the two coefficients; when all c_v and all D_v are equal,
+    the chains are equal and the total is that chain exactly.
     """
     col_sums = np.asarray(g.weights.sum(axis=0)).ravel()
     d = model.d(g.node_count)
-
-    def chain(c, d_ext):
-        d_ext = coerce_coefficient(float(d_ext))
-        inner = (model.beta_int if d_ext == 1
-                 else Scaled(d_ext, model.beta_int))
-        return BirthDeathSpec(gamma_from_graph(model.beta, inner, float(c)),
-                              model.delta)
-
-    return chain(col_sums.max(), d.max()), chain(col_sums.min(), d.min())
+    return tuple(BirthDeathSpec(Aggregate(float(c), model.beta, float(k),
+                                          model.beta_int), model.delta)
+                 for c, k in ((col_sums.max(), d.max()),
+                              (col_sums.min(), d.min())))

@@ -393,6 +393,18 @@ _COMMANDS = {
 }
 
 
+def _nonnegative_int(text: str) -> int:
+    """An argparse type: a decimal integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dieout",
@@ -405,9 +417,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None,
                        help="output directory (overrides [output])")
         if name == "simulate":
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_nonnegative_int, default=None,
                            help="master seed override")
-            p.add_argument("--threads", type=int, default=1,
+            p.add_argument("--threads", type=_nonnegative_int, default=1,
                            help="worker processes (0 = machine default)")
     return parser
 
@@ -415,10 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 0) < 0:
-        parser.error("--threads must be >= 0 (0 = machine default)")
-    if (getattr(args, "seed", None) or 0) < 0:
-        parser.error("--seed must be >= 0")
     try:
         return _COMMANDS[args.command](load_config(args.config), args)
     except InfiniteHittingTimeError as exc:

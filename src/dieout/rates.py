@@ -23,6 +23,10 @@ n), and its tail suprema once.  These are the only two entry points:
 per loop, and ``sup(n0, ar)`` an upper bound on the values over
 n >= n0.
 
+The one composite profile, :class:`Aggregate`, is c * beta(n) +
+d * beta_int(n): the birth rate of the chains that bracket the network
+epidemic's total.
+
 Parameters are parsed exactly from decimal (or p/q) strings, so the
 exact arithmetic carries no representation error.
 """
@@ -293,71 +297,57 @@ class Table(RateProfile):
 
 
 @dataclass(frozen=True)
-class Scaled(RateProfile):
-    """d * base(n) with an exact scalar coefficient."""
+class Aggregate(RateProfile):
+    """c * beta(n) + d * beta_int(n) with exact coefficients c, d >= 0.
 
-    coeff: Fraction
-    base: RateProfile
+    The birth rate of a chain that brackets the network epidemic's
+    total (``chains.bound_chains_from_graph``).  The supremum bound is
+    additive (conservative).
+    """
+
+    c: Fraction
+    beta: RateProfile
+    d: Fraction
+    beta_int: RateProfile
 
     def __post_init__(self):
-        if self.coeff < 0:
-            raise ProfileError("scale coefficient must be nonnegative")
-        object.__setattr__(self, "is_rational", self.base.is_rational)
+        for name in ("c", "d"):
+            k = coerce_coefficient(getattr(self, name))
+            if k < 0:
+                raise ProfileError(f"coefficient {name} must be nonnegative")
+            object.__setattr__(self, name, k)
+
+    @property
+    def is_rational(self):
+        return self.beta.is_rational and self.beta_int.is_rational
 
     def evaluator(self, ar):
-        d, f, mul = ar.num(self.coeff), self.base.evaluator(ar), ar.mul
-        return lambda n: mul(d, f(n))
+        c, f = ar.num(self.c), self.beta.evaluator(ar)
+        d, g = ar.num(self.d), self.beta_int.evaluator(ar)
+        add, mul = ar.add, ar.mul
+        return lambda n: add(mul(c, f(n)), mul(d, g(n)))
 
     def sup(self, n0, ar):
-        return ar.mul(ar.num(self.coeff), self.base.sup(n0, ar))
+        return ar.add(ar.mul(ar.num(self.c), self.beta.sup(n0, ar)),
+                      ar.mul(ar.num(self.d), self.beta_int.sup(n0, ar)))
 
     @property
     def limit_exact(self):
-        return self.coeff * self.base.limit_exact
+        return (self.c * self.beta.limit_exact
+                + self.d * self.beta_int.limit_exact)
 
     def first_zero_at_or_after(self, n0):
-        if self.coeff == 0:
-            return max(1, int(n0))
-        return self.base.first_zero_at_or_after(n0)
-
-
-@dataclass(frozen=True)
-class Combined(RateProfile):
-    """Sum of two profiles; the supremum bound is additive (conservative)."""
-
-    first: RateProfile
-    second: RateProfile
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "is_rational",
-            self.first.is_rational and self.second.is_rational)
-
-    def evaluator(self, ar):
-        f, g = self.first.evaluator(ar), self.second.evaluator(ar)
-        add = ar.add
-        return lambda n: add(f(n), g(n))
-
-    def sup(self, n0, ar):
-        return ar.add(self.first.sup(n0, ar), self.second.sup(n0, ar))
-
-    @property
-    def limit_exact(self):
-        return self.first.limit_exact + self.second.limit_exact
-
-    def first_zero_at_or_after(self, n0):
-        # The sum vanishes only where both parts do.
+        # zero only where each part with a nonzero coefficient is zero
+        parts = [p for k, p in ((self.c, self.beta), (self.d, self.beta_int))
+                 if k]
         n = max(1, int(n0))
         while True:
-            a = self.first.first_zero_at_or_after(n)
-            if a is None:
+            zeros = [p.first_zero_at_or_after(n) for p in parts]
+            if None in zeros:
                 return None
-            b = self.second.first_zero_at_or_after(a)
-            if b is None:
-                return None
-            if b == a:
-                return a
-            n = b
+            if all(z == n for z in zeros):
+                return n
+            n = max(zeros)
 
 
 def _check_table_row(last: int, n: int, value: Fraction) -> None:
@@ -377,17 +367,22 @@ def parse_table_file(path, declared_tail: Fraction | None = None) -> Table:
     The footer is the last line with content, and its constant must be
     nonnegative.  A tail declared in the profile spec string overrides
     the footer.  Every error in a line, a byte that is not UTF-8
-    included, names ``path:line``.
+    included, names ``path:line``; a file that cannot be read (missing,
+    a directory) names ``path`` and the reason.
     """
     from .graphs import file_lines, read_text  # graphs imports this module
 
     def fault(lineno, reason):
         return ProfileError(f"{path}:{lineno}: {reason}")
 
+    try:
+        text = read_text(path, fault)
+    except OSError as exc:
+        raise ProfileError(f"table file {path}: {exc.strerror}") from None
     entries: list[tuple[int, Fraction]] = []
     tail = declared_tail
     footer_at = None
-    for lineno, raw in enumerate(file_lines(read_text(path, fault)), start=1):
+    for lineno, raw in enumerate(file_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -489,19 +484,3 @@ def coerce_coefficient(d) -> Fraction:
         return Fraction(d)
     raise ProfileError(f"cannot coerce coefficient of type {type(d).__name__}")
 
-
-def gamma_from_graph(beta: RateProfile, beta_int: RateProfile,
-                     d) -> RateProfile:
-    """Aggregate rate coefficient d * beta(n) + beta_int(n).
-
-    With d the largest (smallest) column sum of W and an unmodulated
-    graph this is the birth coefficient of the one-dimensional chain
-    that bounds the network epidemic's total from above (below); see
-    ``chains.bound_chains_from_graph`` for the modulated case.
-    """
-    d = coerce_coefficient(d)
-    if d < 0:
-        raise ProfileError("degree coefficient must be nonnegative")
-    if isinstance(beta, Constant) and isinstance(beta_int, Constant):
-        return Constant(d * beta.c + beta_int.c)
-    return Combined(Scaled(d, beta), beta_int)

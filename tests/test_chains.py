@@ -12,9 +12,8 @@ from dieout.chains import (BirthDeathSpec, InfiniteHittingTimeError,
                            PrecisionConfig, asymptote_ratio,
                            bound_chains_from_graph, equilibrium_lower_bound,
                            hitting_table, _LogTable)
-from dieout.rates import (EXACT, FLOAT, Combined, Constant, ExactnessError,
-                          LogOverN, ProfileError, Scaled, Step, Table,
-                          gamma_from_graph, parse_profile)
+from dieout.rates import (EXACT, FLOAT, Aggregate, Constant, ExactnessError,
+                          LogOverN, ProfileError, Step, Table, parse_profile)
 
 from dieout.gillespie import (SimConfig, _EventTables, run_ensemble,
                               simulate_run)
@@ -361,6 +360,55 @@ class TestGraphChains:
         assert lower.gamma.evaluator(EXACT)(1) == 0 + 1
 
 
+class TestLumpedChainOracle:
+    """With every column sum of W equal to c and D = eta I, the
+    epidemic's total is exactly the birth-death chain
+    gamma(n) = c beta(n) + eta beta_int(n) (strong lumpability; Kemeny
+    and Snell, Finite Markov Chains, 1960, ch. VI).  Both bracketing
+    chains are then that chain, and hitting_table gives the network's
+    mean extinction time exactly, whatever the graph and the profiles."""
+
+    @staticmethod
+    def dyadic_digraph(n: int, seed: int = 36) -> LocalityGraph:
+        """Each column holds 8 random off-diagonal entries: positive
+        integers summing to 64, over 64.  The weights are dyadic, so
+        every column sums to exactly 1 in floats."""
+        rng = np.random.default_rng(seed)
+        rows, weights = [], []
+        for v in range(n):
+            targets = rng.choice(n - 1, 8, replace=False)
+            rows.append(targets + (targets >= v))
+            cuts = np.sort(rng.choice(np.arange(1, 64), 7, replace=False))
+            weights.append(np.diff(cuts, prepend=0, append=64) / 64)
+        w = sp.csr_matrix((np.concatenate(weights),
+                           (np.concatenate(rows), np.repeat(range(n), 8))),
+                          shape=(n, n))
+        return LocalityGraph(tuple(f"v{i}" for i in range(n)), w)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("nodes, eta, t20", [
+        (3000, 1, 5.643711), (100, 0.5, 3.837642)],
+        ids=["blocked-csr", "lockstep"])
+    def test_simulated_mean_is_the_chain_hitting_time(self, nodes, eta,
+                                                      t20, seed):
+        # blocked CSR tables past 2,048 nodes, a lockstep batch below
+        g = self.dyadic_digraph(nodes)
+        assert (g.weights.sum(axis=0) == 1).all()
+        d = None if eta == 1 else DiagonalModulation.uniform(nodes, eta)
+        model = EpidemicModel(parse_profile("harmonic:3"),
+                              parse_profile("step:1,1/2,10"), "2", d)
+        assert _EventTables.of(g, model).blocked == (nodes > 2048)
+        upper, lower = bound_chains_from_graph(g, model)
+        assert upper == lower
+        t_exact = float(hitting_table(upper, 20, BF256).T[19])
+        assert t_exact == pytest.approx(t20, abs=1e-6)
+        cfg = SimConfig(model, t_max=200.0, n0=20, master_seed=seed)
+        times = run_ensemble(cfg, g, 400, np.array([0.0])).extinction_times
+        assert times.size == 400  # every run dies out
+        z = (times.mean() - t_exact) / (times.std(ddof=1) / math.sqrt(400))
+        assert abs(z) <= 4, z
+
+
 class TestAsymptote:
     def test_pure_death_ratio_is_harmonic_over_log(self):
         spec = spec_of("const:0")
@@ -555,8 +603,8 @@ def assert_matches_fraction_oracle(spec, n_hi, precision):
 def graph_chains_with_a_rational_weight():
     """(name, spec) for the bracketing chains of a 3-node graph whose
     column sums are 3/4 and 3/2, at delta 5/2: each gamma is
-    Combined(Scaled(c, harmonic:3/2), const:1/4), its second part
-    Scaled by the modulation's extreme when modulated."""
+    Aggregate(c, harmonic:3/2, d, const:1/4), d the modulation's extreme
+    when modulated and 1 otherwise."""
     w = np.array([[0, 0.25, 1], [0.75, 0, 0.5], [0, 0.5, 0]])
     g = LocalityGraph(tuple("abc"), w)
     for tag, d in (("", None),
@@ -566,7 +614,7 @@ def graph_chains_with_a_rational_weight():
                               parse_profile("const:1/4"), "5/2", d)
         upper, lower = bound_chains_from_graph(g, model)
         for name, spec in (("upper", upper), ("lower", lower)):
-            assert isinstance(spec.gamma, Combined)
+            assert isinstance(spec.gamma, Aggregate)
             yield name + tag, spec
 
 
@@ -628,10 +676,10 @@ class TestIntegerRationalPass:
         assert table.row_certified == tuple(want.certified[1:])
 
 def triple_pass_profiles():
-    """(id, gamma) over every family, Scaled, and the Combined of
-    gamma_from_graph with a logn beta, whose two logn terms each carry
-    the log table's 2**G."""
-    logn = parse_profile("logn:1.5")
+    """(id, gamma) over every family, and Aggregates with one part and
+    with a logn beta, whose two logn terms each carry the log table's
+    2**G."""
+    logn, zero = parse_profile("logn:1.5"), parse_profile("const:0")
     table = Table(((1, Fraction(3, 4)), (2, Fraction(5, 6)),
                    (3, Fraction(2, 9)), (7, Fraction(7, 10))), Fraction(1, 3))
     return [
@@ -641,12 +689,13 @@ def triple_pass_profiles():
         ("harmonic", parse_profile("harmonic:5")),
         ("logn", logn),
         ("table", table),
-        ("scaled", Scaled(Fraction(2, 3), parse_profile("harmonic:9/2"))),
-        ("scaled-logn", Scaled(Fraction(5, 7), logn)),
-        ("graph-logn", gamma_from_graph(logn, parse_profile("logn:1/2"),
-                                        Fraction(3, 4))),
-        ("graph-logn-step", gamma_from_graph(
-            logn, parse_profile("step:1/5,1/9,12"), Fraction(3, 4)))]
+        ("scaled", Aggregate(Fraction(2, 3), parse_profile("harmonic:9/2"),
+                             0, zero)),
+        ("scaled-logn", Aggregate(Fraction(5, 7), logn, 0, zero)),
+        ("graph-logn", Aggregate(Fraction(3, 4), logn, 1,
+                                 parse_profile("logn:1/2"))),
+        ("graph-logn-step", Aggregate(Fraction(3, 4), logn, 1,
+                                      parse_profile("step:1/5,1/9,12")))]
 
 
 class TestTriplePassesMatchRatioPasses:
@@ -808,10 +857,10 @@ class TestRoundingCertificate:
     @pytest.mark.parametrize("bits", [64, 128, 256])
     def test_logn_bound_holds_against_1024_bit_reference(self, text, bits):
         gamma = parse_profile(text)
-        combined = Combined(Scaled(Fraction(2, 3), gamma),
-                            parse_profile("step:1/5,1/9,12"))
+        combined = Aggregate(Fraction(2, 3), gamma, 1,
+                             parse_profile("step:1/5,1/9,12"))
         # reads log1p(j) twice a row
-        twice = Combined(Scaled(Fraction(2), gamma), parse_profile("logn:1/2"))
+        twice = Aggregate(2, gamma, 1, parse_profile("logn:1/2"))
         for g in (gamma, combined, twice):
             spec = BirthDeathSpec(g, Fraction(3, 2))
             ref = reference_increments(spec, 40, 400)

@@ -593,6 +593,8 @@ class TestFailFast:
         (command, "beta = const:2", "beta = cnst:2",
          "unknown profile family 'cnst'")
         for command in ("classify", "simulate", "meanfield")] + [
+        ("simulate", "beta = const:2", "beta = table:missing",
+         "table file {tmp}/missing: No such file or directory"),
         ("simulate", "grid_step = 0.2", "grid_step = 0.25001",
          "[simulation] grid_step = 0.25001 does not divide t_max = 6.0"),
         ("meanfield", "grid_step = 0.5", "grid_step = 0.3",
@@ -612,7 +614,8 @@ class TestFailFast:
         assert old in body
         cfg = write_config(tmp_path, body.replace(old, new))
         assert main([command, "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {message.format(tmp=tmp_path)}\n"
 
 
 class TestRefusals:
@@ -634,6 +637,11 @@ class TestRefusals:
          "[meanfield] grid_step = 2.0 is larger than t_max = 1.0"),
         ("hitting", "", "[hitting] gamma is required"),
         ("asymptote", "", "[asymptote] gammas is required"),
+        # a table file that cannot be read names itself and the reason
+        ("hitting", "[hitting]\ngamma = table:missing\n",
+         "table file {missing}: No such file or directory"),
+        ("hitting", "[hitting]\ngamma = table:.\n",
+         "table file {dir}: Is a directory"),
         ("simulate", None, "configuration file {cfg} does not exist"),
         ("simulate", "[simulation]\nmaster_seed = -5\n",
          "[simulation] master_seed = -5 must be >= 0")] + [
@@ -654,7 +662,8 @@ class TestRefusals:
     def test_refusal_is_one_error_line(self, tmp_path, capsys, command, body,
                                        message):
         paths = {"graph": tmp_path / "g.edges", "mod": tmp_path / "mod.txt",
-                 "empty": tmp_path / "empty.txt", "cfg": tmp_path / "exp.ini"}
+                 "empty": tmp_path / "empty.txt", "cfg": tmp_path / "exp.ini",
+                 "missing": tmp_path / "missing", "dir": tmp_path}
         paths["graph"].write_text("A00 B01 1\nB01 A00 1\n", encoding="utf-8")
         paths["mod"].write_text("B01 2\n", encoding="utf-8")
         paths["empty"].write_text("# no node kept\n\n", encoding="utf-8")
@@ -745,7 +754,10 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exit_:
             main([*argv, "--config", str(cfg)])
         assert exit_.value.code == 2
-        assert argv[1] in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert argv[1] in err
+        if argv[0] == "simulate":  # the subcommand's own usage line
+            assert err.startswith("usage: dieout simulate")
         assert not (tmp_path / "out").exists()
 
     def test_event_log_emission(self, tmp_path):

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dieout.rates import (EXACT, FLOAT, Combined, Constant, ExactnessError,
-                          Harmonic, LogOverN, ProfileError, Scaled, Step,
-                          Table, coerce_coefficient, gamma_from_graph,
-                          parse_parameter, parse_profile)
+from dieout.rates import (EXACT, FLOAT, Aggregate, Constant, ExactnessError,
+                          Harmonic, LogOverN, ProfileError, Step, Table,
+                          coerce_coefficient, parse_parameter, parse_profile)
 
 from dieout import chains
 
@@ -25,8 +24,8 @@ def all_families():
         Harmonic(Fraction(5)),
         LogOverN(Fraction(3, 2)),
         Table(((1, Fraction(4)), (3, Fraction(1))), tail=Fraction(1, 4)),
-        gamma_from_graph(Harmonic(Fraction(2)), Constant(Fraction(1, 3)),
-                         Fraction(5, 2)),
+        Aggregate(Fraction(5, 2), Harmonic(Fraction(2)), 1,
+                  Constant(Fraction(1, 3))),
     ]
 
 
@@ -213,12 +212,14 @@ class TestEvaluator:
         step = Step(Fraction(5, 3), Fraction(1, 9), 40)
         table = Table(((2, Fraction(7, 5)), (9, Fraction(0))),
                       tail=Fraction(2, 3))
+        zero = Constant(Fraction(0))
         return [
-            Scaled(Fraction(11, 3), Harmonic(Fraction(1, 3))),
-            Combined(Scaled(Fraction(5, 2), step), table),
-            Combined(Scaled(Fraction(1, 7), logn), step),
-            Scaled(Fraction(2, 3), Combined(logn, Harmonic(Fraction(4)))),
-            gamma_from_graph(logn, Constant(Fraction(1, 3)), Fraction(9, 4)),
+            Aggregate(Fraction(11, 3), Harmonic(Fraction(1, 3)), 0, zero),
+            Aggregate(Fraction(5, 2), step, 1, table),
+            Aggregate(Fraction(1, 7), logn, 1, step),
+            Aggregate(Fraction(2, 3),
+                      Aggregate(1, logn, 1, Harmonic(Fraction(4))), 0, zero),
+            Aggregate(Fraction(9, 4), logn, 1, Constant(Fraction(1, 3))),
         ]
 
     def test_mpf_values_follow_the_working_precision(self):
@@ -267,7 +268,7 @@ states = st.integers(1, 10**7)
 
 
 def rational_profiles():
-    """Every rational family, alone and under Scaled and Combined."""
+    """Every rational family, alone and in trees of Aggregates."""
     leaves = st.one_of(
         st.builds(Constant, fractions),
         st.builds(Step, fractions, fractions, st.integers(1, 10**6)),
@@ -276,9 +277,8 @@ def rational_profiles():
                   st.lists(st.tuples(st.integers(1, 50), fractions),
                            max_size=5, unique_by=lambda r: r[0]).map(sorted),
                   fractions))
-    return st.recursive(leaves, lambda inner: st.one_of(
-        st.builds(Scaled, fractions, inner),
-        st.builds(Combined, inner, inner)), max_leaves=4)
+    return st.recursive(leaves, lambda inner: st.builds(
+        Aggregate, fractions, inner, fractions, inner), max_leaves=4)
 
 
 class TestEvaluatorIdentities:
@@ -294,10 +294,14 @@ class TestEvaluatorIdentities:
         cases = [
             (f(n), float(k) / n),
             (g(n), float(k) * math.log1p(n) / n),
-            (Scaled(d, logn).evaluator(FLOAT)(n), float(d) * g(n)),
-            (Combined(harmonic, logn).evaluator(FLOAT)(n), f(n) + g(n)),
-            (Scaled(d, harmonic).sup(n, FLOAT), float(d) * f(n)),
-            (Combined(logn, harmonic).sup(n, FLOAT), g(n) + f(n))]
+            (Aggregate(d, logn, k, harmonic).evaluator(FLOAT)(n),
+             float(d) * g(n) + float(k) * f(n)),
+            (Aggregate(d, logn, 0, harmonic).evaluator(FLOAT)(n),
+             float(d) * g(n)),
+            (Aggregate(1, harmonic, 1, logn).evaluator(FLOAT)(n),
+             f(n) + g(n)),
+            (Aggregate(d, harmonic, 0, logn).sup(n, FLOAT), float(d) * f(n)),
+            (Aggregate(1, logn, 1, harmonic).sup(n, FLOAT), g(n) + f(n))]
         for got, want in cases:
             assert got.hex() == want.hex()
 
@@ -317,8 +321,8 @@ class TestEvaluatorIdentities:
         kernel = chains._kernel_arithmetic(lambda n: (m, 1, bits))
         exact = replace(EXACT, log1p=lambda n: Fraction(m, 1 << bits))
         step = Step(d, k, 40)
-        for profile in (LogOverN(k), Combined(Scaled(d, LogOverN(k)), step),
-                        gamma_from_graph(LogOverN(k), LogOverN(d), d)):
+        for profile in (LogOverN(k), Aggregate(d, LogOverN(k), 1, step),
+                        Aggregate(d, LogOverN(k), 1, LogOverN(d))):
             p, q, g = profile.evaluator(kernel)(n)
             assert Fraction(p, q << g) == profile.evaluator(exact)(n)
 
@@ -381,14 +385,15 @@ class TestHypothesisInvariants:
             assert v <= p.sup(1, FLOAT) * (1 + 1e-12)
 
     @given(n=st.integers(min_value=1, max_value=10**6),
+           c=st.fractions(min_value=0, max_value=100),
            d=st.fractions(min_value=0, max_value=100))
     @settings(max_examples=100, deadline=None)
-    def test_gamma_linearity_exact(self, n, d):
+    def test_gamma_linearity_exact(self, n, c, d):
         beta = Harmonic(Fraction(7, 3))
         beta_int = Step(Fraction(2), Fraction(1, 5), 50)
-        gamma = gamma_from_graph(beta, beta_int, d)
+        gamma = Aggregate(c, beta, d, beta_int)
         assert gamma.evaluator(EXACT)(n) == (
-            d * beta.evaluator(EXACT)(n) + beta_int.evaluator(EXACT)(n))
+            c * beta.evaluator(EXACT)(n) + d * beta_int.evaluator(EXACT)(n))
 
 
 class TestCoerceCoefficient:
@@ -396,33 +401,41 @@ class TestCoerceCoefficient:
     def test_nonfinite_float_rejected(self, d):
         with pytest.raises(ProfileError, match="not finite"):
             coerce_coefficient(d)
-        with pytest.raises(ProfileError, match="not finite"):
-            gamma_from_graph(Constant(Fraction(1)), Constant(Fraction(1)), d)
+        one = Constant(Fraction(1))
+        for args in ((d, one, 1, one), (1, one, d, one)):
+            with pytest.raises(ProfileError, match="not finite"):
+                Aggregate(*args)
 
 
 class TestGammaFromGraph:
-    def test_constant_pair_collapses(self):
-        gamma = gamma_from_graph(Constant(Fraction(2)), Constant(Fraction(2)),
-                                 2)
-        assert isinstance(gamma, Constant)
-        assert gamma.c == 6
+    """The rate coefficient c * beta + d * beta_int that a graph's column
+    sums and modulation give, as an ``Aggregate``."""
+
+    def test_coefficients_are_exact_and_nonnegative(self):
+        one = Constant(Fraction(1))
+        gamma = Aggregate("3/4", one, 0.1, one)
+        assert (gamma.c, gamma.d) == (Fraction(3, 4), Fraction(0.1))
+        assert gamma == Aggregate(Fraction(3, 4), one, Fraction(0.1), one)
+        for args in ((-1, one, 1, one), (1, one, Fraction(-1, 3), one)):
+            with pytest.raises(ProfileError, match="must be nonnegative"):
+                Aggregate(*args)
 
     def test_vanishing_pair_has_zero_limit(self):
-        gamma = gamma_from_graph(Harmonic(Fraction(3)),
-                                 Harmonic(Fraction(2)), Fraction(99))
+        gamma = Aggregate(Fraction(99), Harmonic(Fraction(3)), 1,
+                          Harmonic(Fraction(2)))
         assert gamma.limit_exact == 0
 
     def test_airport_degree_composite_matches_hand_computation(self, airports):
         d_max = float(airports.weights.sum(axis=0).max())  # column sums
         beta = Constant(Fraction(2))
         beta_int = Constant(Fraction(3, 2))
-        gamma = gamma_from_graph(beta, beta_int, d_max)
+        gamma = Aggregate(d_max, beta, 1, beta_int)
         expected = Fraction(d_max) * 2 + Fraction(3, 2)
         assert gamma.evaluator(EXACT)(123) == expected
 
     def test_zero_detection_on_composites(self):
-        gamma = gamma_from_graph(Step(Fraction(1), Fraction(0), 10),
-                                 Constant(Fraction(0)), 1)
+        gamma = Aggregate(1, Step(Fraction(1), Fraction(0), 10), 1,
+                          Constant(Fraction(0)))
         assert gamma.first_zero_at_or_after(1) == 11
         assert gamma.first_zero_at_or_after(15) == 15
 
@@ -455,18 +468,23 @@ class TestGammaFromGraph:
     def test_combined_zero_search_over_interleaved_zeros(self, first, second,
                                                          want):
         # the parts vanish at interleaved n, so the search alternates
-        p = Combined(self.table(*first), self.table(*second))
+        p = Aggregate(1, self.table(*first), 1, self.table(*second))
         assert p.first_zero_at_or_after(1) == want
         for n0 in range(1, 15):
             assert p.first_zero_at_or_after(n0) == self.first_zero_by_scan(
                 p, n0)
 
     def test_scaled_by_zero_is_zero(self):
-        p = Scaled(Fraction(0), Harmonic(Fraction(5)))
+        p = Aggregate(0, Harmonic(Fraction(5)), 0, Constant(Fraction(2)))
         assert p.first_zero_at_or_after(3) == 3
         assert p.evaluator(FLOAT)(7) == 0.0
+        # a part that never vanishes, under a zero coefficient
+        q = Aggregate(0, Constant(Fraction(1)), 2,
+                      Step(Fraction(1), Fraction(0), 10))
+        assert q.first_zero_at_or_after(1) == 11
 
     def test_combined_supremum_is_conservative(self):
-        g = Combined(Harmonic(Fraction(4)), Step(Fraction(1), Fraction(2), 3))
+        g = Aggregate(1, Harmonic(Fraction(4)), 1,
+                      Step(Fraction(1), Fraction(2), 3))
         for n in (1, 2, 3, 4, 100):
             assert g.evaluator(FLOAT)(n) <= g.sup(1, FLOAT) + 1e-12
