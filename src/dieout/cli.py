@@ -39,10 +39,9 @@ from .gillespie import (MIN_RUNS, SimConfig, mean_field_trajectory,
                         run_ensemble, trimmed_interval)
 # is_strongly_connected and spectral_radius are unused here but stay
 # importable from cli: perfbench/spans.py wraps them by these names
-from .graphs import (EdgeListError, EpidemicModel, SpectralError,
-                     is_strongly_connected, is_symmetric, spectral_radius)
-from .rates import (ExactnessError, ProfileError, parse_parameter,
-                    parse_profile)
+from .graphs import (EpidemicModel, SpectralError, is_strongly_connected,
+                     is_symmetric, spectral_radius)
+from .rates import ExactnessError, parse_parameter, parse_profile
 from .regime import (classify_decoupled, classify_general, classify_scalar_D,
                      classify_symmetric)
 
@@ -155,10 +154,14 @@ def _out_dir(cfg: ExperimentConfig, args) -> Path:
 
 
 def _model(cfg: ExperimentConfig, g, profiles=None) -> EpidemicModel:
-    """The configured epidemic on graph ``g``; ``profiles`` if loaded."""
+    """The configured epidemic on graph ``g``; ``profiles`` if loaded.
+    Rates that can pass float64 on ``g`` are refused here, in the load
+    stage, before any output directory is made."""
     beta, beta_int = profiles or load_profiles(cfg)
-    return EpidemicModel(beta, beta_int, cfg.dynamics.delta,
-                         load_modulation(cfg, g))
+    model = EpidemicModel(beta, beta_int, cfg.dynamics.delta,
+                          load_modulation(cfg, g))
+    model.d_on(g)
+    return model
 
 
 def _load_report(g, start: float) -> dict:
@@ -174,6 +177,7 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     g = load_graph(cfg)
     model = _model(cfg, g, profiles)
     load = _load_report(g, start)
+    out = _out_dir(cfg, args) if args.out or cfg.output.directory else None
     start = time.perf_counter()
     mod, tol, stol = (model.modulation, cfg.classify.boundary_tol,
                       cfg.classify.spectral_tol)
@@ -190,8 +194,7 @@ def cmd_classify(cfg: ExperimentConfig, args) -> int:
     compute_s = time.perf_counter() - start
     text = json.dumps(records, indent=2)
     print(text)
-    if args.out or cfg.output.directory:
-        out = _out_dir(cfg, args)
+    if out is not None:
         (out / "classify.json").write_text(text + "\n", encoding="utf-8")
         _write_meta(out, "classify", cfg, {**load, "compute_s": compute_s,
                                            "components": g._components[0]})
@@ -219,9 +222,9 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> int:
     g = load_graph(cfg)
     sim_cfg = _sim_config(cfg, g, args, profiles)
     load = _load_report(g, start)
+    out = _out_dir(cfg, args)
     summary = run_ensemble(sim_cfg, g, cfg.simulation.runs, grid,
                            threads=args.threads)
-    out = _out_dir(cfg, args)
     start = time.perf_counter()
     grid_text = [repr(t) for t in grid.tolist()]
     _write_csv(out / "trajectories.csv", ["t", "run_id", "total"],
@@ -284,10 +287,10 @@ def cmd_hitting(cfg: ExperimentConfig, args) -> int:
     gamma = parse_profile(cfg.hitting.gamma, base_dir=cfg.base_dir)
     spec = BirthDeathSpec(gamma, parse_parameter(cfg.dynamics.delta))
     precision = _precision_from(cfg.hitting)
+    out = _out_dir(cfg, args)
     start = time.perf_counter()
     table = hitting_table(spec, cfg.hitting.n_max, precision)
     kernel_s = time.perf_counter() - start
-    out = _out_dir(cfg, args)
     start = time.perf_counter()
     digits, den = precision.decimal_digits, table.denominator
     _write_csv(out / "hitting.csv", ["n", "S_n", "T_n", "certified"],
@@ -319,16 +322,16 @@ def cmd_asymptote(cfg: ExperimentConfig, args) -> int:
         states = [int(n) for n in pts]
     precision = _precision_from(asym)
     delta = parse_parameter(cfg.dynamics.delta)
+    specs = [BirthDeathSpec(parse_profile(text, base_dir=cfg.base_dir), delta)
+             for text in asym.gammas]
+    out = _out_dir(cfg, args)
 
     columns = []
     start = time.perf_counter()
-    for text in asym.gammas:
-        gamma = parse_profile(text, base_dir=cfg.base_dir)
-        spec = BirthDeathSpec(gamma, delta)
+    for text, spec in zip(asym.gammas, specs):
         result = asymptote_ratio(spec, states, precision)
         columns.append((text, dict(result.ratios), _kernel_report(result)))
     kernel_s = time.perf_counter() - start
-    out = _out_dir(cfg, args)
     start = time.perf_counter()
     header = ["n"] + [f"ratio[{text}]" for text, _, _ in columns]
     tables = [ratios for _, ratios, _ in columns]
@@ -367,10 +370,10 @@ def cmd_meanfield(cfg: ExperimentConfig, args) -> int:
         except KeyError:
             raise ConfigError(f"[meanfield] x0 = {mf.x0!r} names no node "
                               f"of the graph") from None
+    out = _out_dir(cfg, args)
     start = time.perf_counter()
     series = mean_field_trajectory(g, model, x0, grid)
     compute_s = time.perf_counter() - start
-    out = _out_dir(cfg, args)
     start = time.perf_counter()
     _write_csv(out / "meanfield.csv", ["t", *g.labels, "total"],
                (",".join(map(str, (t, *row, total)))
@@ -434,8 +437,12 @@ def main(argv=None) -> int:
               f"rate is at or below the chain's growth threshold ({exc})",
               file=sys.stderr)
         return 2
-    except (ConfigError, ProfileError, EdgeListError, SpectralError,
-            ExactnessError, OSError, ValueError, KeyError) as exc:
+    except OSError as exc:  # an input file or --out that cannot be used
+        reason = (exc if exc.filename is None
+                  else f"{exc.filename}: {exc.strerror}")
+        print(f"error: {reason}", file=sys.stderr)
+        return 1
+    except (SpectralError, ExactnessError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

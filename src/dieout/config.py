@@ -4,6 +4,8 @@ The file format is ``key = value`` pairs grouped into sections; every
 knob any command consults is reachable from here, and a loaded
 configuration serializes back to an equivalent file (round-trip safe).
 Paths are resolved relative to the configuration file's directory.
+A file that cannot be read, this one or one it names, raises the
+OSError itself.
 """
 
 from __future__ import annotations
@@ -11,19 +13,18 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
 from .chains import BIGFLOAT, RATIONAL, PrecisionConfig
 from .gillespie import MIN_RUNS, TRIM_FRACTION
-from .graphs import (DiagonalModulation, LocalityGraph, file_lines,
-                     load_edge_list_file, normalize_mean_column_weight,
-                     parse_columns, read_text, top_nodes_by_total_weight)
+from .graphs import (DiagonalModulation, LocalityGraph, load_edge_list_file,
+                     normalize_mean_column_weight, read_text,
+                     top_nodes_by_total_weight)
 from .rates import ProfileError, RateProfile, parse_parameter, parse_profile
 
 
@@ -283,8 +284,6 @@ def load_config(path) -> ExperimentConfig:
     try:
         parser.read_string(read_text(path, lambda lineno, reason: ConfigError(
             f"{path}:{lineno}: {reason}")), source=str(path))
-    except FileNotFoundError:
-        raise ConfigError(f"configuration file {path} does not exist")
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from None
     for section in parser.sections():
@@ -355,55 +354,38 @@ def load_graph(cfg: ExperimentConfig) -> LocalityGraph:
 def _read_label_values(path: Path, convert=None, labels=None) -> dict:
     """``label value`` lines (``#`` comments) as a dict in file order,
     values parsed by ``convert``; without ``convert``, one label a line,
-    each mapped to None.  ConfigError at ``path:line`` on a byte that is
-    not UTF-8, a malformed line or value, a repeated label, or a label
-    outside ``labels`` (a set, if given).
-
-    The file is read in one piece and parsed by :func:`parse_columns`
-    in line-aligned chunks, ``convert`` mapped over each chunk's value
-    fields.  Only on a fault does a per-line pass run over all the
-    lines, to name the first bad one.
+    each mapped to None.  The file is read in one piece and its lines
+    parsed in one pass, which raises ConfigError at ``path:line`` for
+    the first byte that is not UTF-8, malformed line, repeated label,
+    label outside ``labels`` (a set, if given) or value ``convert``
+    rejects with ValueError.
     """
     text = read_text(path, lambda lineno, reason: ConfigError(
         f"{path}:{lineno}: {reason}"))
-    parsed = (parse_columns(text, 1) if convert is None else
-              parse_columns(text, 2, lambda v: list(map(convert, v))))
-    if parsed is not None:
-        index, ends, values = parsed
-        # no label repeats, so first-appearance order is line order
-        if len(index) == ends.size and (labels is None
-                                        or labels.issuperset(index)):
-            if convert is None:
-                return dict.fromkeys(index)
-            return dict(zip(index, chain.from_iterable(values)))
-    _raise_first_bad_line(path, file_lines(text), convert, labels)
-
-
-def _raise_first_bad_line(path: Path, lines, convert, labels) -> NoReturn:
-    """The per-line pass of :func:`_read_label_values`: ConfigError for
-    the first line that breaks a rule it checks in bulk."""
-    seen = set()
-    for lineno, raw in enumerate(lines, start=1):
-        parts = raw.split("#", 1)[0].split()
+    # read_text reads in universal-newline mode: \n is the only line end
+    if "#" in text:
+        text = re.sub("#[^\n]*", "", text)
+    width = 1 if convert is None else 2
+    table = {}
+    for lineno, parts in enumerate(map(str.split, text.split("\n")), start=1):
         if not parts:
             continue
-        where, label = f"{path}:{lineno}", parts[0]
-        if len(parts) != (1 if convert is None else 2):
-            raise ConfigError(f"{where}: expected " + (
-                "one label" if convert is None else "'label value'"))
-        if label in seen:
-            raise ConfigError(f"{where}: duplicate label {label!r}")
-        if labels is not None and label not in labels:
-            raise ConfigError(f"{where}: {label!r} is not a graph node")
-        seen.add(label)
-        if convert is not None:
+        label = parts[0]
+        if len(parts) != width:
+            problem = "expected " + (
+                "one label" if convert is None else "'label value'")
+        elif label in table:
+            problem = f"duplicate label {label!r}"
+        elif labels is not None and label not in labels:
+            problem = f"{label!r} is not a graph node"
+        else:
             try:
-                convert(parts[1])
+                table[label] = None if convert is None else convert(parts[1])
+                continue
             except ValueError as exc:
-                raise ConfigError(
-                    f"{where}: bad value {parts[1]!r}: {exc}") from None
-    raise AssertionError("the bulk checks rejected lines the per-line "
-                         "pass accepts")
+                problem = f"bad value {parts[1]!r}: {exc}"
+        raise ConfigError(f"{path}:{lineno}: {problem}")
+    return table
 
 
 def load_modulation(cfg: ExperimentConfig,

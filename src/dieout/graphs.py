@@ -220,12 +220,12 @@ class SpectralInfo:
     iterations: int
 
 
-#: Characters per chunk of :func:`parse_columns`.  Only one chunk's
-#: field strings are alive at a time, so a parse no longer scatters a
-#: file's worth of them over the heap.  On a 20k-node, 140k-edge list
-#: (2.2 MB), the traced peak of :func:`load_edge_list_file` is 10.0 MB
-#: for 2**12 to 2**16 characters, 12.9 MB at 2**18, 28.3 MB at 2**20
-#: and 33.4 MB in one piece; below 2**12 the parse slows down.
+#: Characters per edge-list chunk of :func:`parse_columns`.  Only one
+#: chunk's field strings are alive at a time, so a parse no longer
+#: scatters a file's worth of them over the heap.  On a 20k-node,
+#: 140k-edge list (2.2 MB), the traced peak of :func:`load_edge_list_file`
+#: is 10.0 MB for 2**12 to 2**16 characters, 12.9 MB at 2**18, 28.3 MB
+#: at 2**20 and 33.4 MB in one piece; below 2**12 the parse slows down.
 CHUNK_CHARS = 2 ** 16
 
 
@@ -254,14 +254,14 @@ def line_chunks(text: str) -> Iterator[str]:
         start = end
 
 
-def parse_columns(text: str, width: int, convert=None):
-    """The fields of ``text``'s lines, separated by ``\\n`` (``#``
+def parse_columns(text: str, width: int, convert):
+    """The fields of an edge list's lines, separated by ``\\n`` (``#``
     comments dropped), parsed one :func:`line_chunks` chunk at a time.
 
-    Each chunk gets one :func:`split_fields`.  Without ``convert`` every
-    field is a label; with it, the last field of each line is a value,
-    and ``convert`` maps a chunk's list of value fields to its values.
-    A chunk's field strings are dropped once its arrays are built.
+    Each chunk gets one :func:`split_fields`.  The last field of each
+    line is a value, and ``convert`` maps a chunk's list of value fields
+    to its values; the other fields are labels.  A chunk's field strings
+    are dropped once its arrays are built.
 
     Returns:
         None unless every nonblank line has exactly ``width`` fields and
@@ -269,7 +269,7 @@ def parse_columns(text: str, width: int, convert=None):
         ``index`` maps each label to its position in first-appearance
         order, ``ends`` is the intp array of those positions field by
         field in text order, and ``values`` lists ``convert``'s result
-        for each chunk (empty without ``convert``).
+        for each chunk.
     """
     index: dict[str, int] = {}
     ends, values = [np.empty(0, np.intp)], []
@@ -277,12 +277,11 @@ def parse_columns(text: str, width: int, convert=None):
         fields = split_fields(chunk, width)
         if fields is None:
             return None
-        if convert is not None:
-            try:
-                values.append(convert(fields[width - 1::width]))
-            except ValueError:
-                return None
-            del fields[width - 1::width]
+        try:
+            values.append(convert(fields[width - 1::width]))
+        except ValueError:
+            return None
+        del fields[width - 1::width]
         ends.append(np.fromiter((index.setdefault(f, len(index))
                                  for f in fields), np.intp, len(fields)))
     return index, np.concatenate(ends), values
@@ -303,6 +302,8 @@ def read_text(path, fault: Callable[[int, str], Exception]) -> str:
             as universal-newline mode splits them) that holds a byte
             sequence that is not UTF-8, found by a per-line pass over
             the file's bytes only when the whole file fails to decode.
+        OSError: the file cannot be read (missing, a directory); its
+            ``filename`` and ``strerror`` name the path and the reason.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

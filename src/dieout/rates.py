@@ -368,17 +368,14 @@ def parse_table_file(path, declared_tail: Fraction | None = None) -> Table:
     nonnegative.  A tail declared in the profile spec string overrides
     the footer.  Every error in a line, a byte that is not UTF-8
     included, names ``path:line``; a file that cannot be read (missing,
-    a directory) names ``path`` and the reason.
+    a directory) raises the OSError itself.
     """
     from .graphs import file_lines, read_text  # graphs imports this module
 
     def fault(lineno, reason):
         return ProfileError(f"{path}:{lineno}: {reason}")
 
-    try:
-        text = read_text(path, fault)
-    except OSError as exc:
-        raise ProfileError(f"table file {path}: {exc.strerror}") from None
+    text = read_text(path, fault)
     entries: list[tuple[int, Fraction]] = []
     tail = declared_tail
     footer_at = None

@@ -17,7 +17,8 @@ from dieout.rates import (EXACT, FLOAT, Aggregate, Constant, ExactnessError,
 
 from dieout.gillespie import (SimConfig, _EventTables, run_ensemble,
                               simulate_run)
-from dieout.graphs import DiagonalModulation, EpidemicModel, LocalityGraph
+from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
+                           is_strongly_connected)
 
 from conftest import random_strong_digraph
 import oracles
@@ -369,14 +370,17 @@ class TestLumpedChainOracle:
     mean extinction time exactly, whatever the graph and the profiles."""
 
     @staticmethod
-    def dyadic_digraph(n: int, seed: int = 36) -> LocalityGraph:
+    def dyadic_digraph(n: int, seed: int = 36,
+                       closed: int = 0) -> LocalityGraph:
         """Each column holds 8 random off-diagonal entries: positive
         integers summing to 64, over 64.  The weights are dyadic, so
-        every column sums to exactly 1 in floats."""
+        every column sums to exactly 1 in floats.  The first ``closed``
+        columns point only inside nodes 0 to closed - 1."""
         rng = np.random.default_rng(seed)
         rows, weights = [], []
         for v in range(n):
-            targets = rng.choice(n - 1, 8, replace=False)
+            targets = rng.choice((closed if v < closed else n) - 1, 8,
+                                 replace=False)
             rows.append(targets + (targets >= v))
             cuts = np.sort(rng.choice(np.arange(1, 64), 7, replace=False))
             weights.append(np.diff(cuts, prepend=0, append=64) / 64)
@@ -398,6 +402,31 @@ class TestLumpedChainOracle:
         model = EpidemicModel(parse_profile("harmonic:3"),
                               parse_profile("step:1,1/2,10"), "2", d)
         assert _EventTables.of(g, model).blocked == (nodes > 2048)
+        upper, lower = bound_chains_from_graph(g, model)
+        assert upper == lower
+        t_exact = float(hitting_table(upper, 20, BF256).T[19])
+        assert t_exact == pytest.approx(t20, abs=1e-6)
+        cfg = SimConfig(model, t_max=200.0, n0=20, master_seed=seed)
+        times = run_ensemble(cfg, g, 400, np.array([0.0])).extinction_times
+        assert times.size == 400  # every run dies out
+        z = (times.mean() - t_exact) / (times.std(ddof=1) / math.sqrt(400))
+        assert abs(z) <= 4, z
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("eta, t20", [(1, 1.689709), (0.5, 1.588553)])
+    def test_reducible_graph_with_a_table_profile(self, tmp_path, eta, t20,
+                                                  seed):
+        # nodes 0-39 never infect nodes 40-99, so W is reducible; the
+        # lumped chain holds all the same
+        g = self.dyadic_digraph(100, closed=40)
+        assert (g.weights.sum(axis=0) == 1).all()
+        assert g.weights[40:, :40].nnz == 0 < g.weights[:40, 40:].nnz
+        assert not is_strongly_connected(g)
+        table = tmp_path / "beta_int.table"
+        table.write_text("1 1\n5 1/2\ntail=1/4\n")
+        model = EpidemicModel(parse_profile("logn:2"),
+                              parse_profile(f"table:{table}"), "3",
+                              DiagonalModulation.uniform(100, eta))
         upper, lower = bound_chains_from_graph(g, model)
         assert upper == lower
         t_exact = float(hitting_table(upper, 20, BF256).T[19])

@@ -554,6 +554,7 @@ class TestOverflowingInputs:
             assert main([command, "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (cfg.parent / "out").exists()  # refused at load
         return err
 
     @pytest.mark.parametrize("command", ["classify", "simulate", "meanfield"])
@@ -587,14 +588,57 @@ class TestOverflowingInputs:
 
 class TestFailFast:
     """Profiles, grids and the form of x0 are checked before the graph
-    is read."""
+    is read; every profile, and the output directory, before the
+    compute stage."""
+
+    #: the compute stage of each command, as cli calls it
+    COMPUTE = {"classify": "classify_general", "simulate": "run_ensemble",
+               "hitting": "hitting_table", "asymptote": "asymptote_ratio",
+               "meanfield": "mean_field_trajectory"}
+
+    def refuse_compute(self, monkeypatch, command):
+        def compute(*args, **kwargs):
+            raise AssertionError("the compute stage ran")
+
+        monkeypatch.setattr(cli, self.COMPUTE[command], compute)
+
+    def test_every_profile_parses_before_the_first_kernel_pass(
+            self, tmp_path, capsys, monkeypatch):
+        # bogus:1 was refused only after the first two profiles' passes
+        self.refuse_compute(monkeypatch, "asymptote")
+        cfg = write_config(tmp_path, (
+            "[dynamics]\ndelta = 1\n[asymptote]\n"
+            "gammas = harmonic:5 logn:1.5 bogus:1\nn_max = 1000000\n"))
+        code = main(["asymptote", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: unknown profile family 'bogus'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", list(COMPUTE))
+    def test_out_naming_a_file_fails_before_the_compute_stage(
+            self, tmp_path, capsys, monkeypatch, command):
+        # simulate used to run its whole ensemble before mkdir refused
+        self.refuse_compute(monkeypatch, command)
+        body = SIM_BODY.format(graph=small_graph_file(tmp_path), delta="8.5",
+                               out=tmp_path / "out")
+        cfg = write_config(tmp_path, body + (
+            "\n[hitting]\ngamma = harmonic:5\nn_max = 5\n"
+            "[asymptote]\ngammas = harmonic:5\nn_values = 10\n"
+            "[meanfield]\nt_max = 1\ngrid_step = 0.5\n"))
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        assert main([command, "--config", str(cfg), "--out", str(afile)]) == 1
+        assert capsys.readouterr().err == f"error: {afile}: File exists\n"
+        assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize("command, old, new, message", [
         (command, "beta = const:2", "beta = cnst:2",
          "unknown profile family 'cnst'")
         for command in ("classify", "simulate", "meanfield")] + [
         ("simulate", "beta = const:2", "beta = table:missing",
-         "table file {tmp}/missing: No such file or directory"),
+         "{tmp}/missing: No such file or directory"),
         ("simulate", "grid_step = 0.2", "grid_step = 0.25001",
          "[simulation] grid_step = 0.25001 does not divide t_max = 6.0"),
         ("meanfield", "grid_step = 0.5", "grid_step = 0.3",
@@ -637,12 +681,21 @@ class TestRefusals:
          "[meanfield] grid_step = 2.0 is larger than t_max = 1.0"),
         ("hitting", "", "[hitting] gamma is required"),
         ("asymptote", "", "[asymptote] gammas is required"),
-        # a table file that cannot be read names itself and the reason
+        # a file that cannot be read is named with the reason
         ("hitting", "[hitting]\ngamma = table:missing\n",
-         "table file {missing}: No such file or directory"),
-        ("hitting", "[hitting]\ngamma = table:.\n",
-         "table file {dir}: Is a directory"),
-        ("simulate", None, "configuration file {cfg} does not exist"),
+         "{missing}: No such file or directory"),
+        ("hitting", "[hitting]\ngamma = table:.\n", "{dir}: Is a directory"),
+        ("simulate", None, "{cfg}: No such file or directory"),
+        ("classify", "[graph]\npath = {missing}\n",
+         "{missing}: No such file or directory"),
+        ("classify", "[graph]\npath = {dir}\n", "{dir}: Is a directory"),
+        ("classify", "[graph]\npath = {graph}\nsubset = {missing}\n",
+         "{missing}: No such file or directory"),
+        ("classify", "[graph]\npath = {graph}\n[modulation]\n"
+         "file = {missing}\n", "{missing}: No such file or directory"),
+        ("simulate", "[graph]\npath = {graph}\n[simulation]\n"
+         "initial_file = {missing}\n",
+         "{missing}: No such file or directory"),
         ("simulate", "[simulation]\nmaster_seed = -5\n",
          "[simulation] master_seed = -5 must be >= 0")] + [
         # delta is checked when the file loads, before the missing graph
@@ -676,6 +729,15 @@ class TestRefusals:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"error: {message.format(**paths)}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_naming_a_directory_is_one_error_line(self, tmp_path,
+                                                         capsys):
+        code = main(["classify", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path}: Is a directory\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -1,7 +1,7 @@
-"""The chunked edge-list and label-file readers against the former
-one-line-at-a-time readers in ``oracles``: equal graphs and tables, or
-the same error message, for every source kind, at the default chunk
-size and at chunks of a few characters."""
+"""The chunked edge-list reader and the one-pass label-file reader
+against the former one-line-at-a-time readers in ``oracles``: equal
+graphs and tables, or the same error message, for every source kind, at
+the default chunk size and at chunks of a few characters."""
 
 import io
 import tracemalloc
@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from dieout import config, graphs
+from dieout import graphs
 from dieout.cli import main
 from dieout.config import (ConfigError, _count_value, _modulation_value,
                            _read_label_values, load_config, load_graph,
@@ -177,8 +177,8 @@ def test_label_file_matches_the_per_line_reader(shared_dir, text, convert,
 
 
 def test_valid_inputs_never_take_the_per_line_pass(tmp_path, monkeypatch):
-    """A 6,000-edge file and a modulation file load through the bulk
-    path alone: the per-line fallback is never called."""
+    """A 6,000-edge file loads through the bulk path alone, beside a
+    modulation file: the per-line fallback is never called."""
     calls = []
 
     def spy(module):
@@ -190,7 +190,6 @@ def test_valid_inputs_never_take_the_per_line_pass(tmp_path, monkeypatch):
         monkeypatch.setattr(module, "_raise_first_bad_line", wrapped)
 
     spy(graphs)
-    spy(config)
     n = 2000
     rng = np.random.default_rng(20)
     lines = ["# ring plus chords\n"]
