@@ -63,9 +63,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
 import numpy as np
-from mpmath.libmp import MPZ
 
 from .graphs import EpidemicModel, LocalityGraph
 from .rates import (EXACT, FLOAT, Aggregate, Arithmetic, ExactnessError,
@@ -181,9 +179,20 @@ class HittingTable:
         return self._numbers(itertools.accumulate(self.numerators))
 
     def _numbers(self, numerators) -> tuple:
-        rational = self.precision.mode == RATIONAL
-        return tuple(_number(p, self.denominator, rational)
-                     for p in numerators)
+        if self.precision.mode == RATIONAL:
+            return tuple(Fraction(p, self.denominator) for p in numerators)
+        # imported here: the commands write their tables from the
+        # numerators, so only callers of S and T load mpmath
+        from mpmath import mp
+        from mpmath.libmp import MPZ
+        bits = self.denominator.bit_length() - 1
+        out = []
+        for p in numerators:  # p / 2**bits as a normalized mpf
+            zeros = (p & -p).bit_length() - 1
+            man = p >> zeros
+            out.append(mp.make_mpf((0, MPZ(man), zeros - bits,
+                                    man.bit_length())))
+        return tuple(out)
 
 
 #: the run report of a kernel pass, in HittingTable and AsymptoteRatios
@@ -201,17 +210,6 @@ class AsymptoteRatios:
     planned_truncation: int
     extension_passes: int
     max_rel_error_bound: float | None
-
-
-def _number(p: int, q: int, rational: bool):
-    """The exact p/q as the public number type: a Fraction, or (p > 0,
-    q a power of two) a normalized mpf holding the dyadic."""
-    if rational:
-        return Fraction(p, q)
-    zeros = (p & -p).bit_length() - 1
-    man = p >> zeros
-    return mpmath.mp.make_mpf(
-        (0, MPZ(man), zeros - q.bit_length() + 1, man.bit_length()))
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +353,7 @@ class _LogTable:
         root = math.isqrt(top + 1)
         primes = [p for p in range(2, root + 1)
                   if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        import mpmath  # here: only the log-n kernels need it
         with mpmath.mp.workprec(bits + 32):
             ln2 = int(mpmath.floor(mpmath.ldexp(mpmath.log(2), bits)))
         # floor(2**(bits + 1) / (2i + 1)): the series of 2 atanh
@@ -655,7 +654,7 @@ def bound_chains_from_graph(g: LocalityGraph, model: EpidemicModel
     between the two coefficients; when all c_v and all D_v are equal,
     the chains are equal and the total is that chain exactly.
     """
-    col_sums = np.asarray(g.weights.sum(axis=0)).ravel()
+    col_sums = g.weights.sum(axis=0)
     d = model.d(g.node_count)
     return tuple(BirthDeathSpec(Aggregate(float(c), model.beta, float(k),
                                           model.beta_int), model.delta)

@@ -23,9 +23,9 @@ import json
 import math
 import sys
 import time
+from importlib.metadata import version
 from pathlib import Path
 
-import mpmath
 import numpy as np
 
 from . import __version__
@@ -129,15 +129,16 @@ def _write_csv(path: Path, header: list[str], lines) -> None:
 
 def _write_meta(out_dir: Path, command: str, cfg: ExperimentConfig,
                 extra: dict | None = None) -> None:
-    import scipy
     meta = {
         "command": command,
         "config_sha256": config_sha256(cfg),
         "versions": {
             "dieout": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "mpmath": mpmath.__version__,
+            # from the installed metadata: no command imports scipy or
+            # mpmath for a version string
+            "scipy": version("scipy"),
+            "mpmath": version("mpmath"),
         },
     }
     if extra:
@@ -148,8 +149,13 @@ def _write_meta(out_dir: Path, command: str, cfg: ExperimentConfig,
 
 
 def _out_dir(cfg: ExperimentConfig, args) -> Path:
+    """The output directory, made if missing; the directories made are
+    kept in ``args.made_dirs``, deepest first, for :func:`main` to
+    remove if the command fails before writing into them."""
     out = Path(args.out) if args.out else cfg.resolve(cfg.output.directory)
+    made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
+    args.made_dirs = made
     return out
 
 
@@ -428,8 +434,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    args.made_dirs = []
+    status = 1
+    try:
+        status = _run(args)
+    finally:
+        # a failed command leaves no empty directory it made
+        if status != 0:
+            for made in args.made_dirs:
+                try:
+                    made.rmdir()
+                except OSError:  # not empty, or gone
+                    break
+    return status
+
+
+def _run(args) -> int:
+    """The command ``args`` names; each error it refuses with is one
+    ``error:`` line on stderr and a nonzero exit status."""
     try:
         return _COMMANDS[args.command](load_config(args.config), args)
     except InfiniteHittingTimeError as exc:

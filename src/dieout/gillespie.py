@@ -40,9 +40,8 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 
 import numpy as np
-import scipy.sparse as sp
 
-from .graphs import EpidemicModel, LocalityGraph
+from .graphs import CSR, EpidemicModel, LocalityGraph
 from .rates import FLOAT, Constant
 
 # Cached pressure vectors are refreshed from scratch at iterations 0,
@@ -218,7 +217,7 @@ class _EventTables:
     hold Python floats, cheaper to index and combine per event.
     """
 
-    weights: np.ndarray | sp.csr_matrix
+    weights: np.ndarray | CSR
     width: int
     columns: np.ndarray | tuple
     col_sums: list[float]
@@ -234,19 +233,52 @@ class _EventTables:
     def of(cls, g: LocalityGraph, model: EpidemicModel) -> "_EventTables":
         w, n = g.weights, g.node_count
         d = model.d_on(g)
-        scalars = np.asarray(w.sum(axis=0)).ravel().tolist(), d, d.tolist()
+        scalars = w.sum(axis=0).tolist(), d, d.tolist()
         if n <= DENSE_NODE_LIMIT:
             dense = w.toarray()
             return cls(dense, n, np.ascontiguousarray(dense.T), *scalars)
         width = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-        rows = np.arange(n)
-        blocks = sp.csr_matrix((np.ones(n), (rows // width, rows)),
-                               shape=(-(-n // width), n))
-        stacked = sp.vstack((w, blocks @ w, blocks @ sp.diags(d), blocks),
-                            format="csc")
-        return cls(w, width, (stacked.indptr.tolist(),
-                              stacked.indices.astype(np.intp), stacked.data),
-                   *scalars)
+        count = -(-n // width)
+        # W's columns as rows, each in ascending row order (W's keys are
+        # distinct, so any sort keeps that order): a column's entries in
+        # one block (rows // width) form one run
+        keys = w.indices * n + w.rows
+        order = np.argsort(keys)
+        wt = CSR.from_keys(keys[order], w.data[order], (n, n))
+        del order
+        keys = np.repeat(np.arange(n) * count, np.diff(wt.indptr))
+        keys += wt.indices // width
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        # B W's entry for a run: its entries added in ascending row
+        # order, as scipy's CSR product adds them
+        bw = CSR.from_keys(keys[first], np.bincount(
+            np.cumsum(first) - 1, weights=wt.data), (n, count))
+        del keys, first
+        # B D's and B's one entry in each column: its block
+        blocks = np.arange(n + 1), np.arange(n) // width
+        indptr, indices, data = _stack_rows(
+            (wt, 0), (bw, n), (CSR(*blocks, d, (n, count)), n + count),
+            (CSR(*blocks, np.ones(n), (n, count)), n + 2 * count))
+        return cls(w, width, (indptr.tolist(), indices, data), *scalars)
+
+
+def _stack_rows(*parts: tuple[CSR, int]) -> tuple:
+    """(indptr, indices, data) of each row of the first part followed by
+    the same row of each next part, a part's indices shifted by the
+    offset paired with it."""
+    indptr = sum(m.indptr for m, _ in parts)
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1])
+    start = indptr[:-1].copy()  # where each row's next part goes
+    for m, offset in parts:
+        lengths = np.diff(m.indptr)
+        at = np.repeat(start - m.indptr[:-1], lengths)
+        at += np.arange(m.nnz)
+        indices[at] = m.indices + offset
+        data[at] = m.data
+        start += lengths
+    return indptr, indices, data
 
 
 def _locate(values: np.ndarray, target: float, cum=None) -> int:
@@ -890,12 +922,14 @@ def mean_field_trajectory(g: LocalityGraph, model: EpidemicModel, x0,
     if not (np.isfinite(x).all() and (x >= 0).all()):
         raise ValueError("x0 must be finite and nonnegative")
 
-    # imported here: only meanfield steps the ODE, and sparse.linalg
-    # loads scipy.linalg
+    # imported here: only meanfield steps the ODE, and scipy.sparse
+    # costs every other command about 20 MB and 0.2 s
+    import scipy.sparse as sp
     from scipy.sparse.linalg import expm_multiply
 
     # constant profiles equal their limits at every n
-    gen = (model.asymptotic_matrix(g)
+    a = model.asymptotic_matrix(g)
+    gen = (sp.csr_matrix((a.data, a.indices, a.indptr), shape=a.shape)
            - float(model.delta) * sp.identity(g.node_count, format="csr"))
     out = np.empty((grid.size, g.node_count))
     cur = x

@@ -1,6 +1,10 @@
 """Locality networks: ingestion, normalization, the epidemic model on
 them, strong components (found once per graph) and power iteration.
 
+W is held in :class:`CSR`, a small compressed-sparse-row type whose
+every sum adds in the order scipy.sparse's CSR routines add, so it
+computes what scipy would, bit for bit, without importing it.
+
 A locality graph is a weighted directed network over population centers.
 Row u of the weight matrix lists the infection pressure *received* by u:
 entry (u, v) multiplies the contribution of active cases at v to the
@@ -19,7 +23,6 @@ from functools import cached_property
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TextIO
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rates import FLOAT, RateProfile, coerce_coefficient
 
@@ -43,20 +46,236 @@ class SpectralError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
+class CSR:
+    """A float matrix in compressed sparse row form.
+
+    Row i stores ``data[indptr[i]:indptr[i + 1]]`` at the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, in that order; ``indptr`` and
+    ``indices`` are intp arrays.  Duplicates and stored zeros are
+    allowed until :meth:`canonical`.  Each sum adds its terms in the
+    order scipy.sparse's CSR routines add them (scipy 1.17), so every
+    result is scipy's to the last bit.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    # numpy scalars and arrays defer to this class's operators
+    __array_ufunc__ = None
+
+    @classmethod
+    def from_triplets(cls, data, rows, cols, shape) -> "CSR":
+        """Entry k at (rows[k], cols[k]) with value data[k]; each row
+        keeps its entries in the given order, duplicates included."""
+        rows = np.asarray(rows, dtype=np.intp)
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        return cls(indptr, np.asarray(cols, dtype=np.intp)[order],
+                   np.asarray(data, dtype=float)[order], tuple(shape))
+
+    @classmethod
+    def from_keys(cls, keys: np.ndarray, data, shape) -> "CSR":
+        """Entry k at (row, column) = divmod(keys[k], shape[1]), the
+        keys increasing: canonical unless ``data`` holds zeros."""
+        indptr = np.zeros(shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]),
+                  out=indptr[1:])
+        return cls(indptr, keys % shape[1], np.asarray(data, dtype=float),
+                   tuple(shape))
+
+    @classmethod
+    def of(cls, matrix) -> "CSR":
+        """``matrix`` itself if a CSR; for any object with ``tocsr()``
+        (scipy's sparse types), that CSR's arrays as stored; else the
+        nonzeros of a 2-D array, row by row."""
+        if isinstance(matrix, CSR):
+            return matrix
+        if hasattr(matrix, "tocsr"):
+            m = matrix.tocsr()
+            return cls(np.asarray(m.indptr, dtype=np.intp),
+                       np.asarray(m.indices, dtype=np.intp),
+                       np.asarray(m.data, dtype=float), tuple(m.shape))
+        dense = np.asarray(matrix, dtype=float)
+        if dense.ndim != 2:
+            raise ValueError(f"matrix must be 2-D, got shape {dense.shape}")
+        rows, cols = np.nonzero(dense)
+        return cls.from_triplets(dense[rows, cols], rows, cols, dense.shape)
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __reduce__(self):
+        # pickled without the cached rows, which cost as much as indices
+        return CSR, (self.indptr, self.indices, self.data, self.shape)
+
+    def canonical(self) -> "CSR":
+        """New arrays with each row's entries sorted by column, its
+        duplicates added in stored order and its zeros dropped, as
+        scipy's ``sum_duplicates`` then ``eliminate_zeros``."""
+        increasing = self.indices[1:] > self.indices[:-1]
+        # a row's first entry need not pass the last of the row before
+        starts = self.indptr[1:-1]
+        increasing[starts[(starts > 0) & (starts < self.nnz)] - 1] = True
+        if increasing.all() and self.data.all():
+            return CSR(self.indptr.copy(), self.indices.copy(),
+                       self.data.astype(float), self.shape)
+        keys = self.rows * self.shape[1] + self.indices
+        order = np.argsort(keys, kind="stable")
+        keys, data = keys[order], self.data[order]
+        first = np.ones(keys.size, dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if not first.all():
+            data = np.bincount(np.cumsum(first) - 1, weights=data)
+            keys = keys[first]
+        keep = data != 0
+        return CSR.from_keys(keys[keep], data[keep], self.shape)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (self.rows, self.indices), self.data)
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        """The product with a vector, each row added in stored order
+        from 0, as scipy's ``csr_matvec``."""
+        x = np.asarray(x)
+        if x.shape != (self.shape[1],):
+            raise ValueError(f"cannot multiply a {self.shape} matrix by a "
+                             f"vector of shape {x.shape}")
+        return np.bincount(self.rows, weights=self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+    def sum(self, axis: int | None = None):
+        """The total (numpy's sum of ``data``), the column sums
+        (``axis=0``, each added in stored order) or the row sums
+        (``axis=1``, numpy's ``add.reduceat`` over the nonempty rows):
+        the calls and orders scipy uses."""
+        if axis is None:
+            return self.data.sum()
+        if axis == 0:
+            return np.bincount(self.indices, weights=self.data,
+                               minlength=self.shape[1])
+        out = np.zeros(self.shape[0])
+        nonempty = np.flatnonzero(np.diff(self.indptr))
+        if nonempty.size:
+            out[nonempty] = np.add.reduceat(self.data,
+                                            self.indptr[nonempty])
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        out = np.zeros(min(self.shape))
+        on = self.rows == self.indices
+        np.add.at(out, self.indices[on], self.data[on])
+        return out
+
+    def __mul__(self, c) -> "CSR":
+        return CSR(self.indptr, self.indices, self.data * c, self.shape)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c) -> "CSR":
+        # scipy divides a float matrix by multiplying with 1 / c
+        return self * (1 / c)
+
+    def select(self, rows, cols) -> "CSR":
+        """The submatrix on ``rows`` and the distinct ``cols``, in their
+        order; each row keeps its stored entry order, as scipy's
+        ``m[rows][:, cols]`` and ``m[a:b, a:b]`` do."""
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
+        position = np.full(self.shape[1], -1, dtype=np.intp)
+        position[cols] = np.arange(cols.size)
+        counts = np.diff(self.indptr)[rows]
+        # the stored positions of the chosen rows' entries, row by row:
+        # each row's start, less where it starts among them, plus each
+        # entry's place among them
+        taken = np.repeat(self.indptr[rows] - np.cumsum(counts) + counts,
+                          counts)
+        taken += np.arange(taken.size)
+        new_cols = position[self.indices[taken]]
+        keep = new_cols >= 0
+        return CSR.from_triplets(
+            self.data[taken[keep]],
+            np.repeat(np.arange(rows.size), counts)[keep], new_cols[keep],
+            (rows.size, cols.size))
+
+
+def strong_components(m: CSR) -> tuple[int, np.ndarray]:
+    """The strong components of the digraph with an edge i -> j for each
+    stored entry (i, j) of ``m``: their count and each node's component.
+
+    Tarjan's algorithm (SIAM J. Comput. 1(2), 1972), iterative: ``path``
+    stands in for the recursion, each node keeping its next unread edge
+    in ``cursor``; a node is on Tarjan's stack while it is visited and
+    not yet labelled.
+    """
+    n = m.shape[0]
+    indptr, targets = m.indptr.tolist(), m.indices.tolist()
+    cursor = indptr[:-1]
+    order, low, label = [-1] * n, [0] * n, [-1] * n
+    stack, count, visited = [], 0, 0
+    for root in range(n):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            i, end = cursor[v], indptr[v + 1]
+            while i < end:
+                w = targets[i]
+                i += 1
+                if order[w] < 0:  # a tree edge: descend into w
+                    order[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    path.append(w)
+                    break
+                if label[w] < 0 and order[w] < low[v]:
+                    low[v] = order[w]
+            cursor[v] = i
+            if path[-1] != v:
+                continue
+            path.pop()
+            if low[v] == order[v]:  # v roots a component
+                while True:
+                    w = stack.pop()
+                    label[w] = count
+                    if w == v:
+                        break
+                count += 1
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+    return count, np.array(label, dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
 class LocalityGraph:
     """Immutable weighted directed graph over localities.
 
     Attributes:
         labels: node identifiers in first-appearance order.
-        weights: W, always in canonical CSR: float data, sorted indices,
+        weights: W as a :class:`CSR` in canonical form: sorted indices,
             no duplicates and no stored zeros, with its arrays
-            write-protected.  The constructor accepts a dense array or
-            any sparse matrix and stores a copy, so the caller's matrix
-            is never changed.
+            write-protected.  The constructor accepts a CSR, a dense
+            array or any object with ``tocsr()`` (scipy's sparse types)
+            and stores new arrays, so the caller's matrix is never
+            changed.
     """
 
     labels: tuple[str, ...]
-    weights: sp.csr_matrix
+    weights: CSR
 
     def __post_init__(self):
         n = len(self.labels)
@@ -64,19 +283,17 @@ class LocalityGraph:
             raise ValueError("graph needs at least one node")
         if len(set(self.labels)) != n:
             raise ValueError("node labels must be unique")
-        if self.weights.shape != (n, n):
-            raise ValueError(
-                f"weight matrix shape {self.weights.shape} != ({n}, {n})")
-        w = sp.csr_matrix(self.weights, dtype=float, copy=True)
-        w.sum_duplicates()
-        w.eliminate_zeros()
+        w = CSR.of(self.weights)
+        if w.shape != (n, n):
+            raise ValueError(f"weight matrix shape {w.shape} != ({n}, {n})")
+        w = w.canonical()
         if not np.isfinite(w.data).all():
             raise ValueError("edge weights must be finite")
         if (w.data < 0).any():
             raise ValueError("negative edge weight")
         # nonnegative weights: a finite total bounds every row and column sum
         with np.errstate(over="ignore"):
-            if not math.isfinite(w.data.sum()):
+            if not math.isfinite(w.sum()):
                 raise ValueError("edge weights sum past the float64 range; "
                                  "scale the weights down")
         if w.diagonal().any():
@@ -97,10 +314,7 @@ class LocalityGraph:
     def _components(self) -> tuple[int, np.ndarray]:
         """W's strong components, their count and each node's component;
         W stores no zeros, so they follow the positive-weight edges."""
-        # imported here: only classify splits W, and csgraph loads
-        # scipy.sparse.linalg and scipy.linalg
-        from scipy.sparse.csgraph import connected_components
-        return connected_components(self.weights, connection="strong")
+        return strong_components(self.weights)
 
     def index(self, label: str) -> int:
         try:
@@ -118,7 +332,7 @@ class LocalityGraph:
     def subgraph(self, labels: Sequence[str]) -> "LocalityGraph":
         """Induced subgraph on the given labels, preserving their order."""
         idx = [self.index(lab) for lab in labels]
-        return LocalityGraph(tuple(labels), self.weights[idx, :][:, idx])
+        return LocalityGraph(tuple(labels), self.weights.select(idx, idx))
 
 
 @dataclass(frozen=True)
@@ -194,13 +408,21 @@ class EpidemicModel:
                              "delta or the weights down")
         return d
 
-    def growth_matrix(self, g: LocalityGraph, b: float, bi: float):
+    def growth_matrix(self, g: LocalityGraph, b: float, bi: float) -> CSR:
         """Birth-rate matrix ``b * W + bi * diag(D)`` at profile values
-        b = beta(n), bi = beta_int(n), in CSR."""
+        b = beta(n), bi = beta_int(n), in canonical CSR: the entries
+        ``b * w`` and ``bi * d`` that are nonzero, as scipy's sum of
+        ``b * W`` and ``diags(bi * d)`` gives them."""
         d = self.d_on(g)  # before b * W can overflow
-        return (b * g.weights + sp.diags(bi * d)).tocsr()
+        w, n = g.weights, g.node_count
+        diag = np.arange(n)
+        # W's diagonal is empty, so no entry of the sum has two terms
+        return CSR.from_triplets(
+            np.concatenate((w.data * b, bi * d)),
+            np.concatenate((w.rows, diag)), np.concatenate((w.indices, diag)),
+            w.shape).canonical()
 
-    def asymptotic_matrix(self, g: LocalityGraph):
+    def asymptotic_matrix(self, g: LocalityGraph) -> CSR:
         """The growth matrix at the profiles' limits.  Its Perron root is
         the sharp curing-rate threshold for the weighted directed model."""
         return self.growth_matrix(g, self.beta.limit, self.beta_int.limit)
@@ -358,15 +580,22 @@ def load_edge_list(source: str | TextIO) -> LocalityGraph:
     labels, n, data = tuple(index), len(index), np.concatenate(weights)
     del parsed, index, weights  # freed before the checks allocate
     rows, cols = ends[0::2], ends[1::2]
-    # sorted (src, dst) keys differ from their neighbours: no duplicates
     if not (np.isfinite(data).all() and (data >= 0).all()
-            and (data[rows == cols] == 0).all()
-            and np.diff(np.sort(rows * n + cols)).all()):
+            and (data[rows == cols] == 0).all()):
         _raise_first_bad_line(file_lines(text))
-    # assembled from the triplets: memory O(edges), never O(n^2); the
-    # graph drops zero weights, so zero-weight self-loops vanish
-    w = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    del data, ends, rows, cols  # before the graph copies W
+    # W's entries in (src, dst) order, assembled from the sorted keys:
+    # memory O(edges), never O(n^2)
+    keys = rows * n + cols
+    del ends, rows, cols  # before the sort allocates
+    # distinct keys sort into one order by any sort; duplicates fail
+    order = np.argsort(keys)
+    keys = keys[order]
+    # sorted keys that differ from their neighbours: no duplicates
+    if not (keys[1:] != keys[:-1]).all():
+        _raise_first_bad_line(file_lines(text))
+    w = CSR.from_keys(keys, data[order], (n, n))
+    del keys, data, order  # before the graph copies W
+    # the graph drops zero weights, so zero-weight self-loops vanish
     return LocalityGraph(labels, w)
 
 
@@ -442,11 +671,22 @@ def is_strongly_connected(g: LocalityGraph) -> bool:
 def is_symmetric(g: LocalityGraph) -> bool:
     """W == W^T within ``np.allclose``'s default tolerances, tested on
     the CSR entries (never densified)."""
-    w = g.weights
+    w, n = g.weights, g.node_count
+    if not w.nnz:
+        return True
     # |W - W^T| <= atol + rtol |W^T| on the union pattern; both sides
-    # vanish off it
-    excess = abs(w - w.T) - 1e-05 * abs(w.T)
-    return bool(excess.data.size == 0 or excess.data.max() <= 1e-08)
+    # vanish off it.  W^T at each entry (i, j) of W is W's entry (j, i),
+    # found among W's sorted keys, or 0
+    keys = w.rows * n + w.indices
+    mirror = w.indices * n + w.rows
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    found = keys[at] == mirror
+    wt = np.where(found, w.data[at], 0.0)
+    # an entry (j, i) with no mirror gives W^T an entry where W has none
+    alone = w.data[~found]
+    excess = np.concatenate((np.abs(w.data - wt) - 1e-05 * wt,
+                             alone - 1e-05 * alone))
+    return bool(excess.max() <= 1e-08)
 
 
 def spectral_radius(matrix, tol: float = 1e-12,
@@ -465,8 +705,8 @@ def spectral_radius(matrix, tol: float = 1e-12,
     For an irreducible M the eigenvector is strictly positive (unit sum).
 
     Args:
-        matrix: nonnegative square matrix, dense or sparse; iterated
-            in CSR.
+        matrix: nonnegative square matrix: a :class:`CSR`, iterated
+            as stored, or anything :meth:`CSR.of` converts.
         tol: residual tolerance, scaled by max(1, radius).
         max_iterations: iteration cap.
 
@@ -478,7 +718,7 @@ def spectral_radius(matrix, tol: float = 1e-12,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    m = sp.csr_matrix(matrix, dtype=float)
+    m = CSR.of(matrix)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if m.shape[0] == 0:
@@ -490,7 +730,7 @@ def spectral_radius(matrix, tol: float = 1e-12,
     n = m.shape[0]
 
     with np.errstate(over="ignore"):
-        row_sums = np.asarray(m.sum(axis=1)).ravel()
+        row_sums = m.sum(axis=1)
         row_max, total = float(row_sums.max()), float(row_sums.sum())
     # no iterate exceeds sum(M) + c, as sum(M x) <= sum(M) when sum(x) = 1
     if not math.isfinite(total + row_max / 2):
@@ -503,7 +743,7 @@ def spectral_radius(matrix, tol: float = 1e-12,
     shift = row_max / 2.0
     iterations = 0
     while True:
-        z = np.asarray(m @ x).ravel()
+        z = m @ x
         radius = float(z.sum())
         residual = float(np.abs(z - radius * x).max())
         if not residual > tol * max(1.0, abs(radius)):
@@ -528,8 +768,6 @@ def top_nodes_by_total_weight(g: LocalityGraph, k: int) -> list[str]:
     """
     if not 1 <= k <= g.node_count:
         raise ValueError(f"k must be in 1..{g.node_count}")
-    in_sums = np.asarray(g.weights.sum(axis=1)).ravel()
-    out_sums = np.asarray(g.weights.sum(axis=0)).ravel()
-    score = in_sums + out_sums
+    score = g.weights.sum(axis=1) + g.weights.sum(axis=0)
     ranked = sorted(range(g.node_count), key=lambda i: (-score[i], i))
     return [g.labels[i] for i in ranked[:k]]

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import (EpidemicModel, LocalityGraph, is_strongly_connected,
-                     spectral_radius)
+from .graphs import (CSR, EpidemicModel, LocalityGraph,
+                     is_strongly_connected, spectral_radius)
 
 #: Relative half-width of the indeterminate band around the threshold.
 BOUNDARY_TOL = 1e-9
@@ -101,18 +101,20 @@ def _decide(model: EpidemicModel, lower: float, upper: float, tol: float,
                         **extra)
 
 
-def _perron_root(g: LocalityGraph, matrix, tol: float) -> float:
-    """Perron root of A or W, in CSR: one iteration on the whole matrix
-    when W is strongly connected, else the largest root of its diagonal
-    blocks over W's strong components, a 1x1 block's root its entry."""
+def _perron_root(g: LocalityGraph, matrix: CSR, tol: float) -> float:
+    """Perron root of A or W: one iteration on the whole matrix when W
+    is strongly connected, else the largest root of its diagonal blocks
+    over W's strong components, a 1x1 block's root its entry.  A block
+    lists its nodes in ascending order, each row's entries in stored
+    order."""
     count, component = g._components
     if count == 1:
         return spectral_radius(matrix, tol=tol).radius
     order = np.argsort(component, kind="stable")  # each block contiguous
-    m = matrix[order][:, order]
-    diag, ends = m.diagonal(), np.cumsum(np.bincount(component)).tolist()
-    return max(float(diag[a]) if b == a + 1 else
-               spectral_radius(m[a:b, a:b], tol=tol).radius
+    diag, ends = matrix.diagonal(), np.cumsum(np.bincount(component)).tolist()
+    return max(float(diag[order[a]]) if b == a + 1 else
+               spectral_radius(matrix.select(order[a:b], order[a:b]),
+                               tol=tol).radius
                for a, b in zip([0, *ends], ends))
 
 

@@ -97,7 +97,7 @@ def node_rates(state: EpidemicState, g: LocalityGraph, model: EpidemicModel):
     if n == 0:
         zeros = np.zeros(g.node_count)
         return zeros, zeros.copy(), 0.0
-    pressure = np.asarray(g.weights @ counts).ravel()
+    pressure = g.weights @ counts
     birth = (model.beta.evaluator(FLOAT)(n) * pressure
              + model.beta_int.evaluator(FLOAT)(n)
              * (model.d(g.node_count) * counts))
@@ -706,13 +706,19 @@ def weyl_pair_regime(delta: float, lower: float, upper: float,
     return Regime.INDETERMINATE, upper
 
 
+def scipy_weights(g: LocalityGraph) -> sp.csr_matrix:
+    """W as scipy's CSR, on the graph's own arrays."""
+    w = g.weights
+    return sp.csr_matrix((w.data, w.indices, w.indptr), shape=w.shape)
+
+
 def symmetrized_upper(g: LocalityGraph):
     """Arithmetic-mean symmetrization (W + W^T) / 2."""
-    w = g.weights
+    w = scipy_weights(g)
     return (w + w.T) / 2
 
 
 def geometric_lower(g: LocalityGraph):
     """Entrywise geometric-mean symmetrization sqrt(W o W^T)."""
-    w = g.weights
+    w = scipy_weights(g)
     return w.multiply(w.T).sqrt().tocsr()

@@ -29,7 +29,8 @@ from dieout.config import (ConfigError, config_sha256, config_text,
                            simulation_grid, uniform_grid)
 from dieout.gillespie import (DENSE_NODE_LIMIT, mean_field_trajectory,
                               run_ensemble, simulate_run)
-from dieout.graphs import LocalityGraph, load_edge_list, spectral_radius
+from dieout.graphs import (LocalityGraph, load_edge_list, spectral_radius,
+                           strong_components)
 from dieout.rates import parse_parameter, parse_profile
 from dieout.regime import classify_decoupled, classify_symmetric
 
@@ -446,21 +447,18 @@ class TestClassify:
         # regime iterates is A = 2W + 2D or W, whole or on one
         # component, and none is iterated twice: the scalar-D and
         # symmetric records reuse the decoupled record's rho(W)
-        from scipy.sparse import csgraph
-
-        from dieout import regime
+        from dieout import graphs, regime
         splits, iterated = [], []
 
-        def split(*args, **kwargs):
-            splits.append(args)
-            return connected_components(*args, **kwargs)
+        def split(m):
+            splits.append(m)
+            return strong_components(m)
 
         def record(matrix, **kwargs):
-            iterated.append(sp.csr_matrix(matrix).toarray())
+            iterated.append(matrix.toarray())
             return spectral_radius(matrix, **kwargs)
 
-        # graphs imports connected_components when it first splits W
-        monkeypatch.setattr(csgraph, "connected_components", split)
+        monkeypatch.setattr(graphs, "strong_components", split)
         for owner in (cli, regime):
             monkeypatch.setattr(owner, "spectral_radius", record)
         graph = tmp_path / "g.edges"
@@ -632,6 +630,34 @@ class TestFailFast:
         assert main([command, "--config", str(cfg), "--out", str(afile)]) == 1
         assert capsys.readouterr().err == f"error: {afile}: File exists\n"
         assert afile.read_text() == "kept\n"
+
+    def test_a_failed_compute_stage_removes_the_directories_it_made(
+            self, tmp_path, capsys):
+        # gamma = 2 against delta = 1 diverges: exit 2 once --out is made
+        cfg = write_config(tmp_path, "[dynamics]\ndelta = 1\n[hitting]\n"
+                                     "gamma = const:2\nn_max = 5\n")
+        out = tmp_path / "new" / "out"
+        argv = ["hitting", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert "infinite expected extinction time" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        # a directory that was there before the command stays
+        out.mkdir(parents=True)
+        assert main(argv) == 2
+        assert out.is_dir()
+
+    def test_a_directory_holding_output_is_kept(self, tmp_path, capsys,
+                                                monkeypatch):
+        def fail(*args, **kwargs):
+            raise ValueError("after the data files")
+
+        monkeypatch.setattr(cli, "_write_meta", fail)
+        cfg = write_config(tmp_path, SIM_BODY.format(
+            graph=small_graph_file(tmp_path), delta="8.5",
+            out=tmp_path / "out"))
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: after the data files\n"
+        assert (tmp_path / "out" / "summary.csv").is_file()
 
     @pytest.mark.parametrize("command, old, new, message", [
         (command, "beta = const:2", "beta = cnst:2",
@@ -1221,16 +1247,18 @@ class TestWriteCsv:
 
 
 class TestDeferredImports:
-    """classify loads scipy's csgraph and meanfield its sparse.linalg,
-    each on first use; hitting, asymptote and simulate load neither, nor
-    the scipy.linalg that both pull in."""
+    """No command but meanfield loads scipy.sparse, which meanfield loads
+    with its sparse.linalg on first use; nothing loads csgraph.  The
+    graph commands, and hitting and asymptote on harmonic chains, load
+    no mpmath."""
 
-    DEFERRED = ("scipy.linalg", "scipy.sparse.csgraph", "scipy.sparse.linalg")
+    WATCHED = ("mpmath", "scipy.linalg", "scipy.sparse",
+               "scipy.sparse.csgraph", "scipy.sparse.linalg")
 
     RUN = ("import json, sys\n"
            "import dieout.cli\n"
-           "status = dieout.cli.main(sys.argv[1:])\n"
-           "print(json.dumps(sorted(m for m in {deferred!r}"
+           "status = dieout.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+           "print(json.dumps(sorted(m for m in {watched!r}"
            " if m in sys.modules)))\n"
            "sys.exit(status)\n")
 
@@ -1246,30 +1274,41 @@ class TestDeferredImports:
             graph=small_graph_file(tmp_path), delta="8.5", out=out)
             + "\n[meanfield]\nt_max = 1\ngrid_step = 0.5\n")
 
-    @pytest.mark.parametrize("command, loaded", [
-        ("hitting", set()),
-        ("asymptote", set()),
-        ("simulate", set()),
-        ("classify", {"scipy.sparse.csgraph"}),
-        ("meanfield", {"scipy.sparse.linalg"})])
-    def test_fresh_process_loads_only_what_the_command_calls(
-            self, tmp_path, command, loaded):
-        argv = [command, "--config", str(self.config(tmp_path, command))]
-        if command == "simulate":
-            argv += ["--threads", "1"]
+    def loaded_after(self, argv) -> set:
         path = [str(Path(cli.__file__).parents[1]),
                 os.environ.get("PYTHONPATH")]
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, path)))
         done = subprocess.run(
-            [sys.executable, "-c", self.RUN.format(deferred=self.DEFERRED),
+            [sys.executable, "-c", self.RUN.format(watched=self.WATCHED),
              *argv], capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        found = set(json.loads(done.stdout.splitlines()[-1]))
+        return set(json.loads(done.stdout.splitlines()[-1]))
+
+    def test_import_loads_none(self):
+        assert not self.loaded_after([])
+
+    @pytest.mark.parametrize("command, loaded", [
+        ("hitting", set()),
+        ("asymptote", set()),
+        ("simulate", set()),
+        ("classify", set()),
+        ("meanfield", {"scipy.sparse", "scipy.sparse.linalg"})])
+    def test_fresh_process_loads_only_what_the_command_calls(
+            self, tmp_path, command, loaded):
+        argv = [command, "--config", str(self.config(tmp_path, command))]
+        if command == "simulate":
+            argv += ["--threads", "1"]
+        found = self.loaded_after(argv)
         if loaded:
-            assert loaded <= found
+            assert loaded <= found and "mpmath" not in found
         else:
             assert not found
+
+    def test_simulate_on_two_workers_loads_none(self, tmp_path):
+        cfg = self.config(tmp_path, "simulate")
+        assert not self.loaded_after(["simulate", "--config", str(cfg),
+                                      "--threads", "2"])
 
 
 class TestAsymptote:

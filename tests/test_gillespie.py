@@ -17,20 +17,20 @@ from dieout.gillespie import (SimConfig, _EventTables, _locate, _map_runs,
                               _pick, _pick_rows, mean_field_trajectory,
                               run_ensemble, run_rng, simulate_run,
                               trimmed_interval)
-from dieout.graphs import (DiagonalModulation, EpidemicModel, LocalityGraph,
-                           load_edge_list, spectral_radius)
+from dieout.graphs import (CSR, DiagonalModulation, EpidemicModel,
+                           LocalityGraph, load_edge_list, spectral_radius)
 from dieout.rates import FLOAT, Constant, parse_profile
 
 from conftest import const_model, random_strong_digraph
 from oracles import (EpidemicState, estimate_survival_probability,
-                     node_rates, step)
+                     node_rates, scipy_weights, step)
 
 
 def modulated_twins(n: int = 60, seed: int = 5):
     """A directed graph built from a CSR matrix, its twin built from a
     dense array, and a modulation D != I."""
     dense = random_strong_digraph(seed, n=n)
-    csr = LocalityGraph(dense.labels, sp.csr_matrix(dense.weights))
+    csr = LocalityGraph(dense.labels, scipy_weights(dense))
     d = DiagonalModulation(np.random.default_rng(seed).uniform(0.5, 1.5, n))
     return csr, dense, d
 
@@ -110,7 +110,7 @@ class TestNodeRates:
         # classifiers, the mean-field ODE and the chains are one model
         g = random_strong_digraph(seed % 10_000, n=n)
         if sparse:
-            g = LocalityGraph(g.labels, sp.csr_matrix(g.weights))
+            g = LocalityGraph(g.labels, scipy_weights(g))
         rng = np.random.default_rng(seed)
         model = EpidemicModel(parse_profile("harmonic:3"),
                               parse_profile("step:2,1/3,25"), 1.5,
@@ -863,6 +863,7 @@ class TestMeanField:
             raise AssertionError("densified a sparse matrix")
 
         monkeypatch.setattr(LocalityGraph, "dense_weights", refuse)
+        monkeypatch.setattr(CSR, "toarray", refuse)
         for cls in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
                     sp.dia_matrix, sp.csr_array, sp.csc_array,
                     sp.coo_array, sp.dia_array):

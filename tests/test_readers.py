@@ -1,7 +1,8 @@
 """The chunked edge-list reader and the one-pass label-file reader
 against the former one-line-at-a-time readers in ``oracles``: equal
-graphs and tables, or the same error message, for every source kind, at
-the default chunk size and at chunks of a few characters."""
+graphs and tables, or the same error message, for every source kind;
+edge lists at the default chunk size and at chunks of a few
+characters."""
 
 import io
 import tracemalloc
@@ -160,20 +161,18 @@ def _table_outcome(read, path, convert, labels):
 
 @settings(max_examples=300, deadline=None)
 @given(label_texts(), st.sampled_from([None, _modulation_value, _count_value]),
-       st.sampled_from([None, frozenset(LABELS)]), SMALL_CHUNKS)
-@example("a 1\nb 2\n", _count_value, None, 1)
-@example("a 1\na 2\n", _count_value, None, 1)
-@example("a\fb\n", None, None, 1)
-@example("a 1\nzz x\n", _modulation_value, frozenset(LABELS), 1)
+       st.sampled_from([None, frozenset(LABELS)]))
+@example("a 1\nb 2\n", _count_value, None)
+@example("a 1\na 2\n", _count_value, None)
+@example("a\fb\n", None, None)
+@example("a 1\nzz x\n", _modulation_value, frozenset(LABELS))
 def test_label_file_matches_the_per_line_reader(shared_dir, text, convert,
-                                                labels, chunk):
+                                                labels):
+    # the label reader makes one pass and reads no CHUNK_CHARS
     path = shared_dir / "labels.txt"
     path.write_text(text, encoding="utf-8", newline="")
     want = _table_outcome(oracles.read_label_values, path, convert, labels)
-    for chars in (graphs.CHUNK_CHARS, chunk):
-        with _chunks_of(chars):
-            assert (_table_outcome(_read_label_values, path, convert, labels)
-                    == want)
+    assert _table_outcome(_read_label_values, path, convert, labels) == want
 
 
 def test_valid_inputs_never_take_the_per_line_pass(tmp_path, monkeypatch):
@@ -244,12 +243,10 @@ def test_a_fault_in_the_third_chunk_names_its_file_line(tmp_path):
             load_edge_list_file(tmp_path / "g.edges")
         assert str(info.value) == (f"{tmp_path / 'g.edges'}: line 10: "
                                    "weight 'x' is not a number")
-    with _chunks_of(len("n0 1\n") * 4):
-        assert "n2 7" in list(graphs.line_chunks(labels))[2]
-        with pytest.raises(ConfigError) as info:
-            _read_label_values(tmp_path / "g.mod", _modulation_value)
-        assert str(info.value) == (f"{tmp_path / 'g.mod'}:10: "
-                                   "duplicate label 'n2'")
+    with pytest.raises(ConfigError) as info:
+        _read_label_values(tmp_path / "g.mod", _modulation_value)
+    assert str(info.value) == (f"{tmp_path / 'g.mod'}:10: "
+                               "duplicate label 'n2'")
 
 
 def test_a_label_first_seen_in_a_later_chunk_keeps_its_order(tmp_path):
@@ -258,7 +255,7 @@ def test_a_label_first_seen_in_a_later_chunk_keeps_its_order(tmp_path):
     with _chunks_of(1):  # one line a chunk
         assert len(list(graphs.line_chunks(text))) == 5
         g = load_edge_list(text)
-        subset = _read_label_values(tmp_path / "sub.txt")
+    subset = _read_label_values(tmp_path / "sub.txt")
     assert g.labels == ("b", "c", "a", "d")
     assert g.weights.toarray().tolist() == [[0, 1, 0, 0], [1, 0, 0, 1],
                                             [2, 0, 0, 0], [0, 0, 1, 0]]
