@@ -38,21 +38,25 @@ The pass runs in Python integers in one of two arithmetics:
   positive, so floor division only ever rounds down, and the pass
   carries an integer bound on the accumulated loss beside each value
   (ln(1 + n) for ``logn`` profiles comes from a table built before the
-  pass, an integer atanh series at each prime and an exact sum
-  ln a + ln b at each composite a b, with its own bound).  A row is
-  certified when truncation plus rounding bound is within the
-  tolerance; the rounding bound alone stays below 2**-bits relative.
+  pass: an integer atanh series at each prime, ln 2 included, stored
+  only there, and at a composite the exact sum of its prime factors'
+  entries, with its own bound).  A row is certified when truncation
+  plus rounding bound is within the tolerance; the rounding bound
+  alone stays below 2**-bits relative.
 
 In both, gamma(j) comes from the profile's own evaluator as a plain
 int triple (p, q, g) meaning p / (q 2**g): no object per row, and the
 2**G scale of a table logarithm stays a shift rather than a factor of
 a divisor.
 
-Every entry point reads the one :class:`HittingTable` that pass
-builds.  It keeps the kernel's integers over that one denominator, so
-T_n's numerator is a running sum of S's, taken where it is read; the
-public numbers (Fractions, or mpf numbers holding the exact dyadic
-kernel values) are built only when a caller reads them.
+Each pass takes the rows its caller keeps.  :func:`hitting_table`
+keeps every row in one :class:`HittingTable`, the kernel's integers
+over that one denominator, so T_n's numerator is a running sum of S's,
+taken where it is read; the public numbers (Fractions, or mpf numbers
+holding the exact dyadic kernel values) are built only when a caller
+reads them.  :func:`asymptote_ratio` keeps one running suffix sum of
+the rows at each requested state, so its memory grows with the states
+it reads, not with n_max; each row is still certified in the pass.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -220,8 +225,8 @@ _SAFETY = 1 + 2.0 ** -24
 
 #: entries of the smallest-prime-factor sieve made at a time while a
 #: _LogTable is built; the allocator reuses chunks this small, where a
-#: whole-range array, once freed, stayed resident and raised fig4's
-#: peak RSS by about 4 MB
+#: whole-range numpy array, once freed, stayed resident and raised
+#: fig4's peak RSS by about 4 MB
 _SIEVE_CHUNK = 1 << 14
 
 #: fractional bits kept beyond ``bits + ceil(log2(delta * M))``: they
@@ -320,74 +325,110 @@ def _smallest_prime_factors(lo: int, hi: int, primes) -> list:
     return spf.tolist()
 
 
+def _two_atanh(q: int, coeffs: list, bits: int) -> int:
+    """2**bits * 2 atanh(1/q) = 2**bits ln((q + 1)/(q - 1)) for odd
+    q >= 3, less than 3 units low, from coeffs[i] =
+    floor(2**(bits + 1) / (2i + 1)) by Horner's rule.
+
+    Every floor loses under one unit, and each partial sum enters
+    divided by q**2 >= 9, so the floors lose under 1 + 2 * 3/8 units;
+    the series is cut where its tail drops below one unit, and nothing
+    rounds up.
+    """
+    q2 = q * q
+    # K terms leave a tail below one unit: q**(2K) >= 2**(bits+1)
+    last = (bits + 1) // (2 * (q.bit_length() - 1))
+    acc = coeffs[last]
+    for i in range(last - 1, -1, -1):
+        acc = acc // q2 + coeffs[i]
+    return acc // q
+
+
+def _atanh_coeffs(bits: int) -> list:
+    """floor(2**(bits + 1) / (2i + 1)): the series of 2 atanh, as many
+    terms as :func:`_two_atanh` reads at q = 3."""
+    return [(2 << bits) // (2 * i + 1) for i in range(bits // 2 + 2)]
+
+
+def _floor_ln2(bits: int) -> int:
+    """floor(2**bits ln 2), exactly, in integers.
+
+    ln 2 = 2 atanh(1/3).  Summed at bits + guard bits, x lies less than
+    3 units below 2**(bits + guard) ln 2, which is irrational, so the
+    floor is x >> guard once x and x + 3 shift down to one integer;
+    the guard doubles until they do.
+    """
+    guard = 32
+    while True:
+        width = bits + guard
+        x = _two_atanh(3, _atanh_coeffs(width), width)
+        if x >> guard == (x + 3) >> guard:
+            return x >> guard
+        guard *= 2
+
+
 class _LogTable:
-    """Lower bounds on ln(1 + n) for n = top, top - 1, ..., 1 in turn.
+    """Lower bounds on ln(1 + n) for n = 1..top.
 
-    Holds L[m] ~ 2**bits * ln(m) for m = 2..top + 1, built in ascending
-    order when the table is made, with |L[m] - 2**bits ln m| <= err(m)
-    for err(m) = 3m - 4:
+    Stores L[p] ~ 2**bits * ln(p) only at the primes p <= top + 1, and a
+    smallest-prime-factor array over 0..top + 1 (0 at a prime).  For
+    every m = 2..top + 1, L(m) is the sum of L[p] over m's prime
+    factors p with multiplicity, found through that array, with
+    |L(m) - 2**bits ln m| <= err(m) for err(m) = 3m - 4:
 
-    * L[2] is the floor of one mpmath logarithm at bits + 32 bits, off
-      by at most 2 units = err(2);
-    * at an odd prime p, L[p] = L[p - 1] + 2 atanh(1/(2p - 1)), the
-      series ln p - ln(p - 1) summed in integers by Horner's rule.
-      Every floor there loses under one unit, and the previous partial
-      sum enters divided by (2p - 1)**2 >= 25, so the step is off by
-      less than 3 units once the series is cut where its tail drops
-      below one unit: err(p - 1) + 3 = err(p);
-    * at a composite m = a b with a = spf(m) its smallest prime factor,
-      L[m] = L[a] + L[b] exactly, off by at most
-      err(a) + err(b) = 3a + 3b - 8 <= 3ab - 4 = err(m), because
-      3ab - 3a - 3b + 4 = 3 (a - 1)(b - 1) + 1 > 0.
+    * L[2] = floor(2**bits ln 2) (:func:`_floor_ln2`), off by under one
+      unit, below err(2) = 2;
+    * at an odd prime p, L[p] = L(p - 1) + 2 atanh(1/(2p - 1)), the
+      series ln p - ln(p - 1) summed by :func:`_two_atanh`, under 3
+      units low: err(p - 1) + 3 = err(p);
+    * at a composite m = a b, L(m) = L(a) + L(b) exactly, off by at
+      most err(a) + err(b) = 3a + 3b - 8 <= 3ab - 4 = err(m), because
+      3ab - 3a - 3b + 4 = 3 (a - 1)(b - 1) + 1 > 0; by induction over
+      the factors this holds for the sum over all of them.
 
-    Only the odd primes (about 1 in 13 entries at top = 1e6) take a
-    series.  Serving n returns the kernel triple (L[n + 1] - err, 1,
-    bits), i.e. (L[n + 1] - err) / 2**bits, with
-    err = 3 (n + 1) >= err(n + 1): a lower bound on ln(1 + n) at most
-    2 err units below it.  It leaves ``err`` set for the caller.
-    Entries above n + 1 are dropped once the pass has moved below them,
-    so the table shrinks while the pass's rows grow.
+    An ascending table of every L(m), built as L(a) + L(m / a) with a
+    the smallest prime factor, holds these same integers: each is the
+    same sum of prime entries.  Only the odd primes (about 1 in 13
+    entries at top = 1e6) take a series, and only they are stored.
+    Serving n returns the kernel triple (L(n + 1) - err, 1, bits), i.e.
+    (L(n + 1) - err) / 2**bits, with err = 3 (n + 1) >= err(n + 1): a
+    lower bound on ln(1 + n) at most 2 err units below it.  It leaves
+    ``err`` set for the caller.
     """
 
     def __init__(self, top: int, bits: int):
         root = math.isqrt(top + 1)
         primes = [p for p in range(2, root + 1)
                   if all(p % d for d in range(2, math.isqrt(p) + 1))]
-        import mpmath  # here: only the log-n kernels need it
-        with mpmath.mp.workprec(bits + 32):
-            ln2 = int(mpmath.floor(mpmath.ldexp(mpmath.log(2), bits)))
-        # floor(2**(bits + 1) / (2i + 1)): the series of 2 atanh
-        coeffs = [(2 << bits) // (2 * i + 1) for i in range(bits // 2 + 2)]
-        L = [0, 0, ln2]
-        append = L.append
+        coeffs = _atanh_coeffs(bits)
+        # "I" holds any factor up to isqrt(top + 1) < 2**32
+        self._spf = spf = array("I", [0, 0, 0])
+        self._L = L = {2: _floor_ln2(bits)}
+        self.bits = bits
         for lo in range(3, top + 2, _SIEVE_CHUNK):
             hi = min(lo + _SIEVE_CHUNK, top + 2)
-            spf = _smallest_prime_factors(lo, hi, primes)
-            for m, p in enumerate(spf, lo):
-                if p:
-                    append(L[p] + L[m // p])
-                    continue
-                q = 2 * m - 1
-                q2 = q * q
-                # K terms leave a tail below one unit: q**(2K) >= 2**(bits+1)
-                last = (bits + 1) // (2 * (q.bit_length() - 1))
-                acc = coeffs[last]
-                for i in range(last - 1, -1, -1):
-                    acc = acc // q2 + coeffs[i]
-                append(L[-1] + acc // q)
-        self._L, self.bits, self.err = L, bits, 0
+            chunk = _smallest_prime_factors(lo, hi, primes)
+            spf.extend(chunk)
+            for m, p in enumerate(chunk, lo):
+                if not p:  # L(m - 1) is served at n = m - 2, err low
+                    L[m] = (self(m - 2)[0] + self.err
+                            + _two_atanh(2 * m - 1, coeffs, bits))
+        self.err = 0
 
     def __call__(self, n: int) -> tuple[int, int, int]:
-        L = self._L
-        if n + 2 > len(L):
-            raise ValueError("logarithms are served for decreasing n only")
-        del L[n + 2:]
+        spf, L = self._spf, self._L
         self.err = err = 3 * (n + 1)
-        return L[n + 1] - err, 1, self.bits
+        m, total = n + 1, -err
+        p = spf[m]
+        while p:  # m's prime factors, smallest first
+            total += L[p]
+            m //= p
+            p = spf[m]
+        return total + L[m], 1, self.bits
 
 
 def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
-                geom: Fraction | None, tol: tuple[int, int]):
+                geom: Fraction | None, tol: tuple[int, int], keep=None):
     """The backward pass in integers scaled by 2**F.
 
     s_j = floor(2**F/(j delta)) + floor(q_j s_{j+1}) with q = gamma/delta
@@ -418,18 +459,20 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     and checks come back as from :func:`_exact_pass`: s_j, the bound e_j plus the
     tail bound P_j * geom (None without a tail bound) and the one
     denominator 2**F; a row is worth more terms only when its rounding
-    bound e_j alone meets the tolerance.
+    bound e_j alone meets the tolerance.  ``keep`` is as there.
     """
     delta = spec.delta
     F = bits + _GUARD + max(0, math.ceil(math.log2(delta * M)))
     dn, dd = delta.numerator, delta.denominator
     unit = (1 << F) * dd  # floor(unit / (j dn)) = floor(2**F / (j delta))
     tn, td = tol
-    # the row lists come before the log table, which the pass frees as
-    # it goes: in the other order asymptote's peak RSS was 1 MB higher
-    values = [0] * n_hi
-    bounds = [None] * n_hi
-    certified = [False] * n_hi
+    rows = keep is None
+    if rows:
+        values = [0] * n_hi
+        bounds = [None] * n_hi
+        certified = [False] * n_hi
+    else:
+        values, bounds, certified = {}, None, None
     log = (None if spec.gamma.is_rational
            else _LogTable(M, F + 2 * M.bit_length() + _GUARD))
     gamma = spec.gamma.evaluator(_kernel_arithmetic(log))
@@ -440,7 +483,7 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
     helpable = False
     worst_b, worst_v = -1, 1  # the largest bound / value so far
     worst_ok = False  # whether that ratio meets tol
-    s = e = 0
+    s = e = above = 0  # above: s_{j+1} + ... + s_{n_hi}
     pm, pe = 1 << 63, -63  # P_{M+1} = 1
     for j in range(M, 0, -1):
         p, q, g = gamma(j)
@@ -458,8 +501,6 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
                 pm = (-(-pm >> shift) if shift > 0 else pm << -shift) + 1
                 pe += shift
         if j <= n_hi:
-            i = j - 1
-            values[i] = s
             if not pm or geom is not None:
                 if not pm:
                     tail = 0  # a vanished gamma truncates exactly
@@ -472,24 +513,33 @@ def _fixed_pass(spec: BirthDeathSpec, n_hi: int, M: int, bits: int,
                         tail = -(-(x << shift) // gd)
                     else:
                         tail = -(-x // (gd << -shift))
-                b = bounds[i] = e + tail
+                b = e + tail
                 if b * worst_v > worst_b * s:
                     worst_b, worst_v = b, s
                     worst_ok = b * td <= tn * s
                 # b / s is at most the largest ratio so far, so the row
                 # meets tol whenever that ratio does
-                if worst_ok or b * td <= tn * s:
-                    certified[i] = True
-                    continue
+                ok = worst_ok or b * td <= tn * s
+            else:
+                b, ok = None, False
             # more terms cannot help a row whose rounding alone is too big
-            if not helpable and e * td <= tn * s:
+            if not (ok or helpable) and e * td <= tn * s:
                 helpable = True
+            if rows:
+                i = j - 1
+                values[i], bounds[i], certified[i] = s, b, ok
+            else:
+                if j in keep:
+                    values[j] = above
+                above += s
+    if not rows:
+        values[0] = above
     return (values, bounds, 1 << F, certified, helpable,
             None if worst_b < 0 else worst_b / worst_v)
 
 
 def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
-                geom: Fraction | None, tol: tuple[int, int]):
+                geom: Fraction | None, tol: tuple[int, int], keep=None):
     """The backward pass in exact integers over one denominator Q_1.
 
     With delta = dn/dd, q_j = gamma(j)/delta = qn/qd left unreduced
@@ -519,33 +569,96 @@ def _exact_pass(spec: BirthDeathSpec, n_hi: int, M: int,
     when no row has a bound): the max of each row's correctly rounded
     quotient, which is the rounded max since rounding is monotone
     (cross-multiplying Q_1-sized pairs would be big-by-big).
+
+    ``keep`` None keeps every row so.  A set of states keeps instead
+    only a dict from each n in it, and from 0, to the sum of the rows
+    above n, N_{n+1} + ... + N_{n_hi}, so the mean hitting time
+    T_n = (sums[0] - sums[n]) / Q_1; bounds and certified are then
+    None, and every row is still checked.
     """
     delta = spec.delta
     dn, dd = delta.numerator, delta.denominator
     gamma = spec.gamma.evaluator(_kernel_arithmetic(None))
-    q = [(a * dd, b * dn) for a, b, _ in map(gamma, range(1, M + 1))]
     gn, gd = (1, 1) if geom is None else (geom.numerator, geom.denominator)
-    den = gd * math.prod(math.lcm(j * dn, qd)
-                         for j, (_, qd) in enumerate(q, 1))
+    # gamma is evaluated again in the pass rather than kept for M rows
+    den = gd * math.prod(math.lcm(j * dn, gamma(j)[1] * dn)
+                         for j in range(1, M + 1))
     unit = den * dd
     tn, td = tol
-    values = [0] * n_hi
-    bounds = [None] * n_hi
-    certified = [False] * n_hi
+    rows = keep is None
+    if rows:
+        values = [0] * n_hi
+        bounds = [None] * n_hi
+        certified = [False] * n_hi
+    else:
+        values, bounds, certified = {}, None, None
+    helpable = False
     rel = -1.0  # the largest bound / value so far
     s, r = 0, gn * (den // gd)
+    above = 0  # N_{j+1} + ... + N_{n_hi}
     for j in range(M, 0, -1):
-        qn, qd = q[j - 1]
+        p, q, _ = gamma(j)
+        qn, qd = p * dd, q * dn
         s = unit // (j * dn) + qn * (s // qd)
         r = qn * (r // qd)
         if j <= n_hi:
-            values[j - 1] = s
             if not r or geom is not None:
-                bounds[j - 1] = r
-                certified[j - 1] = r * td <= tn * s
+                b, ok = r, r * td <= tn * s
                 rel = max(rel, r / s)
-    return (values, bounds, den, certified, not all(certified),
+            else:
+                b, ok = None, False
+            helpable = helpable or not ok
+            if rows:
+                i = j - 1
+                values[i], bounds[i], certified[i] = s, b, ok
+            else:
+                if j in keep:
+                    values[j] = above
+                above += s
+    if not rows:
+        values[0] = above
+    return (values, bounds, den, certified, helpable,
             None if rel < 0 else rel)
+
+
+def _certified_pass(spec: BirthDeathSpec, n_max: int,
+                    precision: PrecisionConfig, keep=None):
+    """The pass over rows 1..n_max behind :func:`hitting_table` and
+    :func:`asymptote_ratio`, from the planned truncation index, with M
+    doubled while more terms could certify a row.
+
+    Returns the last pass's (values, bounds, denominator, certified,
+    helpable, rel), the rows ``keep`` asks for as in
+    :func:`_exact_pass`, and the run report as a dict over RUN_REPORT.
+    """
+    if n_max < 1:
+        raise ValueError("need at least state 1")
+    rational = precision.mode == RATIONAL
+    if rational and not spec.gamma.is_rational:
+        raise ExactnessError(
+            "the exact-rational kernel requires a rational-valued "
+            "gamma profile; use the big-float kernel instead")
+    if precision.max_terms < n_max:
+        raise ValueError(
+            f"max_terms {precision.max_terms} is below the largest "
+            f"requested state {n_max}; the series needs at least that "
+            f"many terms")
+    planned = M = _plan_truncation(spec, n_max, precision)
+    tol = precision.series_rel_tol.as_integer_ratio()
+    passes = 0
+    while True:
+        r_ok, r = _ratio_bound(spec, M + 1)
+        geom = 1 / ((1 - r) * spec.delta * (M + 1)) if r_ok else None
+        if rational:
+            rows = _exact_pass(spec, n_max, M, geom, tol, keep)
+        else:
+            rows = _fixed_pass(spec, n_max, M, precision.bits, geom, tol,
+                               keep)
+        *_, helpable, rel = rows
+        if not helpable or M >= precision.max_terms:
+            return rows, dict(zip(RUN_REPORT, (M, planned, passes, rel)))
+        M = min(max(2 * M, M + 64), precision.max_terms)
+        passes += 1
 
 
 def hitting_table(spec: BirthDeathSpec, n_max: int,
@@ -569,35 +682,11 @@ def hitting_table(spec: BirthDeathSpec, n_max: int,
         ExactnessError: rational mode with an irrational gamma.
         ValueError: ``max_terms`` below n_max.
     """
-    if n_max < 1:
-        raise ValueError("need at least state 1")
-    rational = precision.mode == RATIONAL
-    if rational and not spec.gamma.is_rational:
-        raise ExactnessError(
-            "the exact-rational kernel requires a rational-valued "
-            "gamma profile; use the big-float kernel instead")
-    if precision.max_terms < n_max:
-        raise ValueError(
-            f"max_terms {precision.max_terms} is below the largest "
-            f"requested state {n_max}; the series needs at least that "
-            f"many terms")
-    planned = M = _plan_truncation(spec, n_max, precision)
-    tol = precision.series_rel_tol.as_integer_ratio()
-    passes = 0
-    while True:
-        r_ok, r = _ratio_bound(spec, M + 1)
-        geom = 1 / ((1 - r) * spec.delta * (M + 1)) if r_ok else None
-        if rational:
-            rows = _exact_pass(spec, n_max, M, geom, tol)
-        else:
-            rows = _fixed_pass(spec, n_max, M, precision.bits, geom, tol)
-        values, bounds, den, certified, helpable, rel = rows
-        if not helpable or M >= precision.max_terms:
-            return HittingTable(n_max, precision, all(certified),
-                                tuple(certified), M, planned, passes, rel,
-                                values, bounds, den)
-        M = min(max(2 * M, M + 64), precision.max_terms)
-        passes += 1
+    (values, bounds, den, certified, _, _), report = _certified_pass(
+        spec, n_max, precision)
+    return HittingTable(n_max, precision, all(certified), tuple(certified),
+                        numerators=values, bounds=bounds, denominator=den,
+                        **report)
 
 
 def asymptote_ratio(spec: BirthDeathSpec, n_list,
@@ -606,22 +695,22 @@ def asymptote_ratio(spec: BirthDeathSpec, n_list,
 
     When gamma vanishes asymptotically the ratios approach one --
     although the approach is extremely slow, so no rate is implied.
-    Each E[T_n] is the exact prefix sum p/q of the
-    :func:`hitting_table` up to the largest state, p from a running
-    sum of its ``numerators`` and q its ``denominator``; the ratio is
-    ``delta * (p / q) / math.log(n)`` in float64, read only at the
-    requested states.
+    Each E[T_n] is the exact p/q of :func:`hitting_table` up to the
+    largest state, with the same run report, but the pass keeps no
+    rows: p = U_1 - U_{n+1} from the running suffix sums
+    U_j = s_j + ... + s_{n_max} it keeps at j = n + 1 for each
+    requested n, and q its one denominator.  The ratio is
+    ``delta * (p / q) / math.log(n)`` in float64.
     """
     states = set(int(n) for n in n_list)
     if not states or min(states) < 2:
         raise ValueError("asymptote states must be integers >= 2")
-    table = hitting_table(spec, max(states), precision)
-    den, delta = table.denominator, float(spec.delta)
+    (sums, _, den, _, _, _), report = _certified_pass(
+        spec, max(states), precision, keep=states)
+    total, delta = sums[0], float(spec.delta)
     return AsymptoteRatios(
-        [(n, delta * (p / den) / math.log(n))
-         for n, p in enumerate(itertools.accumulate(table.numerators), 1)
-         if n in states],
-        **{key: getattr(table, key) for key in RUN_REPORT})
+        [(n, delta * ((total - sums[n]) / den) / math.log(n))
+         for n in sorted(states)], **report)
 
 
 def equilibrium_lower_bound(epsilon, delta, N: int) -> Fraction:

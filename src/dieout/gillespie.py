@@ -35,7 +35,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 
@@ -824,6 +823,9 @@ def _map_runs(cfg: SimConfig, g: LocalityGraph, runs: int,
     slices = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     if workers == 1:
         return _run_slice(cfg, g, slices[0], grid)
+    # imported here: the pool brings multiprocessing, socket and logging,
+    # which no inline run needs
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = pool.map(_run_slice, repeat(cfg), repeat(g), slices,
                          repeat(grid))

@@ -9,7 +9,9 @@ must reproduce.  ``fraction_tail`` is the rational kernel's backward
 pass in plain Fraction arithmetic, which the integer pass must
 reproduce exactly; with ``truncate_at`` it is one pass from a fixed
 truncation index.  ``BackwardLog`` is the one-series-step-per-row
-logarithm the fixed-point kernel's ``logn`` table must agree with.
+logarithm the fixed-point kernel's ``logn`` table must agree with, and
+``AscendingLog`` the former table of every logarithm, whose triples the
+primes-only table must serve exactly.
 ``fixed_pass`` and ``exact_pass`` are the kernel's two backward passes
 as they were when profiles evaluated to ``_Ratio`` objects (each
 logarithm 2**-G scaled inside the denominator, so a ``logn`` row
@@ -276,6 +278,56 @@ class BackwardLog:
             self.err += 3
             self.n -= 1
         return self.L - self.err, 1, self.bits
+
+
+class AscendingLog:
+    """``chains._LogTable`` as it was before it stored only primes: the
+    reference whose triples and ``err`` the primes-only table must
+    serve exactly.
+
+    Holds L[m] ~ 2**bits * ln(m) for every m = 2..top + 1, built in
+    ascending order, with |L[m] - 2**bits ln m| <= err(m) = 3m - 4:
+    L[2] is the floor of one mpmath logarithm at bits + 32 bits; at an
+    odd prime p, L[p] = L[p - 1] + 2 atanh(1/(2p - 1)) by Horner's rule;
+    at a composite m with smallest prime factor a, L[m] = L[a] + L[m/a].
+    Serves (L[n + 1] - err, 1, bits) with err = 3 (n + 1) for
+    decreasing n, dropping the entries above n + 1 as it goes.
+    """
+
+    def __init__(self, top: int, bits: int):
+        root = math.isqrt(top + 1)
+        primes = [p for p in range(2, root + 1)
+                  if all(p % d for d in range(2, math.isqrt(p) + 1))]
+        with mpmath.mp.workprec(bits + 32):
+            ln2 = int(mpmath.floor(mpmath.ldexp(mpmath.log(2), bits)))
+        # floor(2**(bits + 1) / (2i + 1)): the series of 2 atanh
+        coeffs = [(2 << bits) // (2 * i + 1) for i in range(bits // 2 + 2)]
+        L = [0, 0, ln2]
+        append = L.append
+        for lo in range(3, top + 2, chains._SIEVE_CHUNK):
+            hi = min(lo + chains._SIEVE_CHUNK, top + 2)
+            spf = chains._smallest_prime_factors(lo, hi, primes)
+            for m, p in enumerate(spf, lo):
+                if p:
+                    append(L[p] + L[m // p])
+                    continue
+                q = 2 * m - 1
+                q2 = q * q
+                # K terms leave a tail below one unit: q**(2K) >= 2**(bits+1)
+                last = (bits + 1) // (2 * (q.bit_length() - 1))
+                acc = coeffs[last]
+                for i in range(last - 1, -1, -1):
+                    acc = acc // q2 + coeffs[i]
+                append(L[-1] + acc // q)
+        self._L, self.bits, self.err = L, bits, 0
+
+    def __call__(self, n: int) -> tuple[int, int, int]:
+        L = self._L
+        if n + 2 > len(L):
+            raise ValueError("logarithms are served for decreasing n only")
+        del L[n + 2:]
+        self.err = err = 3 * (n + 1)
+        return L[n + 1] - err, 1, self.bits
 
 
 class _Ratio:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -469,17 +470,48 @@ class TestAsymptote:
         for n, r in ratios.items():
             assert 1.0 - 1e-9 <= r <= 1.0 / (1.0 - alpha) + 1.0
 
-    @pytest.mark.parametrize("precision", [RATIONAL, BF256],
-                             ids=["rational", "bigfloat"])
-    def test_ratios_come_from_the_table_prefix_sums(self, precision):
-        # the same exact T_n as hitting.csv, rounded once to float64
-        spec = BirthDeathSpec(parse_profile("harmonic:2"), Fraction(3, 2))
-        states = [2, 7, 40, 300, 1000, 2500]
-        table = hitting_table(spec, max(states), precision)
+    @pytest.mark.parametrize("text, precision", [
+        ("harmonic:2", RATIONAL), ("harmonic:2", BF256), ("logn:1.5", BF256),
+        ("harmonic:5", PrecisionConfig("bigfloat", 64, 1e-40))],
+        ids=["rational", "bigfloat", "logn", "uncertified"])
+    @pytest.mark.parametrize("extend", [False, True],
+                             ids=["planned", "extended"])
+    def test_ratios_come_from_the_table_prefix_sums(self, text, precision,
+                                                    extend, monkeypatch):
+        # the same exact T_n as hitting.csv, rounded once to float64: the
+        # pass keeps only the sums above each state, yet gives the
+        # table's prefix sums and run report, on a forced extension too
+        if extend:
+            monkeypatch.setattr(chains, "_plan_truncation",
+                                lambda spec, n_hi, precision: n_hi + 1)
+        spec = BirthDeathSpec(parse_profile(text), Fraction(3, 2))
+        states = [2, 7, 40, 300, 1000, 2500]  # 2500 = n_max
+        table = hitting_table(spec, 2500, precision)
         sums = list(itertools.accumulate(table.numerators))
-        den = table.denominator
-        assert asymptote_ratio(spec, states, precision).ratios == [
-            (n, 1.5 * (sums[n - 1] / den) / math.log(n)) for n in states]
+        result = asymptote_ratio(spec, states[::-1], precision)
+        assert result.ratios == [
+            (n, 1.5 * (sums[n - 1] / table.denominator) / math.log(n))
+            for n in states]
+        assert ({key: getattr(result, key) for key in chains.RUN_REPORT}
+                == {key: getattr(table, key) for key in chains.RUN_REPORT})
+        assert (table.extension_passes > 0) == (
+            extend and precision.bits > 64)
+
+    @pytest.mark.parametrize("text, delta, n_max, precision, limit", [
+        # the full rows took 21.7 MiB and 1.9 MiB
+        ("harmonic:2", "3/2", 3000, RATIONAL, 1 << 20),
+        ("harmonic:5", "1", 20_000, PrecisionConfig(), 1 << 16)],
+        ids=["rational", "bigfloat"])
+    def test_streamed_pass_keeps_no_rows(self, text, delta, n_max,
+                                         precision, limit):
+        spec = spec_of(text, delta)
+        tracemalloc.start()
+        try:
+            asymptote_ratio(spec, [2, 10, 100, n_max], precision)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, peak
 
     def test_rejects_states_below_two(self):
         with pytest.raises(ValueError):
@@ -773,6 +805,8 @@ class TestTriplePassesMatchRatioPasses:
 
         def checked(new, old):
             def run(*args):
+                *args, keep = args
+                assert keep is None  # hitting_table keeps every row
                 calls.append(args[2])
                 got = new(*args)
                 assert got == old(*args)
@@ -909,30 +943,31 @@ class TestRoundingCertificate:
         with mpmath.mp.workprec(400):
             for n in range(5000, 0, -1):
                 p, q, g = log(n)
-                assert len(log._L) == n + 2  # entries above n + 1 dropped
                 if n % 97 == 1 or n < 4:
                     exact = mpmath.ldexp(mpmath.log(n + 1), 200)
                     assert (q, g) == (1, 200)
                     assert exact - 2 * log.err <= p <= exact
                     assert log.err == 3 * (n + 1)
-        with pytest.raises(ValueError, match="decreasing"):
-            log(2)
 
     @pytest.mark.parametrize("bits", [64, 200, 355])
     def test_log_table_entries_within_err_m(self, bits):
-        # |L[m] - 2**bits ln m| <= 3m - 4 at the seed, odd primes, prime
+        # |L(m) - 2**bits ln m| <= 3m - 4 at the seed, odd primes, prime
         # powers, products of two large primes and the top entry
         top = 19_043  # the top entry is m = 19_044 = 2**2 3**2 23**2
         log = _LogTable(top, bits)
-        table = list(log._L)
         checked = [2, 3, 4, 5, 8, 9, 27, 243, 2401, 4096, 16_807, 15_625,
                    8633, 131 * 137, 127 * 149, 9973, 19_037, top + 1]
         with mpmath.mp.workprec(400):
             for m in checked:
                 exact = mpmath.ldexp(mpmath.log(m), bits)
                 err = 3 * m - 4
-                assert table[m] - err <= exact <= table[m] + err, m
-        assert len(table) == top + 2
+                L = log(m - 1)[0] + log.err  # L(m), served at n = m - 1
+                assert L - err <= exact <= L + err, m
+        # entries are stored at the primes up to top + 1 and nowhere else
+        assert sorted(log._L) == [
+            m for m in range(2, top + 2)
+            if all(m % d for d in range(2, math.isqrt(m) + 1))]
+        assert len(log._spf) == top + 2
 
     @pytest.mark.parametrize("lo, hi", [(3, 200), (16_387, 16_600),
                                         (999_900, 1_000_100)])
@@ -945,15 +980,50 @@ class TestRoundingCertificate:
         assert chains._smallest_prime_factors(lo, hi, primes) == [
             spf(m) for m in range(lo, hi)]
 
-    def test_log_table_serves_decreasing_n_only(self):
+    def test_log_table_serves_n_in_any_order(self):
+        # nothing is dropped as the pass moves down
         log = _LogTable(50, 64)
-        with pytest.raises(ValueError, match="decreasing"):
-            log(51)
-        first = log(40)
-        assert log(40) == first  # the same n twice in one row
-        log(39)
-        with pytest.raises(ValueError, match="decreasing"):
-            log(40)
+        down = [(log(n), log.err) for n in range(50, 0, -1)]
+        assert [(log(n), log.err) for n in range(1, 51)] == down[::-1]
+        assert log(40) == log(40)  # the same n twice in one row
+
+    @pytest.mark.parametrize("top", [1, 2, 3, chains._SIEVE_CHUNK - 1,
+                                     chains._SIEVE_CHUNK,
+                                     chains._SIEVE_CHUNK + 1, 40_000])
+    @pytest.mark.parametrize("bits", [64, 257, 390])
+    def test_primes_only_table_serves_the_ascending_tables_triples(
+            self, top, bits):
+        # a composite's entry is the sum of its prime factors' entries,
+        # the same integer as the ascending table's L[a] + L[m / a]
+        table, ascending = _LogTable(top, bits), oracles.AscendingLog(
+            top, bits)
+        for n in range(top, 0, -1):
+            assert table(n) == ascending(n)
+            assert table.err == ascending.err
+
+    def test_integer_ln2_is_the_floor_of_the_mpmath_value(self):
+        for bits in range(64, 1101):
+            with mpmath.mp.workprec(bits + 32):
+                want = int(mpmath.floor(mpmath.ldexp(mpmath.log(2), bits)))
+            assert chains._floor_ln2(bits) == want, bits
+
+    def test_integer_ln2_widens_its_guard_until_the_floor_is_settled(
+            self, monkeypatch):
+        # a first sum one unit below a multiple of 2**32 cannot settle
+        # the floor; the guard doubles and the next sum does
+        want = chains._floor_ln2(100)
+        widths = []
+        two_atanh = chains._two_atanh
+
+        def straddling(q, coeffs, bits):
+            widths.append(bits)
+            if len(widths) == 1:
+                return (want << bits - 100) - 1
+            return two_atanh(q, coeffs, bits)
+
+        monkeypatch.setattr(chains, "_two_atanh", straddling)
+        assert chains._floor_ln2(100) == want
+        assert widths == [132, 164]
 
     from hypothesis import given, settings
     from hypothesis import strategies as st

@@ -1248,12 +1248,13 @@ class TestWriteCsv:
 
 class TestDeferredImports:
     """No command but meanfield loads scipy.sparse, which meanfield loads
-    with its sparse.linalg on first use; nothing loads csgraph.  The
-    graph commands, and hitting and asymptote on harmonic chains, load
-    no mpmath."""
+    with its sparse.linalg on first use; nothing loads csgraph.  No
+    command loads mpmath, logn kernels included.  Only a simulate on
+    more than one worker loads the process pool."""
 
-    WATCHED = ("mpmath", "scipy.linalg", "scipy.sparse",
-               "scipy.sparse.csgraph", "scipy.sparse.linalg")
+    WATCHED = ("concurrent.futures", "mpmath", "multiprocessing",
+               "scipy.linalg", "scipy.sparse", "scipy.sparse.csgraph",
+               "scipy.sparse.linalg")
 
     RUN = ("import json, sys\n"
            "import dieout.cli\n"
@@ -1262,13 +1263,13 @@ class TestDeferredImports:
            " if m in sys.modules)))\n"
            "sys.exit(status)\n")
 
-    def config(self, tmp_path, command: str) -> Path:
+    def config(self, tmp_path, command: str, gamma="harmonic:5") -> Path:
         out = tmp_path / "out"
         if command in ("hitting", "asymptote"):
-            body = HITTING_BODY.format(delta=1, gamma="harmonic:5", n_max=20,
+            body = HITTING_BODY.format(delta=1, gamma=gamma, n_max=20,
                                        mode="bigfloat", extra="", out=out)
             if command == "asymptote":
-                body += "\n[asymptote]\ngammas = harmonic:5\nn_max = 100\n"
+                body += f"\n[asymptote]\ngammas = {gamma}\nn_max = 100\n"
             return write_config(tmp_path, body)
         return write_config(tmp_path, SIM_BODY.format(
             graph=small_graph_file(tmp_path), delta="8.5", out=out)
@@ -1305,10 +1306,17 @@ class TestDeferredImports:
         else:
             assert not found
 
-    def test_simulate_on_two_workers_loads_none(self, tmp_path):
+    @pytest.mark.parametrize("command", ["hitting", "asymptote"])
+    def test_logn_kernel_loads_no_mpmath(self, tmp_path, command):
+        # the logn table sums ln 2 in integers
+        cfg = self.config(tmp_path, command, gamma="logn:1.5")
+        assert not self.loaded_after([command, "--config", str(cfg)])
+
+    def test_simulate_on_two_workers_loads_only_the_pool(self, tmp_path):
         cfg = self.config(tmp_path, "simulate")
-        assert not self.loaded_after(["simulate", "--config", str(cfg),
-                                      "--threads", "2"])
+        assert self.loaded_after(["simulate", "--config", str(cfg),
+                                  "--threads", "2"]) == {
+            "concurrent.futures", "multiprocessing"}
 
 
 class TestAsymptote:
